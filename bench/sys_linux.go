@@ -1,0 +1,56 @@
+//go:build linux
+
+package main
+
+import (
+	"fmt"
+	"syscall"
+	"time"
+)
+
+// cpuTime is the process's user+system CPU so far. Client and in-process
+// servers share the process, so cpu_us_per_op covers both.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+func kernelRelease() string {
+	var u syscall.Utsname
+	if err := syscall.Uname(&u); err != nil {
+		return "unknown"
+	}
+	b := make([]byte, 0, len(u.Release))
+	for _, c := range u.Release {
+		if c == 0 {
+			break
+		}
+		b = append(b, byte(c))
+	}
+	return string(b)
+}
+
+// fsType names the filesystem holding dir: the WAL's fsync cost is that
+// filesystem's, so every result file records it.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	switch uint32(st.Type) {
+	case 0xEF53:
+		return "ext4"
+	case 0x01021994:
+		return "tmpfs"
+	case 0x794c7630:
+		return "overlayfs"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683E:
+		return "btrfs"
+	}
+	return fmt.Sprintf("0x%x", uint32(st.Type))
+}
