@@ -810,11 +810,9 @@ func BenchmarkAblation_TaintedStructureCheck(b *testing.B) {
 
 // BenchmarkSQLWALAppend measures the durable-insert path (docs/SQL.md
 // §8): "memory" is the no-WAL baseline, "sync" fsyncs every mutation
-// before acknowledging it (the default durability contract), and
-// "group64" batches up to 64 mutations per fsync — the group-commit
-// knob the issue's durability/throughput trade rides on.
+// before acknowledging it (the durability contract).
 func BenchmarkSQLWALAppend(b *testing.B) {
-	run := func(b *testing.B, path string, group int) {
+	run := func(b *testing.B, path string) {
 		rt := core.NewRuntime()
 		db, err := sqldb.OpenDB(rt, path)
 		if err != nil {
@@ -822,9 +820,6 @@ func BenchmarkSQLWALAppend(b *testing.B) {
 		}
 		defer db.Close()
 		db.MustExec("CREATE TABLE t (id INT, val TEXT)")
-		if group > 1 {
-			db.SetWALGroupCommit(group)
-		}
 		ins, err := db.PrepareRaw("INSERT INTO t (id, val) VALUES (?, ?)")
 		if err != nil {
 			b.Fatal(err)
@@ -838,9 +833,8 @@ func BenchmarkSQLWALAppend(b *testing.B) {
 			}
 		}
 	}
-	b.Run("memory", func(b *testing.B) { run(b, "", 0) })
-	b.Run("sync", func(b *testing.B) { run(b, b.TempDir()+"/sync.wal", 0) })
-	b.Run("group64", func(b *testing.B) { run(b, b.TempDir()+"/group.wal", 64) })
+	b.Run("memory", func(b *testing.B) { run(b, "") })
+	b.Run("sync", func(b *testing.B) { run(b, b.TempDir()+"/sync.wal") })
 }
 
 // BenchmarkSQLWALReplay measures recovery: reopening a database whose
@@ -857,7 +851,6 @@ func BenchmarkSQLWALReplay(b *testing.B) {
 		}
 		db.MustExec("CREATE TABLE t (id INT, val TEXT)")
 		db.MustExec("CREATE INDEX ON t (id)")
-		db.SetWALGroupCommit(256)
 		payload := core.NewStringPolicy("payload-bytes", &ablationPolicy{ID: 7})
 		ins, err := db.PrepareRaw("INSERT INTO t (id, val) VALUES (?, ?)")
 		if err != nil {

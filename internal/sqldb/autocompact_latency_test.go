@@ -23,9 +23,6 @@ func TestAutoCompactTriggerWriteLatency(t *testing.T) {
 	rt := core.NewRuntime()
 	db := openWALDB(t, rt, path)
 	defer db.Close()
-	// Group commit keeps the seeding fast and the normal-write baseline
-	// free of per-write fsync noise.
-	db.SetWALGroupCommit(64)
 	db.MustExec("CREATE TABLE t (id INT, val TEXT)")
 
 	// Grow live state until a synchronous Compact costs real time; the

@@ -353,8 +353,8 @@ type Engine struct {
 
 	// wal, when non-nil, is the write-ahead log this engine appends every
 	// successful mutation to — inside the write-lock critical section, so
-	// a mutation is durable (per the sync policy) before its ack leaves
-	// the engine. See wal.go / recover.go.
+	// a mutation is durable before its ack leaves the engine. See wal.go /
+	// recover.go.
 	wal *wal
 
 	// autoCompact, when > 0, is the WAL size (bytes) past which a
@@ -480,12 +480,12 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 			// TestRejectedStatementLeavesWALUntouched).
 			return nil, 0, err
 		}
-		// Write-ahead for real: the record is durable (per the sync
-		// policy) before the infallible apply step mutates memory, so a
-		// failed append — disk full, closed log — rejects the statement
-		// with both memory and log unchanged.
+		// Write-ahead for real: the record is durable before the
+		// infallible apply step mutates memory, so a failed append — disk
+		// full, closed log — rejects the statement with both memory and
+		// log unchanged.
 		if e.wal != nil {
-			if werr := e.wal.appendStmt(stmt.SQL()); werr != nil {
+			if werr := e.wal.appendRecords(stmtPayload(stmt.SQL())); werr != nil {
 				return nil, 0, werr
 			}
 		}
@@ -506,7 +506,7 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 			return nil, n, nil
 		}
 		if e.wal != nil {
-			if werr := e.wal.appendOps(ops); werr != nil {
+			if werr := e.wal.appendRecords(opsPayload(ops)); werr != nil {
 				return nil, 0, werr
 			}
 		}
@@ -663,29 +663,16 @@ func (e *Engine) checkOps(ops []rowOp) error {
 	return nil
 }
 
-// applyReplayOps validates and applies one WAL record's ops during
-// recovery, bumping the frontier exactly like the live mutation did.
-func (e *Engine) applyReplayOps(ops []rowOp) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.checkOps(ops); err != nil {
-		return err
-	}
-	born := e.frontier.Load() + 1
-	e.applyOps(ops, born)
-	e.frontier.Store(born)
-	return nil
-}
-
-// applyReplayGroup validates and applies one committed WAL transaction
-// group under a single commit version — the replay mirror of commitOps,
-// which logs a whole group and bumps the frontier exactly once. Using it
-// for every B..C group (and for standalone records, as one-item groups)
-// keeps replayed and shipped frontiers numerically identical to the
-// primary's live frontier, which is what lets a replica report "applied
-// through version N" meaningfully. DDL applies without a version bump
-// and without re-appending to the log: the record's bytes are already in
-// the log being replayed (recovery) or mirrored (follower shipping).
+// applyReplayGroup validates and applies one committed WAL group under
+// a single commit version — the replay mirror of commitOps, which logs
+// a whole group and bumps the frontier exactly once. The replayer calls
+// it for every B..C group and for standalone records (as one-item
+// groups), on recovery and on replicas alike, which keeps replayed and
+// shipped frontiers numerically identical to the primary's live
+// frontier — what lets a replica report "applied through version N"
+// meaningfully. DDL applies without a version bump and without
+// re-appending to the log: the record's bytes are already in the log
+// being replayed (recovery) or mirrored (follower shipping).
 func (e *Engine) applyReplayGroup(items []walItem) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -704,27 +691,13 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 		if err != nil {
 			return err
 		}
-		switch stmt.(type) {
-		case *CreateTable, *DropTable, *CreateIndex, *DropIndex:
-			_, apply, verr := e.validateDDL(stmt)
-			if verr != nil {
-				return verr
-			}
-			apply()
-		case *Select:
-			return fmt.Errorf("sqldb: non-mutating statement in WAL: %s", it.stmt)
-		default:
-			// Legacy v1 DML statement record: validate and apply under
-			// the group's single version.
-			_, ops, verr := e.validateDML(stmt)
-			if verr != nil {
-				return verr
-			}
-			if len(ops) > 0 {
-				e.applyOps(ops, born)
-				bumped = true
-			}
+		// Only DDL is logged as text ('S'); DML is logged as row ops, so
+		// any other statement here is damage the checksum vouched for.
+		_, apply, err := e.validateDDL(stmt)
+		if err != nil {
+			return err
 		}
+		apply()
 	}
 	if bumped {
 		e.frontier.Store(born)

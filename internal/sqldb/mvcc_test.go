@@ -340,7 +340,6 @@ func TestMVCCStressRestartEquality(t *testing.T) {
 	db := openWALDB(t, rt, path)
 	db.MustExec("CREATE TABLE m (id INT, val TEXT)")
 	db.MustExec("CREATE INDEX ON m (id)")
-	db.SetWALGroupCommit(8)
 	const nrows = 64
 	for i := 0; i < nrows; i++ {
 		if _, err := db.QueryRaw("INSERT INTO m (id, val) VALUES (?, ?)", i,

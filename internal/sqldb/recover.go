@@ -10,39 +10,34 @@ import (
 )
 
 // Recovery: OpenDB replays the log at path into a fresh engine, then
-// truncates any torn tail and attaches the log for appending. DDL
-// records replay through the live execution path (Parse +
-// Engine.ExecuteRaw); row-ops records are semantically validated
-// (Engine.checkOps) and applied with their logged stable ids, so the
-// recovered entries, scan order, ordered-index buckets, and shadow
-// policy columns are bit-for-bit what the live engine held. The engine
-// gets a fresh process-unique schema generation per replayed DDL, so
-// plans cached against a previous incarnation recompile instead of
-// reusing stale schema conclusions.
+// truncates any torn tail and attaches the log for appending. Records
+// are interpreted by the replayer below — the same state machine a
+// replica runs over shipped bytes (ship.go), so both rebuild the shadow
+// policy columns identically. DDL records parse and validate like live
+// DDL; row-ops records are semantically validated (Engine.checkOps) and
+// applied with their logged stable ids, so the recovered entries, scan
+// order, ordered-index buckets, and shadow policy columns are
+// bit-for-bit what the live engine held. The engine gets a fresh
+// process-unique schema generation per replayed DDL, so plans cached
+// against a previous incarnation recompile instead of reusing stale
+// schema conclusions.
 
 // OpenDB opens a database persisted in a write-ahead log at path,
 // replaying the committed record prefix (see docs/SQL.md §8). An empty
 // path returns an in-memory database, exactly like Open — existing
-// callers and benchmarks pay nothing for the persistence layer. A
-// legacy v1 (statement-format) log replays compatibly and is rewritten
-// in place as v2 before the open returns, so later appends never mix
-// formats.
+// callers and benchmarks pay nothing for the persistence layer. A log
+// that is not format v2 fails with a *WALCorruptionError and is left
+// byte-for-byte as found.
 func OpenDB(rt *core.Runtime, path string) (*DB, error) {
 	db := Open(rt)
 	if path == "" {
 		return db, nil
 	}
-	w, legacy, err := replayWAL(path, db.engine)
+	w, err := replayWAL(path, db.engine)
 	if err != nil {
 		return nil, err
 	}
 	db.engine.attachWAL(w)
-	if legacy {
-		if err := db.Compact(); err != nil {
-			db.engine.closeWAL() //nolint:errcheck
-			return nil, fmt.Errorf("sqldb: upgrade v1 WAL: %w", err)
-		}
-	}
 	return db, nil
 }
 
@@ -56,7 +51,7 @@ func (db *DB) SetWALAutoCompact(bytes int64) {
 	db.Engine().autoCompact.Store(bytes)
 }
 
-// Close syncs and closes the write-ahead log. Later mutations fail with
+// Close closes the write-ahead log. Later mutations fail with
 // ErrDBClosed; reads keep working against the in-memory state. Closing
 // an in-memory database (or closing twice) is a no-op.
 func (db *DB) Close() error {
@@ -84,33 +79,6 @@ func (db *DB) WALSize() int64 {
 	return e.wal.size
 }
 
-// SetWALGroupCommit sets the group-commit knob: n <= 1 (the default)
-// fsyncs after every mutation before it is acknowledged; n > 1 batches
-// up to n mutations per fsync, trading the durability of the last
-// unsynced batch on an OS crash for append throughput
-// (BenchmarkSQLWALAppend measures the spread). Process-crash safety is
-// unaffected: records reach the file per append, only the fsync is
-// deferred.
-func (db *DB) SetWALGroupCommit(n int) {
-	e := db.Engine()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.wal != nil {
-		e.wal.groupEvery = n
-	}
-}
-
-// SyncWAL forces pending group-commit appends to stable storage.
-func (db *DB) SyncWAL() error {
-	e := db.Engine()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.wal == nil {
-		return nil
-	}
-	return e.wal.syncNow()
-}
-
 func (e *Engine) attachWAL(w *wal) {
 	e.mu.Lock()
 	e.wal = w
@@ -133,22 +101,78 @@ type walItem struct {
 	ops  []rowOp
 }
 
-func applyWALItem(engine *Engine, it walItem) error {
-	if it.ops != nil {
-		return engine.applyReplayOps(it.ops)
+// replayer is the WAL record state machine, shared by crash recovery
+// (replayWAL) and replicas (Follower.drain): it buffers records into a
+// group and applies the group at its commit boundary — a standalone
+// record is a one-item group; a B..C group applies at its commit marker
+// under one commit version, exactly as commitOps installed it live, so
+// replayed frontiers match the primary's numbering record for record.
+type replayer struct {
+	engine *Engine
+	inTx   bool
+	group  []walItem
+}
+
+// apply consumes one checksummed record payload. boundary reports that
+// the record completed a group and the group is now applied to the
+// engine; records inside an open B..C group only buffer. A non-nil
+// damage is corruption the checksum vouched for; the caller fills in
+// where the record came from (Path, Offset).
+func (r *replayer) apply(payload []byte) (boundary bool, damage *WALCorruptionError) {
+	bad := func(reason string, err error) (bool, *WALCorruptionError) {
+		return false, &WALCorruptionError{Reason: reason, Err: err}
 	}
-	return applyWALStmt(engine, it.stmt)
+	var failed string
+	switch payload[0] {
+	case walRecStmt:
+		r.group = append(r.group, walItem{stmt: string(payload[1:])})
+		failed = "statement replay failed"
+	case walRecOps:
+		ops, err := decodeOpsPayload(payload[1:])
+		if err != nil {
+			return bad("undecodable row-ops record", err)
+		}
+		r.group = append(r.group, walItem{ops: ops})
+		failed = "row-ops replay failed"
+	case walRecBegin:
+		if len(payload) != 1 {
+			return bad("begin marker with payload", nil)
+		}
+		if r.inTx {
+			return bad("nested transaction begin marker", nil)
+		}
+		r.inTx = true
+		return false, nil
+	case walRecCommit:
+		if len(payload) != 1 {
+			return bad("commit marker with payload", nil)
+		}
+		if !r.inTx {
+			return bad("commit marker without begin", nil)
+		}
+		r.inTx = false
+		failed = "transaction replay failed"
+	default:
+		return bad(fmt.Sprintf("unknown record type 0x%02x", payload[0]), nil)
+	}
+	if r.inTx {
+		return false, nil
+	}
+	err := r.engine.applyReplayGroup(r.group)
+	r.group = nil
+	if err != nil {
+		return bad(failed, err)
+	}
+	return true, nil
 }
 
 // replayWAL opens (creating if absent) the log at path, applies its
 // committed prefix to engine, truncates any torn tail, and returns the
-// log positioned for appending. legacy reports a v1 statement-format
-// log, which the caller must compact (rewriting it as v2) before
-// appending anything.
-func replayWAL(path string, engine *Engine) (*wal, bool, error) {
+// log positioned for appending.
+func replayWAL(path string, engine *Engine) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Single writer: two handles replaying and then appending to the
 	// same log at independent offsets would interleave frames and
@@ -156,17 +180,18 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 	// wal.close (or process exit).
 	if err := lockWALFile(f); err != nil {
 		f.Close()
-		return nil, false, fmt.Errorf("%w: %s", ErrWALBusy, path)
+		return nil, fmt.Errorf("%w: %s", ErrWALBusy, path)
 	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return nil, false, err
+		return nil, err
 	}
 
-	corrupt := func(off int64, reason string, underlying error) (*wal, bool, error) {
+	// Corruption leaves the file byte-for-byte as found.
+	corrupt := func(off int64, reason string) (*wal, error) {
 		f.Close()
-		return nil, false, &WALCorruptionError{Path: path, Offset: off, Reason: reason, Err: underlying}
+		return nil, &WALCorruptionError{Path: path, Offset: off, Reason: reason}
 	}
 
 	if len(data) < walHeaderSize {
@@ -174,107 +199,54 @@ func replayWAL(path string, engine *Engine) (*wal, bool, error) {
 		// prefix of the header (torn — start the log over); anything else
 		// is not a RESIN WAL.
 		if !strings.HasPrefix(walMagic, string(data)) && len(data) > 0 {
-			return corrupt(0, "not a RESIN WAL (bad magic)", nil)
+			return corrupt(0, "not a RESIN WAL (bad magic)")
 		}
-		w, err := resetWAL(path, f)
-		return w, false, err
+		return resetWAL(path, f)
 	}
 	if string(data[:len(walMagic)]) != walMagic {
-		return corrupt(0, "not a RESIN WAL (bad magic)", nil)
+		return corrupt(0, "not a RESIN WAL (bad magic)")
 	}
-	version := data[len(walMagic)]
-	if version != walVersion && version != walVersionLegacy {
-		return corrupt(int64(len(walMagic)), fmt.Sprintf("unsupported WAL version %d (want %d)", version, walVersion), nil)
+	if version := data[len(walMagic)]; version != walVersion {
+		return corrupt(int64(len(walMagic)), fmt.Sprintf("unsupported WAL version %d (want %d)", version, walVersion))
 	}
-	legacy := version == walVersionLegacy
 
-	// goodEnd is the offset after the last *applied* record: a standalone
-	// statement or ops record, or a transaction's commit marker. Records
-	// inside B..C buffer until the commit marker applies them, so a
-	// group whose commit never hit the disk is dropped with the torn
-	// tail.
+	// goodEnd is the offset after the last applied boundary: a
+	// standalone record, or a transaction's commit marker. A group whose
+	// commit never hit the disk is dropped with the torn tail.
 	goodEnd := int64(walHeaderSize)
-	off := walHeaderSize
-	inTx := false
-	var group []walItem
-	for off < len(data) {
+	rep := replayer{engine: engine}
+	for off := walHeaderSize; ; {
 		payload, end, ok := walNextRecord(data, off)
 		if !ok {
 			break // torn tail: partial/zeroed framing or bad checksum
 		}
-		recStart := int64(off)
-		off = end
-		switch payload[0] {
-		case walRecStmt:
-			it := walItem{stmt: string(payload[1:])}
-			if inTx {
-				group = append(group, it)
-				continue
-			}
-			if err := applyWALItem(engine, it); err != nil {
-				return corrupt(recStart, "statement replay failed", err)
-			}
-			goodEnd = int64(off)
-		case walRecOps:
-			if legacy {
-				return corrupt(recStart, "row-ops record in a v1 WAL", nil)
-			}
-			ops, err := decodeOpsPayload(payload[1:])
-			if err != nil {
-				return corrupt(recStart, "undecodable row-ops record", err)
-			}
-			it := walItem{ops: ops}
-			if inTx {
-				group = append(group, it)
-				continue
-			}
-			if err := applyWALItem(engine, it); err != nil {
-				return corrupt(recStart, "row-ops replay failed", err)
-			}
-			goodEnd = int64(off)
-		case walRecBegin:
-			if len(payload) != 1 {
-				return corrupt(recStart, "begin marker with payload", nil)
-			}
-			if inTx {
-				return corrupt(recStart, "nested transaction begin marker", nil)
-			}
-			inTx, group = true, nil
-		case walRecCommit:
-			if len(payload) != 1 {
-				return corrupt(recStart, "commit marker with payload", nil)
-			}
-			if !inTx {
-				return corrupt(recStart, "commit marker without begin", nil)
-			}
-			// The whole group applies under one commit version, exactly
-			// as commitOps installed it live, so replayed frontiers match
-			// the primary's numbering record for record.
-			if err := engine.applyReplayGroup(group); err != nil {
-				return corrupt(recStart, "transaction replay failed", err)
-			}
-			inTx, group = false, nil
-			goodEnd = int64(off)
-		default:
-			return corrupt(recStart, fmt.Sprintf("unknown record type 0x%02x", payload[0]), nil)
+		boundary, damage := rep.apply(payload)
+		if damage != nil {
+			f.Close()
+			damage.Path, damage.Offset = path, int64(off)
+			return nil, damage
 		}
+		if boundary {
+			goodEnd = int64(end)
+		}
+		off = end
 	}
 
 	if goodEnd < int64(len(data)) {
 		if err := f.Truncate(goodEnd); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
+			return nil, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, false, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
+			return nil, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
 		}
 	}
 	if _, err := f.Seek(goodEnd, 0); err != nil {
 		f.Close()
-		return nil, false, err
+		return nil, err
 	}
-	return &wal{path: path, f: f, size: goodEnd}, legacy, nil
+	return &wal{path: path, f: f, size: goodEnd}, nil
 }
 
 // resetWAL starts the log over with a fresh header (new file, or a file
@@ -284,8 +256,7 @@ func resetWAL(path string, f *os.File) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	hdr := append([]byte(walMagic), walVersion)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
+	if _, err := f.WriteAt([]byte(walHeader), 0); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -293,26 +264,9 @@ func resetWAL(path string, f *os.File) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(int64(len(hdr)), 0); err != nil {
+	if _, err := f.Seek(int64(walHeaderSize), 0); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &wal{path: path, f: f, size: int64(len(hdr))}, nil
-}
-
-// applyWALStmt replays one logged statement. Logged statements are the
-// rewritten forms the engine executed, so replay parses and executes
-// them raw — no filter pass, no second policy-column rewrite.
-func applyWALStmt(engine *Engine, text string) error {
-	stmt, err := Parse(core.NewString(text))
-	if err != nil {
-		return err
-	}
-	if _, ok := stmt.(*Select); ok {
-		return fmt.Errorf("sqldb: non-mutating statement in WAL: %s", text)
-	}
-	if _, _, err := engine.ExecuteRaw(stmt); err != nil {
-		return err
-	}
-	return nil
+	return &wal{path: path, f: f, size: int64(walHeaderSize)}, nil
 }

@@ -12,12 +12,14 @@ import (
 // read replicas (docs/WIRE.md §4). The unit of replication is the log
 // byte: a follower's local log is maintained as a byte-prefix copy of
 // the primary's, so the primary ships raw framed record bytes from an
-// offset and the follower appends them verbatim, then replays complete
-// committed records into its own engine. Because commitOps writes one
-// B..C group per transaction and applyReplayGroup installs a group
-// under one commit version, the follower's frontier counts the same
-// versions in the same order as the primary's — "applied through
-// version N" means the same N on both sides.
+// offset and the follower appends them verbatim (wal.append — the same
+// fsync-before-ack write the primary uses), then replays complete
+// committed records into its own engine through the replayer crash
+// recovery uses (recover.go). Because commitOps writes one B..C group
+// per transaction and applyReplayGroup installs a group under one
+// commit version, the follower's frontier counts the same versions in
+// the same order as the primary's — "applied through version N" means
+// the same N on both sides.
 //
 // Offsets are only meaningful within one log epoch. Compaction rewrites
 // the whole file (wal.rewrite), after which old offsets name different
@@ -185,8 +187,7 @@ type Follower struct {
 	// advanced (>0 only while buffering an open B..C group).
 	buf      []byte
 	parseOff int
-	inTx     bool
-	group    []walItem
+	rep      replayer
 	applied  int64 // bytes applied through (a committed record boundary)
 	broken   error // sticky first corruption; the follower is fail-stop
 }
@@ -200,7 +201,7 @@ func NewFollower(db *DB) (*Follower, error) {
 	if e.wal == nil {
 		return nil, ErrNoWAL
 	}
-	return &Follower{db: db, applied: e.wal.size}, nil
+	return &Follower{db: db, rep: replayer{engine: e}, applied: e.wal.size}, nil
 }
 
 // DB returns the follower's database, for serving read-only queries at
@@ -248,7 +249,7 @@ func (f *Follower) Apply(off int64, data []byte) error {
 	// recovery tolerates a mirrored-but-unapplied tail (it replays it).
 	e := f.db.Engine()
 	e.mu.Lock()
-	err := e.wal.appendRaw(data)
+	err := e.wal.append(data)
 	e.mu.Unlock()
 	if err != nil {
 		return err
@@ -261,68 +262,21 @@ func (f *Follower) Apply(off int64, data []byte) error {
 // (and open transaction groups) for the next chunk. Called with f.mu
 // held.
 func (f *Follower) drain() error {
-	engine := f.db.Engine()
 	for {
 		payload, end, ok := walNextRecord(f.buf, f.parseOff)
 		if !ok {
 			return nil // incomplete tail: wait for more bytes
 		}
-		recStart := f.applied + int64(f.parseOff)
-		corrupt := func(reason string, underlying error) error {
-			err := &WALCorruptionError{Path: "shipped stream", Offset: recStart, Reason: reason, Err: underlying}
-			f.broken = err
-			return err
+		boundary, damage := f.rep.apply(payload)
+		if damage != nil {
+			damage.Path, damage.Offset = "shipped stream", f.applied+int64(f.parseOff)
+			f.broken = damage
+			return damage
 		}
-		switch payload[0] {
-		case walRecStmt:
-			it := walItem{stmt: string(payload[1:])}
-			if f.inTx {
-				f.group = append(f.group, it)
-				f.parseOff = end
-				continue
-			}
-			if err := engine.applyReplayGroup([]walItem{it}); err != nil {
-				return corrupt("statement replay failed", err)
-			}
+		if boundary {
 			f.commitTo(end)
-		case walRecOps:
-			ops, err := decodeOpsPayload(payload[1:])
-			if err != nil {
-				return corrupt("undecodable row-ops record", err)
-			}
-			it := walItem{ops: ops}
-			if f.inTx {
-				f.group = append(f.group, it)
-				f.parseOff = end
-				continue
-			}
-			if err := engine.applyReplayGroup([]walItem{it}); err != nil {
-				return corrupt("row-ops replay failed", err)
-			}
-			f.commitTo(end)
-		case walRecBegin:
-			if len(payload) != 1 {
-				return corrupt("begin marker with payload", nil)
-			}
-			if f.inTx {
-				return corrupt("nested transaction begin marker", nil)
-			}
-			f.inTx, f.group = true, nil
+		} else {
 			f.parseOff = end
-		case walRecCommit:
-			if len(payload) != 1 {
-				return corrupt("commit marker with payload", nil)
-			}
-			if !f.inTx {
-				return corrupt("commit marker without begin", nil)
-			}
-			if err := engine.applyReplayGroup(f.group); err != nil {
-				return corrupt("transaction replay failed", err)
-			}
-			f.inTx, f.group = false, nil
-			f.commitTo(end)
-		default:
-			return corrupt(fmt.Sprintf("unknown record type 0x%02x", payload[0]), nil)
 		}
 	}
 }

@@ -119,7 +119,6 @@ func (w *wal) rewrite(payloads [][]byte) error {
 	w.f.Close() //nolint:errcheck // old log fd; its inode is now unlinked
 	w.f = f
 	w.size = size
-	w.pending = 0
 	// Offsets into the old log are meaningless now; bump the epoch so
 	// shipping streams re-handshake, and wake any waiter so it notices.
 	w.epoch++

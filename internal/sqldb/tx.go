@@ -73,45 +73,6 @@ func (v *View) MustExec(q string) *Result {
 	return res
 }
 
-// Clone deep-copies the engine's current state: the rows visible at the
-// commit frontier, with their stable ids, into fresh single-version
-// chains, plus rebuilt ordered indexes. The clone keeps the source's
-// schema generation: the schemas are identical, so cached plans compiled
-// against the source stay valid for the clone until either side runs
-// DDL (which stamps a fresh process-unique generation). Transactions no
-// longer use it (Begin is a snapshot reference); it remains the
-// explicit fork-the-database utility.
-func (e *Engine) Clone() *Engine {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := NewEngine()
-	frontier := e.frontier.Load()
-	for key, t := range e.tables {
-		nt := newTable(t.name, append([]ColumnDef(nil), t.cols...))
-		for _, en := range t.entries {
-			v := en.visible(frontier)
-			if v == nil {
-				continue
-			}
-			ne := &rowEntry{id: en.id}
-			ne.head.Store(&rowVersion{vals: append([]value(nil), v.vals...)})
-			nt.entries = append(nt.entries, ne)
-			nt.byID[en.id] = ne
-		}
-		if len(t.indexes) > 0 {
-			nt.indexes = make(map[int]*orderedIndex, len(t.indexes))
-			for ci := range t.indexes {
-				ix, _ := buildIndex(nt.entries, ci)
-				nt.indexes[ci] = ix
-			}
-		}
-		out.tables[key] = nt
-	}
-	out.nextID = e.nextID
-	out.gen.Store(e.gen.Load())
-	return out
-}
-
 // Transaction errors.
 var (
 	ErrTxDone = errors.New("sqldb: transaction already committed or rolled back")
@@ -451,8 +412,12 @@ func (b *Engine) commitOps(spec *Engine) error {
 		remap[id] = nid
 		return nid
 	}
+	// The group is logged between begin and commit markers, as one write
+	// and one sync: the markers are what lets recovery drop an
+	// uncommitted suffix.
 	applySeq := make([]redoRec, 0, len(spec.redo))
-	payloads := make([][]byte, 0, len(spec.redo))
+	payloads := make([][]byte, 0, len(spec.redo)+2)
+	payloads = append(payloads, []byte{walRecBegin})
 	for _, rec := range spec.redo {
 		if rec.ddl != nil {
 			payloads = append(payloads, stmtPayload(rec.ddl.SQL()))
@@ -467,9 +432,10 @@ func (b *Engine) commitOps(spec *Engine) error {
 		payloads = append(payloads, opsPayload(mapped))
 		applySeq = append(applySeq, redoRec{ops: mapped})
 	}
+	payloads = append(payloads, []byte{walRecCommit})
 
 	if b.wal != nil {
-		if err := b.wal.appendTxGroup(payloads); err != nil {
+		if err := b.wal.appendRecords(payloads...); err != nil {
 			return fmt.Errorf("sqldb: commit: %w", err)
 		}
 	}

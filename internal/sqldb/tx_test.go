@@ -181,21 +181,3 @@ func TestTxConcurrentCommitsSerialized(t *testing.T) {
 		t.Errorf("final balance %d not from any committed tx", got)
 	}
 }
-
-func TestEngineCloneIsDeep(t *testing.T) {
-	e := NewEngine()
-	stmt, _ := Parse(core.NewString("CREATE TABLE t (a TEXT)"))
-	e.ExecuteRaw(stmt)
-	stmt, _ = Parse(core.NewString("INSERT INTO t (a) VALUES ('x')"))
-	e.ExecuteRaw(stmt)
-	c := e.Clone()
-	stmt, _ = Parse(core.NewString("UPDATE t SET a = 'changed'"))
-	c.ExecuteRaw(stmt)
-	raw, _, _ := func() (*rawResult, int, error) {
-		s, _ := Parse(core.NewString("SELECT a FROM t"))
-		return e.ExecuteRaw(s)
-	}()
-	if raw.rows[0][0].s != "x" {
-		t.Error("clone mutation leaked into the original")
-	}
-}

@@ -18,7 +18,7 @@ import (
 // (core.CompileAnnotation) re-interns the policy sets on first read.
 //
 // File format v2 (normative spec in docs/SQL.md §8, pinned byte-for-byte
-// by testdata/wal_v2.golden; v1 logs are still read — see below):
+// by testdata/wal_v2.golden):
 //
 //	header:  8-byte magic "RESINWAL" + 1 version byte (0x02)
 //	record:  uint32 LE payload length | uint32 LE CRC-32 (IEEE) of the
@@ -40,9 +40,13 @@ import (
 // v2 logs rows by stable id instead of re-logging DML text: replay
 // rebuilds the exact entries (ids, scan order, index buckets) the live
 // engine had, which is what lets transactions merge per-row instead of
-// swapping whole engines. Version byte 0x01 opens read-only-compatibly:
-// recovery replays its statement records and immediately compacts the
-// log, rewriting it as v2 (recover.go).
+// swapping whole engines. Any other version byte — the retired v1
+// statement format included — is refused as corruption, file untouched.
+//
+// The log is written in one place (wal.append: every acknowledged
+// mutation is fsynced before its ack, unconditionally) and interpreted
+// in one place (replayer, recover.go): crash recovery and replicas
+// (ship.go) differ only in where the bytes come from.
 //
 // Records outside B..C markers apply on replay as they are read; a
 // B..C group applies atomically at its commit marker, and a group whose
@@ -56,8 +60,8 @@ import (
 const (
 	walMagic         = "RESINWAL"
 	walVersion       = 0x02
-	walVersionLegacy = 0x01
-	walHeaderSize    = len(walMagic) + 1
+	walHeader        = walMagic + string(rune(walVersion))
+	walHeaderSize    = len(walHeader)
 	walRecHeaderSize = 8
 	// walMaxRecord bounds one record's payload, enforced symmetrically:
 	// appends refuse a larger payload (ErrWALRecordTooLarge — the
@@ -134,13 +138,6 @@ type wal struct {
 	f    *os.File
 	size int64
 
-	// groupEvery is the group-commit knob: fsync once per groupEvery
-	// append calls instead of per call. <= 1 means sync every append
-	// (the default: full durability-before-ack). pending counts appends
-	// since the last fsync.
-	groupEvery int
-	pending    int
-
 	closed bool
 	broken error // sticky first write/sync failure; the wal is fail-stop
 
@@ -185,6 +182,18 @@ func appendRecord(buf []byte, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// frameRecords frames payloads into buf as consecutive records. It is
+// the one place the append side enforces walMaxRecord.
+func frameRecords(buf []byte, payloads ...[]byte) ([]byte, error) {
+	for _, p := range payloads {
+		if len(p) > walMaxRecord {
+			return nil, fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(p))
+		}
+		buf = appendRecord(buf, p)
+	}
+	return buf, nil
 }
 
 // stmtPayload builds the payload of a statement record.
@@ -323,115 +332,51 @@ func decodeOpsPayload(data []byte) ([]rowOp, error) {
 	return ops, nil
 }
 
-// write appends pre-framed bytes and applies the sync policy. On any
-// write or sync failure the wal goes fail-stop: the error is sticky and
-// every later append refuses, so a partially written tail can never be
-// followed by more records (recovery would interleave garbage).
-func (w *wal) write(frame []byte) error {
+// append writes pre-framed record bytes to the log and fsyncs before
+// returning: the only place the live log handle is written, and the
+// whole durability contract — nothing is acknowledged unsynced. The
+// frames are a statement's record, a transaction's B..C group (one
+// write and one sync for the whole group, which is what lets recovery
+// drop an uncommitted suffix), or a replica's mirrored chunk of primary
+// bytes. On any write or sync failure the wal goes fail-stop: the error
+// is sticky and every later append refuses, so a partially written tail
+// can never be followed by more records (recovery would interleave
+// garbage).
+func (w *wal) append(frames []byte) error {
 	if err := w.usable(); err != nil {
 		return err
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.Write(frames); err != nil {
 		w.broken = err
 		return fmt.Errorf("sqldb: WAL append: %w", err)
 	}
-	w.size += int64(len(frame))
-	w.pending++
+	w.size += int64(len(frames))
 	w.signal()
-	if w.groupEvery <= 1 || w.pending >= w.groupEvery {
-		return w.syncNow()
-	}
-	return nil
-}
-
-// appendRaw appends pre-framed record bytes verbatim and fsyncs — the
-// follower mirror path: a replica's local log is a byte-prefix copy of
-// the primary's, so shipped chunks land exactly as received (ship.go).
-func (w *wal) appendRaw(data []byte) error {
-	if err := w.usable(); err != nil {
-		return err
-	}
-	if _, err := w.f.Write(data); err != nil {
-		w.broken = err
-		return fmt.Errorf("sqldb: WAL append: %w", err)
-	}
-	w.size += int64(len(data))
-	w.pending++
-	w.signal()
-	return w.syncNow()
-}
-
-// appendStmt logs one DDL statement.
-func (w *wal) appendStmt(text string) error {
-	if 1+len(text) > walMaxRecord {
-		return fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(text))
-	}
-	return w.write(appendRecord(nil, stmtPayload(text)))
-}
-
-// appendOps logs the row ops of one DML statement as a single 'R'
-// record.
-func (w *wal) appendOps(ops []rowOp) error {
-	p := opsPayload(ops)
-	if len(p) > walMaxRecord {
-		return fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(p))
-	}
-	return w.write(appendRecord(nil, p))
-}
-
-// appendTxGroup logs a committed transaction's redo payloads between
-// begin and commit markers, as one contiguous write and one sync — the
-// markers are what lets recovery drop an uncommitted suffix, and the
-// single sync is the transactional flavor of group commit.
-func (w *wal) appendTxGroup(payloads [][]byte) error {
-	buf := appendRecord(nil, []byte{walRecBegin})
-	for _, p := range payloads {
-		if len(p) > walMaxRecord {
-			return fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(p))
-		}
-		buf = appendRecord(buf, p)
-	}
-	buf = appendRecord(buf, []byte{walRecCommit})
-	if err := w.usable(); err != nil {
-		return err
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		w.broken = err
-		return fmt.Errorf("sqldb: WAL commit group: %w", err)
-	}
-	w.size += int64(len(buf))
-	w.pending++
-	w.signal()
-	return w.syncNow()
-}
-
-// syncNow flushes pending appends to stable storage.
-func (w *wal) syncNow() error {
-	if w.pending == 0 {
-		return nil
-	}
 	if err := w.f.Sync(); err != nil {
 		w.broken = err
 		return fmt.Errorf("sqldb: WAL sync: %w", err)
 	}
-	w.pending = 0
 	return nil
 }
 
-// close syncs pending appends and closes the file. The wal stays
-// attached with closed set, so later mutations fail with ErrDBClosed
-// instead of silently losing durability.
+// appendRecords frames payloads and appends them as one write.
+func (w *wal) appendRecords(payloads ...[]byte) error {
+	frames, err := frameRecords(nil, payloads...)
+	if err != nil {
+		return err
+	}
+	return w.append(frames)
+}
+
+// close closes the file (every append was already synced). The wal
+// stays attached with closed set, so later mutations fail with
+// ErrDBClosed instead of silently losing durability.
 func (w *wal) close() error {
 	if w.closed {
 		return nil
 	}
-	serr := w.syncNow()
-	cerr := w.f.Close()
 	w.closed = true
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return w.f.Close()
 }
 
 // writeWALFile writes a fresh v2 log containing the given record
@@ -450,16 +395,11 @@ func writeWALFile(path string, payloads [][]byte) (*os.File, int64, error) {
 		os.Remove(path)
 		return nil, 0, fmt.Errorf("%w: %s", ErrWALBusy, path)
 	}
-	buf := make([]byte, 0, walHeaderSize)
-	buf = append(buf, walMagic...)
-	buf = append(buf, walVersion)
-	for _, p := range payloads {
-		if len(p) > walMaxRecord {
-			f.Close()
-			os.Remove(path)
-			return nil, 0, fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(p))
-		}
-		buf = appendRecord(buf, p)
+	buf, err := frameRecords([]byte(walHeader), payloads...)
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, 0, err
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,9 +15,12 @@ import (
 // panic; either recovery succeeds — yielding a database rebuilt from a
 // clean record prefix, with the file truncated to exactly that prefix so
 // a second open reproduces the same state — or it fails with the typed
-// corruption error. Nothing else.
+// corruption error. Nothing else. The same bytes, cut into chunks chosen
+// by the second fuzz argument, also go to a fresh Follower, which must
+// reach recovery's verdict (checkFollowerParity).
 func FuzzWALReplay(f *testing.F) {
 	header := append([]byte(walMagic), walVersion)
+	add := func(data []byte) { f.Add(data, int64(len(data))) }
 
 	// Seed corpus: a real log (schema + annotated insert + tx group),
 	// its torn variants, and targeted corruptions.
@@ -43,18 +47,18 @@ func FuzzWALReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add([]byte{})
-	f.Add(header)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])
-	f.Add(valid[:len(valid)/2])
-	f.Add(append([]byte("NOTAWAL!"), valid...))
-	f.Add(appendRecord(append([]byte(nil), header...), []byte{'Z', 0xff}))
-	f.Add(appendRecord(append([]byte(nil), header...), stmtPayload("DROP TABLE missing")))
-	f.Add(appendRecord(append([]byte(nil), header...), []byte{walRecBegin}))
+	add([]byte{})
+	add(header)
+	add(valid)
+	add(valid[:len(valid)-5])
+	add(valid[:len(valid)/2])
+	add(append([]byte("NOTAWAL!"), valid...))
+	add(appendRecord(append([]byte(nil), header...), []byte{'Z', 0xff}))
+	add(appendRecord(append([]byte(nil), header...), stmtPayload("DROP TABLE missing")))
+	add(appendRecord(append([]byte(nil), header...), []byte{walRecBegin}))
 	mut := append([]byte(nil), valid...)
 	mut[len(header)+walRecHeaderSize+3] ^= 0x20
-	f.Add(mut)
+	add(mut)
 
 	// v2 row-ops seeds. A well-formed 'R' record after its CREATE must
 	// replay; 'R' payloads that frame correctly (CRC valid) but decode to
@@ -66,25 +70,26 @@ func FuzzWALReplay(f *testing.F) {
 		{kind: opUpdate, table: "t", id: 1, vals: []value{intValue(8), nullValue()}},
 		{kind: opDelete, table: "t", id: 1},
 	})
-	f.Add(appendRecord(append([]byte(nil), withCreate...), goodOps))
-	f.Add(appendRecord(append([]byte(nil), withCreate...), []byte{walRecOps, 0x09})) // claims 9 ops, has none
-	f.Add(appendRecord(append([]byte(nil), withCreate...),
+	add(appendRecord(append([]byte(nil), withCreate...), goodOps))
+	add(appendRecord(append([]byte(nil), withCreate...), []byte{walRecOps, 0x09})) // claims 9 ops, has none
+	add(appendRecord(append([]byte(nil), withCreate...),
 		opsPayload([]rowOp{{kind: opUpdate, table: "ghost", id: 3, vals: []value{nullValue(), nullValue()}}})))
-	f.Add(appendRecord(append([]byte(nil), withCreate...),
+	add(appendRecord(append([]byte(nil), withCreate...),
 		opsPayload([]rowOp{{kind: opDelete, table: "t", id: 99}}))) // delete of a row never inserted
-	f.Add(appendRecord(append([]byte(nil), header...), goodOps)) // row ops before any schema
+	add(appendRecord(append([]byte(nil), header...), goodOps)) // row ops before any schema
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunking int64) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db, err := OpenDB(rt, path)
+		if err != nil && !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("recovery error is not the typed corruption error: %v", err)
+		}
+		checkFollowerParity(t, rt, data, rand.New(rand.NewSource(chunking)), db, err)
 		if err != nil {
-			if !errors.Is(err, ErrWALCorrupt) {
-				t.Fatalf("recovery error is not the typed corruption error: %v", err)
-			}
 			return
 		}
 		state := dumpEngine(db.Engine())

@@ -1,11 +1,13 @@
 package sqldb
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"resin/internal/core"
@@ -24,7 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 //
 // and bump walVersion if old logs can no longer replay.
 // (TestWALLegacyV1Replay separately pins that v1 statement-format logs
-// still open.)
+// are refused untouched.)
 func TestWALGoldenEncoding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden.wal")
 	rt := core.NewRuntime()
@@ -98,53 +100,41 @@ func TestWALGoldenEncoding(t *testing.T) {
 	}
 }
 
-// TestWALLegacyV1Replay pins read compatibility with the retired v1
-// statement format: the checked-in testdata/wal_v1.golden bytes (left
-// exactly as the v1 engine wrote them — they can never be regenerated)
-// must still open, replay to the same logical state, and come out the
-// other side upgraded: OpenDB compacts a v1 log in place, so the file
-// on disk is v2 before the first new append can mix formats.
+// TestWALLegacyV1Replay pins what happens to the retired v1 statement
+// format: the checked-in testdata/wal_v1.golden bytes (left exactly as
+// the v1 engine wrote them — they can never be regenerated) are refused
+// as typed corruption naming the version, and the file on disk is left
+// byte-for-byte as found — not truncated, not rewritten.
 func TestWALLegacyV1Replay(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "wal_v1.golden"))
 	if err != nil {
 		t.Fatalf("%v (the v1 golden must stay checked in; it cannot be regenerated)", err)
 	}
-	if want[len(walMagic)] != walVersionLegacy {
+	if want[len(walMagic)] != 0x01 {
 		t.Fatalf("v1 golden has version byte %d", want[len(walMagic)])
 	}
 	path := filepath.Join(t.TempDir(), "legacy.wal")
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rt := core.NewRuntime()
-	db := openWALDB(t, rt, path)
-	res, err := db.QueryRaw("SELECT password FROM users WHERE email = ?", "u@example.org")
+	db, err := OpenDB(core.NewRuntime(), path)
+	if err == nil {
+		db.Close()
+		t.Fatal("v1 log opened; want typed corruption")
+	}
+	var ce *WALCorruptionError
+	if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &ce) {
+		t.Fatalf("v1 open error is not the typed corruption error: %v", err)
+	}
+	if !strings.Contains(ce.Reason, "version 1") || ce.Offset != int64(len(walMagic)) {
+		t.Errorf("v1 corruption = %q at %d, want the version byte named at offset %d", ce.Reason, ce.Offset, len(walMagic))
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Get(0, "password").Str.Raw() != "n3wpw" {
-		t.Fatalf("v1 replay: %d rows, password %q", res.Len(), res.Get(0, "password").Str.Raw())
-	}
-	if !res.Get(0, "password").Str.IsTainted() {
-		t.Error("v1 replay lost the annotation")
-	}
-	upgraded, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upgraded[len(walMagic)] != walVersion {
-		t.Errorf("v1 log not upgraded on open: version byte %d, want %d", upgraded[len(walMagic)], walVersion)
-	}
-	// The upgraded log must keep working: append, restart, verify.
-	db.MustExec("INSERT INTO users (email, password) VALUES ('b@example.org', 'pw2')")
-	live := dumpEngine(db.Engine())
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := openWALDB(t, rt, path)
-	defer db2.Close()
-	if got := dumpEngine(db2.Engine()); !reflect.DeepEqual(got, live) {
-		t.Error("upgraded log diverges after restart")
+	if !bytes.Equal(got, want) {
+		t.Errorf("refused v1 log was modified on disk: %d bytes, want the original %d", len(got), len(want))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -51,6 +52,57 @@ func dumpEngine(e *Engine) map[string]tableState {
 	return out
 }
 
+// checkFollowerParity feeds the bytes recovery just judged (data, the
+// whole file; rec and recErr, OpenDB's result on it) to a fresh Follower
+// — post-header, in rng-chosen chunk sizes — and requires the same
+// verdict: on success equal tables, equal frontier, and an applied
+// offset equal to recovery's truncation point; on damage the same
+// reason, record offset and cause. Header damage is skipped: the header
+// is never shipped.
+func checkFollowerParity(t *testing.T, rt *core.Runtime, data []byte, rng *rand.Rand, rec *DB, recErr error) {
+	t.Helper()
+	var want *WALCorruptionError
+	if recErr != nil && (!errors.As(recErr, &want) || want.Offset < int64(walHeaderSize)) {
+		return
+	}
+	fdb, err := OpenDB(rt, filepath.Join(t.TempDir(), "follower.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fdb.Close()
+	fl, err := NewFollower(fdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ferr error
+	for off := walHeaderSize; off < len(data) && ferr == nil; {
+		n := 1 + rng.Intn(len(data)-off)
+		ferr = fl.Apply(int64(off), data[off:off+n])
+		off += n
+	}
+	applied, _ := fl.Offsets()
+	if want != nil {
+		var got *WALCorruptionError
+		if !errors.As(ferr, &got) || got.Reason != want.Reason || got.Offset != want.Offset ||
+			fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+			t.Fatalf("follower verdict diverges from recovery's\nfollower: %v\nrecovery: %v", ferr, recErr)
+		}
+		return
+	}
+	if ferr != nil {
+		t.Fatalf("follower rejects bytes recovery accepted: %v", ferr)
+	}
+	if applied != rec.WALSize() {
+		t.Fatalf("follower applied through %d, recovery truncated at %d", applied, rec.WALSize())
+	}
+	if fl.Frontier() != rec.Frontier() {
+		t.Fatalf("follower frontier %d, recovery frontier %d", fl.Frontier(), rec.Frontier())
+	}
+	if got, want := dumpEngine(fdb.Engine()), dumpEngine(rec.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower state diverges from recovery's\nfollower: %+v\nrecovery: %+v", got, want)
+	}
+}
+
 // TestWALCrashRecoveryProperty runs a seeded randomized DDL/DML workload
 // (tainted values included) against a persistent database, then replays
 // a crash at every record boundary and at several mid-record offsets:
@@ -58,7 +110,9 @@ func dumpEngine(e *Engine) map[string]tableState {
 // indexes, and shadow policy columns to equal the state at the last
 // durable point at or before the cut — a standalone statement's record
 // end, or a transaction's commit marker (an offset inside a begin..commit
-// group recovers to the state before the group).
+// group recovers to the state before the group). A replica fed the same
+// cut in rng-chosen chunks must agree with recovery
+// (checkFollowerParity).
 func TestWALCrashRecoveryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20090211)) // seeded: reruns are identical
 	dir := t.TempDir()
@@ -200,6 +254,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed: %v", off, err)
 		}
+		checkFollowerParity(t, rt, data[:off], rng, db2, nil)
 		got := dumpEngine(db2.Engine())
 		want := expectAt(off)
 		if !reflect.DeepEqual(got, want) {

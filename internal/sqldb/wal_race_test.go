@@ -23,7 +23,6 @@ func TestWALConcurrentWritersReadersCompaction(t *testing.T) {
 	db := openWALDB(t, rt, path)
 	db.MustExec("CREATE TABLE t (id INT, val TEXT)")
 	db.MustExec("CREATE INDEX ON t (id)")
-	db.SetWALGroupCommit(8)
 
 	ins := db.MustPrepare("INSERT INTO t (id, val) VALUES (?, ?)")
 	upd := db.MustPrepare("UPDATE t SET val = ? WHERE id = ?")
@@ -181,7 +180,6 @@ func TestWALConcurrentRangeScansIndexDDL(t *testing.T) {
 	db.MustExec("CREATE TABLE r (id INT, name TEXT)")
 	db.MustExec("CREATE INDEX ON r (id)")
 	db.MustExec("CREATE INDEX ON r (name)")
-	db.SetWALGroupCommit(8)
 	for i := 0; i < 200; i++ {
 		if _, err := db.QueryRaw("INSERT INTO r (id, name) VALUES (?, ?)", i,
 			core.NewStringPolicy(fmt.Sprintf("n-%03d", i), &sanitize.UntrustedData{Source: "rr"})); err != nil {

@@ -381,44 +381,6 @@ func TestWALCompaction(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommit: with batching enabled, records still reach the
-// file per append (process-crash safety) and survive a reopen; SyncWAL
-// forces the fsync.
-func TestWALGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.wal")
-	rt := core.NewRuntime()
-	db := openWALDB(t, rt, path)
-	db.SetWALGroupCommit(16)
-	db.MustExec("CREATE TABLE t (a INT)")
-	for i := 0; i < 5; i++ {
-		if _, err := db.QueryRaw("INSERT INTO t (a) VALUES (?)", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != db.WALSize() {
-		t.Errorf("group commit buffered records in memory: file %d, wal %d", st.Size(), db.WALSize())
-	}
-	if err := db.SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := openWALDB(t, rt, path)
-	defer db2.Close()
-	res, err := db2.QueryRaw("SELECT * FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 5 {
-		t.Errorf("recovered rows = %d, want 5", res.Len())
-	}
-}
-
 // TestOpenDBInMemory: the empty path is the in-memory database — no
 // file, no WAL, Close is a no-op.
 func TestOpenDBInMemory(t *testing.T) {

@@ -242,7 +242,10 @@ func (s *session) run() {
 		}
 		ok := s.reply(resp)
 		s.busy.Store(false)
-		if !ok {
+		// Recheck after clearing busy: a Shutdown that sampled this
+		// session as busy left it open to finish, and nothing else would
+		// close it before IdleTimeout.
+		if !ok || s.srv.draining.Load() {
 			return
 		}
 	}

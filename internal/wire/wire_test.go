@@ -764,9 +764,6 @@ func TestFollowerLocalLogIsBytePrefix(t *testing.T) {
 		db.MustExec(fmt.Sprintf("INSERT INTO t (a) VALUES ('v%d')", i))
 	}
 	waitCaughtUp(t, r, db)
-	if err := db.SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
 
 	ppath := filepath.Join(pdir, "p.wal")
 	pb, err := os.ReadFile(ppath)
