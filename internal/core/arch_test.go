@@ -3,45 +3,69 @@ package core_test
 import (
 	"go/parser"
 	"go/token"
-	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestCoreImportsOnlyStdlib is the architecture guard for the runtime
-// layer: internal/core — policy objects, data tracking, filter objects,
-// interning — must import only the standard library. Boundary adapters
-// (httpd, sqldb, mail, vfs, remote) depend on core, never the other way
-// around; see docs/ARCHITECTURE.md. A stdlib import path has no dot in
-// its first element ("encoding/json", "sync"), while module paths do
-// ("resin" is dot-free too, so module-internal imports are rejected
-// explicitly).
-func TestCoreImportsOnlyStdlib(t *testing.T) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatalf("read core directory: %v", err)
-	}
-	for _, entry := range entries {
-		name := entry.Name()
-		if entry.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Errorf("parse %s: %v", name, err)
-			continue
-		}
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			first, _, _ := strings.Cut(path, "/")
-			if first == "resin" {
-				t.Errorf("%s imports %s: internal/core must not depend on other packages of this module", name, path)
-				continue
+// allowedImports is the architecture guard's table: for each guarded
+// package (a directory relative to this one), the packages of this
+// module its non-test files may import. The standard library is always
+// allowed; anything else — another module, or a package of this module
+// missing from the row — fails the test. See docs/ARCHITECTURE.md.
+var allowedImports = []struct {
+	pkg     string
+	dir     string
+	allowed []string
+	why     string
+}{
+	{
+		pkg: "internal/core", dir: ".",
+		why: "policy objects, data tracking, filter objects and interning are the runtime layer: " +
+			"boundary adapters (httpd, sqldb, mail, vfs, remote) depend on it, never the other way around",
+	},
+	{
+		pkg: "internal/sqldb", dir: "../sqldb",
+		allowed: []string{"resin/internal/core", "resin/internal/sanitize"},
+		why: "the query route (compile, assert, bind, execute) must stay reachable without wire, lineage or an app: " +
+			"an assertion that holds on the route holds for every caller layered above it",
+	},
+}
+
+// TestAllowedImports checks every row of allowedImports. A stdlib import
+// path has no dot in its first element ("encoding/json", "sync"); so
+// does "resin", which is why module-internal imports are matched against
+// the row explicitly.
+func TestAllowedImports(t *testing.T) {
+	for _, row := range allowedImports {
+		t.Run(row.pkg, func(t *testing.T) {
+			files, err := filepath.Glob(filepath.Join(row.dir, "*.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("no Go files in %s (%v)", row.dir, err)
 			}
-			if strings.Contains(first, ".") {
-				t.Errorf("%s imports %s: internal/core must import only the standard library", name, path)
+			allowed := make(map[string]bool, len(row.allowed))
+			for _, p := range row.allowed {
+				allowed[p] = true
 			}
-		}
+			fset := token.NewFileSet()
+			for _, name := range files {
+				if strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Errorf("parse %s: %v", name, err)
+					continue
+				}
+				for _, imp := range f.Imports {
+					path := strings.Trim(imp.Path.Value, `"`)
+					first, _, _ := strings.Cut(path, "/")
+					if allowed[path] || (first != "resin" && !strings.Contains(first, ".")) {
+						continue
+					}
+					t.Errorf("%s imports %s: allowed are the standard library and %v — %s", name, path, row.allowed, row.why)
+				}
+			}
+		})
 	}
 }

@@ -203,17 +203,14 @@ type IntLit struct {
 // NullLit is the NULL literal.
 type NullLit struct{}
 
-// Param is a literal slot in a cached plan template (never produced by
-// Parse on user queries; the plan cache parameterizes string and number
-// literals before parsing and binds actual values back in per execution).
-// The engine rejects unbound parameters.
+// Param is the one slot node: a position an execution fills with a
+// value. In a plan template Idx numbers the literal slots in stream
+// order (the plan cache parameterizes string and number literals and
+// binding placeholders alike before parsing); in text parsed as written
+// a `?` or `:name` placeholder is the Param of its binding ordinal.
+// bindStatement substitutes slots; the engine rejects a statement that
+// still holds one.
 type Param struct{ Idx int }
-
-// Placeholder is a `?` binding placeholder from query text: a slot the
-// prepared-statement API fills with a bound argument (tracked or plain)
-// at execution time, numbered by its zero-based ordinal in text order.
-// The engine rejects placeholders that were never bound.
-type Placeholder struct{ Ord int }
 
 // Binary is a binary expression: comparison, AND, OR, LIKE.
 type Binary struct {
@@ -227,14 +224,13 @@ type Unary struct {
 	X  Expr
 }
 
-func (*ColumnRef) exprNode()   {}
-func (*StringLit) exprNode()   {}
-func (*IntLit) exprNode()      {}
-func (*NullLit) exprNode()     {}
-func (*Param) exprNode()       {}
-func (*Placeholder) exprNode() {}
-func (*Binary) exprNode()      {}
-func (*Unary) exprNode()       {}
+func (*ColumnRef) exprNode() {}
+func (*StringLit) exprNode() {}
+func (*IntLit) exprNode()    {}
+func (*NullLit) exprNode()   {}
+func (*Param) exprNode()     {}
+func (*Binary) exprNode()    {}
+func (*Unary) exprNode()     {}
 
 // SQL renderers. Literal strings re-quote with the dialect's escaping.
 
@@ -255,14 +251,13 @@ func quoteSQL(s string) string {
 	return b.String()
 }
 
-func (e *ColumnRef) SQL() string   { return e.Name }
-func (e *StringLit) SQL() string   { return quoteSQL(e.Val.Raw()) }
-func (e *IntLit) SQL() string      { return strconv.FormatInt(e.Val, 10) }
-func (e *NullLit) SQL() string     { return "NULL" }
-func (e *Param) SQL() string       { return "?" + strconv.Itoa(e.Idx) }
-func (e *Placeholder) SQL() string { return "?" }
-func (e *Binary) SQL() string      { return "(" + e.L.SQL() + " " + e.Op + " " + e.R.SQL() + ")" }
-func (e *Unary) SQL() string       { return "(" + e.Op + " " + e.X.SQL() + ")" }
+func (e *ColumnRef) SQL() string { return e.Name }
+func (e *StringLit) SQL() string { return quoteSQL(e.Val.Raw()) }
+func (e *IntLit) SQL() string    { return strconv.FormatInt(e.Val, 10) }
+func (e *NullLit) SQL() string   { return "NULL" }
+func (e *Param) SQL() string     { return "?" + strconv.Itoa(e.Idx) }
+func (e *Binary) SQL() string    { return "(" + e.L.SQL() + " " + e.Op + " " + e.R.SQL() + ")" }
+func (e *Unary) SQL() string     { return "(" + e.Op + " " + e.X.SQL() + ")" }
 
 func (s *CreateTable) SQL() string {
 	var b strings.Builder

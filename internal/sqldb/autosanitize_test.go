@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,64 @@ func TestAutoSanitizeNeutralizesQuoteBreakout(t *testing.T) {
 	}
 	if res.Len() != 1 || res.Get(0, "name").Str.Raw() != "x' OR role = 'admin" {
 		t.Errorf("payload should round-trip as a plain value: %+v", res)
+	}
+}
+
+// TestAutoSanitizePreparedQuoteBreakout runs the payloads of
+// TestAutoSanitizeNeutralizesQuoteBreakout through db.Prepare: untrusted
+// bytes that leave the standard-lexed stream unparseable must not fail
+// Prepare — the mode active at each execution decides, exactly as for a
+// standard-lexer failure (TestPrepareTaintedLexErrorDeferred).
+func TestAutoSanitizePreparedQuoteBreakout(t *testing.T) {
+	db := autoDB(t)
+	evil := sanitize.Taint(core.NewString("x' OR role = 'admin"), "form")
+	q := core.Concat(core.NewString("SELECT name FROM users WHERE name = '"), evil, core.NewString("'"))
+	ins := core.Concat(
+		core.NewString("INSERT INTO users (name, role, uid) VALUES ('"),
+		evil, core.NewString("', 'weird', 9)"))
+	_, parseErr := Parse(ins)
+	if parseErr == nil {
+		t.Fatal("the breakout INSERT is supposed to be unparseable under the standard lexer")
+	}
+
+	insSt, err := db.Prepare(ins)
+	if err != nil {
+		t.Fatalf("Prepare must defer the parse verdict on untrusted text, got %v", err)
+	}
+	if insSt.ReadOnly() || insSt.NumArgs() != 0 {
+		t.Errorf("deferred statement: ReadOnly %v NumArgs %d, want false 0", insSt.ReadOnly(), insSt.NumArgs())
+	}
+	if n, err := insSt.Exec(); err != nil || n != 1 {
+		t.Fatalf("insert with breakout payload under auto-sanitize: %d, %v", n, err)
+	}
+	sel, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sel.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Get(0, "name").Str.Raw() != "x' OR role = 'admin" {
+		t.Errorf("payload should round-trip as a plain value: %+v", res)
+	}
+
+	// Auto-sanitize off: the same Stmt reports what Parse reports.
+	db.Filter().AutoSanitizeUntrusted(false)
+	if _, err := insSt.Exec(); err == nil || err.Error() != parseErr.Error() {
+		t.Errorf("without auto-sanitize: %v, want %v", err, parseErr)
+	}
+	// Strategy 2 on: the untrusted OR is tainted structure.
+	db.Filter().RejectTaintedStructure(true)
+	var ae *core.AssertionError
+	var ie *InjectionError
+	if _, err := insSt.Exec(); !errors.As(err, &ae) || !errors.As(err, &ie) || ie.Strategy != "tainted-structure" {
+		t.Errorf("with RejectTaintedStructure: %v, want a tainted-structure assertion error", err)
+	}
+
+	// Fully trusted text that does not parse is still refused at Prepare.
+	if _, err := db.PrepareRaw("INSERT INTO users (name) VALUES ('x' OR role = 'admin')"); err == nil {
+		t.Error("trusted unparseable text prepared successfully")
 	}
 }
 

@@ -219,7 +219,7 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmt, err = bindStatement(stmt, nil, bound)
+	stmt, err = bindStatement(stmt, bound)
 	if err != nil {
 		t.Fatal(err)
 	}

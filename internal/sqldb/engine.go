@@ -993,8 +993,6 @@ func literalValue(ex Expr, typ ColType) (value, error) {
 			return intValue(v.Val), nil
 		}
 		return textValue(strconv.FormatInt(v.Val, 10)), nil
-	case *Placeholder:
-		return value{}, fmt.Errorf("sqldb: unbound placeholder ?%d", v.Ord)
 	default:
 		return value{}, fmt.Errorf("sqldb: expected literal, got %T", ex)
 	}
@@ -1366,8 +1364,6 @@ func validateExpr(ex Expr, sc scope) error {
 		return validateExpr(v.R, sc)
 	case *Param:
 		return fmt.Errorf("sqldb: unbound plan parameter ?%d", v.Idx)
-	case *Placeholder:
-		return fmt.Errorf("sqldb: unbound placeholder ?%d", v.Ord)
 	default:
 		return fmt.Errorf("sqldb: unsupported expression %T", ex)
 	}
@@ -1415,8 +1411,6 @@ func eval(ex Expr, sc scope, row []value) (value, error) {
 		return evalBinary(v, sc, row)
 	case *Param:
 		return value{}, fmt.Errorf("sqldb: unbound plan parameter ?%d", v.Idx)
-	case *Placeholder:
-		return value{}, fmt.Errorf("sqldb: unbound placeholder ?%d", v.Ord)
 	default:
 		return value{}, fmt.Errorf("sqldb: unsupported expression %T", ex)
 	}

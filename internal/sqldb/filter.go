@@ -158,174 +158,98 @@ func (f *ResinSQLFilter) flags() (s1, s2, auto bool) {
 }
 
 // FilterFunc interposes on the query function: args is {query
-// core.String, engine *Engine} with an optional third element carrying
-// bound `?`-placeholder arguments — either the []Expr of a variadic
-// DB.Query/Tx.Query call, or the *preparedExec of a Stmt execution. On
-// success it returns {result *Result}. Bound arguments travel as
-// values, never as text, so the injection assertions — which inspect
-// the query text — skip bound slots by construction.
+// core.String, engine *Engine, stmt *Stmt, bound []Expr} — the compiled
+// form of the query text (every query is prepared, explicitly or by
+// DB.Query itself) and the expressions bound to its placeholders. The
+// enabled assertions judge the text by the verdicts computed when it
+// was compiled; bound arguments travel as values, never as text, so the
+// assertions skip them by construction. The leading query is there for
+// other filters on the channel; this one reads the text from the
+// statement. On success it returns {result *Result}.
 func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error) {
-	if len(args) != 2 && len(args) != 3 {
-		return nil, fmt.Errorf("sqldb: filter expects (query, engine[, bound]), got %d args", len(args))
-	}
-	q, ok := args[0].(core.String)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: filter arg 0 must be core.String, got %T", args[0])
+	if len(args) != 4 {
+		return nil, fmt.Errorf("sqldb: filter expects (query, engine, statement, bound), got %d args", len(args))
 	}
 	engine, ok := args[1].(*Engine)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: filter arg 1 must be *Engine, got %T", args[1])
 	}
-	var bound []Expr
-	if len(args) == 3 {
-		switch v := args[2].(type) {
-		case *preparedExec:
-			return f.execPrepared(ch, engine, v)
-		case []Expr:
-			bound = v
-		default:
-			return nil, fmt.Errorf("sqldb: filter arg 2 must be bound arguments, got %T", args[2])
-		}
+	st, ok := args[2].(*Stmt)
+	if !ok {
+		return nil, fmt.Errorf("sqldb: filter arg 2 must be *Stmt, got %T", args[2])
+	}
+	bound, ok := args[3].([]Expr)
+	if !ok {
+		return nil, fmt.Errorf("sqldb: filter arg 3 must be bound arguments, got %T", args[3])
 	}
 
 	s1, s2, auto := f.flags()
-	if s1 {
-		if start, end, found := sanitize.UnsanitizedSQL(q); found {
-			return nil, &core.AssertionError{
-				Context: ch.Context(), Op: "export_check",
-				Err: &InjectionError{Strategy: "sanitized-markers", Query: q.Raw(), Start: start, End: end},
-			}
-		}
+	var verdict error
+	switch {
+	case s1 && st.s1 != nil:
+		verdict = st.s1
+	case s2 && st.s2 != nil:
+		verdict = st.s2
 	}
-
-	// Tokenize, then resolve through the plan cache: a repeated query
-	// shape binds its literals — and its bound arguments — into the
-	// cached template without ever reaching the parser. The strategy-2
-	// check always judges the standard token stream; on the non-auto
-	// path it shares the single lex with execution.
-	plans := f.planner()
-	var stmt Statement
-	var plan *cachedPlan
-	var err error
-	if auto {
-		if s2 {
-			if cerr := checkTaintedStructure(q); cerr != nil {
-				return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: cerr}
-			}
-		}
-		stmt, plan, err = plans.prepareQuery(q, true, bound)
-	} else {
-		toks, lerr := Lex(q)
-		if s2 {
-			cerr := lerr
-			if cerr == nil {
-				cerr = checkTaintedStructureTokens(q, toks)
-			}
-			if cerr != nil {
-				return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: cerr}
-			}
-		}
-		if lerr != nil {
-			return nil, lerr
-		}
-		stmt, plan, err = plans.prepare(toks, planModeStandard, bound)
+	if verdict != nil {
+		return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: verdict}
 	}
+	stmt, plan, err := st.bind(bound, auto)
 	if err != nil {
 		return nil, err
 	}
-	res, err := executePlanned(plans, plan, engine, stmt)
+	res, err := executePlanned(f.planner(), plan, engine, stmt)
 	if err != nil {
 		return nil, err
 	}
 	return []any{res}, nil
 }
 
-// execPrepared executes a prepared statement through the filter: the
-// assertion verdicts were precomputed against the immutable prepared
-// text, binding substitutes argument values into the cached template,
-// and neither the tokenizer nor the parser runs.
-func (f *ResinSQLFilter) execPrepared(ch *core.Channel, engine *Engine, p *preparedExec) ([]any, error) {
-	s1, s2, auto := f.flags()
-	st := p.stmt
-	if s1 && st.s1Found {
-		return nil, &core.AssertionError{
-			Context: ch.Context(), Op: "export_check",
-			Err: &InjectionError{Strategy: "sanitized-markers", Query: st.query.Raw(), Start: st.s1Start, End: st.s1End},
-		}
+// injectionVerdicts judges a query text by both §5.3 assertions at
+// once, given its standard token stream (or the error the standard
+// lexer gave): s1 is non-nil when the text holds characters with
+// UntrustedData but not SQLSanitized (strategy 1), s2 when untrusted
+// bytes fall outside the value literals or keep the text from
+// tokenizing at all (strategy 2). Which of them an execution enforces
+// is the filter's business.
+func injectionVerdicts(q core.String, toks []Token, lexErr error) (s1, s2 error) {
+	if start, end, found := sanitize.UnsanitizedSQL(q); found {
+		s1 = &InjectionError{Strategy: "sanitized-markers", Query: q.Raw(), Start: start, End: end}
 	}
-	if s2 && st.s2Err != nil {
-		return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: st.s2Err}
+	if s2 = lexErr; s2 == nil {
+		s2 = checkTaintedStructureTokens(q, toks)
 	}
-	if auto && st.textUntrusted {
-		// The prepared text itself carries untrusted bytes and the
-		// auto-sanitizing tokenizer is on: re-lex under taint-aware
-		// rules so the untrusted bytes are neutralized exactly as on
-		// the text path. (Prepared text is normally programmer-authored
-		// and untainted; this path trades speed for fidelity.)
-		plans := f.planner()
-		stmt, plan, err := plans.prepareQuery(st.query, true, p.bound)
-		if err != nil {
-			return nil, err
-		}
-		res, err := executePlanned(plans, plan, engine, stmt)
-		if err != nil {
-			return nil, err
-		}
-		return []any{res}, nil
-	}
-	stmt, err := st.bind(p.bound)
-	if err != nil {
-		return nil, err
-	}
-	res, err := executePlanned(f.planner(), st.plan, engine, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return []any{res}, nil
+	return s1, s2
 }
 
-// checkTaintedStructure implements strategy 2: every byte of the query
-// that is not inside a string or number literal — keywords, identifiers,
-// operators, punctuation, whitespace, comments — must carry no
-// UntrustedData policy.
-func checkTaintedStructure(q core.String) error {
-	toks, err := Lex(q)
-	if err != nil {
-		return err
-	}
-	return checkTaintedStructureTokens(q, toks)
-}
-
-// checkTaintedStructureTokens is checkTaintedStructure over an
-// already-lexed stream (Prepare reuses its one tokenize).
+// checkTaintedStructureTokens implements strategy 2 over the query's
+// standard token stream: every byte of the query that is not inside a
+// string or number literal — keywords, identifiers, operators,
+// punctuation, whitespace, comments — must carry no UntrustedData
+// policy.
 func checkTaintedStructureTokens(q core.String, toks []Token) error {
-	// Collect the byte ranges occupied by value literals; every tainted
-	// byte must fall inside one of them.
-	type rng struct{ start, end int }
-	var values []rng
-	for _, t := range toks {
-		if t.Type == TokString || t.Type == TokNumber {
-			values = append(values, rng{t.Start, t.End})
-		}
-	}
-	inValue := func(i int) bool {
-		for _, r := range values {
-			if i >= r.start && i < r.end {
-				return true
+	// valueEnd returns the end of the value literal holding byte i, or
+	// -1 when i is outside every string and number literal.
+	valueEnd := func(i int) int {
+		for _, t := range toks {
+			if (t.Type == TokString || t.Type == TokNumber) && i >= t.Start && i < t.End {
+				return t.End
 			}
 		}
-		return false
+		return -1
 	}
 	var bad *InjectionError
 	q.EachTaintedSpan(func(start, end int, ps *core.PolicySet) error { //nolint:errcheck
 		if bad != nil || !ps.Any(sanitize.IsUntrusted) {
 			return nil
 		}
-		for i := start; i < end; i++ {
-			if !inValue(i) {
+		for i := start; i < end; {
+			ve := valueEnd(i)
+			if ve < 0 {
 				bad = &InjectionError{Strategy: "tainted-structure", Query: q.Raw(), Start: i, End: end}
 				return nil
 			}
+			i = ve
 		}
 		return nil
 	})
@@ -409,22 +333,18 @@ func stmtPolicyTables(stmt Statement) []string {
 	return nil
 }
 
-// executeWithPolicies rewrites stmt to persist/fetch policy columns,
-// executes it, and re-attaches policies to the result (Figure 4). It is
-// the unplanned path (transaction views, diagnostics); queries arriving
-// through the filter use executePlanned, which caches the schema-derived
-// rewrite state on the plan.
+// executeWithPolicies is executePlanned for a statement that did not
+// come out of the plan cache (a hand-built AST: diagnostics and the
+// reference harnesses).
 func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
-	var pcols map[string]bool
-	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		pcols = policyColSet(engine, tables)
-	}
-	return execWithPCols(engine, stmt, pcols)
+	return executePlanned(nil, nil, engine, stmt)
 }
 
-// executePlanned is executeWithPolicies for plan-cached statements: the
+// executePlanned rewrites stmt to persist/fetch policy columns, executes
+// it, and re-attaches policies to the result (Figure 4). The
 // policy-column set comes from the plan, recompiled only when the
-// engine's schema generation moved since compilation.
+// engine's schema generation moved since compilation; without a plan it
+// is read from the schema.
 func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement) (*Result, error) {
 	var pcols map[string]bool
 	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
@@ -507,8 +427,6 @@ func annotationFor(e Expr, table, col string) (Expr, error) {
 		tracked = v.Src
 	case *NullLit:
 		return &NullLit{}, nil
-	case *Placeholder:
-		return nil, fmt.Errorf("sqldb: unbound placeholder ?%d", v.Ord)
 	default:
 		return nil, fmt.Errorf("sqldb: expected literal, got %T", e)
 	}
@@ -895,47 +813,18 @@ func (db *DB) Engine() *Engine {
 	return db.engine
 }
 
-// Query parses and executes one statement built as a tracked string.
-// args bind the statement's `?` placeholders by position — tracked
+// Query prepares and executes one statement built as a tracked string —
+// Prepare followed by Stmt.Query, so the text meets the same assertions
+// and the same binder as a prepared statement's. args bind the
+// statement's placeholders, by position or as Named values — tracked
 // values (core.String, core.Int) keep their policies, plain Go values
 // bind untainted, and no argument is ever spliced into the query text.
-// The historical zero-argument form is the args-free call.
 func (db *DB) Query(q core.String, args ...any) (*Result, error) {
-	engine := db.Engine()
-	bound, err := argExprs(args)
+	st, err := db.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	out, err := db.channel.Call(queryCallArgs(q, engine, bound))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	// Tracking disabled (or no filter consumed the call): execute raw,
-	// still through the plan cache so repeated shapes skip the parser.
-	stmt, _, err := db.filter.planner().prepareQuery(q, false, bound)
-	if err != nil {
-		return nil, err
-	}
-	raw, affected, err := engine.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
-}
-
-// queryCallArgs builds the channel-call argument list for a text query:
-// the historical {query, engine} pair, plus the bound arguments when
-// the variadic form was used.
-func queryCallArgs(q core.String, engine *Engine, bound []Expr) []any {
-	if bound == nil {
-		return []any{q, engine}
-	}
-	return []any{q, engine, bound}
+	return st.Query(args...)
 }
 
 // QueryRaw is a convenience wrapper for untracked query text.

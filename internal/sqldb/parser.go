@@ -243,12 +243,9 @@ func (p *parser) parseSelect() (Statement, error) {
 	}
 	if p.acceptKeyword("LIMIT") {
 		switch t := p.peek(); t.Type {
-		case TokPlaceholder:
-			// `LIMIT ?` / `LIMIT :name`: a binding slot the
-			// prepared-statement layer resolves per execution.
-			p.next()
-			sel.LimitExpr = &Placeholder{Ord: t.ParamIdx}
-		case TokParam:
+		case TokParam, TokPlaceholder:
+			// `LIMIT ?` / `LIMIT :name`: a slot binding resolves per
+			// execution.
 			p.next()
 			sel.LimitExpr = &Param{Idx: t.ParamIdx}
 		default:
@@ -622,12 +619,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case TokIdent:
 		p.next()
 		return &ColumnRef{Name: t.Text}, nil
-	case TokParam:
+	case TokParam, TokPlaceholder:
 		p.next()
 		return &Param{Idx: t.ParamIdx}, nil
-	case TokPlaceholder:
-		p.next()
-		return &Placeholder{Ord: t.ParamIdx}, nil
 	case TokKeyword:
 		if t.Keyword() == "NULL" {
 			p.next()

@@ -10,17 +10,24 @@ import (
 	"resin/internal/core"
 )
 
-// The plan cache: prepared statements without a prepare API.
+// The plan cache, and the compile half of the one query route.
+//
+// Every statement — DB.Query text, a prepared Stmt, a View.Query inside
+// an integrity assertion — reaches the engine the same way: the token
+// stream is *compiled* (planCache.compile: resolve the shape's template
+// through the cache, convert the inline literals, map the placeholder
+// slots) and the compiled form is *bound* (compiled.bind: arguments
+// into slots, slots into a fresh statement). Nothing else turns SQL
+// text into an executable statement.
 //
 // Applications in this codebase (and the PHP applications the paper
 // interposes on) issue the same query *shapes* over and over with
 // different literal values — HotCRP's per-row SELECTs, the forum's
-// per-message lookups. The seed engine re-tokenized and re-parsed every
-// one. The plan cache instead keys on the canonical token stream with
-// string and number literals replaced by parameter slots, parses that
-// parameterized stream once into a template AST, and on every later hit
-// binds the current literal tokens into a fresh statement — no parser
-// involved (ParseCount pins this down in tests).
+// per-message lookups. The cache keys on the canonical token stream
+// with string and number literals replaced by parameter slots, parses
+// that parameterized stream once into a template AST, and on every
+// later hit binds the current literal tokens into a fresh statement —
+// no parser involved (ParseCount pins this down in tests).
 //
 // Literal values still flow through per execution, carrying their
 // per-character policies, so taint tracking and policy persistence are
@@ -122,32 +129,6 @@ func literalSlots(toks []Token) []bool {
 	return slots
 }
 
-// countPlaceholders returns the number of binding ordinals in a token
-// stream — the arguments an execution must supply. Repeated `:name`
-// placeholders share one ordinal, so the count is distinct ordinals,
-// not placeholder tokens.
-func countPlaceholders(toks []Token) int {
-	n := 0
-	for _, t := range toks {
-		if t.Type == TokPlaceholder && t.ParamIdx+1 > n {
-			n = t.ParamIdx + 1
-		}
-	}
-	return n
-}
-
-// placeholderNames returns the name of each binding ordinal ("" for the
-// positional `?` form), indexed by ordinal.
-func placeholderNames(toks []Token) []string {
-	out := make([]string, countPlaceholders(toks))
-	for _, t := range toks {
-		if t.Type == TokPlaceholder {
-			out[t.ParamIdx] = t.Name
-		}
-	}
-	return out
-}
-
 // planKey renders the canonical parameterized form of a token stream:
 // keywords upper-cased, identifiers lower-cased, literal slots replaced
 // by '?' (their tokens collected into lits), tokens separated by NUL.
@@ -212,37 +193,10 @@ func litExpr(t Token) (Expr, error) {
 	}
 }
 
-// literalBinds converts the literal-slot tokens of a stream into the
-// per-slot expressions a template is bound with: inline string/number
-// literals convert as parsePrimary would, and placeholder slots take
-// the bound-argument expression at their binding ordinal (so every
-// repetition of one `:name` binds the same argument). The caller has
-// already checked arity (binding ordinal count == len(bound)).
-func literalBinds(lits []Token, bound []Expr) ([]Expr, error) {
-	binds := make([]Expr, len(lits))
-	for i, t := range lits {
-		if t.Type == TokPlaceholder {
-			if t.ParamIdx >= len(bound) {
-				return nil, fmt.Errorf("sqldb: placeholder ?%d has no bound argument", t.ParamIdx)
-			}
-			binds[i] = bound[t.ParamIdx]
-			continue
-		}
-		ex, err := litExpr(t)
-		if err != nil {
-			return nil, err
-		}
-		binds[i] = ex
-	}
-	return binds, nil
-}
-
-// bindExpr clones an expression template, substituting Param slots with
-// the per-slot bound expressions and Placeholder slots (present only on
-// the direct-parse fallback path, where the statement never went through
-// parameterize) with the bound-argument expressions. Substitution-free
-// subtrees are shared — the engine never mutates statements.
-func bindExpr(ex Expr, binds, ph []Expr) (Expr, error) {
+// bindExpr clones an expression template, substituting each Param slot
+// with its per-slot bound expression. Substitution-free subtrees are
+// shared — the engine never mutates statements.
+func bindExpr(ex Expr, binds []Expr) (Expr, error) {
 	switch v := ex.(type) {
 	case nil:
 		return nil, nil
@@ -251,17 +205,12 @@ func bindExpr(ex Expr, binds, ph []Expr) (Expr, error) {
 			return nil, fmt.Errorf("sqldb: plan parameter ?%d out of range", v.Idx)
 		}
 		return binds[v.Idx], nil
-	case *Placeholder:
-		if v.Ord < 0 || v.Ord >= len(ph) {
-			return nil, fmt.Errorf("sqldb: placeholder ?%d has no bound argument", v.Ord)
-		}
-		return ph[v.Ord], nil
 	case *Binary:
-		l, err := bindExpr(v.L, binds, ph)
+		l, err := bindExpr(v.L, binds)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindExpr(v.R, binds, ph)
+		r, err := bindExpr(v.R, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -270,7 +219,7 @@ func bindExpr(ex Expr, binds, ph []Expr) (Expr, error) {
 		}
 		return &Binary{Op: v.Op, L: l, R: r}, nil
 	case *Unary:
-		x, err := bindExpr(v.X, binds, ph)
+		x, err := bindExpr(v.X, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -283,17 +232,16 @@ func bindExpr(ex Expr, binds, ph []Expr) (Expr, error) {
 	}
 }
 
-// bindStatement instantiates a statement template: binds fills Param
-// slots (the plan-cache path), ph fills Placeholder slots by ordinal
-// (the direct-parse path, where `?` tokens survived into the AST).
-func bindStatement(tmpl Statement, binds, ph []Expr) (Statement, error) {
+// bindStatement instantiates a statement template: binds[i] fills the
+// Param slot numbered i.
+func bindStatement(tmpl Statement, binds []Expr) (Statement, error) {
 	switch s := tmpl.(type) {
 	case *Select:
-		w, err := bindExpr(s.Where, binds, ph)
+		w, err := bindExpr(s.Where, binds)
 		if err != nil {
 			return nil, err
 		}
-		le, err := bindExpr(s.LimitExpr, binds, ph)
+		le, err := bindExpr(s.LimitExpr, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +263,7 @@ func bindStatement(tmpl Statement, binds, ph []Expr) (Statement, error) {
 		for i, row := range s.Rows {
 			out := make([]Expr, len(row))
 			for j, ex := range row {
-				b, err := bindExpr(ex, binds, ph)
+				b, err := bindExpr(ex, binds)
 				if err != nil {
 					return nil, err
 				}
@@ -327,19 +275,19 @@ func bindStatement(tmpl Statement, binds, ph []Expr) (Statement, error) {
 	case *Update:
 		set := make([]Assignment, len(s.Set))
 		for i, a := range s.Set {
-			v, err := bindExpr(a.Value, binds, ph)
+			v, err := bindExpr(a.Value, binds)
 			if err != nil {
 				return nil, err
 			}
 			set[i] = Assignment{Column: a.Column, Value: v}
 		}
-		w, err := bindExpr(s.Where, binds, ph)
+		w, err := bindExpr(s.Where, binds)
 		if err != nil {
 			return nil, err
 		}
 		return &Update{Table: s.Table, Set: set, Where: w}, nil
 	case *Delete:
-		w, err := bindExpr(s.Where, binds, ph)
+		w, err := bindExpr(s.Where, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -367,123 +315,130 @@ func limitValue(e Expr) (int, error) {
 	return int(lit.Val), nil
 }
 
-// bindArity checks that a token stream's placeholder count matches the
-// bound-argument count. Queries without placeholders and without bound
-// arguments (the historical zero-arg form) pass trivially.
-func bindArity(toks []Token, nbound int) error {
-	if nph := countPlaceholders(toks); nph != nbound {
-		return fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", nph, nbound)
-	}
-	return nil
+// phSlot maps one placeholder slot of a plan template to its binding
+// ordinal. Positional `?` placeholders get sequential ordinals; repeated
+// `:name` placeholders share one ordinal, so a single bound argument can
+// fill several slots.
+type phSlot struct {
+	slot int // literal-slot index in the template
+	ord  int // binding ordinal (Token.ParamIdx)
 }
 
-// compile resolves a token stream to its cached plan template without
-// binding, compiling and installing the template on a miss. It is the
-// shared front half of prepare and of Stmt preparation: both paths
-// therefore share templates (a spliced query shape and its prepared
-// form have identical keys). The returned lits are the current literal
-// slot tokens in slot order; cached reports whether the template came
-// from the cache. Callers count hits/misses — a hit is only a hit once
-// binding has actually succeeded.
-func (c *planCache) compile(toks []Token, mode byte) (plan *cachedPlan, lits []Token, cached bool, err error) {
+// compiled is what one query text compiles to under one tokenizer: the
+// shape's shared template plus everything of this particular text an
+// execution needs, so that binding does no token work at all.
+type compiled struct {
+	plan    *cachedPlan // shared template via the plan cache
+	fixed   []Expr      // per-slot inline-literal expressions; nil at placeholder slots
+	phSlots []phSlot    // placeholder slot index → binding ordinal
+	names   []string    // binding ordinal → placeholder name ("" for positional)
+	nargs   int         // number of distinct binding ordinals
+}
+
+// compile is the front half of the query route: it resolves a token
+// stream to its plan template — from the cache, or by parsing the
+// parameterized stream once and installing it (a spliced query shape
+// and its prepared form have identical keys, so they share templates) —
+// converts every inline-literal slot to its expression and records
+// which slots are binding placeholders. Hits and misses are counted
+// here and nowhere else. When the text does not compile, the original
+// stream is parsed just for its error, so every message is exactly
+// what Parse reports for the text.
+func (c *planCache) compile(toks []Token, mode byte) (compiled, error) {
 	key, lits := planKey(toks, mode)
 
 	c.mu.RLock()
-	plan = c.m[key]
+	plan := c.m[key]
 	c.mu.RUnlock()
 	if plan != nil && plan.nlits == len(lits) {
-		return plan, lits, true, nil
-	}
-
-	tmpl, err := ParseTokens(parameterize(toks))
-	if err != nil {
-		return nil, lits, false, err
-	}
-	plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
-	c.mu.Lock()
-	if len(c.m) >= planCacheCap {
-		c.m = make(map[string]*cachedPlan, 64)
-	}
-	if existing, ok := c.m[key]; ok && existing.nlits == len(lits) {
-		plan = existing // racing compile: keep the installed one
+		c.hits.Add(1)
 	} else {
-		c.m[key] = plan
-	}
-	c.mu.Unlock()
-	return plan, lits, false, nil
-}
-
-// parseAndBind parses an original (non-parameterized) token stream and
-// binds its `?` placeholders by ordinal — the shared direct-parse path
-// used by the plan cache's fallback and by View.Query.
-func parseAndBind(toks []Token, bound []Expr) (Statement, error) {
-	if err := bindArity(toks, len(bound)); err != nil {
-		return nil, err
-	}
-	stmt, err := ParseTokens(toks)
-	if err != nil {
-		return nil, err
-	}
-	return bindStatement(stmt, nil, bound)
-}
-
-// prepare resolves a token stream plus bound-argument expressions to an
-// executable statement, through the cache when possible. On a hit the
-// parser is never invoked; on a miss the parameterized stream is parsed
-// once and the template cached. Any template trouble (a shape the
-// binder cannot reconstruct, a parse error against the parameterized
-// stream) falls back to parsing the original tokens directly, so the
-// cache can only ever add performance, never change behavior —
-// including error messages, which come from the original token stream.
-func (c *planCache) prepare(toks []Token, mode byte, bound []Expr) (Statement, *cachedPlan, error) {
-	if err := bindArity(toks, len(bound)); err != nil {
-		return nil, nil, err
-	}
-	plan, lits, cached, cerr := c.compile(toks, mode)
-	if cerr == nil {
-		if binds, err := literalBinds(lits, bound); err == nil {
-			if stmt, err := bindStatement(plan.tmpl, binds, nil); err == nil {
-				if cached {
-					c.hits.Add(1)
-				} else {
-					c.misses.Add(1)
-				}
-				return stmt, plan, nil
-			}
-		}
-		// Bind failure: fall through to a fresh parse of the original
-		// tokens (and leave the entry; a transient literal problem like
-		// an overflowing number must not evict a good template).
-	}
-	c.misses.Add(1)
-	// Report errors against the original stream so messages match the
-	// uncached parser exactly; `?` tokens become Placeholder nodes here,
-	// bound by ordinal.
-	stmt, err := parseAndBind(toks, bound)
-	return stmt, nil, err
-}
-
-// prepareQuery lexes q with the requested tokenizer and resolves it
-// through the cache, with the same error semantics as Parse /
-// ParseAutoSanitized. bound carries the `?`-placeholder argument
-// expressions (nil for the zero-arg form).
-func (c *planCache) prepareQuery(q core.String, auto bool, bound []Expr) (Statement, *cachedPlan, error) {
-	if auto {
-		toks, err := LexAutoSanitize(q)
+		c.misses.Add(1)
+		tmpl, err := ParseTokens(parameterize(toks))
 		if err != nil {
-			return nil, nil, err
+			return compiled{}, originalError(toks, err)
 		}
-		stmt, plan, err := c.prepare(toks, planModeAutoSanitize, bound)
+		plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
+		c.mu.Lock()
+		if len(c.m) >= planCacheCap {
+			c.m = make(map[string]*cachedPlan, 64)
+		}
+		if existing, ok := c.m[key]; ok && existing.nlits == len(lits) {
+			plan = existing // racing compile: keep the installed one
+		} else {
+			c.m[key] = plan
+		}
+		c.mu.Unlock()
+	}
+
+	cp := compiled{plan: plan, fixed: make([]Expr, len(lits))}
+	for i, t := range lits {
+		if t.Type == TokPlaceholder {
+			cp.phSlots = append(cp.phSlots, phSlot{slot: i, ord: t.ParamIdx})
+			cp.nargs = max(cp.nargs, t.ParamIdx+1)
+			continue
+		}
+		ex, err := litExpr(t)
 		if err != nil {
-			return nil, nil, fmt.Errorf("sqldb: auto-sanitized parse: %w", err)
+			// A literal the parser would refuse too (a number past
+			// int64); the good template stays cached.
+			return compiled{}, originalError(toks, err)
 		}
-		return stmt, plan, nil
+		cp.fixed[i] = ex
 	}
-	toks, err := Lex(q)
+	if cp.nargs > 0 {
+		cp.names = make([]string, cp.nargs)
+		for _, m := range cp.phSlots {
+			cp.names[m.ord] = lits[m.slot].Name
+		}
+	}
+	return cp, nil
+}
+
+// originalError reports why a token stream does not compile in the
+// words of the uncached parser: the stream is parsed as written, only
+// for the message (offsets and token texts of the original, not of the
+// parameterized form). The parser accepts a slot token exactly where it
+// accepts the literal it stands for, so the parse fails whenever the
+// compile did; cerr covers the case that it somehow does not.
+func originalError(toks []Token, cerr error) error {
+	if _, err := ParseTokens(toks); err != nil {
+		return err
+	}
+	return cerr
+}
+
+// compileAutoSanitized compiles q under the auto-sanitizing tokenizer,
+// with the error wording of ParseAutoSanitized.
+func (c *planCache) compileAutoSanitized(q core.String) (compiled, error) {
+	toks, err := LexAutoSanitize(q)
 	if err != nil {
-		return nil, nil, err
+		return compiled{}, err
 	}
-	return c.prepare(toks, planModeStandard, bound)
+	cp, err := c.compile(toks, planModeAutoSanitize)
+	if err != nil {
+		return compiled{}, fmt.Errorf("sqldb: auto-sanitized parse: %w", err)
+	}
+	return cp, nil
+}
+
+// bind is the back half of the query route, and the only place
+// arguments meet a template: bound[ord] fills every placeholder slot of
+// binding ordinal ord, the inline literals fill the rest. Neither the
+// tokenizer nor the parser runs here.
+func (cp *compiled) bind(bound []Expr) (Statement, error) {
+	if len(bound) != cp.nargs {
+		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", cp.nargs, len(bound))
+	}
+	binds := cp.fixed
+	if cp.nargs > 0 {
+		binds = make([]Expr, len(cp.fixed))
+		copy(binds, cp.fixed)
+		for _, m := range cp.phSlots {
+			binds[m.slot] = bound[m.ord]
+		}
+	}
+	return bindStatement(cp.plan.tmpl, binds)
 }
 
 // pcolsFor returns the cached policy-column set of the plan's tables

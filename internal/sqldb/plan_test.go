@@ -203,7 +203,7 @@ func TestPlanCacheBoundedFlush(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.prepare(toks, planModeStandard, nil); err != nil {
+		if _, err := c.compile(toks, planModeStandard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,11 +315,13 @@ func TestParameterizeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binds, err := literalBinds(lits, nil)
-	if err != nil {
-		t.Fatal(err)
+	binds := make([]Expr, len(lits))
+	for i, lit := range lits {
+		if binds[i], err = litExpr(lit); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bound, err := bindStatement(tmpl, binds, nil)
+	bound, err := bindStatement(tmpl, binds)
 	if err != nil {
 		t.Fatal(err)
 	}

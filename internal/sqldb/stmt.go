@@ -7,20 +7,23 @@ import (
 	"resin/internal/sanitize"
 )
 
-// Prepared statements: the query API the paper's string-splicing filter
-// grew into. A Stmt is compiled once — one tokenize, one parse — from
-// query text containing `?` binding placeholders; every execution binds
-// argument *values* (tracked or plain) into the cached plan template.
-// Bound values never appear in query text, so they cannot reshape the
-// statement: injection through a bound slot is structurally impossible,
-// and the §5.3 injection assertions skip bound slots by construction
-// (they inspect the text, and the text holds only `?`). Policies on
-// bound values flow into shadow policy columns exactly as literal
-// policies do (Figure 4), because binding produces the same literal
-// expressions the parser would have.
+// Prepared statements, and the execute half of the one query route. A
+// Stmt is query text compiled once — one tokenize, at most one parse
+// (plan.go) — together with the verdicts the §5.3 injection assertions
+// reach on that text; every execution binds argument *values* (tracked
+// or plain) into the compiled form and sends it through the SQL
+// channel. DB.Query, Tx.Query and the wire server's one-shot query are
+// Prepare followed by Stmt.Query, so an assertion holds on all of them
+// or on none. Bound values never appear in query text, so they cannot
+// reshape the statement: injection through a bound slot is structurally
+// impossible, and the assertions skip bound slots by construction (they
+// inspect the text, and the text holds only `?`). Policies on bound
+// values flow into shadow policy columns exactly as literal policies do
+// (Figure 4), because binding produces the same literal expressions the
+// parser would have.
 //
-// Repeated executions run at 0 tokenizes and 0 parses per operation —
-// TokenizeCount and ParseCount pin this in tests and in
+// Repeated executions of one Stmt run at 0 tokenizes and 0 parses per
+// operation — TokenizeCount and ParseCount pin this in tests and in
 // BenchmarkSQLPreparedLookup.
 
 // argExpr converts one bound argument into the literal expression the
@@ -33,7 +36,7 @@ func argExpr(a any) (Expr, error) {
 	case nil:
 		return &NullLit{}, nil
 	case NamedArg:
-		return nil, fmt.Errorf("sqldb: named argument %q outside a prepared-statement execution", v.Name)
+		return nil, fmt.Errorf("sqldb: named argument %q where a value is expected", v.Name)
 	case core.String:
 		return &StringLit{Val: v}, nil
 	case core.Int:
@@ -85,15 +88,6 @@ func argExprs(args []any) ([]Expr, error) {
 	return out, nil
 }
 
-// phSlot maps one placeholder slot of a plan template to its binding
-// ordinal. Positional `?` placeholders get sequential ordinals; repeated
-// `:name` placeholders share one ordinal, so a single bound argument can
-// fill several slots.
-type phSlot struct {
-	slot int // literal-slot index in the template
-	ord  int // binding ordinal (Token.ParamIdx)
-}
-
 // NamedArg binds a value to a `:name` placeholder by name instead of by
 // position. Construct one with Named. A statement execution must bind
 // either all positionally or all by name.
@@ -113,35 +107,24 @@ type Stmt struct {
 	db *DB
 	tx *Tx // non-nil when prepared inside a transaction
 
-	query   core.String
-	plan    *cachedPlan // shared template via the filter's plan cache
-	fixed   []Expr      // per-slot inline-literal expressions; nil at placeholder slots
-	phSlots []phSlot    // placeholder slot index → binding ordinal, fixed at Prepare
-	names   []string    // binding ordinal → placeholder name ("" for positional)
-	nargs   int         // number of distinct binding ordinals
+	query    core.String
+	compiled // the text under the standard tokenizer
 
-	// direct is the fallback when the parameterized template could not
-	// be compiled (e.g. a shape the template parser rejects): the
-	// original token stream parsed as-is, with Placeholder nodes bound
-	// per execution. Still 0 parses per op.
-	direct Statement
-
-	// Assertion verdicts precomputed against the immutable query text,
-	// so executions consult flags without re-tokenizing: the strategy-1
-	// unsanitized range and the strategy-2 tainted-structure error.
-	s1Start, s1End int
-	s1Found        bool
-	s2Err          error
-	// textUntrusted notes untrusted bytes in the prepared text itself;
-	// with auto-sanitize enabled such text must re-lex per execution
-	// under the taint-aware tokenizer (the slow, faithful path).
+	// s1 and s2 are the verdicts of the strategy-1 and strategy-2
+	// assertions on the immutable query text (nil: passes), computed
+	// once so executions consult the filter's flags without
+	// re-tokenizing.
+	s1, s2 error
+	// textUntrusted notes untrusted bytes in the text itself; with
+	// auto-sanitize on, such text is compiled per execution under the
+	// taint-aware tokenizer (the slow, faithful path).
 	textUntrusted bool
-	// lexErr defers a standard-lexer failure on untrusted-tainted text
-	// to execution time: under auto-sanitize the taint-aware tokenizer
-	// may accept what the standard lexer rejects (e.g. an unbalanced
-	// untrusted quote), so the verdict belongs to the mode active at
-	// execution, exactly as on the text path.
-	lexErr error
+	// err defers a standard lex or parse failure on untrusted text to
+	// execution time: the taint-aware tokenizer may accept what the
+	// standard one rejects (an unbalanced untrusted quote, a breakout
+	// that leaves the standard stream unparseable), so the verdict
+	// belongs to the mode active at execution.
+	err error
 }
 
 // prepareStmt compiles query text into a Stmt against db's plan cache.
@@ -150,69 +133,18 @@ type Stmt struct {
 func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 	s := &Stmt{db: db, tx: tx, query: q}
 	_, _, s.textUntrusted = q.FindPolicy(sanitize.IsUntrusted)
-	s.s1Start, s.s1End, s.s1Found = sanitize.UnsanitizedSQL(q)
-
 	toks, err := Lex(q)
+	s.s1, s.s2 = injectionVerdicts(q, toks, err)
+	if err == nil {
+		s.compiled, err = db.filter.planner().compile(toks, planModeStandard)
+	}
 	if err != nil {
 		if !s.textUntrusted {
 			return nil, err
 		}
-		// Untrusted bytes broke the standard lexer; the auto-sanitizing
-		// tokenizer may still accept this text as inert values, so keep
-		// the statement and let each execution's active mode decide.
-		s.lexErr = err
-		s.s2Err = err
-		return s, nil
-	}
-	s.nargs = countPlaceholders(toks)
-	s.names = placeholderNames(toks)
-	s.s2Err = checkTaintedStructureTokens(q, toks)
-
-	plans := db.filter.planner()
-	plan, cerr := s.compileTemplate(plans, toks)
-	if cerr != nil {
-		// Template trouble: parse the original stream once and keep the
-		// statement with its Placeholder nodes for per-exec binding.
-		// Errors come from the original stream, matching Parse exactly.
-		direct, derr := ParseTokens(toks)
-		if derr != nil {
-			return nil, derr
-		}
-		s.direct = direct
-		s.plan = &cachedPlan{tmpl: direct}
-	} else {
-		s.plan = plan
+		s.err = err
 	}
 	return s, nil
-}
-
-// compileTemplate resolves the prepared text's plan template,
-// pre-converts every inline-literal slot to its expression, and records
-// the placeholder slot positions, so executions do no token work at
-// all.
-func (s *Stmt) compileTemplate(plans *planCache, toks []Token) (*cachedPlan, error) {
-	plan, lits, cached, err := plans.compile(toks, planModeStandard)
-	if err != nil {
-		return nil, err
-	}
-	s.fixed = make([]Expr, len(lits))
-	for i, t := range lits {
-		if t.Type == TokPlaceholder {
-			s.phSlots = append(s.phSlots, phSlot{slot: i, ord: t.ParamIdx})
-			continue
-		}
-		ex, lerr := litExpr(t)
-		if lerr != nil {
-			return nil, lerr
-		}
-		s.fixed[i] = ex
-	}
-	if cached {
-		plans.hits.Add(1)
-	} else {
-		plans.misses.Add(1)
-	}
-	return plan, nil
 }
 
 // NumArgs returns the number of `?` placeholders the statement binds.
@@ -221,31 +153,19 @@ func (s *Stmt) NumArgs() int { return s.nargs }
 // Text returns the prepared query text.
 func (s *Stmt) Text() core.String { return s.query }
 
-// bind instantiates the statement with the given bound-argument
-// expressions. No tokenizer and no parser run here.
-func (s *Stmt) bind(bound []Expr) (Statement, error) {
-	if s.lexErr != nil {
-		// Deferred standard-lexer failure: without the auto-sanitizing
-		// mode (which routes execution through the text path before
-		// bind is reached), the text is as unexecutable as it was on
-		// the text path.
-		return nil, s.lexErr
+// bind instantiates the statement for one execution. auto selects the
+// auto-sanitizing mode: text carrying untrusted bytes is then compiled
+// afresh under the taint-aware tokenizer, which keeps them inert.
+func (s *Stmt) bind(bound []Expr, auto bool) (Statement, *cachedPlan, error) {
+	cp, err := s.compiled, s.err
+	if auto && s.textUntrusted {
+		cp, err = s.db.filter.planner().compileAutoSanitized(s.query)
 	}
-	if len(bound) != s.nargs {
-		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", s.nargs, len(bound))
+	if err != nil {
+		return nil, nil, err
 	}
-	if s.direct != nil {
-		return bindStatement(s.direct, nil, bound)
-	}
-	binds := s.fixed
-	if s.nargs > 0 {
-		binds = make([]Expr, len(s.fixed))
-		copy(binds, s.fixed)
-		for _, m := range s.phSlots {
-			binds[m.slot] = bound[m.ord]
-		}
-	}
-	return bindStatement(s.plan.tmpl, binds, nil)
+	stmt, err := cp.bind(bound)
+	return stmt, cp.plan, err
 }
 
 // bindArgs converts the caller's argument list to per-ordinal bound
@@ -253,7 +173,7 @@ func (s *Stmt) bind(bound []Expr) (Statement, error) {
 // `:name`, in any order, with repeats of a name sharing one ordinal.
 // Mixing the two styles in one call is an error, as is an unknown,
 // missing, or duplicate name.
-func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
+func (cp *compiled) bindArgs(args []any) ([]Expr, error) {
 	named := 0
 	for _, a := range args {
 		if _, ok := a.(NamedArg); ok {
@@ -266,12 +186,12 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 	if named != len(args) {
 		return nil, fmt.Errorf("sqldb: cannot mix named and positional arguments in one execution")
 	}
-	bound := make([]Expr, s.nargs)
-	seen := make([]bool, s.nargs)
+	bound := make([]Expr, cp.nargs)
+	seen := make([]bool, cp.nargs)
 	for _, a := range args {
 		na := a.(NamedArg)
 		ord := -1
-		for i, n := range s.names {
+		for i, n := range cp.names {
 			if n != "" && n == na.Name {
 				ord = i
 				break
@@ -291,7 +211,7 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 	}
 	for i, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("sqldb: placeholder %q not bound", s.names[i])
+			return nil, fmt.Errorf("sqldb: placeholder %q not bound", cp.names[i])
 		}
 	}
 	return bound, nil
@@ -302,25 +222,11 @@ func (s *Stmt) bindArgs(args []any) ([]Expr, error) {
 // was deferred (untrusted text needing the auto-sanitizing lexer) report
 // false: their shape is unknown until execution.
 func (s *Stmt) ReadOnly() bool {
-	if s.lexErr != nil {
+	if s.err != nil {
 		return false
 	}
-	tmpl := s.direct
-	if tmpl == nil && s.plan != nil {
-		tmpl = s.plan.tmpl
-	}
-	_, ok := tmpl.(*Select)
+	_, ok := s.plan.tmpl.(*Select)
 	return ok
-}
-
-// preparedExec is the value the prepared-statement API routes through
-// the SQL channel in place of query text: the compiled statement plus
-// its bound arguments, already converted to literal expressions. The
-// RESIN filter recognizes it and executes the bound plan — arguments
-// travel as values, never as text.
-type preparedExec struct {
-	stmt  *Stmt
-	bound []Expr
 }
 
 // Query executes the prepared statement with the given arguments bound
@@ -331,10 +237,41 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.tx != nil {
-		return s.tx.queryPrepared(s, bound)
+	if s.tx == nil {
+		return s.run(s.db.Engine(), bound)
 	}
-	return s.db.queryPrepared(s, bound)
+	s.tx.mu.Lock()
+	defer s.tx.mu.Unlock()
+	if s.tx.done {
+		return nil, ErrTxDone
+	}
+	return s.run(s.tx.spec, bound)
+}
+
+// run executes the statement against engine. It is the one call site of
+// the SQL channel: with tracking enabled the call passes through the
+// filter chain (injection assertions + policy persistence), which
+// consumes it and answers with the *Result; otherwise the statement is
+// bound and executed untracked — still 0 tokenizes / 0 parses.
+func (s *Stmt) run(engine *Engine, bound []Expr) (*Result, error) {
+	out, err := s.db.channel.Call([]any{s.query, engine, s, bound})
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 1 {
+		if res, ok := out[0].(*Result); ok {
+			return res, nil
+		}
+	}
+	stmt, _, err := s.bind(bound, false)
+	if err != nil {
+		return nil, err
+	}
+	raw, affected, err := engine.ExecuteRaw(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return fromRaw(raw, affected, false, "")
 }
 
 // Exec executes the prepared statement and returns the number of rows
@@ -368,38 +305,6 @@ func (db *DB) MustPrepare(q string) *Stmt {
 	return st
 }
 
-// queryPrepared executes a prepared statement against the database,
-// through the channel's filter chain when tracking is enabled.
-func (db *DB) queryPrepared(s *Stmt, bound []Expr) (*Result, error) {
-	engine := db.Engine()
-	out, err := db.channel.Call([]any{s.query, engine, &preparedExec{stmt: s, bound: bound}})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	// Tracking disabled (or no filter consumed the call): bind and
-	// execute raw — still 0 tokenizes / 0 parses.
-	return execPreparedRaw(s, bound, engine)
-}
-
-// execPreparedRaw binds and executes without policy persistence (the
-// untracked path).
-func execPreparedRaw(s *Stmt, bound []Expr, engine *Engine) (*Result, error) {
-	stmt, err := s.bind(bound)
-	if err != nil {
-		return nil, err
-	}
-	raw, affected, err := engine.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
-}
-
 // Prepare compiles query text into a Stmt executing against this
 // transaction's speculative state. The Stmt becomes unusable once the
 // transaction commits or rolls back (ErrTxDone).
@@ -409,23 +314,3 @@ func (tx *Tx) Prepare(q core.String) (*Stmt, error) {
 
 // PrepareRaw is Prepare for untracked query text.
 func (tx *Tx) PrepareRaw(q string) (*Stmt, error) { return tx.Prepare(core.NewString(q)) }
-
-// queryPrepared executes a prepared statement against the transaction's
-// speculative engine.
-func (tx *Tx) queryPrepared(s *Stmt, bound []Expr) (*Result, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	out, err := tx.db.channel.Call([]any{s.query, tx.spec, &preparedExec{stmt: s, bound: bound}})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	return execPreparedRaw(s, bound, tx.spec)
-}

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -553,6 +555,193 @@ func TestInjectionErrorClampsBounds(t *testing.T) {
 		msg := cases[i].Error()
 		if !strings.Contains(msg, "SQL injection assertion") {
 			t.Errorf("case %d: malformed message %q", i, msg)
+		}
+	}
+}
+
+// parityOutcome renders everything a caller can observe of one
+// execution — error text, whether it is a data flow assertion failure,
+// Affected, every cell with its EncodeSpans annotation — followed by the
+// table's contents as the same session sees them afterwards.
+func parityOutcome(t *testing.T, res *Result, err error, dump func(string, ...any) (*Result, error)) string {
+	t.Helper()
+	var b strings.Builder
+	render := func(r *Result) {
+		fmt.Fprintf(&b, "affected=%d cols=%v\n", r.Affected, r.Columns)
+		for _, row := range r.Rows {
+			for _, c := range row {
+				ann, aerr := core.EncodeSpans(c.Text())
+				if aerr != nil {
+					t.Fatal(aerr)
+				}
+				fmt.Fprintf(&b, " [%q null=%v int=%v %s]", c.Text().Raw(), c.Null, c.IsInt, ann)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	if err != nil {
+		var ae *core.AssertionError
+		fmt.Fprintf(&b, "error=%q assertion=%v\n", err, errors.As(err, &ae))
+	} else {
+		render(res)
+	}
+	after, derr := dump("SELECT name, role, uid FROM users ORDER BY uid")
+	if derr != nil {
+		t.Fatalf("dump: %v", derr)
+	}
+	render(after)
+	return b.String()
+}
+
+// TestQueryRouteParity: text execution is an implicit prepare, so
+// db.Query(text, args…), db.Prepare(text) + Query(args…) and the same
+// two inside a transaction must agree on rows, per-cell policies,
+// Affected, error text and whether the error is an assertion failure —
+// for every statement of the corpus under all eight settings of the
+// three filter modes.
+func TestQueryRouteParity(t *testing.T) {
+	taint := func(s string) core.String { return sanitize.Taint(core.NewString(s), "form") }
+	text := func(parts ...any) core.String {
+		var out []core.String
+		for _, p := range parts {
+			if s, ok := p.(string); ok {
+				out = append(out, core.NewString(s))
+			} else {
+				out = append(out, p.(core.String))
+			}
+		}
+		return core.Concat(out...)
+	}
+	type flags struct{ s1, s2, auto bool }
+	cases := []struct {
+		name string
+		q    core.String
+		args []any
+		// check, when set, pins the agreed outcome for one setting.
+		check func(t *testing.T, f flags, res *Result, err error)
+	}{
+		{name: "point-select", q: text("SELECT name, role FROM users WHERE uid = 1")},
+		{name: "range-select", q: text("SELECT name FROM users WHERE uid >= ? AND uid < ? ORDER BY uid DESC"), args: []any{1, 3}},
+		{name: "insert-tainted-literal", q: text("INSERT INTO users (name, role, uid) VALUES ('", taint("carol"), "', 'user', 3)")},
+		{name: "insert-sanitized-literal", q: text("INSERT INTO users (name, role, uid) VALUES (", sanitize.SQLQuote(taint("o'hara")), ", 'user', 3)")},
+		{name: "update-bound-tainted", q: text("UPDATE users SET role = ? WHERE name = ?"), args: []any{taint("mod"), "bob"}},
+		{name: "delete", q: text("DELETE FROM users WHERE uid = 2")},
+		{name: "limit-placeholder", q: text("SELECT name FROM users ORDER BY uid LIMIT ?"), args: []any{1}},
+		{name: "repeated-name", q: text("SELECT name FROM users WHERE name = :n OR role = :n ORDER BY uid"),
+			args: []any{Named("n", "admin")},
+			check: func(t *testing.T, _ flags, res *Result, err error) {
+				if err != nil || res.Len() != 1 || res.Get(0, "name").Str.Raw() != "alice" {
+					t.Errorf("named argument on the variadic form: %+v, %v", res, err)
+				}
+			}},
+		{name: "named-nested", q: text("SELECT name FROM users WHERE name = :n"), args: []any{Named("n", Named("m", 1))}},
+		{name: "lex-error-trusted", q: text("SELECT name FROM users WHERE name = 'x"),
+			check: func(t *testing.T, _ flags, _ *Result, err error) {
+				// Nothing untrusted is involved, so no setting makes this an
+				// assertion failure: it is the lexer's own error.
+				var ae *core.AssertionError
+				var le *LexError
+				if !errors.As(err, &le) || errors.As(err, &ae) {
+					t.Errorf("trusted lexer error: %v", err)
+				}
+			}},
+		{name: "lex-error-untrusted", q: text("SELECT name FROM users WHERE name = ", taint("'x"))},
+		{name: "parse-error-trusted", q: text("SELECT FROM users WHERE name = 'x'")},
+		{name: "parse-error-untrusted-breakout", q: text("INSERT INTO users (name, role, uid) VALUES ('", taint("x' OR role = 'admin"), "', 'weird', 9)"),
+			check: func(t *testing.T, f flags, res *Result, err error) {
+				var ae *core.AssertionError
+				switch {
+				case f.s1 || f.s2:
+					if !errors.As(err, &ae) {
+						t.Errorf("breakout with an assertion on: %v", err)
+					}
+				case f.auto:
+					if err != nil || res.Affected != 1 {
+						t.Errorf("breakout under auto-sanitize: %+v, %v", res, err)
+					}
+				}
+			}},
+		{name: "arity-missing", q: text("SELECT name FROM users WHERE uid = ?")},
+		{name: "arity-extra", q: text("SELECT name FROM users"), args: []any{"stray"}},
+		{name: "number-overflow", q: text("SELECT name FROM users WHERE uid = 99999999999999999999")},
+		{name: "number-overflow-untrusted", q: text("SELECT name FROM users WHERE uid = ", taint("99999999999999999999"))},
+		{name: "taint-in-literal", q: text("SELECT name, role FROM users WHERE name = '", taint("bob"), "'")},
+		{name: "taint-in-identifier", q: text("SELECT ", taint("name"), " FROM users ORDER BY uid")},
+	}
+
+	seed := func(t *testing.T, f flags) *DB {
+		db := openDB(t)
+		db.MustExec("CREATE TABLE users (name TEXT, role TEXT, uid INT)")
+		db.MustExec("INSERT INTO users (name, role, uid) VALUES ('alice', 'admin', 1)")
+		if _, err := db.Query(core.NewString("INSERT INTO users (name, role, uid) VALUES (?, 'user', 2)"), taint("bob")); err != nil {
+			t.Fatal(err)
+		}
+		db.Filter().RequireSanitizedMarkers(f.s1)
+		db.Filter().RejectTaintedStructure(f.s2)
+		db.Filter().AutoSanitizeUntrusted(f.auto)
+		return db
+	}
+	type preparer interface {
+		Prepare(core.String) (*Stmt, error)
+	}
+	viaPrepare := func(p preparer, q core.String, args []any) (*Result, error) {
+		st, err := p.Prepare(q)
+		if err != nil {
+			return nil, err
+		}
+		return st.Query(args...)
+	}
+	routes := []struct {
+		name string
+		run  func(t *testing.T, db *DB, q core.String, args []any) string
+	}{
+		{"db.Query", func(t *testing.T, db *DB, q core.String, args []any) string {
+			res, err := db.Query(q, args...)
+			return parityOutcome(t, res, err, db.QueryRaw)
+		}},
+		{"db.Prepare", func(t *testing.T, db *DB, q core.String, args []any) string {
+			res, err := viaPrepare(db, q, args)
+			return parityOutcome(t, res, err, db.QueryRaw)
+		}},
+		{"tx.Query", func(t *testing.T, db *DB, q core.String, args []any) string {
+			tx := db.Begin()
+			defer tx.Rollback() //nolint:errcheck
+			res, err := tx.Query(q, args...)
+			return parityOutcome(t, res, err, tx.QueryRaw)
+		}},
+		{"tx.Prepare", func(t *testing.T, db *DB, q core.String, args []any) string {
+			tx := db.Begin()
+			defer tx.Rollback() //nolint:errcheck
+			res, err := viaPrepare(tx, q, args)
+			return parityOutcome(t, res, err, tx.QueryRaw)
+		}},
+	}
+
+	for _, tc := range cases {
+		_, parseErr := Parse(tc.q)
+		for bits := 0; bits < 8; bits++ {
+			f := flags{s1: bits&1 != 0, s2: bits&2 != 0, auto: bits&4 != 0}
+			t.Run(fmt.Sprintf("%s/s1=%v,s2=%v,auto=%v", tc.name, f.s1, f.s2, f.auto), func(t *testing.T) {
+				want := routes[0].run(t, seed(t, f), tc.q, tc.args)
+				for _, r := range routes[1:] {
+					if got := r.run(t, seed(t, f), tc.q, tc.args); got != want {
+						t.Errorf("%s disagrees with %s:\n--- %s\n%s--- %s\n%s", r.name, routes[0].name, routes[0].name, want, r.name, got)
+					}
+				}
+				res, err := seed(t, f).Query(tc.q, tc.args...)
+				if tc.check != nil {
+					tc.check(t, f, res, err)
+				}
+				// A malformed statement reports exactly what Parse reports,
+				// unless an assertion refused it first or the auto-sanitizing
+				// tokenizer made sense of it.
+				var ae *core.AssertionError
+				if parseErr != nil && !errors.As(err, &ae) && !(f.auto && tc.q.IsTainted()) {
+					if err == nil || err.Error() != parseErr.Error() {
+						t.Errorf("error %v, want Parse's %v", err, parseErr)
+					}
+				}
+			})
 		}
 	}
 }

@@ -37,25 +37,36 @@ type IntegrityAssertion func(view *View) error
 // View is the read-only query interface integrity assertions get.
 type View struct {
 	engine *Engine
+	plans  *planCache // the database's plan cache; nil for a bare view
 }
 
 // Query runs a SELECT (or any statement — assertions should read only)
 // against the speculative state, with policies attached as usual. args
-// bind `?` placeholders by position, as in DB.Query.
+// bind placeholders as in DB.Query. It is the query route without the
+// SQL channel: assertions run inside Commit, under the transaction's
+// and the database's locks, which the channel's callers take themselves.
 func (v *View) Query(q core.String, args ...any) (*Result, error) {
-	bound, err := argExprs(args)
-	if err != nil {
-		return nil, err
+	plans := v.plans
+	if plans == nil {
+		plans = newPlanCache()
 	}
 	toks, err := Lex(q)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := parseAndBind(toks, bound)
+	cp, err := plans.compile(toks, planModeStandard)
 	if err != nil {
 		return nil, err
 	}
-	return executeWithPolicies(v.engine, stmt)
+	bound, err := cp.bindArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := cp.bind(bound)
+	if err != nil {
+		return nil, err
+	}
+	return executePlanned(plans, cp.plan, v.engine, stmt)
 }
 
 // QueryRaw is Query for untracked text.
@@ -151,38 +162,16 @@ func (db *DB) Begin() *Tx {
 	return &Tx{db: db, spec: spec}
 }
 
-// Query executes a statement inside the transaction: the speculative
-// state absorbs writes and serves reads, through the same filter chain
-// (injection assertions and policy persistence included). args bind
-// `?` placeholders by position, as in DB.Query.
+// Query prepares and executes a statement inside the transaction: the
+// speculative state absorbs writes and serves reads, through the same
+// filter chain (injection assertions and policy persistence included).
+// args bind placeholders as in DB.Query.
 func (tx *Tx) Query(q core.String, args ...any) (*Result, error) {
-	bound, err := argExprs(args)
+	st, err := tx.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	out, err := tx.db.channel.Call(queryCallArgs(q, tx.spec, bound))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) == 1 {
-		if res, ok := out[0].(*Result); ok {
-			return res, nil
-		}
-	}
-	stmt, _, err := tx.db.filter.planner().prepareQuery(q, false, bound)
-	if err != nil {
-		return nil, err
-	}
-	raw, affected, err := tx.spec.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
+	return st.Query(args...)
 }
 
 // QueryRaw is Query for untracked text.
@@ -235,7 +224,7 @@ func (tx *Tx) Commit() error {
 	tx.db.txMu.Lock()
 	defer tx.db.txMu.Unlock()
 	for _, a := range tx.db.integrity {
-		if err := a.fn(&View{engine: tx.spec}); err != nil {
+		if err := a.fn(&View{engine: tx.spec, plans: tx.db.filter.planner()}); err != nil {
 			tx.finish()
 			return &IntegrityError{Assertion: a.name, Err: err}
 		}

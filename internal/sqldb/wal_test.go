@@ -283,12 +283,12 @@ func TestRejectedStatementLeavesWALUntouched(t *testing.T) {
 		{"engine-unbound-placeholder", func() error {
 			_, _, err := db.Engine().ExecuteRaw(&Update{
 				Table: "t",
-				Set:   []Assignment{{Column: "b", Value: &Placeholder{Ord: 0}}},
+				Set:   []Assignment{{Column: "b", Value: &Param{Idx: 0}}},
 			})
 			return err
 		}},
 		{"engine-unbound-delete-where", func() error {
-			_, _, err := db.Engine().ExecuteRaw(&Delete{Table: "t", Where: &Placeholder{Ord: 0}})
+			_, _, err := db.Engine().ExecuteRaw(&Delete{Table: "t", Where: &Param{Idx: 0}})
 			return err
 		}},
 		{"multi-row-insert-bad-second-row", func() error {

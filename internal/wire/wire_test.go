@@ -226,6 +226,39 @@ func TestServerTaintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAutoSanitizedBreakoutOverWire: the server's one-shot query is the
+// same route as an in-process db.Query, so a server whose filter
+// auto-sanitizes accepts a statement whose untrusted bytes would break
+// out of their literal — as one inert value — instead of refusing it at
+// prepare time with the standard parser's error.
+func TestAutoSanitizedBreakoutOverWire(t *testing.T) {
+	db := sqldb.Open(core.NewRuntime())
+	db.Filter().AutoSanitizeUntrusted(true)
+	db.MustExec("CREATE TABLE users (name TEXT, role TEXT, uid INT)")
+	addr, _ := startServer(t, db, Config{})
+	c := dialT(t, addr)
+
+	evil := sanitize.Taint(core.NewString("x' OR role = 'admin"), "form")
+	ins := core.Concat(
+		core.NewString("INSERT INTO users (name, role, uid) VALUES ('"),
+		evil, core.NewString("', 'weird', 9)"))
+	if _, err := c.Query(ins); err != nil {
+		t.Fatalf("breakout INSERT over the wire: %v", err)
+	}
+	res, err := c.QueryRaw("SELECT name, role FROM users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Get(0, "name").Str.Raw() != evil.Raw() || res.Get(0, "role").Str.Raw() != "weird" {
+		t.Fatalf("payload should read back as a plain value: %+v", res)
+	}
+	inProc, err := db.QueryRaw("SELECT name, role FROM users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, res, inProc)
+}
+
 // assertResultsEqual compares two results byte-for-byte: columns, row
 // order, raw values, and the EncodeSpans annotation of every cell.
 func assertResultsEqual(t testing.TB, a, b *sqldb.Result) {
