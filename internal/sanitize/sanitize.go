@@ -79,6 +79,68 @@ func Taint(data core.String, source string) core.String {
 	return data.WithPolicy(&UntrustedData{Source: source})
 }
 
+// The one-member marker sets, built once: every sanitized string shares
+// them, so attaching the marker allocates no policy object and adjacent
+// sanitized pieces coalesce into one span.
+var (
+	sqlSanitizedSet  = core.NewPolicySet(&SQLSanitized{}).Intern()
+	htmlSanitizedSet = core.NewPolicySet(&HTMLSanitized{}).Intern()
+)
+
+// escapeTable says, per byte value, whether a sanitizer rewrites the
+// byte and to what (the empty string drops it).
+type escapeTable struct {
+	escaped [256]bool
+	rep     [256]string
+}
+
+func newEscapeTable(reps map[byte]string) *escapeTable {
+	t := &escapeTable{}
+	for c, rep := range reps {
+		t.escaped[c], t.rep[c] = true, rep
+	}
+	return t
+}
+
+// next returns the index of the first byte of s at or after i that the
+// table rewrites, or len(s).
+func (t *escapeTable) next(s string, i int) int {
+	for ; i < len(s); i++ {
+		if t.escaped[s[i]] {
+			break
+		}
+	}
+	return i
+}
+
+// appendEscaped appends data to b by runs: each maximal run of bytes the
+// table leaves alone goes in as one slice, spans and all, and each
+// rewritten byte's replacement inherits the policies of the byte it
+// replaces.
+func (t *escapeTable) appendEscaped(b *core.Builder, data core.String) {
+	raw := data.Raw()
+	for start := 0; start < len(raw); {
+		i := t.next(raw, start)
+		b.Append(data.Slice(start, i))
+		if i == len(raw) {
+			return
+		}
+		rep := t.rep[raw[i]]
+		if ps := data.PoliciesAt(i); ps.IsEmpty() {
+			b.AppendRaw(rep)
+		} else {
+			for j := 0; j < len(rep); j++ {
+				b.AppendBytePolicies(rep[j], ps)
+			}
+		}
+		start = i + 1
+	}
+}
+
+// sqlEscapes doubles single quotes and backslashes and drops NUL bytes
+// outright.
+var sqlEscapes = newEscapeTable(map[byte]string{'\'': "''", '\\': `\\`, 0: ""})
+
 // SQLQuote is the application's SQL string-quoting function, modified per
 // §5.3 to attach a SQLSanitized policy to the freshly sanitized data. It
 // escapes single quotes, backslashes and NULs and wraps the result in
@@ -87,51 +149,35 @@ func Taint(data core.String, source string) core.String {
 // whole result additionally carries SQLSanitized.
 func SQLQuote(data core.String) core.String {
 	var b core.Builder
+	b.Grow(data.Len()+2, data.SpanCount())
 	b.AppendRaw("'")
-	for i := 0; i < data.Len(); i++ {
-		c, ps := data.ByteAt(i)
-		switch c {
-		case '\'':
-			b.AppendBytePolicies('\'', ps)
-			b.AppendBytePolicies('\'', ps)
-		case '\\':
-			b.AppendBytePolicies('\\', ps)
-			b.AppendBytePolicies('\\', ps)
-		case 0:
-			// Drop NUL bytes outright.
-		default:
-			b.AppendBytePolicies(c, ps)
-		}
-	}
+	sqlEscapes.appendEscaped(&b, data)
 	b.AppendRaw("'")
-	return b.String().WithPolicy(&SQLSanitized{})
+	return b.String().WithPolicySet(sqlSanitizedSet)
 }
 
-// htmlReplacer maps HTML-significant bytes to their entities.
-var htmlReplacements = map[byte]string{
+// htmlEscapes maps HTML-significant bytes to their entities.
+var htmlEscapes = newEscapeTable(map[byte]string{
 	'&':  "&amp;",
 	'<':  "&lt;",
 	'>':  "&gt;",
 	'"':  "&quot;",
 	'\'': "&#39;",
-}
+})
 
 // HTMLEscape is the application's HTML escaping function, modified per
 // §5.3 to attach an HTMLSanitized policy. Escaped entities inherit the
-// policies of the byte they replace.
+// policies of the byte they replace. Data with nothing to escape keeps
+// its bytes and spans and only gains the marker — which is attached on
+// every call: the HTML filter looks for the *pair*.
 func HTMLEscape(data core.String) core.String {
-	var b core.Builder
-	for i := 0; i < data.Len(); i++ {
-		c, ps := data.ByteAt(i)
-		if rep, ok := htmlReplacements[c]; ok {
-			for j := 0; j < len(rep); j++ {
-				b.AppendBytePolicies(rep[j], ps)
-			}
-			continue
-		}
-		b.AppendBytePolicies(c, ps)
+	if htmlEscapes.next(data.Raw(), 0) == data.Len() {
+		return data.WithPolicySet(htmlSanitizedSet)
 	}
-	return b.String().WithPolicy(&HTMLSanitized{})
+	var b core.Builder
+	b.Grow(data.Len()+8, data.SpanCount())
+	htmlEscapes.appendEscaped(&b, data)
+	return b.String().WithPolicySet(htmlSanitizedSet)
 }
 
 // UnsanitizedSQL reports whether data contains a byte carrying

@@ -1,6 +1,7 @@
 package sanitize
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -232,5 +233,127 @@ func TestQuickHTMLEscapeOutputIsInert(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceSQLQuote and referenceHTMLEscape are the byte-at-a-time
+// sanitizers exactly as they were before they went run-at-a-time, kept
+// as the oracle for TestSanitizersMatchReference.
+func referenceSQLQuote(data core.String) core.String {
+	var b core.Builder
+	b.AppendRaw("'")
+	for i := 0; i < data.Len(); i++ {
+		c, ps := data.ByteAt(i)
+		switch c {
+		case '\'':
+			b.AppendBytePolicies('\'', ps)
+			b.AppendBytePolicies('\'', ps)
+		case '\\':
+			b.AppendBytePolicies('\\', ps)
+			b.AppendBytePolicies('\\', ps)
+		case 0:
+			// Drop NUL bytes outright.
+		default:
+			b.AppendBytePolicies(c, ps)
+		}
+	}
+	b.AppendRaw("'")
+	return b.String().WithPolicy(&SQLSanitized{})
+}
+
+var referenceHTMLReplacements = map[byte]string{
+	'&':  "&amp;",
+	'<':  "&lt;",
+	'>':  "&gt;",
+	'"':  "&quot;",
+	'\'': "&#39;",
+}
+
+func referenceHTMLEscape(data core.String) core.String {
+	var b core.Builder
+	for i := 0; i < data.Len(); i++ {
+		c, ps := data.ByteAt(i)
+		if rep, ok := referenceHTMLReplacements[c]; ok {
+			for j := 0; j < len(rep); j++ {
+				b.AppendBytePolicies(rep[j], ps)
+			}
+			continue
+		}
+		b.AppendBytePolicies(c, ps)
+	}
+	return b.String().WithPolicy(&HTMLSanitized{})
+}
+
+// Property: over random bytes × random span layouts × random policy
+// sets, the run-at-a-time sanitizers produce exactly what the
+// byte-at-a-time ones did — the same text, the same spans, the same
+// policies in the same order (Describe), and the same serialized
+// annotation (EncodeSpans).
+func TestSanitizersMatchReference(t *testing.T) {
+	// Heavy on the bytes either sanitizer rewrites, NUL included.
+	const alphabet = "ab c<>&\"'\\\x00\xff"
+	pool := []core.Policy{
+		&UntrustedData{Source: "a"},
+		&UntrustedData{Source: "b"},
+		&SQLSanitized{},
+		&HTMLSanitized{},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 3000; iter++ {
+		raw := make([]byte, rng.Intn(24))
+		for i := range raw {
+			raw[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		data := core.NewString(string(raw))
+		for n := rng.Intn(5); n > 0 && len(raw) > 0; n-- {
+			start := rng.Intn(len(raw))
+			end := start + 1 + rng.Intn(len(raw)-start)
+			var ps []core.Policy
+			for _, p := range pool {
+				if rng.Intn(3) == 0 {
+					ps = append(ps, p)
+				}
+			}
+			data = data.WithPolicyRange(start, end, ps...)
+		}
+		for _, fn := range []struct {
+			name     string
+			got, ref func(core.String) core.String
+		}{
+			{"SQLQuote", SQLQuote, referenceSQLQuote},
+			{"HTMLEscape", HTMLEscape, referenceHTMLEscape},
+		} {
+			got, want := fn.got(data), fn.ref(data)
+			if got.Describe() != want.Describe() {
+				t.Fatalf("%s(%s):\n got %s\nwant %s", fn.name, data.Describe(), got.Describe(), want.Describe())
+			}
+			gotAnn, err := core.EncodeSpans(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAnn, err := core.EncodeSpans(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotAnn) != string(wantAnn) {
+				t.Fatalf("%s(%s): annotation\n got %s\nwant %s", fn.name, data.Describe(), gotAnn, wantAnn)
+			}
+		}
+	}
+}
+
+// The marker is attached on every call, also when nothing needed
+// escaping and the input comes back otherwise untouched.
+func TestHTMLEscapeCleanInputStillMarked(t *testing.T) {
+	in := Taint(core.NewString("plain text"), "form")
+	out := HTMLEscape(in)
+	if out.Raw() != in.Raw() || !out.HasPolicyEverywhere(IsUntrusted) {
+		t.Fatalf("clean input changed: %s", out.Describe())
+	}
+	if !out.HasPolicyEverywhere(IsHTMLSanitized) {
+		t.Error("clean input must still gain HTMLSanitized")
+	}
+	if _, _, found := UnsanitizedHTML(out); found {
+		t.Error("escaped clean input flagged as unsanitized")
 	}
 }

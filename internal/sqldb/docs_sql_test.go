@@ -439,6 +439,7 @@ func TestJoinAggDocExamples(t *testing.T) {
 				want = append(want, w)
 			}
 			diffPlanned(t, db, query)
+			requirePlannedMatchesUncached(t, db, core.NewString(query))
 			res, err := db.Query(core.NewString(query))
 			if err != nil {
 				t.Fatalf("%s: %v", query, err)

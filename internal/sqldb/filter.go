@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -311,26 +312,26 @@ func (r *Result) Get(i int, name string) Cell {
 func (r *Result) Len() int { return len(r.Rows) }
 
 // stmtPolicyTables names the tables whose policy-column sets the
-// rewrite of stmt consults; nil for statements rewritten without them.
-// A join consults both sides (qualified references resolve against
-// either table's shadow columns).
-func stmtPolicyTables(stmt Statement) []string {
+// rewrite of stmt consults — tables[:n]; n is 0 for statements
+// rewritten without them. A join consults both sides (qualified
+// references resolve against either table's shadow columns). An array,
+// so that asking costs an execution no allocation.
+func stmtPolicyTables(stmt Statement) (tables [2]string, n int) {
 	switch s := stmt.(type) {
 	case *Insert:
-		return []string{s.Table}
+		return [2]string{s.Table}, 1
 	case *Update:
-		return []string{s.Table}
+		return [2]string{s.Table}, 1
 	case *Select:
-		if s.Star {
-			return nil
+		switch {
+		case s.Star:
+		case s.Join != nil:
+			return [2]string{s.Table, s.Join.Table}, 2
+		default:
+			return [2]string{s.Table}, 1
 		}
-		ts := []string{s.Table}
-		if s.Join != nil {
-			ts = append(ts, s.Join.Table)
-		}
-		return ts
 	}
-	return nil
+	return tables, 0
 }
 
 // executeWithPolicies is executePlanned for a statement that did not
@@ -341,20 +342,62 @@ func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
 }
 
 // executePlanned rewrites stmt to persist/fetch policy columns, executes
-// it, and re-attaches policies to the result (Figure 4). The
-// policy-column set comes from the plan, recompiled only when the
-// engine's schema generation moved since compilation; without a plan it
-// is read from the schema.
+// it, and re-attaches policies to the result (Figure 4). Everything the
+// rewrite and the re-attachment derive from the schema alone comes from
+// the plan's planSchema, rebuilt only when the engine's schema
+// generation differs from the one it was built against; without a plan
+// (or for SELECT *, which names no column to pair) the same functions
+// run uncached.
 func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement) (*Result, error) {
-	var pcols map[string]bool
-	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		if plan != nil {
-			pcols = plans.pcolsFor(plan, engine, tables)
-		} else {
-			pcols = policyColSet(engine, tables)
+	tables, n := stmtPolicyTables(stmt)
+	if plan == nil || n == 0 {
+		var pcols map[string]bool
+		if n > 0 {
+			pcols = policyColSet(engine, tables[:n])
+		}
+		return execWithPCols(engine, stmt, pcols)
+	}
+	sel, isSelect := stmt.(*Select)
+	gen := engine.SchemaGen()
+	ps := plan.schema.Load()
+	fresh := ps == nil || ps.gen != gen
+	if fresh {
+		if ps != nil {
+			plans.invalidations.Add(1)
+		}
+		ps = &planSchema{gen: gen, pcols: policyColSet(engine, tables[:n])}
+		if isSelect {
+			ps.items = rewriteSelect(sel, ps.pcols).Items
 		}
 	}
-	return execWithPCols(engine, stmt, pcols)
+	if !isSelect {
+		// INSERT and UPDATE annotate the bound values: rewritten per
+		// execution, against the cached column set.
+		if fresh {
+			plan.publish(ps, engine)
+		}
+		return execWithPCols(engine, stmt, ps.pcols)
+	}
+	// Binding never changes a SELECT's item list, so the rewritten
+	// statement is the bound one pointing at the cached items.
+	rewritten := *sel
+	rewritten.Items = ps.items
+	raw, _, err := engine.ExecuteRaw(&rewritten)
+	if err != nil {
+		return nil, err
+	}
+	shape := &ps.shape
+	if fresh {
+		ps.shape = deriveShape(raw.cols, true)
+		plan.publish(ps, engine)
+	} else if !slices.Equal(raw.cols, shape.cols) {
+		// Not the column list the shape was derived from (a DDL slipped
+		// in between the generation read and the execution): never
+		// trust the cache, pair these columns afresh.
+		d := deriveShape(raw.cols, true)
+		shape = &d
+	}
+	return shape.apply(raw, sel.Table)
 }
 
 // execWithPCols rewrites stmt against the given policy-column set,
@@ -383,8 +426,8 @@ func execWithPCols(engine *Engine, stmt Statement, pcols map[string]bool) (*Resu
 // by a test.
 func RewriteWithPolicies(engine *Engine, stmt Statement) (Statement, error) {
 	var pcols map[string]bool
-	if tables := stmtPolicyTables(stmt); len(tables) > 0 {
-		pcols = policyColSet(engine, tables)
+	if tables, n := stmtPolicyTables(stmt); n > 0 {
+		pcols = policyColSet(engine, tables[:n])
 	}
 	return rewriteWithPCols(stmt, pcols)
 }
@@ -572,83 +615,117 @@ func rewriteSelect(s *Select, pcols map[string]bool) *Select {
 // true, policy columns are consumed: their annotations are de-serialized
 // and attached to the corresponding data cells, and the policy columns
 // are removed from the visible result. tbl qualifies unqualified column
-// names in lineage nodes (it may be empty on attach-free paths).
+// names in lineage nodes (it may be empty on attach-free paths). It is
+// deriveShape followed by apply, uncached — the planned path runs the
+// same two functions with the shape kept per plan and generation.
 func fromRaw(raw *rawResult, affected int, attach bool, tbl string) (*Result, error) {
 	if raw == nil {
 		return &Result{Affected: affected}, nil
 	}
-	// A policy companion is consumed as an annotation only when the data
-	// column it was fetched for is also part of the result; a policy
-	// column selected on its own is returned as opaque data. Pairing is
-	// driven from the data side: each data column computes the companion
-	// name the rewrite would have added — the PUNION form first (grouped
-	// results carry unions, non-grouped results span companions; one
-	// query never mixes the two for a column) — and claims it by name.
-	lower := make([]string, len(raw.cols))
-	colPos := make(map[string]int, len(raw.cols))
-	for i, c := range raw.cols {
+	shape := deriveShape(raw.cols, attach)
+	res, err := shape.apply(raw, tbl)
+	if err != nil {
+		return nil, err
+	}
+	res.Affected = affected
+	return res, nil
+}
+
+// shapeCol is one visible column of a result shape.
+type shapeCol struct {
+	raw    int  // index of the column in the engine's rows
+	policy int  // index of its policy companion there; -1 for none
+	union  bool // the companion is a PUNION carrier: whole-value union, not spans
+}
+
+// resultShape says how an engine result becomes a tracked one: which of
+// its columns are visible and which hidden companion carries each
+// visible column's policies. It is a pure function of the engine's
+// column list (cols), so a plan keeps it across executions and re-checks
+// only that the list is still the one it was derived from. Immutable
+// once derived; names becomes Result.Columns and is shared by every
+// result the shape is applied to.
+type resultShape struct {
+	cols   []string // the engine column list this was derived from
+	names  []string // visible column names
+	vis    []shapeCol
+	attach bool
+}
+
+// deriveShape pairs the columns of an engine result. With attach false
+// every column is visible and none carries policies (the identity
+// shape). With attach true a policy companion is consumed as an
+// annotation only when the data column it was fetched for is also part
+// of the result; a policy column selected on its own is returned as
+// opaque data. Pairing is driven from the data side: each data column
+// computes the companion name the rewrite would have added — the PUNION
+// form first (grouped results carry unions, non-grouped results span
+// companions; one query never mixes the two for a column) — and claims
+// it by name.
+func deriveShape(cols []string, attach bool) resultShape {
+	sh := resultShape{cols: cols, attach: attach}
+	if !attach {
+		sh.names = cols
+		sh.vis = make([]shapeCol, len(cols))
+		for i := range sh.vis {
+			sh.vis[i] = shapeCol{raw: i, policy: -1}
+		}
+		return sh
+	}
+	lower := make([]string, len(cols))
+	colPos := make(map[string]int, len(cols))
+	for i, c := range cols {
 		lower[i] = strings.ToLower(c)
 		colPos[lower[i]] = i
 	}
-	type companion struct {
-		pi    int
-		union bool // PUNION carrier: whole-value union, not spans
-	}
-	companions := make([]companion, len(raw.cols))
-	for i := range companions {
-		companions[i].pi = -1
-	}
-	claimed := map[string]bool{}
-	if attach {
-		for i, lc := range lower {
-			if agg, inner, ok := aggInner(lc); ok {
-				if agg == "PUNION" || inner == "*" || isPolicyRef(inner) {
-					continue // policy carriers and COUNT(*) pair with nothing
-				}
-				want := "punion(" + strings.ToLower(policyCompanionName(inner)) + ")"
-				if pi, found := colPos[want]; found {
-					companions[i] = companion{pi: pi, union: true}
-					claimed[want] = true
-				}
-				continue
-			}
-			if isPolicyRef(lc) {
-				continue // policy columns are never a pairing's data side
-			}
-			comp := strings.ToLower(policyCompanionName(lc))
-			if pi, found := colPos["punion("+comp+")"]; found {
-				companions[i] = companion{pi: pi, union: true}
-				claimed["punion("+comp+")"] = true
-			} else if pi, found := colPos[comp]; found {
-				companions[i] = companion{pi: pi}
-				claimed[comp] = true
-			}
+	companions := make([]shapeCol, len(cols))
+	claimed := make([]bool, len(cols))
+	claim := func(i int, name string, union bool) bool {
+		pi, found := colPos[name]
+		if found {
+			companions[i] = shapeCol{raw: i, policy: pi, union: union}
+			claimed[pi] = true
 		}
+		return found
 	}
-	var visible []int
-	var visibleCols []string
-	for i, c := range raw.cols {
-		if attach && claimed[lower[i]] {
+	for i, lc := range lower {
+		companions[i] = shapeCol{raw: i, policy: -1}
+		if agg, inner, ok := aggInner(lc); ok {
+			if agg == "PUNION" || inner == "*" || isPolicyRef(inner) {
+				continue // policy carriers and COUNT(*) pair with nothing
+			}
+			claim(i, "punion("+strings.ToLower(policyCompanionName(inner))+")", true)
 			continue
 		}
-		visible = append(visible, i)
-		visibleCols = append(visibleCols, c)
+		if isPolicyRef(lc) {
+			continue // policy columns are never a pairing's data side
+		}
+		comp := strings.ToLower(policyCompanionName(lc))
+		if !claim(i, "punion("+comp+")", true) {
+			claim(i, comp, false)
+		}
 	}
-	// Resolve each visible column's companion once; the row loop then
-	// indexes by position instead of re-lowering names per cell.
-	visPolicy := make([]int, len(visible))
-	visUnion := make([]bool, len(visible))
-	for vi, i := range visible {
-		visPolicy[vi] = companions[i].pi
-		visUnion[vi] = companions[i].union
+	for i, c := range cols {
+		if claimed[colPos[lower[i]]] {
+			continue // a claimed name hides every column that bears it
+		}
+		sh.names = append(sh.names, c)
+		sh.vis = append(sh.vis, companions[i])
 	}
+	return sh
+}
+
+// apply builds the tracked result of raw, whose column list is the one
+// the shape was derived from: the visible cells, each with the policies
+// its companion cell serializes. tbl qualifies lineage nodes.
+func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 	// Lineage nodes per visible column, resolved once per result; nil
 	// keeps the disabled path at exactly one gate check.
 	var linNodes []string
-	if attach && core.LineageEnabled() {
-		linNodes = make([]string, len(visible))
-		for vi := range visible {
-			linNodes[vi] = lineageColNode(tbl, visibleCols[vi])
+	if sh.attach && core.LineageEnabled() {
+		linNodes = make([]string, len(sh.names))
+		for vi, name := range sh.names {
+			linNodes[vi] = lineageColNode(tbl, name)
 		}
 	}
 	// Batched shadow-policy decode: each distinct annotation in the
@@ -656,16 +733,17 @@ func fromRaw(raw *rawResult, affected int, attach bool, tbl string) (*Result, er
 	// interned) exactly once — core.CompileAnnotation memoizes globally
 	// and the local map short-circuits even that lookup — then applied
 	// per cell. A SELECT returning N rows over a handful of distinct
-	// policies does O(distinct annotations) decodes, not O(N·cols).
-	res := &Result{Columns: visibleCols, Affected: affected}
+	// policies does O(distinct annotations) decodes, not O(N·cols); a
+	// single row has nothing to batch and goes straight to the memo.
+	res := &Result{Columns: sh.names}
 	var compiled map[string]*core.CompiledAnnotation
 	compileAnn := func(ann string) (*core.CompiledAnnotation, error) {
 		if c, ok := compiled[ann]; ok {
 			return c, nil
 		}
 		c, err := core.CompileAnnotation([]byte(ann))
-		if err != nil {
-			return nil, err
+		if err != nil || len(raw.rows) < 2 {
+			return c, err
 		}
 		if compiled == nil {
 			compiled = make(map[string]*core.CompiledAnnotation, 4)
@@ -695,13 +773,16 @@ func fromRaw(raw *rawResult, affected int, attach bool, tbl string) (*Result, er
 		unionSets[cell] = set
 		return set, nil
 	}
+	if len(raw.rows) > 0 {
+		res.Rows = make([][]Cell, 0, len(raw.rows))
+	}
 	for _, row := range raw.rows {
-		out := make([]Cell, 0, len(visible))
-		for vi, i := range visible {
-			v := row[i]
+		out := make([]Cell, 0, len(sh.vis))
+		for vi, col := range sh.vis {
+			v := row[col.raw]
 			var c Cell
-			if pi := visPolicy[vi]; pi >= 0 && !row[pi].null && row[pi].s != "" {
-				if visUnion[vi] {
+			if pi := col.policy; pi >= 0 && !row[pi].null && row[pi].s != "" {
+				if col.union {
 					set, err := unionFor(row[pi].s)
 					if err != nil {
 						return nil, err

@@ -36,10 +36,11 @@ import (
 // free.
 //
 // Schema-derived state (which policy columns exist for the statement's
-// table) is cached per plan keyed on the engine's schema generation;
-// any CREATE/DROP of a table or index stamps a fresh generation, so
-// plans recompile their schema conclusions instead of reusing stale
-// ones (see docs/SQL.md for the invalidation rules).
+// tables, the SELECT item list rewritten to fetch them, how the result's
+// columns pair up) is cached per plan as one value keyed on the engine's
+// schema generation; any CREATE/DROP of a table or index stamps a fresh
+// generation, so plans recompile their schema conclusions instead of
+// reusing stale ones (see docs/SQL.md for the invalidation rules).
 
 // planCacheCap bounds the number of cached templates. Applications use a
 // fixed set of query shapes, so the cap exists only to keep adversarial
@@ -69,20 +70,52 @@ type cachedPlan struct {
 	tmpl  Statement // parameterized AST; shared, never mutated
 	nlits int
 
-	// Schema-derived compilation state, guarded by mu: pcols is the
-	// policy-column set of the statement's table as of generation gen.
-	mu    sync.Mutex
+	// schema is everything the plan has concluded from a schema, as one
+	// immutable value: an execution loads it once and uses all of it or
+	// none of it, so two engines at different generations sharing the
+	// plan can never pair one generation's items with the other's
+	// columns.
+	schema atomic.Pointer[planSchema]
+}
+
+// planSchema is the schema-derived state of a plan as of one schema
+// generation (the plan-cache invalidation rule: any CREATE/DROP of a
+// table or index stamps a fresh generation and so invalidates every
+// plan's conclusions — which also covers both sides of a join).
+// executePlanned builds it the first time the plan runs against an
+// engine of that generation and never changes it after publishing.
+type planSchema struct {
 	gen   uint64
-	pcols map[string]bool
+	pcols map[string]bool // policy columns of the statement's tables
+	items []SelectItem    // SELECT: the item list with policy companions (rewriteSelect)
+	shape resultShape     // SELECT: how the engine's columns pair up (deriveShape)
+}
+
+// publish installs ps as the plan's schema state, unless the engine's
+// generation moved while ps was being built: gen was read before the
+// schema, so a DDL in between would have left newer contents under the
+// older label — which an engine still at the older generation (a
+// transaction's speculative one) would then trust.
+func (p *cachedPlan) publish(ps *planSchema, engine *Engine) {
+	if engine.SchemaGen() == ps.gen {
+		p.schema.Store(ps)
+	}
 }
 
 // planCache maps parameterized token-stream keys to compiled templates.
 // The map is read-mostly (every query looks up, only compiles insert),
 // so lookups take the read lock and concurrent cached SELECTs stay
 // parallel end to end — the engine's own read path runs under RLock too.
+//
+// texts is the memo in front of it: the compiled form of query text
+// that carries no policy span at all, keyed on the raw string, so that
+// re-preparing the same trusted text (DB.Query, the wire server's
+// one-shot query) skips the tokenizer as well as the parser. Entries of
+// both maps count against the one cap and are flushed together.
 type planCache struct {
-	mu sync.RWMutex
-	m  map[string]*cachedPlan
+	mu    sync.RWMutex
+	m     map[string]*cachedPlan
+	texts map[string]*compiled
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -90,7 +123,23 @@ type planCache struct {
 }
 
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[string]*cachedPlan, 64)}
+	c := &planCache{}
+	c.flushLocked()
+	return c
+}
+
+// flushLocked empties both maps; callers hold c.mu (or own c outright).
+func (c *planCache) flushLocked() {
+	c.m = make(map[string]*cachedPlan, 64)
+	c.texts = make(map[string]*compiled, 64)
+}
+
+// roomLocked makes room for one more entry: at cap the cache is flushed
+// wholesale. Callers hold c.mu.
+func (c *planCache) roomLocked() {
+	if len(c.m)+len(c.texts) >= planCacheCap {
+		c.flushLocked()
+	}
 }
 
 func (c *planCache) stats() PlanCacheStats {
@@ -104,7 +153,35 @@ func (c *planCache) stats() PlanCacheStats {
 // reset empties the cache (tests and benchmarks).
 func (c *planCache) reset() {
 	c.mu.Lock()
-	c.m = make(map[string]*cachedPlan, 64)
+	c.flushLocked()
+	c.mu.Unlock()
+}
+
+// textMemoMaxLen bounds the text the memo keys on (prepareStmt neither
+// looks up nor remembers anything longer), so its keys hold at most
+// planCacheCap × 1 KiB; longer text compiles every time.
+const textMemoMaxLen = 1024
+
+// lookupText returns the compiled form remembered for raw, the whole of
+// a query text that carries no policy span, or nil. A memo hit stands
+// for a compile that would have hit, and is counted as one.
+func (c *planCache) lookupText(raw string) *compiled {
+	c.mu.RLock()
+	cp := c.texts[raw]
+	c.mu.RUnlock()
+	if cp != nil {
+		c.hits.Add(1)
+	}
+	return cp
+}
+
+// rememberText records what raw compiled to. The caller vouches that
+// the text carried no policy span, compiled, and passed both injection
+// assertions: only then is its compiled form a function of the bytes.
+func (c *planCache) rememberText(raw string, cp compiled) {
+	c.mu.Lock()
+	c.roomLocked()
+	c.texts[raw] = &cp
 	c.mu.Unlock()
 }
 
@@ -360,9 +437,7 @@ func (c *planCache) compile(toks []Token, mode byte) (compiled, error) {
 		}
 		plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
 		c.mu.Lock()
-		if len(c.m) >= planCacheCap {
-			c.m = make(map[string]*cachedPlan, 64)
-		}
+		c.roomLocked()
 		if existing, ok := c.m[key]; ok && existing.nlits == len(lits) {
 			plan = existing // racing compile: keep the installed one
 		} else {
@@ -439,27 +514,4 @@ func (cp *compiled) bind(bound []Expr) (Statement, error) {
 		}
 	}
 	return bindStatement(cp.plan.tmpl, binds)
-}
-
-// pcolsFor returns the cached policy-column set of the plan's tables
-// for engine's current schema, recompiling it when the schema
-// generation moved (the plan-cache invalidation rule: any CREATE/DROP
-// of a table or index invalidates every plan's schema-derived state —
-// which also covers both sides of a join, since every DDL bumps the
-// generation).
-func (c *planCache) pcolsFor(plan *cachedPlan, engine *Engine, tables []string) map[string]bool {
-	gen := engine.SchemaGen()
-	plan.mu.Lock()
-	defer plan.mu.Unlock()
-	if plan.gen != gen || plan.pcols == nil {
-		if plan.gen != 0 {
-			c.invalidations.Add(1)
-		}
-		plan.pcols = policyColSet(engine, tables)
-		if plan.pcols == nil {
-			plan.pcols = map[string]bool{}
-		}
-		plan.gen = gen
-	}
-	return plan.pcols
 }

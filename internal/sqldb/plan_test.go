@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"resin/internal/core"
@@ -383,4 +384,348 @@ func TestCachedRangePlanFollowsIndexDDL(t *testing.T) {
 		t.Fatalf("cached plan after DROP INDEX did %d sorts, want 1", sorts)
 	}
 	requireSameResults(t, q, dropped, base)
+}
+
+// uncachedExec runs q the way a caller without a plan does: compiled on
+// a scratch cache, bound, and executed through executeWithPolicies —
+// deriveShape and apply with nothing remembered. It is the oracle the
+// cached rewrite and result shape are held to.
+func uncachedExec(engine *Engine, q core.String, args ...any) (*Result, error) {
+	toks, err := Lex(q)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := newPlanCache().compile(toks, planModeStandard)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := cp.bindArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := cp.bind(bound)
+	if err != nil {
+		return nil, err
+	}
+	return executeWithPolicies(engine, stmt)
+}
+
+// renderResult renders everything observable of one execution: the
+// error, or Columns and every cell with its EncodeSpans annotation.
+func renderResult(t testing.TB, res *Result, err error) string {
+	t.Helper()
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "affected=%d cols=%q\n", res.Affected, res.Columns)
+	for _, row := range res.Rows {
+		for _, c := range row {
+			ann, aerr := core.EncodeSpans(c.Text())
+			if aerr != nil {
+				t.Fatal(aerr)
+			}
+			fmt.Fprintf(&b, " [%q null=%v int=%v %s]", c.Text().Raw(), c.Null, c.IsInt, ann)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// requirePlannedMatchesUncached executes a SELECT three times through
+// db's plan cache (the first may build the plan's schema state, the
+// rest reuse it) and requires each answer to equal the uncached one.
+func requirePlannedMatchesUncached(t testing.TB, db *DB, q core.String, args ...any) {
+	t.Helper()
+	want, werr := uncachedExec(db.Engine(), q, args...)
+	for i := 0; i < 3; i++ {
+		got, gerr := db.Query(q, args...)
+		if g, w := renderResult(t, got, gerr), renderResult(t, want, werr); g != w {
+			t.Fatalf("%s, planned execution %d:\n got %s\nwant %s", q.Raw(), i, g, w)
+		}
+	}
+}
+
+// TestPreparedSelectFollowsSchemaCycles: one prepared SELECT executed
+// across DROP/CREATE cycles that gain policy columns, lose them, keep
+// only some (so the engine's column count changes under the same
+// statement) must answer each time exactly as executeWithPolicies does
+// on a hand-built AST — rows, per-cell annotations and Columns — and
+// every cycle must register as a plan invalidation.
+func TestPreparedSelectFollowsSchemaCycles(t *testing.T) {
+	db := openDB(t)
+	ins := func() {
+		t.Helper()
+		q := core.NewString("INSERT INTO t (id, name, bio) VALUES (?, ?, ?)")
+		name := core.NewStringPolicy("alice", &passwordPolicy{Email: "n@x"})
+		bio := core.Concat(core.NewString("likes "), core.NewStringPolicy("secrets", &passwordPolicy{Email: "b@x"}))
+		if _, err := db.Query(q, 1, name, bio); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rawCreate := func(cols ...string) {
+		t.Helper()
+		defs := []ColumnDef{{Name: "id", Type: ColInt}}
+		for _, c := range cols {
+			defs = append(defs, ColumnDef{Name: c, Type: ColText})
+		}
+		if _, _, err := db.Engine().ExecuteRaw(&CreateTable{Table: "t", Cols: defs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycles := []struct {
+		name    string
+		create  func()
+		tainted [2]bool // name, bio
+		rawCols int
+	}{
+		{"tracked", func() { db.MustExec("CREATE TABLE t (id INT, name TEXT, bio TEXT)") }, [2]bool{true, true}, 4},
+		{"lost", func() { rawCreate("name", "bio") }, [2]bool{false, false}, 2},
+		{"gained", func() { db.MustExec("CREATE TABLE t (id INT, name TEXT, bio TEXT)") }, [2]bool{true, true}, 4},
+		{"partial", func() { rawCreate("name", "bio", policyColName("bio")) }, [2]bool{false, true}, 3},
+		{"lost-again", func() { rawCreate("name", "bio") }, [2]bool{false, false}, 2},
+	}
+	var st *Stmt
+	for i, c := range cycles {
+		if i > 0 {
+			db.MustExec("DROP TABLE t")
+		}
+		c.create()
+		ins()
+		if st == nil {
+			var err error
+			if st, err = db.PrepareRaw("SELECT name, bio FROM t WHERE id = ?"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := db.Filter().PlanStats().Invalidations
+		handBuilt := &Select{
+			Table: "t", Items: []SelectItem{{Col: "name"}, {Col: "bio"}}, Limit: -1,
+			Where: &Binary{Op: "=", L: &ColumnRef{Name: "id"}, R: &IntLit{Val: 1}},
+		}
+		want, werr := executeWithPolicies(db.Engine(), handBuilt)
+		for run := 0; run < 3; run++ {
+			got, gerr := st.Query(1)
+			if g, w := renderResult(t, got, gerr), renderResult(t, want, werr); g != w {
+				t.Fatalf("cycle %s, execution %d:\n got %s\nwant %s", c.name, run, g, w)
+			}
+			if gerr != nil || got.Len() != 1 || len(got.Columns) != 2 {
+				t.Fatalf("cycle %s: %+v, %v", c.name, got, gerr)
+			}
+			for ci, col := range []string{"name", "bio"} {
+				if tainted := got.Get(0, col).Str.IsTainted(); tainted != c.tainted[ci] {
+					t.Errorf("cycle %s: %s tainted=%v, want %v", c.name, col, tainted, c.tainted[ci])
+				}
+			}
+		}
+		if ps := st.plan.schema.Load(); ps == nil || len(ps.shape.cols) != c.rawCols {
+			t.Errorf("cycle %s: cached shape %+v, want %d engine columns", c.name, ps, c.rawCols)
+		}
+		if i > 0 && db.Filter().PlanStats().Invalidations == before {
+			t.Errorf("cycle %s: schema changed under the plan but Invalidations stayed %d", c.name, before)
+		}
+	}
+}
+
+// TestSharedPlanAcrossGenerations (run it with -race): one plan shared
+// by the database engine and by a transaction whose speculative engine
+// ran DDL — two generations, two result shapes (the transaction's table
+// has no policy column) — while a third goroutine keeps bumping the
+// database's generation. Every answer must be the uncached one for the
+// engine it ran on: the plan's schema state is taken as one value, so
+// one generation's items are never paired with the other's columns.
+func TestSharedPlanAcrossGenerations(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE t (id INT, v TEXT)")
+	if _, err := db.Query(core.NewString("INSERT INTO t (id, v) VALUES (1, ?)"),
+		core.NewStringPolicy("tracked", &passwordPolicy{Email: "g@x"})); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Rollback() //nolint:errcheck
+	if _, err := tx.QueryRaw("DROP TABLE t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tx.spec.ExecuteRaw(&CreateTable{Table: "t", Cols: []ColumnDef{{Name: "id", Type: ColInt}, {Name: "v", Type: ColText}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.QueryRaw("INSERT INTO t (id, v) VALUES (1, 'speculative')"); err != nil {
+		t.Fatal(err)
+	}
+	if db.Engine().SchemaGen() == tx.spec.SchemaGen() {
+		t.Fatal("the transaction's DDL must have moved its generation")
+	}
+
+	q := core.NewString("SELECT v FROM t WHERE id = ?")
+	onDB, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onTx, err := tx.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDB.plan != onTx.plan {
+		t.Fatal("both statements must share one cached plan")
+	}
+	wantDB, err := uncachedExec(db.Engine(), q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTx, err := uncachedExec(tx.spec, q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wantDB.Get(0, "v").Str.IsTainted() || wantTx.Get(0, "v").Str.IsTainted() {
+		t.Fatalf("setup: database row must be tainted and the transaction's clean:\n%s%s",
+			renderResult(t, wantDB, nil), renderResult(t, wantTx, nil))
+	}
+
+	const rounds = 300
+	var wg sync.WaitGroup
+	reader := func(st *Stmt, want *Result, name string) {
+		defer wg.Done()
+		w := renderResult(t, want, nil)
+		for i := 0; i < rounds; i++ {
+			got, err := st.Query(1)
+			if g := renderResult(t, got, err); g != w {
+				t.Errorf("%s, round %d:\n got %s\nwant %s", name, i, g, w)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go reader(onDB, wantDB, "database engine")
+	go reader(onTx, wantTx, "speculative engine")
+	go func() { // index DDL: a fresh generation each time, the same answers
+		defer wg.Done()
+		for i := 0; i < rounds/2; i++ {
+			for _, ddl := range []string{"CREATE INDEX ON t (id)", "DROP INDEX ON t (id)"} {
+				if _, err := db.QueryRaw(ddl); err != nil {
+					t.Errorf("%s: %v", ddl, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	if db.Filter().PlanStats().Invalidations == 0 {
+		t.Error("two generations sharing a plan must have invalidated it")
+	}
+}
+
+// TestPlannedEqualsUncached: the cached rewrite and result shape answer
+// exactly as the uncached pairing does — over the whole query-route
+// corpus (each execution inside its own rolled-back transaction, so the
+// mutating statements meet the same state every time), SELECT *, policy
+// columns selected on their own and beside their data column, and
+// aggregate forms; docs/SQL.md §10.5's worked examples make the same
+// check from TestJoinAggDocExamples.
+func TestPlannedEqualsUncached(t *testing.T) {
+	for _, tc := range parityCorpus() {
+		t.Run(tc.name, func(t *testing.T) {
+			db := paritySeed(t, parityFlags{})
+			outcome := func(run func(tx *Tx) (*Result, error)) string {
+				tx := db.Begin()
+				defer tx.Rollback() //nolint:errcheck
+				res, err := run(tx)
+				return parityOutcome(t, res, err, tx.QueryRaw)
+			}
+			want := outcome(func(tx *Tx) (*Result, error) { return uncachedExec(tx.spec, tc.q, tc.args...) })
+			for i := 0; i < 3; i++ {
+				got := outcome(func(tx *Tx) (*Result, error) { return tx.Query(tc.q, tc.args...) })
+				if got != want {
+					t.Fatalf("planned execution %d:\n--- planned\n%s--- uncached\n%s", i, got, want)
+				}
+			}
+		})
+	}
+	db := paritySeed(t, parityFlags{})
+	for _, q := range []string{
+		"SELECT * FROM users ORDER BY uid",
+		"SELECT name FROM users ORDER BY uid",
+		"SELECT __policy_name FROM users ORDER BY uid",
+		"SELECT name, __policy_name FROM users ORDER BY uid",
+		"SELECT NAME, Role FROM users WHERE uid = 2",
+		"SELECT users.name FROM users WHERE users.uid = 2",
+		"SELECT COUNT(*), MIN(name), MAX(uid) FROM users",
+		"SELECT role, COUNT(*), PUNION(__policy_name) FROM users GROUP BY role ORDER BY role",
+		"SELECT name FROM users WHERE uid = 99",
+		"SELECT missing FROM users",
+		"SELECT name FROM nowhere",
+	} {
+		requirePlannedMatchesUncached(t, db, core.NewString(q))
+	}
+}
+
+// TestPreparedPointSelectAllocs pins what the per-plan schema state
+// buys: a tracked prepared point SELECT rebuilds neither the rewritten
+// item list nor the column pairing (51 allocations before, 35 after).
+func TestPreparedPointSelectAllocs(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE users (id INT, name TEXT, bio TEXT)")
+	db.MustExec("CREATE INDEX ON users (id)")
+	ins, err := db.PrepareRaw("INSERT INTO users (id, name, bio) VALUES (?, ?, ?)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nrows = 64
+	for i := 0; i < nrows; i++ {
+		p := &passwordPolicy{Email: fmt.Sprintf("u%d@x", i)}
+		if _, err := ins.Exec(i, core.NewStringPolicy(fmt.Sprintf("user%d", i), p), core.NewStringPolicy("bio", p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := db.PrepareRaw("SELECT name, bio FROM users WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	query := func() {
+		res, err := sel.Query(i % nrows)
+		if err != nil || res.Len() != 1 || !res.Get(0, "name").Str.IsTainted() {
+			t.Fatalf("row %d: %+v, %v", i%nrows, res, err)
+		}
+		i++
+	}
+	for range [nrows]struct{}{} { // warm the plan's schema state and the annotation memo
+		query()
+	}
+	if allocs := testing.AllocsPerRun(200, query); allocs > 40 {
+		t.Errorf("tracked prepared point SELECT: %.0f allocs/op, want ≤ 40", allocs)
+	}
+}
+
+// TestCachedShapeRecheckedAgainstColumns: the cached result shape is
+// used only after the engine's column list is compared, element by
+// element, with the list it was derived from. A plan whose published
+// shape does not fit what the engine returned — forged here; in
+// production a DDL between the generation read and the execution —
+// must be answered by pairing afresh, never by trusting the cache.
+func TestCachedShapeRecheckedAgainstColumns(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE t (id INT, v TEXT)")
+	if _, err := db.Query(core.NewString("INSERT INTO t (id, v) VALUES (1, ?)"),
+		core.NewStringPolicy("tracked", &passwordPolicy{Email: "s@x"})); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.PrepareRaw("SELECT v FROM t WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(1); err != nil {
+		t.Fatal(err)
+	}
+	forged := *st.plan.schema.Load()
+	forged.shape = deriveShape([]string{"v"}, true) // the shape of a table without policy columns
+	st.plan.schema.Store(&forged)
+
+	want, werr := uncachedExec(db.Engine(), st.Text(), 1)
+	got, gerr := st.Query(1)
+	if g, w := renderResult(t, got, gerr), renderResult(t, want, werr); g != w {
+		t.Fatalf("forged shape was trusted:\n got %s\nwant %s", g, w)
+	}
+	if !got.Get(0, "v").Str.IsTainted() {
+		t.Error("the row's policy was dropped")
+	}
 }

@@ -128,21 +128,36 @@ type Stmt struct {
 }
 
 // prepareStmt compiles query text into a Stmt against db's plan cache.
-// The text is tokenized exactly once here; executions tokenize zero
-// times (TokenizeCount pins both).
+// The text is tokenized exactly once here — not at all when it is plain
+// (no policy span, within the memo's length bound) and the plan cache
+// remembers its bytes — and executions
+// tokenize zero times (TokenizeCount pins all three). Text carrying any
+// span, untrusted or not, is always compiled and judged afresh: the
+// verdicts depend on where the spans fall, not on the bytes.
 func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 	s := &Stmt{db: db, tx: tx, query: q}
+	plans := db.filter.planner()
+	plain := !q.IsTainted() && q.Len() <= textMemoMaxLen
+	if plain {
+		if cp := plans.lookupText(q.Raw()); cp != nil {
+			s.compiled = *cp
+			return s, nil
+		}
+	}
 	_, _, s.textUntrusted = q.FindPolicy(sanitize.IsUntrusted)
 	toks, err := Lex(q)
 	s.s1, s.s2 = injectionVerdicts(q, toks, err)
 	if err == nil {
-		s.compiled, err = db.filter.planner().compile(toks, planModeStandard)
+		s.compiled, err = plans.compile(toks, planModeStandard)
 	}
 	if err != nil {
 		if !s.textUntrusted {
 			return nil, err
 		}
 		s.err = err
+	}
+	if plain && err == nil && s.s1 == nil && s.s2 == nil {
+		plans.rememberText(q.Raw(), s.compiled)
 	}
 	return s, nil
 }

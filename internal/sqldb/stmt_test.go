@@ -360,6 +360,19 @@ func TestPrepareSingleTokenize(t *testing.T) {
 	if n := TokenizeCount() - lex0; n != 1 {
 		t.Errorf("Prepare tokenized %d times, want 1", n)
 	}
+	// The text carries no policy span, so the plan cache remembers what
+	// its bytes compiled to: preparing it again does not tokenize at all.
+	lex0, parse0 := TokenizeCount(), ParseCount()
+	st, err := db.PrepareRaw("SELECT a FROM t WHERE a = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, p := TokenizeCount()-lex0, ParseCount()-parse0; n != 0 || p != 0 {
+		t.Errorf("second Prepare of the same trusted text: %d tokenizes, %d parses, want 0 and 0", n, p)
+	}
+	if st.NumArgs() != 1 || !st.ReadOnly() {
+		t.Errorf("remembered statement: %d args, read-only=%v", st.NumArgs(), st.ReadOnly())
+	}
 }
 
 // TestPrepareTaintedLexErrorDeferred: untrusted bytes that break the
@@ -566,19 +579,7 @@ func TestInjectionErrorClampsBounds(t *testing.T) {
 func parityOutcome(t *testing.T, res *Result, err error, dump func(string, ...any) (*Result, error)) string {
 	t.Helper()
 	var b strings.Builder
-	render := func(r *Result) {
-		fmt.Fprintf(&b, "affected=%d cols=%v\n", r.Affected, r.Columns)
-		for _, row := range r.Rows {
-			for _, c := range row {
-				ann, aerr := core.EncodeSpans(c.Text())
-				if aerr != nil {
-					t.Fatal(aerr)
-				}
-				fmt.Fprintf(&b, " [%q null=%v int=%v %s]", c.Text().Raw(), c.Null, c.IsInt, ann)
-			}
-			b.WriteByte('\n')
-		}
-	}
+	render := func(r *Result) { b.WriteString(renderResult(t, r, nil)) }
 	if err != nil {
 		var ae *core.AssertionError
 		fmt.Fprintf(&b, "error=%q assertion=%v\n", err, errors.As(err, &ae))
@@ -593,33 +594,41 @@ func parityOutcome(t *testing.T, res *Result, err error, dump func(string, ...an
 	return b.String()
 }
 
-// TestQueryRouteParity: text execution is an implicit prepare, so
-// db.Query(text, args…), db.Prepare(text) + Query(args…) and the same
-// two inside a transaction must agree on rows, per-cell policies,
-// Affected, error text and whether the error is an assertion failure —
-// for every statement of the corpus under all eight settings of the
-// three filter modes.
-func TestQueryRouteParity(t *testing.T) {
-	taint := func(s string) core.String { return sanitize.Taint(core.NewString(s), "form") }
-	text := func(parts ...any) core.String {
-		var out []core.String
-		for _, p := range parts {
-			if s, ok := p.(string); ok {
-				out = append(out, core.NewString(s))
-			} else {
-				out = append(out, p.(core.String))
-			}
+// parityFlags is one setting of the three filter modes.
+type parityFlags struct{ s1, s2, auto bool }
+
+// parityCase is one statement of the query-route corpus.
+type parityCase struct {
+	name string
+	q    core.String
+	args []any
+	// check, when set, pins the agreed outcome for one setting.
+	check func(t *testing.T, f parityFlags, res *Result, err error)
+}
+
+func parityTaint(s string) core.String { return sanitize.Taint(core.NewString(s), "form") }
+
+// parityText concatenates plain and tracked pieces into one query text.
+func parityText(parts ...any) core.String {
+	var out []core.String
+	for _, p := range parts {
+		if s, ok := p.(string); ok {
+			out = append(out, core.NewString(s))
+		} else {
+			out = append(out, p.(core.String))
 		}
-		return core.Concat(out...)
 	}
-	type flags struct{ s1, s2, auto bool }
-	cases := []struct {
-		name string
-		q    core.String
-		args []any
-		// check, when set, pins the agreed outcome for one setting.
-		check func(t *testing.T, f flags, res *Result, err error)
-	}{
+	return core.Concat(out...)
+}
+
+// parityCorpus is the statement corpus TestQueryRouteParity holds equal
+// across call forms and TestPlannedEqualsUncached across the cached and
+// the uncached rewrite: well-formed and malformed text, trusted and
+// untrusted, bound and spliced.
+func parityCorpus() []parityCase {
+	type flags = parityFlags
+	taint, text := parityTaint, parityText
+	return []parityCase{
 		{name: "point-select", q: text("SELECT name, role FROM users WHERE uid = 1")},
 		{name: "range-select", q: text("SELECT name FROM users WHERE uid >= ? AND uid < ? ORDER BY uid DESC"), args: []any{1, 3}},
 		{name: "insert-tainted-literal", q: text("INSERT INTO users (name, role, uid) VALUES ('", taint("carol"), "', 'user', 3)")},
@@ -668,19 +677,32 @@ func TestQueryRouteParity(t *testing.T) {
 		{name: "taint-in-literal", q: text("SELECT name, role FROM users WHERE name = '", taint("bob"), "'")},
 		{name: "taint-in-identifier", q: text("SELECT ", taint("name"), " FROM users ORDER BY uid")},
 	}
+}
 
-	seed := func(t *testing.T, f flags) *DB {
-		db := openDB(t)
-		db.MustExec("CREATE TABLE users (name TEXT, role TEXT, uid INT)")
-		db.MustExec("INSERT INTO users (name, role, uid) VALUES ('alice', 'admin', 1)")
-		if _, err := db.Query(core.NewString("INSERT INTO users (name, role, uid) VALUES (?, 'user', 2)"), taint("bob")); err != nil {
-			t.Fatal(err)
-		}
-		db.Filter().RequireSanitizedMarkers(f.s1)
-		db.Filter().RejectTaintedStructure(f.s2)
-		db.Filter().AutoSanitizeUntrusted(f.auto)
-		return db
+// paritySeed opens the corpus's database — alice the admin, tainted bob
+// the user — with the filter set to f.
+func paritySeed(t *testing.T, f parityFlags) *DB {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE users (name TEXT, role TEXT, uid INT)")
+	db.MustExec("INSERT INTO users (name, role, uid) VALUES ('alice', 'admin', 1)")
+	if _, err := db.Query(core.NewString("INSERT INTO users (name, role, uid) VALUES (?, 'user', 2)"), parityTaint("bob")); err != nil {
+		t.Fatal(err)
 	}
+	db.Filter().RequireSanitizedMarkers(f.s1)
+	db.Filter().RejectTaintedStructure(f.s2)
+	db.Filter().AutoSanitizeUntrusted(f.auto)
+	return db
+}
+
+// TestQueryRouteParity: text execution is an implicit prepare, so
+// db.Query(text, args…), db.Prepare(text) + Query(args…) and the same
+// two inside a transaction must agree on rows, per-cell policies,
+// Affected, error text and whether the error is an assertion failure —
+// for every statement of the corpus under all eight settings of the
+// three filter modes.
+func TestQueryRouteParity(t *testing.T) {
+	type flags = parityFlags
+	cases, seed := parityCorpus(), paritySeed
 	type preparer interface {
 		Prepare(core.String) (*Stmt, error)
 	}
@@ -743,5 +765,157 @@ func TestQueryRouteParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// textMemoLen reports how many texts db's plan cache remembers.
+func textMemoLen(db *DB) int {
+	c := db.filter.planner()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.texts)
+}
+
+// TestTextMemoNeverSharesVerdicts: the same raw bytes, first as trusted
+// text (which the memo remembers), then carrying UntrustedData on their
+// structure, must get — under each of the eight filter settings —
+// exactly the verdict a database that never saw the trusted form gives:
+// the strategy-1 and strategy-2 assertion errors included. Remembering
+// is by bytes, admission is by spans, so a span always recompiles and
+// is always judged.
+func TestTextMemoNeverSharesVerdicts(t *testing.T) {
+	const raw = "SELECT name FROM users WHERE uid = 1"
+	trusted := core.NewString(raw)
+	hostile := parityText("SELECT name FROM users ", parityTaint("WHERE uid = 1"))
+	if hostile.Raw() != raw {
+		t.Fatal("both texts must have the same bytes")
+	}
+	for bits := 0; bits < 8; bits++ {
+		f := parityFlags{s1: bits&1 != 0, s2: bits&2 != 0, auto: bits&4 != 0}
+		t.Run(fmt.Sprintf("s1=%v,s2=%v,auto=%v", f.s1, f.s2, f.auto), func(t *testing.T) {
+			cold := paritySeed(t, f)
+			res, err := cold.Query(hostile)
+			want := parityOutcome(t, res, err, cold.QueryRaw)
+
+			warm := paritySeed(t, f)
+			for i := 0; i < 2; i++ { // the second run is a memo hit
+				if res, err := warm.Query(trusted); err != nil || res.Len() != 1 {
+					t.Fatalf("trusted text: %+v, %v", res, err)
+				}
+			}
+			if textMemoLen(warm) == 0 {
+				t.Fatal("trusted text was not remembered")
+			}
+			lex0 := TokenizeCount()
+			res, err = warm.Query(hostile)
+			if got := parityOutcome(t, res, err, warm.QueryRaw); got != want {
+				t.Errorf("tainted text after the memo was warmed:\n--- got\n%s--- want\n%s", got, want)
+			}
+			if TokenizeCount() == lex0 {
+				t.Error("tainted text was answered without tokenizing")
+			}
+			var ae *core.AssertionError
+			var ie *InjectionError
+			switch {
+			case f.s1:
+				if !errors.As(err, &ae) || !errors.As(err, &ie) || ie.Strategy != "sanitized-markers" {
+					t.Errorf("strategy 1 on: %v", err)
+				}
+			case f.s2:
+				if !errors.As(err, &ae) || !errors.As(err, &ie) || ie.Strategy != "tainted-structure" {
+					t.Errorf("strategy 2 on: %v", err)
+				}
+			case !f.auto:
+				if err != nil || res.Len() != 1 {
+					t.Errorf("no assertion enabled: %+v, %v", res, err)
+				}
+			}
+			// And the trusted form is still served after the tainted one.
+			if res, err := warm.Query(trusted); err != nil || res.Len() != 1 {
+				t.Errorf("trusted text after the tainted one: %+v, %v", res, err)
+			}
+		})
+	}
+}
+
+// TestTextMemoAdmission: only text without any policy span that
+// compiled is remembered. Text carrying a policy that is not
+// UntrustedData bypasses the memo both ways; lex, parse and overflow
+// failures are not remembered and keep Parse's exact message; the memo
+// is dropped by PlanCacheReset and by the cap flush it shares with the
+// templates; text past the length bound compiles every time.
+func TestTextMemoAdmission(t *testing.T) {
+	db := paritySeed(t, parityFlags{})
+	db.Filter().PlanCacheReset()
+	tokenizes := func(q core.String) uint64 {
+		t.Helper()
+		lex0 := TokenizeCount()
+		if _, err := db.Prepare(q); err != nil {
+			t.Fatalf("%s: %v", q.Raw(), err)
+		}
+		return TokenizeCount() - lex0
+	}
+	const raw = "SELECT name FROM users WHERE uid = ?"
+	trusted := core.NewString(raw)
+	if a, b := tokenizes(trusted), tokenizes(trusted); a != 1 || b != 0 {
+		t.Errorf("trusted text tokenized %d then %d times, want 1 then 0", a, b)
+	}
+
+	marked := core.NewStringPolicy(raw, &passwordPolicy{Email: "q@x"})
+	n := textMemoLen(db)
+	if a, b := tokenizes(marked), tokenizes(marked); a != 1 || b != 1 {
+		t.Errorf("text carrying a policy tokenized %d then %d times, want 1 and 1: it must bypass the memo", a, b)
+	}
+	if textMemoLen(db) != n {
+		t.Error("text carrying a policy was remembered")
+	}
+
+	for _, bad := range []string{
+		"SELECT name FROM users WHERE name = 'x",                  // lex
+		"SELECT FROM users WHERE name = 'x'",                      // parse
+		"SELECT name FROM users WHERE uid = 99999999999999999999", // overflow
+	} {
+		_, perr := Parse(core.NewString(bad))
+		for i := 0; i < 2; i++ {
+			lex0 := TokenizeCount()
+			_, err := db.PrepareRaw(bad)
+			if perr == nil || err == nil || err.Error() != perr.Error() {
+				t.Errorf("%s, attempt %d: error %v, want Parse's %v", bad, i, err, perr)
+			}
+			if TokenizeCount() == lex0 {
+				t.Errorf("%s, attempt %d: failure answered without tokenizing", bad, i)
+			}
+		}
+	}
+	if textMemoLen(db) != n {
+		t.Error("a failed compile was remembered")
+	}
+
+	long := core.NewString(raw + strings.Repeat(" ", textMemoMaxLen))
+	if a, b := tokenizes(long), tokenizes(long); a != 1 || b != 1 {
+		t.Errorf("text past the length bound tokenized %d then %d times, want 1 and 1", a, b)
+	}
+
+	db.Filter().PlanCacheReset()
+	if a, b := tokenizes(trusted), tokenizes(trusted); a != 1 || b != 0 {
+		t.Errorf("after PlanCacheReset: tokenized %d then %d times, want 1 then 0", a, b)
+	}
+
+	// Fill the cache to its cap with distinct trusted texts of one shape
+	// each: the flush that keeps it bounded takes the memo with it.
+	for i := 0; i < planCacheCap; i++ {
+		if _, err := db.PrepareRaw(fmt.Sprintf("SELECT name FROM users WHERE uid = %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := db.filter.planner()
+	c.mu.RLock()
+	total := len(c.m) + len(c.texts)
+	c.mu.RUnlock()
+	if total > planCacheCap {
+		t.Errorf("templates + remembered texts = %d, past the cap %d", total, planCacheCap)
+	}
+	if a, b := tokenizes(trusted), tokenizes(trusted); a != 1 || b != 0 {
+		t.Errorf("after a cap flush: tokenized %d then %d times, want 1 then 0", a, b)
 	}
 }
