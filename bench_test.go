@@ -69,6 +69,22 @@ func BenchmarkSec71_HotCRPPageResin(b *testing.B) {
 	}
 }
 
+// TestSec71PageAllocCeiling pins the tracked page's allocation count:
+// 168 allocs/op while every tainted cell's annotation was copied to
+// []byte for the compile-memo lookup, 164 with the string-keyed lookup.
+func TestSec71PageAllocCeiling(t *testing.T) {
+	_, render := hotcrp.NewBenchInstance(true)
+	page := func() {
+		if err := render(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page() // warm the plan cache and the annotation memo
+	if allocs := testing.AllocsPerRun(200, page); allocs > 165 {
+		t.Errorf("tracked HotCRP page: %.0f allocs/op, want ≤ 165", allocs)
+	}
+}
+
 // ---- Table 4: attack scenarios as benchmarks ----
 
 func BenchmarkTable4_AttackSuiteBlocked(b *testing.B) {

@@ -80,8 +80,8 @@ func main() {
 	fmt.Println("fetching the backup file via HTTP:", errString(err), "body:", fmt.Sprintf("%q", resp.RawBody()))
 
 	fmt.Println()
-	fmt.Println("The policy was re-instantiated from its serialized class name and")
-	fmt.Println("fields on each read — it guards the data, not the code paths.")
+	fmt.Println("The policy was restored from its serialized class name and fields —")
+	fmt.Println("the same object on every read — it guards the data, not the code paths.")
 }
 
 func errString(err error) string {

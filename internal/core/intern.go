@@ -22,8 +22,8 @@ import (
 //     policy attached to one request's form field) stay exactly as
 //     collectable as they were.
 //
-//  2. Sets with proven reuse — deserialized annotations behind a decode
-//     memo, long-lived application policy sets, anything the caller
+//  2. Sets with proven reuse — deserialized annotations (whose policies
+//     are canonical instances), long-lived application sets, anything the caller
 //     passes to Intern — are canonicalized into a process-wide sharded
 //     intern table. Among interned sets, equal members means identical
 //     pointer, so Equal is a pointer comparison and Union of a
@@ -282,7 +282,7 @@ var (
 // young one becomes old. Sets referenced since the last rotation were
 // promoted into g0 and survive; only sets that went a full generation
 // without a hit fall out, so a workload that churns distinct sets
-// (fresh policies per decode, attacker-chosen parameter names) sheds
+// (Merger policies, fresh per decode; attacker-chosen parameter names) sheds
 // the churn while the hot set stays warm. Already-evicted sets stay
 // valid — equality never depends on the table, only on canonical IDs —
 // they merely stop deduplicating against it. The union cache is left
@@ -456,18 +456,30 @@ type InternStats struct {
 	// Flushes counts intern-table generation rotations plus wholesale
 	// union-cache evictions.
 	Flushes uint64
+	// Instances is the number of canonical decoded policies in the
+	// policy-instance table (see DecodePolicy); InstanceHits /
+	// InstanceMisses count decodes that returned one / instantiated a
+	// new object, InstanceRotations its generation rotations.
+	Instances, InstanceHits, InstanceMisses, InstanceRotations uint64
 }
 
 // ReadInternStats returns a snapshot of the interning counters.
 func ReadInternStats() InternStats {
+	policyInstances.mu.RLock()
+	instances := len(policyInstances.young) + len(policyInstances.old)
+	policyInstances.mu.RUnlock()
 	return InternStats{
-		Sets:         internedG0Count.Load() + internedG1Count.Load(),
-		SetHits:      statSetHits.Load(),
-		SetMisses:    statSetMisses.Load(),
-		Promotions:   statPromotions.Load(),
-		UnionHits:    statUnionHits.Load(),
-		UnionMisses:  statUnionMisses.Load(),
-		UnionEntries: unionCacheCount.Load(),
-		Flushes:      statFlushes.Load(),
+		Sets:              internedG0Count.Load() + internedG1Count.Load(),
+		SetHits:           statSetHits.Load(),
+		SetMisses:         statSetMisses.Load(),
+		Promotions:        statPromotions.Load(),
+		UnionHits:         statUnionHits.Load(),
+		UnionMisses:       statUnionMisses.Load(),
+		UnionEntries:      unionCacheCount.Load(),
+		Flushes:           statFlushes.Load(),
+		Instances:         uint64(instances),
+		InstanceHits:      statInstanceHits.Load(),
+		InstanceMisses:    statInstanceMisses.Load(),
+		InstanceRotations: statInstanceRotations.Load(),
 	}
 }

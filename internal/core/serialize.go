@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Persistent policies (§3.4.1): RESIN serializes policy objects when data
@@ -19,9 +21,9 @@ import (
 // are instantiated from the stored bytes, so their class code is whatever
 // the current program defines, which is what lets programmers evolve
 // export_check behaviour without migrating stored policies. Instantiation
-// is per distinct stored annotation, not per read: repeated decodes of
-// the same bytes share one memoized instance (see DecodeSpans), so
-// decoded policies are plain data and must not be mutated.
+// is per distinct encoded policy, not per read: every decode of the same
+// bytes returns one canonical instance (see DecodePolicy), so decoded
+// policies are shared plain data and must not be mutated.
 
 type classRegistry struct {
 	mu     sync.RWMutex
@@ -135,16 +137,75 @@ func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
 // EncodePolicy serializes a policy object as {"class": ..., "fields": ...}.
 func EncodePolicy(p Policy) ([]byte, error) { return encodeObject(policyClasses, "policy", p) }
 
-// DecodePolicy re-instantiates a policy object serialized by EncodePolicy.
+// policyInstances maps an encoded policy to its canonical decoded
+// instance, so for decoded policies pointer identity is content identity
+// and everything keyed on identity — samePolicy, Union, Intern, the union
+// cache — works across serialization boundaries. The key is the bytes as
+// received: EncodePolicy is deterministic, and a foreign encoder's
+// variant spelling merely gets its own instance. Bounded like the intern
+// table (an old-generation hit promotes, a young generation at half of
+// maxInternedSets replaces the old one) and as safe to evict from: an
+// evicted policy is merely a distinct-but-equal object again.
+var policyInstances struct {
+	mu         sync.RWMutex
+	young, old map[string]Policy
+}
+
+// maxPolicyInstanceBytes bounds one canonicalized encoding; a larger
+// policy is instantiated per decode rather than pinned.
+const maxPolicyInstanceBytes = 4 << 10
+
+var statInstanceHits, statInstanceMisses, statInstanceRotations atomic.Uint64
+
+// DecodePolicy returns the policy object serialized by EncodePolicy. For
+// a registered class it is the canonical instance of those bytes: two
+// decodes of one encoding yield the same pointer for as long as the
+// instance table remembers it. Merger classes are instantiated per
+// decode — two equal-content operands must still reach Merge (§3.4.2) —
+// and so are encodings over maxPolicyInstanceBytes.
 func DecodePolicy(data []byte) (Policy, error) {
-	v, err := decodeObject(policyClasses, "policy", data)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := v.(Policy)
+	t := &policyInstances
+	t.mu.RLock()
+	p, ok := t.young[string(data)]
+	aged := false
 	if !ok {
-		return nil, fmt.Errorf("resin: decoded class %T is not a Policy", v)
+		p, aged = t.old[string(data)]
 	}
+	t.mu.RUnlock()
+	switch {
+	case ok:
+		statInstanceHits.Add(1)
+		return p, nil
+	case aged:
+		statInstanceHits.Add(1) // promoted below
+	default:
+		v, err := decodeObject(policyClasses, "policy", data)
+		if err != nil {
+			return nil, err
+		}
+		if p, ok = v.(Policy); !ok {
+			return nil, fmt.Errorf("resin: decoded class %T is not a Policy", v)
+		}
+		statInstanceMisses.Add(1)
+		if _, merger := p.(Merger); merger || len(data) > maxPolicyInstanceBytes {
+			return p, nil
+		}
+	}
+	// Install a first sighting, or promote an old-generation hit.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if canon, ok := t.young[string(data)]; ok {
+		return canon, nil // a racing decode got here first
+	}
+	if len(t.young) >= maxInternedSets/2 {
+		t.old, t.young = t.young, nil
+		statInstanceRotations.Add(1)
+	}
+	if t.young == nil {
+		t.young = make(map[string]Policy)
+	}
+	delete(t.old, string(data))
+	t.young[string(data)] = p
 	return p, nil
 }
 
@@ -242,9 +303,10 @@ func (c *CompiledAnnotation) PolicySet() *PolicySet {
 	return set
 }
 
-// annCompileMemo caches CompileAnnotation results per annotation bytes,
-// bounded and flushed wholesale at cap (the shared eviction idiom:
-// churn re-warms, it never permanently disables the cache).
+// annCompileMemo caches compiled annotations per annotation bytes — the
+// one byte-keyed memo in front of JSON parsing — bounded and flushed
+// wholesale at cap (the shared eviction idiom: churn re-warms, it never
+// permanently disables the cache).
 var annCompileMemo struct {
 	mu    sync.RWMutex
 	m     map[string]*CompiledAnnotation
@@ -263,30 +325,31 @@ const (
 )
 
 // CompileAnnotation parses a policy annotation (the EncodeSpans wire
-// form) into a reusable CompiledAnnotation, re-instantiating each
-// policy object and interning each span's policy set. Results are
-// memoized per annotation bytes: re-reading a stored cell or file
-// shares one compiled form — and therefore one set of policy instances
-// — across raws, queries, and goroutines. A nil/empty annotation yields
-// nil, which Apply treats as untainted.
-func CompileAnnotation(annotation []byte) (*CompiledAnnotation, error) {
-	if len(annotation) == 0 {
-		return nil, nil
-	}
-	memoizable := len(annotation) <= annCompileMemoMaxBytes
-	if memoizable {
-		annCompileMemo.mu.RLock()
-		memoized, ok := annCompileMemo.m[string(annotation)]
-		annCompileMemo.mu.RUnlock()
-		if ok {
-			return memoized, nil
-		}
+// form) into a reusable CompiledAnnotation: each policy resolved to its
+// canonical instance (DecodePolicy) and each span's policy set interned.
+// Results are memoized per annotation bytes, so re-reading a stored cell
+// or file costs a map lookup; a miss parses the JSON again but yields
+// the same policy objects and interned sets as before the flush. A
+// nil/empty annotation yields nil, which Apply treats as untainted.
+func CompileAnnotation(ann []byte) (*CompiledAnnotation, error) { return compileAnnotation(ann) }
+
+// CompileAnnotationString is CompileAnnotation for a caller that holds
+// the annotation as a string (a SQL policy-column cell): a memo hit
+// copies nothing.
+func CompileAnnotationString(ann string) (*CompiledAnnotation, error) { return compileAnnotation(ann) }
+
+func compileAnnotation[A string | []byte](annotation A) (*CompiledAnnotation, error) {
+	annCompileMemo.mu.RLock()
+	c, ok := annCompileMemo.m[string(annotation)] // a lookup: no copy
+	annCompileMemo.mu.RUnlock()
+	if ok || len(annotation) == 0 {
+		return c, nil
 	}
 	var ws []wireSpan
-	if err := json.Unmarshal(annotation, &ws); err != nil {
+	if err := json.Unmarshal([]byte(annotation), &ws); err != nil {
 		return nil, fmt.Errorf("resin: decode spans: %w", err)
 	}
-	c := &CompiledAnnotation{spans: make([]compiledSpan, 0, len(ws))}
+	c = &CompiledAnnotation{spans: make([]compiledSpan, 0, len(ws))}
 	for _, w := range ws {
 		ps := make([]Policy, 0, len(w.Policies))
 		for _, enc := range w.Policies {
@@ -296,128 +359,48 @@ func CompileAnnotation(annotation []byte) (*CompiledAnnotation, error) {
 			}
 			ps = append(ps, p)
 		}
+		// Canonical policies make Intern a hit whenever the set was seen
+		// before. A canonical set listing the members in another order is
+		// passed over: re-encoding must reproduce the annotation bytes.
 		set := NewPolicySet(ps...)
-		if memoizable {
-			// Only memoized compiles intern: an oversized annotation
-			// instantiates fresh policies per call, so interning would
-			// be a guaranteed table miss each time, churning and
-			// flushing the global table.
-			set = set.Intern()
+		if canon := set.Intern(); slices.EqualFunc(canon.policies, set.policies, samePolicy) {
+			set = canon
 		}
 		c.spans = append(c.spans, compiledSpan{start: w.Start, end: w.End, set: set})
 	}
-	if memoizable {
-		annCompileMemo.mu.Lock()
-		if annCompileMemo.m == nil || len(annCompileMemo.m) >= annCompileMemoCap ||
-			annCompileMemo.bytes >= annCompileMemoMaxTotal {
-			annCompileMemo.m = make(map[string]*CompiledAnnotation, 64)
-			annCompileMemo.bytes = 0
-		}
-		if existing, ok := annCompileMemo.m[string(annotation)]; ok {
-			c = existing // racing compile: keep the installed one
-		} else {
-			annCompileMemo.m[string(annotation)] = c
-			annCompileMemo.bytes += len(annotation)
-		}
-		annCompileMemo.mu.Unlock()
+	if len(annotation) > annCompileMemoMaxBytes {
+		return c, nil
 	}
+	annCompileMemo.mu.Lock()
+	defer annCompileMemo.mu.Unlock()
+	if annCompileMemo.m == nil || len(annCompileMemo.m) >= annCompileMemoCap ||
+		annCompileMemo.bytes >= annCompileMemoMaxTotal {
+		annCompileMemo.m = make(map[string]*CompiledAnnotation, 64)
+		annCompileMemo.bytes = 0
+	}
+	if existing, ok := annCompileMemo.m[string(annotation)]; ok {
+		return existing, nil // racing compile: keep the installed one
+	}
+	annCompileMemo.m[string(annotation)] = c
+	annCompileMemo.bytes += len(annotation)
 	return c, nil
 }
 
-// spanDecodeMemo caches DecodeSpans results per (raw, annotation)
-// pair. Boundary adapters re-read the same stored bytes constantly —
-// every SELECT of a policy-carrying cell, every ReadFile of an
-// annotated file — and decoding is deterministic, so repeated reads
-// can share one immutable String, including its policy objects and its
-// interned sets; without the memo each re-read would re-parse JSON,
-// re-instantiate policies, and register never-matching fresh sets in
-// the intern table. The memo is flushed wholesale at its cap, bounding
-// memory on annotation-churning workloads.
-// The memo nests raw → annotation → result so the hit path can index
-// the inner map with string(annotation) directly (the compiler elides
-// that conversion's allocation for map lookups); a flat struct key
-// would copy the annotation bytes on every call.
-var spanDecodeMemo struct {
-	mu    sync.RWMutex
-	m     map[string]map[string]String
-	n     int
-	bytes int
-}
-
-const (
-	// spanDecodeMemoCap bounds the total number of memoized decodes.
-	spanDecodeMemoCap = 4096
-	// spanDecodeMemoMaxBytes bounds the size of a single memoized
-	// entry (raw + annotation): entries pin their bytes until the next
-	// wholesale flush, and a workload decoding large annotated files
-	// (the vfs read path passes whole file bodies) must not pin
-	// gigabytes while staying under the entry-count cap. Oversized
-	// decodes skip the memo and are simply decoded each time.
-	spanDecodeMemoMaxBytes = 64 << 10
-	// spanDecodeMemoMaxTotal bounds the cumulative raw+annotation
-	// bytes pinned by the memo, so many distinct entries near the
-	// per-entry limit flush early instead of holding hundreds of
-	// megabytes until the entry-count cap trips.
-	spanDecodeMemoMaxTotal = 32 << 20
-)
-
 // DecodeSpans attaches the policy annotation serialized by EncodeSpans to
-// the raw string data, re-instantiating every policy object. A nil/empty
-// annotation yields an untainted string.
-//
-// Decoded policy sets are canonicalized through the intern table, so
-// the fast pointer-identity paths apply to deserialized data as well,
-// and repeated decodes of the same (raw, annotation) bytes are
-// memoized to one shared immutable String. Policy objects are
-// therefore fresh per distinct stored annotation rather than per call;
-// they are plain data (§3.4.1: the class name and data fields) and
-// must not be mutated after decode.
+// the raw string data: CompileAnnotation, Apply, and the lineage record
+// of the boundary crossing. A nil/empty annotation yields an untainted
+// string. The policy objects are the canonical instances of their
+// encodings and the sets are interned, so the pointer-identity fast
+// paths apply to deserialized data; they are shared plain data (§3.4.1:
+// the class name and data fields) and must not be mutated after decode.
 func DecodeSpans(raw string, annotation []byte) (String, error) {
-	t := NewString(raw)
-	if len(annotation) == 0 {
-		return t, nil
-	}
-	memoizable := len(raw)+len(annotation) <= spanDecodeMemoMaxBytes
-	if memoizable {
-		spanDecodeMemo.mu.RLock()
-		memoized, ok := spanDecodeMemo.m[raw][string(annotation)]
-		spanDecodeMemo.mu.RUnlock()
-		if ok {
-			// A memo hit is still a boundary crossing: the caller is
-			// re-reading stored bytes, so lineage must see it.
-			if lineageOn() && len(memoized.spans) > 0 {
-				lineageRecordSpans(memoized, "deserialize", "core.decode")
-			}
-			return memoized, nil
-		}
-	}
 	comp, err := CompileAnnotation(annotation)
 	if err != nil {
 		return String{}, err
 	}
-	t = comp.Apply(raw)
+	t := comp.Apply(raw)
 	if lineageOn() && len(t.spans) > 0 {
 		lineageRecordSpans(t, "deserialize", "core.decode")
-	}
-	if memoizable {
-		spanDecodeMemo.mu.Lock()
-		if spanDecodeMemo.m == nil || spanDecodeMemo.n >= spanDecodeMemoCap ||
-			spanDecodeMemo.bytes >= spanDecodeMemoMaxTotal {
-			spanDecodeMemo.m = make(map[string]map[string]String, 64)
-			spanDecodeMemo.n = 0
-			spanDecodeMemo.bytes = 0
-		}
-		inner := spanDecodeMemo.m[raw]
-		if inner == nil {
-			inner = make(map[string]String, 1)
-			spanDecodeMemo.m[raw] = inner
-		}
-		if _, exists := inner[string(annotation)]; !exists {
-			inner[string(annotation)] = t
-			spanDecodeMemo.n++
-			spanDecodeMemo.bytes += len(raw) + len(annotation)
-		}
-		spanDecodeMemo.mu.Unlock()
 	}
 	return t, nil
 }

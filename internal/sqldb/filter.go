@@ -729,9 +729,9 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 		}
 	}
 	// Batched shadow-policy decode: each distinct annotation in the
-	// result set is compiled (JSON-parsed, policies instantiated, sets
-	// interned) exactly once — core.CompileAnnotation memoizes globally
-	// and the local map short-circuits even that lookup — then applied
+	// result set is compiled (JSON-parsed, policies canonicalized, sets
+	// interned) exactly once — core.CompileAnnotationString memoizes
+	// globally and the local map short-circuits even that lookup — then applied
 	// per cell. A SELECT returning N rows over a handful of distinct
 	// policies does O(distinct annotations) decodes, not O(N·cols); a
 	// single row has nothing to batch and goes straight to the memo.
@@ -741,7 +741,7 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 		if c, ok := compiled[ann]; ok {
 			return c, nil
 		}
-		c, err := core.CompileAnnotation([]byte(ann))
+		c, err := core.CompileAnnotationString(ann)
 		if err != nil || len(raw.rows) < 2 {
 			return c, err
 		}

@@ -85,7 +85,9 @@ func NewPolicySet(ps ...Policy) *PolicySet { return core.NewPolicySet(ps...) }
 type InternStats = core.InternStats
 
 // ReadInternStats returns the interning machinery's counters — table
-// size, hit rates, memoized unions — for monitoring and benchmarks.
+// size, hit rates, memoized unions — for monitoring and benchmarks,
+// and those of the table that gives decoded policies identity by
+// content: Instances, InstanceHits, InstanceMisses, InstanceRotations.
 // Long-lived policy sets can be canonicalized with PolicySet.Intern;
 // see docs/ARCHITECTURE.md.
 func ReadInternStats() InternStats { return core.ReadInternStats() }

@@ -8,9 +8,12 @@
 # is the working tree. Pair i runs both sides at seed first-seed+i, odd seeds
 # parent first, even seeds change first. Prints each side's median and
 # quartiles per gated metric and how many pairs the change won (all six are
-# lower-is-better). Ten pairs take ≈ 6 min: call it in chunks that fit one
-# foreground command (-n 5 -s 1, then -n 5 -s 6). It reads bench/, it does
-# not edit it.
+# lower-is-better). A timing metric needs ten pairs, ≈ 6 min: call it in
+# chunks that fit one foreground command (-n 5 -s 1, then -n 5 -s 6).
+# heap_mb_end and wal_bytes_per_user_byte repeat within 1 % for a seed, so a
+# claim on one of them needs only -n 3 on the claimed workload plus one -n 1
+# pair on each other workload (≈ 2 min a call, each in the foreground). It
+# reads bench/, it does not edit it, and it ends with the leak check.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 w=page_hotcrp n=5 s=1 p=HEAD
@@ -52,7 +55,4 @@ for m in $metrics; do
 	wins=$(paste "$tree/parent.$m" "$tree/change.$m" | awk '$2 < $1 { n++ } END { print n + 0 }')
 	printf '%-24s parent %-30s change %-30s wins %d/%d\n' "$m" "$(quartiles "$tree/parent.$m")" "$(quartiles "$tree/change.$m")" "$wins" "$n"
 done
-if ps -eo pid,args | grep -E 'resin-bench' | grep -v grep; then
-	echo "bench-pairs: a benchmark process is still running" >&2
-	exit 1
-fi
+bash scripts/no-stray-procs.sh

@@ -5,7 +5,8 @@
 # script; run it yourself instead of hand-starting `resin-server &` — the
 # EXIT trap is set before the first server starts and reaps both, however
 # the script ends. Binaries, logs and the result file go to a fresh
-# directory under ${TMPDIR:-/tmp}, removed on exit.
+# directory under ${TMPDIR:-/tmp}, removed on exit. Ends with the leak
+# check, so a server that outlives the drain fails the run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,3 +30,4 @@ sleep 1
 "$work/resin-loadgen" -smoke -audit -addr 127.0.0.1:7634 -replica 127.0.0.1:7635 -out "$work/BENCH_wire_tcp.json"
 kill -TERM $FOLLOWER && wait $FOLLOWER
 kill -TERM $PRIMARY && wait $PRIMARY
+bash scripts/no-stray-procs.sh
