@@ -1,22 +1,22 @@
 // Command resin-loadgen drives the forum workload through the wire
-// server at high connection counts and reports latency, throughput, and
-// replica staleness. It is the standing load harness for the wire
-// subsystem: every request crosses the TCP protocol (docs/WIRE.md),
+// server and prints a JSON report of latency, throughput and replica
+// staleness. Every request crosses the TCP protocol (docs/WIRE.md),
 // writes carry tainted payloads, and the run fails unless a tainted
 // value written through a client comes back over the wire with its
-// policy set byte-identical to an in-process read.
+// policy set byte-identical to an in-process read. Its numbers are not
+// the repo's benchmark (that is bench/, see bench/README.md).
 //
-// Self-contained (default): spawns an in-process WAL-backed primary, a
+// scripts/server-integration.sh runs it against real servers over TCP:
+//
+//	resin-loadgen -smoke -audit -addr host:7634 -replica host:7635
+//
+// Without -addr it spawns an in-process WAL-backed primary, a
 // WAL-shipping replica, and TCP servers for both, then loads them:
 //
-//	resin-loadgen -conns 1000 -requests 20 -out BENCH_wire.json
+//	resin-loadgen -conns 1000 -requests 20 > report.json
 //
-// Against an external server (started with resin-server):
-//
-//	resin-loadgen -addr host:7634 [-replica host:7635] -conns 1000
-//
-// -smoke is the CI mode: a handful of connections, one batch of
-// requests, full taint-round-trip assertion, same JSON shape.
+// -smoke is a handful of connections, one batch of requests, full
+// taint-round-trip assertion, same JSON shape.
 //
 // -audit additionally runs the lineage probe after the load: an
 // in-process forum app posts a tainted body (httpd taint filter → SQL
@@ -86,7 +86,6 @@ func main() {
 		conns     = flag.Int("conns", 1000, "concurrent client connections")
 		requests  = flag.Int("requests", 20, "requests per connection")
 		writeFrac = flag.Float64("write-frac", 0.25, "fraction of requests that write")
-		out       = flag.String("out", "BENCH_wire.json", "JSON report path")
 		smoke     = flag.Bool("smoke", false, "CI smoke: 8 conns, 2 requests each, full assertions")
 		audit     = flag.Bool("audit", false, "run the /audit lineage probe after the load; fail unless the trace is complete and ordered")
 	)
@@ -302,9 +301,6 @@ func main() {
 		log.Fatal(err)
 	}
 	blob = append(blob, '\n')
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		log.Fatalf("resin-loadgen: write %s: %v", *out, err)
-	}
 	os.Stdout.Write(blob) //nolint:errcheck
 	if neg := negStale.Load(); neg < 0 {
 		log.Fatalf("resin-loadgen: sampled negative replica staleness %d bytes — PrimarySize/Applied accounting regressed", neg)

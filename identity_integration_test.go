@@ -34,12 +34,12 @@ func init() {
 	resin.RegisterPolicyClass("integration.BoundaryPolicy", &boundaryPolicy{})
 }
 
-// churnAnnotationMemo compiles more distinct annotations than core's
-// compile memo holds, so it flushes and the next read of any stored
-// value parses its annotation again.
+// churnAnnotationMemo compiles twice as many distinct annotations as
+// core's compile memo holds (8192), so both of its generations turn over
+// and the next read of any stored value parses its annotation again.
 func churnAnnotationMemo(t *testing.T) {
 	t.Helper()
-	for i := 0; i <= 4096; i++ {
+	for i := 0; i <= 2*8192; i++ {
 		ann := fmt.Sprintf(`[{"start":0,"end":%d,"policies":[]}]`, i+1)
 		if _, err := resin.DecodeSpans("x", []byte(ann)); err != nil {
 			t.Fatal(err)

@@ -30,6 +30,34 @@ var allowedImports = []struct {
 		why: "the query route (compile, assert, bind, execute) must stay reachable without wire, lineage or an app: " +
 			"an assertion that holds on the route holds for every caller layered above it",
 	},
+	{
+		pkg: "internal/lineage", dir: "../lineage",
+		allowed: []string{"resin/internal/core"},
+		why: "the flow monitor is reached only through core's hooks and gate: " +
+			"it observes every boundary adapter, so it may depend on none of them",
+	},
+	{
+		pkg: "internal/httpd", dir: "../httpd",
+		allowed: []string{"resin/internal/core", "resin/internal/sanitize", "resin/internal/vfs", "resin/internal/lineage"},
+		why: "the HTTP boundary taints input, filters output, serves static files through vfs and lineage's /audit: " +
+			"it must not reach into the SQL engine or the wire protocol",
+	},
+	{
+		pkg: "internal/wire", dir: "../wire",
+		allowed: []string{"resin/internal/core", "resin/internal/sqldb"},
+		why: "the wire protocol carries sqldb's query route and core's policy encoding over TCP and nothing else: " +
+			"what is asserted in-process is what is asserted over the socket",
+	},
+	{
+		pkg: "internal/remote", dir: "../remote",
+		allowed: []string{"resin/internal/core"},
+		why:     "cross-runtime links serialize policies through core alone",
+	},
+	{
+		pkg: "internal/vfs", dir: "../vfs",
+		allowed: []string{"resin/internal/core"},
+		why:     "the file boundary persists policies and filters through core alone, so httpd's static path can sit above it",
+	},
 }
 
 // TestAllowedImports checks every row of allowedImports. A stdlib import

@@ -72,7 +72,7 @@ func TestCompileAnnotationIdentityAcrossMemoFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushAnnCompileMemo()
+	annCompileMemo.Reset()
 	before := ReadInternStats()
 	c2, err := CompileAnnotation(ann)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestDecodedPolicyCheckedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushAnnCompileMemo()
+	annCompileMemo.Reset()
 	b, err := DecodeSpans("pw", ann)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestSpanRoundTripByteIdentical(t *testing.T) {
 		}
 		ann := mustEncodeSpans(t, s)
 		if iter%3 == 0 {
-			flushAnnCompileMemo()
+			annCompileMemo.Reset()
 		}
 		got, err := DecodeSpans(raw, ann)
 		if err != nil {

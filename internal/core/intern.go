@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -24,8 +25,8 @@ import (
 //
 //  2. Sets with proven reuse — deserialized annotations (whose policies
 //     are canonical instances), long-lived application sets, anything the caller
-//     passes to Intern — are canonicalized into a process-wide sharded
-//     intern table. Among interned sets, equal members means identical
+//     passes to Intern — are canonicalized into a process-wide intern
+//     table. Among interned sets, equal members means identical
 //     pointer, so Equal is a pointer comparison and Union of a
 //     previously-seen pair is a hit in the memoized pairwise-union
 //     cache. Unions of interned operands intern their results, so once
@@ -44,33 +45,25 @@ import (
 // same-address pointers as the same policy. Across types the salt
 // separates them except for a 2^-64 XOR collision; transient ID
 // comparisons accept that risk, while the intern table — whose
-// conflation would persist — verifies candidates member-wise on its
-// cold path. Value (non-pointer) policies have no address; a set
-// containing one forgoes IDs and uses the member-wise slow paths,
-// matching the package's guidance that policies be pointers to structs.
+// conflation would persist — verifies every candidate member-wise.
+// Value (non-pointer) policies have no address; a set containing one
+// forgoes IDs and uses the member-wise slow paths, matching the
+// package's guidance that policies be pointers to structs.
 //
 // The intern table and union cache pin their entries, so both are
-// capped. The intern table evicts generationally: each shard keeps a
-// young and an old generation, lookups hit either (an old-generation
-// hit promotes the set back to young), inserts go young, and when the
-// young generation fills to half the cap the old generation is dropped
-// and the young one takes its place. A churn workload therefore sheds
-// only the sets that went a full generation without a hit — the hot
-// set keeps getting promoted and survives — where the previous
-// wholesale flush-at-cap evicted the entire hot set every time the
-// churn crossed the cap. Correctness never depends on the table —
+// bounded Caches (cache.go): a set or union touched once per half a cap
+// of churn keeps its canonical instance, and one that falls out is merely
+// deduplicated afresh. Correctness never depends on either table —
 // equality is decided by canonical IDs — so eviction is always safe.
 
 const (
-	// numInternShards is the shard count of the set intern table; a
-	// power of two so the hash can select a shard with a mask.
-	numInternShards = 64
-
-	// maxInternedSets caps the set intern table across all shards.
+	// maxInternedSets caps the set intern table (and the policy-instance
+	// table); a working set of up to half of it stays interned.
 	maxInternedSets = 1 << 16
 
-	// maxUnionCacheEntries caps the memoized pairwise-union cache.
-	maxUnionCacheEntries = 1 << 15
+	// maxUnionCacheEntries caps the memoized pairwise-union cache; a
+	// working set of up to half of it, 32768 unions, never misses.
+	maxUnionCacheEntries = 1 << 16
 )
 
 // typeSalts assigns each policy dynamic type a distinct multiplicative
@@ -171,18 +164,6 @@ func sortPolicyIDs(ids []uint64) {
 	}
 }
 
-func equalPolicyIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // containsPolicyID reports whether sorted ids contains id.
 func containsPolicyID(ids []uint64, id uint64) bool {
 	lo, hi := 0, len(ids)
@@ -217,8 +198,8 @@ func subsetPolicyIDs(sub, super []uint64) bool {
 }
 
 // samePolicies reports whether two deduplicated member lists contain
-// the same policy objects (per samePolicy), disregarding order. Used
-// on cold paths where ID equality alone must not be trusted.
+// the same policy objects (per samePolicy), disregarding order. The
+// intern table uses it where ID equality alone must not be trusted.
 func samePolicies(a, b []Policy) bool {
 	if len(a) != len(b) {
 		return false
@@ -249,80 +230,29 @@ func anyMerger(policies []Policy) bool {
 	return false
 }
 
-// internShard is one bucket group of the set intern table. Buckets are
-// keyed by the canonical hash; collisions chain in a small slice. Each
-// shard keeps two generations: g0 receives inserts and promotions, g1
-// is the previous g0 awaiting its drop at the next rotation.
-type internShard struct {
-	mu sync.Mutex
-	g0 map[uint64][]*PolicySet
-	g1 map[uint64][]*PolicySet
-}
-
 var (
-	internTable [numInternShards]internShard
-	// internedG0Count / internedG1Count track the generations across
-	// all shards; their sum is the table's size, bounded by
-	// maxInternedSets because each generation is bounded by half of it.
-	internedG0Count atomic.Uint64
-	internedG1Count atomic.Uint64
-	flushMu         sync.Mutex
-
-	// Interning counters (observability for tests and benchmarks).
-	statSetHits     atomic.Uint64
-	statSetMisses   atomic.Uint64
-	statPromotions  atomic.Uint64
-	statUnionHits   atomic.Uint64
-	statUnionMisses atomic.Uint64
-	statFlushes     atomic.Uint64
+	// internCache maps a set's canonical hash to its canonical instance.
+	// A hit is trusted only if its IDs and members match; a set whose
+	// hash collides with another's stays uninterned, which costs only
+	// the fast paths, never correctness.
+	internCache = NewCache[uint64, *PolicySet](maxInternedSets, 0, 0)
+	// unionCache memoizes Union of two interned sets.
+	unionCache = NewCache[unionKey, *PolicySet](maxUnionCacheEntries, 0, 0)
 )
-
-// rotateInternTable ages the intern table when the young generation
-// reaches half the cap: every shard drops its old generation and the
-// young one becomes old. Sets referenced since the last rotation were
-// promoted into g0 and survive; only sets that went a full generation
-// without a hit fall out, so a workload that churns distinct sets
-// (Merger policies, fresh per decode; attacker-chosen parameter names) sheds
-// the churn while the hot set stays warm. Already-evicted sets stay
-// valid — equality never depends on the table, only on canonical IDs —
-// they merely stop deduplicating against it. The union cache is left
-// alone: its entries are keyed by canonical instances whose identity
-// rotation does not disturb (it has its own cap and flush).
-func rotateInternTable() {
-	flushMu.Lock()
-	defer flushMu.Unlock()
-	if internedG0Count.Load() < maxInternedSets/2 {
-		return // another goroutine rotated first
-	}
-	// Swap the counter before the maps: an insert racing the shard walk
-	// can mis-attribute its increment by one generation, which skews
-	// pacing by at most a few entries and corrects at the next rotation.
-	internedG1Count.Store(internedG0Count.Swap(0))
-	for i := range internTable {
-		sh := &internTable[i]
-		sh.mu.Lock()
-		sh.g1 = sh.g0
-		sh.g0 = nil
-		sh.mu.Unlock()
-	}
-	statFlushes.Add(1)
-}
 
 // Intern canonicalizes s into the process-wide intern table and returns
 // the canonical instance: the first set with these members that was
 // interned. Interning is worthwhile for sets that will be compared or
 // unioned repeatedly — long-lived application policy sets, memoized
 // deserialized annotations — and is a no-op for sets that cannot carry
-// canonical IDs. The table evicts generationally (see
-// rotateInternTable): a hit in the old generation promotes the
-// canonical instance back into the young one, so frequently-interned
-// sets survive cap-crossing churn.
+// canonical IDs. A hit in the table's old generation promotes the
+// canonical instance, so frequently-interned sets survive churn.
 //
 // ID-equality between live sets implies member identity up to the
 // astronomically unlikely cross-type XOR collision (addrA ^ saltA ==
 // addrB ^ saltB); because a conflated canonical instance would
-// persistently mislabel data, the bucket walk — a cold path — verifies
-// candidates member-wise rather than trusting IDs alone.
+// persistently mislabel data, a candidate is verified member-wise rather
+// than trusted on its IDs alone.
 func (s *PolicySet) Intern() *PolicySet {
 	if s.Len() == 0 {
 		return EmptySet
@@ -330,54 +260,23 @@ func (s *PolicySet) Intern() *PolicySet {
 	if s.interned || !s.idsOK {
 		return s
 	}
-	if internedG0Count.Load() >= maxInternedSets/2 {
-		rotateInternTable()
+	c, ok := internCache.Get(s.hash)
+	if !ok {
+		// Register a fresh canonical instance rather than mutating s,
+		// which may be shared with concurrent readers. The slices are
+		// immutable and safely shared.
+		c = internCache.Add(s.hash, &PolicySet{
+			policies: s.policies,
+			ids:      s.ids,
+			hash:     s.hash,
+			idsOK:    true,
+			interned: true,
+			mergers:  s.mergers,
+		}, 0)
 	}
-	sh := &internTable[s.hash&(numInternShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, c := range sh.g0[s.hash] {
-		if equalPolicyIDs(c.ids, s.ids) && samePolicies(s.policies, c.policies) {
-			statSetHits.Add(1)
-			return c
-		}
+	if !slices.Equal(c.ids, s.ids) || !samePolicies(s.policies, c.policies) {
+		return s
 	}
-	for i, c := range sh.g1[s.hash] {
-		if equalPolicyIDs(c.ids, s.ids) && samePolicies(s.policies, c.policies) {
-			// Promote: the set proved it is still hot, so it moves to the
-			// young generation and survives the next rotation. Same
-			// canonical pointer — union-cache entries keyed on it stay
-			// valid.
-			bucket := sh.g1[s.hash]
-			sh.g1[s.hash] = append(bucket[:i:i], bucket[i+1:]...)
-			if sh.g0 == nil {
-				sh.g0 = make(map[uint64][]*PolicySet)
-			}
-			sh.g0[s.hash] = append(sh.g0[s.hash], c)
-			internedG1Count.Add(^uint64(0))
-			internedG0Count.Add(1)
-			statSetHits.Add(1)
-			statPromotions.Add(1)
-			return c
-		}
-	}
-	statSetMisses.Add(1)
-	if sh.g0 == nil {
-		sh.g0 = make(map[uint64][]*PolicySet)
-	}
-	// Register a fresh canonical instance rather than mutating s, which
-	// may be shared with concurrent readers. The slices are immutable
-	// and safely shared.
-	c := &PolicySet{
-		policies: s.policies,
-		ids:      s.ids,
-		hash:     s.hash,
-		idsOK:    true,
-		interned: true,
-		mergers:  s.mergers,
-	}
-	sh.g0[s.hash] = append(sh.g0[s.hash], c)
-	internedG0Count.Add(1)
 	return c
 }
 
@@ -392,49 +291,6 @@ func newUnionKey(a, b *PolicySet) unionKey {
 		a, b = b, a
 	}
 	return unionKey{a, b}
-}
-
-var (
-	unionCache      atomic.Pointer[sync.Map] // *sync.Map of unionKey → *PolicySet
-	unionCacheCount atomic.Uint64
-)
-
-func init() { unionCache.Store(new(sync.Map)) }
-
-// cachedUnion returns the memoized union of two interned sets.
-func cachedUnion(a, b *PolicySet) (*PolicySet, bool) {
-	if v, ok := unionCache.Load().Load(newUnionKey(a, b)); ok {
-		statUnionHits.Add(1)
-		return v.(*PolicySet), true
-	}
-	statUnionMisses.Add(1)
-	return nil, false
-}
-
-// storeUnion records a computed union. At the cap the cache is flushed
-// wholesale, so union-pair churn costs a periodic re-warm instead of
-// permanently disabling memoization. An entry stored into a map that a
-// concurrent flush is swapping out is simply lost, which is harmless.
-func storeUnion(a, b, result *PolicySet) {
-	if unionCacheCount.Load() >= maxUnionCacheEntries {
-		flushUnionCache()
-	}
-	if _, loaded := unionCache.Load().LoadOrStore(newUnionKey(a, b), result); !loaded {
-		unionCacheCount.Add(1)
-	}
-}
-
-// flushUnionCache empties the memoized-union cache when it reaches its
-// own cap; intern-table rotation deliberately leaves it alone.
-func flushUnionCache() {
-	flushMu.Lock()
-	defer flushMu.Unlock()
-	if unionCacheCount.Load() < maxUnionCacheEntries {
-		return // another goroutine flushed first
-	}
-	unionCache.Store(new(sync.Map))
-	unionCacheCount.Store(0)
-	statFlushes.Add(1)
 }
 
 // InternStats is a snapshot of the interning machinery's counters,
@@ -453,8 +309,7 @@ type InternStats struct {
 	UnionHits, UnionMisses uint64
 	// UnionEntries is the number of memoized union results.
 	UnionEntries uint64
-	// Flushes counts intern-table generation rotations plus wholesale
-	// union-cache evictions.
+	// Flushes counts intern-table plus union-cache generation rotations.
 	Flushes uint64
 	// Instances is the number of canonical decoded policies in the
 	// policy-instance table (see DecodePolicy); InstanceHits /
@@ -465,21 +320,19 @@ type InternStats struct {
 
 // ReadInternStats returns a snapshot of the interning counters.
 func ReadInternStats() InternStats {
-	policyInstances.mu.RLock()
-	instances := len(policyInstances.young) + len(policyInstances.old)
-	policyInstances.mu.RUnlock()
+	sets, unions, inst := internCache.Stats(), unionCache.Stats(), policyInstances.Stats()
 	return InternStats{
-		Sets:              internedG0Count.Load() + internedG1Count.Load(),
-		SetHits:           statSetHits.Load(),
-		SetMisses:         statSetMisses.Load(),
-		Promotions:        statPromotions.Load(),
-		UnionHits:         statUnionHits.Load(),
-		UnionMisses:       statUnionMisses.Load(),
-		UnionEntries:      unionCacheCount.Load(),
-		Flushes:           statFlushes.Load(),
-		Instances:         uint64(instances),
-		InstanceHits:      statInstanceHits.Load(),
-		InstanceMisses:    statInstanceMisses.Load(),
-		InstanceRotations: statInstanceRotations.Load(),
+		Sets:              uint64(internCache.Len()),
+		SetHits:           sets.Hits,
+		SetMisses:         sets.Misses,
+		Promotions:        sets.Promotions,
+		UnionHits:         unions.Hits,
+		UnionMisses:       unions.Misses,
+		UnionEntries:      uint64(unionCache.Len()),
+		Flushes:           sets.Rotations + unions.Rotations,
+		Instances:         uint64(policyInstances.Len()),
+		InstanceHits:      inst.Hits,
+		InstanceMisses:    inst.Misses,
+		InstanceRotations: inst.Rotations,
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // PolicySet is an immutable set of policy objects. A datum's policy set
 // holds every policy attached to it (§3.4: "a single datum may have
@@ -30,9 +33,9 @@ type PolicySet struct {
 	// policy with a well-defined address identity).
 	idsOK bool
 	// interned marks an instance that was registered in the intern
-	// table (possibly in a since-flushed generation); such sets are
-	// eligible for the memoized-union cache, and within one table
-	// generation equal members yield the same instance.
+	// table (possibly since evicted); such sets are eligible for the
+	// memoized-union cache, and while it stays in the table equal
+	// members yield the same instance.
 	interned bool
 	// mergers caches whether any member implements Merger, so
 	// MergePolicies can short-circuit to a pure union.
@@ -246,7 +249,7 @@ func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 	}
 	bothInterned := s.interned && t.interned
 	if bothInterned {
-		if u, ok := cachedUnion(s, t); ok {
+		if u, ok := unionCache.Get(newUnionKey(s, t)); ok {
 			lineageDerive(u, s, t)
 			return u
 		}
@@ -271,7 +274,7 @@ func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 		lineageDerive(u, s, t)
 	}
 	if bothInterned {
-		storeUnion(s, t, u)
+		unionCache.Add(newUnionKey(s, t), u, 0)
 	}
 	return u
 }
@@ -294,7 +297,7 @@ func (s *PolicySet) Equal(t *PolicySet) bool {
 	if s.idsOK && t.idsOK {
 		// Both sets are live, so ID equality is exactly member
 		// identity (see the soundness note in intern.go).
-		return s.hash == t.hash && equalPolicyIDs(s.ids, t.ids)
+		return s.hash == t.hash && slices.Equal(s.ids, t.ids)
 	}
 	for _, p := range s.policies {
 		if !t.Contains(p) {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Persistent policies (§3.4.1): RESIN serializes policy objects when data
@@ -142,20 +141,13 @@ func EncodePolicy(p Policy) ([]byte, error) { return encodeObject(policyClasses,
 // and everything keyed on identity — samePolicy, Union, Intern, the union
 // cache — works across serialization boundaries. The key is the bytes as
 // received: EncodePolicy is deterministic, and a foreign encoder's
-// variant spelling merely gets its own instance. Bounded like the intern
-// table (an old-generation hit promotes, a young generation at half of
-// maxInternedSets replaces the old one) and as safe to evict from: an
+// variant spelling merely gets its own instance. Evicting is safe: an
 // evicted policy is merely a distinct-but-equal object again.
-var policyInstances struct {
-	mu         sync.RWMutex
-	young, old map[string]Policy
-}
+var policyInstances = NewCache[string, Policy](maxInternedSets, 0, maxPolicyInstanceBytes)
 
 // maxPolicyInstanceBytes bounds one canonicalized encoding; a larger
 // policy is instantiated per decode rather than pinned.
 const maxPolicyInstanceBytes = 4 << 10
-
-var statInstanceHits, statInstanceMisses, statInstanceRotations atomic.Uint64
 
 // DecodePolicy returns the policy object serialized by EncodePolicy. For
 // a registered class it is the canonical instance of those bytes: two
@@ -164,49 +156,21 @@ var statInstanceHits, statInstanceMisses, statInstanceRotations atomic.Uint64
 // decode — two equal-content operands must still reach Merge (§3.4.2) —
 // and so are encodings over maxPolicyInstanceBytes.
 func DecodePolicy(data []byte) (Policy, error) {
-	t := &policyInstances
-	t.mu.RLock()
-	p, ok := t.young[string(data)]
-	aged := false
-	if !ok {
-		p, aged = t.old[string(data)]
-	}
-	t.mu.RUnlock()
-	switch {
-	case ok:
-		statInstanceHits.Add(1)
+	if p, ok := lookup(policyInstances, data); ok {
 		return p, nil
-	case aged:
-		statInstanceHits.Add(1) // promoted below
-	default:
-		v, err := decodeObject(policyClasses, "policy", data)
-		if err != nil {
-			return nil, err
-		}
-		if p, ok = v.(Policy); !ok {
-			return nil, fmt.Errorf("resin: decoded class %T is not a Policy", v)
-		}
-		statInstanceMisses.Add(1)
-		if _, merger := p.(Merger); merger || len(data) > maxPolicyInstanceBytes {
-			return p, nil
-		}
 	}
-	// Install a first sighting, or promote an old-generation hit.
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if canon, ok := t.young[string(data)]; ok {
-		return canon, nil // a racing decode got here first
+	v, err := decodeObject(policyClasses, "policy", data)
+	if err != nil {
+		return nil, err
 	}
-	if len(t.young) >= maxInternedSets/2 {
-		t.old, t.young = t.young, nil
-		statInstanceRotations.Add(1)
+	p, ok := v.(Policy)
+	if !ok {
+		return nil, fmt.Errorf("resin: decoded class %T is not a Policy", v)
 	}
-	if t.young == nil {
-		t.young = make(map[string]Policy)
+	if _, merger := p.(Merger); merger {
+		return p, nil
 	}
-	delete(t.old, string(data))
-	t.young[string(data)] = p
-	return p, nil
+	return policyInstances.Add(string(data), p, len(data)), nil
 }
 
 // EncodeFilter serializes a persistent filter object (§3.2.3).
@@ -304,32 +268,17 @@ func (c *CompiledAnnotation) PolicySet() *PolicySet {
 }
 
 // annCompileMemo caches compiled annotations per annotation bytes — the
-// one byte-keyed memo in front of JSON parsing — bounded and flushed
-// wholesale at cap (the shared eviction idiom: churn re-warms, it never
-// permanently disables the cache).
-var annCompileMemo struct {
-	mu    sync.RWMutex
-	m     map[string]*CompiledAnnotation
-	bytes int
-}
-
-const (
-	// annCompileMemoCap bounds the number of memoized compiles.
-	annCompileMemoCap = 4096
-	// annCompileMemoMaxBytes bounds one memoizable annotation; larger
-	// annotations compile per call rather than pin the memo.
-	annCompileMemoMaxBytes = 64 << 10
-	// annCompileMemoMaxTotal bounds the cumulative annotation bytes
-	// pinned by the memo.
-	annCompileMemoMaxTotal = 8 << 20
-)
+// one byte-keyed memo in front of JSON parsing. A working set of up to
+// 4096 annotations and 8 MiB (one generation) never misses; an
+// annotation over 64 KiB compiles per call rather than pin the memo.
+var annCompileMemo = NewCache[string, *CompiledAnnotation](8192, 16<<20, 64<<10)
 
 // CompileAnnotation parses a policy annotation (the EncodeSpans wire
 // form) into a reusable CompiledAnnotation: each policy resolved to its
 // canonical instance (DecodePolicy) and each span's policy set interned.
 // Results are memoized per annotation bytes, so re-reading a stored cell
-// or file costs a map lookup; a miss parses the JSON again but yields
-// the same policy objects and interned sets as before the flush. A
+// or file costs a map lookup; a miss after an eviction parses the JSON
+// again but yields the same policy objects and interned sets as before. A
 // nil/empty annotation yields nil, which Apply treats as untainted.
 func CompileAnnotation(ann []byte) (*CompiledAnnotation, error) { return compileAnnotation(ann) }
 
@@ -339,17 +288,14 @@ func CompileAnnotation(ann []byte) (*CompiledAnnotation, error) { return compile
 func CompileAnnotationString(ann string) (*CompiledAnnotation, error) { return compileAnnotation(ann) }
 
 func compileAnnotation[A string | []byte](annotation A) (*CompiledAnnotation, error) {
-	annCompileMemo.mu.RLock()
-	c, ok := annCompileMemo.m[string(annotation)] // a lookup: no copy
-	annCompileMemo.mu.RUnlock()
-	if ok || len(annotation) == 0 {
+	if c, ok := lookup(annCompileMemo, annotation); ok || len(annotation) == 0 {
 		return c, nil
 	}
 	var ws []wireSpan
 	if err := json.Unmarshal([]byte(annotation), &ws); err != nil {
 		return nil, fmt.Errorf("resin: decode spans: %w", err)
 	}
-	c = &CompiledAnnotation{spans: make([]compiledSpan, 0, len(ws))}
+	c := &CompiledAnnotation{spans: make([]compiledSpan, 0, len(ws))}
 	for _, w := range ws {
 		ps := make([]Policy, 0, len(w.Policies))
 		for _, enc := range w.Policies {
@@ -368,22 +314,7 @@ func compileAnnotation[A string | []byte](annotation A) (*CompiledAnnotation, er
 		}
 		c.spans = append(c.spans, compiledSpan{start: w.Start, end: w.End, set: set})
 	}
-	if len(annotation) > annCompileMemoMaxBytes {
-		return c, nil
-	}
-	annCompileMemo.mu.Lock()
-	defer annCompileMemo.mu.Unlock()
-	if annCompileMemo.m == nil || len(annCompileMemo.m) >= annCompileMemoCap ||
-		annCompileMemo.bytes >= annCompileMemoMaxTotal {
-		annCompileMemo.m = make(map[string]*CompiledAnnotation, 64)
-		annCompileMemo.bytes = 0
-	}
-	if existing, ok := annCompileMemo.m[string(annotation)]; ok {
-		return existing, nil // racing compile: keep the installed one
-	}
-	annCompileMemo.m[string(annotation)] = c
-	annCompileMemo.bytes += len(annotation)
-	return c, nil
+	return annCompileMemo.Add(string(annotation), c, len(annotation)), nil
 }
 
 // DecodeSpans attaches the policy annotation serialized by EncodeSpans to

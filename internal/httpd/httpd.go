@@ -160,16 +160,23 @@ type Server struct {
 	// UntrustedData policy object and one interned policy set — the
 	// input side of the tracking hot path stays on pointer comparisons
 	// across requests. Bounded by maxTaintFilters against unbounded
-	// parameter-name cardinality. Guarded by its own RWMutex rather
-	// than s.mu: the lookup runs once per parameter per request and is
-	// a pure read after warm-up, so it must not contend with the
+	// parameter-name cardinality, and apart from s.mu: the lookup runs
+	// once per parameter per request and must not contend with the
 	// session/route lock.
-	taintMu      sync.RWMutex
-	taintFilters map[string]*core.TaintReadFilter
+	//
+	// A name never seen before, attacker-chosen ones included, always
+	// builds a filter and interns its one-policy set: two short write
+	// locks (this cache's and the intern table's) and one intern-table
+	// entry per new name. That is the accepted cost of having one
+	// eviction rule. The intern table rotates once per 32768 new sets
+	// and keeps every set in use through the rotation, so churned names
+	// cannot evict the hot ones (TestTaintFilterNameChurn).
+	taintFilters *core.Cache[string, *core.TaintReadFilter]
 }
 
-// maxTaintFilters bounds the per-parameter-name taint filter cache.
-const maxTaintFilters = 1024
+// maxTaintFilters bounds the per-parameter-name taint filter cache; up
+// to half of it, 1024 names, stay cached however many others pass.
+const maxTaintFilters = 2048
 
 // NewServer returns a server bound to rt with the default boundary
 // filters: export check plus the response-splitting guard on headers.
@@ -178,7 +185,7 @@ func NewServer(rt *core.Runtime) *Server {
 		rt:           rt,
 		routes:       make(map[string]Handler),
 		sessions:     make(map[string]*Session),
-		taintFilters: make(map[string]*core.TaintReadFilter),
+		taintFilters: core.NewCache[string, *core.TaintReadFilter](maxTaintFilters, 0, 0),
 		bodyFilters: []core.Filter{
 			core.ExportCheckFilter{},
 		},
@@ -273,38 +280,11 @@ func (s *Server) Do(method, path string, params map[string]string, sess *Session
 // taintFilter returns the shared input taint filter for a parameter
 // name, creating and caching it on first use.
 func (s *Server) taintFilter(name string) *core.TaintReadFilter {
-	s.taintMu.RLock()
-	tf, ok := s.taintFilters[name]
-	full := len(s.taintFilters) >= maxTaintFilters
-	s.taintMu.RUnlock()
-	if ok {
+	if tf, ok := s.taintFilters.Get(name); ok {
 		return tf
 	}
-	// Over the cap, parameter names are attacker-influenced churn:
-	// build a plain one-shot filter — outside any lock, so churned
-	// names don't serialize concurrent requests — rather than
-	// interning a policy set that will never recur.
-	oneShot := func() *core.TaintReadFilter {
-		return &core.TaintReadFilter{
-			Policies: []core.Policy{&sanitize.UntrustedData{Source: "http:" + name}},
-		}
-	}
-	if full {
-		return oneShot()
-	}
-	s.taintMu.Lock()
-	if tf, ok := s.taintFilters[name]; ok {
-		s.taintMu.Unlock()
-		return tf
-	}
-	if len(s.taintFilters) >= maxTaintFilters {
-		s.taintMu.Unlock()
-		return oneShot()
-	}
-	tf = core.NewTaintReadFilter(&sanitize.UntrustedData{Source: "http:" + name})
-	s.taintFilters[name] = tf
-	s.taintMu.Unlock()
-	return tf
+	tf := core.NewTaintReadFilter(&sanitize.UntrustedData{Source: "http:" + name})
+	return s.taintFilters.Add(name, tf, 0)
 }
 
 func (s *Server) newResponse(sess *Session) *Response {

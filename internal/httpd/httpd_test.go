@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -330,5 +331,37 @@ func TestAddBodyFilterAppliesToNewResponsesOnly(t *testing.T) {
 	s.AddBodyFilter(&XSSFilter{RejectTaintedStructure: true})
 	if _, err := s.Do("GET", "/w", nil, nil); err == nil {
 		t.Fatal("filter must apply to subsequent responses")
+	}
+}
+
+// TestTaintFilterNameChurn: requests carrying 3× maxTaintFilters
+// distinct parameter names keep the filter cache bounded, leave a
+// parameter that every request carries on its one filter, and move the
+// intern table by at most one entry per new name and at most one
+// rotation.
+func TestTaintFilterNameChurn(t *testing.T) {
+	s := NewServer(core.NewRuntime())
+	s.Handle("/p", func(req *Request, resp *Response) error { return nil })
+	hot := s.taintFilter("q")
+	before := core.ReadInternStats()
+	const names = 3 * maxTaintFilters
+	for i := 0; i < names; i++ {
+		params := map[string]string{"q": "x", fmt.Sprintf("churn%d", i): "y"}
+		if _, err := s.Do("GET", "/p", params, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := core.ReadInternStats()
+	if n := s.taintFilters.Len(); n > maxTaintFilters {
+		t.Errorf("taint filter cache holds %d filters, cap %d", n, maxTaintFilters)
+	}
+	if s.taintFilter("q") != hot {
+		t.Error("a parameter on every request lost its filter to churned names")
+	}
+	if misses := after.SetMisses - before.SetMisses; misses > names {
+		t.Errorf("%d new names interned %d sets, want at most one each", names, misses)
+	}
+	if flushes := after.Flushes - before.Flushes; flushes > 1 {
+		t.Errorf("%d new names rotated the intern table %d times, want at most 1", names, flushes)
 	}
 }

@@ -41,17 +41,17 @@ type Edge struct {
 }
 
 const (
-	// maxStates bounds tracked policy contents; at cap the state table
-	// flushes wholesale (the repo's shared eviction idiom: churn
-	// re-warms, it never permanently disables the monitor).
-	maxStates = 8192
+	// maxStates bounds tracked policy contents (a core.Cache: up to half
+	// of them, and any content still crossing boundaries, survive churn;
+	// idle ones are evicted).
+	maxStates = 16384
 	// maxEventsPerState bounds stored edges per policy content; beyond
 	// it edges advance the cursor but are counted as dropped.
 	maxEventsPerState = 512
 	// maxParents bounds derivation links per policy content.
 	maxParents = 16
 	// maxLabelMemo bounds the set-pointer → label memo.
-	maxLabelMemo = 16384
+	maxLabelMemo = 32768
 )
 
 // setState is everything the monitor knows about one policy content.
@@ -66,14 +66,14 @@ type setState struct {
 var mon struct {
 	mu       sync.Mutex
 	seq      uint64
-	labels   map[*core.PolicySet]string // pointer → content-label memo
-	states   map[string]*setState       // content label → state
-	seenPair map[string]bool            // (from, to) pairs already observed
+	labels   *core.Cache[*core.PolicySet, string] // pointer → content-label memo
+	states   *core.Cache[string, *setState]       // content label → state
+	seenPair map[string]bool                      // (from, to) pairs already observed
 	observer func(Edge)
-	flushes  int
 }
 
 func init() {
+	Reset()
 	core.SetLineageHooks(record, derive)
 }
 
@@ -93,10 +93,9 @@ func Reset() {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
 	mon.seq = 0
-	mon.labels = nil
-	mon.states = nil
+	mon.labels = core.NewCache[*core.PolicySet, string](maxLabelMemo, 0, 0)
+	mon.states = core.NewCache[string, *setState](maxStates, 0, 0)
 	mon.seenPair = nil
-	mon.flushes = 0
 }
 
 // SetObserver installs a callback invoked once per never-before-seen
@@ -115,15 +114,15 @@ type Stats struct {
 	Sets    int // tracked policy contents
 	Events  int // stored edges across all contents
 	Dropped int // edges dropped at per-content cap
-	Flushes int // wholesale state-table flushes at cap
+	Flushes int // state-table generation rotations at cap
 }
 
 // ReadStats returns current monitor occupancy.
 func ReadStats() Stats {
 	mon.mu.Lock()
 	defer mon.mu.Unlock()
-	s := Stats{Sets: len(mon.states), Flushes: mon.flushes}
-	for _, st := range mon.states {
+	s := Stats{Sets: mon.states.Len(), Flushes: int(mon.states.Stats().Rotations)}
+	for _, st := range mon.states.Values() {
 		s.Events += len(st.events)
 		s.Dropped += st.dropped
 	}
@@ -176,8 +175,8 @@ func traceSets(sets []*core.PolicySet) []Edge {
 			continue
 		}
 		visited[lbl] = true
-		st := mon.states[lbl]
-		if st == nil {
+		st, ok := mon.states.Get(lbl)
+		if !ok {
 			continue
 		}
 		out = append(out, st.events...)
@@ -274,32 +273,19 @@ func addParent(st *setState, p *core.PolicySet) {
 // label) as needed. Caller holds mon.mu.
 func stateFor(set *core.PolicySet) *setState {
 	lbl := labelLocked(set)
-	st := mon.states[lbl]
-	if st == nil {
-		if mon.states == nil {
-			mon.states = make(map[string]*setState, 64)
-		} else if len(mon.states) >= maxStates {
-			mon.states = make(map[string]*setState, 64)
-			mon.flushes++
-		}
-		st = &setState{label: lbl}
-		mon.states[lbl] = st
+	if st, ok := mon.states.Get(lbl); ok {
+		return st
 	}
-	return st
+	return mon.states.Add(lbl, &setState{label: lbl}, 0)
 }
 
 // labelLocked returns the content label for set, memoized per pointer.
 // Caller holds mon.mu.
 func labelLocked(set *core.PolicySet) string {
-	if lbl, ok := mon.labels[set]; ok {
+	if lbl, ok := mon.labels.Get(set); ok {
 		return lbl
 	}
-	lbl := labelOf(set)
-	if mon.labels == nil || len(mon.labels) >= maxLabelMemo {
-		mon.labels = make(map[*core.PolicySet]string, 64)
-	}
-	mon.labels[set] = lbl
-	return lbl
+	return mon.labels.Add(set, labelOf(set), 0)
 }
 
 // labelOf computes the canonical content label of a policy set: the

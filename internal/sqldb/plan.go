@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"resin/internal/core"
@@ -42,12 +41,13 @@ import (
 // generation, so plans recompile their schema conclusions instead of
 // reusing stale ones (see docs/SQL.md for the invalidation rules).
 
-// planCacheCap bounds the number of cached templates. Applications use a
-// fixed set of query shapes, so the cap exists only to keep adversarial
-// or generated workloads from growing the table without bound; at cap
-// the cache is flushed wholesale (the established idiom here: churn
-// costs a periodic re-warm, never a permanently disabled cache).
-const planCacheCap = 1024
+// planCacheCap bounds the number of cached templates plus remembered
+// texts, half each. Both halves are core.Caches, whose young generation
+// holds half their entries, so up to 1024 shapes and 1024 texts stay
+// cached however much else passes through. Applications use a fixed set
+// of query shapes; the cap exists only to keep adversarial or generated
+// workloads from growing the cache without bound.
+const planCacheCap = 4096
 
 // planModeStandard and planModeAutoSanitize prefix cache keys so the two
 // tokenizers (Lex and LexAutoSanitize) never share a template: the same
@@ -103,86 +103,45 @@ func (p *cachedPlan) publish(ps *planSchema, engine *Engine) {
 }
 
 // planCache maps parameterized token-stream keys to compiled templates.
-// The map is read-mostly (every query looks up, only compiles insert),
-// so lookups take the read lock and concurrent cached SELECTs stay
-// parallel end to end — the engine's own read path runs under RLock too.
 //
 // texts is the memo in front of it: the compiled form of query text
 // that carries no policy span at all, keyed on the raw string, so that
 // re-preparing the same trusted text (DB.Query, the wire server's
-// one-shot query) skips the tokenizer as well as the parser. Entries of
-// both maps count against the one cap and are flushed together.
+// one-shot query) skips the tokenizer as well as the parser.
 type planCache struct {
-	mu    sync.RWMutex
-	m     map[string]*cachedPlan
-	texts map[string]*compiled
+	templates *core.Cache[string, *cachedPlan]
+	texts     *core.Cache[string, *compiled]
 
-	hits          atomic.Uint64
-	misses        atomic.Uint64
 	invalidations atomic.Uint64
 }
 
+// textMemoMaxLen bounds the text the memo keys on (prepareStmt neither
+// looks up nor remembers anything longer), so its keys hold at most
+// planCacheCap/2 × 1 KiB = 2 MiB; longer text compiles every time.
+const textMemoMaxLen = 1024
+
 func newPlanCache() *planCache {
-	c := &planCache{}
-	c.flushLocked()
-	return c
-}
-
-// flushLocked empties both maps; callers hold c.mu (or own c outright).
-func (c *planCache) flushLocked() {
-	c.m = make(map[string]*cachedPlan, 64)
-	c.texts = make(map[string]*compiled, 64)
-}
-
-// roomLocked makes room for one more entry: at cap the cache is flushed
-// wholesale. Callers hold c.mu.
-func (c *planCache) roomLocked() {
-	if len(c.m)+len(c.texts) >= planCacheCap {
-		c.flushLocked()
+	return &planCache{
+		templates: core.NewCache[string, *cachedPlan](planCacheCap/2, 0, 0),
+		texts:     core.NewCache[string, *compiled](planCacheCap/2, 0, 0),
 	}
 }
 
+// stats counts a text memo hit as a hit: it stands for a compile that
+// would have hit. A text memo miss goes on to compile, which counts.
 func (c *planCache) stats() PlanCacheStats {
+	tmpl, texts := c.templates.Stats(), c.texts.Stats()
 	return PlanCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
+		Hits:          tmpl.Hits + texts.Hits,
+		Misses:        tmpl.Misses,
 		Invalidations: c.invalidations.Load(),
 	}
 }
 
 // reset empties the cache (tests and benchmarks).
 func (c *planCache) reset() {
-	c.mu.Lock()
-	c.flushLocked()
-	c.mu.Unlock()
-}
-
-// textMemoMaxLen bounds the text the memo keys on (prepareStmt neither
-// looks up nor remembers anything longer), so its keys hold at most
-// planCacheCap × 1 KiB; longer text compiles every time.
-const textMemoMaxLen = 1024
-
-// lookupText returns the compiled form remembered for raw, the whole of
-// a query text that carries no policy span, or nil. A memo hit stands
-// for a compile that would have hit, and is counted as one.
-func (c *planCache) lookupText(raw string) *compiled {
-	c.mu.RLock()
-	cp := c.texts[raw]
-	c.mu.RUnlock()
-	if cp != nil {
-		c.hits.Add(1)
-	}
-	return cp
-}
-
-// rememberText records what raw compiled to. The caller vouches that
-// the text carried no policy span, compiled, and passed both injection
-// assertions: only then is its compiled form a function of the bytes.
-func (c *planCache) rememberText(raw string, cp compiled) {
-	c.mu.Lock()
-	c.roomLocked()
-	c.texts[raw] = &cp
-	c.mu.Unlock()
+	c.templates.Reset()
+	c.texts.Reset()
 }
 
 // literalSlots classifies which tokens of a stream are bindable literal
@@ -417,33 +376,22 @@ type compiled struct {
 // parameterized stream once and installing it (a spliced query shape
 // and its prepared form have identical keys, so they share templates) —
 // converts every inline-literal slot to its expression and records
-// which slots are binding placeholders. Hits and misses are counted
-// here and nowhere else. When the text does not compile, the original
-// stream is parsed just for its error, so every message is exactly
-// what Parse reports for the text.
+// which slots are binding placeholders. When the text does not compile,
+// the original stream is parsed just for its error, so every message is
+// exactly what Parse reports for the text.
 func (c *planCache) compile(toks []Token, mode byte) (compiled, error) {
 	key, lits := planKey(toks, mode)
 
-	c.mu.RLock()
-	plan := c.m[key]
-	c.mu.RUnlock()
-	if plan != nil && plan.nlits == len(lits) {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	plan, ok := c.templates.Get(key)
+	if !ok || plan.nlits != len(lits) {
 		tmpl, err := ParseTokens(parameterize(toks))
 		if err != nil {
 			return compiled{}, originalError(toks, err)
 		}
 		plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
-		c.mu.Lock()
-		c.roomLocked()
-		if existing, ok := c.m[key]; ok && existing.nlits == len(lits) {
-			plan = existing // racing compile: keep the installed one
-		} else {
-			c.m[key] = plan
+		if installed := c.templates.Add(key, plan, 0); installed.nlits == len(lits) {
+			plan = installed // racing compile: keep the installed one
 		}
-		c.mu.Unlock()
 	}
 
 	cp := compiled{plan: plan, fixed: make([]Expr, len(lits))}

@@ -208,11 +208,68 @@ func TestPlanCacheBoundedFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.mu.Lock()
-	n := len(c.m)
-	c.mu.Unlock()
+	n := c.templates.Len()
 	if n > planCacheCap {
 		t.Errorf("plan cache grew past its cap: %d > %d", n, planCacheCap)
+	}
+}
+
+// TestPlanCacheHotShapeSurvivesChurn: a shape compiled throughout 3× the
+// cap of one-off shapes keeps its one template.
+func TestPlanCacheHotShapeSurvivesChurn(t *testing.T) {
+	c := newPlanCache()
+	compile := func(q string) *cachedPlan {
+		t.Helper()
+		toks, err := Lex(core.NewString(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := c.compile(toks, planModeStandard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.plan
+	}
+	const hotQuery = "SELECT name FROM users WHERE uid = 7"
+	hot := compile(hotQuery)
+	for i := 0; i < 3*planCacheCap; i++ {
+		compile(fmt.Sprintf("SELECT c%d FROM t%d", i, i))
+		if i%64 == 0 && compile(hotQuery) != hot {
+			t.Fatalf("hot shape recompiled after %d one-off shapes", i)
+		}
+	}
+	if n := c.templates.Len(); n > planCacheCap {
+		t.Errorf("plan cache grew past its cap: %d > %d", n, planCacheCap)
+	}
+}
+
+// TestPlanCacheWorkingSetStaysCached: an application with 1000 query
+// shapes, issued in turn, parses each once and then always hits.
+func TestPlanCacheWorkingSetStaysCached(t *testing.T) {
+	c := newPlanCache()
+	const shapes = 1000
+	streams := make([][]Token, shapes)
+	for i := range streams {
+		toks, err := Lex(core.NewString(fmt.Sprintf("SELECT c%d FROM t WHERE id = 1", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = toks
+	}
+	for pass := 0; pass < 3; pass++ {
+		before := c.stats().Misses
+		for _, toks := range streams {
+			if _, err := c.compile(toks, planModeStandard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		misses, want := c.stats().Misses-before, uint64(0)
+		if pass == 0 {
+			want = shapes
+		}
+		if misses != want {
+			t.Errorf("pass %d over %d shapes: %d misses, want %d", pass, shapes, misses, want)
+		}
 	}
 }
 

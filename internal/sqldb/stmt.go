@@ -139,7 +139,7 @@ func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 	plans := db.filter.planner()
 	plain := !q.IsTainted() && q.Len() <= textMemoMaxLen
 	if plain {
-		if cp := plans.lookupText(q.Raw()); cp != nil {
+		if cp, ok := plans.texts.Get(q.Raw()); ok {
 			s.compiled = *cp
 			return s, nil
 		}
@@ -156,8 +156,11 @@ func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 		}
 		s.err = err
 	}
+	// Text without a policy span that compiled and passed both injection
+	// assertions: only such text's compiled form is a function of its bytes.
 	if plain && err == nil && s.s1 == nil && s.s2 == nil {
-		plans.rememberText(q.Raw(), s.compiled)
+		cp := s.compiled
+		plans.texts.Add(q.Raw(), &cp, 0)
 	}
 	return s, nil
 }

@@ -769,12 +769,7 @@ func TestQueryRouteParity(t *testing.T) {
 }
 
 // textMemoLen reports how many texts db's plan cache remembers.
-func textMemoLen(db *DB) int {
-	c := db.filter.planner()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.texts)
-}
+func textMemoLen(db *DB) int { return db.filter.planner().texts.Len() }
 
 // TestTextMemoNeverSharesVerdicts: the same raw bytes, first as trusted
 // text (which the memo remembers), then carrying UntrustedData on their
@@ -842,8 +837,8 @@ func TestTextMemoNeverSharesVerdicts(t *testing.T) {
 // compiled is remembered. Text carrying a policy that is not
 // UntrustedData bypasses the memo both ways; lex, parse and overflow
 // failures are not remembered and keep Parse's exact message; the memo
-// is dropped by PlanCacheReset and by the cap flush it shares with the
-// templates; text past the length bound compiles every time.
+// is dropped by PlanCacheReset and bounded with the templates by the one
+// cap; text past the length bound compiles every time.
 func TestTextMemoAdmission(t *testing.T) {
 	db := paritySeed(t, parityFlags{})
 	db.Filter().PlanCacheReset()
@@ -902,16 +897,14 @@ func TestTextMemoAdmission(t *testing.T) {
 	}
 
 	// Fill the cache to its cap with distinct trusted texts of one shape
-	// each: the flush that keeps it bounded takes the memo with it.
+	// each: the eviction that keeps it bounded takes the unused text.
 	for i := 0; i < planCacheCap; i++ {
 		if _, err := db.PrepareRaw(fmt.Sprintf("SELECT name FROM users WHERE uid = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := db.filter.planner()
-	c.mu.RLock()
-	total := len(c.m) + len(c.texts)
-	c.mu.RUnlock()
+	total := c.templates.Len() + c.texts.Len()
 	if total > planCacheCap {
 		t.Errorf("templates + remembered texts = %d, past the cap %d", total, planCacheCap)
 	}

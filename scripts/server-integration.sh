@@ -4,7 +4,7 @@
 # taint round-trip assertion built into loadgen's smoke mode. CI runs this
 # script; run it yourself instead of hand-starting `resin-server &` — the
 # EXIT trap is set before the first server starts and reaps both, however
-# the script ends. Binaries, logs and the result file go to a fresh
+# the script ends. Binaries, logs and WAL files go to a fresh
 # directory under ${TMPDIR:-/tmp}, removed on exit. Ends with the leak
 # check, so a server that outlives the drain fails the run.
 set -eu
@@ -27,7 +27,7 @@ sleep 1
 "$work/resin-server" -addr 127.0.0.1:7635 -wal "$work/replica.wal" -follow 127.0.0.1:7634 &
 FOLLOWER=$!
 sleep 1
-"$work/resin-loadgen" -smoke -audit -addr 127.0.0.1:7634 -replica 127.0.0.1:7635 -out "$work/BENCH_wire_tcp.json"
+"$work/resin-loadgen" -smoke -audit -addr 127.0.0.1:7634 -replica 127.0.0.1:7635
 kill -TERM $FOLLOWER && wait $FOLLOWER
 kill -TERM $PRIMARY && wait $PRIMARY
 bash scripts/no-stray-procs.sh
