@@ -334,23 +334,69 @@ func TestRuntimePolicyAddRespectsTracking(t *testing.T) {
 	}
 }
 
+// TestExportCheckFilterChecksEachPolicyOnce: one write checks each
+// distinct policy once, on the write side and the read side alike —
+// whether it recurs in discontiguous spans of one set or is reached
+// through two different sets.
 func TestExportCheckFilterChecksEachPolicyOnce(t *testing.T) {
-	rt := NewRuntime()
-	ch := rt.NewChannel(KindHTTP)
-	p := &countingPolicy{}
-	// Policy appears in two discontiguous spans; must be checked once.
-	s := NewString("abcdef").WithPolicyRange(0, 2, p).WithPolicyRange(4, 6, p)
-	if err := ch.Write(s); err != nil {
-		t.Fatal(err)
+	p, q := &countingPolicy{}, &countingPolicy{}
+	for _, tc := range []struct {
+		name  string
+		data  String
+		wantQ int
+	}{
+		{"one set, two spans", NewString("abcdef").WithPolicyRange(0, 2, p).WithPolicyRange(4, 6, p), 0},
+		// {p}, {p, q}, {q}: p and q are each reached through two sets.
+		{"two sets", NewString("abcdef").WithPolicyRange(0, 4, p).WithPolicyRange(2, 6, q), 1},
+	} {
+		for _, side := range []string{"write", "read"} {
+			p.calls, q.calls = 0, 0
+			rt := NewRuntime()
+			var err error
+			if side == "write" {
+				err = rt.NewChannel(KindHTTP).Write(tc.data)
+			} else {
+				ch := rt.NewBareChannel(KindCode)
+				ch.PushFilter(ReadCheckFilter{})
+				_, err = ch.Read(tc.data)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.calls != 1 || q.calls != tc.wantQ {
+				t.Errorf("%s, %s: checks p=%d q=%d, want p=1 q=%d", tc.name, side, p.calls, q.calls, tc.wantQ)
+			}
+		}
 	}
-	if p.calls != 1 {
-		t.Errorf("export_check calls = %d, want 1", p.calls)
+}
+
+// TestExportCheckPassingWriteAllocFree: a write whose every check passes
+// allocates nothing, however many spans repeat its sets.
+func TestExportCheckPassingWriteAllocFree(t *testing.T) {
+	ch := NewRuntime().NewChannel(KindHTTP)
+	p, q := &countingPolicy{}, &countingPolicy{}
+	data := NewStringPolicy("abcdefghij", p).WithPolicyRange(2, 4, q).WithPolicyRange(6, 8, q)
+	if data.SpanCount() != 5 {
+		t.Fatalf("setup: want 5 spans over 2 sets, got %s", data.Describe())
+	}
+	write := func() {
+		if _, err := (ExportCheckFilter{}).FilterWrite(ch, data, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("passing multi-span write: %.0f allocs, want 0", allocs)
 	}
 }
 
 type countingPolicy struct{ calls int }
 
 func (p *countingPolicy) ExportCheck(ctx *Context) error {
+	p.calls++
+	return nil
+}
+
+func (p *countingPolicy) ReadCheck(ctx *Context) error {
 	p.calls++
 	return nil
 }

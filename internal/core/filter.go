@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Filter objects (§3.2) are the generic interposition mechanism that
 // defines data-flow boundaries. A filter object is associated with an I/O
@@ -54,24 +57,45 @@ type ExportCheckFilter struct{}
 
 // FilterWrite invokes ExportCheck on every policy attached to any byte of
 // data. Each distinct policy object is checked once per write even if it
-// covers several spans.
+// covers several spans or sets.
 func (ExportCheckFilter) FilterWrite(ch *Channel, data String, offset int64) (String, error) {
-	var checked []Policy
-	err := data.EachTaintedSpan(func(start, end int, ps *PolicySet) error {
-		return ps.Each(func(p Policy) error {
-			for _, q := range checked {
+	return data, data.eachDistinctPolicy(func(p Policy) error {
+		if err := p.ExportCheck(ch.Context()); err != nil {
+			return &AssertionError{Policy: p, Context: ch.Context(), Op: "export_check", Err: err}
+		}
+		return nil
+	})
+}
+
+// eachDistinctPolicy calls fn once for every distinct policy object on
+// t's spans, in span order, stopping at the first error. A span whose
+// set an earlier span already carried is skipped without a walk — with
+// interned sets the common repeat is a pointer comparison — and a policy
+// several sets share is still visited once. The bookkeeping lives in
+// stack arrays, so a write that passes allocates nothing.
+func (t String) eachDistinctPolicy(fn func(Policy) error) error {
+	var setBuf [8]*PolicySet
+	var polBuf [16]Policy
+	walked, seen := setBuf[:0], polBuf[:0]
+	for _, sp := range t.spans {
+		if slices.Contains(walked, sp.ps) {
+			continue
+		}
+		walked = append(walked, sp.ps)
+	members:
+		for _, p := range sp.ps.policies {
+			for _, q := range seen {
 				if samePolicy(p, q) {
-					return nil
+					continue members
 				}
 			}
-			checked = append(checked, p)
-			if err := p.ExportCheck(ch.Context()); err != nil {
-				return &AssertionError{Policy: p, Context: ch.Context(), Op: "export_check", Err: err}
+			seen = append(seen, p)
+			if err := fn(p); err != nil {
+				return err
 			}
-			return nil
-		})
-	})
-	return data, err
+		}
+	}
+	return nil
 }
 
 // ReadCheckFilter is the input-side counterpart of ExportCheckFilter: it
@@ -82,26 +106,16 @@ type ReadCheckFilter struct{}
 
 // FilterRead invokes ReadCheck on every ReadChecker policy of data.
 func (ReadCheckFilter) FilterRead(ch *Channel, data String, offset int64) (String, error) {
-	var checked []Policy
-	err := data.EachTaintedSpan(func(start, end int, ps *PolicySet) error {
-		return ps.Each(func(p Policy) error {
-			rc, ok := p.(ReadChecker)
-			if !ok {
-				return nil
-			}
-			for _, q := range checked {
-				if samePolicy(p, q) {
-					return nil
-				}
-			}
-			checked = append(checked, p)
-			if err := rc.ReadCheck(ch.Context()); err != nil {
-				return &AssertionError{Policy: p, Context: ch.Context(), Op: "read_check", Err: err}
-			}
+	return data, data.eachDistinctPolicy(func(p Policy) error {
+		rc, ok := p.(ReadChecker)
+		if !ok {
 			return nil
-		})
+		}
+		if err := rc.ReadCheck(ch.Context()); err != nil {
+			return &AssertionError{Policy: p, Context: ch.Context(), Op: "read_check", Err: err}
+		}
+		return nil
 	})
-	return data, err
 }
 
 // TaintReadFilter is a read filter that attaches the given policies to all

@@ -230,24 +230,24 @@ func EncodeSpans(t String) ([]byte, error) {
 // pays JSON parsing and policy instantiation per distinct annotation,
 // not per cell. Compiled annotations are immutable.
 type CompiledAnnotation struct {
-	spans []compiledSpan
+	// spans is the canonical span list the annotation's spans attach
+	// (the String invariants, with no string bound), which Apply hands
+	// out shared: Strings are immutable and Builders copy on write.
+	spans []span
 }
 
-type compiledSpan struct {
-	start, end int
-	set        *PolicySet
-}
-
-// Apply attaches the compiled spans to raw, clipped to its bounds.
+// Apply attaches the compiled spans to raw, clipped to its bounds. A
+// value that covers the annotation's extent — every SQL cell, whose
+// annotation was written against the exact cell string — shares the
+// compiled span list and allocates nothing.
 func (c *CompiledAnnotation) Apply(raw string) String {
-	t := NewString(raw)
-	if c == nil {
-		return t
+	if c == nil || len(c.spans) == 0 {
+		return NewString(raw)
 	}
-	for _, s := range c.spans {
-		t = t.withSetRange(s.start, s.end, s.set)
+	if c.spans[len(c.spans)-1].end <= len(raw) {
+		return String{s: raw, spans: c.spans}
 	}
-	return t
+	return makeString(raw, c.spans)
 }
 
 // PolicySet returns the interned union of every span's policy set —
@@ -262,7 +262,7 @@ func (c *CompiledAnnotation) PolicySet() *PolicySet {
 	}
 	var set *PolicySet
 	for _, s := range c.spans {
-		set = set.Union(s.set)
+		set = set.Union(s.ps)
 	}
 	return set
 }
@@ -295,7 +295,7 @@ func compileAnnotation[A string | []byte](annotation A) (*CompiledAnnotation, er
 	if err := json.Unmarshal([]byte(annotation), &ws); err != nil {
 		return nil, fmt.Errorf("resin: decode spans: %w", err)
 	}
-	c := &CompiledAnnotation{spans: make([]compiledSpan, 0, len(ws))}
+	c := &CompiledAnnotation{}
 	for _, w := range ws {
 		ps := make([]Policy, 0, len(w.Policies))
 		for _, enc := range w.Policies {
@@ -312,8 +312,13 @@ func compileAnnotation[A string | []byte](annotation A) (*CompiledAnnotation, er
 		if canon := set.Intern(); slices.EqualFunc(canon.policies, set.policies, samePolicy) {
 			set = canon
 		}
-		c.spans = append(c.spans, compiledSpan{start: w.Start, end: w.End, set: set})
+		// Fold the span in exactly as attaching it to a long enough
+		// string would; an encoder's own output passes through as is.
+		if start := max(w.Start, 0); start < w.End && !set.IsEmpty() {
+			c.spans = unionRange(c.spans, start, w.End, set)
+		}
 	}
+	c.spans = slices.Clone(c.spans) // exact size: the memo holds thousands
 	return annCompileMemo.Add(string(annotation), c, len(annotation)), nil
 }
 

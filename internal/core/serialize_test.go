@@ -183,6 +183,56 @@ func policyClassNames(ps *PolicySet) string {
 	return strings.Join(names, ",")
 }
 
+// TestApplySharesSpanListAllocFree: every cell covering a compiled
+// annotation's extent gets the annotation's one span list, allocating
+// nothing — and sharing is safe: appending one cell to a Builder, and
+// mutating the builder after it produced a String, changes neither the
+// other cell nor the annotation.
+func TestApplySharesSpanListAllocFree(t *testing.T) {
+	ann, err := EncodeSpans(Concat(
+		NewStringPolicy("sec", &wirePasswordPolicy{Email: "share@x"}),
+		NewStringPolicy("ret", &wireACLPolicy{ACL: []string{"share"}}),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := CompileAnnotation(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := comp.Apply("secret"), comp.Apply("SECRET")
+	if &a.spans[0] != &b.spans[0] {
+		t.Fatal("two cells of one annotation must share its span list")
+	}
+	wantB := b.Describe()
+
+	var bld Builder
+	bld.Append(a)
+	first := bld.String()
+	wantFirst := first.Describe()
+	bld.AppendBytePolicies('!', NewPolicySet(&wirePasswordPolicy{Email: "other@x"}))
+	bld.Append(a)
+	bld.String()
+	for _, c := range []struct {
+		name      string
+		got, want string
+	}{
+		{"the other cell", b.Describe(), wantB},
+		{"the builder's first string", first.Describe(), wantFirst},
+		{"a fresh cell", comp.Apply("SECRET").Describe(), wantB},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s changed:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+	if err := b.invariantErr(); err != nil {
+		t.Error(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = comp.Apply("secret") }); allocs != 0 {
+		t.Errorf("Apply over the annotation's extent: %.0f allocs, want 0", allocs)
+	}
+}
+
 func TestSpanRoundTripUntainted(t *testing.T) {
 	ann, err := EncodeSpans(NewString("clean"))
 	if err != nil {

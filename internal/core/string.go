@@ -193,14 +193,43 @@ func (t String) withSetRange(start, end int, add *PolicySet) String {
 	if start >= end {
 		return t
 	}
-	if len(t.spans) == 0 {
-		// Fast path for the common "taint a fresh string" case: one new
-		// span, no re-normalization walk.
-		return String{s: t.s, spans: []span{{start, end, add}}}
+	return String{s: t.s, spans: unionRange(t.spans, start, end, add)}
+}
+
+// unionRange returns the canonical span list of spans — canonical, as
+// every String's is — with add united into every byte of [start, end),
+// built in one pass: spans outside the range are kept, the gaps inside
+// it get add, the spans inside it their union with add.
+func unionRange(spans []span, start, end int, add *PolicySet) []span {
+	out := make([]span, 0, len(spans)+2)
+	push := func(s, e int, ps *PolicySet) {
+		if s >= e {
+			return
+		}
+		if n := len(out); n > 0 && out[n-1].end == s && out[n-1].ps.Equal(ps) {
+			out[n-1].end = e
+			return
+		}
+		out = append(out, span{s, e, ps})
 	}
-	return t.mapRange(start, end, func(old *PolicySet) *PolicySet {
-		return old.Union(add)
-	})
+	pos := start // the first byte of the range no span has reached yet
+	for _, sp := range spans {
+		if sp.end <= start || sp.start >= end {
+			if sp.start >= end {
+				push(pos, end, add)
+				pos = end
+			}
+			push(sp.start, sp.end, sp.ps)
+			continue
+		}
+		push(sp.start, start, sp.ps)
+		push(pos, sp.start, add)
+		pos = min(sp.end, end)
+		push(max(sp.start, start), pos, sp.ps.Union(add))
+		push(end, sp.end, sp.ps)
+	}
+	push(pos, end, add)
+	return out
 }
 
 // WithPolicySet returns a copy of the string with every policy of ps

@@ -40,7 +40,9 @@ func Concat(parts ...String) String {
 
 // Slice returns the substring [i, j) with the policies of exactly those
 // bytes: taking the first three bytes of "foobar" back out recovers "foo"
-// carrying only p1. Indices are clipped to the string bounds.
+// carrying only p1. Indices are clipped to the string bounds. The whole
+// range is the receiver itself, and the clipped spans of a canonical
+// list are canonical already.
 func (t String) Slice(i, j int) String {
 	if i < 0 {
 		i = 0
@@ -50,6 +52,9 @@ func (t String) Slice(i, j int) String {
 	}
 	if i >= j {
 		return String{}
+	}
+	if i == 0 && j == len(t.s) {
+		return t
 	}
 	var spans []span
 	for _, sp := range t.spans {
@@ -65,7 +70,7 @@ func (t String) Slice(i, j int) String {
 		}
 		spans = append(spans, span{s - i, e - i, sp.ps})
 	}
-	return makeString(t.s[i:j], spans)
+	return String{s: t.s[i:j], spans: spans}
 }
 
 // ByteAt returns the byte at index i together with its policy set.
@@ -429,7 +434,17 @@ func (b *Builder) String() String {
 // %d accepts Int or plain integers; %q quotes like fmt; %% is a literal
 // percent. Unknown verbs fall back to fmt.Sprintf on the raw value.
 func Format(format string, args ...any) String {
+	// Size the text and the span arena from the tracked arguments, so a
+	// format over them grows neither.
+	nbytes, nspans := len(format), 0
+	for _, a := range args {
+		if s, ok := a.(String); ok {
+			nbytes += len(s.s)
+			nspans += len(s.spans)
+		}
+	}
 	var b Builder
+	b.Grow(nbytes, nspans)
 	ai := 0
 	next := func() any {
 		if ai < len(args) {

@@ -119,8 +119,8 @@ type Select struct {
 
 	// LimitExpr is a `LIMIT ?` (or `LIMIT :name`) binding slot. The
 	// parser sets it instead of Limit when the count is a placeholder;
-	// bindStatement resolves it to Limit before execution, and the
-	// engine rejects a SELECT whose LimitExpr was never bound.
+	// each execution reads the count from the slot's value, and the
+	// engine rejects a SELECT whose slot no execution fills.
 	LimitExpr Expr
 
 	// ForceScan disables index access paths for this SELECT. The parser
@@ -208,8 +208,8 @@ type NullLit struct{}
 // order (the plan cache parameterizes string and number literals and
 // binding placeholders alike before parsing); in text parsed as written
 // a `?` or `:name` placeholder is the Param of its binding ordinal.
-// bindStatement substitutes slots; the engine rejects a statement that
-// still holds one.
+// The binder binds a Param to the slot an execution fills; a statement
+// executed without slots rejects one.
 type Param struct{ Idx int }
 
 // Binary is a binary expression: comparison, AND, OR, LIKE.

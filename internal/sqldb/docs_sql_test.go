@@ -219,10 +219,7 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmt, err = bindStatement(stmt, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stmt = substituteSlots(t, stmt, bound)
 	rewritten, err := RewriteWithPolicies(engine, stmt)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,11 +138,17 @@ func newTable(name string, cols []ColumnDef) *table {
 	return t
 }
 
+// colLookups counts colIndex calls — every column-name resolution of
+// the package goes through it — so tests can pin that an execution of a
+// bound plan resolves no name, mirroring SortCount.
+var colLookups atomic.Uint64
+
 // colIndex resolves a column name case-insensitively. The memoized map
 // covers every ASCII spelling (column names are ASCII identifiers); the
 // linear EqualFold walk remains only as a fallback for programmatically
 // built statements with non-ASCII case variants.
 func (t *table) colIndex(name string) int {
+	colLookups.Add(1)
 	if i, ok := t.colIdx[strings.ToLower(name)]; ok {
 		return i
 	}
@@ -156,8 +163,8 @@ func (t *table) colIndex(name string) int {
 // scope resolves column references to positions in the row layout an
 // expression evaluates against. A single table is a scope over its own
 // columns; a join evaluates against concatenated left++right rows via
-// joinScope (join.go). Keeping resolution behind this interface lets
-// eval/validate code serve both layouts unchanged.
+// joinScope (join.go). The binder resolves through this interface, so
+// one bound evaluator serves both layouts.
 type scope interface {
 	resolveCol(name string) (int, error)
 }
@@ -216,9 +223,25 @@ func (t *table) outColName(ref string, ci int) string {
 // lives in index.go.
 func indexKey(v value) string {
 	if v.null {
-		return "\x00null"
+		return nullKey
 	}
-	return "=" + v.String()
+	var buf [32]byte
+	return string(appendIndexKey(buf[:0], v))
+}
+
+const nullKey = "\x00null"
+
+// appendIndexKey appends indexKey(v) to dst, so that a bucket lookup
+// can key a map with the bytes and allocate nothing.
+func appendIndexKey(dst []byte, v value) []byte {
+	switch {
+	case v.null:
+		return append(dst, nullKey...)
+	case v.isInt:
+		return strconv.AppendInt(append(dst, '='), v.i, 10)
+	default:
+		return append(append(dst, '='), v.s...)
+	}
 }
 
 // keyMatches reports indexKey(v) == key without materializing the key
@@ -229,7 +252,7 @@ func indexKey(v value) string {
 // like "=01" still correctly differs from int 1's canonical "=1".
 func keyMatches(v value, key string) bool {
 	if v.null {
-		return key == "\x00null"
+		return key == nullKey
 	}
 	if len(key) == 0 || key[0] != '=' {
 		return false
@@ -449,11 +472,22 @@ func (r *rawResult) Len() int {
 // ExecuteRaw runs a statement and returns the raw result (SELECT) or nil.
 // affected reports the number of rows touched by INSERT/UPDATE/DELETE.
 // SELECTs evaluate against a snapshot with no lock held; all other
-// statements serialize under the write lock.
+// statements serialize under the write lock. The statement is bound on
+// the fly; a Param in it is unbound.
 func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err error) {
+	res, affected, _, err = e.execute(stmt, nil, nil)
+	return res, affected, err
+}
+
+// execute runs stmt with its Param slots read from slots. b is a bound
+// plan of stmt (or of the statement stmt was rewritten into), used when
+// it was bound at the generation of the catalog the statement resolves
+// against; otherwise the binder binds stmt under the lock. execute
+// returns the bound plan it ran — nil for DDL, joins and aggregates.
+func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult, int, *boundStmt, error) {
 	if s, ok := stmt.(*Select); ok {
-		r, err := e.execSelect(s)
-		return r, 0, err
+		r, b, err := e.execSelect(s, slots, b)
+		return r, 0, b, err
 	}
 	// A speculative engine materializes the target table (a private copy
 	// of the rows visible at its snapshot) before any write touches it.
@@ -468,7 +502,7 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 		// Refuse up front rather than validate work the log cannot ack
 		// (closed database, or a log that already failed a write).
 		if werr := e.wal.usable(); werr != nil {
-			return nil, 0, werr
+			return nil, 0, nil, werr
 		}
 	}
 	switch stmt.(type) {
@@ -478,7 +512,7 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 			// A statement that failed validation was never applied and must
 			// leave the log byte-identical (tested by
 			// TestRejectedStatementLeavesWALUntouched).
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		// Write-ahead for real: the record is durable before the
 		// infallible apply step mutates memory, so a failed append — disk
@@ -486,28 +520,28 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 		// log unchanged.
 		if e.wal != nil {
 			if werr := e.wal.appendRecords(stmtPayload(stmt.SQL())); werr != nil {
-				return nil, 0, werr
+				return nil, 0, nil, werr
 			}
 		}
 		if e.txBase != nil {
 			e.redo = append(e.redo, redoRec{ddl: stmt})
 		}
 		apply()
-		return nil, 0, nil
+		return nil, 0, nil, nil
 	default:
-		n, ops, err := e.validateDML(stmt)
+		n, ops, b, err := e.validateDML(stmt, slots, b)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		if len(ops) == 0 {
 			// UPDATE/DELETE that matched nothing: replaying a no-op is
 			// sound but would grow the log (and burn a version) for
 			// nothing.
-			return nil, n, nil
+			return nil, n, b, nil
 		}
 		if e.wal != nil {
 			if werr := e.wal.appendRecords(opsPayload(ops)); werr != nil {
-				return nil, 0, werr
+				return nil, 0, nil, werr
 			}
 		}
 		if e.txBase != nil {
@@ -517,7 +551,7 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 		e.applyOps(ops, born)
 		e.frontier.Store(born)
 		e.afterMutate()
-		return nil, n, nil
+		return nil, n, b, nil
 	}
 }
 
@@ -561,18 +595,44 @@ func (e *Engine) validateDDL(stmt Statement) (int, func(), error) {
 // validateDML checks a row-mutating statement under the held write lock
 // and returns the affected-row count plus the row ops to install: every
 // error surfaces here, before the WAL logs the ops, so a logged record
-// always replays.
-func (e *Engine) validateDML(stmt Statement) (int, []rowOp, error) {
+// always replays. b is used when it fits the engine's generation; the
+// bound plan the statement ran is returned.
+func (e *Engine) validateDML(stmt Statement, slots []Expr, b *boundStmt) (int, []rowOp, *boundStmt, error) {
+	var name string
+	var targets int
 	switch s := stmt.(type) {
 	case *Insert:
-		return e.insert(s)
+		name, targets = s.Table, len(s.Columns)
 	case *Update:
-		return e.update(s)
+		name, targets = s.Table, len(s.Set)
 	case *Delete:
-		return e.delete(s)
+		name = s.Table
 	default:
-		return 0, nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
+		return 0, nil, nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
 	}
+	key := strings.ToLower(name)
+	t, ok := e.tables[key]
+	if !ok {
+		return 0, nil, nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	if gen := e.gen.Load(); !b.fits(gen, targets) {
+		var err error
+		if b, err = bindStmt(stmt, t, len(slots), gen); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	var n int
+	var ops []rowOp
+	var err error
+	switch s := stmt.(type) {
+	case *Insert:
+		n, ops, err = e.insert(s, key, t, slots, b)
+	case *Update:
+		n, ops, err = e.update(s, key, t, slots, b)
+	default:
+		n, ops, err = e.delete(key, t, slots, b)
+	}
+	return n, ops, b, err
 }
 
 // applyOps installs validated row ops as versions born at the given
@@ -998,23 +1058,10 @@ func literalValue(ex Expr, typ ColType) (value, error) {
 	}
 }
 
-func (e *Engine) insert(s *Insert) (int, []rowOp, error) {
-	t, ok := e.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
-	}
-	idx := make([]int, len(s.Columns))
-	for i, name := range s.Columns {
-		ci := t.colIndex(name)
-		if ci < 0 {
-			return 0, nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, name)
-		}
-		idx[i] = ci
-	}
-	key := strings.ToLower(s.Table)
-	// Convert every row in the validate phase, so a bad value in any row
-	// rejects the whole INSERT before a single row (or WAL record) lands.
-	// Row ids are provisional against nextID; apply claims them.
+// insert converts every row in the validate phase, so a bad value in any
+// row rejects the whole INSERT before a single row (or WAL record) lands.
+// Row ids are provisional against nextID; apply claims them.
+func (e *Engine) insert(s *Insert, key string, t *table, slots []Expr, b *boundStmt) (int, []rowOp, error) {
 	ops := make([]rowOp, 0, len(s.Rows))
 	for k, exprs := range s.Rows {
 		row := make([]value, len(t.cols))
@@ -1022,11 +1069,12 @@ func (e *Engine) insert(s *Insert) (int, []rowOp, error) {
 			row[i] = nullValue()
 		}
 		for i, ex := range exprs {
-			v, err := literalValue(ex, t.cols[idx[i]].Type)
+			ci := b.cols[i]
+			v, err := literalValue(slotExpr(ex, slots), t.cols[ci].Type)
 			if err != nil {
 				return 0, nil, err
 			}
-			row[idx[i]] = v
+			row[ci] = v
 		}
 		ops = append(ops, rowOp{kind: opInsert, table: key, id: e.nextID + uint64(k), vals: row})
 	}
@@ -1034,56 +1082,54 @@ func (e *Engine) insert(s *Insert) (int, []rowOp, error) {
 }
 
 // matchEntries returns the entries whose version visible at snap
-// satisfies where, with those versions, in ascending id (scan) order —
-// via an index when the predicate analyzer finds a usable probe.
-func (t *table) matchEntries(where Expr, snap uint64) ([]*rowEntry, []*rowVersion, error) {
+// satisfies b's WHERE, with those versions, in ascending id (scan) order
+// — via an index when the predicate analyzer finds a usable probe.
+func (t *table) matchEntries(b *boundStmt, slots []Expr, snap uint64) ([]*rowEntry, []*rowVersion, error) {
 	var ents []*rowEntry
 	var vers []*rowVersion
-	if probe := t.analyzeProbe(where); probe != nil {
-		for _, c := range probe.rowOrderCandidates() {
+	match := func(en *rowEntry, v *rowVersion) error {
+		ok, err := b.where.test(v.vals, slots)
+		if ok {
+			ents = append(ents, en)
+			vers = append(vers, v)
+		}
+		return err
+	}
+	if probe, ok := t.chooseProbe(b.conj, slots); ok {
+		var buf [8]indexCand
+		for _, c := range probe.rowOrderCandidates(buf[:0]) {
 			en := t.byID[c.id]
 			if en == nil {
 				continue
 			}
 			v := en.visible(snap)
-			if v == nil || indexKey(v.vals[probe.ci]) != c.key {
+			if v == nil || (c.key != "" && !keyMatches(v.vals[probe.ci], c.key)) {
 				continue
 			}
-			ok, err := evalBool(where, t, v.vals)
-			if err != nil {
+			if err := match(en, v); err != nil {
 				return nil, nil, err
-			}
-			if ok {
-				ents = append(ents, en)
-				vers = append(vers, v)
 			}
 		}
 		return ents, vers, nil
 	}
 	for _, en := range t.entries {
-		v := en.visible(snap)
-		if v == nil {
-			continue
-		}
-		ok, err := evalBool(where, t, v.vals)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			ents = append(ents, en)
-			vers = append(vers, v)
+		if v := en.visible(snap); v != nil {
+			if err := match(en, v); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	return ents, vers, nil
 }
 
 // selCand is one candidate row a SELECT's collection phase emitted: the
-// entry plus, for index traversals, the bucket key it was found under
-// (checkKey false for scans — every entry is its own candidate).
+// entry plus, for index traversals, the bucket key it was found under.
+// The key is empty where no visible-key check is due: for scans (every
+// entry is its own candidate) and equality buckets (see
+// indexProbe.candidates).
 type selCand struct {
-	en       *rowEntry
-	key      string
-	checkKey bool
+	en  *rowEntry
+	key string
 }
 
 // execSelect runs a SELECT. On a speculative engine, reads of tables
@@ -1092,47 +1138,56 @@ type selCand struct {
 // sides straddle the two engines (one side written by the transaction,
 // the other not) materializes the unwritten side first: both sides then
 // read one engine at one snapshot, never a mix.
-func (e *Engine) execSelect(s *Select) (*rawResult, error) {
-	if s.LimitExpr != nil {
-		return nil, fmt.Errorf("sqldb: unbound LIMIT placeholder")
-	}
+//
+// The redirect resolves names against the transaction's catalog, so it
+// hands the base that catalog's generation along with the table.
+func (e *Engine) execSelect(s *Select, slots []Expr, b *boundStmt) (*rawResult, *boundStmt, error) {
 	if e.txBase != nil {
 		lkey := strings.ToLower(s.Table)
 		lt, lok := e.tables[lkey]
 		if s.Join == nil {
 			if lok && !e.owned[lkey] {
 				snap := e.txSnap
-				return e.txBase.selectAt(lt, s, &snap)
+				return e.txBase.selectAt(lt, e.gen.Load(), s, slots, b, &snap)
 			}
-			return e.selectAt(nil, s, nil)
+			return e.selectAt(nil, 0, s, slots, b, nil)
 		}
 		rkey := strings.ToLower(s.Join.Table)
 		rt, rok := e.tables[rkey]
 		if e.owned[lkey] || e.owned[rkey] {
 			e.materialize(lkey)
 			e.materialize(rkey)
-			return e.selectAt(nil, s, nil)
+			return e.selectAt(nil, 0, s, slots, b, nil)
 		}
 		if lok && rok {
 			snap := e.txSnap
-			return e.txBase.selectComplexAt(lt, rt, s, &snap)
+			raw, err := e.txBase.selectComplexAt(lt, rt, s, slots, &snap)
+			return raw, nil, err
 		}
 	}
-	return e.selectAt(nil, s, nil)
+	return e.selectAt(nil, 0, s, slots, b, nil)
 }
 
 // selectAt executes a SELECT over e in two phases. Under the read lock
 // it resolves the table (t may be pre-resolved by a speculative-engine
-// redirect — the pointer stays valid even if the base dropped the name),
-// validates the statement, captures the snapshot (pinned, or the
-// current frontier — registered so vacuum keeps its versions), picks
-// the access path, and copies out the candidate set. Then it releases
-// the lock and evaluates WHERE, ordering, LIMIT and projection against
-// immutable versions — row evaluation never blocks a writer, and no
-// writer can perturb it.
-func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, error) {
+// redirect, with gen the generation of the catalog it came from — the
+// pointer stays valid even if the base dropped the name), takes the
+// bound plan b when it was bound at that generation or binds the
+// statement afresh, captures the snapshot (pinned, or the current
+// frontier — registered so vacuum keeps its versions), picks the access
+// path, and copies out the candidate set. Then it releases the lock and
+// evaluates WHERE, ordering, LIMIT and projection against immutable
+// versions — row evaluation never blocks a writer, and no writer can
+// perturb it. It returns the bound plan it ran (nil for joins and
+// aggregates, which bind per execution).
+func (e *Engine) selectAt(t *table, gen uint64, s *Select, slots []Expr, b *boundStmt, pinned *uint64) (*rawResult, *boundStmt, error) {
 	if s.Join != nil || s.grouped() {
-		return e.selectComplexAt(t, nil, s, pinned)
+		raw, err := e.selectComplexAt(t, nil, s, slots, pinned)
+		return raw, nil, err
+	}
+	limit, err := selectLimit(s, slots)
+	if err != nil {
+		return nil, nil, err
 	}
 	e.mu.RLock()
 	locked := true
@@ -1146,37 +1201,14 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 
 	if t == nil {
 		var ok bool
-		t, ok = e.tables[strings.ToLower(s.Table)]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
+		if t, ok = e.tables[strings.ToLower(s.Table)]; !ok {
+			return nil, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
 		}
+		gen = e.gen.Load()
 	}
-	var outCols []string
-	var outIdx []int
-	if s.Star {
-		for i, c := range t.cols {
-			outCols = append(outCols, c.Name)
-			outIdx = append(outIdx, i)
-		}
-	} else {
-		for _, it := range s.Items {
-			ci, err := t.resolveCol(it.Col)
-			if err != nil {
-				return nil, err
-			}
-			outCols = append(outCols, t.outColName(it.Col, ci))
-			outIdx = append(outIdx, ci)
-		}
-	}
-	if err := validateExpr(s.Where, t); err != nil {
-		return nil, err
-	}
-	orderCI := -1
-	if s.OrderBy != "" {
-		var err error
-		orderCI, err = t.resolveCol(s.OrderBy)
-		if err != nil {
-			return nil, err
+	if !b.fits(gen, 0) {
+		if b, err = bindStmt(s, t, len(slots), gen); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -1193,45 +1225,43 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 	// the post-filter sort (counted by SortCount) can be skipped —
 	// ORDER BY pushdown. Every path re-evaluates the full WHERE and the
 	// visible-key rule, so the choice affects only cost and never
-	// results (docs/SQL.md §4).
-	var cands []selCand
-	probeCI := -1
-	ordered := false
-	probe := t.analyzeProbe(s.Where)
-	if s.ForceScan {
-		probe = nil
-	}
-	fill := func(ics []indexCand) {
-		cands = make([]selCand, 0, len(ics))
-		for _, c := range ics {
-			if en := t.byID[c.id]; en != nil {
-				cands = append(cands, selCand{en: en, key: c.key, checkKey: true})
-			}
-		}
+	// results (docs/SQL.md §4). The buffers keep a point lookup's
+	// candidates off the heap.
+	var icBuf [8]indexCand
+	var scBuf [8]selCand
+	var ics []indexCand
+	cands := scBuf[:0]
+	probeCI, ordered := -1, false
+	probe, usable := indexProbe{}, false
+	if !s.ForceScan {
+		probe, usable = t.chooseProbe(b.conj, slots)
 	}
 	switch {
-	case probe != nil && orderCI == probe.ci:
+	case usable && b.order == probe.ci:
 		// The probed conjunct is on the ORDER BY column: a key-ordered
 		// traversal of the probe span is already sorted. (An equality
 		// bucket is one key in ascending row order — exactly what the
 		// stable sort would produce for either direction.)
-		fill(probe.candidates(s.Desc))
+		ics = probe.candidates(icBuf[:0], s.Desc)
+		probeCI, ordered = probe.ci, true
+	case usable:
+		ics = probe.rowOrderCandidates(icBuf[:0])
 		probeCI = probe.ci
-		ordered = true
-	case probe != nil:
-		fill(probe.rowOrderCandidates())
-		probeCI = probe.ci
-	case orderCI >= 0 && t.indexes[orderCI] != nil && !s.ForceScan:
+	case b.order >= 0 && t.indexes[b.order] != nil && !s.ForceScan:
 		// ORDER BY pushdown without a probe: traverse the whole ordered
 		// index (NULL bucket first for ASC, last for DESC) and filter.
-		fill(t.indexes[orderCI].orderedCands(s.Desc))
-		probeCI = orderCI
-		ordered = true
+		ics = t.indexes[b.order].orderedCands(s.Desc)
+		probeCI, ordered = b.order, true
 	default:
-		entries := t.entries // slice header copy; contents immutable for this snapshot
-		cands = make([]selCand, len(entries))
-		for i, en := range entries {
-			cands[i] = selCand{en: en}
+		cands = slices.Grow(cands, len(t.entries))
+		for _, en := range t.entries { // contents immutable for this snapshot
+			cands = append(cands, selCand{en: en})
+		}
+	}
+	cands = slices.Grow(cands, len(ics))
+	for _, c := range ics {
+		if en := t.byID[c.id]; en != nil {
+			cands = append(cands, selCand{en: en, key: c.key})
 		}
 	}
 	unlock()
@@ -1241,10 +1271,11 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 	// traversal, or no ORDER BY at all (scan order is result order) —
 	// the LIMIT short-circuits the walk after k visible matches instead
 	// of collecting everything and truncating (top-k is O(k), not O(n)).
-	canStop := s.Limit >= 0 && (ordered || orderCI < 0)
-	matched := make([][]value, 0, len(cands))
+	canStop := limit >= 0 && (ordered || b.order < 0)
+	var mBuf [8][]value
+	matched := slices.Grow(mBuf[:0], len(cands))
 	for _, c := range cands {
-		if canStop && len(matched) >= s.Limit {
+		if canStop && len(matched) >= limit {
 			limitStops.Add(1)
 			break
 		}
@@ -1252,90 +1283,98 @@ func (e *Engine) selectAt(t *table, s *Select, pinned *uint64) (*rawResult, erro
 		if v == nil {
 			continue
 		}
-		if c.checkKey && !keyMatches(v.vals[probeCI], c.key) {
+		if c.key != "" && !keyMatches(v.vals[probeCI], c.key) {
 			continue // superseded pair: this row's visible value lives under another key
 		}
-		ok, err := evalBool(s.Where, t, v.vals)
+		ok, err := b.where.test(v.vals, slots)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if ok {
 			matched = append(matched, v.vals)
 		}
 	}
-	if orderCI >= 0 && !ordered {
+	if b.order >= 0 && !ordered {
 		sortCalls.Add(1)
-		sort.SliceStable(matched, func(i, j int) bool {
-			if s.Desc {
-				return valueLess(matched[j][orderCI], matched[i][orderCI])
-			}
-			return valueLess(matched[i][orderCI], matched[j][orderCI])
-		})
+		sortRows(matched, b.order, s.Desc)
 	}
-	if s.Limit >= 0 && len(matched) > s.Limit {
-		matched = matched[:s.Limit]
+	if limit >= 0 && len(matched) > limit {
+		matched = matched[:limit]
 	}
-	out := &rawResult{cols: outCols}
-	for _, row := range matched {
-		r := make([]value, len(outIdx))
-		for i, ci := range outIdx {
-			r[i] = row[ci]
-		}
-		out.rows = append(out.rows, r)
-	}
-	return out, nil
+	return b.project(matched), b, nil
 }
 
-func (e *Engine) update(s *Update) (int, []rowOp, error) {
-	key := strings.ToLower(s.Table)
-	t, ok := e.tables[key]
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
+// sortRows stably sorts rows by the value at position ci, NULLs first
+// ascending (last descending).
+func sortRows(rows [][]value, ci int, desc bool) {
+	slices.SortStableFunc(rows, func(x, y []value) int {
+		if desc {
+			x, y = y, x
+		}
+		switch {
+		case valueLess(x[ci], y[ci]):
+			return -1
+		case valueLess(y[ci], x[ci]):
+			return 1
+		}
+		return 0
+	})
+}
+
+// project builds the raw result of a single-table SELECT: the bound
+// output names, and each matched row's projected values, all rows in one
+// backing array.
+func (b *boundStmt) project(rows [][]value) *rawResult {
+	out := &rawResult{cols: b.names}
+	if len(rows) == 0 {
+		return out
 	}
-	if err := validateExpr(s.Where, t); err != nil {
-		return 0, nil, err
+	w := len(b.cols)
+	vals := make([]value, len(rows)*w)
+	out.rows = make([][]value, len(rows))
+	for i, row := range rows {
+		r := vals[i*w : (i+1)*w : (i+1)*w]
+		for j, ci := range b.cols {
+			r[j] = row[ci]
+		}
+		out.rows[i] = r
 	}
-	type setOp struct {
-		ci  int
-		val value
-	}
-	sets := make([]setOp, 0, len(s.Set))
-	for _, a := range s.Set {
-		ci := t.colIndex(a.Column)
+	return out
+}
+
+// update resolves the SET values in assignment order — a missing column
+// or a bad value, whichever comes first — then collects the matching
+// rows.
+func (e *Engine) update(s *Update, key string, t *table, slots []Expr, b *boundStmt) (int, []rowOp, error) {
+	vals := make([]value, len(s.Set))
+	for i, a := range s.Set {
+		ci := b.cols[i]
 		if ci < 0 {
 			return 0, nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, a.Column)
 		}
-		v, err := literalValue(a.Value, t.cols[ci].Type)
+		v, err := literalValue(slotExpr(a.Value, slots), t.cols[ci].Type)
 		if err != nil {
 			return 0, nil, err
 		}
-		sets = append(sets, setOp{ci, v})
+		vals[i] = v
 	}
-	ents, vers, err := t.matchEntries(s.Where, e.frontier.Load())
+	ents, vers, err := t.matchEntries(b, slots, e.frontier.Load())
 	if err != nil {
 		return 0, nil, err
 	}
 	ops := make([]rowOp, 0, len(ents))
 	for i, en := range ents {
-		vals := append([]value(nil), vers[i].vals...)
-		for _, op := range sets {
-			vals[op.ci] = op.val
+		row := append([]value(nil), vers[i].vals...)
+		for j, v := range vals {
+			row[b.cols[j]] = v
 		}
-		ops = append(ops, rowOp{kind: opUpdate, table: key, id: en.id, vals: vals})
+		ops = append(ops, rowOp{kind: opUpdate, table: key, id: en.id, vals: row})
 	}
 	return len(ops), ops, nil
 }
 
-func (e *Engine) delete(s *Delete) (int, []rowOp, error) {
-	key := strings.ToLower(s.Table)
-	t, ok := e.tables[key]
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
-	}
-	if err := validateExpr(s.Where, t); err != nil {
-		return 0, nil, err
-	}
-	ents, _, err := t.matchEntries(s.Where, e.frontier.Load())
+func (e *Engine) delete(key string, t *table, slots []Expr, b *boundStmt) (int, []rowOp, error) {
+	ents, _, err := t.matchEntries(b, slots, e.frontier.Load())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1346,48 +1385,9 @@ func (e *Engine) delete(s *Delete) (int, []rowOp, error) {
 	return len(ops), ops, nil
 }
 
-// validateExpr checks that every column reference in an expression
-// resolves in the scope, so malformed queries fail even on empty tables.
-func validateExpr(ex Expr, sc scope) error {
-	switch v := ex.(type) {
-	case nil, *NullLit, *IntLit, *StringLit:
-		return nil
-	case *ColumnRef:
-		_, err := sc.resolveCol(v.Name)
-		return err
-	case *Unary:
-		return validateExpr(v.X, sc)
-	case *Binary:
-		if err := validateExpr(v.L, sc); err != nil {
-			return err
-		}
-		return validateExpr(v.R, sc)
-	case *Param:
-		return fmt.Errorf("sqldb: unbound plan parameter ?%d", v.Idx)
-	default:
-		return fmt.Errorf("sqldb: unsupported expression %T", ex)
-	}
-}
-
-// evalBool evaluates a WHERE expression; a nil expression matches all.
-func evalBool(ex Expr, sc scope, row []value) (bool, error) {
-	if ex == nil {
-		return true, nil
-	}
-	v, err := eval(ex, sc, row)
-	if err != nil {
-		return false, err
-	}
-	if v.null {
-		return false, nil
-	}
-	if v.isInt {
-		return v.i != 0, nil
-	}
-	return v.s != "", nil
-}
-
-func eval(ex Expr, sc scope, row []value) (value, error) {
+// literalOf is the value of a literal expression — what a slot holds and
+// what the binder folds a WHERE literal into.
+func literalOf(ex Expr) (value, error) {
 	switch v := ex.(type) {
 	case *NullLit:
 		return nullValue(), nil
@@ -1395,24 +1395,82 @@ func eval(ex Expr, sc scope, row []value) (value, error) {
 		return intValue(v.Val), nil
 	case *StringLit:
 		return textValue(v.Val.Raw()), nil
-	case *ColumnRef:
-		ci, err := sc.resolveCol(v.Name)
-		if err != nil {
-			return value{}, err
-		}
-		return row[ci], nil
-	case *Unary:
-		b, err := evalBool(v.X, sc, row)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(!b), nil
-	case *Binary:
-		return evalBinary(v, sc, row)
-	case *Param:
-		return value{}, fmt.Errorf("sqldb: unbound plan parameter ?%d", v.Idx)
 	default:
 		return value{}, fmt.Errorf("sqldb: unsupported expression %T", ex)
+	}
+}
+
+// test evaluates a WHERE expression against a row, reading Param slots
+// from slots; a nil expression matches every row.
+func (b *boundExpr) test(row []value, slots []Expr) (bool, error) {
+	if b == nil {
+		return true, nil
+	}
+	v, err := b.eval(row, slots)
+	if err != nil || v.null {
+		return false, err
+	}
+	if v.isInt {
+		return v.i != 0, nil
+	}
+	return v.s != "", nil
+}
+
+// eval is the evaluator. Every name was resolved when the expression was
+// bound; evaluating reads positions and slots only.
+func (b *boundExpr) eval(row []value, slots []Expr) (value, error) {
+	if b == nil {
+		// An operand a hand-built statement left out.
+		return value{}, fmt.Errorf("sqldb: unsupported expression %T", nil)
+	}
+	switch b.op {
+	case exConst:
+		return b.val, nil
+	case exCol:
+		return row[b.pos], nil
+	case exSlot:
+		return literalOf(slots[b.pos])
+	case exNot:
+		t, err := b.l.test(row, slots)
+		return boolValue(!t), err
+	case exAnd, exOr:
+		// Short-circuit: AND stops at false, OR at true.
+		l, err := b.l.test(row, slots)
+		if err != nil || l == (b.op == exOr) {
+			return boolValue(l), err
+		}
+		r, err := b.r.test(row, slots)
+		return boolValue(r), err
+	}
+	l, err := b.l.eval(row, slots)
+	if err != nil {
+		return value{}, err
+	}
+	r, err := b.r.eval(row, slots)
+	if err != nil {
+		return value{}, err
+	}
+	if l.null || r.null {
+		// SQL three-valued logic collapsed to false.
+		return boolValue(false), nil
+	}
+	switch b.op {
+	case exEq:
+		return boolValue(valueCompare(l, r) == 0), nil
+	case exNe:
+		return boolValue(valueCompare(l, r) != 0), nil
+	case exLt:
+		return boolValue(valueCompare(l, r) < 0), nil
+	case exLe:
+		return boolValue(valueCompare(l, r) <= 0), nil
+	case exGt:
+		return boolValue(valueCompare(l, r) > 0), nil
+	case exGe:
+		return boolValue(valueCompare(l, r) >= 0), nil
+	case exLike:
+		return boolValue(likeMatch(l.String(), r.String())), nil
+	default:
+		return value{}, fmt.Errorf("sqldb: unsupported operator %q", b.name)
 	}
 }
 
@@ -1421,67 +1479,6 @@ func boolValue(b bool) value {
 		return intValue(1)
 	}
 	return intValue(0)
-}
-
-func evalBinary(b *Binary, sc scope, row []value) (value, error) {
-	switch b.Op {
-	case "AND":
-		l, err := evalBool(b.L, sc, row)
-		if err != nil {
-			return value{}, err
-		}
-		if !l {
-			return boolValue(false), nil
-		}
-		r, err := evalBool(b.R, sc, row)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(r), nil
-	case "OR":
-		l, err := evalBool(b.L, sc, row)
-		if err != nil {
-			return value{}, err
-		}
-		if l {
-			return boolValue(true), nil
-		}
-		r, err := evalBool(b.R, sc, row)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(r), nil
-	}
-	l, err := eval(b.L, sc, row)
-	if err != nil {
-		return value{}, err
-	}
-	r, err := eval(b.R, sc, row)
-	if err != nil {
-		return value{}, err
-	}
-	if l.null || r.null {
-		// SQL three-valued logic collapsed to false.
-		return boolValue(false), nil
-	}
-	switch b.Op {
-	case "=":
-		return boolValue(valueCompare(l, r) == 0), nil
-	case "!=":
-		return boolValue(valueCompare(l, r) != 0), nil
-	case "<":
-		return boolValue(valueCompare(l, r) < 0), nil
-	case "<=":
-		return boolValue(valueCompare(l, r) <= 0), nil
-	case ">":
-		return boolValue(valueCompare(l, r) > 0), nil
-	case ">=":
-		return boolValue(valueCompare(l, r) >= 0), nil
-	case "LIKE":
-		return boolValue(likeMatch(l.String(), r.String())), nil
-	default:
-		return value{}, fmt.Errorf("sqldb: unsupported operator %q", b.Op)
-	}
 }
 
 // valueCompare compares two non-null values: numerically when both are

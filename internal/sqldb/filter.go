@@ -195,11 +195,11 @@ func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error)
 	if verdict != nil {
 		return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: verdict}
 	}
-	stmt, plan, err := st.bind(bound, auto)
+	plan, slots, err := st.bind(bound, auto)
 	if err != nil {
 		return nil, err
 	}
-	res, err := executePlanned(f.planner(), plan, engine, stmt)
+	res, err := executePlanned(f.planner(), plan, engine, plan.tmpl, slots, true)
 	if err != nil {
 		return nil, err
 	}
@@ -336,61 +336,61 @@ func stmtPolicyTables(stmt Statement) (tables [2]string, n int) {
 
 // executeWithPolicies is executePlanned for a statement that did not
 // come out of the plan cache (a hand-built AST: diagnostics and the
-// reference harnesses).
+// reference harnesses): bound on the fly, nothing remembered.
 func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
-	return executePlanned(nil, nil, engine, stmt)
+	return executePlanned(nil, nil, engine, stmt, nil, true)
 }
 
-// executePlanned rewrites stmt to persist/fetch policy columns, executes
-// it, and re-attaches policies to the result (Figure 4). Everything the
-// rewrite and the re-attachment derive from the schema alone comes from
-// the plan's planSchema, rebuilt only when the engine's schema
-// generation differs from the one it was built against; without a plan
-// (or for SELECT *, which names no column to pair) the same functions
-// run uncached.
-func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement) (*Result, error) {
-	tables, n := stmtPolicyTables(stmt)
-	if plan == nil || n == 0 {
-		var pcols map[string]bool
-		if n > 0 {
-			pcols = policyColSet(engine, tables[:n])
-		}
-		return execWithPCols(engine, stmt, pcols)
-	}
-	sel, isSelect := stmt.(*Select)
-	gen := engine.SchemaGen()
-	ps := plan.schema.Load()
-	fresh := ps == nil || ps.gen != gen
-	if fresh {
-		if ps != nil {
-			plans.invalidations.Add(1)
-		}
-		ps = &planSchema{gen: gen, pcols: policyColSet(engine, tables[:n])}
-		if isSelect {
-			ps.items = rewriteSelect(sel, ps.pcols).Items
+// executePlanned executes stmt — the plan's template with its Param
+// slots filled from slots, or, without a plan, a statement of its own —
+// on both arms of the query route. With attach (the RESIN filter) the
+// statement is rewritten to persist and fetch policy columns and the
+// policies are re-attached to the result (Figure 4); without it (the
+// untracked arm) the same bound plan runs and the result keeps the
+// columns the statement itself names, which the rewrite — it only
+// appends — leaves in front. Everything derived from the schema alone
+// comes from the plan's bound plan, rebuilt only when the engine's
+// schema generation differs from the one it was built against.
+func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement, slots []Expr, attach bool) (*Result, error) {
+	ps, fresh := boundPlanFor(plans, plan, engine, stmt)
+	run := ps.stmt
+	if _, isSelect := run.(*Select); attach && !isSelect {
+		// INSERT and UPDATE annotate the execution's values (and CREATE
+		// TABLE grows its shadow columns): rewritten per execution,
+		// against the cached column set.
+		var err error
+		if run, err = rewriteWithPCols(stmt, ps.pcols, slots); err != nil {
+			return nil, err
 		}
 	}
-	if !isSelect {
-		// INSERT and UPDATE annotate the bound values: rewritten per
-		// execution, against the cached column set.
-		if fresh {
-			plan.publish(ps, engine)
-		}
-		return execWithPCols(engine, stmt, ps.pcols)
-	}
-	// Binding never changes a SELECT's item list, so the rewritten
-	// statement is the bound one pointing at the cached items.
-	rewritten := *sel
-	rewritten.Items = ps.items
-	raw, _, err := engine.ExecuteRaw(&rewritten)
+	raw, affected, b, err := engine.execute(run, slots, ps.bound)
 	if err != nil {
 		return nil, err
 	}
-	shape := &ps.shape
 	if fresh {
-		ps.shape = deriveShape(raw.cols, true)
+		ps.bound = b
+		if raw != nil {
+			ps.shape = deriveShape(raw.cols, true)
+		}
 		plan.publish(ps, engine)
-	} else if !slices.Equal(raw.cols, shape.cols) {
+	}
+	sel, isSelect := stmt.(*Select)
+	if !isSelect {
+		return &Result{Affected: affected}, nil
+	}
+	shape := &ps.shape
+	switch {
+	case !attach:
+		if !sel.Star {
+			n := len(sel.Items)
+			raw.cols = raw.cols[:n]
+			for i, row := range raw.rows {
+				raw.rows[i] = row[:n]
+			}
+		}
+		d := deriveShape(raw.cols, false)
+		shape = &d
+	case !slices.Equal(raw.cols, shape.cols):
 		// Not the column list the shape was derived from (a DDL slipped
 		// in between the generation read and the execution): never
 		// trust the cache, pair these columns afresh.
@@ -400,21 +400,28 @@ func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Sta
 	return shape.apply(raw, sel.Table)
 }
 
-// execWithPCols rewrites stmt against the given policy-column set,
-// executes it, and re-attaches policies to SELECT results.
-func execWithPCols(engine *Engine, stmt Statement, pcols map[string]bool) (*Result, error) {
-	rewritten, err := rewriteWithPCols(stmt, pcols)
-	if err != nil {
-		return nil, err
+// boundPlanFor returns the plan's bound plan for the engine's schema
+// generation, or a fresh one the caller completes from its execution and
+// publishes (fresh is true). Without a plan every one is fresh and none
+// is published.
+func boundPlanFor(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement) (ps *planSchema, fresh bool) {
+	gen := engine.SchemaGen()
+	if plan != nil {
+		if ps = plan.schema.Load(); ps != nil && ps.gen == gen {
+			return ps, false
+		}
+		if ps != nil {
+			plans.invalidations.Add(1)
+		}
 	}
-	raw, affected, err := engine.ExecuteRaw(rewritten)
-	if err != nil {
-		return nil, err
+	ps = &planSchema{gen: gen, stmt: stmt}
+	if tables, n := stmtPolicyTables(stmt); n > 0 {
+		ps.pcols = policyColSet(engine, tables[:n])
 	}
-	if sel, isSelect := stmt.(*Select); isSelect {
-		return fromRaw(raw, 0, true, sel.Table)
+	if s, ok := stmt.(*Select); ok {
+		ps.stmt = rewriteSelect(s, ps.pcols)
 	}
-	return fromRaw(nil, affected, false, "")
+	return ps, true
 }
 
 // RewriteWithPolicies returns the statement the RESIN filter hands the
@@ -429,20 +436,23 @@ func RewriteWithPolicies(engine *Engine, stmt Statement) (Statement, error) {
 	if tables, n := stmtPolicyTables(stmt); n > 0 {
 		pcols = policyColSet(engine, tables[:n])
 	}
-	return rewriteWithPCols(stmt, pcols)
+	return rewriteWithPCols(stmt, pcols, nil)
 }
 
 // rewriteWithPCols is the pure policy-persistence rewrite (Figure 4).
-func rewriteWithPCols(stmt Statement, pcols map[string]bool) (Statement, error) {
+// It only ever appends — items, columns, values, assignments — so the
+// statement it was given is a prefix of what it returns. The annotation
+// of a value a Param stands for is read from slots.
+func rewriteWithPCols(stmt Statement, pcols map[string]bool, slots []Expr) (Statement, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
 		return rewriteCreate(s), nil
 	case *Insert:
-		return rewriteInsert(s, pcols)
+		return rewriteInsert(s, pcols, slots)
 	case *Select:
 		return rewriteSelect(s, pcols), nil
 	case *Update:
-		return rewriteUpdate(s, pcols)
+		return rewriteUpdate(s, pcols, slots)
 	default: // DropTable, Delete, CreateIndex, DropIndex need no rewriting.
 		return stmt, nil
 	}
@@ -536,7 +546,7 @@ func policyColSet(engine *Engine, tables []string) map[string]bool {
 
 // rewriteInsert augments each row with the serialized policy of each
 // value.
-func rewriteInsert(s *Insert, pcols map[string]bool) (*Insert, error) {
+func rewriteInsert(s *Insert, pcols map[string]bool, slots []Expr) (*Insert, error) {
 	cols := append([]string(nil), s.Columns...)
 	augment := make([]bool, len(s.Columns))
 	for i, c := range s.Columns {
@@ -552,7 +562,7 @@ func rewriteInsert(s *Insert, pcols map[string]bool) (*Insert, error) {
 			if !augment[i] {
 				continue
 			}
-			ann, err := annotationFor(row[i], s.Table, s.Columns[i])
+			ann, err := annotationFor(slotExpr(row[i], slots), s.Table, s.Columns[i])
 			if err != nil {
 				return nil, err
 			}
@@ -564,13 +574,13 @@ func rewriteInsert(s *Insert, pcols map[string]bool) (*Insert, error) {
 }
 
 // rewriteUpdate augments each SET clause with its policy column.
-func rewriteUpdate(s *Update, pcols map[string]bool) (*Update, error) {
+func rewriteUpdate(s *Update, pcols map[string]bool, slots []Expr) (*Update, error) {
 	set := append([]Assignment(nil), s.Set...)
 	for _, a := range s.Set {
 		if IsPolicyColumn(a.Column) || !pcols[policyColName(a.Column)] {
 			continue
 		}
-		ann, err := annotationFor(a.Value, s.Table, a.Column)
+		ann, err := annotationFor(slotExpr(a.Value, slots), s.Table, a.Column)
 		if err != nil {
 			return nil, err
 		}
@@ -580,12 +590,12 @@ func rewriteUpdate(s *Update, pcols map[string]bool) (*Update, error) {
 }
 
 // rewriteSelect fetches a policy companion alongside each selected data
-// item; fromRaw later attaches the de-serialized policies to each cell
-// and hides the companions from the visible result. Plain items get
-// their shadow column (span-preserving). In aggregate queries every
-// value-carrying item instead gets a PUNION over the shadow column —
-// the engine-level carrier of "an aggregate output carries the union of
-// its inputs' policy sets". COUNT(*) aggregates row presence, not
+// item; the result shape later attaches the de-serialized policies to
+// each cell and hides the companions from the visible result. Plain
+// items get their shadow column (span-preserving). In aggregate queries
+// every value-carrying item instead gets a PUNION over the shadow column
+// — the engine-level carrier of "an aggregate output carries the union
+// of its inputs' policy sets". COUNT(*) aggregates row presence, not
 // values, and carries nothing.
 func rewriteSelect(s *Select, pcols map[string]bool) *Select {
 	if s.Star {
@@ -611,26 +621,6 @@ func rewriteSelect(s *Select, pcols map[string]bool) *Select {
 	return &sel
 }
 
-// fromRaw converts an engine result to a tracked Result. When attach is
-// true, policy columns are consumed: their annotations are de-serialized
-// and attached to the corresponding data cells, and the policy columns
-// are removed from the visible result. tbl qualifies unqualified column
-// names in lineage nodes (it may be empty on attach-free paths). It is
-// deriveShape followed by apply, uncached — the planned path runs the
-// same two functions with the shape kept per plan and generation.
-func fromRaw(raw *rawResult, affected int, attach bool, tbl string) (*Result, error) {
-	if raw == nil {
-		return &Result{Affected: affected}, nil
-	}
-	shape := deriveShape(raw.cols, attach)
-	res, err := shape.apply(raw, tbl)
-	if err != nil {
-		return nil, err
-	}
-	res.Affected = affected
-	return res, nil
-}
-
 // shapeCol is one visible column of a result shape.
 type shapeCol struct {
 	raw    int  // index of the column in the engine's rows
@@ -646,30 +636,26 @@ type shapeCol struct {
 // once derived; names becomes Result.Columns and is shared by every
 // result the shape is applied to.
 type resultShape struct {
-	cols   []string // the engine column list this was derived from
-	names  []string // visible column names
-	vis    []shapeCol
+	cols   []string   // the engine column list this was derived from
+	names  []string   // visible column names
+	vis    []shapeCol // per visible column; nil for the identity shape
 	attach bool
 }
 
 // deriveShape pairs the columns of an engine result. With attach false
 // every column is visible and none carries policies (the identity
-// shape). With attach true a policy companion is consumed as an
-// annotation only when the data column it was fetched for is also part
-// of the result; a policy column selected on its own is returned as
-// opaque data. Pairing is driven from the data side: each data column
-// computes the companion name the rewrite would have added — the PUNION
-// form first (grouped results carry unions, non-grouped results span
-// companions; one query never mixes the two for a column) — and claims
-// it by name.
+// shape: nothing to pair). With attach true a policy companion is
+// consumed as an annotation only when the data column it was fetched
+// for is also part of the result; a policy column selected on its own
+// is returned as opaque data. Pairing is driven from the data side: each
+// data column computes the companion name the rewrite would have added
+// — the PUNION form first (grouped results carry unions, non-grouped
+// results span companions; one query never mixes the two for a column)
+// — and claims it by name.
 func deriveShape(cols []string, attach bool) resultShape {
 	sh := resultShape{cols: cols, attach: attach}
 	if !attach {
 		sh.names = cols
-		sh.vis = make([]shapeCol, len(cols))
-		for i := range sh.vis {
-			sh.vis[i] = shapeCol{raw: i, policy: -1}
-		}
 		return sh
 	}
 	lower := make([]string, len(cols))
@@ -774,11 +760,17 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 		return set, nil
 	}
 	if len(raw.rows) > 0 {
-		res.Rows = make([][]Cell, 0, len(raw.rows))
+		res.Rows = make([][]Cell, len(raw.rows))
 	}
-	for _, row := range raw.rows {
-		out := make([]Cell, 0, len(sh.vis))
-		for vi, col := range sh.vis {
+	n := len(sh.names)
+	cells := make([]Cell, len(raw.rows)*n) // every row's cells, one allocation
+	for ri, row := range raw.rows {
+		out := cells[ri*n : (ri+1)*n : (ri+1)*n]
+		for vi := range out {
+			col := shapeCol{raw: vi, policy: -1}
+			if sh.vis != nil {
+				col = sh.vis[vi]
+			}
 			v := row[col.raw]
 			var c Cell
 			if pi := col.policy; pi >= 0 && !row[pi].null && row[pi].s != "" {
@@ -801,9 +793,9 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 			if linNodes != nil {
 				recordCellLineage(c, linNodes[vi])
 			}
-			out = append(out, c)
+			out[vi] = c
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[ri] = out
 	}
 	return res, nil
 }
@@ -815,20 +807,22 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 // — the pointer-comparison fast paths — never JSON parsing or policy
 // instantiation.
 func makeCell(v value, comp *core.CompiledAnnotation) Cell {
-	if v.null {
+	switch {
+	case v.null:
 		return Cell{Null: true}
+	case !v.isInt:
+		return Cell{Str: comp.Apply(v.s)}
 	}
-	tracked := comp.Apply(v.String())
-	if v.isInt {
-		n := core.NewInt(v.i)
-		// The annotation was stored against the digit string; merge all
-		// span policies onto the integer value.
-		if tracked.IsTainted() {
-			n = n.WithPolicy(tracked.Policies().Policies()...)
-		}
+	n := core.NewInt(v.i)
+	if comp == nil {
 		return Cell{IsInt: true, Int: n}
 	}
-	return Cell{Str: tracked}
+	// The annotation was stored against the digit string; merge all span
+	// policies onto the integer value.
+	if tracked := comp.Apply(v.String()); tracked.IsTainted() {
+		n = n.WithPolicy(tracked.Policies().Policies()...)
+	}
+	return Cell{IsInt: true, Int: n}
 }
 
 // makeCellUnion builds a tracked cell carrying a whole-value policy set

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,22 +141,22 @@ func (ix *orderedIndex) remove(v value, id uint64) {
 }
 
 // span returns the half-open vals range [start, end) covered by the
-// given bounds; a nil bound is unbounded on that side.
-func (ix *orderedIndex) span(lo, hi *value, loIncl, hiIncl bool) (int, int) {
+// bounds; a missing bound is unbounded on that side.
+func (ix *orderedIndex) span(cb *colBounds) (int, int) {
 	start := 0
-	if lo != nil {
-		if loIncl {
-			start = ix.search(*lo)
+	if cb.hasLo {
+		if cb.loIncl {
+			start = ix.search(cb.lo)
 		} else {
-			start = sort.Search(len(ix.vals), func(i int) bool { return valueLess(*lo, ix.vals[i]) })
+			start = sort.Search(len(ix.vals), func(i int) bool { return valueLess(cb.lo, ix.vals[i]) })
 		}
 	}
 	end := len(ix.vals)
-	if hi != nil {
-		if hiIncl {
-			end = sort.Search(len(ix.vals), func(i int) bool { return valueLess(*hi, ix.vals[i]) })
+	if cb.hasHi {
+		if cb.hiIncl {
+			end = sort.Search(len(ix.vals), func(i int) bool { return valueLess(cb.hi, ix.vals[i]) })
 		} else {
-			end = ix.search(*hi)
+			end = ix.search(cb.hi)
 		}
 	}
 	if end < start {
@@ -179,7 +181,6 @@ type indexCand struct {
 // what makes skipping that sort result-neutral. Ids superseded under a
 // key survive here until vacuum; the visible-key rule drops them.
 func (ix *orderedIndex) orderedCands(desc bool) []indexCand {
-	nullKey := indexKey(nullValue())
 	nulls := ix.m[nullKey]
 	out := make([]indexCand, 0, len(ix.vals)+len(nulls))
 	appendBucket := func(k string) {
@@ -207,54 +208,56 @@ func (ix *orderedIndex) orderedCands(desc bool) []indexCand {
 // the originating conjunct; the caller re-evaluates the full WHERE and
 // applies the visible-key rule.
 type indexProbe struct {
-	ci             int
-	ix             *orderedIndex
-	eq             *value
-	lo, hi         *value
-	loIncl, hiIncl bool
+	colBounds
+	ix *orderedIndex
 }
 
-// candidates returns the probe's (key, id) pairs. Ordered candidates
-// come out in ORDER BY-equivalent key order (asc or desc); unordered
-// callers use rowOrderCandidates. Equality buckets are a single key, so
-// they are simultaneously in key order and in row order.
-func (p *indexProbe) candidates(desc bool) []indexCand {
-	if p.eq != nil {
-		k := indexKey(*p.eq)
-		bucket := p.ix.m[k]
-		out := make([]indexCand, 0, len(bucket))
+// candidates appends the probe's (key, id) pairs to dst. Ordered
+// candidates come out in ORDER BY-equivalent key order (asc or desc);
+// unordered callers use rowOrderCandidates. Equality buckets are a
+// single key, so they are simultaneously in key order and in row order.
+//
+// Equality candidates carry no key: the visible-key rule is implied for
+// them. The WHERE the caller re-evaluates holds the equality conjunct,
+// and `col = v` holds exactly when col's visible value has v's key
+// (valueCompare and indexKey coerce alike), so a superseded pair fails
+// the WHERE; and one bucket holds each id once, so nothing repeats.
+func (p *indexProbe) candidates(dst []indexCand, desc bool) []indexCand {
+	if p.hasEq {
+		var kb [32]byte
+		bucket := p.ix.m[string(appendIndexKey(kb[:0], p.eq))]
+		dst = slices.Grow(dst, len(bucket))
 		for _, id := range bucket {
-			out = append(out, indexCand{key: k, id: id})
+			dst = append(dst, indexCand{id: id})
 		}
-		return out
+		return dst
 	}
-	start, end := p.ix.span(p.lo, p.hi, p.loIncl, p.hiIncl)
-	var out []indexCand
+	start, end := p.ix.span(&p.colBounds)
 	appendBucket := func(k string) {
 		for _, id := range p.ix.m[k] {
-			out = append(out, indexCand{key: k, id: id})
+			dst = append(dst, indexCand{key: k, id: id})
 		}
 	}
 	if desc {
 		for i := end - 1; i >= start; i-- {
 			appendBucket(indexKey(p.ix.vals[i]))
 		}
-		return out
+		return dst
 	}
 	for i := start; i < end; i++ {
 		appendBucket(indexKey(p.ix.vals[i]))
 	}
-	return out
+	return dst
 }
 
-// rowOrderCandidates returns the probe's candidates in ascending row id
-// order — the order a scan would visit them. A row whose value moved
-// between two keys of the range appears once per key; the visible-key
-// rule keeps exactly one.
-func (p *indexProbe) rowOrderCandidates() []indexCand {
-	cand := p.candidates(false)
-	if p.eq == nil {
-		sort.Slice(cand, func(i, j int) bool { return cand[i].id < cand[j].id })
+// rowOrderCandidates appends the probe's candidates to dst in ascending
+// row id order — the order a scan would visit them. A row whose value
+// moved between two keys of the range appears once per key; the
+// visible-key rule keeps exactly one.
+func (p *indexProbe) rowOrderCandidates(dst []indexCand) []indexCand {
+	cand := p.candidates(dst, false)
+	if !p.hasEq {
+		slices.SortFunc(cand, func(a, b indexCand) int { return cmp.Compare(a.id, b.id) })
 	}
 	return cand
 }
@@ -265,21 +268,21 @@ func (p *indexProbe) rowOrderCandidates() []indexCand {
 // bucket is a superset of the rows matching *all* conjuncts on the
 // column, since rows matching the WHERE must match each conjunct).
 type colBounds struct {
-	ci             int
-	eq             *value
-	lo, hi         *value
-	loIncl, hiIncl bool
+	ci                  int
+	eq, lo, hi          value
+	hasEq, hasLo, hasHi bool
+	loIncl, hiIncl      bool
 }
 
 func (cb *colBounds) addLo(v value, incl bool) {
-	if cb.lo == nil || valueCompare(v, *cb.lo) > 0 || (valueCompare(v, *cb.lo) == 0 && !incl) {
-		cb.lo, cb.loIncl = &v, incl
+	if !cb.hasLo || valueCompare(v, cb.lo) > 0 || (valueCompare(v, cb.lo) == 0 && !incl) {
+		cb.lo, cb.loIncl, cb.hasLo = v, incl, true
 	}
 }
 
 func (cb *colBounds) addHi(v value, incl bool) {
-	if cb.hi == nil || valueCompare(v, *cb.hi) < 0 || (valueCompare(v, *cb.hi) == 0 && !incl) {
-		cb.hi, cb.hiIncl = &v, incl
+	if !cb.hasHi || valueCompare(v, cb.hi) < 0 || (valueCompare(v, cb.hi) == 0 && !incl) {
+		cb.hi, cb.hiIncl, cb.hasHi = v, incl, true
 	}
 }
 
@@ -287,13 +290,8 @@ func (cb *colBounds) addHi(v value, incl bool) {
 // literal kind works: equality buckets key on rendered form, matching
 // valueCompare's coercion (int 1 and text '1' share a key).
 func eqLiteral(lit Expr) (value, bool) {
-	switch v := lit.(type) {
-	case *StringLit:
-		return textValue(v.Val.Raw()), true
-	case *IntLit:
-		return intValue(v.Val), true
-	}
-	return value{}, false
+	v, err := literalOf(lit)
+	return v, err == nil && !v.null
 }
 
 // rangeLiteral converts a range operand into a probe value, requiring
@@ -351,27 +349,39 @@ func prefixSuccessor(prefix string) (string, bool) {
 	return "", false
 }
 
-// collectBounds walks the AND spine of a WHERE expression accumulating
-// per-column constraints from `=`, range, and `LIKE 'prefix%'`
-// conjuncts over indexed columns. Anything else — OR, NOT, un-indexed
-// columns, kind-mismatched literals, NULL literals (no comparison
-// matches NULL) — contributes nothing and is left to the re-evaluation
-// of the full WHERE.
-func (t *table) collectBounds(ex Expr, cons []colBounds) []colBounds {
+// probeConj is one comparison on the AND spine of a WHERE that names a
+// column of the table: what the predicate analyzer may turn into an
+// index probe. The binder collects them once per plan and generation.
+// Whether one is usable — is its column indexed, is its operand a
+// literal of a kind that agrees with the index order — is decided per
+// execution, because the operand may be a slot only the execution fills.
+type probeConj struct {
+	ci  int
+	op  string // as seen from the column: `5 < col` is held as `col > 5`
+	arg Expr   // the other operand: a literal, a *Param slot, or unusable
+}
+
+// probeConjuncts appends the conjuncts of ex's AND spine to out, in
+// spine order. OR, NOT, a column compared with a column, a column used
+// as a LIKE pattern and references that do not resolve here (binding
+// reports those) contribute nothing and are left to the re-evaluation
+// of the full WHERE; qualified references ("t.c" on this table) probe
+// like plain ones.
+func (t *table) probeConjuncts(ex Expr, out []probeConj) []probeConj {
 	b, ok := ex.(*Binary)
 	if !ok {
-		return cons
+		return out
 	}
 	if b.Op == "AND" {
-		return t.collectBounds(b.R, t.collectBounds(b.L, cons))
+		return t.probeConjuncts(b.R, t.probeConjuncts(b.L, out))
 	}
 	op := b.Op
 	var cr *ColumnRef
-	var lit Expr
+	var arg Expr
 	if c, isCol := b.L.(*ColumnRef); isCol {
-		cr, lit = c, b.R
+		cr, arg = c, b.R
 	} else if c, isCol := b.R.(*ColumnRef); isCol {
-		cr, lit = c, b.L
+		cr, arg = c, b.L
 		switch op { // mirror: `5 < col` is `col > 5`
 		case "<":
 			op = ">"
@@ -382,38 +392,75 @@ func (t *table) collectBounds(ex Expr, cons []colBounds) []colBounds {
 		case ">=":
 			op = "<="
 		case "LIKE":
-			return cons // a column used as the pattern is not a prefix probe
+			return out // a column used as the pattern is not a prefix probe
 		}
 	} else {
-		return cons
+		return out
 	}
-	// Qualified references ("t.c" on this table) probe like plain ones;
-	// references that do not resolve here contribute nothing and fall
-	// back to the scan (the full WHERE still re-evaluates them).
 	ci, err := t.resolveCol(cr.Name)
-	if err != nil || t.indexes[ci] == nil {
-		return cons
+	if err != nil {
+		return out
 	}
-	var cb *colBounds
+	return append(out, probeConj{ci: ci, op: op, arg: arg})
+}
+
+// chooseProbe is the predicate analyzer: from the bound conjuncts and
+// this execution's slots it accumulates per-column constraints from `=`,
+// range, and `LIKE 'prefix%'` conjuncts over indexed columns — anything
+// else, un-indexed columns, kind-mismatched literals and NULL (no
+// comparison matches NULL) included, contributes nothing — and returns
+// the best usable access path, or false when every conjunct falls back
+// to the scan. Preference order: an equality probe (single bucket), then
+// a two-sided range, then any one-sided range — ties in first-seen spine
+// order, so the choice is deterministic. The index set is read here, not
+// at bind time: a transaction's catalog shares unwritten tables with a
+// base whose index DDL does not move the transaction's generation.
+func (t *table) chooseProbe(conj []probeConj, slots []Expr) (indexProbe, bool) {
+	if len(conj) == 0 || len(t.indexes) == 0 {
+		return indexProbe{}, false
+	}
+	var buf [4]colBounds
+	cons := buf[:0]
+	for _, c := range conj {
+		if t.indexes[c.ci] == nil {
+			continue
+		}
+		var cb *colBounds
+		for i := range cons {
+			if cons[i].ci == c.ci {
+				cb = &cons[i]
+				break
+			}
+		}
+		if cb == nil {
+			cons = append(cons, colBounds{ci: c.ci})
+			cb = &cons[len(cons)-1]
+		}
+		cb.add(c.op, slotExpr(c.arg, slots), t.cols[c.ci].Type)
+	}
+	best := -1
 	for i := range cons {
-		if cons[i].ci == ci {
-			cb = &cons[i]
-			break
+		if s := cons[i].score(); s > 0 && (best < 0 || s > cons[best].score()) {
+			best = i
 		}
 	}
-	if cb == nil {
-		cons = append(cons, colBounds{ci: ci})
-		cb = &cons[len(cons)-1]
+	if best < 0 {
+		return indexProbe{}, false
 	}
+	return indexProbe{colBounds: cons[best], ix: t.indexes[cons[best].ci]}, true
+}
+
+// add tightens the bounds with one conjunct `col op lit`.
+func (cb *colBounds) add(op string, lit Expr, typ ColType) {
 	switch op {
 	case "=":
-		if v, ok := eqLiteral(lit); ok && cb.eq == nil {
-			cb.eq = &v
+		if v, ok := eqLiteral(lit); ok && !cb.hasEq {
+			cb.eq, cb.hasEq = v, true
 		}
 	case "<", "<=", ">", ">=":
-		v, ok := rangeLiteral(lit, t.cols[ci].Type)
+		v, ok := rangeLiteral(lit, typ)
 		if !ok {
-			return cons
+			return
 		}
 		switch op {
 		case "<":
@@ -427,55 +474,30 @@ func (t *table) collectBounds(ex Expr, cons []colBounds) []colBounds {
 		}
 	case "LIKE":
 		sl, isStr := lit.(*StringLit)
-		if !isStr || t.cols[ci].Type != ColText {
-			return cons // digit-string order ≠ numeric order on INT columns
+		if !isStr || typ != ColText {
+			return // digit-string order ≠ numeric order on INT columns
 		}
 		prefix, ok := likePrefix(sl.Val.Raw())
 		if !ok {
-			return cons
+			return
 		}
 		cb.addLo(textValue(prefix), true)
 		if succ, bounded := prefixSuccessor(prefix); bounded {
 			cb.addHi(textValue(succ), false)
 		}
 	}
-	return cons
 }
 
-// analyzeProbe is the predicate analyzer: it inspects the AND spine of
-// a WHERE expression and returns the best usable index access path, or
-// nil when every conjunct falls back to the scan. Preference order:
-// an equality probe (single bucket), then a two-sided range, then any
-// one-sided range — ties in first-seen spine order, so the choice is
-// deterministic.
-func (t *table) analyzeProbe(where Expr) *indexProbe {
-	if where == nil || len(t.indexes) == 0 {
-		return nil
+// score ranks the access path the bounds give: 3 for an equality
+// bucket, 2 for a two-sided range, 1 for a one-sided one, 0 for none.
+func (cb *colBounds) score() int {
+	switch {
+	case cb.hasEq:
+		return 3
+	case cb.hasLo && cb.hasHi:
+		return 2
+	case cb.hasLo || cb.hasHi:
+		return 1
 	}
-	cons := t.collectBounds(where, nil)
-	best := -1
-	score := func(cb *colBounds) int {
-		switch {
-		case cb.eq != nil:
-			return 3
-		case cb.lo != nil && cb.hi != nil:
-			return 2
-		case cb.lo != nil || cb.hi != nil:
-			return 1
-		}
-		return 0
-	}
-	for i := range cons {
-		if s := score(&cons[i]); s > 0 && (best < 0 || s > score(&cons[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	cb := &cons[best]
-	return &indexProbe{
-		ci: cb.ci, ix: t.indexes[cb.ci],
-		eq: cb.eq, lo: cb.lo, hi: cb.hi, loIncl: cb.loIncl, hiIncl: cb.hiIncl,
-	}
+	return 0
 }

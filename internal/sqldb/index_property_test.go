@@ -334,10 +334,10 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 		e.mu.RLock()
 		snap := e.acquireSnap()
 		e.mu.RUnlock()
-		indexed, ierr := e.selectAt(nil, sel, &snap)
+		indexed, _, ierr := e.selectAt(nil, 0, sel, nil, nil, &snap)
 		forced := *sel
 		forced.ForceScan = true
-		scanned, serr := e.selectAt(nil, &forced, &snap)
+		scanned, _, serr := e.selectAt(nil, 0, &forced, nil, nil, &snap)
 		e.releaseSnap(snap)
 
 		if (ierr == nil) != (serr == nil) {

@@ -389,10 +389,12 @@ func TestOrderedIndexNULLSemantics(t *testing.T) {
 	}
 }
 
-// TestPredicateAnalyzerDecisions unit-tests analyzeProbe's usable/
-// fallback decisions directly against the table, pinning the documented
-// rules: prefix-free LIKE falls back, string bounds on INT columns fall
-// back, bounds tighten, and OR/NOT spines contribute nothing.
+// TestPredicateAnalyzerDecisions unit-tests the predicate analyzer's
+// usable/fallback decisions directly against the table — the conjuncts
+// the binder collects, chosen among with the execution's values —
+// pinning the documented rules: prefix-free LIKE falls back, string
+// bounds on INT columns fall back, bounds tighten, and OR/NOT spines
+// contribute nothing.
 func TestPredicateAnalyzerDecisions(t *testing.T) {
 	db := seedTable(t, true, 20) // items: id INT + grp INT indexed, name TEXT not
 	db.MustExec("CREATE INDEX ON items (name)")
@@ -407,7 +409,11 @@ func TestPredicateAnalyzerDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		return tbl.analyzeProbe(stmt.(*Select).Where)
+		p, ok := tbl.chooseProbe(tbl.probeConjuncts(stmt.(*Select).Where, nil), nil)
+		if !ok {
+			return nil
+		}
+		return &p
 	}
 
 	for where, want := range map[string]bool{
@@ -427,25 +433,25 @@ func TestPredicateAnalyzerDecisions(t *testing.T) {
 		"id LIKE '1%'":               false, // LIKE over INT column
 		"id < 5 OR id > 10":          false,
 		"NOT id < 5":                 false,
-		"grp = 3 AND missingcol = 1": true, // usable conjunct; bad column caught by validateExpr
+		"grp = 3 AND missingcol = 1": true, // usable conjunct; bad column caught by the binder
 		"id > 5 AND name LIKE 'it%'": true,
 	} {
 		got := probeFor(where)
 		if (got != nil) != want {
-			t.Errorf("analyzeProbe(%q) usable = %v, want %v", where, got != nil, want)
+			t.Errorf("chooseProbe(%q) usable = %v, want %v", where, got != nil, want)
 		}
 	}
 
 	// Equality outranks ranges; bounds tighten to the narrowest span.
 	p := probeFor("id > 2 AND id = 7 AND id < 100")
-	if p == nil || p.eq == nil || p.eq.i != 7 {
+	if p == nil || !p.hasEq || p.eq.i != 7 {
 		t.Fatalf("equality should win the probe: %+v", p)
 	}
 	p = probeFor("id > 2 AND id >= 5 AND id < 100 AND id <= 50")
-	if p == nil || p.eq != nil {
+	if p == nil || p.hasEq {
 		t.Fatal("expected a range probe")
 	}
-	if p.lo == nil || p.lo.i != 5 || !p.loIncl || p.hi == nil || p.hi.i != 50 || !p.hiIncl {
+	if !p.hasLo || p.lo.i != 5 || !p.loIncl || !p.hasHi || p.hi.i != 50 || !p.hiIncl {
 		t.Errorf("bounds did not tighten: lo=%v(%v) hi=%v(%v)", p.lo, p.loIncl, p.hi, p.hiIncl)
 	}
 	// Two-sided range on one column beats one-sided on an earlier one.

@@ -190,8 +190,13 @@ type complexItem struct {
 // selectComplexAt executes a SELECT with a JOIN and/or aggregation.
 // lt/rt may be pre-resolved by a speculative-engine redirect (the
 // pointers stay valid even if the base dropped the names); nil means
-// resolve from e's catalog.
-func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*rawResult, error) {
+// resolve from e's catalog. It binds the statement per execution, through
+// the binder and joinScope, and evaluates with the one evaluator.
+func (e *Engine) selectComplexAt(lt, rt *table, s *Select, slots []Expr, pinned *uint64) (*rawResult, error) {
+	limit, err := selectLimit(s, slots)
+	if err != nil {
+		return nil, err
+	}
 	e.mu.RLock()
 	locked := true
 	unlock := func() {
@@ -318,7 +323,8 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 		}
 	}
 
-	if err := validateExpr(s.Where, sc); err != nil {
+	where, err := bindWhere(s.Where, sc, len(slots))
+	if err != nil {
 		return nil, err
 	}
 
@@ -464,7 +470,7 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 	// WHERE filter over combined rows.
 	filtered := rows[:0:0]
 	for _, row := range rows {
-		ok, err := evalBool(s.Where, sc, row)
+		ok, err := where.test(row, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -482,15 +488,10 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 	if !grouped {
 		if orderCI >= 0 {
 			sortCalls.Add(1)
-			sort.SliceStable(filtered, func(i, j int) bool {
-				if s.Desc {
-					return valueLess(filtered[j][orderCI], filtered[i][orderCI])
-				}
-				return valueLess(filtered[i][orderCI], filtered[j][orderCI])
-			})
+			sortRows(filtered, orderCI, s.Desc)
 		}
-		if s.Limit >= 0 && len(filtered) > s.Limit {
-			filtered = filtered[:s.Limit]
+		if limit >= 0 && len(filtered) > limit {
+			filtered = filtered[:limit]
 		}
 		for _, row := range filtered {
 			r := make([]value, len(items))
@@ -551,8 +552,8 @@ func (e *Engine) selectComplexAt(lt, rt *table, s *Select, pinned *uint64) (*raw
 			return valueLess(groups[i].first[orderCI], groups[j].first[orderCI])
 		})
 	}
-	if s.Limit >= 0 && len(groups) > s.Limit {
-		groups = groups[:s.Limit]
+	if limit >= 0 && len(groups) > limit {
+		groups = groups[:limit]
 	}
 	for _, g := range groups {
 		r := make([]value, len(items))

@@ -392,10 +392,10 @@ func TestJoinDifferentialUnderChurn(t *testing.T) {
 		e.mu.RLock()
 		snap := e.acquireSnap()
 		e.mu.RUnlock()
-		planned, perr := e.selectAt(nil, sel, &snap)
+		planned, _, perr := e.selectAt(nil, 0, sel, nil, nil, &snap)
 		forced := *sel
 		forced.ForceLoop, forced.ForceScan = true, true
-		oracle, oerr := e.selectAt(nil, &forced, &snap)
+		oracle, _, oerr := e.selectAt(nil, 0, &forced, nil, nil, &snap)
 		e.releaseSnap(snap)
 
 		if (perr == nil) != (oerr == nil) {

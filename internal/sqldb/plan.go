@@ -9,15 +9,16 @@ import (
 	"resin/internal/core"
 )
 
-// The plan cache, and the compile half of the one query route.
+// The plan cache, the compile half of the one query route, and the
+// binder.
 //
 // Every statement — DB.Query text, a prepared Stmt, a View.Query inside
 // an integrity assertion — reaches the engine the same way: the token
 // stream is *compiled* (planCache.compile: resolve the shape's template
 // through the cache, convert the inline literals, map the placeholder
-// slots) and the compiled form is *bound* (compiled.bind: arguments
-// into slots, slots into a fresh statement). Nothing else turns SQL
-// text into an executable statement.
+// slots) and each execution fills the template's slots with values
+// (compiled.slots). Nothing else turns SQL text into an executable
+// statement, and no execution copies the template.
 //
 // Applications in this codebase (and the PHP applications the paper
 // interposes on) issue the same query *shapes* over and over with
@@ -25,8 +26,8 @@ import (
 // per-message lookups. The cache keys on the canonical token stream
 // with string and number literals replaced by parameter slots, parses
 // that parameterized stream once into a template AST, and on every
-// later hit binds the current literal tokens into a fresh statement —
-// no parser involved (ParseCount pins this down in tests).
+// later hit only converts the current literal tokens — no parser
+// involved (ParseCount pins this down in tests).
 //
 // Literal values still flow through per execution, carrying their
 // per-character policies, so taint tracking and policy persistence are
@@ -34,12 +35,15 @@ import (
 // is exactly the part the injection assertions require to be untrusted-
 // free.
 //
-// Schema-derived state (which policy columns exist for the statement's
-// tables, the SELECT item list rewritten to fetch them, how the result's
-// columns pair up) is cached per plan as one value keyed on the engine's
-// schema generation; any CREATE/DROP of a table or index stamps a fresh
-// generation, so plans recompile their schema conclusions instead of
-// reusing stale ones (see docs/SQL.md for the invalidation rules).
+// Schema-derived state is cached per plan as one value keyed on the
+// engine's schema generation — the bound plan: which policy columns
+// exist for the statement's tables, the SELECT item list rewritten to
+// fetch them, every column reference resolved to a row position (the
+// projection, WHERE as a tree over positions and slots, the conjuncts an
+// index probe may use, the ORDER BY position) and how the result's
+// columns pair up. Any CREATE/DROP of a table or index stamps a fresh
+// generation, so plans rebind instead of reusing stale conclusions (see
+// docs/SQL.md §5 for the invalidation rules).
 
 // planCacheCap bounds the number of cached templates plus remembered
 // texts, half each. Both halves are core.Caches, whose young generation
@@ -70,34 +74,43 @@ type cachedPlan struct {
 	tmpl  Statement // parameterized AST; shared, never mutated
 	nlits int
 
-	// schema is everything the plan has concluded from a schema, as one
-	// immutable value: an execution loads it once and uses all of it or
-	// none of it, so two engines at different generations sharing the
-	// plan can never pair one generation's items with the other's
-	// columns.
+	// schema is the bound plan — everything the plan has concluded from
+	// a schema — as one immutable value: an execution loads it once and
+	// uses all of it or none of it, so two engines at different
+	// generations sharing the plan can never pair one generation's
+	// positions with the other's columns.
 	schema atomic.Pointer[planSchema]
 }
 
-// planSchema is the schema-derived state of a plan as of one schema
-// generation (the plan-cache invalidation rule: any CREATE/DROP of a
-// table or index stamps a fresh generation and so invalidates every
-// plan's conclusions — which also covers both sides of a join).
-// executePlanned builds it the first time the plan runs against an
-// engine of that generation and never changes it after publishing.
+// planSchema is the bound plan: everything a plan concludes from the
+// schema as of one schema generation (the plan-cache invalidation rule:
+// any CREATE/DROP of a table or index stamps a fresh generation and so
+// invalidates every plan's conclusions — which also covers both sides of
+// a join). executePlanned builds it the first time the plan runs against
+// an engine of that generation, completes it from that execution, and
+// never changes it after publishing. What is left per execution is
+// filling the slots, probing, evaluating and decoding.
 type planSchema struct {
 	gen   uint64
 	pcols map[string]bool // policy columns of the statement's tables
-	items []SelectItem    // SELECT: the item list with policy companions (rewriteSelect)
-	shape resultShape     // SELECT: how the engine's columns pair up (deriveShape)
+	// stmt is what executes: for a SELECT the template with the policy
+	// companions appended to its items (rewriteSelect), otherwise the
+	// template itself (INSERT and UPDATE are rewritten per execution).
+	stmt Statement
+	// bound is stmt resolved against the generation's tables (bindStmt);
+	// nil for DDL, joins and aggregates, which bind per execution.
+	bound *boundStmt
+	shape resultShape // SELECT: how the engine's columns pair up (deriveShape)
 }
 
-// publish installs ps as the plan's schema state, unless the engine's
+// publish installs ps as the plan's bound plan, unless the engine's
 // generation moved while ps was being built: gen was read before the
 // schema, so a DDL in between would have left newer contents under the
 // older label — which an engine still at the older generation (a
-// transaction's speculative one) would then trust.
+// transaction's speculative one) would then trust. A statement without a
+// plan (nil) remembers nothing.
 func (p *cachedPlan) publish(ps *planSchema, engine *Engine) {
-	if engine.SchemaGen() == ps.gen {
+	if p != nil && engine.SchemaGen() == ps.gen {
 		p.schema.Store(ps)
 	}
 }
@@ -229,113 +242,27 @@ func litExpr(t Token) (Expr, error) {
 	}
 }
 
-// bindExpr clones an expression template, substituting each Param slot
-// with its per-slot bound expression. Substitution-free subtrees are
-// shared — the engine never mutates statements.
-func bindExpr(ex Expr, binds []Expr) (Expr, error) {
-	switch v := ex.(type) {
-	case nil:
-		return nil, nil
-	case *Param:
-		if v.Idx < 0 || v.Idx >= len(binds) {
-			return nil, fmt.Errorf("sqldb: plan parameter ?%d out of range", v.Idx)
-		}
-		return binds[v.Idx], nil
-	case *Binary:
-		l, err := bindExpr(v.L, binds)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindExpr(v.R, binds)
-		if err != nil {
-			return nil, err
-		}
-		if l == v.L && r == v.R {
-			return v, nil
-		}
-		return &Binary{Op: v.Op, L: l, R: r}, nil
-	case *Unary:
-		x, err := bindExpr(v.X, binds)
-		if err != nil {
-			return nil, err
-		}
-		if x == v.X {
-			return v, nil
-		}
-		return &Unary{Op: v.Op, X: x}, nil
-	default:
-		return ex, nil
+// slotExpr is the expression an execution sees at ex: the slot's value
+// for a Param of the template, ex itself otherwise (a hand-built
+// statement's literal, or a Param no slot fills, which the caller
+// rejects as not a literal).
+func slotExpr(ex Expr, slots []Expr) Expr {
+	if p, ok := ex.(*Param); ok && p.Idx >= 0 && p.Idx < len(slots) {
+		return slots[p.Idx]
 	}
+	return ex
 }
 
-// bindStatement instantiates a statement template: binds[i] fills the
-// Param slot numbered i.
-func bindStatement(tmpl Statement, binds []Expr) (Statement, error) {
-	switch s := tmpl.(type) {
-	case *Select:
-		w, err := bindExpr(s.Where, binds)
-		if err != nil {
-			return nil, err
-		}
-		le, err := bindExpr(s.LimitExpr, binds)
-		if err != nil {
-			return nil, err
-		}
-		if w == s.Where && le == s.LimitExpr {
-			return s, nil
-		}
-		out := *s
-		out.Where = w
-		if le != s.LimitExpr {
-			n, err := limitValue(le)
-			if err != nil {
-				return nil, err
-			}
-			out.Limit, out.LimitExpr = n, nil
-		}
-		return &out, nil
-	case *Insert:
-		rows := make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			out := make([]Expr, len(row))
-			for j, ex := range row {
-				b, err := bindExpr(ex, binds)
-				if err != nil {
-					return nil, err
-				}
-				out[j] = b
-			}
-			rows[i] = out
-		}
-		return &Insert{Table: s.Table, Columns: s.Columns, Rows: rows}, nil
-	case *Update:
-		set := make([]Assignment, len(s.Set))
-		for i, a := range s.Set {
-			v, err := bindExpr(a.Value, binds)
-			if err != nil {
-				return nil, err
-			}
-			set[i] = Assignment{Column: a.Column, Value: v}
-		}
-		w, err := bindExpr(s.Where, binds)
-		if err != nil {
-			return nil, err
-		}
-		return &Update{Table: s.Table, Set: set, Where: w}, nil
-	case *Delete:
-		w, err := bindExpr(s.Where, binds)
-		if err != nil {
-			return nil, err
-		}
-		if w == s.Where {
-			return s, nil
-		}
-		return &Delete{Table: s.Table, Where: w}, nil
-	default:
-		// CREATE/DROP TABLE and CREATE/DROP INDEX carry no literal
-		// slots; the template is the statement.
-		return tmpl, nil
+// selectLimit resolves a SELECT's row cap for one execution: the inline
+// count, or the value the execution binds to its `LIMIT ?` slot.
+func selectLimit(s *Select, slots []Expr) (int, error) {
+	if s.LimitExpr == nil {
+		return s.Limit, nil
 	}
+	if lim := slotExpr(s.LimitExpr, slots); lim != s.LimitExpr {
+		return limitValue(lim)
+	}
+	return 0, fmt.Errorf("sqldb: unbound LIMIT placeholder")
 }
 
 // limitValue resolves a bound LIMIT expression: the argument must be a
@@ -445,21 +372,198 @@ func (c *planCache) compileAutoSanitized(q core.String) (compiled, error) {
 	return cp, nil
 }
 
-// bind is the back half of the query route, and the only place
-// arguments meet a template: bound[ord] fills every placeholder slot of
-// binding ordinal ord, the inline literals fill the rest. Neither the
-// tokenizer nor the parser runs here.
-func (cp *compiled) bind(bound []Expr) (Statement, error) {
+// slots is the back half of the query route, and the only place
+// arguments meet a template: it returns the values of the template's
+// Param slots for one execution — bound[ord] at every placeholder slot
+// of binding ordinal ord, the inline literals at the rest. Neither the
+// tokenizer nor the parser runs here, and the template is not copied:
+// the bound plan reads the slots where the statement holds Params.
+func (cp *compiled) slots(bound []Expr) ([]Expr, error) {
 	if len(bound) != cp.nargs {
 		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", cp.nargs, len(bound))
 	}
-	binds := cp.fixed
-	if cp.nargs > 0 {
-		binds = make([]Expr, len(cp.fixed))
-		copy(binds, cp.fixed)
-		for _, m := range cp.phSlots {
-			binds[m.slot] = bound[m.ord]
+	if cp.nargs == 0 {
+		return cp.fixed, nil
+	}
+	// Text that is all positional placeholders has the bound arguments
+	// as its slots.
+	inOrder := len(cp.phSlots) == len(cp.fixed)
+	for i, m := range cp.phSlots {
+		inOrder = inOrder && m.slot == i && m.ord == i
+	}
+	if inOrder {
+		return bound, nil
+	}
+	slots := make([]Expr, len(cp.fixed))
+	copy(slots, cp.fixed)
+	for _, m := range cp.phSlots {
+		slots[m.slot] = bound[m.ord]
+	}
+	return slots, nil
+}
+
+// boundStmt is a single-table statement bound to one schema generation:
+// every name it holds is resolved to a row position. It is immutable,
+// and shared by every execution that finds its engine at gen.
+type boundStmt struct {
+	gen   uint64
+	names []string // SELECT: output column names
+	// cols are SELECT's projected positions, INSERT's target position
+	// per column, and UPDATE's per assignment — -1 for a column the
+	// table lacks, reported when the execution reaches that assignment,
+	// after any earlier assignment's bad value.
+	cols  []int
+	where *boundExpr  // nil matches every row
+	conj  []probeConj // the WHERE's AND-spine conjuncts on the table's columns
+	order int         // SELECT: ORDER BY position; -1 for none
+}
+
+// fits reports whether b may execute a statement with targets INSERT
+// columns or UPDATE assignments on an engine at gen. The Figure 4
+// rewrite only appends companions, so a plan bound for the rewritten
+// statement also serves the template it came from.
+func (b *boundStmt) fits(gen uint64, targets int) bool {
+	return b != nil && b.gen == gen && len(b.cols) >= targets
+}
+
+// bindStmt is the binder: it resolves every name of a single-table
+// statement against t, reporting the first that does not resolve in the
+// order the engine always has (SELECT: items, WHERE, ORDER BY; INSERT:
+// columns; UPDATE and DELETE: WHERE). Its executions fill nslots slots.
+func bindStmt(stmt Statement, t *table, nslots int, gen uint64) (*boundStmt, error) {
+	b := &boundStmt{gen: gen, order: -1}
+	var where Expr
+	switch s := stmt.(type) {
+	case *Insert:
+		b.cols = make([]int, len(s.Columns))
+		for i, name := range s.Columns {
+			if b.cols[i] = t.colIndex(name); b.cols[i] < 0 {
+				return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, name)
+			}
+		}
+		return b, nil
+	case *Select:
+		if s.Star {
+			b.names, b.cols = make([]string, len(t.cols)), make([]int, len(t.cols))
+			for i, c := range t.cols {
+				b.names[i], b.cols[i] = c.Name, i
+			}
+		} else {
+			b.names, b.cols = make([]string, len(s.Items)), make([]int, len(s.Items))
+			for i, it := range s.Items {
+				ci, err := t.resolveCol(it.Col)
+				if err != nil {
+					return nil, err
+				}
+				b.names[i], b.cols[i] = t.outColName(it.Col, ci), ci
+			}
+		}
+		where = s.Where
+	case *Update:
+		where = s.Where
+	case *Delete:
+		where = s.Where
+	default:
+		return nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
+	}
+	var err error
+	if b.where, err = bindWhere(where, t, nslots); err != nil {
+		return nil, err
+	}
+	b.conj = t.probeConjuncts(where, nil)
+	switch s := stmt.(type) {
+	case *Select:
+		if s.OrderBy != "" {
+			if b.order, err = t.resolveCol(s.OrderBy); err != nil {
+				return nil, err
+			}
+		}
+	case *Update:
+		b.cols = make([]int, len(s.Set))
+		for i, a := range s.Set {
+			b.cols[i] = t.colIndex(a.Column)
 		}
 	}
-	return bindStatement(cp.plan.tmpl, binds)
+	return b, nil
+}
+
+// boundExpr is an expression bound to positions, the one form the
+// evaluator runs: a column reference is a row position, a Param the
+// slot an execution fills, a literal its value.
+type boundExpr struct {
+	op   exprOp
+	pos  int        // exCol: row position; exSlot: slot index
+	val  value      // exConst
+	name string     // the binary operator as written, for exBad's error
+	l, r *boundExpr // operands; exNot has only l
+}
+
+type exprOp uint8
+
+const (
+	exConst exprOp = iota
+	exCol
+	exSlot
+	exNot
+	exAnd
+	exOr
+	exEq
+	exNe
+	exLt
+	exLe
+	exGt
+	exGe
+	exLike
+	exBad // an operator the dialect lacks: an error once a row reaches it
+)
+
+var binaryOps = map[string]exprOp{
+	"AND": exAnd, "OR": exOr, "=": exEq, "!=": exNe,
+	"<": exLt, "<=": exLe, ">": exGt, ">=": exGe, "LIKE": exLike,
+}
+
+// bindWhere resolves an expression's column references through sc. Its
+// errors are the ErrNoColumn contract's, and a Param must be one of the
+// nslots slots the executions fill.
+func bindWhere(ex Expr, sc scope, nslots int) (*boundExpr, error) {
+	switch v := ex.(type) {
+	case nil:
+		return nil, nil
+	case *NullLit, *IntLit, *StringLit:
+		val, err := literalOf(ex)
+		return &boundExpr{op: exConst, val: val}, err
+	case *ColumnRef:
+		ci, err := sc.resolveCol(v.Name)
+		if err != nil {
+			return nil, err
+		}
+		return &boundExpr{op: exCol, pos: ci}, nil
+	case *Param:
+		if v.Idx < 0 || v.Idx >= nslots {
+			return nil, fmt.Errorf("sqldb: unbound plan parameter ?%d", v.Idx)
+		}
+		return &boundExpr{op: exSlot, pos: v.Idx}, nil
+	case *Unary:
+		x, err := bindWhere(v.X, sc, nslots)
+		if err != nil {
+			return nil, err
+		}
+		return &boundExpr{op: exNot, l: x}, nil
+	case *Binary:
+		l, err := bindWhere(v.L, sc, nslots)
+		if err != nil {
+			return nil, err
+		}
+		r, err := bindWhere(v.R, sc, nslots)
+		if err != nil {
+			return nil, err
+		}
+		op, ok := binaryOps[v.Op]
+		if !ok {
+			op = exBad
+		}
+		return &boundExpr{op: op, name: v.Op, l: l, r: r}, nil
+	default:
+		return nil, fmt.Errorf("sqldb: unsupported expression %T", ex)
+	}
 }

@@ -171,10 +171,11 @@ func (s *Stmt) NumArgs() int { return s.nargs }
 // Text returns the prepared query text.
 func (s *Stmt) Text() core.String { return s.query }
 
-// bind instantiates the statement for one execution. auto selects the
-// auto-sanitizing mode: text carrying untrusted bytes is then compiled
-// afresh under the taint-aware tokenizer, which keeps them inert.
-func (s *Stmt) bind(bound []Expr, auto bool) (Statement, *cachedPlan, error) {
+// bind returns the plan and the slot values of one execution. auto
+// selects the auto-sanitizing mode: text carrying untrusted bytes is
+// then compiled afresh under the taint-aware tokenizer, which keeps them
+// inert.
+func (s *Stmt) bind(bound []Expr, auto bool) (*cachedPlan, []Expr, error) {
 	cp, err := s.compiled, s.err
 	if auto && s.textUntrusted {
 		cp, err = s.db.filter.planner().compileAutoSanitized(s.query)
@@ -182,8 +183,8 @@ func (s *Stmt) bind(bound []Expr, auto bool) (Statement, *cachedPlan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	stmt, err := cp.bind(bound)
-	return stmt, cp.plan, err
+	slots, err := cp.slots(bound)
+	return cp.plan, slots, err
 }
 
 // bindArgs converts the caller's argument list to per-ordinal bound
@@ -269,8 +270,9 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 // run executes the statement against engine. It is the one call site of
 // the SQL channel: with tracking enabled the call passes through the
 // filter chain (injection assertions + policy persistence), which
-// consumes it and answers with the *Result; otherwise the statement is
-// bound and executed untracked — still 0 tokenizes / 0 parses.
+// consumes it and answers with the *Result; otherwise the statement
+// executes untracked through the same bound plan — still 0 tokenizes /
+// 0 parses.
 func (s *Stmt) run(engine *Engine, bound []Expr) (*Result, error) {
 	out, err := s.db.channel.Call([]any{s.query, engine, s, bound})
 	if err != nil {
@@ -281,15 +283,11 @@ func (s *Stmt) run(engine *Engine, bound []Expr) (*Result, error) {
 			return res, nil
 		}
 	}
-	stmt, _, err := s.bind(bound, false)
+	plan, slots, err := s.bind(bound, false)
 	if err != nil {
 		return nil, err
 	}
-	raw, affected, err := engine.ExecuteRaw(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return fromRaw(raw, affected, false, "")
+	return executePlanned(s.db.filter.planner(), plan, engine, plan.tmpl, slots, false)
 }
 
 // Exec executes the prepared statement and returns the number of rows

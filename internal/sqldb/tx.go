@@ -62,11 +62,11 @@ func (v *View) Query(q core.String, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := cp.bind(bound)
+	slots, err := cp.slots(bound)
 	if err != nil {
 		return nil, err
 	}
-	return executePlanned(plans, cp.plan, v.engine, stmt)
+	return executePlanned(plans, cp.plan, v.engine, cp.plan.tmpl, slots, true)
 }
 
 // QueryRaw is Query for untracked text.
