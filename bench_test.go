@@ -74,12 +74,16 @@ func BenchmarkSec71_HotCRPPageResin(b *testing.B) {
 // tracked allocs/op while every tainted cell's annotation was copied to
 // []byte for the compile-memo lookup, 164 (and 132 untracked) with the
 // string-keyed lookup, 93 (80) once SQL ran bound plans, cells shared
-// their annotation's span list and the export check stopped allocating.
+// their annotation's span list and the export check stopped allocating,
+// 48 (41) once a channel became one object with a map-free context, a
+// response built only the channels it used, a statement execution
+// allocated only its arguments and its result, and results were read
+// from the row versions in place.
 func TestSec71PageAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		resin bool
 		max   float64
-	}{{true, 95}, {false, 82}} {
+	}{{true, 50}, {false, 43}} {
 		_, render := hotcrp.NewBenchInstance(c.resin)
 		page := func() {
 			if err := render(); err != nil {

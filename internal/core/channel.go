@@ -22,34 +22,45 @@ import (
 // is caught. Filters still run at write time — that is what raises the
 // assertion error — buffering only defers making the output visible.
 //
+// A channel is one allocation: its context is inline, and its filter
+// chain is copy-on-write — no method writes into a chain's backing array,
+// so NewChannel keeps the caller's slice, channels built from one slice
+// stay independent, and Call reads the chain without copying it.
+//
 // A Channel is safe for concurrent use.
 type Channel struct {
 	runtime *Runtime
-	ctx     *Context
+	ctx     Context
 
 	mu      sync.Mutex
-	filters []Filter
+	filters []Filter // copy-on-write: replaced, never written in place
 	// out accumulates released output; sink, when non-nil, additionally
 	// receives the raw bytes of released output.
 	out  Builder
 	sink io.Writer
 	// bufs is the stack of open output buffers (§5.5). Writes land in the
-	// innermost open buffer.
-	bufs []*Builder
+	// innermost open buffer. The outermost one is buf0 and the stack's
+	// first slot is bufArr, so opening one buffer allocates nothing.
+	bufs   []*Builder
+	buf0   Builder
+	bufArr [1]*Builder
 	// readOff and writeOff track cumulative offsets handed to filters.
 	readOff  int64
 	writeOff int64
 }
 
 // NewChannel creates a boundary of the given kind with the given filter
-// chain. A nil runtime means an untracked channel (filters skipped),
-// matching Runtime with tracking disabled.
+// chain, which it shares with the caller copy-on-write. A nil runtime
+// means an untracked channel (filters skipped), matching Runtime with
+// tracking disabled.
 func NewChannel(rt *Runtime, kind string, filters ...Filter) *Channel {
-	return &Channel{runtime: rt, ctx: NewContext(kind), filters: filters}
+	ch := &Channel{runtime: rt, filters: filters}
+	ch.ctx.kind, ch.ctx.hasKind = kind, true
+	return ch
 }
 
 // Context returns the channel's context hash table.
-func (ch *Channel) Context() *Context { return ch.ctx }
+func (ch *Channel) Context() *Context { return &ch.ctx }
 
 // Runtime returns the runtime the channel belongs to (nil for untracked
 // channels).
@@ -76,7 +87,7 @@ func (ch *Channel) Filters() []Filter {
 func (ch *Channel) PushFilter(f Filter) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	ch.filters = append(ch.filters, f)
+	ch.filters = append(ch.filters[:len(ch.filters):len(ch.filters)], f)
 }
 
 // SetFilters replaces the entire filter chain. The script-injection
@@ -112,13 +123,13 @@ func (ch *Channel) Write(data String) error {
 			data, err = wf.FilterWrite(ch, data, off)
 			if err != nil {
 				if lin && len(in.spans) > 0 {
-					lineageRecordSpans(in, "filter-deny", lineageFilterNode(f, ch.ctx))
+					lineageRecordSpans(in, "filter-deny", lineageFilterNode(f, &ch.ctx))
 				}
 				ch.runtime.noteViolation(err)
 				return err
 			}
 			if lin && len(data.spans) > 0 {
-				lineageRecordSpans(data, "filter-pass", lineageFilterNode(f, ch.ctx))
+				lineageRecordSpans(data, "filter-pass", lineageFilterNode(f, &ch.ctx))
 			}
 		}
 	}
@@ -163,7 +174,7 @@ func (ch *Channel) Read(data String) (String, error) {
 			data, err = rf.FilterRead(ch, data, off)
 			if err != nil {
 				if lin && len(in.spans) > 0 {
-					lineageRecordSpans(in, "filter-deny", lineageFilterNode(f, ch.ctx))
+					lineageRecordSpans(in, "filter-deny", lineageFilterNode(f, &ch.ctx))
 				}
 				ch.runtime.noteViolation(err)
 				return String{}, err
@@ -171,7 +182,7 @@ func (ch *Channel) Read(data String) (String, error) {
 			// A read filter that attaches policies (TaintReadFilter) makes
 			// this the value's source edge.
 			if lin && len(data.spans) > 0 {
-				lineageRecordSpans(data, "filter-pass", lineageFilterNode(f, ch.ctx))
+				lineageRecordSpans(data, "filter-pass", lineageFilterNode(f, &ch.ctx))
 			}
 		}
 	}
@@ -188,8 +199,7 @@ func (ch *Channel) Read(data String) (String, error) {
 // function's arguments and return value").
 func (ch *Channel) Call(args []any) ([]any, error) {
 	ch.mu.Lock()
-	fs := make([]Filter, len(ch.filters))
-	copy(fs, ch.filters)
+	fs := ch.filters
 	tracking := ch.tracking()
 	ch.mu.Unlock()
 	if !tracking {
@@ -206,13 +216,13 @@ func (ch *Channel) Call(args []any) ([]any, error) {
 		args, err = ff.FilterFunc(ch, args)
 		if err != nil {
 			if lin {
-				lineageRecordArgs(in, "filter-deny", lineageFilterNode(f, ch.ctx))
+				lineageRecordArgs(in, "filter-deny", lineageFilterNode(f, &ch.ctx))
 			}
 			ch.runtime.noteViolation(err)
 			return nil, err
 		}
 		if lin {
-			lineageRecordArgs(args, "filter-pass", lineageFilterNode(f, ch.ctx))
+			lineageRecordArgs(args, "filter-pass", lineageFilterNode(f, &ch.ctx))
 		}
 	}
 	return args, nil
@@ -251,6 +261,13 @@ var ErrNoBuffer = errors.New("resin: no open output buffer")
 func (ch *Channel) BeginBuffer() {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if len(ch.bufs) == 0 {
+		// Reset by assignment, never by copying a used Builder: a copied
+		// strings.Builder panics on its next write.
+		ch.buf0 = Builder{}
+		ch.bufs = append(ch.bufArr[:0], &ch.buf0)
+		return
+	}
 	ch.bufs = append(ch.bufs, &Builder{})
 }
 

@@ -400,3 +400,85 @@ func (p *countingPolicy) ReadCheck(ctx *Context) error {
 	p.calls++
 	return nil
 }
+
+// TestNewChannelAllocatesOnce: a channel is one object — its context is
+// inline and it keeps the caller's filter slice.
+func TestNewChannelAllocatesOnce(t *testing.T) {
+	rt := NewRuntime()
+	fs := []Filter{ExportCheckFilter{}}
+	var ch *Channel
+	if allocs := testing.AllocsPerRun(100, func() { ch = NewChannel(rt, KindHTTP, fs...) }); allocs != 1 {
+		t.Errorf("NewChannel: %.0f allocs, want 1", allocs)
+	}
+	if ch.Context().Type() != KindHTTP {
+		t.Errorf("kind = %q", ch.Context().Type())
+	}
+}
+
+// TestChannelCallAllocFree: a call through a FuncFilter that answers in
+// place copies neither the chain nor the arguments.
+func TestChannelCallAllocFree(t *testing.T) {
+	ch := NewRuntime().NewBareChannel(KindSQL)
+	ch.PushFilter(FuncFilterFunc(func(c *Channel, args []any) ([]any, error) { return args, nil }))
+	args := []any{1, 2}
+	call := func() {
+		if _, err := ch.Call(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("Call through a no-op FuncFilter: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestOutputBufferAllocFree: opening and discarding the outermost
+// output buffer uses the channel's inline one.
+func TestOutputBufferAllocFree(t *testing.T) {
+	ch := NewRuntime().NewChannel(KindHTTP)
+	cycle := func() {
+		ch.BeginBuffer()
+		if err := ch.DiscardBuffer(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("BeginBuffer + DiscardBuffer: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestChannelsSharingFilterSliceStayIndependent: chains are
+// copy-on-write, so neither PushFilter nor SetFilters on one channel
+// reaches another built from the same slice, or the slice itself — even
+// when the slice has room to grow in place.
+func TestChannelsSharingFilterSliceStayIndependent(t *testing.T) {
+	rt := NewRuntime()
+	base, f1, f2, f3 := &RejectSequenceFilter{Sequence: "0"}, &RejectSequenceFilter{Sequence: "1"},
+		&RejectSequenceFilter{Sequence: "2"}, &RejectSequenceFilter{Sequence: "3"}
+	fs := make([]Filter, 1, 4)
+	fs[0] = base
+	a, b := NewChannel(rt, KindHTTP, fs...), NewChannel(rt, KindHTTP, fs...)
+	a.PushFilter(f1)
+	b.PushFilter(f2)
+	chain := func(ch *Channel) string {
+		var seqs []string
+		for _, f := range ch.Filters() {
+			seqs = append(seqs, f.(*RejectSequenceFilter).Sequence)
+		}
+		return strings.Join(seqs, ",")
+	}
+	if got, want := chain(a)+" "+chain(b), "0,1 0,2"; got != want {
+		t.Errorf("after PushFilter: chains %q, want %q", got, want)
+	}
+	a.SetFilters(f3)
+	a.PushFilter(f1)
+	if got, want := chain(a)+" "+chain(b), "3,1 0,2"; got != want {
+		t.Errorf("after SetFilters: chains %q, want %q", got, want)
+	}
+	if fs[:2][1] != nil {
+		t.Error("a channel wrote into the caller's filter slice")
+	}
+	a.Filters()[0] = f2
+	if chain(a) != "3,1" {
+		t.Error("Filters must return a copy")
+	}
+}

@@ -19,10 +19,25 @@ import (
 // key-value pairs ("RESIN also allows the application to add its own
 // key-value pairs to the context hash table of default filter objects").
 //
+// A boundary carries a handful of keys, so the table is no map: the kind
+// has its own field and the other keys sit in a list searched linearly,
+// whose first eight entries live in the context itself: setting or
+// reading up to eight keys allocates nothing.
+//
 // Context is safe for concurrent use.
 type Context struct {
-	mu     sync.RWMutex
-	values map[string]any
+	mu sync.RWMutex
+	// kind is the "type" key when its value is a string (hasKind); a
+	// "type" of any other type is stored like every other key.
+	kind    string
+	hasKind bool
+	entries []ctxEntry // backed by inline until it outgrows it
+	inline  [8]ctxEntry
+}
+
+type ctxEntry struct {
+	key string
+	val any
 }
 
 // Boundary kinds used by the default filter objects that RESIN pre-defines
@@ -39,31 +54,52 @@ const (
 
 // NewContext builds a context for a boundary of the given kind.
 func NewContext(kind string) *Context {
-	return &Context{values: map[string]any{"type": kind}}
+	return &Context{kind: kind, hasKind: true}
 }
 
 // Type returns the boundary kind (the "type" key), or "" if unset.
 func (c *Context) Type() string {
-	s, _ := c.GetString("type")
-	return s
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.kind
+}
+
+// find returns the index of key in entries, or -1. Caller holds c.mu.
+func (c *Context) find(key string) int {
+	for i := range c.entries {
+		if c.entries[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Set adds or replaces a context key.
 func (c *Context) Set(key string, value any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.values == nil {
-		c.values = make(map[string]any)
+	c.remove(key)
+	if s, ok := value.(string); ok && key == "type" {
+		c.kind, c.hasKind = s, true
+		return
 	}
-	c.values[key] = value
+	if c.entries == nil {
+		c.entries = c.inline[:0]
+	}
+	c.entries = append(c.entries, ctxEntry{key, value})
 }
 
 // Get returns the value for key and whether it is present.
 func (c *Context) Get(key string) (any, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.values[key]
-	return v, ok
+	if key == "type" && c.hasKind {
+		return c.kind, true
+	}
+	if i := c.find(key); i >= 0 {
+		return c.entries[i].val, true
+	}
+	return nil, false
 }
 
 // GetString returns the value for key as a string; ok is false if the key
@@ -91,18 +127,28 @@ func (c *Context) GetBool(key string) bool {
 func (c *Context) Delete(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.values, key)
+	c.remove(key)
+}
+
+// remove deletes key wherever it lives. Caller holds c.mu for writing.
+func (c *Context) remove(key string) {
+	if key == "type" {
+		c.kind, c.hasKind = "", false
+	}
+	if i := c.find(key); i >= 0 {
+		last := len(c.entries) - 1
+		c.entries[i], c.entries[last] = c.entries[last], ctxEntry{}
+		c.entries = c.entries[:last]
+	}
 }
 
 // Clone returns an independent copy of the context.
 func (c *Context) Clone() *Context {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[string]any, len(c.values))
-	for k, v := range c.values {
-		out[k] = v
-	}
-	return &Context{values: out}
+	out := &Context{kind: c.kind, hasKind: c.hasKind}
+	out.entries = append(out.inline[:0], c.entries...)
+	return out
 }
 
 // String renders the context for diagnostics with keys sorted, e.g.
@@ -110,18 +156,19 @@ func (c *Context) Clone() *Context {
 func (c *Context) String() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	keys := make([]string, 0, len(c.values))
-	for k := range c.values {
-		keys = append(keys, k)
+	entries := make([]ctxEntry, 0, 1+len(c.entries))
+	if c.hasKind {
+		entries = append(entries, ctxEntry{"type", c.kind})
 	}
-	sort.Strings(keys)
+	entries = append(entries, c.entries...)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i, e := range entries {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s: %v", k, c.values[k])
+		fmt.Fprintf(&b, "%s: %v", e.key, e.val)
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -203,3 +204,84 @@ func TestChannelSinkErrorPropagates(t *testing.T) {
 type failingWriter struct{}
 
 func (failingWriter) Write(p []byte) (int, error) { return 0, errString("disk full") }
+
+// TestContextSetGetAllocFree: up to eight keys besides "type" live in
+// the context itself, so setting and reading them allocates nothing.
+func TestContextSetGetAllocFree(t *testing.T) {
+	ctx := NewContext(KindHTTP)
+	keys := []string{"user", "session", "privChair", "pc", "db", "op", "path", "email"}
+	vals := make([]any, len(keys))
+	for i := range vals {
+		vals[i] = i * 1000
+	}
+	use := func() {
+		for i, k := range keys {
+			ctx.Set(k, vals[i])
+		}
+		for i, k := range keys {
+			if v, ok := ctx.Get(k); !ok || v != vals[i] {
+				t.Fatalf("Get(%q) = %v, %v", k, v, ok)
+			}
+		}
+		if ctx.Type() != KindHTTP {
+			t.Fatal("lost the type")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, use); allocs != 0 {
+		t.Errorf("Set and Get over %d keys: %.0f allocs, want 0", len(keys), allocs)
+	}
+}
+
+// TestContextSpillAndType: keys past the inline ones, deletes across
+// both, and "type" set, deleted and set to a non-string keep the map's
+// semantics.
+func TestContextSpillAndType(t *testing.T) {
+	ctx := NewContext(KindSQL)
+	for i := 0; i < 12; i++ {
+		ctx.Set(fmt.Sprintf("k%02d", i), i)
+	}
+	ctx.Delete("k03")
+	ctx.Delete("k10")
+	ctx.Set("k10", "back")
+	for i := 0; i < 12; i++ {
+		v, ok := ctx.Get(fmt.Sprintf("k%02d", i))
+		switch i {
+		case 3:
+			if ok {
+				t.Error("deleted inline key still present")
+			}
+		case 10:
+			if v != "back" {
+				t.Errorf("k10 = %v, %v", v, ok)
+			}
+		default:
+			if !ok || v != i {
+				t.Errorf("k%02d = %v, %v", i, v, ok)
+			}
+		}
+	}
+	clone := ctx.Clone()
+	clone.Set("k11", "clone")
+	if v, _ := ctx.Get("k11"); v != 11 {
+		t.Error("clone shares keys past the inline eight with the original")
+	}
+	if v, ok := ctx.Get("type"); !ok || v != KindSQL {
+		t.Errorf(`Get("type") = %v, %v`, v, ok)
+	}
+	ctx.Set("type", 7)
+	if ctx.Type() != "" || !strings.Contains(ctx.String(), "type: 7") {
+		t.Errorf("non-string type: Type() = %q, String() = %s", ctx.Type(), ctx)
+	}
+	ctx.Delete("type")
+	if _, ok := ctx.Get("type"); ok || strings.Contains(ctx.String(), "type") {
+		t.Errorf("deleted type still present: %s", ctx)
+	}
+	ctx.Set("type", KindEmail)
+	if ctx.Type() != KindEmail {
+		t.Errorf("Type() = %q", ctx.Type())
+	}
+	want := "{k00: 0, k01: 1, k02: 2, k04: 4, k05: 5, k06: 6, k07: 7, k08: 8, k09: 9, k10: back, k11: 11, type: email}"
+	if got := ctx.String(); got != want {
+		t.Errorf("String() = %s\nwant       %s", got, want)
+	}
+}

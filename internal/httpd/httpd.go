@@ -91,12 +91,23 @@ func (r *Request) ParamNames() []string {
 
 // Response accumulates one response: headers flow through a
 // splitting-guarded channel, the body through the HTML output channel.
+// The header channel and map are built on the first SetHeader, so a
+// response that sets no header pays for neither.
 type Response struct {
-	Status   int
-	body     *core.Channel
-	headerCh *core.Channel
+	Status int
+	body   *core.Channel
+	sess   *Session
+
 	mu       sync.Mutex
+	headerCh *core.Channel
 	headers  map[string]string
+}
+
+// headerFilters is every header channel's chain: the response-splitting
+// guard, then the default export check. Channels share it copy-on-write.
+var headerFilters = []core.Filter{
+	&core.RejectSequenceFilter{Sequence: "\r\n", TaintedOnly: true, IsTainted: sanitize.IsUntrusted},
+	core.ExportCheckFilter{},
 }
 
 // Body returns the tracked response body released so far.
@@ -120,13 +131,28 @@ func (r *Response) WriteRaw(s string) error { return r.body.WriteRaw(s) }
 // which rejects CR/LF sequences derived from untrusted input (the HTTP
 // response-splitting defense of §3.2/§5.4).
 func (r *Response) SetHeader(name string, value core.String) error {
-	if err := r.headerCh.Write(value); err != nil {
+	if err := r.headerChannel().Write(value); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.headers[name] = value.Raw()
 	return nil
+}
+
+// headerChannel returns the header channel, building it and the header
+// map on first use.
+func (r *Response) headerChannel() *core.Channel {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.headerCh == nil {
+		r.headerCh = core.NewChannel(r.body.Runtime(), core.KindHTTP, headerFilters...)
+		if r.sess != nil {
+			r.headerCh.Context().Set("user", r.sess.User)
+		}
+		r.headers = make(map[string]string)
+	}
+	return r.headerCh
 }
 
 // Header returns a previously set header value.
@@ -151,8 +177,9 @@ type Server struct {
 	staticFS   *vfs.FS
 	staticRoot string
 
-	// configureBody is applied to each response body channel; the server
-	// installs the default filters and applications may add more.
+	// bodyFilters is every new response body channel's chain, shared
+	// copy-on-write; the server installs the default filters and
+	// applications may add more.
 	bodyFilters []core.Filter
 
 	// taintFilters caches one input taint filter per parameter name, so
@@ -204,10 +231,12 @@ func (s *Server) Handle(path string, h Handler) {
 
 // AddBodyFilter appends a filter to every future response body channel —
 // how an application attaches the XSS assertion (§5.3) to its HTML output.
+// The chain is copy-on-write: responses share it, and a response that
+// exists already keeps the chain it was built with.
 func (s *Server) AddBodyFilter(f core.Filter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bodyFilters = append(s.bodyFilters, f)
+	s.bodyFilters = append(s.bodyFilters[:len(s.bodyFilters):len(s.bodyFilters)], f)
 }
 
 // ServeStatic exposes fs under docroot for GET requests that match no
@@ -289,21 +318,14 @@ func (s *Server) taintFilter(name string) *core.TaintReadFilter {
 
 func (s *Server) newResponse(sess *Session) *Response {
 	s.mu.Lock()
-	filters := append([]core.Filter(nil), s.bodyFilters...)
+	filters := s.bodyFilters
 	s.mu.Unlock()
 	body := core.NewChannel(s.rt, core.KindHTTP, filters...)
 	if sess != nil {
 		body.Context().Set("user", sess.User)
 		body.Context().Set("session", sess.ID)
 	}
-	headerCh := core.NewChannel(s.rt, core.KindHTTP,
-		&core.RejectSequenceFilter{Sequence: "\r\n", TaintedOnly: true, IsTainted: sanitize.IsUntrusted},
-		core.ExportCheckFilter{},
-	)
-	if sess != nil {
-		headerCh.Context().Set("user", sess.User)
-	}
-	return &Response{Status: 200, body: body, headerCh: headerCh, headers: make(map[string]string)}
+	return &Response{Status: 200, body: body, sess: sess}
 }
 
 // serveStatic reads a file through the VFS (de-serializing its persistent

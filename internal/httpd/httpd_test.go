@@ -365,3 +365,61 @@ func TestTaintFilterNameChurn(t *testing.T) {
 		t.Errorf("%d new names rotated the intern table %d times, want at most 1", names, flushes)
 	}
 }
+
+// TestAddBodyFilterKeepsExistingResponseChain: the body chain is shared
+// copy-on-write, so a filter added while a response exists reaches only
+// the responses built after it.
+func TestAddBodyFilterKeepsExistingResponseChain(t *testing.T) {
+	s := NewServer(core.NewRuntime())
+	var chains []int
+	s.Handle("/w", func(req *Request, resp *Response) error {
+		s.AddBodyFilter(&XSSFilter{RejectTaintedStructure: true})
+		chains = append(chains, len(resp.Channel().Filters()))
+		return resp.Write(sanitize.Taint(core.NewString("<x>"), "q"))
+	})
+	if _, err := s.Do("GET", "/w", nil, nil); err != nil {
+		t.Fatalf("filter added mid-response reached that response: %v", err)
+	}
+	if _, err := s.Do("GET", "/w", nil, nil); err == nil {
+		t.Fatal("filter must apply to the next response")
+	}
+	if len(chains) != 2 || chains[0] != 1 || chains[1] != 2 {
+		t.Errorf("body chain lengths %v, want [1 2]", chains)
+	}
+}
+
+// TestLazyHeaderChannel: the header channel built on the first
+// SetHeader rejects tainted CR/LF on that call and on later ones, and
+// carries the session's user like the body channel does.
+func TestLazyHeaderChannel(t *testing.T) {
+	s := NewServer(core.NewRuntime())
+	evil := map[string]string{"u": "x\r\nSet-Cookie: evil"}
+	s.Handle("/first", func(req *Request, resp *Response) error {
+		return resp.SetHeader("Location", req.Param("u"))
+	})
+	if _, err := s.Do("GET", "/first", evil, nil); err == nil {
+		t.Fatal("tainted CR/LF on the first SetHeader must be rejected")
+	}
+	s.Handle("/later", func(req *Request, resp *Response) error {
+		if err := resp.SetHeader("X-Ok", core.NewString("fine")); err != nil {
+			return err
+		}
+		if resp.Header("X-Ok") != "fine" {
+			t.Errorf("X-Ok = %q", resp.Header("X-Ok"))
+		}
+		return resp.SetHeader("Location", req.Param("u"))
+	})
+	if _, err := s.Do("GET", "/later", evil, nil); err == nil {
+		t.Fatal("tainted CR/LF on a later SetHeader must be rejected")
+	}
+	secret := core.NewStringPolicy("v", &denyHTTPPolicy{AllowUser: "alice"})
+	s.Handle("/user", func(req *Request, resp *Response) error {
+		return resp.SetHeader("X-Secret", secret)
+	})
+	if _, err := s.Do("GET", "/user", nil, s.NewSession("alice")); err != nil {
+		t.Errorf("header channel lost the session user: %v", err)
+	}
+	if _, err := s.Do("GET", "/user", nil, s.NewSession("mallory")); err == nil {
+		t.Error("header channel let another user's data out")
+	}
+}

@@ -215,11 +215,11 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 		t.Fatalf("documented prepared text does not parse: %v", err)
 	}
 	pol := &docPasswordPolicy{Email: "u@example.org"}
-	bound, err := argExprs([]any{"u@example.org", core.NewStringPolicy("s3cretpw", pol)})
+	bound, err := bindPositional([]any{"u@example.org", core.NewStringPolicy("s3cretpw", pol)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmt = substituteSlots(t, stmt, bound)
+	stmt = substituteSlots(t, stmt, bound.exprs)
 	rewritten, err := RewriteWithPolicies(engine, stmt)
 	if err != nil {
 		t.Fatal(err)

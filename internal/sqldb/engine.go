@@ -367,11 +367,18 @@ type Engine struct {
 	// muts counts mutations since the last vacuum. Guarded by mu.
 	muts int
 
-	// snaps tracks registered snapshots (version → refcount) so vacuum
-	// reclaims only versions no active reader, transaction, or
-	// mid-evaluation SELECT can reach. Guarded by snapMu (not mu:
-	// readers register while holding only the read lock).
+	// Registered snapshots, so vacuum reclaims only versions no active
+	// reader, transaction, or mid-evaluation SELECT can reach: top is the
+	// newest registered snapshot and topN its reader count — nearly every
+	// SELECT reads at the frontier, so registering one is a field
+	// update — and snaps counts (version → refcount) the older ones,
+	// which the next registration after a commit demotes there from top.
+	// A registration is counted in topN or in snaps, never both. Guarded
+	// by snapMu (not mu: readers register while holding only the read
+	// lock).
 	snapMu sync.Mutex
+	top    uint64
+	topN   int
 	snaps  map[uint64]int
 
 	// wal, when non-nil, is the write-ahead log this engine appends every
@@ -423,20 +430,37 @@ func (e *Engine) bumpSchemaGen() { e.gen.Store(schemaGenCounter.Add(1)) }
 func (e *Engine) acquireSnap() uint64 {
 	s := e.frontier.Load()
 	e.snapMu.Lock()
-	if e.snaps == nil {
-		e.snaps = make(map[uint64]int)
+	if s != e.top {
+		// A commit moved the frontier: the old top's readers move to snaps.
+		if e.topN > 0 {
+			e.snapCount(e.top, e.topN)
+		}
+		e.top, e.topN = s, 0
 	}
-	e.snaps[s]++
+	e.topN++
 	e.snapMu.Unlock()
 	return s
 }
 
 func (e *Engine) releaseSnap(s uint64) {
 	e.snapMu.Lock()
-	if e.snaps[s]--; e.snaps[s] <= 0 {
-		delete(e.snaps, s)
+	if s == e.top && e.topN > 0 {
+		e.topN--
+	} else {
+		e.snapCount(s, -1)
 	}
 	e.snapMu.Unlock()
+}
+
+// snapCount adds d readers to an older snapshot's count. Caller holds
+// snapMu.
+func (e *Engine) snapCount(s uint64, d int) {
+	if e.snaps == nil {
+		e.snaps = make(map[uint64]int)
+	}
+	if e.snaps[s] += d; e.snaps[s] <= 0 {
+		delete(e.snaps, s)
+	}
 }
 
 // minActiveSnap returns the oldest version any registered snapshot (or
@@ -444,6 +468,9 @@ func (e *Engine) releaseSnap(s uint64) {
 func (e *Engine) minActiveSnap() uint64 {
 	min := e.frontier.Load()
 	e.snapMu.Lock()
+	if e.topN > 0 && e.top < min {
+		min = e.top
+	}
 	for s := range e.snaps {
 		if s < min {
 			min = s
@@ -454,10 +481,41 @@ func (e *Engine) minActiveSnap() uint64 {
 }
 
 // rawResult is the engine-level result of a SELECT: column names plus
-// plain values.
+// plain values. A single-table SELECT's rows are the matched versions'
+// value slices themselves — immutable, so they are read in place — and
+// pos holds the bound plan's positions: column j of a row is
+// row[pos[j]]. Joins and aggregates build their rows, and pos is nil.
 type rawResult struct {
 	cols []string
 	rows [][]value
+	pos  []int
+	buf  [8][]value // the rows of a short result, in the same allocation
+}
+
+// at returns column j of row.
+func (r *rawResult) at(row []value, j int) value {
+	if r.pos != nil {
+		return row[r.pos[j]]
+	}
+	return row[j]
+}
+
+// materialize replaces rows read in place with their projected copies,
+// all in one backing array, so that rows[i][j] is column j.
+func (r *rawResult) materialize() {
+	if r == nil || r.pos == nil {
+		return
+	}
+	w := len(r.pos)
+	vals := make([]value, len(r.rows)*w)
+	for i, row := range r.rows {
+		out := vals[i*w : (i+1)*w : (i+1)*w]
+		for j, ci := range r.pos {
+			out[j] = row[ci]
+		}
+		r.rows[i] = out
+	}
+	r.pos = nil
 }
 
 // Len reports the row count. Callers outside the package hold *rawResult
@@ -469,13 +527,14 @@ func (r *rawResult) Len() int {
 	return len(r.rows)
 }
 
-// ExecuteRaw runs a statement and returns the raw result (SELECT) or nil.
-// affected reports the number of rows touched by INSERT/UPDATE/DELETE.
-// SELECTs evaluate against a snapshot with no lock held; all other
-// statements serialize under the write lock. The statement is bound on
-// the fly; a Param in it is unbound.
+// ExecuteRaw runs a statement and returns the raw result (SELECT) or nil,
+// its rows materialized. affected reports the number of rows touched by
+// INSERT/UPDATE/DELETE. SELECTs evaluate against a snapshot with no lock
+// held; all other statements serialize under the write lock. The
+// statement is bound on the fly; a Param in it is unbound.
 func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err error) {
 	res, affected, _, err = e.execute(stmt, nil, nil)
+	res.materialize()
 	return res, affected, err
 }
 
@@ -1176,10 +1235,11 @@ func (e *Engine) execSelect(s *Select, slots []Expr, b *boundStmt) (*rawResult, 
 // statement afresh, captures the snapshot (pinned, or the current
 // frontier — registered so vacuum keeps its versions), picks the access
 // path, and copies out the candidate set. Then it releases the lock and
-// evaluates WHERE, ordering, LIMIT and projection against immutable
-// versions — row evaluation never blocks a writer, and no writer can
-// perturb it. It returns the bound plan it ran (nil for joins and
-// aggregates, which bind per execution).
+// evaluates WHERE, ordering and LIMIT against immutable versions — row
+// evaluation never blocks a writer, and no writer can perturb it. The
+// result keeps the matched versions' values and projects nothing. It
+// returns the bound plan it ran (nil for joins and aggregates, which
+// bind per execution).
 func (e *Engine) selectAt(t *table, gen uint64, s *Select, slots []Expr, b *boundStmt, pinned *uint64) (*rawResult, *boundStmt, error) {
 	if s.Join != nil || s.grouped() {
 		raw, err := e.selectComplexAt(t, nil, s, slots, pinned)
@@ -1266,7 +1326,7 @@ func (e *Engine) selectAt(t *table, gen uint64, s *Select, slots []Expr, b *boun
 	}
 	unlock()
 
-	// Lock-free phase: resolve visibility, evaluate, order, project.
+	// Lock-free phase: resolve visibility, evaluate, order.
 	// When candidates already arrive in final order — an ordered-index
 	// traversal, or no ORDER BY at all (scan order is result order) —
 	// the LIMIT short-circuits the walk after k visible matches instead
@@ -1301,7 +1361,11 @@ func (e *Engine) selectAt(t *table, gen uint64, s *Select, slots []Expr, b *boun
 	if limit >= 0 && len(matched) > limit {
 		matched = matched[:limit]
 	}
-	return b.project(matched), b, nil
+	// A short result's rows move into the result's own block; matched
+	// stays on the stack either way.
+	out := &rawResult{cols: b.names, pos: b.cols}
+	out.rows = append(out.buf[:0], matched...)
+	return out, b, nil
 }
 
 // sortRows stably sorts rows by the value at position ci, NULLs first
@@ -1319,27 +1383,6 @@ func sortRows(rows [][]value, ci int, desc bool) {
 		}
 		return 0
 	})
-}
-
-// project builds the raw result of a single-table SELECT: the bound
-// output names, and each matched row's projected values, all rows in one
-// backing array.
-func (b *boundStmt) project(rows [][]value) *rawResult {
-	out := &rawResult{cols: b.names}
-	if len(rows) == 0 {
-		return out
-	}
-	w := len(b.cols)
-	vals := make([]value, len(rows)*w)
-	out.rows = make([][]value, len(rows))
-	for i, row := range rows {
-		r := vals[i*w : (i+1)*w : (i+1)*w]
-		for j, ci := range b.cols {
-			r[j] = row[ci]
-		}
-		out.rows[i] = r
-	}
-	return out
 }
 
 // update resolves the SET values in assignment order — a missing column

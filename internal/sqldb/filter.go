@@ -159,14 +159,14 @@ func (f *ResinSQLFilter) flags() (s1, s2, auto bool) {
 }
 
 // FilterFunc interposes on the query function: args is {query
-// core.String, engine *Engine, stmt *Stmt, bound []Expr} — the compiled
-// form of the query text (every query is prepared, explicitly or by
-// DB.Query itself) and the expressions bound to its placeholders. The
+// core.String, engine *Engine, stmt *Stmt, bound *boundArgs} — the
+// compiled form of the query text (every query is prepared, explicitly or
+// by DB.Query itself) and the arguments bound to its placeholders. The
 // enabled assertions judge the text by the verdicts computed when it
 // was compiled; bound arguments travel as values, never as text, so the
 // assertions skip them by construction. The leading query is there for
 // other filters on the channel; this one reads the text from the
-// statement. On success it returns {result *Result}.
+// statement. On success it answers {result *Result} in args itself.
 func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("sqldb: filter expects (query, engine, statement, bound), got %d args", len(args))
@@ -179,7 +179,7 @@ func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: filter arg 2 must be *Stmt, got %T", args[2])
 	}
-	bound, ok := args[3].([]Expr)
+	bound, ok := args[3].(*boundArgs)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: filter arg 3 must be bound arguments, got %T", args[3])
 	}
@@ -195,7 +195,7 @@ func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error)
 	if verdict != nil {
 		return nil, &core.AssertionError{Context: ch.Context(), Op: "export_check", Err: verdict}
 	}
-	plan, slots, err := st.bind(bound, auto)
+	plan, slots, err := st.bind(bound.exprs, auto)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,8 @@ func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error)
 	if err != nil {
 		return nil, err
 	}
-	return []any{res}, nil
+	args[0] = res
+	return args[:1], nil
 }
 
 // injectionVerdicts judges a query text by both §5.3 assertions at
@@ -381,12 +382,10 @@ func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Sta
 	shape := &ps.shape
 	switch {
 	case !attach:
+		// apply reads only len(raw.cols) columns of each row, so trimming
+		// the column list drops the companions.
 		if !sel.Star {
-			n := len(sel.Items)
-			raw.cols = raw.cols[:n]
-			for i, row := range raw.rows {
-				raw.rows[i] = row[:n]
-			}
+			raw.cols = raw.cols[:len(sel.Items)]
 		}
 		d := deriveShape(raw.cols, false)
 		shape = &d
@@ -771,17 +770,21 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 			if sh.vis != nil {
 				col = sh.vis[vi]
 			}
-			v := row[col.raw]
+			v := raw.at(row, col.raw)
+			var ann value // the companion's annotation; empty for none
+			if col.policy >= 0 {
+				ann = raw.at(row, col.policy)
+			}
 			var c Cell
-			if pi := col.policy; pi >= 0 && !row[pi].null && row[pi].s != "" {
+			if !ann.null && ann.s != "" {
 				if col.union {
-					set, err := unionFor(row[pi].s)
+					set, err := unionFor(ann.s)
 					if err != nil {
 						return nil, err
 					}
 					c = makeCellUnion(v, set)
 				} else {
-					comp, err := compileAnn(row[pi].s)
+					comp, err := compileAnn(ann.s)
 					if err != nil {
 						return nil, err
 					}
@@ -855,12 +858,14 @@ type DB struct {
 	channel *core.Channel
 	filter  *ResinSQLFilter
 
-	// txMu guards engine and integrity. The engine pointer is fixed for
-	// the DB's lifetime (Tx.Commit merges row versions into it rather
-	// than swapping it); the lock still serializes integrity-assertion
-	// registration against commits, which snapshot the assertion list.
+	// engine is fixed for the DB's lifetime (Tx.Commit merges row
+	// versions into it rather than swapping it), so reading it takes no
+	// lock.
+	engine *Engine
+	// txMu guards integrity: it serializes integrity-assertion
+	// registration and Close against commits, which read the assertion
+	// list.
 	txMu      sync.RWMutex
-	engine    *Engine
 	integrity []namedAssertion
 }
 
@@ -882,11 +887,7 @@ func (db *DB) Filter() *ResinSQLFilter { return db.filter }
 
 // Engine returns the underlying engine (tests and benchmarks use it to
 // bypass the boundary).
-func (db *DB) Engine() *Engine {
-	db.txMu.RLock()
-	defer db.txMu.RUnlock()
-	return db.engine
-}
+func (db *DB) Engine() *Engine { return db.engine }
 
 // Query prepares and executes one statement built as a tracked string —
 // Prepare followed by Stmt.Query, so the text meets the same assertions

@@ -361,3 +361,27 @@ func TestSanitizedPoliciesPersistAcrossDB(t *testing.T) {
 	// policy's presence, verified above — the HotCRP app tests exercise
 	// the deny path end-to-end.)
 }
+
+// TestUntrackedArmHidesShadowColumns: with tracking off, a SELECT over a
+// table created with tracking on runs the same bound plan, companions
+// included, and returns only the columns it names.
+func TestUntrackedArmHidesShadowColumns(t *testing.T) {
+	rt := core.NewRuntime()
+	db := Open(rt)
+	db.MustExec("CREATE TABLE t (id INT, name TEXT)")
+	if _, err := db.QueryRaw("INSERT INTO t (id, name) VALUES (?, ?)", 1, core.NewStringPolicy("x", &passwordPolicy{Email: "e"})); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT name FROM t WHERE id = ?"
+	if res, err := db.QueryRaw(q, 1); err != nil || !res.Get(0, "name").Str.IsTainted() {
+		t.Fatalf("tracked: %+v, %v", res, err)
+	}
+	rt.SetTracking(false)
+	res, err := db.QueryRaw(q, 1)
+	if err != nil || res.Len() != 1 {
+		t.Fatalf("untracked: %+v, %v", res, err)
+	}
+	if len(res.Columns) != 1 || res.Columns[0] != "name" || len(res.Rows[0]) != 1 || res.Rows[0][0].Str.Raw() != "x" || res.Rows[0][0].Str.IsTainted() {
+		t.Errorf("untracked result %v %+v, want the one untainted column name", res.Columns, res.Rows)
+	}
+}

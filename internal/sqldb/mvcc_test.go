@@ -485,3 +485,75 @@ func TestTxBeginIsSnapshotReference(t *testing.T) {
 		t.Fatal("materialized copy renumbered row ids")
 	}
 }
+
+// TestVacuumKeepsTopAndDemotedSnapshots: snapshot registration has two
+// tiers — the newest snapshot's reader count in the top slot, older ones
+// in the map a later registration demotes them to. A vacuum under the
+// write lock keeps every version a reader in either tier still needs,
+// and reclaims them once both are released.
+func TestVacuumKeepsTopAndDemotedSnapshots(t *testing.T) {
+	e := NewEngine()
+	exec := func(q string) {
+		t.Helper()
+		stmt, err := Parse(core.NewString(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.ExecuteRaw(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pin := func() uint64 {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return e.acquireSnap()
+	}
+	vacuum := func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.vacuum()
+	}
+	sel, err := Parse(core.NewString("SELECT v FROM t WHERE id = 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAt := func(snap uint64) string {
+		t.Helper()
+		raw, _, err := e.selectAt(nil, 0, sel.(*Select), nil, nil, &snap)
+		if err != nil || raw.Len() != 1 {
+			t.Fatalf("read at %d: %+v, %v", snap, raw, err)
+		}
+		return raw.at(raw.rows[0], 0).s
+	}
+
+	exec("CREATE TABLE t (id INT, v TEXT)")
+	exec("INSERT INTO t (id, v) VALUES (1, 'a')")
+	old := pin()
+	exec("UPDATE t SET v = 'b' WHERE id = 1")
+	mid, mid2 := pin(), pin() // demotes old to the map
+	exec("UPDATE t SET v = 'c' WHERE id = 1")
+	if e.top != mid || e.topN != 2 || e.snaps[old] != 1 {
+		t.Fatalf("registration: top %d×%d, map %v; want top %d×2, map {%d:1}", e.top, e.topN, e.snaps, mid, old)
+	}
+	vacuum()
+	for snap, want := range map[uint64]string{old: "a", mid: "b", e.frontier.Load(): "c"} {
+		if got := readAt(snap); got != want {
+			t.Errorf("after vacuum, snapshot %d reads %q, want %q", snap, got, want)
+		}
+	}
+
+	e.releaseSnap(old)
+	e.releaseSnap(mid)
+	vacuum()
+	if got := readAt(mid); got != "b" {
+		t.Errorf("a top-slot reader still registered lost its version: %q", got)
+	}
+	e.releaseSnap(mid2)
+	vacuum()
+	if e.topN != 0 || len(e.snaps) != 0 {
+		t.Errorf("released registrations left top %d×%d, map %v", e.top, e.topN, e.snaps)
+	}
+	if head := e.tables["t"].entries[0].head.Load(); head.prev != nil {
+		t.Error("vacuum kept versions no snapshot can reach")
+	}
+}

@@ -117,13 +117,15 @@ func (p *cachedPlan) publish(ps *planSchema, engine *Engine) {
 
 // planCache maps parameterized token-stream keys to compiled templates.
 //
-// texts is the memo in front of it: the compiled form of query text
+// texts is the memo in front of it: the immutable Stmt of query text
 // that carries no policy span at all, keyed on the raw string, so that
 // re-preparing the same trusted text (DB.Query, the wire server's
-// one-shot query) skips the tokenizer as well as the parser.
+// one-shot query) skips the tokenizer and the parser and allocates
+// nothing. A plan cache belongs to one DB's filter, so every Stmt in it
+// executes against that DB.
 type planCache struct {
 	templates *core.Cache[string, *cachedPlan]
-	texts     *core.Cache[string, *compiled]
+	texts     *core.Cache[string, *Stmt]
 
 	invalidations atomic.Uint64
 }
@@ -136,7 +138,7 @@ const textMemoMaxLen = 1024
 func newPlanCache() *planCache {
 	return &planCache{
 		templates: core.NewCache[string, *cachedPlan](planCacheCap/2, 0, 0),
-		texts:     core.NewCache[string, *compiled](planCacheCap/2, 0, 0),
+		texts:     core.NewCache[string, *Stmt](planCacheCap/2, 0, 0),
 	}
 }
 

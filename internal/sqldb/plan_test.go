@@ -454,7 +454,7 @@ func uncachedExec(engine *Engine, q core.String, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots, err := cp.slots(bound)
+	slots, err := cp.slots(bound.exprs)
 	if err != nil {
 		return nil, err
 	}
@@ -765,7 +765,9 @@ func TestPlannedEqualsUncached(t *testing.T) {
 // prepared point SELECT rebuilds neither the rewritten item list nor the
 // column pairing (51 allocations before per-plan schema state, 35 with
 // it), copies no AST and resolves no name, and its candidates, matched
-// rows and tracked cells take no allocation of their own (13).
+// rows and tracked cells take no allocation of their own (13). Its bound
+// arguments and channel call are one block, and its engine result reads
+// the matched versions in place (5).
 func TestPreparedPointSelectAllocs(t *testing.T) {
 	db := openDB(t)
 	db.MustExec("CREATE TABLE users (id INT, name TEXT, bio TEXT)")
@@ -796,8 +798,8 @@ func TestPreparedPointSelectAllocs(t *testing.T) {
 	for range [nrows]struct{}{} { // warm the plan's schema state and the annotation memo
 		query()
 	}
-	if allocs := testing.AllocsPerRun(200, query); allocs > 15 {
-		t.Errorf("tracked prepared point SELECT: %.0f allocs/op, want ≤ 15", allocs)
+	if allocs := testing.AllocsPerRun(200, query); allocs > 6 {
+		t.Errorf("tracked prepared point SELECT: %.0f allocs/op, want ≤ 6", allocs)
 	}
 }
 

@@ -27,65 +27,106 @@ import (
 // BenchmarkSQLPreparedLookup.
 
 // argExpr converts one bound argument into the literal expression the
-// parser would have produced for it: tracked values keep their policy
-// sets (core.String per-character; core.Int whole-value, rendered onto
-// its digits for policy-column persistence), plain Go values bind
-// untainted.
-func argExpr(a any) (Expr, error) {
+// parser would have produced for it, built in lit: tracked values keep
+// their policy sets (core.String per-character; core.Int whole-value,
+// rendered onto its digits for policy-column persistence), plain Go
+// values bind untainted.
+func argExpr(a any, lit *argLit) (Expr, error) {
+	str := func(v core.String) Expr { lit.s.Val = v; return &lit.s }
+	num := func(v int64) Expr { lit.i.Val = v; return &lit.i }
 	switch v := a.(type) {
 	case nil:
 		return &NullLit{}, nil
 	case NamedArg:
 		return nil, fmt.Errorf("sqldb: named argument %q where a value is expected", v.Name)
 	case core.String:
-		return &StringLit{Val: v}, nil
+		return str(v), nil
 	case core.Int:
-		return &IntLit{Val: v.Value(), Src: v.ToString()}, nil
+		lit.i.Src = v.ToString()
+		return num(v.Value()), nil
 	case string:
-		return &StringLit{Val: core.NewString(v)}, nil
+		return str(core.NewString(v)), nil
 	case []byte:
-		return &StringLit{Val: core.NewString(string(v))}, nil
+		return str(core.NewString(string(v))), nil
 	case int:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case int64:
-		return &IntLit{Val: v}, nil
+		return num(v), nil
 	case int32:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case int16:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case int8:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case uint8:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case uint16:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case uint32:
-		return &IntLit{Val: int64(v)}, nil
+		return num(int64(v)), nil
 	case bool:
 		if v {
-			return &IntLit{Val: 1}, nil
+			return num(1), nil
 		}
-		return &IntLit{Val: 0}, nil
+		return num(0), nil
 	default:
 		return nil, fmt.Errorf("sqldb: cannot bind %T (want core.String, core.Int, string, []byte, integer, bool, or nil)", a)
 	}
 }
 
-// argExprs converts a bound-argument list; index i of the result binds
-// placeholder ?i.
-func argExprs(args []any) ([]Expr, error) {
-	if len(args) == 0 {
-		return nil, nil
+// boundArgs is one execution's bound arguments: exprs[i] binds
+// placeholder ordinal i. The literal nodes of the first inlineArgs
+// arguments live in the block, and so do the SQL channel's call
+// arguments, which carry the block by pointer: binding a short argument
+// list and sending it through the channel is one allocation.
+type boundArgs struct {
+	exprs []Expr
+	call  [4]any // Stmt.run's channel arguments
+	ex    [inlineArgs]Expr
+	lits  [inlineArgs]argLit
+}
+
+const inlineArgs = 4
+
+// argLit is the room for one bound argument's literal node.
+type argLit struct {
+	i IntLit
+	s StringLit
+}
+
+func newBoundArgs(n int) *boundArgs {
+	ba := &boundArgs{}
+	if n <= inlineArgs {
+		ba.exprs = ba.ex[:n]
+	} else {
+		ba.exprs = make([]Expr, n)
 	}
-	out := make([]Expr, len(args))
+	return ba
+}
+
+// set binds argument a to ordinal i.
+func (ba *boundArgs) set(i int, a any) error {
+	var lit *argLit
+	if i < inlineArgs {
+		lit = &ba.lits[i]
+	} else {
+		lit = new(argLit)
+	}
+	ex, err := argExpr(a, lit)
+	ba.exprs[i] = ex
+	return err
+}
+
+// bindPositional binds an argument list in order: index i binds
+// placeholder ?i.
+func bindPositional(args []any) (*boundArgs, error) {
+	ba := newBoundArgs(len(args))
 	for i, a := range args {
-		ex, err := argExpr(a)
-		if err != nil {
+		if err := ba.set(i, a); err != nil {
 			return nil, fmt.Errorf("%w (argument %d)", err, i)
 		}
-		out[i] = ex
 	}
-	return out, nil
+	return ba, nil
 }
 
 // NamedArg binds a value to a `:name` placeholder by name instead of by
@@ -101,14 +142,16 @@ func Named(name string, value any) NamedArg { return NamedArg{Name: name, Value:
 
 // Stmt is a prepared statement: query text compiled once, executed many
 // times with bound arguments. Create one with DB.Prepare or Tx.Prepare;
-// a Stmt is safe for concurrent use (its compiled state is immutable;
-// per-execution state lives on the stack).
+// a Stmt is immutable and safe for concurrent use (per-execution state
+// lives in the execution's boundArgs), so every DB.Prepare of the same
+// remembered text returns the same Stmt.
 type Stmt struct {
 	db *DB
 	tx *Tx // non-nil when prepared inside a transaction
 
 	query    core.String
-	compiled // the text under the standard tokenizer
+	queryArg any // query, boxed once for the channel call
+	compiled     // the text under the standard tokenizer
 
 	// s1 and s2 are the verdicts of the strategy-1 and strategy-2
 	// assertions on the immutable query text (nil: passes), computed
@@ -130,20 +173,19 @@ type Stmt struct {
 // prepareStmt compiles query text into a Stmt against db's plan cache.
 // The text is tokenized exactly once here — not at all when it is plain
 // (no policy span, within the memo's length bound) and the plan cache
-// remembers its bytes — and executions
-// tokenize zero times (TokenizeCount pins all three). Text carrying any
-// span, untrusted or not, is always compiled and judged afresh: the
-// verdicts depend on where the spans fall, not on the bytes.
+// remembers its bytes, which returns the remembered Stmt itself — and
+// executions tokenize zero times (TokenizeCount pins all three). Text
+// carrying any span, untrusted or not, is always compiled and judged
+// afresh: the verdicts depend on where the spans fall, not on the bytes.
 func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
-	s := &Stmt{db: db, tx: tx, query: q}
 	plans := db.filter.planner()
 	plain := !q.IsTainted() && q.Len() <= textMemoMaxLen
 	if plain {
-		if cp, ok := plans.texts.Get(q.Raw()); ok {
-			s.compiled = *cp
-			return s, nil
+		if st, ok := plans.texts.Get(q.Raw()); ok {
+			return st.in(tx), nil
 		}
 	}
+	s := &Stmt{db: db, query: q, queryArg: q}
 	_, _, s.textUntrusted = q.FindPolicy(sanitize.IsUntrusted)
 	toks, err := Lex(q)
 	s.s1, s.s2 = injectionVerdicts(q, toks, err)
@@ -157,12 +199,22 @@ func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 		s.err = err
 	}
 	// Text without a policy span that compiled and passed both injection
-	// assertions: only such text's compiled form is a function of its bytes.
+	// assertions: only such a statement is a function of its bytes.
 	if plain && err == nil && s.s1 == nil && s.s2 == nil {
-		cp := s.compiled
-		plans.texts.Add(q.Raw(), &cp, 0)
+		s = plans.texts.Add(q.Raw(), s, 0)
 	}
-	return s, nil
+	return s.in(tx), nil
+}
+
+// in returns s executing inside tx: s itself outside a transaction,
+// otherwise a copy, so a remembered Stmt never carries a transaction.
+func (s *Stmt) in(tx *Tx) *Stmt {
+	if tx == nil {
+		return s
+	}
+	cp := *s
+	cp.tx = tx
+	return &cp
 }
 
 // NumArgs returns the number of `?` placeholders the statement binds.
@@ -187,12 +239,12 @@ func (s *Stmt) bind(bound []Expr, auto bool) (*cachedPlan, []Expr, error) {
 	return cp.plan, slots, err
 }
 
-// bindArgs converts the caller's argument list to per-ordinal bound
-// expressions. Positional calls bind in order; NamedArg calls bind by
-// `:name`, in any order, with repeats of a name sharing one ordinal.
-// Mixing the two styles in one call is an error, as is an unknown,
-// missing, or duplicate name.
-func (cp *compiled) bindArgs(args []any) ([]Expr, error) {
+// bindArgs binds the caller's argument list to placeholder ordinals.
+// Positional calls bind in order; NamedArg calls bind by `:name`, in any
+// order, with repeats of a name sharing one ordinal. Mixing the two
+// styles in one call is an error, as is an unknown, missing, or
+// duplicate name.
+func (cp *compiled) bindArgs(args []any) (*boundArgs, error) {
 	named := 0
 	for _, a := range args {
 		if _, ok := a.(NamedArg); ok {
@@ -200,13 +252,12 @@ func (cp *compiled) bindArgs(args []any) ([]Expr, error) {
 		}
 	}
 	if named == 0 {
-		return argExprs(args)
+		return bindPositional(args)
 	}
 	if named != len(args) {
 		return nil, fmt.Errorf("sqldb: cannot mix named and positional arguments in one execution")
 	}
-	bound := make([]Expr, cp.nargs)
-	seen := make([]bool, cp.nargs)
+	ba := newBoundArgs(cp.nargs)
 	for _, a := range args {
 		na := a.(NamedArg)
 		ord := -1
@@ -219,21 +270,19 @@ func (cp *compiled) bindArgs(args []any) ([]Expr, error) {
 		if ord < 0 {
 			return nil, fmt.Errorf("sqldb: no placeholder named %q in statement", na.Name)
 		}
-		if seen[ord] {
+		if ba.exprs[ord] != nil {
 			return nil, fmt.Errorf("sqldb: placeholder %q bound twice", na.Name)
 		}
-		ex, err := argExpr(na.Value)
-		if err != nil {
+		if err := ba.set(ord, na.Value); err != nil {
 			return nil, fmt.Errorf("%w (argument %q)", err, na.Name)
 		}
-		bound[ord], seen[ord] = ex, true
 	}
-	for i, ok := range seen {
-		if !ok {
+	for i, ex := range ba.exprs {
+		if ex == nil {
 			return nil, fmt.Errorf("sqldb: placeholder %q not bound", cp.names[i])
 		}
 	}
-	return bound, nil
+	return ba, nil
 }
 
 // ReadOnly reports whether the statement is a SELECT — the only
@@ -273,8 +322,9 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 // consumes it and answers with the *Result; otherwise the statement
 // executes untracked through the same bound plan — still 0 tokenizes /
 // 0 parses.
-func (s *Stmt) run(engine *Engine, bound []Expr) (*Result, error) {
-	out, err := s.db.channel.Call([]any{s.query, engine, s, bound})
+func (s *Stmt) run(engine *Engine, bound *boundArgs) (*Result, error) {
+	bound.call = [4]any{s.queryArg, engine, s, bound}
+	out, err := s.db.channel.Call(bound.call[:])
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +333,7 @@ func (s *Stmt) run(engine *Engine, bound []Expr) (*Result, error) {
 			return res, nil
 		}
 	}
-	plan, slots, err := s.bind(bound, false)
+	plan, slots, err := s.bind(bound.exprs, false)
 	if err != nil {
 		return nil, err
 	}

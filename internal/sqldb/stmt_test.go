@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"resin/internal/core"
@@ -910,5 +911,99 @@ func TestTextMemoAdmission(t *testing.T) {
 	}
 	if a, b := tokenizes(trusted), tokenizes(trusted); a != 1 || b != 0 {
 		t.Errorf("after a cap flush: tokenized %d then %d times, want 1 then 0", a, b)
+	}
+}
+
+// TestDBQueryMemoizedTextAllocs: preparing remembered text returns the
+// remembered Stmt itself without allocating, so DB.Query on that text
+// allocates exactly what executing the prepared statement does.
+func TestDBQueryMemoizedTextAllocs(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE users (id INT, name TEXT)")
+	db.MustExec("CREATE INDEX ON users (id)")
+	if _, err := db.QueryRaw("INSERT INTO users (id, name) VALUES (?, ?)", 1, core.NewStringPolicy("alice", &passwordPolicy{Email: "a@x"})); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT name FROM users WHERE id = ?"
+	st, err := db.PrepareRaw(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare := func() {
+		if again, err := db.PrepareRaw(q); err != nil || again != st {
+			t.Fatalf("remembered text prepared to %p, %v; want the remembered %p", again, err, st)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, prepare); allocs != 0 {
+		t.Errorf("DB.Prepare of remembered text: %.0f allocs, want 0", allocs)
+	}
+	one := func(res *Result, err error) {
+		if err != nil || res.Len() != 1 || !res.Get(0, "name").Str.IsTainted() {
+			t.Fatalf("%+v, %v", res, err)
+		}
+	}
+	viaStmt := testing.AllocsPerRun(100, func() { one(st.Query(1)) })
+	viaText := testing.AllocsPerRun(100, func() { one(db.QueryRaw(q, 1)) })
+	if viaText != viaStmt {
+		t.Errorf("DB.Query on remembered text: %.0f allocs, Stmt.Query: %.0f; want equal", viaText, viaStmt)
+	}
+}
+
+// TestTxPrepareNeverLeaksIntoSharedStmt: Tx.Prepare of remembered text
+// returns a copy bound to the transaction, while DB.Query on the same
+// text keeps executing the shared, transaction-free Stmt concurrently.
+func TestTxPrepareNeverLeaksIntoSharedStmt(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE acct (owner TEXT, balance INT)")
+	db.MustExec("INSERT INTO acct (owner, balance) VALUES ('alice', 100)")
+	const q = "SELECT balance FROM acct WHERE owner = ?"
+	shared, err := db.PrepareRaw(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	balance := func(res *Result, err error) int64 {
+		if err != nil || res.Len() != 1 {
+			t.Errorf("%+v, %v", res, err)
+			return -1
+		}
+		return res.Get(0, "balance").Int.Value()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if b := balance(db.QueryRaw(q, "alice")); b != 100 {
+					t.Errorf("DB.Query read balance %d, want the committed 100", b)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tx := db.Begin()
+				st, err := tx.PrepareRaw(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st == shared || st.tx != tx {
+					t.Error("Tx.Prepare must return its own copy bound to the transaction")
+				}
+				tx.MustExec("UPDATE acct SET balance = 1 WHERE owner = 'alice'")
+				if b := balance(st.Query("alice")); b != 1 {
+					t.Errorf("transaction read balance %d, want its own 1", b)
+				}
+				if err := tx.Rollback(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if again, _ := db.PrepareRaw(q); again != shared || shared.tx != nil {
+		t.Error("the shared Stmt changed or picked up a transaction")
 	}
 }

@@ -62,7 +62,7 @@ func (v *View) Query(q core.String, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots, err := cp.slots(bound)
+	slots, err := cp.slots(bound.exprs)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +136,7 @@ type namedAssertion struct {
 // redo, which Commit both logs as one begin..commit WAL group and
 // merges into the base engine.
 func (db *DB) Begin() *Tx {
-	db.txMu.RLock()
 	engine := db.engine
-	db.txMu.RUnlock()
 	engine.mu.RLock()
 	snap := engine.acquireSnap()
 	tables := make(map[string]*table, len(engine.tables))
