@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -27,13 +28,16 @@ import (
 type classRegistry struct {
 	mu     sync.RWMutex
 	byName map[string]reflect.Type
-	byType map[reflect.Type]string
+	byType map[reflect.Type]regClass
 }
+
+// regClass is a class's name and its encoding's `{"class":…,"fields":` prefix.
+type regClass struct{ name, prefix string }
 
 func newClassRegistry() *classRegistry {
 	return &classRegistry{
 		byName: make(map[string]reflect.Type),
-		byType: make(map[reflect.Type]string),
+		byType: make(map[reflect.Type]regClass),
 	}
 }
 
@@ -50,15 +54,16 @@ func (r *classRegistry) register(name string, prototype any) {
 	if old, ok := r.byName[name]; ok && old != t {
 		panic(fmt.Sprintf("resin: class name %q already registered for %v", name, old))
 	}
+	jname, _ := json.Marshal(name)
 	r.byName[name] = t
-	r.byType[t] = name
+	r.byType[t] = regClass{name, `{"class":` + string(jname) + `,"fields":`}
 }
 
-func (r *classRegistry) nameOf(v any) (string, bool) {
+func (r *classRegistry) classOf(v any) (regClass, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	name, ok := r.byType[reflect.TypeOf(v)]
-	return name, ok
+	c, ok := r.byType[reflect.TypeOf(v)]
+	return c, ok
 }
 
 func (r *classRegistry) instantiate(name string) (any, bool) {
@@ -86,7 +91,10 @@ func RegisterPolicyClass(name string, prototype Policy) {
 }
 
 // RegisteredPolicyName returns the class name p was registered under.
-func RegisteredPolicyName(p Policy) (string, bool) { return policyClasses.nameOf(p) }
+func RegisteredPolicyName(p Policy) (string, bool) {
+	c, ok := policyClasses.classOf(p)
+	return c.name, ok
+}
 
 // RegisterFilterClass registers a filter class for persistent filter
 // objects (§3.2.3), which are stored in file/directory extended attributes.
@@ -95,7 +103,10 @@ func RegisterFilterClass(name string, prototype Filter) {
 }
 
 // RegisteredFilterName returns the class name f was registered under.
-func RegisteredFilterName(f Filter) (string, bool) { return filterClasses.nameOf(f) }
+func RegisteredFilterName(f Filter) (string, bool) {
+	c, ok := filterClasses.classOf(f)
+	return c.name, ok
+}
 
 // wireObject is the serialized form of a policy or filter object: the
 // class name plus the JSON encoding of the object's data fields.
@@ -104,16 +115,18 @@ type wireObject struct {
 	Fields json.RawMessage `json:"fields"`
 }
 
-func encodeObject(reg *classRegistry, what string, v any) ([]byte, error) {
-	name, ok := reg.nameOf(v)
+// appendObject appends v's wireObject encoding to dst: json.Marshal has
+// compacted and HTML-escaped the fields just as a second pass would.
+func appendObject(dst []byte, reg *classRegistry, what string, v any) ([]byte, error) {
+	c, ok := reg.classOf(v)
 	if !ok {
 		return nil, fmt.Errorf("resin: cannot serialize unregistered %s class %T", what, v)
 	}
 	fields, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("resin: serialize %s %s: %w", what, name, err)
+		return nil, fmt.Errorf("resin: serialize %s %s: %w", what, c.name, err)
 	}
-	return json.Marshal(wireObject{Class: name, Fields: fields})
+	return append(append(append(dst, c.prefix...), fields...), '}'), nil
 }
 
 func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
@@ -134,7 +147,7 @@ func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
 }
 
 // EncodePolicy serializes a policy object as {"class": ..., "fields": ...}.
-func EncodePolicy(p Policy) ([]byte, error) { return encodeObject(policyClasses, "policy", p) }
+func EncodePolicy(p Policy) ([]byte, error) { return appendObject(nil, policyClasses, "policy", p) }
 
 // policyInstances maps an encoded policy to its canonical decoded
 // instance, so for decoded policies pointer identity is content identity
@@ -174,7 +187,7 @@ func DecodePolicy(data []byte) (Policy, error) {
 }
 
 // EncodeFilter serializes a persistent filter object (§3.2.3).
-func EncodeFilter(f Filter) ([]byte, error) { return encodeObject(filterClasses, "filter", f) }
+func EncodeFilter(f Filter) ([]byte, error) { return appendObject(nil, filterClasses, "filter", f) }
 
 // DecodeFilter re-instantiates a persistent filter object.
 func DecodeFilter(data []byte) (Filter, error) {
@@ -193,7 +206,8 @@ type wireSpan struct {
 // attributes and the SQL filter writes into policy columns. Returns nil
 // for an untainted string. Policies that are not registered for
 // serialization are skipped with an error so that confidentiality
-// policies are never silently dropped.
+// policies are never silently dropped. The bytes are json.Marshal of
+// the []wireSpan (spans and their sets are never empty), appended here.
 func EncodeSpans(t String) ([]byte, error) {
 	if !t.IsTainted() {
 		return nil, nil
@@ -201,26 +215,40 @@ func EncodeSpans(t String) ([]byte, error) {
 	if lineageOn() {
 		lineageRecordSpans(t, "serialize", "core.encode")
 	}
-	var ws []wireSpan
-	err := t.EachTaintedSpan(func(start, end int, ps *PolicySet) error {
-		w := wireSpan{Start: start, End: end}
-		if err := ps.Each(func(p Policy) error {
-			enc, err := EncodePolicy(p)
-			if err != nil {
-				return err
-			}
-			w.Policies = append(w.Policies, enc)
-			return nil
-		}); err != nil {
-			return err
+	buf := append(make([]byte, 0, 128), '[')
+	for i, sp := range t.spans {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		ws = append(ws, w)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		buf = strconv.AppendInt(append(buf, `{"start":`...), int64(sp.start), 10)
+		buf = strconv.AppendInt(append(buf, `,"end":`...), int64(sp.end), 10)
+		buf = append(buf, `,"policies":[`...)
+		for j, p := range sp.ps.policies {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			var err error
+			if buf, err = appendObject(buf, policyClasses, "policy", p); err != nil {
+				return nil, err
+			}
+		}
+		buf = append(buf, "]}"...)
 	}
-	return json.Marshal(ws)
+	return append(buf, ']'), nil
+}
+
+// annotationStrings holds one string per distinct encoded annotation for
+// every SQL cell, version and replica to share; over 64 KiB, none.
+var annotationStrings = NewCache[string, string](maxInternedSets, 16<<20, 64<<10)
+
+// AnnotationString returns an annotation's canonical string; a hit
+// copies nothing.
+func AnnotationString[A string | []byte](ann A) string {
+	if s, ok := lookup(annotationStrings, ann); ok {
+		return s
+	}
+	s := string(ann)
+	return annotationStrings.Add(s, s, len(s))
 }
 
 // CompiledAnnotation is a policy annotation parsed, instantiated, and

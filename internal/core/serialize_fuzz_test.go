@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -25,7 +28,9 @@ func init() {
 //     error;
 //  2. a real annotation round-trips: EncodeSpans of a tainted string,
 //     decoded and re-applied to the same raw bytes, re-encodes to the
-//     identical annotation.
+//     identical annotation;
+//  3. EncodeSpans writes exactly the bytes of its three-Marshal
+//     reference, for fuzzed field bytes over fuzzed span layouts.
 func FuzzCompileAnnotation(f *testing.F) {
 	f.Add([]byte(`not json`), "raw data", uint8(0), uint8(4))
 	f.Add([]byte(`[]`), "", uint8(0), uint8(0))
@@ -40,6 +45,14 @@ func FuzzCompileAnnotation(f *testing.F) {
 		if c, err := CompileAnnotation(ann); err == nil {
 			_ = c.Apply(raw)
 			_ = c.Apply("")
+		}
+
+		// 3. Direct encoding = reference encoding: two spans, the second
+		// with two members, fields carrying the fuzzed bytes.
+		multi := NewString(raw).WithPolicyRange(0, int(a), &fuzzSpanPolicy{Tag: string(ann)}).
+			WithPolicyRange(int(b), len(raw), &fuzzSpanPolicy{Tag: raw}, &fuzzSpanPolicy{Tag: "<&>\u2028"})
+		if err := encodeMatchesReference(multi); err != nil {
+			t.Fatal(err)
 		}
 
 		// 2. Round-trip: taint raw over a clipped [start, end) range,
@@ -71,4 +84,53 @@ func FuzzCompileAnnotation(f *testing.F) {
 			t.Fatalf("annotation round-trip diverged:\n first: %s\nsecond: %s", enc, enc2)
 		}
 	})
+}
+
+// referenceEncodeSpans is EncodeSpans in its three-Marshal formulation:
+// each policy's fields, the wireObject around them, then the []wireSpan,
+// each a json.Marshal. The direct encoder must match it byte for byte,
+// and error for error.
+func referenceEncodeSpans(t String) ([]byte, error) {
+	if !t.IsTainted() {
+		return nil, nil
+	}
+	var ws []wireSpan
+	err := t.EachTaintedSpan(func(start, end int, ps *PolicySet) error {
+		w := wireSpan{Start: start, End: end}
+		if err := ps.Each(func(p Policy) error {
+			name, ok := RegisteredPolicyName(p)
+			if !ok {
+				return fmt.Errorf("resin: cannot serialize unregistered policy class %T", p)
+			}
+			fields, err := json.Marshal(p)
+			if err != nil {
+				return fmt.Errorf("resin: serialize policy %s: %w", name, err)
+			}
+			enc, err := json.Marshal(wireObject{Class: name, Fields: fields})
+			if err != nil {
+				return err
+			}
+			w.Policies = append(w.Policies, enc)
+			return nil
+		}); err != nil {
+			return err
+		}
+		ws = append(ws, w)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(ws)
+}
+
+// encodeMatchesReference reports how EncodeSpans and
+// referenceEncodeSpans disagree on s, or nil if they agree.
+func encodeMatchesReference(s String) error {
+	got, gerr := EncodeSpans(s)
+	want, werr := referenceEncodeSpans(s)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+		return fmt.Errorf("EncodeSpans(%s):\n got %s (error %v)\nwant %s (error %v)", s.Describe(), got, gerr, want, werr)
+	}
+	return nil
 }

@@ -797,6 +797,18 @@ func (e *Engine) checkOps(ops []rowOp) error {
 	return nil
 }
 
+// shareAnnotations stores replayed annotations as annotationFor does.
+func (e *Engine) shareAnnotations(ops []rowOp) {
+	for _, op := range ops {
+		cols := e.tables[op.table].cols
+		for ci, v := range op.vals {
+			if !v.null && !v.isInt && IsPolicyColumn(cols[ci].Name) {
+				op.vals[ci].s = core.AnnotationString(v.s)
+			}
+		}
+	}
+}
+
 // applyReplayGroup validates and applies one committed WAL group under
 // a single commit version — the replay mirror of commitOps, which logs
 // a whole group and bumps the frontier exactly once. The replayer calls
@@ -817,6 +829,7 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 			if err := e.checkOps(it.ops); err != nil {
 				return err
 			}
+			e.shareAnnotations(it.ops)
 			e.applyOps(it.ops, born)
 			bumped = true
 			continue
@@ -836,6 +849,7 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 	if bumped {
 		e.frontier.Store(born)
 	}
+	e.vacuumDue()
 	return nil
 }
 
@@ -846,9 +860,7 @@ func (e *Engine) afterMutate() {
 	if e.txBase != nil {
 		return
 	}
-	if e.muts >= vacuumEvery {
-		e.vacuum()
-	}
+	e.vacuumDue()
 	if limit := e.autoCompact.Load(); limit > 0 && e.wal != nil && e.wal.size > limit &&
 		e.compacting.CompareAndSwap(false, true) {
 		go func() {
@@ -857,6 +869,14 @@ func (e *Engine) afterMutate() {
 			// a broken WAL already refuses appends with its own error.
 			e.compactWAL() //nolint:errcheck
 		}()
+	}
+}
+
+// vacuumDue is the one vacuum cadence, for live writes and replay alike;
+// replay never auto-compacts (a replica's log mirrors its primary's).
+func (e *Engine) vacuumDue() {
+	if e.muts >= vacuumEvery {
+		e.vacuum()
 	}
 }
 

@@ -468,8 +468,8 @@ func rewriteCreate(s *CreateTable) *CreateTable {
 }
 
 // annotationFor serializes the policy spans of a literal's stored form.
-// It returns the expression to store in the policy column. table and col
-// name the destination cell for lineage.
+// It returns the expression to store in the policy column, the canonical
+// annotation string; table and col name the destination cell for lineage.
 func annotationFor(e Expr, table, col string) (Expr, error) {
 	var tracked core.String
 	switch v := e.(type) {
@@ -492,7 +492,7 @@ func annotationFor(e Expr, table, col string) (Expr, error) {
 	if core.LineageEnabled() {
 		core.LineageRecordValue(tracked, "sql-store", lineageColNode(table, col))
 	}
-	return &StringLit{Val: core.NewString(string(ann))}, nil
+	return &StringLit{Val: core.NewString(core.AnnotationString(ann))}, nil
 }
 
 // lineageColNode names a table cell for lineage, e.g. "sql:users.password".
@@ -546,7 +546,7 @@ func policyColSet(engine *Engine, tables []string) map[string]bool {
 // rewriteInsert augments each row with the serialized policy of each
 // value.
 func rewriteInsert(s *Insert, pcols map[string]bool, slots []Expr) (*Insert, error) {
-	cols := append([]string(nil), s.Columns...)
+	cols := append(make([]string, 0, 2*len(s.Columns)), s.Columns...)
 	augment := make([]bool, len(s.Columns))
 	for i, c := range s.Columns {
 		if !IsPolicyColumn(c) && pcols[policyColName(c)] {
@@ -556,7 +556,7 @@ func rewriteInsert(s *Insert, pcols map[string]bool, slots []Expr) (*Insert, err
 	}
 	rows := make([][]Expr, 0, len(s.Rows))
 	for _, row := range s.Rows {
-		out := append([]Expr(nil), row...)
+		out := append(make([]Expr, 0, len(cols)), row...)
 		for i := range s.Columns {
 			if !augment[i] {
 				continue

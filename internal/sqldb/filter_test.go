@@ -3,6 +3,7 @@ package sqldb
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"resin/internal/core"
 	"resin/internal/sanitize"
@@ -383,5 +384,55 @@ func TestUntrackedArmHidesShadowColumns(t *testing.T) {
 	}
 	if len(res.Columns) != 1 || res.Columns[0] != "name" || len(res.Rows[0]) != 1 || res.Rows[0][0].Str.Raw() != "x" || res.Rows[0][0].Str.IsTainted() {
 		t.Errorf("untracked result %v %+v, want the one untainted column name", res.Columns, res.Rows)
+	}
+}
+
+// TestPolicyColumnSharingAlloc: cells with equal annotations share one
+// stored string — 100 rows whose bodies carry equal-content but
+// separately allocated policies hold one policy-column backing array, on
+// the primary and on a follower fed its log — and a prepared tainted
+// INSERT stays within its allocation ceiling.
+func TestPolicyColumnSharingAlloc(t *testing.T) {
+	p, f, _ := shipPair(t)
+	p.MustExec("CREATE TABLE msgs (id INT, author TEXT, body TEXT)")
+	ins := p.MustPrepare("INSERT INTO msgs (id, author, body) VALUES (?, ?, ?)")
+	for i := 0; i < 100; i++ {
+		body := core.NewStringPolicy("hello", &passwordPolicy{Email: "share@x"})
+		if _, err := ins.Exec(i, "ann", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shipAll(t, p, f, 1<<20)
+	for _, side := range []struct {
+		name string
+		db   *DB
+	}{{"primary", p}, {"follower", f.DB()}} {
+		tb := side.db.Engine().tables["msgs"]
+		ci := tb.colIdx[policyColName("body")]
+		shared := map[*byte]int{}
+		for _, en := range tb.entries {
+			shared[unsafe.StringData(en.head.Load().vals[ci].s)]++
+		}
+		if len(tb.entries) != 100 || len(shared) != 1 {
+			t.Errorf("%s: %d rows keep %d distinct policy-column strings, want 100 rows sharing 1", side.name, len(tb.entries), len(shared))
+		}
+	}
+
+	db := Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE messages (id INT, forum INT, author TEXT, subject TEXT, body TEXT)")
+	db.MustExec("CREATE INDEX ON messages (forum)")
+	db.MustExec("CREATE INDEX ON messages (id)")
+	ins = db.MustPrepare("INSERT INTO messages (id, forum, author, subject, body) VALUES (?, ?, ?, ?, ?)")
+	body := sanitize.Taint(core.NewString(strings.Repeat("b", 96)), "form:body")
+	id := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		id++
+		if _, err := ins.Exec(id, id%16, "ann", "subject", body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("prepared tainted INSERT: %.0f allocs", allocs)
+	if allocs > 28 {
+		t.Errorf("prepared tainted INSERT: %.0f allocs, want ≤ 28", allocs)
 	}
 }

@@ -111,6 +111,7 @@ type replayer struct {
 	engine *Engine
 	inTx   bool
 	group  []walItem
+	table  string // the last decoded op's table (decodeOps)
 }
 
 // apply consumes one checksummed record payload. boundary reports that
@@ -128,7 +129,7 @@ func (r *replayer) apply(payload []byte) (boundary bool, damage *WALCorruptionEr
 		r.group = append(r.group, walItem{stmt: string(payload[1:])})
 		failed = "statement replay failed"
 	case walRecOps:
-		ops, err := decodeOpsPayload(payload[1:])
+		ops, err := r.decodeOps(payload[1:])
 		if err != nil {
 			return bad("undecodable row-ops record", err)
 		}

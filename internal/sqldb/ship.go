@@ -262,29 +262,25 @@ func (f *Follower) Apply(off int64, data []byte) error {
 // (and open transaction groups) for the next chunk. Called with f.mu
 // held.
 func (f *Follower) drain() error {
+	head := 0 // buf[:head] is applied: dropped once, when the chunk is drained
 	for {
 		payload, end, ok := walNextRecord(f.buf, f.parseOff)
-		if !ok {
-			return nil // incomplete tail: wait for more bytes
+		if !ok { // incomplete tail: keep it, in a buffer of its size, for the next chunk
+			if head > 0 {
+				f.buf, f.parseOff = append([]byte(nil), f.buf[head:]...), f.parseOff-head
+			}
+			return nil
 		}
 		boundary, damage := f.rep.apply(payload)
 		if damage != nil {
-			damage.Path, damage.Offset = "shipped stream", f.applied+int64(f.parseOff)
-			f.broken = damage
+			damage.Path, damage.Offset = "shipped stream", f.applied+int64(f.parseOff-head)
+			f.buf, f.broken = f.buf[head:], damage
 			return damage
 		}
 		if boundary {
-			f.commitTo(end)
-		} else {
-			f.parseOff = end
+			f.applied += int64(end - head)
+			head = end
 		}
+		f.parseOff = end
 	}
-}
-
-// commitTo advances the applied boundary to buf offset end, releasing
-// the consumed bytes. Called with f.mu held.
-func (f *Follower) commitTo(end int) {
-	f.applied += int64(end)
-	f.buf = append([]byte(nil), f.buf[end:]...)
-	f.parseOff = 0
 }

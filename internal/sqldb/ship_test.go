@@ -3,7 +3,10 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"resin/internal/core"
@@ -389,5 +392,107 @@ func TestNamedPlaceholders(t *testing.T) {
 	}
 	if _, err := db.QueryRaw("SELECT name FROM u WHERE age = ?", Named("a", 30)); err == nil {
 		t.Fatal("named arg outside prepared execution accepted")
+	}
+}
+
+// chainLen counts the versions of the first row of table name, newest
+// first, down to the oldest one vacuum has kept.
+func chainLen(e *Engine, name string) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	for v := e.tables[name].entries[0].head.Load(); v != nil; v = v.prev {
+		n++
+	}
+	return n
+}
+
+// TestFollowerReclaimsVersions: replay vacuums on the primary's cadence.
+// 3000 UPDATEs of one row leave the follower a version chain no longer
+// than the primary's, and recovery of the same log a chain bounded by
+// the cadence; a transaction held on the follower across a stretch of
+// them, vacuums included, still reads the version it began at.
+func TestFollowerReclaimsVersions(t *testing.T) {
+	p, f, _ := shipPair(t)
+	p.MustExec("CREATE TABLE t (id INT, v INT)")
+	p.MustExec("INSERT INTO t (id, v) VALUES (1, 0)")
+	update := func(from, to int) {
+		t.Helper()
+		up := p.MustPrepare("UPDATE t SET v = ? WHERE id = 1")
+		for i := from; i <= to; i++ {
+			if _, err := up.Exec(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shipAll(t, p, f, 16<<10)
+	}
+	update(1, 1000)
+	tx := f.DB().Begin()
+	update(1001, 2000) // three vacuum passes on the follower while tx reads
+	res, err := tx.QueryRaw("SELECT v FROM t WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Rows[0][0].Int.Value() != 1000 {
+		t.Fatalf("transaction held across replayed updates reads %v, want its snapshot's 1000", res.Rows)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	update(2001, 3000)
+
+	primary, follower := chainLen(p.Engine(), "t"), chainLen(f.DB().Engine(), "t")
+	if follower > primary || primary > vacuumEvery {
+		t.Errorf("after 3000 updates: follower chain %d, primary chain %d; want follower ≤ primary ≤ %d", follower, primary, vacuumEvery)
+	}
+	path := filepath.Join(t.TempDir(), "reopen.wal")
+	data, err := os.ReadFile(f.DB().Engine().wal.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDB(core.NewRuntime(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	if n := chainLen(db.Engine(), "t"); n > vacuumEvery {
+		t.Errorf("recovery of 3000 updates left a chain of %d versions, want ≤ %d", n, vacuumEvery)
+	}
+}
+
+// TestFollowerApplyAllocLinear: applying one shipped chunk costs
+// allocation linear in the chunk, not a copy of the unapplied tail per
+// committed record — one chunk of 4000 single-row commits allocates
+// less than four times its own size.
+func TestFollowerApplyAllocLinear(t *testing.T) {
+	_, f, _ := shipPair(t)
+	ddl, err := frameRecords(nil, stmtPayload("CREATE TABLE t (id INT, body TEXT)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Apply(int64(walHeaderSize), ddl); err != nil {
+		t.Fatal(err)
+	}
+	body := textValue(strings.Repeat("b", 256))
+	var chunk []byte
+	for id := uint64(1); id <= 4000; id++ {
+		chunk = appendRecord(chunk, opsPayload([]rowOp{{kind: opInsert, table: "t", id: id, vals: []value{intValue(int64(id)), body}}}))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := f.Apply(int64(walHeaderSize+len(ddl)), chunk); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte chunk of 4000 commits allocated %d bytes", len(chunk), got)
+	if got >= 4*uint64(len(chunk)) {
+		t.Errorf("applying a %d-byte chunk of 4000 commits allocated %d bytes, want < %d", len(chunk), got, 4*len(chunk))
+	}
+	if applied, received := f.Offsets(); applied != received || applied != int64(walHeaderSize+len(ddl)+len(chunk)) {
+		t.Errorf("offsets applied=%d received=%d after the chunk", applied, received)
 	}
 }

@@ -240,10 +240,11 @@ func opsPayload(ops []rowOp) []byte {
 	return p
 }
 
-// decodeOpsPayload parses a row-ops record body (the bytes after the
-// 'R' type byte). Any structural damage is an error: the payload was
-// checksum-protected, so it cannot be a torn tail.
-func decodeOpsPayload(data []byte) ([]rowOp, error) {
+// decodeOps parses a row-ops record body (the bytes after the 'R' type
+// byte). Any structural damage is an error: the payload was
+// checksum-protected, so it cannot be a torn tail. A run of ops on one
+// table, within a record or across records, shares one name string.
+func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 	off := 0
 	uv := func() (uint64, error) {
 		v, n := binary.Uvarint(data[off:])
@@ -277,13 +278,15 @@ func decodeOpsPayload(data []byte) ([]rowOp, error) {
 		if tl > uint64(len(data)-off) {
 			return nil, errors.New("truncated table name")
 		}
-		tbl := string(data[off : off+int(tl)])
+		if name := data[off : off+int(tl)]; string(name) != r.table {
+			r.table = string(name)
+		}
 		off += int(tl)
 		id, err := uv()
 		if err != nil {
 			return nil, err
 		}
-		op := rowOp{kind: kind, table: tbl, id: id}
+		op := rowOp{kind: kind, table: r.table, id: id}
 		if kind == opInsert || kind == opUpdate {
 			ncols, err := uv()
 			if err != nil {
