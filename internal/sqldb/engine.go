@@ -342,14 +342,6 @@ type rowOp struct {
 	vals  []value // full row for insert/update; nil for delete
 }
 
-// redoRec is one statement's worth of a transaction's redo: either a
-// DDL statement (logged as dialect text) or the row ops of a DML
-// statement. Commit replays them onto the base engine in order.
-type redoRec struct {
-	ddl Statement
-	ops []rowOp
-}
-
 // Engine is the in-memory database engine. It is safe for concurrent
 // use: SELECTs capture a snapshot under a brief read lock and evaluate
 // rows lock-free against immutable versions, while writers (including
@@ -402,19 +394,17 @@ type Engine struct {
 	// Transaction speculation: a Tx's private engine has txBase set to
 	// the engine it forked from and txSnap to the registered snapshot it
 	// reads at. Its tables map starts as a shallow copy of the base
-	// catalog. A table's first write replaces its entry with a write set
-	// (table.base): the rows the transaction writes, over the base table
-	// read at txSnap. owned marks the tables this transaction wrote,
-	// created or dropped, and beginTables remembers the base catalog as
-	// of Begin for Commit's conflict check. redo records every mutation.
+	// catalog, and it runs no DDL (ErrTxDDL), so its catalog never
+	// changes shape. A table's first write replaces its entry with a
+	// write set, whose base field is the *table the catalog held at
+	// Begin: the rows the transaction writes, over that table read at
+	// txSnap. redo holds each DML statement's row ops, in order.
 	// A speculative engine is confined to its transaction, so these
 	// need no locking beyond the Tx's own mutex; the base tables it reads
 	// are guarded by txBase.mu, always taken after e.mu, never before.
-	txBase      *Engine
-	txSnap      uint64
-	owned       map[string]bool
-	beginTables map[string]*table
-	redo        []redoRec
+	txBase *Engine
+	txSnap uint64
+	redo   [][]rowOp
 }
 
 // NewEngine returns an empty database engine.
@@ -557,12 +547,14 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 		r, b, err := e.selectAt(s, slots, b, nil)
 		return r, 0, b, err
 	}
-	// A speculative engine gives the target table its write set before
-	// any write touches it.
+	// A speculative engine refuses DDL and gives the target table its
+	// write set before any write touches it.
 	if e.txBase != nil {
-		if key, ok := mutationTarget(stmt); ok {
-			e.writeSet(key)
+		key, ok := mutationTarget(stmt)
+		if !ok {
+			return nil, 0, nil, ErrTxDDL
 		}
+		e.writeSet(key)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -591,9 +583,6 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 				return nil, 0, nil, werr
 			}
 		}
-		if e.txBase != nil {
-			e.redo = append(e.redo, redoRec{ddl: stmt})
-		}
 		apply()
 		return nil, 0, nil, nil
 	default:
@@ -613,7 +602,7 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 			}
 		}
 		if e.txBase != nil {
-			e.redo = append(e.redo, redoRec{ops: ops})
+			e.redo = append(e.redo, ops)
 		}
 		born := e.frontier.Load() + 1
 		e.applyOps(ops, born)
@@ -623,14 +612,10 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 	}
 }
 
-// mutationTarget names the table whose rows or indexes a statement
-// writes. CREATE and DROP TABLE only change the catalog.
+// mutationTarget names the table whose rows a DML statement writes; it
+// reports false for DDL.
 func mutationTarget(stmt Statement) (string, bool) {
 	switch s := stmt.(type) {
-	case *CreateIndex:
-		return strings.ToLower(s.Table), true
-	case *DropIndex:
-		return strings.ToLower(s.Table), true
 	case *Insert:
 		return strings.ToLower(s.Table), true
 	case *Update:
@@ -818,7 +803,9 @@ func (e *Engine) shareAnnotations(ops []rowOp) {
 // frontier — what lets a replica report "applied through version N"
 // meaningfully. DDL applies without a version bump and without
 // re-appending to the log: the record's bytes are already in the log
-// being replayed (recovery) or mirrored (follower shipping).
+// being replayed (recovery) or mirrored (follower shipping). Commit
+// logs only row ops inside a group, but logs written when transactions
+// could run DDL hold 'S' records there, so those still apply.
 func (e *Engine) applyReplayGroup(items []walItem) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -974,12 +961,9 @@ func (t *table) vacuum(min uint64) {
 // transaction writes them (applyOps), so the cost is independent of the
 // table's size.
 func (e *Engine) writeSet(key string) {
-	if e.owned[key] {
-		return
-	}
 	t := e.tables[key]
-	if t == nil {
-		return // validation will report ErrNoTable
+	if t == nil || t.base != nil {
+		return // validation will report ErrNoTable, or the set exists
 	}
 	ws := &table{name: t.name, cols: t.cols, colIdx: t.colIdx, byID: make(map[uint64]*rowEntry), base: t}
 	e.txBase.mu.RLock()
@@ -991,7 +975,6 @@ func (e *Engine) writeSet(key string) {
 	}
 	e.txBase.mu.RUnlock()
 	e.tables[key] = ws
-	e.owned[key] = true
 }
 
 // Schema returns the column definitions of a table.
@@ -1032,9 +1015,6 @@ func (e *Engine) createTable(s *CreateTable) (int, func(), error) {
 	}
 	return 0, func() {
 		e.tables[key] = newTable(s.Table, append([]ColumnDef(nil), s.Cols...))
-		if e.txBase != nil {
-			e.owned[key] = true
-		}
 		e.bumpSchemaGen()
 	}, nil
 }
@@ -1046,11 +1026,6 @@ func (e *Engine) dropTable(s *DropTable) (int, func(), error) {
 	}
 	return 0, func() {
 		delete(e.tables, key)
-		if e.txBase != nil {
-			// The transaction touched this name: Commit must pointer-check
-			// the base catalog entry it was dropped from.
-			e.owned[key] = true
-		}
 		e.bumpSchemaGen()
 	}, nil
 }
@@ -1166,15 +1141,15 @@ func (e *Engine) insert(s *Insert, key string, t *table, slots []Expr, b *boundS
 	return len(s.Rows), ops, nil
 }
 
-// matchEntries returns the rows of the table at key whose version the
-// statement reads satisfies b's WHERE, with those versions, in ascending
-// id (scan) order — via an index when the predicate analyzer finds a
-// usable probe. Caller holds the write lock.
-func (e *Engine) matchEntries(key string, t *table, b *boundStmt, slots []Expr) ([]*rowEntry, []*rowVersion, error) {
+// matchEntries returns the rows of table t whose version the statement
+// reads satisfies b's WHERE, with those versions, in ascending id (scan)
+// order — via an index when the predicate analyzer finds a usable probe.
+// Caller holds the write lock.
+func (e *Engine) matchEntries(t *table, b *boundStmt, slots []Expr) ([]*rowEntry, []*rowVersion, error) {
 	var ents []*rowEntry
 	var vers []*rowVersion
 	var rs rowSource
-	rs.base.cands, _ = e.rowCands(&rs, key, t, nil, b, slots, false, false, e.frontier.Load())
+	rs.base.cands, _ = e.rowCands(&rs, t, nil, b, slots, false, false, e.frontier.Load())
 	for en, v := rs.next(); en != nil; en, v = rs.next() {
 		if v == nil {
 			continue
@@ -1312,7 +1287,7 @@ func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, 
 	return dst, ordered
 }
 
-// rowCands copies out to rs the candidates of the table at key for b
+// rowCands copies out to rs the candidates of table t for b
 // (all of its rows when b is nil). On an engine's own table they are all
 // in rs.base, read at snap. On a speculative engine, a table the
 // transaction has not written is the base's, read at the transaction's
@@ -1324,13 +1299,13 @@ func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, 
 // collect's are. Caller holds e.mu; base tables are read under
 // txBase.mu, taken here — the lock order is speculative engine, then
 // base.
-func (e *Engine) rowCands(rs *rowSource, key string, t *table, dst []selCand, b *boundStmt, slots []Expr, scan, desc bool, snap uint64) (cands []selCand, ordered bool) {
+func (e *Engine) rowCands(rs *rowSource, t *table, dst []selCand, b *boundStmt, slots []Expr, scan, desc bool, snap uint64) (cands []selCand, ordered bool) {
 	scan = scan || b == nil
 	bt := t.base
 	if bt != nil {
 		rs.ws.cands, _ = t.collect(&rs.ws, nil, b, slots, scan, desc, false)
 		rs.ws.snap = snap
-	} else if e.txBase != nil && !e.owned[key] {
+	} else if e.txBase != nil {
 		bt = t
 	}
 	if bt == nil {
@@ -1404,7 +1379,7 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 	var scBuf [8]selCand
 	var rs rowSource
 	var ordered bool
-	rs.base.cands, ordered = e.rowCands(&rs, key, t, scBuf[:0], b, slots, s.ForceScan, s.Desc, snap)
+	rs.base.cands, ordered = e.rowCands(&rs, t, scBuf[:0], b, slots, s.ForceScan, s.Desc, snap)
 	unlock()
 
 	// Lock-free phase: resolve visibility, evaluate, order.
@@ -1478,7 +1453,7 @@ func (e *Engine) update(s *Update, key string, t *table, slots []Expr, b *boundS
 		}
 		vals[i] = v
 	}
-	ents, vers, err := e.matchEntries(key, t, b, slots)
+	ents, vers, err := e.matchEntries(t, b, slots)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1494,7 +1469,7 @@ func (e *Engine) update(s *Update, key string, t *table, slots []Expr, b *boundS
 }
 
 func (e *Engine) delete(key string, t *table, slots []Expr, b *boundStmt) (int, []rowOp, error) {
-	ents, _, err := e.matchEntries(key, t, b, slots)
+	ents, _, err := e.matchEntries(t, b, slots)
 	if err != nil {
 		return 0, nil, err
 	}

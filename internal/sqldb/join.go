@@ -205,8 +205,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 	}
 	defer unlock()
 
-	lkey, rkey := strings.ToLower(s.Table), ""
-	lt, ok := e.tables[lkey]
+	lt, ok := e.tables[strings.ToLower(s.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
 	}
@@ -215,8 +214,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 	var js *joinScope
 	var lon, ron int // ON columns: left position, right position
 	if s.Join != nil {
-		rkey = strings.ToLower(s.Join.Table)
-		if rt, ok = e.tables[rkey]; !ok {
+		if rt, ok = e.tables[strings.ToLower(s.Join.Table)]; !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoTable, s.Join.Table)
 		}
 		if lt == rt {
@@ -349,9 +347,9 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 	// transient map from the rows — keyed by the same indexKey
 	// canonicalization the buckets use.
 	var lsrc, rsrc rowSource
-	e.rowCands(&lsrc, lkey, lt, nil, nil, slots, true, false, snap) // a scan: no index candidates
+	e.rowCands(&lsrc, lt, nil, nil, slots, true, false, snap) // a scan: no index candidates
 	if s.Join != nil {
-		e.rowCands(&rsrc, rkey, rt, nil, nil, slots, true, false, snap)
+		e.rowCands(&rsrc, rt, nil, nil, slots, true, false, snap)
 	}
 	unlock()
 

@@ -631,10 +631,11 @@ func TestPreparedSelectFollowsSchemaCycles(t *testing.T) {
 }
 
 // TestSharedPlanAcrossGenerations (run it with -race): one plan shared
-// by the database engine and by a transaction whose speculative engine
-// ran DDL — two generations, two result shapes (the transaction's table
-// has no policy column) — while a third goroutine keeps bumping the
-// database's generation. Every answer must be the uncached one for the
+// by the database engine and by a transaction opened before a concurrent
+// DDL — two generations, two result shapes (the database's t is dropped
+// and re-created without a policy column after Begin, while the
+// transaction keeps reading the tracked t it began on) — while a third
+// goroutine keeps bumping the database's generation. Every answer must be the uncached one for the
 // engine it ran on: the plan's schema state is taken as one value, so
 // one generation's items are never paired with the other's columns.
 func TestSharedPlanAcrossGenerations(t *testing.T) {
@@ -646,17 +647,17 @@ func TestSharedPlanAcrossGenerations(t *testing.T) {
 	}
 	tx := db.Begin()
 	defer tx.Rollback() //nolint:errcheck
-	if _, err := tx.QueryRaw("DROP TABLE t"); err != nil {
+	if _, err := db.QueryRaw("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tx.spec.ExecuteRaw(&CreateTable{Table: "t", Cols: []ColumnDef{{Name: "id", Type: ColInt}, {Name: "v", Type: ColText}}}); err != nil {
+	if _, _, err := db.Engine().ExecuteRaw(&CreateTable{Table: "t", Cols: []ColumnDef{{Name: "id", Type: ColInt}, {Name: "v", Type: ColText}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.QueryRaw("INSERT INTO t (id, v) VALUES (1, 'speculative')"); err != nil {
+	if _, err := db.QueryRaw("INSERT INTO t (id, v) VALUES (1, 'direct')"); err != nil {
 		t.Fatal(err)
 	}
 	if db.Engine().SchemaGen() == tx.spec.SchemaGen() {
-		t.Fatal("the transaction's DDL must have moved its generation")
+		t.Fatal("the database's DDL must have moved its generation past the transaction's")
 	}
 
 	q := core.NewString("SELECT v FROM t WHERE id = ?")
@@ -679,8 +680,8 @@ func TestSharedPlanAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wantDB.Get(0, "v").Str.IsTainted() || wantTx.Get(0, "v").Str.IsTainted() {
-		t.Fatalf("setup: database row must be tainted and the transaction's clean:\n%s%s",
+	if wantDB.Get(0, "v").Str.IsTainted() || !wantTx.Get(0, "v").Str.IsTainted() {
+		t.Fatalf("setup: database row must be clean and the transaction's tainted:\n%s%s",
 			renderResult(t, wantDB, nil), renderResult(t, wantTx, nil))
 	}
 

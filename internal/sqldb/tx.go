@@ -3,7 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"maps"
 	"sync"
 
 	"resin/internal/core"
@@ -30,7 +30,9 @@ import (
 // deleted was committed past its snapshot by someone else, Commit fails
 // with ErrTxConflict and the database is untouched. Reads are not
 // validated, so write skew is possible (docs/SQL.md §9) — the paper's
-// buffering proposal, not full serializability.
+// buffering proposal, not full serializability. The paper buffers data
+// changes, not schema: DDL inside a transaction fails with ErrTxDDL and
+// leaves the transaction usable, and DDL outside one autocommits.
 
 // IntegrityAssertion inspects a speculative database state; returning an
 // error vetoes the commit.
@@ -92,10 +94,15 @@ var (
 
 	// ErrTxConflict reports a commit lost to the first-committer-wins
 	// rule: another commit (or direct write) landed past this
-	// transaction's snapshot on a row id — or a piece of schema — this
-	// transaction wrote. The database is unchanged; retry the whole
-	// transaction against fresh state.
+	// transaction's snapshot on a row id this transaction wrote, or
+	// dropped or replaced a table it wrote. The database is unchanged;
+	// retry the whole transaction against fresh state.
 	ErrTxConflict = errors.New("sqldb: transaction conflict")
+
+	// ErrTxDDL refuses a schema statement (CREATE/DROP TABLE or INDEX)
+	// inside a transaction. Nothing is changed and the transaction stays
+	// usable; run the DDL outside it, where it autocommits.
+	ErrTxDDL = errors.New("sqldb: schema changes are not allowed inside a transaction")
 )
 
 // IntegrityError reports a vetoed commit.
@@ -141,22 +148,15 @@ func (db *DB) Begin() *Tx {
 	engine := db.engine
 	engine.mu.RLock()
 	snap := engine.acquireSnap()
-	tables := make(map[string]*table, len(engine.tables))
-	begin := make(map[string]*table, len(engine.tables))
-	for k, t := range engine.tables {
-		tables[k] = t
-		begin[k] = t
-	}
+	tables := maps.Clone(engine.tables)
 	gen := engine.gen.Load()
 	engine.mu.RUnlock()
 
 	spec := &Engine{
-		tables:      tables,
-		nextID:      provisionalIDBase,
-		txBase:      engine,
-		txSnap:      snap,
-		owned:       make(map[string]bool),
-		beginTables: begin,
+		tables: tables,
+		nextID: provisionalIDBase,
+		txBase: engine,
+		txSnap: snap,
 	}
 	spec.gen.Store(gen)
 	return &Tx{db: db, spec: spec}
@@ -241,11 +241,10 @@ func (tx *Tx) Commit() error {
 // it) and every other writer.
 //
 // Pre-validation is exhaustive before anything is written: first-touch
-// catalog pointer checks, DDL sequencing against a simulated catalog,
-// and per-row first-committer-wins checks (a row the transaction
-// updated or deleted must not carry a version newer than the
-// transaction's snapshot). Only when every step is known to apply
-// cleanly is the WAL group appended and the redo applied — a torn
+// catalog pointer checks, then per-row first-committer-wins checks (a
+// row the transaction updated or deleted must not carry a version newer
+// than the transaction's snapshot). Only when every op is known to
+// apply cleanly is the WAL group appended and the redo applied — a torn
 // commit is impossible, short of a crash the WAL group already covers.
 func (b *Engine) commitOps(spec *Engine) error {
 	if len(spec.redo) == 0 {
@@ -261,120 +260,21 @@ func (b *Engine) commitOps(spec *Engine) error {
 		}
 	}
 
-	// First-touch check: every pre-existing table this transaction wrote
-	// must still be the same *table the catalog held at Begin. A drop or
-	// drop+recreate by another committer replaces the pointer.
-	for key := range spec.owned {
-		bt := spec.beginTables[key]
-		if bt == nil {
-			continue // created by this transaction; CreateTable sim checks absence
-		}
-		if b.tables[key] != bt {
-			return fmt.Errorf("%w: table %s changed shape since the transaction began", ErrTxConflict, key)
+	// First-touch check: every table this transaction wrote must still
+	// be the *table the catalog held at Begin. A drop or drop+recreate by
+	// another committer replaces the pointer.
+	for key, t := range spec.tables {
+		if t.base != nil && b.tables[key] != t.base {
+			return fmt.Errorf("%w: table %s was dropped or replaced since the transaction began", ErrTxConflict, key)
 		}
 	}
-
-	// Simulated catalog walk: replay the redo's schema effects against
-	// the base to prove every DDL statement still applies, and run the
-	// per-row conflict rule for ops on pre-existing tables.
-	type simTab struct {
-		t       *table       // base table (nil when created by this tx)
-		created bool         // created inside this transaction's redo
-		idx     map[int]bool // index presence overlay, lazily seeded
-	}
-	sim := make(map[string]*simTab)
-	lookup := func(key string) *simTab {
-		if st, ok := sim[key]; ok {
-			return st // may be nil: dropped in redo
-		}
-		t, ok := b.tables[key]
-		if !ok {
-			sim[key] = nil
-			return nil
-		}
-		st := &simTab{t: t}
-		sim[key] = st
-		return st
-	}
-	seedIdx := func(st *simTab) {
-		if st.idx != nil {
-			return
-		}
-		st.idx = make(map[int]bool)
-		if st.t != nil {
-			for ci := range st.t.indexes {
-				st.idx[ci] = true
-			}
-		}
-	}
-	for _, rec := range spec.redo {
-		if rec.ddl != nil {
-			switch s := rec.ddl.(type) {
-			case *CreateTable:
-				key := lowerKey(s.Table)
-				if lookup(key) != nil {
-					return fmt.Errorf("%w: table %s was created concurrently", ErrTxConflict, key)
-				}
-				sim[key] = &simTab{created: true}
-			case *DropTable:
-				key := lowerKey(s.Table)
-				if lookup(key) == nil {
-					return fmt.Errorf("%w: table %s was dropped concurrently", ErrTxConflict, key)
-				}
-				sim[key] = nil
-			case *CreateIndex:
-				key := lowerKey(s.Table)
-				st := lookup(key)
-				if st == nil {
-					return fmt.Errorf("%w: table %s was dropped concurrently", ErrTxConflict, key)
-				}
-				if !st.created {
-					ci := st.t.colIndex(s.Column)
-					if ci < 0 {
-						return fmt.Errorf("%w: column %s.%s vanished", ErrTxConflict, key, s.Column)
-					}
-					seedIdx(st)
-					if st.idx[ci] {
-						return fmt.Errorf("%w: index on %s.%s was created concurrently", ErrTxConflict, key, s.Column)
-					}
-					st.idx[ci] = true
-				}
-			case *DropIndex:
-				key := lowerKey(s.Table)
-				st := lookup(key)
-				if st == nil {
-					return fmt.Errorf("%w: table %s was dropped concurrently", ErrTxConflict, key)
-				}
-				if !st.created {
-					ci := st.t.colIndex(s.Column)
-					if ci < 0 {
-						return fmt.Errorf("%w: column %s.%s vanished", ErrTxConflict, key, s.Column)
-					}
-					seedIdx(st)
-					if !st.idx[ci] {
-						return fmt.Errorf("%w: index on %s.%s was dropped concurrently", ErrTxConflict, key, s.Column)
-					}
-					delete(st.idx, ci)
-				}
-			}
-			continue
-		}
-		if len(rec.ops) == 0 {
-			continue
-		}
-		st := lookup(rec.ops[0].table)
-		if st == nil {
-			return fmt.Errorf("%w: table %s was dropped concurrently", ErrTxConflict, rec.ops[0].table)
-		}
-		if st.created {
-			continue // private table: no one else can have touched its rows
-		}
-		for i := range rec.ops {
-			op := &rec.ops[i]
+	for _, ops := range spec.redo {
+		for i := range ops {
+			op := &ops[i]
 			if op.id >= provisionalIDBase || op.kind == opInsert {
 				continue // row born inside this transaction
 			}
-			en := st.t.byID[op.id]
+			en := b.tables[op.table].byID[op.id]
 			if en == nil {
 				return fmt.Errorf("%w: row %d of %s no longer exists", ErrTxConflict, op.id, op.table)
 			}
@@ -404,22 +304,17 @@ func (b *Engine) commitOps(spec *Engine) error {
 	// The group is logged between begin and commit markers, as one write
 	// and one sync: the markers are what lets recovery drop an
 	// uncommitted suffix.
-	applySeq := make([]redoRec, 0, len(spec.redo))
+	applySeq := make([][]rowOp, 0, len(spec.redo))
 	payloads := make([][]byte, 0, len(spec.redo)+2)
 	payloads = append(payloads, []byte{walRecBegin})
-	for _, rec := range spec.redo {
-		if rec.ddl != nil {
-			payloads = append(payloads, stmtPayload(rec.ddl.SQL()))
-			applySeq = append(applySeq, rec)
-			continue
-		}
-		mapped := make([]rowOp, len(rec.ops))
-		copy(mapped, rec.ops)
+	for _, ops := range spec.redo {
+		mapped := make([]rowOp, len(ops))
+		copy(mapped, ops)
 		for i := range mapped {
 			mapped[i].id = mapID(mapped[i].id)
 		}
 		payloads = append(payloads, opsPayload(mapped))
-		applySeq = append(applySeq, redoRec{ops: mapped})
+		applySeq = append(applySeq, mapped)
 	}
 	payloads = append(payloads, []byte{walRecCommit})
 
@@ -430,25 +325,13 @@ func (b *Engine) commitOps(spec *Engine) error {
 	}
 
 	born := b.frontier.Load() + 1
-	for _, rec := range applySeq {
-		if rec.ddl != nil {
-			_, apply, err := b.validateDDL(rec.ddl)
-			if err != nil {
-				// Pre-validation proved this applies; reaching here is an
-				// engine bug, and continuing would tear the commit.
-				panic(fmt.Sprintf("sqldb: internal: transaction DDL failed after WAL write: %v", err))
-			}
-			apply()
-			continue
-		}
-		b.applyOps(rec.ops, born)
+	for _, ops := range applySeq {
+		b.applyOps(ops, born)
 	}
 	b.frontier.Store(born)
 	b.afterMutate()
 	return nil
 }
-
-func lowerKey(name string) string { return strings.ToLower(name) }
 
 // Rollback abandons the transaction.
 func (tx *Tx) Rollback() error {

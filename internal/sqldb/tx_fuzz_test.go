@@ -31,13 +31,13 @@ import (
 func FuzzTxInterleaving(f *testing.F) {
 	// Seeds: plain commits, the classic lost-update collision, tx work
 	// straddling direct writes, rollback paths, double commit, and DDL
-	// inside a transaction.
+	// refused inside a transaction and run directly while it is open.
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02})
 	f.Add([]byte{0x10, 0x11, 0x30, 0x31})                         // tx1 update, tx2 same row, both commit
 	f.Add([]byte{0x10, 0x02, 0x22, 0x30, 0x31})                   // direct write between tx ops
 	f.Add([]byte{0x40, 0x41, 0x50, 0x30, 0x30, 0x31, 0x31})       // deletes, inserts, double commits
-	f.Add([]byte{0x60, 0x10, 0x30})                               // DDL in tx1 then write then commit
+	f.Add([]byte{0x60, 0x10, 0x30})                               // DDL refused in tx1, run directly, then write then commit
 	f.Add([]byte{0x15, 0x26, 0x07, 0x38, 0x19, 0x2a, 0x3b, 0xcc}) // mixed soup
 	f.Add([]byte{0x21, 0x00, 0x18, 0x00})                         // tx1 delete, read, insert an existing id, read
 
@@ -144,8 +144,13 @@ func FuzzTxInterleaving(f *testing.F) {
 			case 5:
 				checkTxErr(who+" rollback", tx.Rollback())
 				done[actor] = true
-			case 6: // DDL inside the tx (may be rejected if it already exists)
-				tx.QueryRaw("CREATE INDEX ON f (val)") //nolint:errcheck
+			case 6: // DDL: refused inside the tx, then run directly under it
+				if _, err := tx.QueryRaw("CREATE INDEX ON f (val)"); !done[actor] && !errors.Is(err, ErrTxDDL) {
+					t.Fatalf("%s: DDL inside the transaction: %v, want ErrTxDDL", who, err)
+				}
+				if _, err := db.QueryRaw("CREATE INDEX ON f (val)"); err != nil && !errors.Is(err, ErrIndexExists) {
+					t.Fatalf("%s: direct DDL: %v", who, err)
+				}
 			default:
 				checkTxErr(who+" commit", tx.Commit())
 				done[actor] = true

@@ -181,3 +181,40 @@ func TestTxConcurrentCommitsSerialized(t *testing.T) {
 		t.Errorf("final balance %d not from any committed tx", got)
 	}
 }
+
+// TestTxRefusesDDL: each schema statement inside a transaction fails
+// with ErrTxDDL, changes neither catalog nor the transaction's view (no
+// write set is made), and leaves the transaction usable: an INSERT
+// afterwards commits.
+func TestTxRefusesDDL(t *testing.T) {
+	for _, ddl := range []string{
+		"CREATE TABLE u (a INT)",
+		"DROP TABLE t",
+		"CREATE INDEX ON t (a)",
+		"DROP INDEX ON t (b)",
+	} {
+		t.Run(ddl, func(t *testing.T) {
+			db := Open(core.NewRuntime())
+			db.MustExec("CREATE TABLE t (a INT, b TEXT)")
+			db.MustExec("CREATE INDEX ON t (b)")
+			base := db.Engine().tables["t"]
+			tx := db.Begin()
+			if _, err := tx.QueryRaw(ddl); !errors.Is(err, ErrTxDDL) {
+				t.Fatalf("%s in a transaction: %v, want ErrTxDDL", ddl, err)
+			}
+			if tx.spec.tables["t"] != base || len(tx.spec.tables) != 1 {
+				t.Fatal("a refused statement changed the transaction's catalog")
+			}
+			if idx, _ := db.Engine().Indexes("t"); len(db.Engine().Tables()) != 1 || len(idx) != 1 || idx[0] != "b" {
+				t.Fatalf("a refused statement changed the database's schema: %v %v", db.Engine().Tables(), idx)
+			}
+			tx.MustExec("INSERT INTO t (a, b) VALUES (1, 'x')")
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := db.QueryRaw("SELECT b FROM t WHERE a = 1"); err != nil || res.Len() != 1 {
+				t.Fatalf("row written after the refusal did not commit: %v", err)
+			}
+		})
+	}
+}

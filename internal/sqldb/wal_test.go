@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -528,6 +529,108 @@ func TestWALInterleavedCommitMatchesRestart(t *testing.T) {
 	}
 	if res, _ := db2.QueryRaw("SELECT val FROM t WHERE id = 2"); res.Len() != 1 {
 		t.Error("interleaved write lost after restart")
+	}
+}
+
+// TestTxCommitConflictsWithConcurrentDrop pins the one catalog rule a
+// commit checks: a table the transaction wrote must still be the table
+// it began on. A direct DROP TABLE, or a drop and re-create under the
+// same name, landing after Begin makes Commit fail with ErrTxConflict,
+// with the log and the database untouched.
+func TestTxCommitConflictsWithConcurrentDrop(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		direct []string
+	}{
+		{"drop", []string{"DROP TABLE t"}},
+		{"drop and re-create", []string{"DROP TABLE t", "CREATE TABLE t (id INT, val TEXT)"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "drop.wal")
+			rt := core.NewRuntime()
+			db := openWALDB(t, rt, path)
+			db.MustExec("CREATE TABLE t (id INT, val TEXT)")
+			db.MustExec("INSERT INTO t (id, val) VALUES (1, 'base')")
+			tx := db.Begin()
+			tx.MustExec("INSERT INTO t (id, val) VALUES (2, 'tx')")
+			for _, q := range c.direct {
+				db.MustExec(q)
+			}
+			sizeBefore := db.WALSize()
+			if err := tx.Commit(); !errors.Is(err, ErrTxConflict) {
+				t.Fatalf("commit over a concurrent %s = %v, want ErrTxConflict", c.name, err)
+			}
+			if db.WALSize() != sizeBefore {
+				t.Error("conflicted commit appended to the log")
+			}
+			if res, err := db.QueryRaw("SELECT * FROM t WHERE id = 2"); (err != nil && !errors.Is(err, ErrNoTable)) || (err == nil && res.Len() != 0) {
+				t.Errorf("conflicted transaction's row leaked: %v", err)
+			}
+			live := dumpEngine(db.Engine())
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := openWALDB(t, rt, path)
+			defer db2.Close()
+			if got := dumpEngine(db2.Engine()); !reflect.DeepEqual(got, live) {
+				t.Fatalf("restart diverges from live state\nlive:      %+v\nrecovered: %+v", live, got)
+			}
+		})
+	}
+}
+
+// TestWALReplaysInGroupDDL: logs written before DDL was refused inside
+// transactions can hold 'S' records inside a begin..commit group. Such a
+// log still opens with its schema, index and policies intact, takes new
+// writes, reopens to the live state, and ships to a follower.
+func TestWALReplaysInGroupDDL(t *testing.T) {
+	ann, err := core.EncodeSpans(oracleTaint("secret"))
+	if err != nil || ann == nil {
+		t.Fatalf("annotation: %v", err)
+	}
+	docs := &CreateTable{Table: "docs", Cols: []ColumnDef{{Name: "id", Type: ColInt}, {Name: "body", Type: ColText}}}
+	gone := &CreateTable{Table: "gone", Cols: []ColumnDef{{Name: "id", Type: ColInt}}}
+	data := appendRecord([]byte(walHeader), stmtPayload(rewriteCreate(gone).SQL()))
+	for _, p := range [][]byte{
+		{walRecBegin},
+		stmtPayload(rewriteCreate(docs).SQL()),
+		stmtPayload("CREATE INDEX ON docs (id)"),
+		opsPayload([]rowOp{{kind: opInsert, table: "docs", id: 1,
+			vals: []value{intValue(1), textValue("secret"), nullValue(), textValue(string(ann))}}}),
+		stmtPayload("DROP TABLE gone"),
+		{walRecCommit},
+	} {
+		data = appendRecord(data, p)
+	}
+	path := filepath.Join(t.TempDir(), "ingroup.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime()
+	db := openWALDB(t, rt, path)
+	if tabs := db.Engine().Tables(); !reflect.DeepEqual(tabs, []string{"docs"}) {
+		t.Fatalf("recovered tables %v, want [docs]", tabs)
+	}
+	if idx, err := db.Engine().Indexes("docs"); err != nil || !reflect.DeepEqual(idx, []string{"id"}) {
+		t.Fatalf("recovered indexes %v (%v), want [id]", idx, err)
+	}
+	res, err := db.QueryRaw("SELECT body FROM docs WHERE id = 1")
+	if err != nil || res.Len() != 1 || !res.Get(0, "body").Str.IsTainted() {
+		t.Fatalf("recovered row lost its policy: %v", err)
+	}
+	checkFollowerParity(t, rt, data, rand.New(rand.NewSource(37)), db, nil)
+
+	if _, err := db.Query(core.NewString("INSERT INTO docs (id, body) VALUES (2, ?)"), oracleTaint("more")); err != nil {
+		t.Fatal(err)
+	}
+	live := dumpEngine(db.Engine())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openWALDB(t, rt, path)
+	defer db2.Close()
+	if got := dumpEngine(db2.Engine()); !reflect.DeepEqual(got, live) {
+		t.Fatalf("reopen after extending diverges\nlive:      %+v\nrecovered: %+v", live, got)
 	}
 }
 

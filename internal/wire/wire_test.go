@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -373,6 +374,43 @@ func TestTransactionOverWire(t *testing.T) {
 	res, _ = db.QueryRaw("SELECT bal FROM acct WHERE id = 1")
 	if res.Get(0, "bal").Int.Value() != 50 {
 		t.Fatal("rollback did not discard")
+	}
+}
+
+// TestTransactionRefusesDDLOverWire: a schema statement inside a
+// connection's transaction fails with the engine's refusal as a
+// *RemoteError, and the same transaction then writes and commits.
+func TestTransactionRefusesDDLOverWire(t *testing.T) {
+	for i, ddl := range []string{
+		"CREATE TABLE other (a INT)",
+		"DROP TABLE acct",
+		"CREATE INDEX ON acct (bal)",
+		"DROP INDEX ON acct (id)",
+	} {
+		t.Run(ddl, func(t *testing.T) {
+			db := sqldb.Open(core.NewRuntime())
+			db.MustExec("CREATE TABLE acct (id INT, bal INT)")
+			db.MustExec("CREATE INDEX ON acct (id)")
+			addr, _ := startServer(t, db, Config{})
+			c := dialT(t, addr)
+			if err := c.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.QueryRaw(ddl)
+			var re *RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, sqldb.ErrTxDDL.Error()) {
+				t.Fatalf("%s in a transaction: %v, want a *RemoteError naming the refusal", ddl, err)
+			}
+			if _, err := c.QueryRaw("INSERT INTO acct (id, bal) VALUES (?, 7)", i); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := db.QueryRaw("SELECT bal FROM acct WHERE id = ?", i); err != nil || res.Len() != 1 {
+				t.Fatalf("row written after the refusal did not commit: %v", err)
+			}
+		})
 	}
 }
 

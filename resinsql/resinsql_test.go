@@ -1,7 +1,9 @@
 package resinsql_test
 
 import (
+	"context"
 	"database/sql"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -309,5 +311,44 @@ func TestOpenFileRejectsBadDSN(t *testing.T) {
 			}
 			db.Close()
 		}
+	}
+}
+
+// TestDriverTxRefusesDDL: through database/sql on the in-process
+// driver, a schema statement inside a sql.Tx fails with sqldb.ErrTxDDL,
+// and the same sql.Tx then commits a row.
+func TestDriverTxRefusesDDL(t *testing.T) {
+	for i, ddl := range []string{
+		"CREATE TABLE other (a INT)",
+		"DROP TABLE kv",
+		"CREATE INDEX ON kv (v)",
+		"DROP INDEX ON kv (k)",
+	} {
+		t.Run(ddl, func(t *testing.T) {
+			db, _ := open(t, "txddl")
+			ctx := context.Background()
+			for _, q := range []string{"CREATE TABLE kv (k TEXT, v INT)", "CREATE INDEX ON kv (k)"} {
+				if _, err := db.ExecContext(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx, err := db.BeginTx(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.ExecContext(ctx, ddl); !errors.Is(err, sqldb.ErrTxDDL) {
+				t.Fatalf("%s in a sql.Tx: %v, want sqldb.ErrTxDDL", ddl, err)
+			}
+			if _, err := tx.ExecContext(ctx, "INSERT INTO kv (k, v) VALUES (?, ?)", "after", i); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			var v int
+			if err := db.QueryRowContext(ctx, "SELECT v FROM kv WHERE k = ?", "after").Scan(&v); err != nil || v != i {
+				t.Fatalf("row written after the refusal: v=%d err=%v", v, err)
+			}
+		})
 	}
 }
