@@ -9,6 +9,7 @@ import (
 	_ "embed"
 	"errors"
 	"strings"
+	"sync/atomic"
 
 	"resin/internal/core"
 	"resin/internal/sqldb"
@@ -112,9 +113,9 @@ func (p *AuthorListPolicy) ExportCheck(ctx *core.Context) error {
 	return errors.New("author list is anonymized")
 }
 
-// paperHasAuthor issues a database query to decide authorship, reusing the
-// application's own data through the channel context.
-func paperHasAuthor(ctx *core.Context, paperID int, user string) bool {
+// queryPaperHasAuthor issues a database query to decide authorship,
+// reusing the application's own data through the channel context.
+func queryPaperHasAuthor(ctx *core.Context, paperID int, user string) bool {
 	dbv, ok := ctx.Get("db")
 	if !ok || user == "" {
 		return false
@@ -136,6 +137,51 @@ func paperHasAuthor(ctx *core.Context, paperID int, user string) bool {
 }
 
 // END ASSERTION
+
+// authorMemo remembers queryPaperHasAuthor's answers, both outcomes: the
+// §7.1 page's check is a deny. An authorKey names the database state the
+// query read. The schema generation is process-unique, so it also names
+// the engine, and DDL moves it without moving the frontier; every
+// committed write moves the frontier. An answer is stored only if neither
+// moved while its query ran, so a hit is what the query would answer now.
+var authorMemo = core.NewCache[authorKey, bool](4096, 0, 0)
+
+// lastMiss is the state the latest memo miss read. A miss stores its
+// answer only if the miss before it read the same state: while a commit
+// lands between every two checks no entry would ever be hit, and each
+// store would only add its cost to the query's. (Two databases checked in
+// alternation therefore store nothing, and cost what the query does.)
+// lastMiss decides nothing else, so its two halves need not be read or
+// written together.
+var lastMiss struct{ gen, frontier atomic.Uint64 }
+
+type authorKey struct {
+	gen, frontier uint64
+	paperID       int
+	user          string
+}
+
+// paperHasAuthor is queryPaperHasAuthor memoized at the database's commit
+// frontier: a page rendered again before any commit lands skips the query.
+func paperHasAuthor(ctx *core.Context, paperID int, user string) bool {
+	dbv, _ := ctx.Get("db")
+	db, ok := dbv.(*sqldb.DB)
+	if !ok || user == "" {
+		return queryPaperHasAuthor(ctx, paperID, user)
+	}
+	k := authorKey{db.Engine().SchemaGen(), db.Frontier(), paperID, user}
+	if v, ok := authorMemo.Get(k); ok {
+		return v
+	}
+	admit := lastMiss.gen.Load() == k.gen && lastMiss.frontier.Load() == k.frontier
+	lastMiss.gen.Store(k.gen)
+	lastMiss.frontier.Store(k.frontier)
+	v := queryPaperHasAuthor(ctx, paperID, user)
+	if admit && db.Engine().SchemaGen() == k.gen && db.Frontier() == k.frontier {
+		authorMemo.Add(k, v, 0)
+	}
+	return v
+}
 
 func init() {
 	core.RegisterPolicyClass("hotcrp.PasswordPolicy", &PasswordPolicy{})

@@ -34,25 +34,27 @@ func TestTable4Reproduces(t *testing.T) {
 	}
 }
 
-// TestTable4Counts pins the table's shape to the paper's counts.
+// TestTable4Counts pins the table's shape to the paper's counts, and each
+// row's measured Go lines, so code moved into or out of an assertion's
+// BEGIN/END block shows here.
 func TestTable4Counts(t *testing.T) {
 	rep, err := Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][3]int{ // key → {known, discovered, prevented}
-		"admissions-sql":   {0, 3, 3},
-		"moin-read":        {2, 0, 2},
-		"moin-write":       {0, 0, 0},
-		"filethingie":      {0, 1, 1},
-		"hotcrp-password":  {1, 0, 1},
-		"hotcrp-paper":     {0, 0, 0},
-		"hotcrp-authors":   {0, 0, 0},
-		"myphpscripts":     {1, 0, 1},
-		"phpnavigator":     {0, 1, 1},
-		"phpbb-access":     {1, 3, 4},
-		"phpbb-xss":        {4, 0, 4},
-		"script-injection": {5, 0, 5},
+	want := map[string][4]int{ // key → {known, discovered, prevented, measured LOC}
+		"admissions-sql":   {0, 3, 3, 3},
+		"moin-read":        {2, 0, 2, 10},
+		"moin-write":       {0, 0, 0, 17},
+		"filethingie":      {0, 1, 1, 34},
+		"hotcrp-password":  {1, 0, 1, 14},
+		"hotcrp-paper":     {0, 0, 0, 16},
+		"hotcrp-authors":   {0, 0, 0, 53},
+		"myphpscripts":     {1, 0, 1, 6},
+		"phpnavigator":     {0, 1, 1, 34},
+		"phpbb-access":     {1, 3, 4, 10},
+		"phpbb-xss":        {4, 0, 4, 3},
+		"script-injection": {5, 0, 5, 5},
 	}
 	for _, row := range rep.Rows {
 		w, ok := want[row.Key]
@@ -63,6 +65,9 @@ func TestTable4Counts(t *testing.T) {
 		if row.Known != w[0] || row.Discovered != w[1] || row.Prevented != w[2] {
 			t.Errorf("%s: known/discovered/prevented = %d/%d/%d, want %d/%d/%d",
 				row.Key, row.Known, row.Discovered, row.Prevented, w[0], w[1], w[2])
+		}
+		if row.MeasuredLOC != w[3] {
+			t.Errorf("%s: measured assertion LOC = %d, want %d", row.Key, row.MeasuredLOC, w[3])
 		}
 	}
 	known, discovered, prevented := rep.Totals()

@@ -496,3 +496,57 @@ func TestFollowerApplyAllocLinear(t *testing.T) {
 		t.Errorf("offsets applied=%d received=%d after the chunk", applied, received)
 	}
 }
+
+// TestFrontierAndSchemaGenMove pins what a memo keyed on (SchemaGen,
+// Frontier) relies on, on a primary and on the follower replaying it:
+// every statement that changes a row moves the frontier — a direct DML
+// statement, a transaction's Commit, a follower's replay of either — and
+// one that changes no row moves neither value; CREATE/DROP TABLE and
+// CREATE/DROP INDEX move the schema generation and never the frontier;
+// and no two engines ever share a generation.
+func TestFrontierAndSchemaGenMove(t *testing.T) {
+	p, f, _ := shipPair(t)
+	type state struct{ gen, frontier uint64 }
+	at := func(db *DB) state { return state{db.Engine().SchemaGen(), db.Frontier()} }
+	step := func(what string, do func(), wantGen, wantFrontier bool) {
+		t.Helper()
+		before := [2]state{at(p), at(f.DB())}
+		do()
+		shipAll(t, p, f, 1<<20)
+		for i, db := range []*DB{p, f.DB()} {
+			after := at(db)
+			if (after.gen != before[i].gen) != wantGen {
+				t.Errorf("%s (db %d): schema generation %d → %d, want moved = %v", what, i, before[i].gen, after.gen, wantGen)
+			}
+			if moved := after.frontier != before[i].frontier; moved != wantFrontier || after.frontier < before[i].frontier {
+				t.Errorf("%s (db %d): frontier %d → %d, want moved forward = %v", what, i, before[i].frontier, after.frontier, wantFrontier)
+			}
+		}
+		if p.Engine().SchemaGen() == f.DB().Engine().SchemaGen() {
+			t.Errorf("%s: primary and follower share schema generation %d", what, p.Engine().SchemaGen())
+		}
+	}
+	exec := func(q string) func() { return func() { p.MustExec(q) } }
+
+	step("CREATE TABLE", exec("CREATE TABLE t (a INT, b TEXT)"), true, false)
+	step("CREATE INDEX", exec("CREATE INDEX ON t (a)"), true, false)
+	step("INSERT", exec("INSERT INTO t (a, b) VALUES (1, 'x')"), false, true)
+	step("UPDATE", exec("UPDATE t SET b = 'y' WHERE a = 1"), false, true)
+	step("UPDATE matching no row", exec("UPDATE t SET b = 'z' WHERE a = 99"), false, false)
+	step("DELETE matching no row", exec("DELETE FROM t WHERE a = 99"), false, false)
+	step("Tx.Commit", func() {
+		tx := p.Begin()
+		tx.MustExec("INSERT INTO t (a, b) VALUES (2, 'x')")
+		tx.MustExec("UPDATE t SET b = 'w' WHERE a = 1")
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}, false, true)
+	step("DROP INDEX", exec("DROP INDEX ON t (a)"), true, false)
+	step("DROP TABLE", exec("DROP TABLE t"), true, false)
+	step("CREATE TABLE again", exec("CREATE TABLE t (a INT, b TEXT)"), true, false)
+
+	if a, b := NewEngine().SchemaGen(), NewEngine().SchemaGen(); a == b {
+		t.Errorf("two new engines share schema generation %d", a)
+	}
+}

@@ -55,6 +55,9 @@ var coreAllow = map[string]bool{
 	"Channel": true, "KindHTTP": true, "KindFile": true, "KindEmail": true,
 	// error predicates
 	"IsAssertionError": true,
+	// the module's one bounded table, for an app's own memos: it holds
+	// what the app puts in and reaches no channel, filter or policy set
+	"Cache": true, "NewCache": true,
 }
 
 // importAllow is the set of resin/internal packages an application

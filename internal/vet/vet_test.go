@@ -139,6 +139,8 @@ import (
 	"resin/internal/lineage"
 )
 
+var memo = core.NewCache[string, bool](8, 0, 0) // allowed: a bounded table reaches no boundary
+
 func bypass(ch *core.Channel) {
 	lineage.Trace(nil)
 	core.NewChannel(core.KindHTTP)
