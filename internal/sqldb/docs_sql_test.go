@@ -237,8 +237,8 @@ func TestFigure4PreparedExampleRoundTrips(t *testing.T) {
 // documented query runs against the indexed engine AND a forced-scan
 // twin (no CREATE INDEX), and both must produce exactly the documented
 // first-column values in the documented order — the doc's range, LIKE,
-// ORDER BY pushdown, NULL-placement, and coercion-fallback claims all
-// stay live.
+// ORDER BY pushdown, NULL-placement, coercion-fallback and equality-
+// coercion claims all stay live.
 func TestOrderedIndexDocExamples(t *testing.T) {
 	data, err := os.ReadFile("../../docs/SQL.md")
 	if err != nil {
@@ -274,9 +274,11 @@ func TestOrderedIndexDocExamples(t *testing.T) {
 			if query == "" {
 				t.Fatalf("expected values %q without a preceding query", line)
 			}
-			var want []string
-			for _, v := range strings.Split(strings.TrimPrefix(line, "--   -> "), ",") {
-				want = append(want, strings.TrimSpace(v))
+			var want []string // "(none)" pins an empty result
+			if vals := strings.TrimPrefix(line, "--   -> "); vals != "(none)" {
+				for _, v := range strings.Split(vals, ",") {
+					want = append(want, strings.TrimSpace(v))
+				}
 			}
 			for name, e := range map[string]*Engine{"indexed": indexed, "scan": scan} {
 				stmt, err := Parse(core.NewString(query))

@@ -42,25 +42,77 @@ var (
 	ErrNoIndex      = errors.New("sqldb: no such index")
 )
 
-// value is one stored cell: NULL, an integer, or text.
+// value is one stored cell: NULL, an integer, or text. It is one string
+// and one int64, 24 bytes, so a row's cells pack with no padding. The
+// kind is a fixed encoding of the pair that only the constructors and
+// accessors below know:
+//
+//   - TEXT t is (t, 0);
+//   - INT n is (intMark, n);
+//   - NULL is (nullMark, 0);
+//   - the two texts that spell a mark escape to (nullMark, 1) for
+//     intMark and (nullMark, 2) for nullMark.
+//
+// Every value has exactly one encoding, so == on two values is equality
+// of kind and content, and the zero value is the empty text.
 type value struct {
-	null  bool
-	isInt bool
-	i     int64
-	s     string
+	s string
+	i int64
 }
 
-func nullValue() value         { return value{null: true} }
-func intValue(v int64) value   { return value{isInt: true, i: v} }
-func textValue(s string) value { return value{s: s} }
+const (
+	intMark  = "\x00\xffI"
+	nullMark = "\x00\xffN"
+)
+
+func nullValue() value       { return value{s: nullMark} }
+func intValue(n int64) value { return value{s: intMark, i: n} }
+func textValue(s string) value {
+	switch s {
+	case intMark:
+		return value{s: nullMark, i: 1}
+	case nullMark:
+		return value{s: nullMark, i: 2}
+	}
+	return value{s: s}
+}
+
+func (v value) isNull() bool { return v.s == nullMark && v.i == 0 }
+func (v value) isInt() bool  { return v.s == intMark }
+
+// num is an INT value's integer, 0 for any other kind.
+func (v value) num() int64 {
+	if v.s == intMark {
+		return v.i
+	}
+	return 0
+}
+
+// text is a TEXT value's string, "" for any other kind.
+func (v value) text() string {
+	switch v.s {
+	case intMark:
+		return ""
+	case nullMark:
+		switch v.i {
+		case 1:
+			return intMark
+		case 2:
+			return nullMark
+		}
+		return ""
+	}
+	return v.s
+}
+
 func (v value) String() string {
 	switch {
-	case v.null:
+	case v.isNull():
 		return "NULL"
-	case v.isInt:
+	case v.isInt():
 		return strconv.FormatInt(v.i, 10)
 	default:
-		return v.s
+		return v.text()
 	}
 }
 
@@ -99,7 +151,7 @@ func (en *rowEntry) visible(snap uint64) *rowVersion {
 	return nil
 }
 
-// staleRef is a deferred index removal: the pair (indexKey(v), id) in
+// staleRef is a deferred index removal: the pair (v, id) in
 // column ci's index may no longer be reachable by any snapshot. Vacuum
 // drains these once the version chain proves the key gone.
 type staleRef struct {
@@ -221,84 +273,59 @@ func (t *table) outColName(ref string, ci int) string {
 	return t.cols[ci].Name
 }
 
-// indexKey is the canonical equality key of a value: non-null values key
-// by their rendered form, matching valueCompare's MySQL-ish coercion
-// (int 1 and text '1' compare equal and share a key); NULL gets a
-// reserved key that no `col = literal` lookup ever probes, since SQL
-// equality with NULL never matches. The ordered-index structure itself
-// lives in index.go.
+// indexKey is the canonical equality key of a value for hash join and
+// grouping (join.go): non-null values key by their rendered form,
+// matching valueCompare's MySQL-ish coercion (int 1 and text '1'
+// compare equal and share a key); NULL gets a reserved key, since SQL
+// equality with NULL never matches. Ordered indexes key in the column's
+// own type instead (index.go).
 func indexKey(v value) string {
-	if v.null {
+	switch {
+	case v.isNull():
 		return nullKey
+	case v.isInt():
+		var buf [32]byte
+		return string(strconv.AppendInt(append(buf[:0], '='), v.num(), 10))
+	default:
+		return "=" + v.text()
 	}
-	var buf [32]byte
-	return string(appendIndexKey(buf[:0], v))
 }
 
 const nullKey = "\x00null"
-
-// appendIndexKey appends indexKey(v) to dst, so that a bucket lookup
-// can key a map with the bytes and allocate nothing.
-func appendIndexKey(dst []byte, v value) []byte {
-	switch {
-	case v.null:
-		return append(dst, nullKey...)
-	case v.isInt:
-		return strconv.AppendInt(append(dst, '='), v.i, 10)
-	default:
-		return append(append(dst, '='), v.s...)
-	}
-}
-
-// keyMatches reports indexKey(v) == key without materializing the key
-// string. The visible-key rule runs this once per index candidate on
-// the lock-free read path, where a per-row FormatInt+concat would
-// dominate the profile. Ints render into a stack buffer (the
-// byte-slice/string comparison below does not allocate), so a text key
-// like "=01" still correctly differs from int 1's canonical "=1".
-func keyMatches(v value, key string) bool {
-	if v.null {
-		return key == nullKey
-	}
-	if len(key) == 0 || key[0] != '=' {
-		return false
-	}
-	if !v.isInt {
-		return key[1:] == v.s
-	}
-	var buf [20]byte
-	return string(strconv.AppendInt(buf[:0], v.i, 10)) == key[1:]
-}
 
 // buildIndex constructs an orderedIndex over column ci from the version
 // chains. Every reachable (non-tombstone) version contributes its key,
 // not just the newest: a snapshot older than the build may later probe
 // this index, and the superset invariant must hold for the values *it*
 // sees. Keys that only old versions carry come back as stale refs so
-// vacuum reclaims them on the usual schedule.
-func buildIndex(entries []*rowEntry, ci int) (*orderedIndex, []staleRef) {
-	ix := newOrderedIndex()
+// vacuum reclaims them on the usual schedule. A one-version chain adds
+// its key directly; a longer one skips a key a newer version of the
+// chain already added.
+func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []staleRef) {
+	ix := newOrderedIndex(typ)
 	var stale []staleRef
 	for _, en := range entries {
 		head := en.head.Load()
-		var headKey string
-		haveHead := head != nil && !head.tomb
-		if haveHead {
-			headKey = indexKey(head.vals[ci])
+		if head.prev == nil {
+			if !head.tomb {
+				ix.add(head.vals[ci], en.id)
+			}
+			continue
 		}
-		seen := map[string]bool{}
+	chain:
 		for v := head; v != nil; v = v.prev {
 			if v.tomb {
 				continue
 			}
-			k := indexKey(v.vals[ci])
-			if seen[k] {
-				continue
+			k := v.vals[ci]
+			for w := head; w != v; w = w.prev {
+				if !w.tomb && w.vals[ci] == k {
+					continue chain
+				}
 			}
-			seen[k] = true
-			ix.add(v.vals[ci], en.id)
-			if !haveHead || k != headKey {
-				stale = append(stale, staleRef{ci: ci, v: v.vals[ci], id: en.id})
+			ix.add(k, en.id)
+			if head.tomb || k != head.vals[ci] {
+				stale = append(stale, staleRef{ci: ci, v: k, id: en.id})
 			}
 		}
 	}
@@ -709,7 +736,7 @@ func (e *Engine) applyOps(ops []rowOp, born uint64) {
 		en.head.Store(&rowVersion{born: born, tomb: op.kind == opDelete, vals: op.vals, prev: old})
 		oldLive, newLive := old != nil && !old.tomb, op.kind != opDelete
 		for ci, ix := range t.indexes {
-			if oldLive && newLive && indexKey(old.vals[ci]) == indexKey(op.vals[ci]) {
+			if oldLive && newLive && old.vals[ci] == op.vals[ci] {
 				continue // the row stays under its key
 			}
 			if newLive {
@@ -758,6 +785,9 @@ func (e *Engine) checkOps(ops []rowOp) error {
 			if len(op.vals) != len(t.cols) {
 				return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
 			}
+			if err := checkKinds(op, t); err != nil {
+				return err
+			}
 			if _, ok := t.byID[op.id]; ok || born[op.id] {
 				return fmt.Errorf("sqldb: duplicate row id %d in %s", op.id, op.table)
 			}
@@ -765,6 +795,9 @@ func (e *Engine) checkOps(ops []rowOp) error {
 		case opUpdate, opDelete:
 			if op.kind == opUpdate && len(op.vals) != len(t.cols) {
 				return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
+			}
+			if err := checkKinds(op, t); err != nil {
+				return err
 			}
 			if dead[op.id] {
 				return fmt.Errorf("sqldb: row op targets deleted id %d in %s", op.id, op.table)
@@ -782,13 +815,25 @@ func (e *Engine) checkOps(ops []rowOp) error {
 	return nil
 }
 
+// checkKinds reports a replayed row value whose kind its column cannot
+// hold: every write path coerces to the column type (literalValue), and
+// an index keys in that type.
+func checkKinds(op *rowOp, t *table) error {
+	for ci, v := range op.vals {
+		if !v.isNull() && v.isInt() != (t.cols[ci].Type == ColInt) {
+			return fmt.Errorf("sqldb: row op value %s does not fit %s column %s.%s", v, t.cols[ci].Type, op.table, t.cols[ci].Name)
+		}
+	}
+	return nil
+}
+
 // shareAnnotations stores replayed annotations as annotationFor does.
 func (e *Engine) shareAnnotations(ops []rowOp) {
 	for _, op := range ops {
 		cols := e.tables[op.table].cols
 		for ci, v := range op.vals {
-			if !v.null && !v.isInt && IsPolicyColumn(cols[ci].Name) {
-				op.vals[ci].s = core.AnnotationString(v.s)
+			if !v.isNull() && !v.isInt() && IsPolicyColumn(cols[ci].Name) {
+				op.vals[ci] = textValue(core.AnnotationString(v.text()))
 			}
 		}
 	}
@@ -914,23 +959,17 @@ func (t *table) vacuum(min uint64) {
 	if len(t.stale) == 0 {
 		return
 	}
-	type staleKey struct {
-		ci  int
-		key string
-		id  uint64
-	}
 	var remain []staleRef
-	seen := make(map[staleKey]bool, len(t.stale))
+	seen := make(map[staleRef]bool, len(t.stale))
 	for _, sr := range t.stale {
 		ix := t.indexes[sr.ci]
 		if ix == nil {
 			continue // index dropped; nothing to drain
 		}
-		k := indexKey(sr.v)
-		if seen[staleKey{sr.ci, k, sr.id}] {
+		if seen[sr] {
 			continue
 		}
-		seen[staleKey{sr.ci, k, sr.id}] = true
+		seen[sr] = true
 		en := t.byID[sr.id]
 		if en == nil {
 			ix.remove(sr.v, sr.id)
@@ -938,7 +977,7 @@ func (t *table) vacuum(min uint64) {
 		}
 		carried := false
 		for v := en.head.Load(); v != nil; v = v.prev {
-			if !v.tomb && indexKey(v.vals[sr.ci]) == k {
+			if !v.tomb && v.vals[sr.ci] == sr.v {
 				carried = true
 				break
 			}
@@ -970,7 +1009,7 @@ func (e *Engine) writeSet(key string) {
 	if len(t.indexes) > 0 {
 		ws.indexes = make(map[int]*orderedIndex, len(t.indexes))
 		for ci := range t.indexes {
-			ws.indexes[ci] = newOrderedIndex()
+			ws.indexes[ci] = newOrderedIndex(t.cols[ci].Type)
 		}
 	}
 	e.txBase.mu.RUnlock()
@@ -1046,7 +1085,7 @@ func (e *Engine) createIndex(s *CreateIndex) (int, func(), error) {
 		if t.indexes == nil {
 			t.indexes = make(map[int]*orderedIndex, 1)
 		}
-		ix, stale := buildIndex(t.entries, ci)
+		ix, stale := buildIndex(t.entries, ci, t.cols[ci].Type)
 		t.indexes[ci] = ix
 		t.stale = append(t.stale, stale...)
 		e.bumpSchemaGen()
@@ -1167,19 +1206,17 @@ func (e *Engine) matchEntries(t *table, b *boundStmt, slots []Expr) ([]*rowEntry
 }
 
 // selCand is one candidate row an index traversal emitted: the entry
-// plus the bucket key it was found under. The key is empty where no
-// visible-key check is due: for equality buckets (see
-// indexProbe.candidates).
+// plus the key it was found under, as a cell of the probed column.
 type selCand struct {
 	en  *rowEntry
-	key string
+	key value
 }
 
 // candSet is the candidates one table yields for a statement, copied
 // out under the lock that guards the table: a scan's entries (the
 // entries slice itself) or an index traversal's, with the snapshot they
-// are read at, the probed column of the visible-key rule, and the ids to
-// pass over.
+// are read at, the probed column of the visible-key rule (-1 for a
+// scan), and the ids to pass over.
 type candSet struct {
 	ents    []*rowEntry
 	cands   []selCand
@@ -1189,17 +1226,17 @@ type candSet struct {
 	next    int
 }
 
-// peek returns the entry and bucket key of the set's next candidate;
-// the entry is nil when none is left.
-func (cs *candSet) peek() (*rowEntry, string) {
+// peek returns the entry and key of the set's next candidate; the entry
+// is nil when none is left, and a scan's candidates have no key.
+func (cs *candSet) peek() (*rowEntry, value) {
 	if cs.next < len(cs.ents) {
-		return cs.ents[cs.next], ""
+		return cs.ents[cs.next], value{}
 	}
 	if cs.next < len(cs.cands) {
 		c := &cs.cands[cs.next]
 		return c.en, c.key
 	}
-	return nil, ""
+	return nil, value{}
 }
 
 // rowSource is the candidate rows of one table for a statement
@@ -1234,7 +1271,7 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 			continue // the write set holds this row
 		}
 		v := en.visible(cs.snap)
-		if v == nil || (key != "" && !keyMatches(v.vals[cs.probeCI], key)) {
+		if v == nil || (cs.probeCI >= 0 && v.vals[cs.probeCI] != key) {
 			return en, nil
 		}
 		return en, v
@@ -1272,7 +1309,7 @@ func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, 
 	case !scan && mayOrder && b.order >= 0 && t.indexes[b.order] != nil:
 		// ORDER BY pushdown without a probe: traverse the whole ordered
 		// index (NULL bucket first for ASC, last for DESC) and filter.
-		ics = t.indexes[b.order].orderedCands(desc)
+		ics = t.indexes[b.order].orderedCands(icBuf[:0], desc)
 		cs.probeCI, ordered = b.order, true
 	default:
 		cs.ents = t.entries // contents immutable for any registered snapshot
@@ -1502,13 +1539,13 @@ func (b *boundExpr) test(row []value, slots []Expr) (bool, error) {
 		return true, nil
 	}
 	v, err := b.eval(row, slots)
-	if err != nil || v.null {
+	if err != nil || v.isNull() {
 		return false, err
 	}
-	if v.isInt {
-		return v.i != 0, nil
+	if v.isInt() {
+		return v.num() != 0, nil
 	}
-	return v.s != "", nil
+	return v.text() != "", nil
 }
 
 // eval is the evaluator. Every name was resolved when the expression was
@@ -1545,7 +1582,7 @@ func (b *boundExpr) eval(row []value, slots []Expr) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	if l.null || r.null {
+	if l.isNull() || r.isNull() {
 		// SQL three-valued logic collapsed to false.
 		return boolValue(false), nil
 	}
@@ -1579,11 +1616,11 @@ func boolValue(b bool) value {
 // valueCompare compares two non-null values: numerically when both are
 // integers, else textually on rendered forms (MySQL-ish coercion).
 func valueCompare(a, b value) int {
-	if a.isInt && b.isInt {
+	if a.isInt() && b.isInt() {
 		switch {
-		case a.i < b.i:
+		case a.num() < b.num():
 			return -1
-		case a.i > b.i:
+		case a.num() > b.num():
 			return 1
 		default:
 			return 0
@@ -1594,8 +1631,8 @@ func valueCompare(a, b value) int {
 
 // valueLess orders values for ORDER BY with NULLs first.
 func valueLess(a, b value) bool {
-	if a.null || b.null {
-		return a.null && !b.null
+	if a.isNull() || b.isNull() {
+		return a.isNull() && !b.isNull()
 	}
 	return valueCompare(a, b) < 0
 }

@@ -198,12 +198,12 @@ func TestEngineCRUD(t *testing.T) {
 		t.Fatalf("inserted %d", n)
 	}
 	raw, _ := mustExecRaw(t, e, "SELECT name FROM users WHERE age > 26 ORDER BY age DESC")
-	if len(raw.rows) != 2 || raw.rows[0][0].s != "carol" || raw.rows[1][0].s != "alice" {
+	if len(raw.rows) != 2 || raw.rows[0][0].text() != "carol" || raw.rows[1][0].text() != "alice" {
 		t.Fatalf("rows = %+v", raw.rows)
 	}
 	// bio was not inserted: NULL.
 	raw, _ = mustExecRaw(t, e, "SELECT bio FROM users WHERE name = 'alice'")
-	if !raw.rows[0][0].null {
+	if !raw.rows[0][0].isNull() {
 		t.Error("missing column should be NULL")
 	}
 	_, n = mustExecRaw(t, e, "UPDATE users SET age = 31 WHERE name = 'alice'")
@@ -211,7 +211,7 @@ func TestEngineCRUD(t *testing.T) {
 		t.Fatalf("updated %d", n)
 	}
 	raw, _ = mustExecRaw(t, e, "SELECT age FROM users WHERE name = 'alice'")
-	if raw.rows[0][0].i != 31 {
+	if raw.rows[0][0].num() != 31 {
 		t.Errorf("age = %v", raw.rows[0][0])
 	}
 	_, n = mustExecRaw(t, e, "DELETE FROM users WHERE age < 30")
@@ -262,7 +262,7 @@ func TestEngineTypeCoercion(t *testing.T) {
 	// String into INT column parses; number into TEXT renders.
 	mustExecRaw(t, e, "INSERT INTO t (n, s) VALUES ('42', 7)")
 	raw, _ := mustExecRaw(t, e, "SELECT n, s FROM t")
-	if raw.rows[0][0].i != 42 || raw.rows[0][1].s != "7" {
+	if raw.rows[0][0].num() != 42 || raw.rows[0][1].text() != "7" {
 		t.Errorf("coercion = %+v", raw.rows[0])
 	}
 	stmt, _ := Parse(core.NewString("INSERT INTO t (n) VALUES ('not-a-number')"))
@@ -336,7 +336,7 @@ func TestEngineOrderByNullsFirst(t *testing.T) {
 	mustExecRaw(t, e, "CREATE TABLE t (a TEXT, k INT)")
 	mustExecRaw(t, e, "INSERT INTO t (a, k) VALUES ('b', 1), (NULL, 2), ('a', 3)")
 	raw, _ := mustExecRaw(t, e, "SELECT k FROM t ORDER BY a")
-	if raw.rows[0][0].i != 2 {
+	if raw.rows[0][0].num() != 2 {
 		t.Errorf("NULL should sort first: %+v", raw.rows)
 	}
 }

@@ -355,12 +355,19 @@ func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
 func executePlanned(plans *planCache, plan *cachedPlan, engine *Engine, stmt Statement, slots []Expr, attach bool) (*Result, error) {
 	ps, fresh := boundPlanFor(plans, plan, engine, stmt)
 	run := ps.stmt
-	if _, isSelect := run.(*Select); attach && !isSelect {
-		// INSERT and UPDATE annotate the execution's values (and CREATE
-		// TABLE grows its shadow columns): rewritten per execution,
-		// against the cached column set.
+	if attach {
+		// INSERT and UPDATE annotate the execution's values through the
+		// bound write rewrite, and CREATE TABLE grows its shadow columns.
 		var err error
-		if run, err = rewriteWithPCols(stmt, ps.pcols, slots); err != nil {
+		switch s := stmt.(type) {
+		case *Insert:
+			run, err = ps.write.insert(s, slots)
+		case *Update:
+			run, err = ps.write.update(s, slots)
+		case *CreateTable:
+			run = rewriteCreate(s)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -417,8 +424,11 @@ func boundPlanFor(plans *planCache, plan *cachedPlan, engine *Engine, stmt State
 	if tables, n := stmtPolicyTables(stmt); n > 0 {
 		ps.pcols = policyColSet(engine, tables[:n])
 	}
-	if s, ok := stmt.(*Select); ok {
+	switch s := stmt.(type) {
+	case *Select:
 		ps.stmt = rewriteSelect(s, ps.pcols)
+	case *Insert, *Update:
+		ps.write = bindWrite(s, ps.pcols)
 	}
 	return ps, true
 }
@@ -427,7 +437,9 @@ func boundPlanFor(plans *planCache, plan *cachedPlan, engine *Engine, stmt State
 // engine in place of stmt: CREATE TABLE grows a shadow policy column
 // per data column, INSERT and UPDATE store each value's serialized
 // policy, SELECT fetches policy columns alongside data columns. DROP,
-// DELETE, and the index statements pass through unchanged. The worked
+// DELETE, and the index statements pass through unchanged. The rewrite
+// only ever appends — items, columns, values, assignments — so the
+// statement it was given is a prefix of what it returns. The worked
 // Figure 4 example in docs/SQL.md is pinned to this function's output
 // by a test.
 func RewriteWithPolicies(engine *Engine, stmt Statement) (Statement, error) {
@@ -435,23 +447,15 @@ func RewriteWithPolicies(engine *Engine, stmt Statement) (Statement, error) {
 	if tables, n := stmtPolicyTables(stmt); n > 0 {
 		pcols = policyColSet(engine, tables[:n])
 	}
-	return rewriteWithPCols(stmt, pcols, nil)
-}
-
-// rewriteWithPCols is the pure policy-persistence rewrite (Figure 4).
-// It only ever appends — items, columns, values, assignments — so the
-// statement it was given is a prefix of what it returns. The annotation
-// of a value a Param stands for is read from slots.
-func rewriteWithPCols(stmt Statement, pcols map[string]bool, slots []Expr) (Statement, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
 		return rewriteCreate(s), nil
 	case *Insert:
-		return rewriteInsert(s, pcols, slots)
+		return bindWrite(s, pcols).insert(s, nil)
 	case *Select:
 		return rewriteSelect(s, pcols), nil
 	case *Update:
-		return rewriteUpdate(s, pcols, slots)
+		return bindWrite(s, pcols).update(s, nil)
 	default: // DropTable, Delete, CreateIndex, DropIndex need no rewriting.
 		return stmt, nil
 	}
@@ -467,6 +471,10 @@ func rewriteCreate(s *CreateTable) *CreateTable {
 	return &CreateTable{Table: s.Table, Cols: cols}
 }
 
+// nullLit is the shadow value of an untainted one. NullLit has no
+// fields, so sharing it is safe.
+var nullLit Expr = &NullLit{}
+
 // annotationFor serializes the policy spans of a literal's stored form.
 // It returns the expression to store in the policy column, the canonical
 // annotation string; table and col name the destination cell for lineage.
@@ -478,7 +486,7 @@ func annotationFor(e Expr, table, col string) (Expr, error) {
 	case *IntLit:
 		tracked = v.Src
 	case *NullLit:
-		return &NullLit{}, nil
+		return nullLit, nil
 	default:
 		return nil, fmt.Errorf("sqldb: expected literal, got %T", e)
 	}
@@ -487,7 +495,7 @@ func annotationFor(e Expr, table, col string) (Expr, error) {
 		return nil, err
 	}
 	if ann == nil {
-		return &NullLit{}, nil
+		return nullLit, nil
 	}
 	if core.LineageEnabled() {
 		core.LineageRecordValue(tracked, "sql-store", lineageColNode(table, col))
@@ -543,47 +551,73 @@ func policyColSet(engine *Engine, tables []string) map[string]bool {
 	return out
 }
 
-// rewriteInsert augments each row with the serialized policy of each
-// value.
-func rewriteInsert(s *Insert, pcols map[string]bool, slots []Expr) (*Insert, error) {
-	cols := append(make([]string, 0, 2*len(s.Columns)), s.Columns...)
-	augment := make([]bool, len(s.Columns))
-	for i, c := range s.Columns {
-		if !IsPolicyColumn(c) && pcols[policyColName(c)] {
-			augment[i] = true
-			cols = append(cols, policyColName(c))
+// writeRewrite is the schema half of an INSERT's or UPDATE's Figure 4
+// rewrite, fixed once per bound plan (planSchema.write): which written
+// columns have a shadow column, and its name. An execution then only
+// serializes its values' annotations (annotationFor). Immutable once
+// built; the rewritten INSERTs share cols.
+type writeRewrite struct {
+	aug    []int    // positions of the written columns with a shadow column
+	shadow []string // their shadow columns' names, parallel to aug
+	cols   []string // INSERT: the column list with the shadow columns appended
+}
+
+// bindWrite builds the write rewrite of an INSERT or UPDATE against the
+// policy columns of its table.
+func bindWrite(stmt Statement, pcols map[string]bool) *writeRewrite {
+	var names []string
+	switch s := stmt.(type) {
+	case *Insert:
+		names = s.Columns
+	case *Update:
+		for _, a := range s.Set {
+			names = append(names, a.Column)
 		}
 	}
-	rows := make([][]Expr, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		out := append(make([]Expr, 0, len(cols)), row...)
-		for i := range s.Columns {
-			if !augment[i] {
-				continue
-			}
+	w := &writeRewrite{}
+	for i, c := range names {
+		if pc := policyColName(c); !IsPolicyColumn(c) && pcols[pc] {
+			w.aug = append(w.aug, i)
+			w.shadow = append(w.shadow, pc)
+		}
+	}
+	if _, ok := stmt.(*Insert); ok {
+		w.cols = append(append(make([]string, 0, len(names)+len(w.shadow)), names...), w.shadow...)
+	}
+	return w
+}
+
+// insert augments each row with the serialized policy of each value
+// that has a shadow column.
+func (w *writeRewrite) insert(s *Insert, slots []Expr) (*Insert, error) {
+	n := len(w.cols)
+	flat := make([]Expr, 0, len(s.Rows)*n) // every row's expressions, one allocation
+	rows := make([][]Expr, len(s.Rows))
+	for r, row := range s.Rows {
+		flat = append(flat, row...)
+		for _, i := range w.aug {
 			ann, err := annotationFor(slotExpr(row[i], slots), s.Table, s.Columns[i])
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, ann)
+			flat = append(flat, ann)
 		}
-		rows = append(rows, out)
+		rows[r] = flat[r*n : (r+1)*n : (r+1)*n]
 	}
-	return &Insert{Table: s.Table, Columns: cols, Rows: rows}, nil
+	return &Insert{Table: s.Table, Columns: w.cols, Rows: rows}, nil
 }
 
-// rewriteUpdate augments each SET clause with its policy column.
-func rewriteUpdate(s *Update, pcols map[string]bool, slots []Expr) (*Update, error) {
-	set := append([]Assignment(nil), s.Set...)
-	for _, a := range s.Set {
-		if IsPolicyColumn(a.Column) || !pcols[policyColName(a.Column)] {
-			continue
-		}
+// update augments each SET clause that has a shadow column with its
+// serialized policy.
+func (w *writeRewrite) update(s *Update, slots []Expr) (*Update, error) {
+	set := append(make([]Assignment, 0, len(s.Set)+len(w.aug)), s.Set...)
+	for j, i := range w.aug {
+		a := s.Set[i]
 		ann, err := annotationFor(slotExpr(a.Value, slots), s.Table, a.Column)
 		if err != nil {
 			return nil, err
 		}
-		set = append(set, Assignment{Column: policyColName(a.Column), Value: ann})
+		set = append(set, Assignment{Column: w.shadow[j], Value: ann})
 	}
 	return &Update{Table: s.Table, Set: set, Where: s.Where}, nil
 }
@@ -776,15 +810,15 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 				ann = raw.at(row, col.policy)
 			}
 			var c Cell
-			if !ann.null && ann.s != "" {
+			if annText := ann.text(); annText != "" {
 				if col.union {
-					set, err := unionFor(ann.s)
+					set, err := unionFor(annText)
 					if err != nil {
 						return nil, err
 					}
 					c = makeCellUnion(v, set)
 				} else {
-					comp, err := compileAnn(ann.s)
+					comp, err := compileAnn(annText)
 					if err != nil {
 						return nil, err
 					}
@@ -811,12 +845,12 @@ func (sh *resultShape) apply(raw *rawResult, tbl string) (*Result, error) {
 // instantiation.
 func makeCell(v value, comp *core.CompiledAnnotation) Cell {
 	switch {
-	case v.null:
+	case v.isNull():
 		return Cell{Null: true}
-	case !v.isInt:
-		return Cell{Str: comp.Apply(v.s)}
+	case !v.isInt():
+		return Cell{Str: comp.Apply(v.text())}
 	}
-	n := core.NewInt(v.i)
+	n := core.NewInt(v.num())
 	if comp == nil {
 		return Cell{IsInt: true, Int: n}
 	}
@@ -832,17 +866,17 @@ func makeCell(v value, comp *core.CompiledAnnotation) Cell {
 // — the attach path for aggregate outputs, whose policies are a union
 // of the group's inputs with no meaningful byte positions.
 func makeCellUnion(v value, set *core.PolicySet) Cell {
-	if v.null {
+	if v.isNull() {
 		return Cell{Null: true}
 	}
-	if v.isInt {
-		n := core.NewInt(v.i)
+	if v.isInt() {
+		n := core.NewInt(v.num())
 		if set.Len() > 0 {
 			n = n.WithPolicy(set.Policies()...)
 		}
 		return Cell{IsInt: true, Int: n}
 	}
-	s := core.NewString(v.s)
+	s := core.NewString(v.text())
 	if set.Len() > 0 {
 		s = s.WithPolicySet(set)
 	}

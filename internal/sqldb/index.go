@@ -3,7 +3,6 @@ package sqldb
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -11,10 +10,9 @@ import (
 
 // Ordered indexes and the predicate analyzer.
 //
-// An orderedIndex keeps the equality bucket map of the original hash
-// index — canonical equality key → row ids — and additionally a key
-// sequence sorted by valueLess, so the same structure answers three
-// kinds of questions:
+// An orderedIndex keeps an equality bucket map — key, in the column's
+// own type, → row ids — and additionally the keys sorted as valueLess
+// orders them, so the same structure answers three kinds of questions:
 //
 //   - equality probes (`col = literal`), by bucket lookup, as before;
 //   - range probes (`<`, `<=`, `>`, `>=`, and `LIKE 'prefix%'`), by
@@ -64,142 +62,222 @@ var limitStops atomic.Uint64
 // row before truncating does not move it.
 func LimitStopCount() uint64 { return limitStops.Load() }
 
-// orderedIndex is an ordered index over one column: equality buckets
-// keyed by canonical equality key, plus the distinct non-null values in
-// valueLess order. Buckets always hold ascending row ids — ids are
-// allocated monotonically and entries append in id order, so bucket
-// order is scan-equivalent row order and candidate lists inherit
-// stable-sort equivalence without re-sorting. NULLs live only in the
-// reserved bucket: no range ever matches NULL, so the sorted sequence
-// excludes them; ordered traversals splice the NULL bucket in
-// explicitly at the NULLS-first (ASC) or NULLS-last (DESC) end.
+// orderedIndex is an ordered index over one column, keyed in the
+// column's own type: an INT column's keys are int64s, a TEXT column's
+// strings (keyIndex), so a key costs what the cell does. Buckets always
+// hold ascending row ids — ids are allocated monotonically and entries
+// append in id order, so bucket order is scan-equivalent row order and
+// candidate lists inherit stable-sort equivalence without re-sorting.
+// NULLs live only in their own bucket: no range ever matches NULL, so
+// the sorted keys exclude it; ordered traversals splice the NULL bucket
+// in explicitly at the NULLS-first (ASC) or NULLS-last (DESC) end.
 //
 // Writers under Engine.mu maintain the structure on INSERT, UPDATE and
 // CREATE INDEX; DELETE tombstones the row and leaves its pairs for
 // vacuum. add is duplicate-safe: re-adding a (value, id) pair that a
-// pending stale reference never drained is a no-op.
+// pending stale reference never drained is a no-op. A value the index
+// is given is NULL or of the column's kind: every write path coerces to
+// the column type, and replay checks it (checkKinds). The methods
+// dispatch on the kind by hand rather than through an interface, so
+// that a caller's candidate buffer can stay on its stack.
 type orderedIndex struct {
-	m    map[string][]uint64
-	vals []value // distinct non-null values, sorted by valueLess
+	ints  *keyIndex[int64]  // an INT column's keys, else nil
+	texts *keyIndex[string] // a TEXT column's keys, else nil
+	nulls []uint64          // the NULL bucket
 }
 
-func newOrderedIndex() *orderedIndex {
-	return &orderedIndex{m: make(map[string][]uint64)}
+// keyIndex is the non-NULL part of an ordered index: the equality
+// buckets and the distinct keys in ascending order.
+type keyIndex[K cmp.Ordered] struct {
+	m    map[K][]uint64
+	keys []K
 }
 
-// search returns the first position in vals whose value is >= v.
-func (ix *orderedIndex) search(v value) int {
-	return sort.Search(len(ix.vals), func(i int) bool { return !valueLess(ix.vals[i], v) })
+func newOrderedIndex(typ ColType) *orderedIndex {
+	if typ == ColInt {
+		return &orderedIndex{ints: &keyIndex[int64]{m: make(map[int64][]uint64)}}
+	}
+	return &orderedIndex{texts: &keyIndex[string]{m: make(map[string][]uint64)}}
 }
 
 func (ix *orderedIndex) add(v value, id uint64) {
-	k := indexKey(v)
-	bucket, ok := ix.m[k]
-	if !ok && !v.null {
-		i := ix.search(v)
-		ix.vals = append(ix.vals, value{})
-		copy(ix.vals[i+1:], ix.vals[i:])
-		ix.vals[i] = v
+	switch {
+	case v.isNull():
+		ix.nulls = addID(ix.nulls, id)
+	case ix.ints != nil:
+		ix.ints.add(v.num(), id)
+	default:
+		ix.texts.add(v.text(), id)
 	}
-	// Keep ids ascending: INSERT appends monotonically growing ids
-	// (fast path); UPDATE moves an existing row into another bucket at
-	// an arbitrary id (binary insert). A pair already present — the row
-	// moved back to a value whose stale reference has not drained yet —
-	// stays single.
-	if n := len(bucket); n == 0 || bucket[n-1] < id {
-		ix.m[k] = append(bucket, id)
-		return
-	}
-	i := sort.Search(len(bucket), func(i int) bool { return bucket[i] >= id })
-	if i < len(bucket) && bucket[i] == id {
-		return
-	}
-	bucket = append(bucket, 0)
-	copy(bucket[i+1:], bucket[i:])
-	bucket[i] = id
-	ix.m[k] = bucket
 }
 
 func (ix *orderedIndex) remove(v value, id uint64) {
-	k := indexKey(v)
-	bucket := ix.m[k]
-	i := sort.Search(len(bucket), func(i int) bool { return bucket[i] >= id })
-	if i >= len(bucket) || bucket[i] != id {
-		return
-	}
-	bucket = append(bucket[:i], bucket[i+1:]...)
-	if len(bucket) > 0 {
-		ix.m[k] = bucket
-		return
-	}
-	delete(ix.m, k)
-	if !v.null {
-		if j := ix.search(v); j < len(ix.vals) && indexKey(ix.vals[j]) == k {
-			ix.vals = append(ix.vals[:j], ix.vals[j+1:]...)
-		}
+	switch {
+	case v.isNull():
+		ix.nulls = removeID(ix.nulls, id)
+	case ix.ints != nil:
+		ix.ints.remove(v.num(), id)
+	default:
+		ix.texts.remove(v.text(), id)
 	}
 }
 
-// span returns the half-open vals range [start, end) covered by the
-// bounds; a missing bound is unbounded on that side.
+// bucket returns the ids under key, which need not be of the column's
+// kind: no key of an INT index equals a text, nor of a TEXT index an
+// integer, nor of either NULL.
+func (ix *orderedIndex) bucket(key value) []uint64 {
+	switch {
+	case key.isNull() || key.isInt() != (ix.ints != nil):
+		return nil
+	case ix.ints != nil:
+		return ix.ints.m[key.num()]
+	}
+	return ix.texts.m[key.text()]
+}
+
+// span returns the half-open range [start, end) of keys covered by the
+// bounds, which are of the column's kind (rangeLiteral); a missing bound
+// is unbounded on that side.
 func (ix *orderedIndex) span(cb *colBounds) (int, int) {
-	start := 0
+	if ix.ints != nil {
+		return ix.ints.span(cb, value.num)
+	}
+	return ix.texts.span(cb, value.text)
+}
+
+// appendSpan appends the (key, id) pairs of the key range [start, end)
+// to dst: keys ascending (descending for desc), each bucket's ids
+// ascending.
+func (ix *orderedIndex) appendSpan(dst []indexCand, start, end int, desc bool) []indexCand {
+	if ix.ints != nil {
+		return ix.ints.appendSpan(dst, start, end, desc, intValue)
+	}
+	return ix.texts.appendSpan(dst, start, end, desc, textValue)
+}
+
+// orderedCands appends every (key, id) pair to dst in `ORDER BY col`
+// order: appendSpan's order over every key, with the NULL bucket first
+// for ASC and last for DESC — exactly the order a stable sort of the
+// scanned visible rows produces, which is what makes skipping that sort
+// result-neutral. Ids superseded under a key survive here until vacuum;
+// the visible-key rule drops them.
+func (ix *orderedIndex) orderedCands(dst []indexCand, desc bool) []indexCand {
+	n := ix.keyCount()
+	dst = slices.Grow(dst, n+len(ix.nulls))
+	if !desc {
+		dst = appendBucket(dst, nullValue(), ix.nulls)
+	}
+	dst = ix.appendSpan(dst, 0, n, desc)
+	if desc {
+		dst = appendBucket(dst, nullValue(), ix.nulls)
+	}
+	return dst
+}
+
+// keyCount returns the number of distinct non-NULL keys.
+func (ix *orderedIndex) keyCount() int {
+	if ix.ints != nil {
+		return len(ix.ints.keys)
+	}
+	return len(ix.texts.keys)
+}
+
+func (x *keyIndex[K]) add(k K, id uint64) {
+	bucket, ok := x.m[k]
+	if !ok {
+		i, _ := slices.BinarySearch(x.keys, k)
+		x.keys = slices.Insert(x.keys, i, k)
+	}
+	x.m[k] = addID(bucket, id)
+}
+
+func (x *keyIndex[K]) remove(k K, id uint64) {
+	bucket, ok := x.m[k]
+	if !ok {
+		return
+	}
+	if bucket = removeID(bucket, id); len(bucket) > 0 {
+		x.m[k] = bucket
+		return
+	}
+	delete(x.m, k)
+	if i, found := slices.BinarySearch(x.keys, k); found {
+		x.keys = slices.Delete(x.keys, i, i+1)
+	}
+}
+
+// span is orderedIndex.span over Ks; key reads a bound as a K.
+func (x *keyIndex[K]) span(cb *colBounds, key func(value) K) (int, int) {
+	start, end := 0, len(x.keys)
 	if cb.hasLo {
-		if cb.loIncl {
-			start = ix.search(cb.lo)
-		} else {
-			start = sort.Search(len(ix.vals), func(i int) bool { return valueLess(cb.lo, ix.vals[i]) })
+		i, found := slices.BinarySearch(x.keys, key(cb.lo))
+		if found && !cb.loIncl {
+			i++
 		}
+		start = i
 	}
-	end := len(ix.vals)
 	if cb.hasHi {
-		if cb.hiIncl {
-			end = sort.Search(len(ix.vals), func(i int) bool { return valueLess(cb.hi, ix.vals[i]) })
-		} else {
-			end = ix.search(cb.hi)
+		i, found := slices.BinarySearch(x.keys, key(cb.hi))
+		if found && cb.hiIncl {
+			i++
 		}
+		end = i
 	}
-	if end < start {
-		end = start
+	return start, max(start, end)
+}
+
+// appendSpan is orderedIndex.appendSpan over Ks; cell turns a key back
+// into the cell that carries it.
+func (x *keyIndex[K]) appendSpan(dst []indexCand, start, end int, desc bool, cell func(K) value) []indexCand {
+	for n := start; n < end; n++ {
+		i := n
+		if desc {
+			i = start + end - 1 - n
+		}
+		dst = appendBucket(dst, cell(x.keys[i]), x.m[x.keys[i]])
 	}
-	return start, end
+	return dst
+}
+
+// addID adds id to an ascending bucket. INSERT appends monotonically
+// growing ids (fast path); UPDATE moves an existing row into another
+// bucket at an arbitrary id (binary insert). A pair already present —
+// the row moved back to a value whose stale reference has not drained
+// yet — stays single.
+func addID(bucket []uint64, id uint64) []uint64 {
+	if n := len(bucket); n == 0 || bucket[n-1] < id {
+		return append(bucket, id)
+	}
+	i, found := slices.BinarySearch(bucket, id)
+	if found {
+		return bucket
+	}
+	return slices.Insert(bucket, i, id)
+}
+
+// removeID removes id from an ascending bucket, if it is there.
+func removeID(bucket []uint64, id uint64) []uint64 {
+	if i, found := slices.BinarySearch(bucket, id); found {
+		return append(bucket[:i], bucket[i+1:]...)
+	}
+	return bucket
+}
+
+func appendBucket(dst []indexCand, key value, ids []uint64) []indexCand {
+	for _, id := range ids {
+		dst = append(dst, indexCand{key: key, id: id})
+	}
+	return dst
 }
 
 // indexCand is one candidate an index traversal emitted: a row id and
-// the bucket key it was found under. The snapshot evaluation accepts
-// the candidate only if the version visible to the reader carries key —
-// the tombstone/stale-aware traversal rule (see the package comment).
+// the key it was found under, as a cell. The snapshot evaluation accepts
+// the candidate only if the version visible to the reader carries that
+// cell in the probed column — the tombstone/stale-aware traversal rule
+// (see the package comment).
 type indexCand struct {
-	key string
+	key value
 	id  uint64
-}
-
-// orderedCands returns every (key, id) pair in `ORDER BY col` order:
-// keys ascending (descending for desc), the NULL bucket first for ASC
-// and last for DESC, each bucket in ascending id order — exactly the
-// order a stable sort of the scanned visible rows produces, which is
-// what makes skipping that sort result-neutral. Ids superseded under a
-// key survive here until vacuum; the visible-key rule drops them.
-func (ix *orderedIndex) orderedCands(desc bool) []indexCand {
-	nulls := ix.m[nullKey]
-	out := make([]indexCand, 0, len(ix.vals)+len(nulls))
-	appendBucket := func(k string) {
-		for _, id := range ix.m[k] {
-			out = append(out, indexCand{key: k, id: id})
-		}
-	}
-	if !desc {
-		appendBucket(nullKey)
-		for _, v := range ix.vals {
-			appendBucket(indexKey(v))
-		}
-		return out
-	}
-	for i := len(ix.vals) - 1; i >= 0; i-- {
-		appendBucket(indexKey(ix.vals[i]))
-	}
-	appendBucket(nullKey)
-	return out
 }
 
 // indexProbe is one usable access path the predicate analyzer found: an
@@ -214,40 +292,16 @@ type indexProbe struct {
 
 // candidates appends the probe's (key, id) pairs to dst. Ordered
 // candidates come out in ORDER BY-equivalent key order (asc or desc);
-// unordered callers use rowOrderCandidates. Equality buckets are a
-// single key, so they are simultaneously in key order and in row order.
-//
-// Equality candidates carry no key: the visible-key rule is implied for
-// them. The WHERE the caller re-evaluates holds the equality conjunct,
-// and `col = v` holds exactly when col's visible value has v's key
-// (valueCompare and indexKey coerce alike), so a superseded pair fails
-// the WHERE; and one bucket holds each id once, so nothing repeats.
+// unordered callers use rowOrderCandidates. An equality bucket is a
+// single key, so it is at once in key order and in row order, and each
+// of its candidates carries the probed key.
 func (p *indexProbe) candidates(dst []indexCand, desc bool) []indexCand {
 	if p.hasEq {
-		var kb [32]byte
-		bucket := p.ix.m[string(appendIndexKey(kb[:0], p.eq))]
-		dst = slices.Grow(dst, len(bucket))
-		for _, id := range bucket {
-			dst = append(dst, indexCand{id: id})
-		}
-		return dst
+		bucket := p.ix.bucket(p.eq)
+		return appendBucket(slices.Grow(dst, len(bucket)), p.eq, bucket)
 	}
 	start, end := p.ix.span(&p.colBounds)
-	appendBucket := func(k string) {
-		for _, id := range p.ix.m[k] {
-			dst = append(dst, indexCand{key: k, id: id})
-		}
-	}
-	if desc {
-		for i := end - 1; i >= start; i-- {
-			appendBucket(indexKey(p.ix.vals[i]))
-		}
-		return dst
-	}
-	for i := start; i < end; i++ {
-		appendBucket(indexKey(p.ix.vals[i]))
-	}
-	return dst
+	return p.ix.appendSpan(dst, start, end, desc)
 }
 
 // rowOrderCandidates appends the probe's candidates to dst in ascending
@@ -286,12 +340,27 @@ func (cb *colBounds) addHi(v value, incl bool) {
 	}
 }
 
-// eqLiteral converts an equality operand into a probe value. Any
-// literal kind works: equality buckets key on rendered form, matching
-// valueCompare's coercion (int 1 and text '1' share a key).
-func eqLiteral(lit Expr) (value, bool) {
+// eqLiteral converts an equality operand into the key it probes,
+// coerced to the column's kind as valueCompare's equality coerces: an
+// integer literal on a TEXT column probes its decimal rendering, and a
+// text literal on an INT column probes the integer it is the canonical
+// decimal of — `'1'` probes 1, while `'01'`, `' 1'` and `'-0'` stay
+// text, which no key of an INT index equals, so they give no candidates.
+func eqLiteral(lit Expr, typ ColType) (value, bool) {
 	v, err := literalOf(lit)
-	return v, err == nil && !v.null
+	if err != nil || v.isNull() {
+		return value{}, false
+	}
+	switch {
+	case typ == ColInt && !v.isInt():
+		var buf [20]byte
+		if n, err := strconv.ParseInt(v.text(), 10, 64); err == nil && string(strconv.AppendInt(buf[:0], n, 10)) == v.text() {
+			return intValue(n), true
+		}
+	case typ == ColText && v.isInt():
+		return textValue(strconv.FormatInt(v.num(), 10)), true
+	}
+	return v, true
 }
 
 // rangeLiteral converts a range operand into a probe value, requiring
@@ -454,7 +523,7 @@ func (t *table) chooseProbe(conj []probeConj, slots []Expr) (indexProbe, bool) {
 func (cb *colBounds) add(op string, lit Expr, typ ColType) {
 	switch op {
 	case "=":
-		if v, ok := eqLiteral(lit); ok && !cb.hasEq {
+		if v, ok := eqLiteral(lit, typ); ok && !cb.hasEq {
 			cb.eq, cb.hasEq = v, true
 		}
 	case "<", "<=", ">", ">=":

@@ -2,6 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"resin/internal/core"
@@ -75,4 +78,193 @@ func FuzzPredicateAnalyzer(f *testing.F) {
 		}
 		requireSameResults(t, q, a, b)
 	})
+}
+
+// FuzzOrderedIndex runs random programs of add, remove, equality probes,
+// range probes and ordered traversals over one INT or one TEXT column's
+// ordered index, NULLs and cross-kind literals included, against a model
+// that is the index's rule written out: every non-NULL key by its
+// rendered form (indexKey), the ids of a key ascending, keys ordered by
+// valueLess, the NULL bucket first for ASC and last for DESC, and on
+// DESC the keys descending but each key's ids still ascending. An
+// equality probe yields the bucket of the literal's rendered form, a
+// range probe every key each usable conjunct admits as the scan compares
+// (valueCompare), and every candidate carries the stored cell of its key.
+func FuzzOrderedIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 0, 3, 2, 4, 7, 3, 1, 2, 4})
+	f.Add([]byte{1, 0, 2, 1, 0, 5, 2, 0, 2, 9, 2, 2, 1, 4, 3, 3, 4, 0})
+	f.Add([]byte{1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 2, 1, 3, 3, 2, 5, 1, 4, 1})
+	f.Add([]byte{0, 0, 13, 3, 0, 12, 5, 1, 3, 6, 1, 4, 8, 0, 4, 2})
+	ints := []int64{math.MinInt64, -10, -1, 0, 1, 2, 9, 10, 11, 100, math.MaxInt64}
+	texts := []string{"", "\x00", "0", "1", "01", "-0", " 1", "+1", "10", "2", "a", "ab", "b", "\xff", "\xff\xff", intMark, nullMark}
+	rangeOps := []string{"<", "<=", ">", ">=", "LIKE"}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		typ := ColType(prog[0] % 2)
+		prog = prog[1:]
+		next := func() int {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return int(b)
+		}
+		// cell draws a stored value of the column's kind; NULL one time in
+		// eight.
+		cell := func() value {
+			n := next()
+			switch {
+			case n%8 == 7:
+				return nullValue()
+			case typ == ColInt:
+				return intValue(ints[n%len(ints)])
+			}
+			return textValue(texts[n%len(texts)])
+		}
+		// literal draws a probe operand of either kind.
+		literal := func() Expr {
+			n := next()
+			if n%2 == 0 {
+				return &IntLit{Val: ints[n/2%len(ints)]}
+			}
+			return &StringLit{Val: core.NewString(texts[n/2%len(texts)])}
+		}
+		ix := newOrderedIndex(typ)
+		model := map[string]value{}         // rendered key → its stored cell
+		ids := map[string]map[uint64]bool{} // rendered key → ids
+		bucket := func(key string) []uint64 {
+			var out []uint64
+			for id := range ids[key] {
+				out = append(out, id)
+			}
+			slices.Sort(out)
+			return out
+		}
+		appendKey := func(dst []indexCand, key string) []indexCand {
+			for _, id := range bucket(key) {
+				dst = append(dst, indexCand{key: model[key], id: id})
+			}
+			return dst
+		}
+		sortedKeys := func(keep func(value) bool) []string {
+			var out []string
+			for k, v := range model {
+				if !v.isNull() && len(ids[k]) > 0 && keep(v) {
+					out = append(out, k)
+				}
+			}
+			slices.SortFunc(out, func(a, b string) int { return valueCompare(model[a], model[b]) })
+			return out
+		}
+		for len(prog) > 0 {
+			switch next() % 5 {
+			case 0, 1: // add
+				v, id := cell(), uint64(next()%16+1)
+				k := indexKey(v)
+				ix.add(v, id)
+				model[k] = v
+				if ids[k] == nil {
+					ids[k] = map[uint64]bool{}
+				}
+				ids[k][id] = true
+			case 2: // remove
+				v, id := cell(), uint64(next()%16+1)
+				ix.remove(v, id)
+				delete(ids[indexKey(v)], id)
+			case 3: // equality probe
+				lit := literal()
+				var cb colBounds
+				cb.add("=", lit, typ)
+				var want []indexCand
+				if l, err := literalOf(lit); err == nil {
+					want = appendKey(nil, indexKey(l))
+				}
+				var got []indexCand
+				if cb.hasEq {
+					got = (&indexProbe{colBounds: cb, ix: ix}).candidates(nil, next()%2 == 1)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s = %s: got %v, want %v", typ, lit.SQL(), got, want)
+				}
+			case 4: // range probe of up to two conjuncts, or a full traversal
+				desc := next()%2 == 1
+				var cb colBounds
+				var admits []func(value) bool
+				for c := next() % 3; c > 0; c-- {
+					op, lit := rangeOps[next()%len(rangeOps)], literal()
+					cb.add(op, lit, typ)
+					admits = append(admits, admitter(op, lit, typ))
+				}
+				keep := func(v value) bool {
+					for _, a := range admits {
+						if a != nil && !a(v) {
+							return false
+						}
+					}
+					return true
+				}
+				keys := sortedKeys(keep)
+				if desc {
+					slices.Reverse(keys)
+				}
+				var want, got []indexCand
+				if cb.score() > 0 {
+					for _, k := range keys {
+						want = appendKey(want, k)
+					}
+					got = (&indexProbe{colBounds: cb, ix: ix}).candidates(nil, desc)
+				} else {
+					if !desc {
+						want = appendKey(want, nullKey)
+					}
+					for _, k := range keys {
+						want = appendKey(want, k)
+					}
+					if desc {
+						want = appendKey(want, nullKey)
+					}
+					got = ix.orderedCands(nil, desc)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s range %+v desc %v: got %v, want %v", typ, cb, desc, got, want)
+				}
+			}
+		}
+	})
+}
+
+// admitter is the scan's reading of one range conjunct `col op lit` on a
+// column of type typ, or nil when the analyzer may not use it (a text
+// bound on an INT column compares textually, not in index order).
+func admitter(op string, lit Expr, typ ColType) func(value) bool {
+	if op == "LIKE" {
+		sl, ok := lit.(*StringLit)
+		if !ok || typ != ColText {
+			return nil
+		}
+		prefix, ok := likePrefix(sl.Val.Raw())
+		if !ok {
+			return nil
+		}
+		return func(v value) bool { return strings.HasPrefix(v.text(), prefix) }
+	}
+	bound, ok := rangeLiteral(lit, typ)
+	if !ok {
+		return nil
+	}
+	return func(v value) bool {
+		c := valueCompare(v, bound)
+		switch op {
+		case "<":
+			return c < 0
+		case "<=":
+			return c <= 0
+		case ">":
+			return c > 0
+		}
+		return c >= 0
+	}
 }

@@ -360,24 +360,22 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 
 // canonicalBuckets projects an ordered index down to the pairs the
 // visible-key traversal rule actually serves at the frontier: for every
-// (key, id) in a bucket, keep it only when id's visible version carries
-// that key. MVCC buckets are supersets (stale pairs wait for vacuum),
-// so this projection — not raw buckets — is the structure that defines
-// index equality.
-func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map[string][]uint64 {
-	eff := make(map[string][]uint64)
-	for k, bucket := range ix.m {
-		for _, id := range bucket {
-			en := tbl.byID[id]
-			if en == nil {
-				continue
-			}
-			v := en.visible(frontier)
-			if v == nil || indexKey(v.vals[ci]) != k {
-				continue
-			}
-			eff[k] = append(eff[k], id)
+// (key, id) the index's own ordered traversal emits, keep it only when
+// id's visible version carries that key. MVCC buckets are supersets
+// (stale pairs wait for vacuum), so this projection — not raw buckets —
+// is the structure that defines index equality.
+func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map[value][]uint64 {
+	eff := make(map[value][]uint64)
+	for _, c := range ix.orderedCands(nil, false) {
+		en := tbl.byID[c.id]
+		if en == nil {
+			continue
 		}
+		v := en.visible(frontier)
+		if v == nil || v.vals[ci] != c.key {
+			continue
+		}
+		eff[c.key] = append(eff[c.key], c.id)
 	}
 	return eff
 }
@@ -417,7 +415,7 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 	frontier := e.frontier.Load()
 	tbl := e.tables["t"]
 	for ci, live := range tbl.indexes {
-		rebuilt, _ := buildIndex(tbl.entries, ci)
+		rebuilt, _ := buildIndex(tbl.entries, ci, tbl.cols[ci].Type)
 		liveEff := canonicalBuckets(tbl, live, ci, frontier)
 		rebuiltEff := canonicalBuckets(tbl, rebuilt, ci, frontier)
 		if !reflect.DeepEqual(liveEff, rebuiltEff) {
@@ -425,22 +423,15 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 		}
 		// Superset invariant, both structures: every visible row must be
 		// findable under its visible key.
-		for _, en := range tbl.entries {
-			v := en.visible(frontier)
-			if v == nil {
-				continue
+		for which, ix := range map[string]*orderedIndex{"live": live, "rebuilt": rebuilt} {
+			pairs := make(map[indexCand]bool)
+			for _, c := range ix.orderedCands(nil, false) {
+				pairs[c] = true
 			}
-			k := indexKey(v.vals[ci])
-			for which, ix := range map[string]*orderedIndex{"live": live, "rebuilt": rebuilt} {
-				found := false
-				for _, id := range ix.m[k] {
-					if id == en.id {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("col %d: %s index lost row %d under key %q", ci, which, en.id, k)
+			for _, en := range tbl.entries {
+				v := en.visible(frontier)
+				if v != nil && !pairs[indexCand{key: v.vals[ci], id: en.id}] {
+					t.Fatalf("col %d: %s index lost row %d under key %v", ci, which, en.id, v.vals[ci])
 				}
 			}
 		}

@@ -444,14 +444,14 @@ func TestPredicateAnalyzerDecisions(t *testing.T) {
 
 	// Equality outranks ranges; bounds tighten to the narrowest span.
 	p := probeFor("id > 2 AND id = 7 AND id < 100")
-	if p == nil || !p.hasEq || p.eq.i != 7 {
+	if p == nil || !p.hasEq || p.eq.num() != 7 {
 		t.Fatalf("equality should win the probe: %+v", p)
 	}
 	p = probeFor("id > 2 AND id >= 5 AND id < 100 AND id <= 50")
 	if p == nil || p.hasEq {
 		t.Fatal("expected a range probe")
 	}
-	if !p.hasLo || p.lo.i != 5 || !p.loIncl || !p.hasHi || p.hi.i != 50 || !p.hiIncl {
+	if !p.hasLo || p.lo.num() != 5 || !p.loIncl || !p.hasHi || p.hi.num() != 50 || !p.hiIncl {
 		t.Errorf("bounds did not tighten: lo=%v(%v) hi=%v(%v)", p.lo, p.loIncl, p.hi, p.hiIncl)
 	}
 	// Two-sided range on one column beats one-sided on an earlier one.

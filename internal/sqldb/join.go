@@ -117,7 +117,7 @@ type aggState struct {
 }
 
 func (a *aggState) observe(agg string, v value) {
-	if v.null {
+	if v.isNull() {
 		return // every aggregate skips NULL inputs
 	}
 	a.any = true
@@ -125,7 +125,7 @@ func (a *aggState) observe(agg string, v value) {
 	case "COUNT":
 		a.count++
 	case "SUM":
-		a.sum += v.i
+		a.sum += v.num()
 	case "MIN":
 		if a.count == 0 || valueLess(v, a.best) {
 			a.best = v
@@ -393,7 +393,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 				matched := false
 				for _, rr := range rrows {
 					lv, rv := lr[lon], rr[ron]
-					if !lv.null && !rv.null && valueCompare(lv, rv) == 0 {
+					if !lv.isNull() && !rv.isNull() && valueCompare(lv, rv) == 0 {
 						emit(lr, rr)
 						matched = true
 					}
@@ -408,7 +408,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 			// order. Indices, not values, so the sort is exact.
 			build := make(map[string][]int, len(lrows))
 			for i, lr := range lrows {
-				if v := lr[lon]; !v.null {
+				if v := lr[lon]; !v.isNull() {
 					k := indexKey(v)
 					build[k] = append(build[k], i)
 				}
@@ -416,7 +416,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 			type pair struct{ li, ri int }
 			var pairs []pair
 			for ri, rr := range rrows {
-				if v := rr[ron]; !v.null {
+				if v := rr[ron]; !v.isNull() {
 					for _, li := range build[indexKey(v)] {
 						pairs = append(pairs, pair{li, ri})
 					}
@@ -437,14 +437,14 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 			// left rows in place.
 			build := make(map[string][]int, len(rrows))
 			for i, rr := range rrows {
-				if v := rr[ron]; !v.null {
+				if v := rr[ron]; !v.isNull() {
 					k := indexKey(v)
 					build[k] = append(build[k], i)
 				}
 			}
 			for _, lr := range lrows {
 				matched := false
-				if v := lr[lon]; !v.null {
+				if v := lr[lon]; !v.isNull() {
 					for _, ri := range build[indexKey(v)] {
 						emit(lr, rrows[ri])
 						matched = true

@@ -533,7 +533,7 @@ func TestVacuumKeepsTopAndDemotedSnapshots(t *testing.T) {
 		if err != nil || raw.Len() != 1 {
 			t.Fatalf("read at %d: %+v, %v", snap, raw, err)
 		}
-		return raw.at(raw.rows[0], 0).s
+		return raw.at(raw.rows[0], 0).text()
 	}
 
 	exec("CREATE TABLE t (id INT, v TEXT)")

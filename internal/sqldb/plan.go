@@ -95,8 +95,10 @@ type planSchema struct {
 	pcols map[string]bool // policy columns of the statement's tables
 	// stmt is what executes: for a SELECT the template with the policy
 	// companions appended to its items (rewriteSelect), otherwise the
-	// template itself (INSERT and UPDATE are rewritten per execution).
-	stmt Statement
+	// template itself (INSERT and UPDATE are rewritten per execution,
+	// through write).
+	stmt  Statement
+	write *writeRewrite // INSERT and UPDATE: the bound Figure 4 rewrite
 	// bound is stmt resolved against the generation's tables (bindStmt);
 	// nil for DDL, joins and aggregates, which bind per execution.
 	bound *boundStmt

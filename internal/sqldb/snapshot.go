@@ -76,7 +76,7 @@ func (e *Engine) dumpPayloads() [][]byte {
 			}
 			batch = append(batch, rowOp{kind: opInsert, table: key, id: en.id, vals: v.vals})
 			for _, val := range v.vals {
-				batchBytes += len(val.s) + 16 // tag/varint framing slop
+				batchBytes += len(val.text()) + 16 // tag/varint framing slop
 			}
 			if len(batch) >= snapshotBatchRows || batchBytes >= snapshotBatchBytes {
 				flush()

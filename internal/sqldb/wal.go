@@ -207,15 +207,16 @@ func stmtPayload(text string) []byte {
 // length-prefixed text.
 func appendValue(p []byte, v value) []byte {
 	switch {
-	case v.null:
+	case v.isNull():
 		return append(p, 'N')
-	case v.isInt:
+	case v.isInt():
 		p = append(p, 'I')
-		return binary.AppendVarint(p, v.i)
+		return binary.AppendVarint(p, v.num())
 	default:
+		s := v.text()
 		p = append(p, 'T')
-		p = binary.AppendUvarint(p, uint64(len(v.s)))
-		return append(p, v.s...)
+		p = binary.AppendUvarint(p, uint64(len(s)))
+		return append(p, s...)
 	}
 }
 

@@ -135,32 +135,18 @@ func TestWALConcurrentWritersReadersCompaction(t *testing.T) {
 // projection of the real structures, not on raw buckets. A pair the
 // index lost shows up as a hole on one side; a pair wrongly served
 // shows up as an extra.
-func indexStructures(e *Engine) map[string]map[string]map[string][]uint64 {
+func indexStructures(e *Engine) map[string]map[string]map[value][]uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	frontier := e.frontier.Load()
-	out := make(map[string]map[string]map[string][]uint64)
+	out := make(map[string]map[string]map[value][]uint64)
 	for name, t := range e.tables {
 		if len(t.indexes) == 0 {
 			continue
 		}
-		cols := make(map[string]map[string][]uint64, len(t.indexes))
+		cols := make(map[string]map[value][]uint64, len(t.indexes))
 		for ci, ix := range t.indexes {
-			eff := make(map[string][]uint64)
-			for k, bucket := range ix.m {
-				for _, id := range bucket {
-					en := t.byID[id]
-					if en == nil {
-						continue
-					}
-					v := en.visible(frontier)
-					if v == nil || indexKey(v.vals[ci]) != k {
-						continue
-					}
-					eff[k] = append(eff[k], id)
-				}
-			}
-			cols[t.cols[ci].Name] = eff
+			cols[t.cols[ci].Name] = canonicalBuckets(t, ix, ci, frontier)
 		}
 		out[name] = cols
 	}
