@@ -26,9 +26,9 @@ import (
 // evaluate rows with no lock held — a concurrent writer can commit new
 // versions mid-evaluation without the reader ever seeing them. DELETE
 // appends a tombstone version instead of compacting row storage, so
-// stable ids (and the indexes keyed by them) survive; superseded index
-// pairs and dead versions are reclaimed by vacuum once no registered
-// snapshot can reach them.
+// stable ids (and the index pairs pointing at the rows) survive;
+// superseded index pairs and dead versions are reclaimed by vacuum once
+// no registered snapshot can reach them.
 
 // Engine errors. Wrapped ErrNoColumn errors always name the table as
 // well as the column ("table.column"), so a failing query over a
@@ -151,22 +151,24 @@ func (en *rowEntry) visible(snap uint64) *rowVersion {
 	return nil
 }
 
-// staleRef is a deferred index removal: the pair (v, id) in
-// column ci's index may no longer be reachable by any snapshot. Vacuum
-// drains these once the version chain proves the key gone.
+// staleRef is a deferred index removal: the pair (v, en) in column
+// ci's index may no longer be reachable by any snapshot. Vacuum drains
+// these once the version chain proves the key gone.
 type staleRef struct {
 	ci int
 	v  value
-	id uint64
+	en *rowEntry
 }
 
 // table is one in-memory table. cols and colIdx are immutable after
-// creation; entries (ascending id, append-only between vacuums), byID,
-// indexes and stale are guarded by the engine's write lock. Readers
-// copy the entries slice header (and candidate id lists) under the read
-// lock and then work lock-free: appends only ever touch capacity their
-// header does not cover, and vacuum swaps in a fresh slice rather than
-// compacting in place.
+// creation; entries (ascending id, append-only between vacuums),
+// indexes and stale are guarded by the engine's write lock. There is no
+// map by id: an index pair holds its row's entry, and the few lookups
+// by id binary-search entries (lookup). Readers copy the entries slice
+// header (and candidate lists) under the read lock and then work
+// lock-free: appends only ever touch capacity their header does not
+// cover, and vacuum swaps in a fresh slice rather than compacting in
+// place.
 //
 // A table with a base is a transaction's write set (see Engine): it holds
 // only the rows the transaction inserted, updated or deleted, under their
@@ -177,18 +179,17 @@ type table struct {
 	cols    []ColumnDef
 	colIdx  map[string]int // lower-cased column name → position
 	entries []*rowEntry
-	byID    map[uint64]*rowEntry
-	indexes map[int]*orderedIndex // column position → ordered index (index.go)
+	indexes []*orderedIndex // by column position, nil where the column has none (index.go)
 	stale   []staleRef
 	base    *table
 }
 
 func newTable(name string, cols []ColumnDef) *table {
 	t := &table{
-		name:   name,
-		cols:   cols,
-		colIdx: make(map[string]int, len(cols)),
-		byID:   make(map[uint64]*rowEntry),
+		name:    name,
+		cols:    cols,
+		colIdx:  make(map[string]int, len(cols)),
+		indexes: make([]*orderedIndex, len(cols)),
 	}
 	for i, c := range t.cols {
 		t.colIdx[strings.ToLower(c.Name)] = i
@@ -308,7 +309,7 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 		head := en.head.Load()
 		if head.prev == nil {
 			if !head.tomb {
-				ix.add(head.vals[ci], en.id)
+				ix.add(head.vals[ci], en)
 			}
 			continue
 		}
@@ -323,9 +324,9 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 					continue chain
 				}
 			}
-			ix.add(k, en.id)
+			ix.add(k, en)
 			if head.tomb || k != head.vals[ci] {
-				stale = append(stale, staleRef{ci: ci, v: k, id: en.id})
+				stale = append(stale, staleRef{ci: ci, v: k, en: en})
 			}
 		}
 	}
@@ -624,7 +625,11 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 			return nil, n, b, nil
 		}
 		if e.wal != nil {
-			if werr := e.wal.appendRecords(opsPayload(ops)); werr != nil {
+			frames, werr := appendOpsRecord(make([]byte, 0, walRecHeaderSize+opsLen(ops)), ops)
+			if werr == nil {
+				werr = e.wal.append(frames)
+			}
+			if werr != nil {
 				return nil, 0, nil, werr
 			}
 		}
@@ -722,7 +727,7 @@ func (e *Engine) applyOps(ops []rowOp, born uint64) {
 		t := e.tables[op.table]
 		var en *rowEntry
 		if op.kind != opInsert {
-			en = t.byID[op.id]
+			en = t.lookup(op.id)
 		}
 		if en == nil {
 			// An insert, or on a write set a base row's first update or
@@ -736,14 +741,14 @@ func (e *Engine) applyOps(ops []rowOp, born uint64) {
 		en.head.Store(&rowVersion{born: born, tomb: op.kind == opDelete, vals: op.vals, prev: old})
 		oldLive, newLive := old != nil && !old.tomb, op.kind != opDelete
 		for ci, ix := range t.indexes {
-			if oldLive && newLive && old.vals[ci] == op.vals[ci] {
-				continue // the row stays under its key
+			if ix == nil || oldLive && newLive && old.vals[ci] == op.vals[ci] {
+				continue // no index, or the row stays under its key
 			}
 			if newLive {
-				ix.add(op.vals[ci], op.id)
+				ix.add(op.vals[ci], en)
 			}
 			if oldLive {
-				t.stale = append(t.stale, staleRef{ci: ci, v: old.vals[ci], id: op.id})
+				t.stale = append(t.stale, staleRef{ci: ci, v: old.vals[ci], en: en})
 			}
 		}
 	}
@@ -759,11 +764,18 @@ func (t *table) enter(id uint64) *rowEntry {
 	if n := len(t.entries); n == 0 || t.entries[n-1].id < id {
 		t.entries = append(t.entries, en)
 	} else {
-		i := sort.Search(n, func(i int) bool { return t.entries[i].id > id })
+		i, _ := searchID(t.entries, id)
 		t.entries = slices.Insert(t.entries, i, en)
 	}
-	t.byID[id] = en
 	return en
+}
+
+// lookup returns t's entry for row id, or nil if t holds no such row.
+func (t *table) lookup(id uint64) *rowEntry {
+	if i, found := searchID(t.entries, id); found {
+		return t.entries[i]
+	}
+	return nil
 }
 
 // checkOps validates replayed row ops against the engine's current
@@ -788,7 +800,7 @@ func (e *Engine) checkOps(ops []rowOp) error {
 			if err := checkKinds(op, t); err != nil {
 				return err
 			}
-			if _, ok := t.byID[op.id]; ok || born[op.id] {
+			if t.lookup(op.id) != nil || born[op.id] {
 				return fmt.Errorf("sqldb: duplicate row id %d in %s", op.id, op.table)
 			}
 			born[op.id] = true
@@ -802,7 +814,7 @@ func (e *Engine) checkOps(ops []rowOp) error {
 			if dead[op.id] {
 				return fmt.Errorf("sqldb: row op targets deleted id %d in %s", op.id, op.table)
 			}
-			if _, ok := t.byID[op.id]; !ok && !born[op.id] {
+			if t.lookup(op.id) == nil && !born[op.id] {
 				return fmt.Errorf("sqldb: row op targets unknown id %d in %s", op.id, op.table)
 			}
 			if op.kind == opDelete {
@@ -949,7 +961,6 @@ func (t *table) vacuum(min uint64) {
 		for _, en := range t.entries {
 			head := en.head.Load()
 			if head.born <= min && head.tomb {
-				delete(t.byID, en.id)
 				continue
 			}
 			kept = append(kept, en)
@@ -970,13 +981,10 @@ func (t *table) vacuum(min uint64) {
 			continue
 		}
 		seen[sr] = true
-		en := t.byID[sr.id]
-		if en == nil {
-			ix.remove(sr.v, sr.id)
-			continue
-		}
+		// A row vacuum dropped above has a tombstone alone left, which
+		// carries no key.
 		carried := false
-		for v := en.head.Load(); v != nil; v = v.prev {
+		for v := sr.en.head.Load(); v != nil; v = v.prev {
 			if !v.tomb && v.vals[sr.ci] == sr.v {
 				carried = true
 				break
@@ -989,7 +997,7 @@ func (t *table) vacuum(min uint64) {
 			remain = append(remain, sr)
 			continue
 		}
-		ix.remove(sr.v, sr.id)
+		ix.remove(sr.v, sr.en)
 	}
 	t.stale = remain
 }
@@ -1004,11 +1012,10 @@ func (e *Engine) writeSet(key string) {
 	if t == nil || t.base != nil {
 		return // validation will report ErrNoTable, or the set exists
 	}
-	ws := &table{name: t.name, cols: t.cols, colIdx: t.colIdx, byID: make(map[uint64]*rowEntry), base: t}
+	ws := &table{name: t.name, cols: t.cols, colIdx: t.colIdx, indexes: make([]*orderedIndex, len(t.cols)), base: t}
 	e.txBase.mu.RLock()
-	if len(t.indexes) > 0 {
-		ws.indexes = make(map[int]*orderedIndex, len(t.indexes))
-		for ci := range t.indexes {
+	for ci, ix := range t.indexes {
+		if ix != nil {
 			ws.indexes[ci] = newOrderedIndex(t.cols[ci].Type)
 		}
 	}
@@ -1078,13 +1085,10 @@ func (e *Engine) createIndex(s *CreateIndex) (int, func(), error) {
 	if ci < 0 {
 		return 0, nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, s.Column)
 	}
-	if _, ok := t.indexes[ci]; ok {
+	if t.indexes[ci] != nil {
 		return 0, nil, fmt.Errorf("%w: %s (%s)", ErrIndexExists, s.Table, s.Column)
 	}
 	return 0, func() {
-		if t.indexes == nil {
-			t.indexes = make(map[int]*orderedIndex, 1)
-		}
 		ix, stale := buildIndex(t.entries, ci, t.cols[ci].Type)
 		t.indexes[ci] = ix
 		t.stale = append(t.stale, stale...)
@@ -1101,13 +1105,25 @@ func (e *Engine) dropIndex(s *DropIndex) (int, func(), error) {
 	if ci < 0 {
 		return 0, nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, s.Table, s.Column)
 	}
-	if _, ok := t.indexes[ci]; !ok {
+	if t.indexes[ci] == nil {
 		return 0, nil, fmt.Errorf("%w: %s (%s)", ErrNoIndex, s.Table, s.Column)
 	}
 	return 0, func() {
-		delete(t.indexes, ci)
+		t.indexes[ci] = nil
 		e.bumpSchemaGen()
 	}, nil
+}
+
+// indexedCols returns the names of t's indexed columns, sorted.
+func (t *table) indexedCols() []string {
+	var out []string
+	for ci, ix := range t.indexes {
+		if ix != nil {
+			out = append(out, t.cols[ci].Name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Indexes returns the names of the indexed columns of a table, sorted:
@@ -1124,12 +1140,7 @@ func (e *Engine) Indexes(name string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	out := make([]string, 0, len(t.indexes))
-	for ci := range t.indexes {
-		out = append(out, t.cols[ci].Name)
-	}
-	sort.Strings(out)
-	return out, nil
+	return t.indexedCols(), nil
 }
 
 // literalValue converts a literal expression to a stored value, coercing
@@ -1205,24 +1216,17 @@ func (e *Engine) matchEntries(t *table, b *boundStmt, slots []Expr) ([]*rowEntry
 	return ents, vers, nil
 }
 
-// selCand is one candidate row an index traversal emitted: the entry
-// plus the key it was found under, as a cell of the probed column.
-type selCand struct {
-	en  *rowEntry
-	key value
-}
-
 // candSet is the candidates one table yields for a statement, copied
 // out under the lock that guards the table: a scan's entries (the
 // entries slice itself) or an index traversal's, with the snapshot they
 // are read at, the probed column of the visible-key rule (-1 for a
-// scan), and the ids to pass over.
+// scan), and the rows to pass over.
 type candSet struct {
 	ents    []*rowEntry
-	cands   []selCand
+	cands   []indexCand
 	snap    uint64
 	probeCI int
-	skip    map[uint64]*rowEntry // a write set's rows, on the base part
+	skip    []*rowEntry // a write set's entries, ascending by id, on the base part
 	next    int
 }
 
@@ -1267,8 +1271,10 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 			return nil, nil
 		}
 		cs.next++
-		if cs.skip != nil && cs.skip[en.id] != nil {
-			continue // the write set holds this row
+		if len(cs.skip) > 0 {
+			if _, held := searchID(cs.skip, en.id); held {
+				continue // the write set holds this row
+			}
 		}
 		v := en.visible(cs.snap)
 		if v == nil || (cs.probeCI >= 0 && v.vals[cs.probeCI] != key) {
@@ -1282,14 +1288,13 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 // cs: every entry when scan is set or no path is usable, else an index
 // probe's or an ordered traversal of the ORDER BY column's index, which
 // go into dst and are returned as cands for the caller to store (dst may
-// be the caller's stack buffer). They come in ascending id order, or,
+// be the caller's stack buffer); an index pair holds its row's entry,
+// so they need no lookup. They come in ascending id order, or,
 // when mayOrder and the path allows it, already in ORDER BY order, which
 // ordered reports (ORDER BY pushdown). Every path re-evaluates the full
 // WHERE and the visible-key rule, so the choice affects only cost and
 // never results (docs/SQL.md §4). Caller holds the lock that guards t.
-func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, scan, desc, mayOrder bool) (cands []selCand, ordered bool) {
-	var icBuf [8]indexCand
-	var ics []indexCand
+func (t *table) collect(cs *candSet, dst []indexCand, b *boundStmt, slots []Expr, scan, desc, mayOrder bool) (cands []indexCand, ordered bool) {
 	cs.probeCI = -1
 	probe, usable := indexProbe{}, false
 	if !scan {
@@ -1301,27 +1306,19 @@ func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, 
 		// traversal of the probe span is already sorted. (An equality
 		// bucket is one key in ascending row order — exactly what the
 		// stable sort would produce for either direction.)
-		ics = probe.candidates(icBuf[:0], desc)
-		cs.probeCI, ordered = probe.ci, true
-	case usable:
-		ics = probe.rowOrderCandidates(icBuf[:0])
 		cs.probeCI = probe.ci
+		return probe.candidates(dst, desc), true
+	case usable:
+		cs.probeCI = probe.ci
+		return probe.rowOrderCandidates(dst), false
 	case !scan && mayOrder && b.order >= 0 && t.indexes[b.order] != nil:
 		// ORDER BY pushdown without a probe: traverse the whole ordered
 		// index (NULL bucket first for ASC, last for DESC) and filter.
-		ics = t.indexes[b.order].orderedCands(icBuf[:0], desc)
-		cs.probeCI, ordered = b.order, true
-	default:
-		cs.ents = t.entries // contents immutable for any registered snapshot
-		return nil, false
+		cs.probeCI = b.order
+		return t.indexes[b.order].orderedCands(dst, desc), true
 	}
-	dst = slices.Grow(dst, len(ics))
-	for _, c := range ics {
-		if en := t.byID[c.id]; en != nil {
-			dst = append(dst, selCand{en: en, key: c.key})
-		}
-	}
-	return dst, ordered
+	cs.ents = t.entries // contents immutable for any registered snapshot
+	return nil, false
 }
 
 // rowCands copies out to rs the candidates of table t for b
@@ -1330,13 +1327,13 @@ func (t *table) collect(cs *candSet, dst []selCand, b *boundStmt, slots []Expr, 
 // transaction has not written is the base's, read at the transaction's
 // snapshot; on a write set, rs.ws holds the write set's rows, read at
 // their head (snap), and rs.base the base table's at the transaction's
-// snapshot, passing over the ids the write set holds. The base part may
+// snapshot, passing over the rows the write set holds. The base part may
 // come in ORDER BY order (ordered) only when the write set's is empty.
 // Its index candidates go into dst and are returned as cands, as
 // collect's are. Caller holds e.mu; base tables are read under
 // txBase.mu, taken here — the lock order is speculative engine, then
 // base.
-func (e *Engine) rowCands(rs *rowSource, t *table, dst []selCand, b *boundStmt, slots []Expr, scan, desc bool, snap uint64) (cands []selCand, ordered bool) {
+func (e *Engine) rowCands(rs *rowSource, t *table, dst []indexCand, b *boundStmt, slots []Expr, scan, desc bool, snap uint64) (cands []indexCand, ordered bool) {
 	scan = scan || b == nil
 	bt := t.base
 	if bt != nil {
@@ -1354,7 +1351,7 @@ func (e *Engine) rowCands(rs *rowSource, t *table, dst []selCand, b *boundStmt, 
 	e.txBase.mu.RUnlock()
 	rs.base.snap = e.txSnap
 	if bt != t {
-		rs.base.skip = t.byID
+		rs.base.skip = t.entries
 	}
 	return cands, ordered
 }
@@ -1413,7 +1410,7 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 	// the requested ORDER BY order, so the post-filter sort (counted by
 	// SortCount) can be skipped — ORDER BY pushdown. The buffers keep a
 	// point lookup's candidates off the heap.
-	var scBuf [8]selCand
+	var scBuf [8]indexCand
 	var rs rowSource
 	var ordered bool
 	rs.base.cands, ordered = e.rowCands(&rs, t, scBuf[:0], b, slots, s.ForceScan, s.Desc, snap)

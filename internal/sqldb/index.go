@@ -10,9 +10,11 @@ import (
 
 // Ordered indexes and the predicate analyzer.
 //
-// An orderedIndex keeps an equality bucket map — key, in the column's
-// own type, → row ids — and additionally the keys sorted as valueLess
-// orders them, so the same structure answers three kinds of questions:
+// An orderedIndex maps each key, in the column's own type, to the rows
+// that carry it — the row's entry inline when there is one, a bucket of
+// entries when there are several — and additionally keeps the keys
+// sorted as valueLess orders them, so the same structure answers three
+// kinds of questions:
 //
 //   - equality probes (`col = literal`), by bucket lookup, as before;
 //   - range probes (`<`, `<=`, `>`, `>=`, and `LIKE 'prefix%'`), by
@@ -22,11 +24,11 @@ import (
 //     whole table in `ORDER BY col` order (NULL bucket first for ASC,
 //     last for DESC), so the post-filter sort can be skipped.
 //
-// Under MVCC the buckets are a *superset*: a row id stays in the bucket
-// of a superseded value until vacuum drains the stale reference
-// (engine.go), and tombstoned rows keep their pairs until their entries
-// are reclaimed. Traversals therefore pair every candidate id with the
-// key it was found under, and the snapshot evaluation accepts the pair
+// Under MVCC the buckets are a *superset*: a row stays under a
+// superseded value until vacuum drains the stale reference (engine.go),
+// and tombstoned rows keep their pairs until vacuum drains those too.
+// Traversals therefore pair every candidate row with the key it was
+// found under, and the snapshot evaluation accepts the pair
 // only when the version visible at the reader's snapshot actually
 // carries that key — that one rule restores exactness: no duplicates
 // across the buckets of a range, and ORDER BY pushdown emits each row
@@ -64,17 +66,19 @@ func LimitStopCount() uint64 { return limitStops.Load() }
 
 // orderedIndex is an ordered index over one column, keyed in the
 // column's own type: an INT column's keys are int64s, a TEXT column's
-// strings (keyIndex), so a key costs what the cell does. Buckets always
-// hold ascending row ids — ids are allocated monotonically and entries
-// append in id order, so bucket order is scan-equivalent row order and
-// candidate lists inherit stable-sort equivalence without re-sorting.
-// NULLs live only in their own bucket: no range ever matches NULL, so
-// the sorted keys exclude it; ordered traversals splice the NULL bucket
-// in explicitly at the NULLS-first (ASC) or NULLS-last (DESC) end.
+// strings (keyIndex), so a key costs what the cell does. A pair is a
+// key and the row's entry itself, so a candidate needs no lookup by id.
+// Buckets always hold entries in ascending row id order — ids are
+// allocated monotonically and entries append in id order, so bucket
+// order is scan-equivalent row order and candidate lists inherit
+// stable-sort equivalence without re-sorting. NULLs live only in their
+// own bucket: no range ever matches NULL, so the sorted keys exclude
+// it; ordered traversals splice the NULL bucket in explicitly at the
+// NULLS-first (ASC) or NULLS-last (DESC) end.
 //
 // Writers under Engine.mu maintain the structure on INSERT, UPDATE and
 // CREATE INDEX; DELETE tombstones the row and leaves its pairs for
-// vacuum. add is duplicate-safe: re-adding a (value, id) pair that a
+// vacuum. add is duplicate-safe: re-adding a (value, row) pair that a
 // pending stale reference never drained is a no-op. A value the index
 // is given is NULL or of the column's kind: every write path coerces to
 // the column type, and replay checks it (checkKinds). The methods
@@ -83,56 +87,64 @@ func LimitStopCount() uint64 { return limitStops.Load() }
 type orderedIndex struct {
 	ints  *keyIndex[int64]  // an INT column's keys, else nil
 	texts *keyIndex[string] // a TEXT column's keys, else nil
-	nulls []uint64          // the NULL bucket
+	nulls []*rowEntry       // the NULL bucket
 }
 
-// keyIndex is the non-NULL part of an ordered index: the equality
-// buckets and the distinct keys in ascending order.
+// keyIndex is the non-NULL part of an ordered index: the pairs by key
+// and the distinct keys in ascending order. A key that holds one row
+// keeps it inline in one, with no bucket to allocate — every key of a
+// unique column — and a key that holds several keeps their bucket in
+// many; each key is in exactly one of the two maps.
 type keyIndex[K cmp.Ordered] struct {
-	m    map[K][]uint64
+	one  map[K]*rowEntry
+	many map[K][]*rowEntry
 	keys []K
 }
 
 func newOrderedIndex(typ ColType) *orderedIndex {
 	if typ == ColInt {
-		return &orderedIndex{ints: &keyIndex[int64]{m: make(map[int64][]uint64)}}
+		return &orderedIndex{ints: newKeyIndex[int64]()}
 	}
-	return &orderedIndex{texts: &keyIndex[string]{m: make(map[string][]uint64)}}
+	return &orderedIndex{texts: newKeyIndex[string]()}
 }
 
-func (ix *orderedIndex) add(v value, id uint64) {
+func newKeyIndex[K cmp.Ordered]() *keyIndex[K] {
+	return &keyIndex[K]{one: make(map[K]*rowEntry), many: make(map[K][]*rowEntry)}
+}
+
+func (ix *orderedIndex) add(v value, en *rowEntry) {
 	switch {
 	case v.isNull():
-		ix.nulls = addID(ix.nulls, id)
+		ix.nulls = addEntry(ix.nulls, en)
 	case ix.ints != nil:
-		ix.ints.add(v.num(), id)
+		ix.ints.add(v.num(), en)
 	default:
-		ix.texts.add(v.text(), id)
+		ix.texts.add(v.text(), en)
 	}
 }
 
-func (ix *orderedIndex) remove(v value, id uint64) {
+func (ix *orderedIndex) remove(v value, en *rowEntry) {
 	switch {
 	case v.isNull():
-		ix.nulls = removeID(ix.nulls, id)
+		ix.nulls = removeEntry(ix.nulls, en)
 	case ix.ints != nil:
-		ix.ints.remove(v.num(), id)
+		ix.ints.remove(v.num(), en)
 	default:
-		ix.texts.remove(v.text(), id)
+		ix.texts.remove(v.text(), en)
 	}
 }
 
-// bucket returns the ids under key, which need not be of the column's
-// kind: no key of an INT index equals a text, nor of a TEXT index an
-// integer, nor of either NULL.
-func (ix *orderedIndex) bucket(key value) []uint64 {
+// appendEq appends the pairs under key to dst, in ascending row id
+// order. key need not be of the column's kind: no key of an INT index
+// equals a text, nor of a TEXT index an integer, nor of either NULL.
+func (ix *orderedIndex) appendEq(dst []indexCand, key value) []indexCand {
 	switch {
 	case key.isNull() || key.isInt() != (ix.ints != nil):
-		return nil
+		return dst
 	case ix.ints != nil:
-		return ix.ints.m[key.num()]
+		return ix.ints.appendKey(dst, key.num(), key)
 	}
-	return ix.texts.m[key.text()]
+	return ix.texts.appendKey(dst, key.text(), key)
 }
 
 // span returns the half-open range [start, end) of keys covered by the
@@ -145,8 +157,8 @@ func (ix *orderedIndex) span(cb *colBounds) (int, int) {
 	return ix.texts.span(cb, value.text)
 }
 
-// appendSpan appends the (key, id) pairs of the key range [start, end)
-// to dst: keys ascending (descending for desc), each bucket's ids
+// appendSpan appends the (key, row) pairs of the key range [start, end)
+// to dst: keys ascending (descending for desc), each key's rows
 // ascending.
 func (ix *orderedIndex) appendSpan(dst []indexCand, start, end int, desc bool) []indexCand {
 	if ix.ints != nil {
@@ -155,11 +167,11 @@ func (ix *orderedIndex) appendSpan(dst []indexCand, start, end int, desc bool) [
 	return ix.texts.appendSpan(dst, start, end, desc, textValue)
 }
 
-// orderedCands appends every (key, id) pair to dst in `ORDER BY col`
+// orderedCands appends every (key, row) pair to dst in `ORDER BY col`
 // order: appendSpan's order over every key, with the NULL bucket first
 // for ASC and last for DESC — exactly the order a stable sort of the
 // scanned visible rows produces, which is what makes skipping that sort
-// result-neutral. Ids superseded under a key survive here until vacuum;
+// result-neutral. Rows superseded under a key survive here until vacuum;
 // the visible-key rule drops them.
 func (ix *orderedIndex) orderedCands(dst []indexCand, desc bool) []indexCand {
 	n := ix.keyCount()
@@ -182,28 +194,54 @@ func (ix *orderedIndex) keyCount() int {
 	return len(ix.texts.keys)
 }
 
-func (x *keyIndex[K]) add(k K, id uint64) {
-	bucket, ok := x.m[k]
-	if !ok {
+// add adds the pair (k, en). A key's second row promotes it from one to
+// many.
+func (x *keyIndex[K]) add(k K, en *rowEntry) {
+	if bucket, ok := x.many[k]; ok {
+		x.many[k] = addEntry(bucket, en)
+		return
+	}
+	first, ok := x.one[k]
+	switch {
+	case !ok:
+		x.one[k] = en
 		i, _ := slices.BinarySearch(x.keys, k)
 		x.keys = slices.Insert(x.keys, i, k)
+	case first != en:
+		delete(x.one, k)
+		x.many[k] = addEntry([]*rowEntry{first}, en)
 	}
-	x.m[k] = addID(bucket, id)
 }
 
-func (x *keyIndex[K]) remove(k K, id uint64) {
-	bucket, ok := x.m[k]
-	if !ok {
+// remove removes the pair (k, en), if it is there. A key left with one
+// row demotes back to one, and a key left with none goes.
+func (x *keyIndex[K]) remove(k K, en *rowEntry) {
+	if bucket, ok := x.many[k]; ok {
+		switch bucket = removeEntry(bucket, en); len(bucket) {
+		case 1:
+			delete(x.many, k)
+			x.one[k] = bucket[0]
+		default:
+			x.many[k] = bucket
+		}
 		return
 	}
-	if bucket = removeID(bucket, id); len(bucket) > 0 {
-		x.m[k] = bucket
+	if x.one[k] != en {
 		return
 	}
-	delete(x.m, k)
+	delete(x.one, k)
 	if i, found := slices.BinarySearch(x.keys, k); found {
 		x.keys = slices.Delete(x.keys, i, i+1)
 	}
+}
+
+// appendKey appends the pairs under k to dst, each carrying key, the
+// cell k stands for.
+func (x *keyIndex[K]) appendKey(dst []indexCand, k K, key value) []indexCand {
+	if en, ok := x.one[k]; ok {
+		return append(dst, indexCand{key: key, en: en})
+	}
+	return appendBucket(dst, key, x.many[k])
 }
 
 // span is orderedIndex.span over Ks; key reads a bound as a K.
@@ -234,50 +272,59 @@ func (x *keyIndex[K]) appendSpan(dst []indexCand, start, end int, desc bool, cel
 		if desc {
 			i = start + end - 1 - n
 		}
-		dst = appendBucket(dst, cell(x.keys[i]), x.m[x.keys[i]])
+		dst = x.appendKey(dst, x.keys[i], cell(x.keys[i]))
 	}
 	return dst
 }
 
-// addID adds id to an ascending bucket. INSERT appends monotonically
-// growing ids (fast path); UPDATE moves an existing row into another
-// bucket at an arbitrary id (binary insert). A pair already present —
-// the row moved back to a value whose stale reference has not drained
-// yet — stays single.
-func addID(bucket []uint64, id uint64) []uint64 {
-	if n := len(bucket); n == 0 || bucket[n-1] < id {
-		return append(bucket, id)
+// addEntry adds en to a bucket ascending by row id. INSERT appends
+// monotonically growing ids (fast path); UPDATE moves an existing row
+// into another bucket at an arbitrary id (binary insert). A pair
+// already present — the row moved back to a value whose stale reference
+// has not drained yet — stays single.
+func addEntry(bucket []*rowEntry, en *rowEntry) []*rowEntry {
+	if n := len(bucket); n == 0 || bucket[n-1].id < en.id {
+		return append(bucket, en)
 	}
-	i, found := slices.BinarySearch(bucket, id)
+	i, found := searchID(bucket, en.id)
 	if found {
 		return bucket
 	}
-	return slices.Insert(bucket, i, id)
+	return slices.Insert(bucket, i, en)
 }
 
-// removeID removes id from an ascending bucket, if it is there.
-func removeID(bucket []uint64, id uint64) []uint64 {
-	if i, found := slices.BinarySearch(bucket, id); found {
-		return append(bucket[:i], bucket[i+1:]...)
+// removeEntry removes en from an ascending bucket, if it is there,
+// clearing the slot it frees so that the bucket does not keep the row
+// alive.
+func removeEntry(bucket []*rowEntry, en *rowEntry) []*rowEntry {
+	if i, found := searchID(bucket, en.id); found {
+		return slices.Delete(bucket, i, i+1)
 	}
 	return bucket
 }
 
-func appendBucket(dst []indexCand, key value, ids []uint64) []indexCand {
-	for _, id := range ids {
-		dst = append(dst, indexCand{key: key, id: id})
+// searchID finds row id in entries ascending by id: its position, or
+// where it would go.
+func searchID(entries []*rowEntry, id uint64) (int, bool) {
+	return slices.BinarySearchFunc(entries, id, func(en *rowEntry, id uint64) int { return cmp.Compare(en.id, id) })
+}
+
+func appendBucket(dst []indexCand, key value, bucket []*rowEntry) []indexCand {
+	dst = slices.Grow(dst, len(bucket))
+	for _, en := range bucket {
+		dst = append(dst, indexCand{key: key, en: en})
 	}
 	return dst
 }
 
-// indexCand is one candidate an index traversal emitted: a row id and
-// the key it was found under, as a cell. The snapshot evaluation accepts
-// the candidate only if the version visible to the reader carries that
-// cell in the probed column — the tombstone/stale-aware traversal rule
-// (see the package comment).
+// indexCand is one candidate row: its entry and, for an index
+// traversal's, the key it was found under, as a cell. The snapshot
+// evaluation accepts the candidate only if the version visible to the
+// reader carries that cell in the probed column — the tombstone/stale-
+// aware traversal rule (see the package comment).
 type indexCand struct {
 	key value
-	id  uint64
+	en  *rowEntry
 }
 
 // indexProbe is one usable access path the predicate analyzer found: an
@@ -290,15 +337,14 @@ type indexProbe struct {
 	ix *orderedIndex
 }
 
-// candidates appends the probe's (key, id) pairs to dst. Ordered
+// candidates appends the probe's (key, row) pairs to dst. Ordered
 // candidates come out in ORDER BY-equivalent key order (asc or desc);
-// unordered callers use rowOrderCandidates. An equality bucket is a
+// unordered callers use rowOrderCandidates. An equality probe is a
 // single key, so it is at once in key order and in row order, and each
 // of its candidates carries the probed key.
 func (p *indexProbe) candidates(dst []indexCand, desc bool) []indexCand {
 	if p.hasEq {
-		bucket := p.ix.bucket(p.eq)
-		return appendBucket(slices.Grow(dst, len(bucket)), p.eq, bucket)
+		return p.ix.appendEq(dst, p.eq)
 	}
 	start, end := p.ix.span(&p.colBounds)
 	return p.ix.appendSpan(dst, start, end, desc)
@@ -311,7 +357,7 @@ func (p *indexProbe) candidates(dst []indexCand, desc bool) []indexCand {
 func (p *indexProbe) rowOrderCandidates(dst []indexCand) []indexCand {
 	cand := p.candidates(dst, false)
 	if !p.hasEq {
-		slices.SortFunc(cand, func(a, b indexCand) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(cand, func(a, b indexCand) int { return cmp.Compare(a.en.id, b.en.id) })
 	}
 	return cand
 }
@@ -485,7 +531,7 @@ func (t *table) probeConjuncts(ex Expr, out []probeConj) []probeConj {
 // at bind time: a transaction's catalog shares unwritten tables with a
 // base whose index DDL does not move the transaction's generation.
 func (t *table) chooseProbe(conj []probeConj, slots []Expr) (indexProbe, bool) {
-	if len(conj) == 0 || len(t.indexes) == 0 {
+	if len(conj) == 0 {
 		return indexProbe{}, false
 	}
 	var buf [4]colBounds

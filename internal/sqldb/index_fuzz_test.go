@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -84,13 +85,22 @@ func FuzzPredicateAnalyzer(f *testing.F) {
 // range probes and ordered traversals over one INT or one TEXT column's
 // ordered index, NULLs and cross-kind literals included, against a model
 // that is the index's rule written out: every non-NULL key by its
-// rendered form (indexKey), the ids of a key ascending, keys ordered by
-// valueLess, the NULL bucket first for ASC and last for DESC, and on
-// DESC the keys descending but each key's ids still ascending. An
-// equality probe yields the bucket of the literal's rendered form, a
+// rendered form (indexKey), the rows of a key ascending by id, keys
+// ordered by valueLess, the NULL bucket first for ASC and last for DESC,
+// and on DESC the keys descending but each key's rows still ascending.
+// An equality probe yields the rows of the literal's rendered form, a
 // range probe every key each usable conjunct admits as the scan compares
 // (valueCompare), and every candidate carries the stored cell of its key.
+// After every add and remove the index's shape must match the model too
+// (checkKeyShape): a key of one row inline, a key of several in a
+// bucket, a key of none gone.
 func FuzzOrderedIndex(f *testing.F) {
+	// An INT key going from one row to two (twice the same pair: a re-add
+	// before the stale reference drains) and back to one, then losing its
+	// last row, probed at each step.
+	f.Add([]byte{0, 0, 4, 0, 0, 4, 1, 0, 4, 1, 3, 8, 0, 2, 4, 0, 0, 4, 1, 3, 8, 0, 2, 4, 1, 3, 8, 0, 4, 0, 0})
+	// The same walk on a TEXT key, with a NULL row alongside.
+	f.Add([]byte{1, 0, 10, 2, 0, 7, 3, 0, 10, 5, 0, 10, 5, 3, 21, 0, 2, 10, 2, 0, 10, 5, 3, 21, 1, 2, 10, 5, 3, 21, 0, 4, 1, 0})
 	f.Add([]byte{0, 0, 1, 1, 0, 3, 2, 4, 7, 3, 1, 2, 4})
 	f.Add([]byte{1, 0, 2, 1, 0, 5, 2, 0, 2, 9, 2, 2, 1, 4, 3, 3, 4, 0})
 	f.Add([]byte{1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 2, 1, 3, 3, 2, 5, 1, 4, 1})
@@ -133,8 +143,20 @@ func FuzzOrderedIndex(f *testing.F) {
 			return &StringLit{Val: core.NewString(texts[n/2%len(texts)])}
 		}
 		ix := newOrderedIndex(typ)
+		var ents [17]*rowEntry // the rows, by id
+		for id := range ents {
+			ents[id] = &rowEntry{id: uint64(id)}
+		}
 		model := map[string]value{}         // rendered key → its stored cell
 		ids := map[string]map[uint64]bool{} // rendered key → ids
+		checkShape := func() {
+			t.Helper()
+			if typ == ColInt {
+				checkKeyShape(t, ix.ints, model, ids, value.num)
+			} else {
+				checkKeyShape(t, ix.texts, model, ids, value.text)
+			}
+		}
 		bucket := func(key string) []uint64 {
 			var out []uint64
 			for id := range ids[key] {
@@ -145,7 +167,7 @@ func FuzzOrderedIndex(f *testing.F) {
 		}
 		appendKey := func(dst []indexCand, key string) []indexCand {
 			for _, id := range bucket(key) {
-				dst = append(dst, indexCand{key: model[key], id: id})
+				dst = append(dst, indexCand{key: model[key], en: ents[id]})
 			}
 			return dst
 		}
@@ -164,16 +186,18 @@ func FuzzOrderedIndex(f *testing.F) {
 			case 0, 1: // add
 				v, id := cell(), uint64(next()%16+1)
 				k := indexKey(v)
-				ix.add(v, id)
+				ix.add(v, ents[id])
 				model[k] = v
 				if ids[k] == nil {
 					ids[k] = map[uint64]bool{}
 				}
 				ids[k][id] = true
+				checkShape()
 			case 2: // remove
 				v, id := cell(), uint64(next()%16+1)
-				ix.remove(v, id)
+				ix.remove(v, ents[id])
 				delete(ids[indexKey(v)], id)
+				checkShape()
 			case 3: // equality probe
 				lit := literal()
 				var cb colBounds
@@ -234,6 +258,31 @@ func FuzzOrderedIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkKeyShape fails t unless x holds each non-NULL key of the model
+// in the shape its row count asks for: one row inline in x.one, several
+// in a bucket of x.many of that many rows, never both, and no row means
+// neither map nor x.keys has the key. key reads a model cell as a K.
+func checkKeyShape[K cmp.Ordered](t *testing.T, x *keyIndex[K], model map[string]value, ids map[string]map[uint64]bool, key func(value) K) {
+	t.Helper()
+	var keys []K
+	for k, v := range model {
+		n := len(ids[k])
+		if v.isNull() || n == 0 {
+			continue
+		}
+		keys = append(keys, key(v))
+		_, inOne := x.one[key(v)]
+		bucket, inMany := x.many[key(v)]
+		if inOne == inMany || inOne != (n == 1) || inMany && len(bucket) != n {
+			t.Fatalf("key %v of %d rows: inline %v, in a bucket %v of %d rows", v, n, inOne, inMany, len(bucket))
+		}
+	}
+	slices.Sort(keys)
+	if !slices.Equal(keys, x.keys) || len(x.one)+len(x.many) != len(keys) {
+		t.Fatalf("keys %v, %d inline and %d in buckets; the model has %v", x.keys, len(x.one), len(x.many), keys)
+	}
 }
 
 // admitter is the scan's reading of one range conjunct `col op lit` on a

@@ -360,22 +360,18 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 
 // canonicalBuckets projects an ordered index down to the pairs the
 // visible-key traversal rule actually serves at the frontier: for every
-// (key, id) the index's own ordered traversal emits, keep it only when
-// id's visible version carries that key. MVCC buckets are supersets
+// (key, row) the index's own ordered traversal emits, keep it only when
+// the row's visible version carries that key. MVCC buckets are supersets
 // (stale pairs wait for vacuum), so this projection — not raw buckets —
 // is the structure that defines index equality.
 func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map[value][]uint64 {
 	eff := make(map[value][]uint64)
 	for _, c := range ix.orderedCands(nil, false) {
-		en := tbl.byID[c.id]
-		if en == nil {
-			continue
-		}
-		v := en.visible(frontier)
+		v := c.en.visible(frontier)
 		if v == nil || v.vals[ci] != c.key {
 			continue
 		}
-		eff[c.key] = append(eff[c.key], c.id)
+		eff[c.key] = append(eff[c.key], c.en.id)
 	}
 	return eff
 }
@@ -415,6 +411,9 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 	frontier := e.frontier.Load()
 	tbl := e.tables["t"]
 	for ci, live := range tbl.indexes {
+		if live == nil {
+			continue
+		}
 		rebuilt, _ := buildIndex(tbl.entries, ci, tbl.cols[ci].Type)
 		liveEff := canonicalBuckets(tbl, live, ci, frontier)
 		rebuiltEff := canonicalBuckets(tbl, rebuilt, ci, frontier)
@@ -430,7 +429,7 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 			}
 			for _, en := range tbl.entries {
 				v := en.visible(frontier)
-				if v != nil && !pairs[indexCand{key: v.vals[ci], id: en.id}] {
+				if v != nil && !pairs[indexCand{key: v.vals[ci], en: en}] {
 					t.Fatalf("col %d: %s index lost row %d under key %v", ci, which, en.id, v.vals[ci])
 				}
 			}

@@ -17,8 +17,8 @@ import (
 // Two join strategies produce identical results by construction:
 //
 //   - Hash join: build a map over the smaller side keyed by indexKey —
-//     the ordered indexes' equality-bucket canonicalization, proven
-//     equivalent to valueCompare for non-NULL values — and probe with
+//     a rendered canonicalization proven equivalent to valueCompare's
+//     equality for non-NULL values — and probe with
 //     the larger side. NULL keys never enter the build map, matching
 //     SQL's NULL = NULL → false.
 //   - Nested loop: compare every pair with the same valueCompare the
@@ -344,8 +344,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 	// are immutable for this snapshot. Bucket lists of live ordered
 	// indexes are NOT safe to hold across the unlock (writers
 	// binary-insert in place), which is why the hash join builds its own
-	// transient map from the rows — keyed by the same indexKey
-	// canonicalization the buckets use.
+	// transient map from the rows, keyed by indexKey.
 	var lsrc, rsrc rowSource
 	e.rowCands(&lsrc, lt, nil, nil, slots, true, false, snap) // a scan: no index candidates
 	if s.Join != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -565,5 +566,123 @@ func TestVacuumKeepsTopAndDemotedSnapshots(t *testing.T) {
 	}
 	if head := e.tables["t"].entries[0].head.Load(); head.prev != nil {
 		t.Error("vacuum kept versions no snapshot can reach")
+	}
+}
+
+// idVals reads "SELECT id, v FROM t ORDER BY id" through q as one
+// "id=v" string.
+func idVals(t *testing.T, q querier) string {
+	t.Helper()
+	var out []string
+	for _, r := range captureSorted(t, q, "SELECT id, v FROM t ORDER BY id") {
+		out = append(out, r.cells[0]+"="+r.cells[1])
+	}
+	return strings.Join(out, " ")
+}
+
+// TestLookupAcrossVacuumCompaction: with no map from id to entry, a
+// lookup by row id binary-searches the entries, which vacuum compacts
+// when it drops deleted rows. After a compaction every surviving id
+// still finds its own entry, a dropped id finds none — replay refuses
+// an op on it — and updates and index probes reach the survivors.
+func TestLookupAcrossVacuumCompaction(t *testing.T) {
+	db := Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE t (id INT, v TEXT)")
+	db.MustExec("CREATE INDEX ON t (id)")
+	for i := 0; i < 30; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'a')", i))
+	}
+	e := db.Engine()
+	tbl := e.tables["t"]
+	rowIDs := make(map[int64]uint64) // id column → row id
+	for _, en := range tbl.entries {
+		rowIDs[en.head.Load().vals[0].num()] = en.id
+	}
+	db.MustExec("DELETE FROM t WHERE id < 10 OR id > 25 OR id = 17")
+	e.mu.Lock()
+	e.vacuum()
+	e.mu.Unlock()
+	if len(tbl.entries) != 15 {
+		t.Fatalf("vacuum kept %d entries, want the 15 live rows", len(tbl.entries))
+	}
+	for col, id := range rowIDs {
+		live := col >= 10 && col <= 25 && col != 17
+		en := tbl.lookup(id)
+		if live && (en == nil || en.id != id) || !live && en != nil {
+			t.Errorf("row %d (id %d, live %v): lookup gave %v", id, col, live, en)
+		}
+		if err := e.checkOps([]rowOp{{kind: opDelete, table: "t", id: id}}); (err == nil) != live {
+			t.Errorf("replayed delete of row %d (live %v): %v", id, live, err)
+		}
+	}
+	if tbl.lookup(0) != nil || tbl.lookup(rowIDs[29]+1) != nil {
+		t.Error("lookup found a row id never issued")
+	}
+	db.MustExec("UPDATE t SET v = 'b' WHERE id > 20")
+	db.MustExec("UPDATE t SET v = 'c' WHERE id = 12")
+	want := "10=a 11=a 12=c 13=a 14=a 15=a 16=a 18=a 19=a 20=a 21=b 22=b 23=b 24=b 25=b"
+	if got := idVals(t, db); got != want {
+		t.Errorf("after vacuum and updates read %q, want %q", got, want)
+	}
+}
+
+// TestWriteSetLookupMixesIDs: a write set holds base rows under their
+// base ids, entered in the order the transaction writes them, and its
+// own inserts under provisional ids (≥ provisionalIDBase), all in one
+// ascending slice. Updates and deletes inside the transaction find each
+// kind by id, the merged read passes over exactly the base rows the
+// write set holds, and Commit lands the lot under base ids.
+func TestWriteSetLookupMixesIDs(t *testing.T) {
+	db := Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE t (id INT, v TEXT)")
+	db.MustExec("CREATE INDEX ON t (id)")
+	for i := 1; i <= 8; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 'a')", i))
+	}
+	tx := db.Begin()
+	for _, q := range []string{
+		"UPDATE t SET v = 'w' WHERE id = 7", // a base row, then one with a lower id
+		"UPDATE t SET v = 'w' WHERE id = 2",
+		"INSERT INTO t (id, v) VALUES (20, 'n'), (21, 'n'), (22, 'n')",
+		"UPDATE t SET v = 'x' WHERE id = 21 OR id = 2 OR id = 5",
+		"DELETE FROM t WHERE id = 22 OR id = 7 OR id = 3",
+	} {
+		tx.MustExec(q)
+	}
+	ws := tx.spec.tables["t"]
+	var base, provisional int
+	for i, en := range ws.entries {
+		if i > 0 && ws.entries[i-1].id >= en.id {
+			t.Fatalf("write set entries out of id order at %d", i)
+		}
+		if ws.lookup(en.id) != en {
+			t.Errorf("write set lookup of row %d missed its entry", en.id)
+		}
+		if en.id >= provisionalIDBase {
+			provisional++
+		} else {
+			base++
+		}
+	}
+	if base != 4 || provisional != 3 {
+		t.Fatalf("write set holds %d base and %d provisional rows, want 4 and 3", base, provisional)
+	}
+	want := "1=a 2=x 4=a 5=x 6=a 8=a 20=n 21=x"
+	if got := idVals(t, tx); got != want {
+		t.Errorf("transaction read %q, want %q", got, want)
+	}
+	if got := idVals(t, db); got != "1=a 2=a 3=a 4=a 5=a 6=a 7=a 8=a" {
+		t.Errorf("base read %q before commit", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := idVals(t, db); got != want {
+		t.Errorf("committed read %q, want %q", got, want)
+	}
+	for _, en := range db.Engine().tables["t"].entries {
+		if en.id >= provisionalIDBase {
+			t.Errorf("row %d kept its provisional id past commit", en.id)
+		}
 	}
 }

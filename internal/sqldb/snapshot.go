@@ -83,12 +83,7 @@ func (e *Engine) dumpPayloads() [][]byte {
 			}
 		}
 		flush()
-		var ixCols []string
-		for ci := range t.indexes {
-			ixCols = append(ixCols, t.cols[ci].Name)
-		}
-		sort.Strings(ixCols)
-		for _, c := range ixCols {
+		for _, c := range t.indexedCols() {
 			out = append(out, stmtPayload((&CreateIndex{Table: t.name, Column: c}).SQL()))
 		}
 	}

@@ -274,7 +274,7 @@ func (b *Engine) commitOps(spec *Engine) error {
 			if op.id >= provisionalIDBase || op.kind == opInsert {
 				continue // row born inside this transaction
 			}
-			en := b.tables[op.table].byID[op.id]
+			en := b.tables[op.table].lookup(op.id)
 			if en == nil {
 				return fmt.Errorf("%w: row %d of %s no longer exists", ErrTxConflict, op.id, op.table)
 			}
@@ -286,46 +286,43 @@ func (b *Engine) commitOps(spec *Engine) error {
 
 	// Remap provisional row ids onto fresh base ids, in redo order, so
 	// the on-disk group and the in-memory apply agree byte-for-byte and
-	// scan order stays ascending-id insertion order.
-	nextBase := b.nextID
-	remap := make(map[uint64]uint64)
-	mapID := func(id uint64) uint64 {
-		if id < provisionalIDBase {
-			return id
+	// scan order stays ascending-id insertion order. The transaction
+	// ends with this commit, so its redo is remapped in place.
+	remap := make([]uint64, spec.nextID-provisionalIDBase)
+	nextBase := b.nextID // ≥ 1, so a zero in remap is an unmapped id
+	size := 2 * (walRecHeaderSize + 1)
+	for _, ops := range spec.redo {
+		for i := range ops {
+			op := &ops[i]
+			if op.id < provisionalIDBase {
+				continue
+			}
+			if nid := &remap[op.id-provisionalIDBase]; *nid == 0 {
+				*nid = nextBase
+				nextBase++
+			}
+			op.id = remap[op.id-provisionalIDBase]
 		}
-		if nid, ok := remap[id]; ok {
-			return nid
-		}
-		nid := nextBase
-		nextBase++
-		remap[id] = nid
-		return nid
+		size += walRecHeaderSize + opsLen(ops)
 	}
 	// The group is logged between begin and commit markers, as one write
 	// and one sync: the markers are what lets recovery drop an
-	// uncommitted suffix.
-	applySeq := make([][]rowOp, 0, len(spec.redo))
-	payloads := make([][]byte, 0, len(spec.redo)+2)
-	payloads = append(payloads, []byte{walRecBegin})
-	for _, ops := range spec.redo {
-		mapped := make([]rowOp, len(ops))
-		copy(mapped, ops)
-		for i := range mapped {
-			mapped[i].id = mapID(mapped[i].id)
-		}
-		payloads = append(payloads, opsPayload(mapped))
-		applySeq = append(applySeq, mapped)
-	}
-	payloads = append(payloads, []byte{walRecCommit})
-
+	// uncommitted suffix. It is framed into one buffer sized for it.
 	if b.wal != nil {
-		if err := b.wal.appendRecords(payloads...); err != nil {
+		frames := appendRecord(make([]byte, 0, size), []byte{walRecBegin})
+		for _, ops := range spec.redo {
+			var err error
+			if frames, err = appendOpsRecord(frames, ops); err != nil {
+				return fmt.Errorf("sqldb: commit: %w", err)
+			}
+		}
+		if err := b.wal.append(appendRecord(frames, []byte{walRecCommit})); err != nil {
 			return fmt.Errorf("sqldb: commit: %w", err)
 		}
 	}
 
 	born := b.frontier.Load() + 1
-	for _, ops := range applySeq {
+	for _, ops := range spec.redo {
 		b.applyOps(ops, born)
 	}
 	b.frontier.Store(born)

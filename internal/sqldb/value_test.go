@@ -43,8 +43,8 @@ func refCompare(a, b refCell) int {
 // the kind marks, integer 0 and both integer extremes, and NULL. Each
 // must round-trip through its constructor and the accessors, stay
 // distinct from every other under ==, keep valueCompare's order, and
-// encode to the same WAL bytes as the explicit layout, which decode
-// back to an equal value.
+// encode to the same WAL bytes as the explicit layout, in a row-ops
+// payload as long as opsLen says, which decode back to an equal value.
 func TestValueEncoding(t *testing.T) {
 	if size := unsafe.Sizeof(value{}); size != 24 {
 		t.Fatalf("value is %d bytes, want 24", size)
@@ -87,7 +87,12 @@ func TestValueEncoding(t *testing.T) {
 			t.Errorf("case %d: appendValue = %q, want %q", i, got, c.wal)
 		}
 		r := &replayer{}
-		ops, err := r.decodeOps(opsPayload([]rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}})[1:])
+		row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
+		payload := opsPayload(row)
+		if len(payload) != opsLen(row) {
+			t.Errorf("case %d: payload of %d bytes, opsLen says %d", i, len(payload), opsLen(row))
+		}
+		ops, err := r.decodeOps(payload[1:])
 		if err != nil || len(ops) != 1 || ops[0].vals[0] != v {
 			t.Errorf("case %d: WAL round trip gives %v (%v), want %v", i, ops, err, v)
 		}

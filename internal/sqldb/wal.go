@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 )
 
@@ -184,8 +185,8 @@ func appendRecord(buf []byte, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// frameRecords frames payloads into buf as consecutive records. It is
-// the one place the append side enforces walMaxRecord.
+// frameRecords frames payloads into buf as consecutive records. It and
+// appendOpsRecord are where the append side enforces walMaxRecord.
 func frameRecords(buf []byte, payloads ...[]byte) ([]byte, error) {
 	for _, p := range payloads {
 		if len(p) > walMaxRecord {
@@ -223,7 +224,26 @@ func appendValue(p []byte, v value) []byte {
 // opsPayload builds the payload of a row-ops record — the row-level
 // redo of one DML statement.
 func opsPayload(ops []rowOp) []byte {
-	p := []byte{walRecOps}
+	return appendOps(make([]byte, 0, opsLen(ops)), ops)
+}
+
+// appendOpsRecord frames the row-ops record of ops into buf, encoding
+// the payload straight behind its header.
+func appendOpsRecord(buf []byte, ops []rowOp) ([]byte, error) {
+	at := len(buf)
+	buf = appendOps(append(buf, make([]byte, walRecHeaderSize)...), ops)
+	payload := buf[at+walRecHeaderSize:]
+	if len(payload) > walMaxRecord {
+		return nil, fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(payload))
+	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
+}
+
+// appendOps appends the payload of ops' row-ops record to p.
+func appendOps(p []byte, ops []rowOp) []byte {
+	p = append(p, walRecOps)
 	p = binary.AppendUvarint(p, uint64(len(ops)))
 	for i := range ops {
 		op := &ops[i]
@@ -240,6 +260,37 @@ func opsPayload(ops []rowOp) []byte {
 	}
 	return p
 }
+
+// opsLen is the length of ops' row-ops payload, so that an encoder
+// sizes its buffer once.
+func opsLen(ops []rowOp) int {
+	n := 1 + uvarintLen(uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		n += 1 + uvarintLen(uint64(len(op.table))) + len(op.table) + uvarintLen(op.id)
+		if op.kind == opInsert || op.kind == opUpdate {
+			n += uvarintLen(uint64(len(op.vals)))
+			for _, v := range op.vals {
+				switch {
+				case v.isNull():
+					n++
+				case v.isInt():
+					ux := uint64(v.num()) << 1 // appendValue's zigzag
+					if v.num() < 0 {
+						ux = ^ux
+					}
+					n += 1 + uvarintLen(ux)
+				default:
+					n += 1 + uvarintLen(uint64(len(v.text()))) + len(v.text())
+				}
+			}
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of x as binary.AppendUvarint writes it.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // decodeOps parses a row-ops record body (the bytes after the 'R' type
 // byte). Any structural damage is an error: the payload was

@@ -43,10 +43,7 @@ func dumpEngine(e *Engine) map[string]tableState {
 				ts.rows = append(ts.rows, append([]value(nil), v.vals...))
 			}
 		}
-		for ci := range t.indexes {
-			ts.indexed = append(ts.indexed, t.cols[ci].Name)
-		}
-		sort.Strings(ts.indexed)
+		ts.indexed = t.indexedCols()
 		out[key] = ts
 	}
 	return out

@@ -141,14 +141,15 @@ func indexStructures(e *Engine) map[string]map[string]map[value][]uint64 {
 	frontier := e.frontier.Load()
 	out := make(map[string]map[string]map[value][]uint64)
 	for name, t := range e.tables {
-		if len(t.indexes) == 0 {
-			continue
-		}
-		cols := make(map[string]map[value][]uint64, len(t.indexes))
+		cols := make(map[string]map[value][]uint64)
 		for ci, ix := range t.indexes {
-			cols[t.cols[ci].Name] = canonicalBuckets(t, ix, ci, frontier)
+			if ix != nil {
+				cols[t.cols[ci].Name] = canonicalBuckets(t, ix, ci, frontier)
+			}
 		}
-		out[name] = cols
+		if len(cols) > 0 {
+			out[name] = cols
+		}
 	}
 	return out
 }
