@@ -148,3 +148,27 @@ func TestAssertionSourceEmbedded(t *testing.T) {
 		t.Error("assertion source incomplete")
 	}
 }
+
+// TestBenchPageSameOnBothRuntimes is the §7.1 comparison's premise: the
+// page a PC member gets for the anonymous paper is byte-identical with
+// and without RESIN, author list replaced by "Anonymous" on both.
+func TestBenchPageSameOnBothRuntimes(t *testing.T) {
+	var bodies [2]string
+	for i, on := range []bool{false, true} {
+		app, render := NewBenchInstance(on)
+		if err := render(); err != nil {
+			t.Fatalf("resin=%v: %v", on, err)
+		}
+		resp, err := app.Server.Do("GET", "/paper", map[string]string{"id": "1"}, app.Server.NewSession("pc@conf.org"))
+		if err != nil {
+			t.Fatalf("resin=%v: %v", on, err)
+		}
+		bodies[i] = resp.RawBody()
+		if !strings.Contains(bodies[i], "Anonymous") {
+			t.Errorf("resin=%v: author list not anonymized: %q", on, bodies[i])
+		}
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("tracked and untracked pages differ:\n%s\n--\n%s", bodies[1], bodies[0])
+	}
+}

@@ -22,7 +22,7 @@ var allowedImports = []struct {
 	{
 		pkg: "internal/core", dir: ".",
 		why: "policy objects, data tracking, filter objects and interning are the runtime layer: " +
-			"boundary adapters (httpd, sqldb, mail, vfs, remote) depend on it, never the other way around",
+			"boundary adapters (httpd, sqldb, mail, vfs) depend on it, never the other way around",
 	},
 	{
 		pkg: "internal/sqldb", dir: "../sqldb",
@@ -47,11 +47,6 @@ var allowedImports = []struct {
 		allowed: []string{"resin/internal/core", "resin/internal/sqldb"},
 		why: "the wire protocol carries sqldb's query route and core's policy encoding over TCP and nothing else: " +
 			"what is asserted in-process is what is asserted over the socket",
-	},
-	{
-		pkg: "internal/remote", dir: "../remote",
-		allowed: []string{"resin/internal/core"},
-		why:     "cross-runtime links serialize policies through core alone",
 	},
 	{
 		pkg: "internal/vfs", dir: "../vfs",

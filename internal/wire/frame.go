@@ -5,8 +5,8 @@
 // policy set — to what an in-process query would have returned. The
 // normative format lives in docs/WIRE.md; the serialization of policy
 // sets is core.EncodeSpans/DecodeSpans, the same canonical encoding the
-// in-process message channels (internal/remote) use, pinned by
-// TestWireAnnotationMatchesRemote.
+// SQL shadow columns and the WAL use, pinned by
+// TestWireAnnotationIsEncodeSpans.
 //
 // The same framing carries the replication stream: a primary ships raw
 // WAL record bytes to follower processes (sqldb ship.go), which replay

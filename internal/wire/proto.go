@@ -170,7 +170,7 @@ func (d *decoder) done() error {
 
 // Tracked-value codec. THE serialization of a tracked string is its raw
 // bytes plus the core.EncodeSpans annotation — the same canonical bytes
-// internal/remote puts in its messages, so policy identity cannot drift
+// the SQL shadow columns persist, so policy identity cannot drift
 // between the in-process and network paths. A tracked integer rides as
 // its value plus the annotation of its digit string (ToString renders
 // the digits carrying the integer's whole-value policy set).
