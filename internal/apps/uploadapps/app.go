@@ -53,8 +53,8 @@ func New(rt *core.Runtime, withAssertions bool) *App {
 		assertions: withAssertions,
 	}
 	a.Interp = script.New(rt, a.FS)
-	a.Interp.Register("secret", func(args []script.Value) (script.Value, error) {
-		return script.StringValue(core.NewString(adminSecret)), nil
+	a.Interp.Register("secret", func(args []core.String) (core.String, error) {
+		return core.NewString(adminSecret), nil
 	})
 
 	must(a.FS.MkdirAll(appDir, nil))

@@ -95,3 +95,22 @@ func TestAssertionSourceEmbedded(t *testing.T) {
 		t.Error("assertion marker missing")
 	}
 }
+
+// TestDeepStatsFailsOneRequest: a million nested calls spliced into the
+// eval'd sort code fail that request with a SyntaxError instead of
+// overflowing the parser's stack, and the next request is served.
+func TestDeepStatsFailsOneRequest(t *testing.T) {
+	a := newInstance(false)
+	s := a.Server.NewSession("v")
+	const n = 1000000
+	deep := `"; echo ` + strings.Repeat("secret(", n) + strings.Repeat(")", n) + `; let k = "`
+	resp, err := a.Server.Do("GET", "/stats", map[string]string{"sort": deep}, s)
+	var se *script.SyntaxError
+	if !errors.As(err, &se) || resp.Status != 500 {
+		t.Errorf("deep /stats: status %d, err %v; want 500 and a SyntaxError", resp.Status, err)
+	}
+	resp, err = a.Server.Do("GET", "/stats", map[string]string{"sort": "name"}, s)
+	if err != nil || !strings.Contains(resp.RawBody(), "sorted by name") {
+		t.Errorf("next /stats: %v %q", err, resp.RawBody())
+	}
+}

@@ -60,70 +60,8 @@ func MakeFileExecutable(fs *vfs.FS, path string) error {
 	return fs.WriteFile(path, data.WithPolicy(&CodeApproval{}), nil)
 }
 
-// Value is an RSL runtime value.
-type Value struct {
-	Kind ValueKind
-	Str  core.String
-	Num  int64
-	Bool bool
-}
-
-// ValueKind discriminates RSL values.
-type ValueKind int
-
-// Value kinds.
-const (
-	VString ValueKind = iota
-	VNumber
-	VBool
-	VNull
-)
-
-// StringValue wraps a tracked string as an RSL value.
-func StringValue(s core.String) Value { return Value{Kind: VString, Str: s} }
-
-// NumberValue wraps an integer as an RSL value.
-func NumberValue(n int64) Value { return Value{Kind: VNumber, Num: n} }
-
-// BoolValue wraps a bool as an RSL value.
-func BoolValue(b bool) Value { return Value{Kind: VBool, Bool: b} }
-
-// NullValue is the RSL null.
-func NullValue() Value { return Value{Kind: VNull} }
-
-// Render converts a value to tracked text for echo.
-func (v Value) Render() core.String {
-	switch v.Kind {
-	case VString:
-		return v.Str
-	case VNumber:
-		return core.NewInt(v.Num).ToString()
-	case VBool:
-		if v.Bool {
-			return core.NewString("true")
-		}
-		return core.NewString("false")
-	default:
-		return core.String{}
-	}
-}
-
-// Truthy reports the value's boolean interpretation.
-func (v Value) Truthy() bool {
-	switch v.Kind {
-	case VString:
-		return v.Str.Len() > 0
-	case VNumber:
-		return v.Num != 0
-	case VBool:
-		return v.Bool
-	default:
-		return false
-	}
-}
-
 // Builtin is a host function callable from RSL.
-type Builtin func(args []Value) (Value, error)
+type Builtin func(args []core.String) (core.String, error)
 
 // RuntimeError is an RSL evaluation error.
 type RuntimeError struct{ Msg string }
@@ -134,6 +72,15 @@ func rerrf(format string, args ...any) error {
 	return &RuntimeError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// A run stops with a RuntimeError after maxSteps statements and terms,
+// or once the bytes it includes, concatenates and echoes pass maxBytes,
+// so a runaway or hostile script cannot hang the host or exhaust its
+// memory.
+const (
+	maxSteps = 100000
+	maxBytes = 16 << 20
+)
+
 // Interp is the RSL interpreter. Code reaches it only through the
 // code-import channel; applications replace the channel's filters to
 // enforce the script-injection assertion.
@@ -142,9 +89,6 @@ type Interp struct {
 	fs       *vfs.FS
 	importCh *core.Channel
 	builtins map[string]Builtin
-	// MaxSteps bounds execution to keep runaway scripts from hanging the
-	// host; 0 means the default (100k statements).
-	MaxSteps int
 }
 
 // New returns an interpreter bound to rt loading code from fs. The import
@@ -178,21 +122,20 @@ func (in *Interp) Register(name string, fn Builtin) { in.builtins[name] = fn }
 
 // env is a script execution scope.
 type env struct {
-	vars  map[string]Value
-	funcs map[string]*funcStmt
+	vars  map[string]core.String
+	funcs map[string]*stmt
 }
 
 func newEnv() *env {
-	return &env{vars: make(map[string]Value), funcs: make(map[string]*funcStmt)}
+	return &env{vars: make(map[string]core.String), funcs: make(map[string]*stmt)}
 }
 
 // execState carries per-run interpreter state.
 type execState struct {
-	in    *Interp
-	out   *core.Channel
-	steps int
-	max   int
-	ret   *Value // non-nil while unwinding a return
+	in           *Interp
+	out          *core.Channel
+	steps, bytes int
+	ret          *core.String // non-nil while unwinding a return
 }
 
 // RunFile loads the file at path through the code-import channel and
@@ -226,25 +169,29 @@ func (in *Interp) run(code core.String, out *core.Channel) error {
 	if err != nil {
 		return err
 	}
-	max := in.MaxSteps
-	if max <= 0 {
-		max = 100000
-	}
-	st := &execState{in: in, out: out, max: max}
+	st := &execState{in: in, out: out}
 	return st.execBlock(prog, newEnv())
 }
 
 func (st *execState) step() error {
+	if st.steps == maxSteps {
+		return rerrf("execution exceeded %d steps", maxSteps)
+	}
 	st.steps++
-	if st.steps > st.max {
-		return rerrf("execution exceeded %d steps", st.max)
+	return nil
+}
+
+// spend charges n bytes against the run's byte budget.
+func (st *execState) spend(n int) error {
+	if st.bytes += n; st.bytes > maxBytes {
+		return rerrf("execution exceeded %d bytes", maxBytes)
 	}
 	return nil
 }
 
 func (st *execState) execBlock(stmts []stmt, e *env) error {
-	for _, s := range stmts {
-		if err := st.exec(s, e); err != nil {
+	for i := range stmts {
+		if err := st.exec(&stmts[i], e); err != nil {
 			return err
 		}
 		if st.ret != nil {
@@ -254,74 +201,34 @@ func (st *execState) execBlock(stmts []stmt, e *env) error {
 	return nil
 }
 
-func (st *execState) exec(s stmt, e *env) error {
+func (st *execState) exec(s *stmt, e *env) error {
 	if err := st.step(); err != nil {
 		return err
 	}
-	switch v := s.(type) {
-	case *echoStmt:
-		val, err := st.eval(v.x, e)
-		if err != nil {
-			return err
-		}
+	if s.kw == "func" {
+		e.funcs[s.name] = s
+		return nil
+	}
+	val, err := st.eval(s.x, e)
+	if err != nil {
+		return err
+	}
+	switch s.kw {
+	case "echo":
 		if st.out == nil {
 			return rerrf("echo with no output channel")
 		}
-		return st.out.Write(val.Render())
-	case *letStmt:
-		val, err := st.eval(v.x, e)
-		if err != nil {
+		if err := st.spend(val.Len()); err != nil {
 			return err
 		}
-		e.vars[v.name] = val
-		return nil
-	case *assignStmt:
-		if _, ok := e.vars[v.name]; !ok {
-			return rerrf("assignment to undeclared variable %q", v.name)
-		}
-		val, err := st.eval(v.x, e)
-		if err != nil {
-			return err
-		}
-		e.vars[v.name] = val
-		return nil
-	case *ifStmt:
-		cond, err := st.eval(v.cond, e)
-		if err != nil {
-			return err
-		}
-		if cond.Truthy() {
-			return st.execBlock(v.then, e)
-		}
-		return st.execBlock(v.else_, e)
-	case *whileStmt:
-		for {
-			cond, err := st.eval(v.cond, e)
-			if err != nil {
-				return err
-			}
-			if !cond.Truthy() {
-				return nil
-			}
-			if err := st.execBlock(v.body, e); err != nil {
-				return err
-			}
-			if st.ret != nil {
-				return nil
-			}
-		}
-	case *includeStmt:
-		p, err := st.eval(v.path, e)
-		if err != nil {
-			return err
-		}
-		if p.Kind != VString {
-			return rerrf("include path must be a string")
-		}
+		return st.out.Write(val)
+	case "let":
+		e.vars[s.name] = val
+	case "include":
 		// The included file flows through the same import channel — this
 		// is the attack surface of theme/plugin loading, and the reason
 		// the approval filter must guard *all* code paths.
-		src, err := st.in.fs.ReadFile(p.Str.Raw(), nil)
+		src, err := st.in.fs.ReadFile(val.Raw(), nil)
 		if err != nil {
 			return err
 		}
@@ -329,211 +236,84 @@ func (st *execState) exec(s stmt, e *env) error {
 		if err != nil {
 			return err
 		}
+		if err := st.spend(code.Len()); err != nil {
+			return err
+		}
 		prog, err := parseRSL(code)
 		if err != nil {
 			return err
 		}
 		return st.execBlock(prog, e) // include shares scope, like PHP
-	case *returnStmt:
-		val, err := st.eval(v.x, e)
-		if err != nil {
-			return err
-		}
+	case "return":
 		st.ret = &val
-		return nil
-	case *funcStmt:
-		e.funcs[v.name] = v
-		return nil
-	case *exprStmt:
-		_, err := st.eval(v.x, e)
-		return err
-	default:
-		return rerrf("unknown statement %T", s)
 	}
+	return nil
 }
 
-func (st *execState) eval(x expr, e *env) (Value, error) {
-	if err := st.step(); err != nil {
-		return Value{}, err
+// eval evaluates the terms of x left to right and joins them with one
+// Concat, which carries every byte's policies into the result.
+func (st *execState) eval(x expr, e *env) (core.String, error) {
+	parts := make([]core.String, len(x))
+	n := 0
+	for i := range x {
+		v, err := st.term(&x[i], e)
+		if err != nil {
+			return core.String{}, err
+		}
+		parts[i] = v
+		n += v.Len()
 	}
-	switch v := x.(type) {
-	case *strLit:
-		return StringValue(v.v), nil
-	case *numLit:
-		return NumberValue(v.v), nil
-	case *boolLit:
-		return BoolValue(v.v), nil
-	case *varRef:
-		val, ok := e.vars[v.name]
+	if len(parts) > 1 {
+		if err := st.spend(n); err != nil {
+			return core.String{}, err
+		}
+	}
+	return core.Concat(parts...), nil
+}
+
+func (st *execState) term(t *term, e *env) (core.String, error) {
+	if err := st.step(); err != nil {
+		return core.String{}, err
+	}
+	switch {
+	case t.name == "":
+		return t.lit, nil
+	case !t.call:
+		val, ok := e.vars[t.name]
 		if !ok {
-			return Value{}, rerrf("undefined variable %q", v.name)
+			return core.String{}, rerrf("undefined variable %q", t.name)
 		}
 		return val, nil
-	case *notExpr:
-		val, err := st.eval(v.x, e)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(!val.Truthy()), nil
-	case *callExpr:
-		return st.call(v, e)
-	case *binExpr:
-		return st.binop(v, e)
-	default:
-		return Value{}, rerrf("unknown expression %T", x)
 	}
-}
-
-func (st *execState) call(c *callExpr, e *env) (Value, error) {
-	args := make([]Value, len(c.args))
-	for i, a := range c.args {
+	args := make([]core.String, len(t.args))
+	for i, a := range t.args {
 		v, err := st.eval(a, e)
 		if err != nil {
-			return Value{}, err
+			return core.String{}, err
 		}
 		args[i] = v
 	}
-	if fn, ok := e.funcs[c.name]; ok {
+	if fn, ok := e.funcs[t.name]; ok {
 		if len(args) != len(fn.params) {
-			return Value{}, rerrf("%s expects %d args, got %d", c.name, len(fn.params), len(args))
+			return core.String{}, rerrf("%s expects %d args, got %d", t.name, len(fn.params), len(args))
 		}
 		// Script functions get a fresh variable scope sharing functions.
-		fe := &env{vars: make(map[string]Value), funcs: e.funcs}
+		fe := &env{vars: make(map[string]core.String), funcs: e.funcs}
 		for i, p := range fn.params {
 			fe.vars[p] = args[i]
 		}
 		if err := st.execBlock(fn.body, fe); err != nil {
-			return Value{}, err
+			return core.String{}, err
 		}
+		// A function that ends without return yields the empty string.
+		var out core.String
 		if st.ret != nil {
-			out := *st.ret
-			st.ret = nil
-			return out, nil
+			out, st.ret = *st.ret, nil
 		}
-		return NullValue(), nil
+		return out, nil
 	}
-	if fn, ok := st.in.builtins[c.name]; ok {
+	if fn, ok := st.in.builtins[t.name]; ok {
 		return fn(args)
 	}
-	return Value{}, rerrf("undefined function %q", c.name)
-}
-
-func (st *execState) binop(b *binExpr, e *env) (Value, error) {
-	l, err := st.eval(b.l, e)
-	if err != nil {
-		return Value{}, err
-	}
-	// Short-circuit logic.
-	switch b.op {
-	case "&&":
-		if !l.Truthy() {
-			return BoolValue(false), nil
-		}
-		r, err := st.eval(b.r, e)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(r.Truthy()), nil
-	case "||":
-		if l.Truthy() {
-			return BoolValue(true), nil
-		}
-		r, err := st.eval(b.r, e)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(r.Truthy()), nil
-	}
-	r, err := st.eval(b.r, e)
-	if err != nil {
-		return Value{}, err
-	}
-	switch b.op {
-	case ".":
-		return StringValue(core.Concat(l.Render(), r.Render())), nil
-	case "+", "-", "*", "/":
-		if l.Kind != VNumber || r.Kind != VNumber {
-			return Value{}, rerrf("arithmetic on non-numbers")
-		}
-		switch b.op {
-		case "+":
-			return NumberValue(l.Num + r.Num), nil
-		case "-":
-			return NumberValue(l.Num - r.Num), nil
-		case "*":
-			return NumberValue(l.Num * r.Num), nil
-		default:
-			if r.Num == 0 {
-				return Value{}, rerrf("division by zero")
-			}
-			return NumberValue(l.Num / r.Num), nil
-		}
-	case "==", "!=":
-		eq, err := valuesEqual(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		if b.op == "!=" {
-			eq = !eq
-		}
-		return BoolValue(eq), nil
-	case "<", "<=", ">", ">=":
-		cmp, err := valuesCompare(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		switch b.op {
-		case "<":
-			return BoolValue(cmp < 0), nil
-		case "<=":
-			return BoolValue(cmp <= 0), nil
-		case ">":
-			return BoolValue(cmp > 0), nil
-		default:
-			return BoolValue(cmp >= 0), nil
-		}
-	default:
-		return Value{}, rerrf("unknown operator %q", b.op)
-	}
-}
-
-func valuesEqual(l, r Value) (bool, error) {
-	if l.Kind != r.Kind {
-		return false, nil
-	}
-	switch l.Kind {
-	case VString:
-		return l.Str.Raw() == r.Str.Raw(), nil
-	case VNumber:
-		return l.Num == r.Num, nil
-	case VBool:
-		return l.Bool == r.Bool, nil
-	default:
-		return true, nil
-	}
-}
-
-func valuesCompare(l, r Value) (int, error) {
-	if l.Kind == VNumber && r.Kind == VNumber {
-		switch {
-		case l.Num < r.Num:
-			return -1, nil
-		case l.Num > r.Num:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if l.Kind == VString && r.Kind == VString {
-		ls, rs := l.Str.Raw(), r.Str.Raw()
-		switch {
-		case ls < rs:
-			return -1, nil
-		case ls > rs:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	return 0, rerrf("cannot compare %v and %v", l.Kind, r.Kind)
+	return core.String{}, rerrf("undefined function %q", t.name)
 }

@@ -6,17 +6,30 @@
 // requires a CodeApproval policy on every character implements the
 // server-side script injection assertion of §5.2 (Figure 6).
 //
-// RSL values are tracked: script strings are core.String, so policies flow
-// through script execution exactly as they flow through host code, and
+// RSL has exactly what the Figure 6 scenarios run (# starts a line
+// comment):
+//
+//	stmt := "echo" expr ";" | "let" ident "=" expr ";" | "include" expr ";"
+//	      | "return" expr ";" | "func" ident "(" [ident {"," ident}] ")" "{" {stmt} "}" | expr ";"
+//	expr := term {"." term}
+//	term := string | ident | ident "(" [expr {"," expr}] ")"
+//
+// Every RSL value is a tracked core.String, so policies flow through
+// script execution exactly as they flow through host code, and
 // everything a script echoes still crosses the host's output boundary.
 package script
 
 import (
 	"fmt"
-	"strconv"
+	"strings"
 
 	"resin/internal/core"
 )
+
+// maxNesting bounds how deeply call arguments and func bodies nest, so
+// hostile source fails with a SyntaxError instead of exhausting the
+// parser's stack.
+const maxNesting = 256
 
 // tokKind classifies RSL tokens.
 type tokKind int
@@ -24,17 +37,13 @@ type tokKind int
 const (
 	tEOF tokKind = iota
 	tIdent
-	tNumber
 	tString
-	tOp    // + - * / . == != < <= > >= = ! && ||
-	tPunct // ( ) { } , ;
+	tPunct // ( ) { } , ; = .
 	tKeyword
 )
 
 var rslKeywords = map[string]bool{
-	"if": true, "else": true, "while": true, "let": true,
-	"echo": true, "include": true, "true": true, "false": true,
-	"func": true, "return": true,
+	"let": true, "echo": true, "include": true, "func": true, "return": true,
 }
 
 type tok struct {
@@ -54,516 +63,273 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("script: syntax error at byte %d: %s", e.Pos, e.Msg)
 }
 
-func lexRSL(src core.String) ([]tok, error) {
-	raw := src.Raw()
-	var out []tok
-	i := 0
-	for i < len(raw) {
-		c := raw[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '#': // line comment
-			for i < len(raw) && raw[i] != '\n' {
-				i++
-			}
-		case c == '"':
-			start := i
-			i++
-			var b core.Builder
-			for i < len(raw) && raw[i] != '"' {
-				if raw[i] == '\\' && i+1 < len(raw) {
-					esc := raw[i+1]
-					_, ps := src.ByteAt(i + 1)
-					switch esc {
-					case 'n':
-						b.AppendBytePolicies('\n', ps)
-					case 't':
-						b.AppendBytePolicies('\t', ps)
-					default:
-						b.AppendBytePolicies(esc, ps)
-					}
-					i += 2
-					continue
-				}
-				_, ps := src.ByteAt(i)
-				b.AppendBytePolicies(raw[i], ps)
-				i++
-			}
-			if i >= len(raw) {
-				return nil, &SyntaxError{Pos: start, Msg: "unterminated string"}
-			}
-			i++ // closing quote
-			out = append(out, tok{kind: tString, text: raw[start:i], val: b.String(), pos: start})
-		case c >= '0' && c <= '9':
-			j := i
-			for j < len(raw) && raw[j] >= '0' && raw[j] <= '9' {
-				j++
-			}
-			out = append(out, tok{kind: tNumber, text: raw[i:j], pos: i})
-			i = j
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-			j := i
-			for j < len(raw) && (raw[j] == '_' || (raw[j] >= 'a' && raw[j] <= 'z') ||
-				(raw[j] >= 'A' && raw[j] <= 'Z') || (raw[j] >= '0' && raw[j] <= '9')) {
-				j++
-			}
-			text := raw[i:j]
-			k := tIdent
-			if rslKeywords[text] {
-				k = tKeyword
-			}
-			out = append(out, tok{kind: k, text: text, pos: i})
-			i = j
-		case c == '(' || c == ')' || c == '{' || c == '}' || c == ',' || c == ';':
-			out = append(out, tok{kind: tPunct, text: string(c), pos: i})
-			i++
-		case c == '=' || c == '!' || c == '<' || c == '>':
-			if i+1 < len(raw) && raw[i+1] == '=' {
-				out = append(out, tok{kind: tOp, text: raw[i : i+2], pos: i})
-				i += 2
-			} else {
-				out = append(out, tok{kind: tOp, text: string(c), pos: i})
-				i++
-			}
-		case c == '&' || c == '|':
-			if i+1 < len(raw) && raw[i+1] == c {
-				out = append(out, tok{kind: tOp, text: raw[i : i+2], pos: i})
-				i += 2
-			} else {
-				return nil, &SyntaxError{Pos: i, Msg: fmt.Sprintf("unexpected %q", string(c))}
-			}
-		case c == '+' || c == '-' || c == '*' || c == '/' || c == '.':
-			out = append(out, tok{kind: tOp, text: string(c), pos: i})
-			i++
-		default:
-			return nil, &SyntaxError{Pos: i, Msg: fmt.Sprintf("unexpected byte %q", string(c))}
-		}
-	}
-	out = append(out, tok{kind: tEOF, pos: len(raw)})
-	return out, nil
+// stmt is one RSL statement. kw is its keyword, or "" for an expression
+// statement.
+type stmt struct {
+	kw     string
+	name   string   // let's variable, func's name
+	params []string // func
+	body   []stmt   // func
+	x      expr     // every statement but func
 }
 
-// AST node types.
+// expr is a "."-joined chain of terms.
+type expr []term
 
-type stmt interface{ stmtNode() }
-
-type echoStmt struct{ x expr }
-type letStmt struct {
+// term is a string literal (name == ""), a variable, or a call.
+type term struct {
+	lit  core.String
 	name string
-	x    expr
-}
-type assignStmt struct {
-	name string
-	x    expr
-}
-type ifStmt struct {
-	cond        expr
-	then, else_ []stmt
-}
-type whileStmt struct {
-	cond expr
-	body []stmt
-}
-type includeStmt struct{ path expr }
-type exprStmt struct{ x expr }
-type returnStmt struct{ x expr }
-type funcStmt struct {
-	name   string
-	params []string
-	body   []stmt
-}
-
-func (*echoStmt) stmtNode()    {}
-func (*letStmt) stmtNode()     {}
-func (*assignStmt) stmtNode()  {}
-func (*ifStmt) stmtNode()      {}
-func (*whileStmt) stmtNode()   {}
-func (*includeStmt) stmtNode() {}
-func (*exprStmt) stmtNode()    {}
-func (*returnStmt) stmtNode()  {}
-func (*funcStmt) stmtNode()    {}
-
-type expr interface{ exprNode() }
-
-type strLit struct{ v core.String }
-type numLit struct{ v int64 }
-type boolLit struct{ v bool }
-type varRef struct{ name string }
-type callExpr struct {
-	name string
+	call bool
 	args []expr
 }
-type binExpr struct {
-	op   string
-	l, r expr
-}
-type notExpr struct{ x expr }
 
-func (*strLit) exprNode()   {}
-func (*numLit) exprNode()   {}
-func (*boolLit) exprNode()  {}
-func (*varRef) exprNode()   {}
-func (*callExpr) exprNode() {}
-func (*binExpr) exprNode()  {}
-func (*notExpr) exprNode()  {}
-
+// rslParser lexes on demand behind one token of lookahead, so a syntax
+// error stops the work where it occurs. A lex error is sticky: cur turns
+// into tEOF and the next parse error reports err instead.
 type rslParser struct {
-	toks []tok
-	pos  int
+	src   core.String
+	i     int // next byte to lex
+	cur   tok
+	err   error
+	depth int
 }
 
 func parseRSL(src core.String) ([]stmt, error) {
-	toks, err := lexRSL(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &rslParser{toks: toks}
+	p := &rslParser{src: src}
+	p.next()
 	var out []stmt
-	for p.peek().kind != tEOF {
+	for p.cur.kind != tEOF {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
 	}
-	return out, nil
+	return out, p.err
 }
 
-func (p *rslParser) peek() tok { return p.toks[p.pos] }
-
-func (p *rslParser) next() tok {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+// next lexes the token after cur into cur.
+func (p *rslParser) next() {
+	raw, i := p.src.Raw(), p.i
+	for i < len(raw) && strings.IndexByte(" \t\n\r#", raw[i]) >= 0 {
+		if raw[i] == '#' {
+			for i < len(raw) && raw[i] != '\n' {
+				i++
+			}
+		} else {
+			i++
+		}
 	}
-	return t
+	start := i
+	switch {
+	case i == len(raw):
+		p.cur = tok{kind: tEOF, pos: i}
+	case raw[i] == '"':
+		i++
+		var b core.Builder
+		for i < len(raw) && raw[i] != '"' {
+			c := raw[i]
+			if c == '\\' && i+1 < len(raw) {
+				i++
+				c = raw[i]
+				switch c {
+				case 'n':
+					c = '\n'
+				case 't':
+					c = '\t'
+				}
+			}
+			_, ps := p.src.ByteAt(i)
+			b.AppendBytePolicies(c, ps)
+			i++
+		}
+		if i == len(raw) {
+			p.fail(start, "unterminated string")
+			return
+		}
+		i++ // closing quote
+		p.cur = tok{kind: tString, text: raw[start:i], val: b.String(), pos: start}
+	case isIdentByte(raw[i]) && !(raw[i] >= '0' && raw[i] <= '9'):
+		for i < len(raw) && isIdentByte(raw[i]) {
+			i++
+		}
+		k := tIdent
+		if rslKeywords[raw[start:i]] {
+			k = tKeyword
+		}
+		p.cur = tok{kind: k, text: raw[start:i], pos: start}
+	case strings.IndexByte("(){},;=.", raw[i]) >= 0:
+		i++
+		p.cur = tok{kind: tPunct, text: raw[start:i], pos: start}
+	default:
+		p.fail(i, fmt.Sprintf("unexpected byte %q", raw[i:i+1]))
+		return
+	}
+	p.i = i
+}
+
+func isIdentByte(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+}
+
+func (p *rslParser) fail(pos int, msg string) {
+	p.err = &SyntaxError{Pos: pos, Msg: msg}
+	p.cur = tok{kind: tEOF, pos: pos}
 }
 
 func (p *rslParser) errf(format string, args ...any) error {
-	return &SyntaxError{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
+	if p.err != nil {
+		return p.err
+	}
+	return &SyntaxError{Pos: p.cur.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+func (p *rslParser) isPunct(s string) bool { return p.cur.kind == tPunct && p.cur.text == s }
+
 func (p *rslParser) expectPunct(s string) error {
-	t := p.peek()
-	if t.kind != tPunct || t.text != s {
-		return p.errf("expected %q, got %q", s, t.text)
+	if !p.isPunct(s) {
+		return p.errf("expected %q, got %q", s, p.cur.text)
 	}
 	p.next()
 	return nil
 }
 
-func (p *rslParser) parseBlock() ([]stmt, error) {
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
+func (p *rslParser) ident(what string) (string, error) {
+	if p.cur.kind != tIdent {
+		return "", p.errf("expected %s", what)
 	}
-	var out []stmt
+	name := p.cur.text
+	p.next()
+	return name, nil
+}
+
+// enter counts one level of nesting. An error ends the whole parse, so
+// only a successful parse needs the matching p.depth--.
+func (p *rslParser) enter() error {
+	if p.depth == maxNesting {
+		return p.errf("nesting deeper than %d", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+// parseList parses "(" [item {"," item}] ")".
+func (p *rslParser) parseList(item func() error) error {
+	if err := p.expectPunct("("); err != nil {
+		return err
+	}
+	if p.isPunct(")") {
+		p.next()
+		return nil
+	}
 	for {
-		t := p.peek()
-		if t.kind == tPunct && t.text == "}" {
-			p.next()
-			return out, nil
+		if err := item(); err != nil {
+			return err
 		}
-		if t.kind == tEOF {
-			return nil, p.errf("unterminated block")
+		if !p.isPunct(",") {
+			return p.expectPunct(")")
 		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		p.next()
 	}
 }
 
 func (p *rslParser) parseStmt() (stmt, error) {
-	t := p.peek()
-	if t.kind == tKeyword {
-		switch t.text {
-		case "echo":
-			p.next()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &echoStmt{x: x}, p.expectPunct(";")
-		case "let":
-			p.next()
-			name := p.peek()
-			if name.kind != tIdent {
-				return nil, p.errf("expected variable name")
-			}
-			p.next()
-			if op := p.peek(); op.kind != tOp || op.text != "=" {
-				return nil, p.errf("expected = in let")
-			}
-			p.next()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &letStmt{name: name.text, x: x}, p.expectPunct(";")
-		case "if":
-			p.next()
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			then, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			var els []stmt
-			if e := p.peek(); e.kind == tKeyword && e.text == "else" {
-				p.next()
-				els, err = p.parseBlock()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return &ifStmt{cond: cond, then: then, else_: els}, nil
-		case "while":
-			p.next()
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			cond, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			body, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			return &whileStmt{cond: cond, body: body}, nil
-		case "include":
-			p.next()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &includeStmt{path: x}, p.expectPunct(";")
-		case "return":
-			p.next()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &returnStmt{x: x}, p.expectPunct(";")
-		case "func":
-			p.next()
-			name := p.peek()
-			if name.kind != tIdent {
-				return nil, p.errf("expected function name")
-			}
-			p.next()
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			var params []string
-			for {
-				t := p.peek()
-				if t.kind == tPunct && t.text == ")" {
-					p.next()
-					break
-				}
-				if t.kind != tIdent {
-					return nil, p.errf("expected parameter name")
-				}
-				params = append(params, t.text)
-				p.next()
-				if c := p.peek(); c.kind == tPunct && c.text == "," {
-					p.next()
-				}
-			}
-			body, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			return &funcStmt{name: name.text, params: params, body: body}, nil
-		}
-	}
-	// Assignment or expression statement.
-	if t.kind == tIdent {
-		nxt := p.toks[p.pos+1]
-		if nxt.kind == tOp && nxt.text == "=" {
-			p.next()
-			p.next()
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &assignStmt{name: t.text, x: x}, p.expectPunct(";")
-		}
-	}
-	x, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	return &exprStmt{x: x}, p.expectPunct(";")
-}
-
-// Expression precedence: || < && < comparison < additive (+ - .) <
-// multiplicative (* /) < unary.
-func (p *rslParser) parseExpr() (expr, error) { return p.parseOr() }
-
-func (p *rslParser) parseOr() (expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().kind == tOp && p.peek().text == "||" {
+	var s stmt
+	if p.cur.kind == tKeyword {
+		s.kw = p.cur.text
 		p.next()
-		r, err := p.parseAnd()
+	}
+	var err error
+	switch s.kw {
+	case "func":
+		return p.parseFunc()
+	case "let":
+		if s.name, err = p.ident("variable name"); err != nil {
+			return s, err
+		}
+		if err := p.expectPunct("="); err != nil {
+			return s, err
+		}
+	}
+	if s.x, err = p.parseExpr(); err != nil {
+		return s, err
+	}
+	return s, p.expectPunct(";")
+}
+
+func (p *rslParser) parseFunc() (stmt, error) {
+	s := stmt{kw: "func"}
+	var err error
+	if s.name, err = p.ident("function name"); err != nil {
+		return s, err
+	}
+	err = p.parseList(func() error {
+		param, err := p.ident("parameter name")
+		s.params = append(s.params, param)
+		return err
+	})
+	if err != nil {
+		return s, err
+	}
+	if err := p.enter(); err != nil {
+		return s, err
+	}
+	if err := p.expectPunct("{"); err != nil {
+		return s, err
+	}
+	for !p.isPunct("}") {
+		if p.cur.kind == tEOF {
+			return s, p.errf("unterminated block")
+		}
+		b, err := p.parseStmt()
 		if err != nil {
-			return nil, err
+			return s, err
 		}
-		l = &binExpr{op: "||", l: l, r: r}
+		s.body = append(s.body, b)
 	}
-	return l, nil
+	p.next()
+	p.depth--
+	return s, nil
 }
 
-func (p *rslParser) parseAnd() (expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().kind == tOp && p.peek().text == "&&" {
-		p.next()
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &binExpr{op: "&&", l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *rslParser) parseCmp() (expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	t := p.peek()
-	if t.kind == tOp {
-		switch t.text {
-		case "==", "!=", "<", "<=", ">", ">=":
-			p.next()
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &binExpr{op: t.text, l: l, r: r}, nil
-		}
-	}
-	return l, nil
-}
-
-func (p *rslParser) parseAdd() (expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
+func (p *rslParser) parseExpr() (expr, error) {
+	var x expr
 	for {
-		t := p.peek()
-		if t.kind != tOp || (t.text != "+" && t.text != "-" && t.text != ".") {
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseMul()
+		t, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
-		l = &binExpr{op: t.text, l: l, r: r}
+		x = append(x, t)
+		if !p.isPunct(".") {
+			return x, nil
+		}
+		p.next()
 	}
 }
 
-func (p *rslParser) parseMul() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *rslParser) parseTerm() (term, error) {
+	t := p.cur
+	switch t.kind {
+	case tString:
+		p.next()
+		return term{lit: t.val}, nil
+	case tIdent:
+		p.next()
+		if !p.isPunct("(") {
+			return term{name: t.text}, nil
+		}
+		c := term{name: t.text, call: true}
+		if err := p.enter(); err != nil {
+			return c, err
+		}
+		err := p.parseList(func() error {
+			x, err := p.parseExpr()
+			c.args = append(c.args, x)
+			return err
+		})
+		p.depth--
+		return c, err
 	}
-	for {
-		t := p.peek()
-		if t.kind != tOp || (t.text != "*" && t.text != "/") {
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &binExpr{op: t.text, l: l, r: r}
-	}
-}
-
-func (p *rslParser) parseUnary() (expr, error) {
-	t := p.peek()
-	if t.kind == tOp && t.text == "!" {
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &notExpr{x: x}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *rslParser) parsePrimary() (expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tString:
-		p.next()
-		return &strLit{v: t.val}, nil
-	case t.kind == tNumber:
-		p.next()
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
-		}
-		return &numLit{v: v}, nil
-	case t.kind == tKeyword && (t.text == "true" || t.text == "false"):
-		p.next()
-		return &boolLit{v: t.text == "true"}, nil
-	case t.kind == tIdent:
-		p.next()
-		if n := p.peek(); n.kind == tPunct && n.text == "(" {
-			p.next()
-			var args []expr
-			for {
-				if a := p.peek(); a.kind == tPunct && a.text == ")" {
-					p.next()
-					break
-				}
-				x, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, x)
-				if c := p.peek(); c.kind == tPunct && c.text == "," {
-					p.next()
-				}
-			}
-			return &callExpr{name: t.text, args: args}, nil
-		}
-		return &varRef{name: t.text}, nil
-	case t.kind == tPunct && t.text == "(":
-		p.next()
-		x, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		return x, p.expectPunct(")")
-	default:
-		return nil, p.errf("unexpected %q in expression", t.text)
-	}
+	return term{}, p.errf("unexpected %q in expression", t.text)
 }

@@ -2,6 +2,7 @@ package script
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,80 +25,30 @@ func runSrc(t *testing.T, in *Interp, out *core.Channel, src string) error {
 	return in.RunSource(core.NewString(src), out)
 }
 
-func TestEchoAndArithmetic(t *testing.T) {
-	_, _, in, out := setup(t)
-	err := runSrc(t, in, out, `
-		let x = 3;
-		let y = 4;
-		echo "sum=" . (x + y) . " prod=" . (x * y) . " diff=" . (x - y) . " div=" . (y / x);
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.RawOutput() != "sum=7 prod=12 diff=-1 div=1" {
-		t.Errorf("output = %q", out.RawOutput())
-	}
-}
-
-func TestControlFlow(t *testing.T) {
-	_, _, in, out := setup(t)
-	err := runSrc(t, in, out, `
-		let i = 0;
-		let acc = "";
-		while (i < 5) {
-			if (i == 2) { acc = acc . "[two]"; } else { acc = acc . i; }
-			i = i + 1;
-		}
-		echo acc;
-		if (true && !false || false) { echo "|logic"; }
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.RawOutput() != "01[two]34|logic" {
-		t.Errorf("output = %q", out.RawOutput())
-	}
-}
-
-func TestComparisons(t *testing.T) {
-	_, _, in, out := setup(t)
-	err := runSrc(t, in, out, `
-		if ("abc" < "abd") { echo "s<"; }
-		if (2 >= 2) { echo "n>="; }
-		if ("x" == "x") { echo "s=="; }
-		if (1 != 2) { echo "n!="; }
-		if ("1" == 1) { echo "MIXED"; }
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.RawOutput() != "s<n>=s==n!=" {
-		t.Errorf("output = %q", out.RawOutput())
-	}
-}
-
 func TestUserFunctions(t *testing.T) {
 	_, _, in, out := setup(t)
 	err := runSrc(t, in, out, `
-		func greet(name, excl) {
-			if (excl) { return "Hi, " . name . "!"; }
-			return "Hi, " . name;
+		func greet(greeting, name) {
+			let line = greeting . ", " . name;
+			return line;
 		}
-		echo greet("ada", true);
-		echo greet("bob", false);
+		func noop() { let unused = "x"; }
+		echo greet("Hi", "ada") . "!";
+		echo greet("Hi", "bob") . "[" . noop() . "]";
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.RawOutput() != "Hi, ada!Hi, bob" {
+	// A function that ends without return yields the empty string.
+	if out.RawOutput() != "Hi, ada!Hi, bob[]" {
 		t.Errorf("output = %q", out.RawOutput())
 	}
 }
 
 func TestBuiltins(t *testing.T) {
 	_, _, in, out := setup(t)
-	in.Register("upper", func(args []Value) (Value, error) {
-		return StringValue(args[0].Str.ToUpper()), nil
+	in.Register("upper", func(args []core.String) (core.String, error) {
+		return args[0].ToUpper(), nil
 	})
 	if err := runSrc(t, in, out, `echo upper("shout");`); err != nil {
 		t.Fatal(err)
@@ -111,8 +62,8 @@ func TestPolicyFlowsThroughScript(t *testing.T) {
 	rt, _, in, out := setup(t)
 	_ = rt
 	taintP := &sanitize.UntrustedData{Source: "test"}
-	in.Register("userinput", func(args []Value) (Value, error) {
-		return StringValue(core.NewStringPolicy("<evil>", taintP)), nil
+	in.Register("userinput", func(args []core.String) (core.String, error) {
+		return core.NewStringPolicy("<evil>", taintP), nil
 	})
 	if err := runSrc(t, in, out, `echo "pre-" . userinput() . "-post";`); err != nil {
 		t.Fatal(err)
@@ -131,21 +82,51 @@ func TestPolicyFlowsThroughScript(t *testing.T) {
 	}
 }
 
+// TestConcatChainMatchesPairwise pins that one n-ary Concat over a
+// "."-chain gives the bytes and per-byte policies of concatenating the
+// terms pairwise from the left.
+func TestConcatChainMatchesPairwise(t *testing.T) {
+	_, _, in, out := setup(t)
+	a := core.NewStringPolicy("aa", &sanitize.UntrustedData{Source: "a"})
+	b := core.NewStringPolicy("bb", &sanitize.UntrustedData{Source: "b"})
+	in.Register("a", func([]core.String) (core.String, error) { return a, nil })
+	in.Register("b", func([]core.String) (core.String, error) { return b, nil })
+	if err := runSrc(t, in, out, `echo a() . a() . "-" . b() . "" . a();`); err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewString("")
+	for _, part := range []core.String{a, a, core.NewString("-"), b, core.NewString(""), a} {
+		want = core.Concat(want, part)
+	}
+	got := out.Output()
+	if got.Raw() != want.Raw() || got.Describe() != want.Describe() {
+		t.Fatalf("got %s, want %s", got.Describe(), want.Describe())
+	}
+	for i := 0; i < got.Len(); i++ {
+		gp, wp := got.PoliciesAt(i).Policies(), want.PoliciesAt(i).Policies()
+		if len(gp) != len(wp) {
+			t.Fatalf("byte %d: %d policies, want %d", i, len(gp), len(wp))
+		}
+		for j := range gp {
+			if gp[j] != wp[j] {
+				t.Errorf("byte %d: policy %d is %v, want %v", i, j, gp[j], wp[j])
+			}
+		}
+	}
+}
+
 func TestRuntimeErrors(t *testing.T) {
 	_, _, in, out := setup(t)
 	cases := []string{
-		`echo nope;`,
-		`x = 1;`,                            // undeclared assign
+		`echo nope;`,                        // undefined variable
 		`echo missing();`,                   // undefined function
-		`echo 1 + "s";`,                     // arithmetic on string
-		`echo 1 / 0;`,                       // division by zero
-		`echo ("a" < 1);`,                   // incomparable
 		`func f(a) { return a; } echo f();`, // arity
-		`include 42;`,                       // non-string include
+		`echo true;`,                        // true is an ordinary name
 	}
 	for _, src := range cases {
-		if err := runSrc(t, in, out, src); err == nil {
-			t.Errorf("%q should fail", src)
+		var re *RuntimeError
+		if err := runSrc(t, in, out, src); !errors.As(err, &re) {
+			t.Errorf("%q: want a RuntimeError, got %v", src, err)
 		}
 	}
 }
@@ -160,20 +141,73 @@ func TestSyntaxErrors(t *testing.T) {
 		`while (1) echo 1;`,
 		`let x & 3;`,
 		`@`,
+		`func f(a b) { }`,
+		`echo f("a",);`,
+		`func f() { echo "x";`,
+		// Assignment, numbers, booleans, grouping, arithmetic, comparison
+		// and logic are not RSL.
+		`let x = "a"; x = "b";`,
+		`echo 1;`,
+		`echo ("a");`,
+		`echo "a" + "b";`,
+		`echo "a" == "b";`,
+		`echo !"a";`,
+		`echo "a" && "b";`,
 	}
 	for _, src := range cases {
-		if err := runSrc(t, in, out, src); err == nil {
-			t.Errorf("%q should fail to parse", src)
+		var se *SyntaxError
+		if err := runSrc(t, in, out, src); !errors.As(err, &se) {
+			t.Errorf("%q: want a SyntaxError, got %v", src, err)
 		}
 	}
 }
 
-func TestStepLimitStopsRunaway(t *testing.T) {
+// TestNestingBound: a million nested calls or parentheses fail with a
+// SyntaxError instead of overflowing the parser's stack.
+func TestNestingBound(t *testing.T) {
 	_, _, in, out := setup(t)
-	in.MaxSteps = 1000
-	err := runSrc(t, in, out, `let i = 0; while (true) { i = i + 1; }`)
-	if err == nil || !strings.Contains(err.Error(), "steps") {
-		t.Errorf("runaway loop should hit the step limit: %v", err)
+	const n = 1000000
+	for _, src := range []string{
+		"echo " + strings.Repeat("f(", n) + `"x"` + strings.Repeat(")", n) + ";",
+		"echo " + strings.Repeat("(", n) + `"x"` + strings.Repeat(")", n) + ";",
+		strings.Repeat("func f() { ", n) + strings.Repeat("}", n),
+	} {
+		var se *SyntaxError
+		if err := runSrc(t, in, out, src); !errors.As(err, &se) {
+			t.Errorf("%.20q...: want a SyntaxError, got %v", src, err)
+		}
+	}
+	// maxNesting levels still parse.
+	src := "func f(s) { return s; } echo " + strings.Repeat("f(", maxNesting) + `"x"` + strings.Repeat(")", maxNesting) + ";"
+	if err := runSrc(t, in, out, src); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepLimitStopsRunaway: unbounded recursion, through a call or
+// through include, stops at the default step bound.
+func TestStepLimitStopsRunaway(t *testing.T) {
+	_, fs, in, out := setup(t)
+	fs.WriteFile("/loop.rsl", core.NewString(`include "/loop.rsl";`), nil)
+	want := fmt.Sprintf("exceeded %d steps", maxSteps)
+	for name, run := range map[string]func() error{
+		"call":    func() error { return runSrc(t, in, out, `func f() { return f(); } echo f();`) },
+		"include": func() error { return in.RunFile("/loop.rsl", out, nil) },
+	} {
+		var re *RuntimeError
+		if err := run(); !errors.As(err, &re) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: want the %q error, got %v", name, want, err)
+		}
+	}
+}
+
+// TestByteLimitStopsBlowup: a value that doubles at each call stops at
+// the byte bound long before the step bound.
+func TestByteLimitStopsBlowup(t *testing.T) {
+	_, _, in, out := setup(t)
+	err := runSrc(t, in, out, `func d(s) { return d(s . s); } echo d("x");`)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeded %d bytes", maxBytes)) {
+		t.Errorf("doubling should hit the byte limit: %v", err)
 	}
 }
 
@@ -276,24 +310,6 @@ func TestDefaultImportFilterPermitsPlainCode(t *testing.T) {
 	}
 	if out.RawOutput() != "owned" {
 		t.Errorf("output = %q", out.RawOutput())
-	}
-}
-
-func TestValueHelpers(t *testing.T) {
-	if !StringValue(core.NewString("x")).Truthy() || StringValue(core.String{}).Truthy() {
-		t.Error("string truthiness")
-	}
-	if !NumberValue(1).Truthy() || NumberValue(0).Truthy() {
-		t.Error("number truthiness")
-	}
-	if !BoolValue(true).Truthy() || BoolValue(false).Truthy() || NullValue().Truthy() {
-		t.Error("bool/null truthiness")
-	}
-	if NumberValue(-5).Render().Raw() != "-5" {
-		t.Error("number render")
-	}
-	if BoolValue(true).Render().Raw() != "true" || NullValue().Render().Raw() != "" {
-		t.Error("bool/null render")
 	}
 }
 

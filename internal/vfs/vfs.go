@@ -77,8 +77,6 @@ type FS struct {
 	rt   *core.Runtime
 	mu   sync.RWMutex
 	root *node
-	// integrity holds the commit-time assertions for transactions (tx.go).
-	integrity []namedAssertion
 }
 
 // New returns an empty filesystem bound to rt. A nil runtime behaves like
