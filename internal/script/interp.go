@@ -85,7 +85,6 @@ const (
 // code-import channel; applications replace the channel's filters to
 // enforce the script-injection assertion.
 type Interp struct {
-	rt       *core.Runtime
 	fs       *vfs.FS
 	importCh *core.Channel
 	builtins map[string]Builtin
@@ -97,7 +96,6 @@ type Interp struct {
 // but passes code with no policy at all.
 func New(rt *core.Runtime, fs *vfs.FS) *Interp {
 	in := &Interp{
-		rt:       rt,
 		fs:       fs,
 		importCh: core.NewChannel(rt, core.KindCode, core.ReadCheckFilter{}),
 		builtins: make(map[string]Builtin),
