@@ -33,7 +33,6 @@ package resinsql
 import (
 	"database/sql"
 	"database/sql/driver"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -42,6 +41,7 @@ import (
 
 	"resin/internal/core"
 	"resin/internal/sqldb"
+	"resin/internal/wire"
 )
 
 // DriverName is the name this package registers with database/sql.
@@ -127,6 +127,14 @@ func CloseFile(dsn string) error {
 	return db.Close()
 }
 
+// NetPrefix marks a data source name as a wire-server address rather
+// than a registry key or file path: "net:host:port" connects over TCP
+// to a resin-server (or a follower), speaking the framed protocol in
+// internal/wire. Policy annotations cross the socket in the canonical
+// EncodeSpans form and are re-interned on arrival, so tracked scanning
+// (the String / Int wrappers) works identically to the in-process DSNs.
+const NetPrefix = "net:"
+
 // defaultRuntime backs file: DSNs opened implicitly through sql.Open
 // (no way to pass a runtime through database/sql): one shared tracked
 // runtime for the process.
@@ -175,15 +183,24 @@ func openFileLazily(name string) (*sqldb.DB, error) {
 	return o.db, o.err
 }
 
-// Driver implements driver.Driver over the registry.
+// Driver implements driver.Driver over the registry and the wire.
 type Driver struct{}
 
 // Open connects to the database bound to the given data source name. An
 // unbound name with the file: prefix is opened (recovering the WAL at
-// that path) over a shared default runtime and bound for later calls.
+// that path) over a shared default runtime and bound for later calls; a
+// net: name dials the wire server at its address.
 func (*Driver) Open(name string) (driver.Conn, error) {
 	if strings.HasPrefix(name, NetPrefix) {
-		return openNetConn(name)
+		addr := name[len(NetPrefix):]
+		if addr == "" {
+			return nil, fmt.Errorf("resinsql: %q DSN wants %q", name, NetPrefix+"host:port")
+		}
+		wc, err := wire.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &conn{s: remote{wc}}, nil
 	}
 	registry.mu.RLock()
 	db := registry.m[name]
@@ -197,137 +214,8 @@ func (*Driver) Open(name string) (driver.Conn, error) {
 	if db == nil {
 		return nil, fmt.Errorf("resinsql: no database bound to %q (call resinsql.Bind first)", name)
 	}
-	return &conn{db: db}, nil
+	return &conn{s: &local{db: db}}, nil
 }
-
-// conn is one database/sql connection. The underlying *sqldb.DB is safe
-// for concurrent use, so connections are cheap handles; a connection
-// additionally tracks its open transaction, because database/sql routes
-// sql.Tx statements through the connection that began the transaction.
-type conn struct {
-	db *sqldb.DB
-	tx *sqldb.Tx
-}
-
-// Prepare compiles the query once on the RESIN side; inside a
-// transaction the statement executes against the speculative state.
-func (c *conn) Prepare(query string) (driver.Stmt, error) {
-	var st *sqldb.Stmt
-	var err error
-	if c.tx != nil {
-		st, err = c.tx.PrepareRaw(query)
-	} else {
-		st, err = c.db.PrepareRaw(query)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &stmt{st: st}, nil
-}
-
-func (c *conn) Close() error { return nil }
-
-// Begin opens a RESIN transaction (speculative copy, integrity
-// assertions checked at commit — see sqldb.Tx).
-func (c *conn) Begin() (driver.Tx, error) {
-	if c.tx != nil {
-		return nil, errors.New("resinsql: transaction already open on this connection")
-	}
-	c.tx = c.db.Begin()
-	return &tx{c: c}, nil
-}
-
-// CheckNamedValue admits tracked values (core.String, core.Int) across
-// the driver boundary unconverted — this is the inbound half of policy
-// preservation — and defers everything else to the default converter.
-func (c *conn) CheckNamedValue(nv *driver.NamedValue) error {
-	return checkNamedValue(nv)
-}
-
-func checkNamedValue(nv *driver.NamedValue) error {
-	switch nv.Value.(type) {
-	case core.String, core.Int:
-		return nil
-	}
-	v, err := driver.DefaultParameterConverter.ConvertValue(nv.Value)
-	if err != nil {
-		return err
-	}
-	nv.Value = v
-	return nil
-}
-
-// tx adapts sqldb.Tx to driver.Tx.
-type tx struct{ c *conn }
-
-func (t *tx) Commit() error {
-	st := t.c.tx
-	t.c.tx = nil
-	if st == nil {
-		return sqldb.ErrTxDone
-	}
-	return st.Commit()
-}
-
-func (t *tx) Rollback() error {
-	st := t.c.tx
-	t.c.tx = nil
-	if st == nil {
-		return sqldb.ErrTxDone
-	}
-	return st.Rollback()
-}
-
-// stmt adapts sqldb.Stmt to driver.Stmt.
-type stmt struct{ st *sqldb.Stmt }
-
-func (s *stmt) Close() error { return nil }
-
-// NumInput reports the placeholder count, letting database/sql enforce
-// argument arity before the driver sees the call.
-func (s *stmt) NumInput() int { return s.st.NumArgs() }
-
-// CheckNamedValue mirrors the connection's converter (database/sql
-// consults the statement first when it implements the interface).
-func (s *stmt) CheckNamedValue(nv *driver.NamedValue) error {
-	return checkNamedValue(nv)
-}
-
-func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
-	affected, err := s.st.Exec(anyArgs(args)...)
-	if err != nil {
-		return nil, err
-	}
-	return result{affected: int64(affected)}, nil
-}
-
-func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	res, err := s.st.Query(anyArgs(args)...)
-	if err != nil {
-		return nil, err
-	}
-	return &rows{res: res}, nil
-}
-
-func anyArgs(args []driver.Value) []any {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make([]any, len(args))
-	for i, a := range args {
-		out[i] = a
-	}
-	return out
-}
-
-// result adapts an affected-row count to driver.Result.
-type result struct{ affected int64 }
-
-func (result) LastInsertId() (int64, error) {
-	return 0, errors.New("resinsql: LastInsertId is not supported")
-}
-
-func (r result) RowsAffected() (int64, error) { return r.affected, nil }
 
 // rows adapts a tracked sqldb.Result to driver.Rows. Cells with
 // policies cross the boundary as tracked values (scan them with the
@@ -431,11 +319,7 @@ func (n *Int) Scan(src any) error {
 		}
 		n.V = core.NewInt(parsed)
 	case []byte:
-		parsed, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return fmt.Errorf("resinsql: cannot scan %q into resinsql.Int", v)
-		}
-		n.V = core.NewInt(parsed)
+		return n.Scan(string(v))
 	default:
 		return fmt.Errorf("resinsql: cannot scan %T into resinsql.Int", src)
 	}
