@@ -13,7 +13,8 @@ import (
 // filter with a registered builtin, returns nil, a SyntaxError, a
 // RuntimeError or the vfs error of an include that names no file (a
 // missing path, a directory, or a path under a file). It
-// never panics and never takes more than maxSteps steps.
+// never panics, never takes more than maxSteps steps, and leaves the
+// call depth back at zero.
 func FuzzRSL(f *testing.F) {
 	for _, seed := range []string{
 		`echo "welcome to the gallery";`,
@@ -56,6 +57,9 @@ func FuzzRSL(f *testing.F) {
 		st.execBlock(prog, newEnv())
 		if st.steps > maxSteps {
 			t.Fatalf("%q: took %d steps, bound %d", src, st.steps, maxSteps)
+		}
+		if st.depth != 0 {
+			t.Fatalf("%q: call depth %d after the run", src, st.depth)
 		}
 	})
 }

@@ -73,11 +73,12 @@ func rerrf(format string, args ...any) error {
 }
 
 // A run stops with a RuntimeError after maxSteps statements and terms,
-// or once the bytes it includes, concatenates and echoes pass maxBytes,
-// so a runaway or hostile script cannot hang the host or exhaust its
-// memory.
+// once calls and includes nest deeper than maxDepth, or once the bytes
+// it includes, concatenates and echoes pass maxBytes, so a runaway or
+// hostile script cannot hang the host or exhaust its stack or memory.
 const (
 	maxSteps = 100000
+	maxDepth = 256
 	maxBytes = 16 << 20
 )
 
@@ -130,10 +131,10 @@ func newEnv() *env {
 
 // execState carries per-run interpreter state.
 type execState struct {
-	in           *Interp
-	out          *core.Channel
-	steps, bytes int
-	ret          *core.String // non-nil while unwinding a return
+	in                  *Interp
+	out                 *core.Channel
+	steps, depth, bytes int
+	ret                 *core.String // non-nil while unwinding a return
 }
 
 // RunFile loads the file at path through the code-import channel and
@@ -187,16 +188,20 @@ func (st *execState) spend(n int) error {
 	return nil
 }
 
-func (st *execState) execBlock(stmts []stmt, e *env) error {
+// execBlock runs a program, an included file or a function body; each
+// nests one level deeper.
+func (st *execState) execBlock(stmts []stmt, e *env) (err error) {
+	if st.depth == maxDepth {
+		return rerrf("execution exceeded call depth %d", maxDepth)
+	}
+	st.depth++
 	for i := range stmts {
-		if err := st.exec(&stmts[i], e); err != nil {
-			return err
-		}
-		if st.ret != nil {
-			return nil
+		if err = st.exec(&stmts[i], e); err != nil || st.ret != nil {
+			break
 		}
 	}
-	return nil
+	st.depth--
+	return err
 }
 
 func (st *execState) exec(s *stmt, e *env) error {

@@ -184,12 +184,29 @@ func TestNestingBound(t *testing.T) {
 	}
 }
 
-// TestStepLimitStopsRunaway: unbounded recursion, through a call or
-// through include, stops at the default step bound.
+// TestStepLimitStopsRunaway: a shallow run that makes too many calls —
+// a doubling chain, 2^17 calls of f0 at depth 18 — stops at the step
+// bound.
 func TestStepLimitStopsRunaway(t *testing.T) {
+	_, _, in, out := setup(t)
+	src := `func f0() { return ""; }`
+	for i := 1; i <= 17; i++ {
+		src += fmt.Sprintf(" func f%d() { return f%d() . f%d(); }", i, i-1, i-1)
+	}
+	want := fmt.Sprintf("exceeded %d steps", maxSteps)
+	var re *RuntimeError
+	if err := runSrc(t, in, out, src+" echo f17();"); !errors.As(err, &re) || !strings.Contains(err.Error(), want) {
+		t.Errorf("doubling chain: want the %q error, got %v", want, err)
+	}
+}
+
+// TestCallDepthStopsRecursion: unbounded recursion, through a call or
+// through include, stops at the call-depth bound, long before the step
+// bound could.
+func TestCallDepthStopsRecursion(t *testing.T) {
 	_, fs, in, out := setup(t)
 	fs.WriteFile("/loop.rsl", core.NewString(`include "/loop.rsl";`), nil)
-	want := fmt.Sprintf("exceeded %d steps", maxSteps)
+	want := fmt.Sprintf("exceeded call depth %d", maxDepth)
 	for name, run := range map[string]func() error{
 		"call":    func() error { return runSrc(t, in, out, `func f() { return f(); } echo f();`) },
 		"include": func() error { return in.RunFile("/loop.rsl", out, nil) },

@@ -171,6 +171,45 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// deepWhere returns a SELECT whose WHERE nests n levels deep: n
+// parentheses around one comparison, or n chained NOTs before it.
+func deepWhere(n int, not bool) string {
+	if not {
+		return "SELECT a FROM t WHERE " + strings.Repeat("NOT ", n) + "a = 1"
+	}
+	return "SELECT a FROM t WHERE " + strings.Repeat("(", n) + "a = 1" + strings.Repeat(")", n)
+}
+
+// TestParseNestingBound: an expression nested deeper than maxExprDepth
+// — by parentheses or by NOTs — is a *ParseError from Parse, DB.Query
+// and Prepare, not a stack overflow; nesting at the bound still parses.
+func TestParseNestingBound(t *testing.T) {
+	db := Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("INSERT INTO t (a) VALUES (1)")
+	for _, not := range []bool{false, true} {
+		q := deepWhere(100000, not)
+		calls := map[string]func() error{
+			"Parse":    func() error { _, err := Parse(core.NewString(q)); return err },
+			"DB.Query": func() error { _, err := db.QueryRaw(q); return err },
+			"Prepare":  func() error { _, err := db.PrepareRaw(q); return err },
+		}
+		for name, call := range calls {
+			var pe *ParseError
+			if err := call(); !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nested deeper than 256") {
+				t.Errorf("%s of 100000-deep (not=%v): %v, want a *ParseError naming the bound", name, not, err)
+			}
+		}
+		res, err := db.QueryRaw(deepWhere(maxExprDepth, not))
+		if err != nil {
+			t.Fatalf("%d-deep (not=%v): %v", maxExprDepth, not, err)
+		}
+		if res.Len() != 1 { // an even number of NOTs cancels out
+			t.Errorf("%d-deep (not=%v): %d rows, want 1", maxExprDepth, not, res.Len())
+		}
+	}
+}
+
 func TestParseTrailingSemicolon(t *testing.T) {
 	if _, err := Parse(core.NewString("SELECT * FROM t;")); err != nil {
 		t.Errorf("trailing semicolon should parse: %v", err)

@@ -59,8 +59,22 @@ func ParseTokens(toks []Token) (Statement, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // expression nesting: open parentheses and NOTs
+}
+
+// maxExprDepth bounds expression nesting, so a deeply parenthesized or
+// NOT-chained statement is refused instead of exhausting the stack.
+const maxExprDepth = 256
+
+// nest enters one level of expression nesting; the caller leaves it with
+// p.depth-- once the nested expression is parsed.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return p.errf("expression nested deeper than %d", maxExprDepth)
+	}
+	return nil
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -548,10 +562,14 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &Unary{Op: "NOT", X: x}, nil
 	}
 	return p.parseComparison()
@@ -589,6 +607,9 @@ func (p *parser) parseComparison() (Expr, error) {
 // parseOperand parses a parenthesized expression, column ref, or literal.
 func (p *parser) parseOperand() (Expr, error) {
 	if p.peek().Type == TokLParen {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
@@ -597,6 +618,7 @@ func (p *parser) parseOperand() (Expr, error) {
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return e, nil
 	}
 	return p.parsePrimary()

@@ -397,6 +397,32 @@ func TestTransactionRefusesDDLOverWire(t *testing.T) {
 	}
 }
 
+// TestServerRefusesDeepNesting: a statement nested past the parser's
+// bound comes back as a *RemoteError naming the bound, and the server
+// keeps serving both that connection and a fresh one.
+func TestServerRefusesDeepNesting(t *testing.T) {
+	db := sqldb.Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("INSERT INTO t (a) VALUES (1)")
+	addr, _ := startServer(t, db, Config{})
+	c := dialT(t, addr)
+	for _, q := range []string{
+		"SELECT a FROM t WHERE " + strings.Repeat("(", 100000) + "a = 1" + strings.Repeat(")", 100000),
+		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", 100000) + "a = 1",
+	} {
+		_, err := c.QueryRaw(q)
+		var re *RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "nested deeper than 256") {
+			t.Fatalf("100000-deep statement: %v, want a *RemoteError naming the bound", err)
+		}
+	}
+	for _, conn := range []*Conn{c, dialT(t, addr)} {
+		if res, err := conn.QueryRaw("SELECT a FROM t"); err != nil || res.Len() != 1 {
+			t.Fatalf("SELECT after the refusal: %v", err)
+		}
+	}
+}
+
 func TestConnectionLimit(t *testing.T) {
 	rt := core.NewRuntime()
 	db := sqldb.Open(rt)
