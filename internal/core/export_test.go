@@ -14,8 +14,8 @@ func PolicyPrototypes() map[string]Policy {
 	policyClasses.mu.RLock()
 	defer policyClasses.mu.RUnlock()
 	out := make(map[string]Policy, len(policyClasses.byName))
-	for name, t := range policyClasses.byName {
-		out[name] = reflect.New(t.Elem()).Interface().(Policy)
+	for name, rt := range policyClasses.byName {
+		out[name] = reflect.New(rt.t.Elem()).Interface().(Policy)
 	}
 	return out
 }

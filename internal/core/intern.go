@@ -1,60 +1,45 @@
 package core
 
-import (
-	"reflect"
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "reflect"
 
-// Policy-set interning and canonical hashing. Real workloads create the
-// same handful of policy sets over and over: every byte of a password
-// carries {PasswordPolicy}, every form field carries {UntrustedData},
-// and every concatenation, slice, and SQL/HTTP boundary crossing
-// compares or unions those same sets. The machinery here makes those
-// repeated operations cheap in two tiers:
+// Policy-set interning. Real workloads create the same handful of
+// policy sets over and over: every byte of a password carries
+// {PasswordPolicy}, every form field carries {UntrustedData}, and every
+// concatenation, slice, and SQL/HTTP boundary crossing compares or
+// unions those same sets.
 //
-//  1. Every set of pointer policies gets a locally-computed canonical
-//     identity — the sorted, type-salted addresses of its members plus
-//     an FNV-1a hash over them — at construction. Equality between two
-//     live sets is then decided entirely by comparing those IDs: no
-//     reflection, no member-wise scans, no global state, and nothing
-//     for the garbage collector to retain. One-shot sets (a fresh
-//     policy attached to one request's form field) stay exactly as
-//     collectable as they were.
+// Identity has one rule: two sets are equal when their members are the
+// same policy objects (samePolicy), whatever their order. A set whose
+// members are all pointers also carries a hash, computed once when the
+// set is built: the sum of a mix of each member's (dynamic type,
+// address) pair. The sum is commutative, so member order does not
+// matter, and equal sets have equal hashes. The hash keys the intern
+// table and lets Equal reject unequal sets early; it never decides that
+// two sets are equal — that takes a member-wise check. The type is in
+// the key because Go may give every zero-sized object one address:
+// without it {SQLSanitized} and {HTMLSanitized} would share a key, and
+// whichever came second would never intern.
 //
-//  2. Sets with proven reuse — deserialized annotations (whose policies
-//     are canonical instances), long-lived application sets, anything the caller
-//     passes to Intern — are canonicalized into a process-wide intern
-//     table. Among interned sets, equal members means identical
-//     pointer, so Equal is a pointer comparison and Union of a
-//     previously-seen pair is a hit in the memoized pairwise-union
-//     cache. Unions of interned operands intern their results, so once
-//     a workload's base sets are interned the whole derived lattice
-//     rides the fast paths ("interned begets interned").
+// Sets with proven reuse — deserialized annotations (whose policies are
+// canonical instances), long-lived application sets, anything the
+// caller passes to Intern — are canonicalized into the process-wide
+// intern table. Among interned sets, equal members means identical
+// pointer, and Union of a previously-seen pair is a hit in the memoized
+// pairwise-union cache. Unions of interned operands intern their
+// results, so once a workload's base sets are interned the whole derived
+// lattice rides the fast paths ("interned begets interned"). One-shot
+// sets (a fresh policy attached to one request's form field) are never
+// registered and stay as collectable as any other value.
 //
-// This is the "heavy analysis once, cheap checks forever after" split:
-// hashing and dedup run when a set is built; the tracking hot path pays
-// pointer and integer comparisons.
-//
-// Identity soundness: an ID is the member's address XOR a per-dynamic-
-// type salt. While the two sets being compared are live, their members
-// are live, so two distinct objects cannot share an address — except
-// zero-sized objects, which Go may co-allocate; those collide only
-// within the same dynamic type, where samePolicy already treats
-// same-address pointers as the same policy. Across types the salt
-// separates them except for a 2^-64 XOR collision; transient ID
-// comparisons accept that risk, while the intern table — whose
-// conflation would persist — verifies every candidate member-wise.
 // Value (non-pointer) policies have no address; a set containing one
-// forgoes IDs and uses the member-wise slow paths, matching the
-// package's guidance that policies be pointers to structs.
+// has no hash and never interns, matching the package's guidance that
+// policies be pointers to structs.
 //
 // The intern table and union cache pin their entries, so both are
 // bounded Caches (cache.go): a set or union touched once per half a cap
-// of churn keeps its canonical instance, and one that falls out is merely
-// deduplicated afresh. Correctness never depends on either table —
-// equality is decided by canonical IDs — so eviction is always safe.
+// of churn keeps its canonical instance, and one that falls out is
+// merely deduplicated afresh. Correctness never depends on either table,
+// so eviction is always safe.
 
 const (
 	// maxInternedSets caps the set intern table (and the policy-instance
@@ -66,157 +51,26 @@ const (
 	maxUnionCacheEntries = 1 << 16
 )
 
-// typeSalts assigns each policy dynamic type a distinct multiplicative
-// salt, separating the IDs of zero-sized objects of different types
-// that share an address. Bounded by the number of policy types in the
-// program.
-var (
-	typeSalts   sync.Map // reflect.Type → uint64
-	typeSaltSeq atomic.Uint64
-
-	// lastSalt caches the most recently used (type, salt) pair; most
-	// workloads touch one or two policy types, so this turns the common
-	// lookup into an atomic load plus a pointer comparison.
-	lastSalt atomic.Pointer[typeSaltEntry]
-)
-
-type typeSaltEntry struct {
-	t    reflect.Type
-	salt uint64
+// policyHash returns the hash of a deduplicated member list: the sum of
+// a splitmix64 mix of each member's dynamic type and address, so member
+// order does not matter. ok=false if a member is not a pointer.
+func policyHash(policies []Policy) (h uint64, ok bool) {
+	for _, p := range policies {
+		v := reflect.ValueOf(p)
+		if v.Kind() != reflect.Pointer {
+			return 0, false
+		}
+		typ := reflect.ValueOf(v.Type()).Pointer()
+		h += mix64(uint64(v.Pointer()) ^ mix64(uint64(typ)))
+	}
+	return h, true
 }
 
-func typeSalt(t reflect.Type) uint64 {
-	if e := lastSalt.Load(); e != nil && e.t == t {
-		return e.salt
-	}
-	v, ok := typeSalts.Load(t)
-	if !ok {
-		// Derive a well-mixed salt from a sequence number (splitmix64).
-		z := typeSaltSeq.Add(1) + 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		v, _ = typeSalts.LoadOrStore(t, z)
-		// Refresh the one-entry cache only on first sighting: a workload
-		// whose sets mix several types would otherwise ping-pong the
-		// shared cache line (an allocation plus a cross-core store per
-		// member per set construction).
-		lastSalt.Store(&typeSaltEntry{t: t, salt: v.(uint64)})
-	}
-	return v.(uint64)
-}
-
-// policyIdentity returns the canonical ID of a pointer policy, or
-// ok=false for nil and non-pointer policies.
-func policyIdentity(p Policy) (uint64, bool) {
-	if p == nil {
-		return 0, false
-	}
-	v := reflect.ValueOf(p)
-	if v.Kind() != reflect.Pointer {
-		return 0, false
-	}
-	return uint64(v.Pointer()) ^ typeSalt(v.Type()), true
-}
-
-// computePolicyIDs builds the sorted ID list and canonical hash for a
-// deduplicated member list. ok=false if any member lacks an identity.
-func computePolicyIDs(policies []Policy) (ids []uint64, hash uint64, ok bool) {
-	if len(policies) == 0 {
-		return nil, 0, false
-	}
-	ids = make([]uint64, len(policies))
-	for i, p := range policies {
-		id, idOK := policyIdentity(p)
-		if !idOK {
-			return nil, 0, false
-		}
-		ids[i] = id
-	}
-	sortPolicyIDs(ids)
-	return ids, hashPolicyIDs(ids), true
-}
-
-// hashPolicyIDs computes the canonical FNV-1a hash of a sorted ID list.
-func hashPolicyIDs(ids []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, id := range ids {
-		for i := 0; i < 8; i++ {
-			h ^= id & 0xff
-			h *= prime64
-			id >>= 8
-		}
-	}
-	return h
-}
-
-// sortPolicyIDs sorts a tiny ID slice in place (insertion sort — sets
-// rarely exceed a handful of members).
-func sortPolicyIDs(ids []uint64) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// containsPolicyID reports whether sorted ids contains id.
-func containsPolicyID(ids []uint64, id uint64) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
-}
-
-// subsetPolicyIDs reports whether every element of sorted sub occurs in
-// sorted super (linear merge walk).
-func subsetPolicyIDs(sub, super []uint64) bool {
-	if len(sub) > len(super) {
-		return false
-	}
-	j := 0
-	for _, id := range sub {
-		for j < len(super) && super[j] < id {
-			j++
-		}
-		if j >= len(super) || super[j] != id {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
-// samePolicies reports whether two deduplicated member lists contain
-// the same policy objects (per samePolicy), disregarding order. The
-// intern table uses it where ID equality alone must not be trusted.
-func samePolicies(a, b []Policy) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, p := range a {
-		found := false
-		for _, q := range b {
-			if samePolicy(p, q) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+// mix64 is splitmix64's finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // anyMerger reports whether any policy implements the Merger extension;
@@ -231,10 +85,10 @@ func anyMerger(policies []Policy) bool {
 }
 
 var (
-	// internCache maps a set's canonical hash to its canonical instance.
-	// A hit is trusted only if its IDs and members match; a set whose
-	// hash collides with another's stays uninterned, which costs only
-	// the fast paths, never correctness.
+	// internCache maps a set's hash to its canonical instance. A hit is
+	// trusted only if its members match; a set whose hash collides with
+	// another's stays uninterned, which costs only the fast paths, never
+	// correctness.
 	internCache = NewCache[uint64, *PolicySet](maxInternedSets, 0, 0)
 	// unionCache memoizes Union of two interned sets.
 	unionCache = NewCache[unionKey, *PolicySet](maxUnionCacheEntries, 0, 0)
@@ -244,44 +98,39 @@ var (
 // the canonical instance: the first set with these members that was
 // interned. Interning is worthwhile for sets that will be compared or
 // unioned repeatedly — long-lived application policy sets, memoized
-// deserialized annotations — and is a no-op for sets that cannot carry
-// canonical IDs. A hit in the table's old generation promotes the
-// canonical instance, so frequently-interned sets survive churn.
-//
-// ID-equality between live sets implies member identity up to the
-// astronomically unlikely cross-type XOR collision (addrA ^ saltA ==
-// addrB ^ saltB); because a conflated canonical instance would
-// persistently mislabel data, a candidate is verified member-wise rather
-// than trusted on its IDs alone.
+// deserialized annotations — and is a no-op for sets with a non-pointer
+// member. A hit in the table's old generation promotes the canonical
+// instance, so frequently-interned sets survive churn. A candidate is
+// verified member-wise, so a hash collision costs a miss and never
+// merges two different sets.
 func (s *PolicySet) Intern() *PolicySet {
 	if s.Len() == 0 {
 		return EmptySet
 	}
-	if s.interned || !s.idsOK {
+	if s.interned || !s.hashed {
 		return s
 	}
 	c, ok := internCache.Get(s.hash)
 	if !ok {
 		// Register a fresh canonical instance rather than mutating s,
-		// which may be shared with concurrent readers. The slices are
-		// immutable and safely shared.
+		// which may be shared with concurrent readers. The member slice
+		// is immutable and safely shared.
 		c = internCache.Add(s.hash, &PolicySet{
 			policies: s.policies,
-			ids:      s.ids,
 			hash:     s.hash,
-			idsOK:    true,
+			hashed:   true,
 			interned: true,
 			mergers:  s.mergers,
 		}, 0)
 	}
-	if !slices.Equal(c.ids, s.ids) || !samePolicies(s.policies, c.policies) {
+	if !c.Equal(s) {
 		return s
 	}
 	return c
 }
 
 // unionKey memoizes Union(a, b) for interned operands. Union is
-// commutative, so the key is normalized by canonical hash order —
+// commutative, so the key is normalized by hash order —
 // (a, b) and (b, a) share one entry (pairs whose hashes collide may
 // still occupy two, which the cap absorbs).
 type unionKey struct{ a, b *PolicySet }

@@ -14,7 +14,7 @@ type internPolicyB struct{ Tag string }
 func (p *internPolicyB) ExportCheck(ctx *Context) error { return nil }
 
 // zeroA and zeroB are zero-sized policy types: Go may allocate all their
-// instances at the same address, the worst case for address-derived IDs.
+// instances at the same address, the worst case for address-keyed identity.
 type zeroA struct{}
 
 func (zeroA) ExportCheck(ctx *Context) error { return nil }
@@ -24,7 +24,7 @@ type zeroB struct{}
 func (zeroB) ExportCheck(ctx *Context) error { return nil }
 
 // valuePolicy is a comparable non-pointer policy; sets containing it
-// cannot carry canonical IDs and must use the member-wise slow paths.
+// have no hash and never intern.
 type valuePolicy struct{ K int }
 
 func (valuePolicy) ExportCheck(ctx *Context) error { return nil }
@@ -51,8 +51,8 @@ func TestCanonicalIDsDecideEquality(t *testing.T) {
 }
 
 func TestZeroSizedPolicyTypesDoNotCollide(t *testing.T) {
-	// &zeroA{} and &zeroB{} may share an address; the per-type salt must
-	// keep their IDs distinct.
+	// &zeroA{} and &zeroB{} may share an address; their types must keep
+	// the sets distinct.
 	a := NewPolicySet(&zeroA{})
 	b := NewPolicySet(&zeroB{})
 	if a.Equal(b) {

@@ -55,25 +55,16 @@ type ReadChecker interface {
 	ReadCheck(ctx *Context) error
 }
 
-// samePolicy reports whether two policy objects are the same object.
-// Pointer policies compare by identity; comparable value policies compare
-// by ==; uncomparable value policies are never the same object.
+// samePolicy reports whether two policy objects are the same object:
+// equal by == — identity for pointer policies, value equality for
+// comparable value policies. Uncomparable value policies are never the
+// same object. Interface == compares dynamic types first and panics only
+// on two values of one uncomparable type, so a's type decides.
 func samePolicy(a, b Policy) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+	if a == nil {
+		return b == nil
 	}
-	ra := reflect.ValueOf(a)
-	rb := reflect.ValueOf(b)
-	if ra.Type() != rb.Type() {
-		return false
-	}
-	if ra.Kind() == reflect.Pointer {
-		return ra.Pointer() == rb.Pointer()
-	}
-	if !ra.Type().Comparable() {
-		return false
-	}
-	return a == b
+	return reflect.TypeOf(a).Comparable() && a == b
 }
 
 // PolicyName returns a human-readable name for a policy object: its

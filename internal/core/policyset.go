@@ -1,9 +1,6 @@
 package core
 
-import (
-	"slices"
-	"strings"
-)
+import "strings"
 
 // PolicySet is an immutable set of policy objects. A datum's policy set
 // holds every policy attached to it (§3.4: "a single datum may have
@@ -13,25 +10,19 @@ import (
 // are safe on a nil receiver, and all mutating operations return a new set,
 // so PolicySets may be freely shared between spans and strings.
 //
-// Construction computes a canonical identity — sorted member IDs plus a
-// hash — for sets of pointer policies (see intern.go), which decides
-// Equal and accelerates Union and subset tests without reflection or
-// member-wise scans. Sets with proven reuse can additionally be
+// Members are compared by identity (samePolicy). Construction hashes a
+// set of pointer policies once (see intern.go), so Equal rejects most
+// unequal sets without a scan. Sets with proven reuse can be
 // canonicalized into a process-wide table with Intern, after which
 // equality is a pointer comparison and unions are memoized. Sets
-// holding non-pointer policy objects fall back to member-wise
-// comparisons; all methods handle every form.
+// holding non-pointer policy objects have no hash and never intern; all
+// methods handle every form.
 type PolicySet struct {
 	policies []Policy
-	// ids holds the members' canonical IDs, sorted ascending; valid
-	// only when idsOK. It backs O(log n) membership, O(n) equality and
-	// subset tests over plain integers.
-	ids []uint64
-	// hash is the canonical FNV-1a hash of ids; valid only when idsOK.
-	hash uint64
-	// idsOK marks ids/hash as computed (every member is a pointer
-	// policy with a well-defined address identity).
-	idsOK bool
+	// hash is policyHash of the members; valid only when hashed (every
+	// member is a pointer policy).
+	hash   uint64
+	hashed bool
 	// interned marks an instance that was registered in the intern
 	// table (possibly since evicted); such sets are eligible for the
 	// memoized-union cache, and while it stays in the table equal
@@ -46,13 +37,13 @@ type PolicySet struct {
 var EmptySet = &PolicySet{interned: true}
 
 // newPolicySet builds a set from an already-deduplicated member list,
-// computing its canonical identity. It takes ownership of policies.
+// computing its hash. It takes ownership of policies.
 func newPolicySet(policies []Policy) *PolicySet {
 	if len(policies) == 0 {
 		return EmptySet
 	}
 	s := &PolicySet{policies: policies, mergers: anyMerger(policies)}
-	s.ids, s.hash, s.idsOK = computePolicyIDs(policies)
+	s.hash, s.hashed = policyHash(policies)
 	return s
 }
 
@@ -124,15 +115,7 @@ func (s *PolicySet) Each(fn func(Policy) error) error {
 
 // Contains reports whether the set contains exactly the policy object p.
 func (s *PolicySet) Contains(p Policy) bool {
-	if s.Len() == 0 {
-		return false
-	}
-	if s.idsOK {
-		if id, ok := policyIdentity(p); ok {
-			return containsPolicyID(s.ids, id)
-		}
-		// p is not a pointer policy, but every member is: only a
-		// comparable-value member could match, and there are none.
+	if s == nil {
 		return false
 	}
 	for _, q := range s.policies {
@@ -141,6 +124,22 @@ func (s *PolicySet) Contains(p Policy) bool {
 		}
 	}
 	return false
+}
+
+// subsetOf reports whether every member of s is a member of t.
+func (s *PolicySet) subsetOf(t *PolicySet) bool {
+	if s.Len() == 0 {
+		return true
+	}
+	if s.Len() > t.Len() {
+		return false
+	}
+	for _, p := range s.policies {
+		if !t.Contains(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // Any reports whether any policy in the set satisfies pred.
@@ -224,10 +223,9 @@ func (s *PolicySet) RemoveIf(pred func(Policy) bool) *PolicySet {
 }
 
 // Union returns the set union of s and t (by object identity). Subset
-// cases resolve by ID comparison without allocating; unions of interned
-// operands are additionally memoized, and their results interned, so a
-// workload whose base sets are interned pays one cache lookup per
-// repeated union.
+// cases return an operand without allocating; unions of interned
+// operands are memoized, and their results interned, so a workload whose
+// base sets are interned pays one cache lookup per repeated union.
 func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 	if t.Len() == 0 {
 		if s == nil {
@@ -238,15 +236,8 @@ func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 	if s.Len() == 0 || s == t {
 		return t
 	}
-	bothIDs := s.idsOK && t.idsOK
-	if bothIDs {
-		if subsetPolicyIDs(t.ids, s.ids) {
-			return s
-		}
-		if subsetPolicyIDs(s.ids, t.ids) {
-			return t
-		}
-	}
+	// The cache comes before the subset tests: a hit is one lookup,
+	// where the tests scan both member lists.
 	bothInterned := s.interned && t.interned
 	if bothInterned {
 		if u, ok := unionCache.Get(newUnionKey(s, t)); ok {
@@ -254,36 +245,31 @@ func (s *PolicySet) Union(t *PolicySet) *PolicySet {
 			return u
 		}
 	}
+	if t.subsetOf(s) {
+		return s
+	}
+	if s.subsetOf(t) {
+		return t
+	}
 	out := make([]Policy, 0, len(s.policies)+len(t.policies))
 	out = append(out, s.policies...)
-	added := false
 	for _, p := range t.policies {
 		if !s.Contains(p) {
 			out = append(out, p)
-			added = true
 		}
 	}
-	var u *PolicySet
-	if !added {
-		u = s
-	} else {
-		u = newPolicySet(out)
-		if bothInterned {
-			u = u.Intern()
-		}
-		lineageDerive(u, s, t)
-	}
+	u := newPolicySet(out)
 	if bothInterned {
-		unionCache.Add(newUnionKey(s, t), u, 0)
+		u = unionCache.Add(newUnionKey(s, t), u.Intern(), 0)
 	}
+	lineageDerive(u, s, t)
 	return u
 }
 
 // Equal reports whether s and t contain the same policy objects,
 // disregarding order. Identical instances (the common case for
-// interned and span-shared sets) compare by pointer; sets with
-// canonical IDs compare hashes and ID lists; only sets of non-pointer
-// policies fall back to member-wise comparison.
+// interned and span-shared sets) compare by pointer, and sets whose
+// hashes differ are unequal; otherwise the members decide.
 func (s *PolicySet) Equal(t *PolicySet) bool {
 	if s == t {
 		return true
@@ -294,17 +280,10 @@ func (s *PolicySet) Equal(t *PolicySet) bool {
 	if s == nil || t == nil {
 		return true // both empty
 	}
-	if s.idsOK && t.idsOK {
-		// Both sets are live, so ID equality is exactly member
-		// identity (see the soundness note in intern.go).
-		return s.hash == t.hash && slices.Equal(s.ids, t.ids)
+	if s.hashed && t.hashed && s.hash != t.hash {
+		return false
 	}
-	for _, p := range s.policies {
-		if !t.Contains(p) {
-			return false
-		}
-	}
-	return true
+	return s.subsetOf(t)
 }
 
 // String renders the set for diagnostics, e.g. "{PasswordPolicy, UntrustedData}".
@@ -336,8 +315,8 @@ func (s *PolicySet) hasMerger() bool { return s != nil && s.mergers }
 // default union strategy). Any Merge error aborts the operation.
 //
 // When neither operand carries a custom Merger, the result is exactly
-// the union, so the Union fast paths (subset IDs, memoized interned
-// pairs) apply.
+// the union, so the Union fast paths (subsets, memoized interned pairs)
+// apply.
 func MergePolicies(a, b *PolicySet) (*PolicySet, error) {
 	if a.Len() == 0 && b.Len() == 0 {
 		return EmptySet, nil

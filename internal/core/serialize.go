@@ -24,19 +24,30 @@ import (
 // is per distinct encoded policy, not per read: every decode of the same
 // bytes returns one canonical instance (see DecodePolicy), so decoded
 // policies are shared plain data and must not be mutated.
+//
+// Decoding fails closed: the stored fields must have exactly the keys
+// the class encodes today. An unknown key (a renamed field) or a missing
+// one would otherwise decode to a zero field and could silently weaken
+// the assertion, so both fail with a *PolicyDecodeError.
 
 type classRegistry struct {
 	mu     sync.RWMutex
-	byName map[string]reflect.Type
+	byName map[string]regType
 	byType map[reflect.Type]regClass
 }
 
 // regClass is a class's name and its encoding's `{"class":…,"fields":` prefix.
 type regClass struct{ name, prefix string }
 
+// regType is a class's type and the sorted keys of its fields object.
+type regType struct {
+	t    reflect.Type
+	keys []string
+}
+
 func newClassRegistry() *classRegistry {
 	return &classRegistry{
-		byName: make(map[string]reflect.Type),
+		byName: make(map[string]regType),
 		byType: make(map[reflect.Type]regClass),
 	}
 }
@@ -49,13 +60,28 @@ func (r *classRegistry) register(name string, prototype any) {
 	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
 		panic(fmt.Sprintf("resin: register class %q: prototype must be a pointer to struct, got %T", name, prototype))
 	}
+	// The key set comes from a zero instance's encoding, so a class must
+	// not mark fields omitempty.
+	var fields map[string]json.RawMessage
+	zero, err := json.Marshal(reflect.New(t.Elem()).Interface())
+	if err == nil {
+		err = json.Unmarshal(zero, &fields)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("resin: register class %q: fields do not encode as a JSON object: %v", name, err))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old, ok := r.byName[name]; ok && old != t {
-		panic(fmt.Sprintf("resin: class name %q already registered for %v", name, old))
+	if old, ok := r.byName[name]; ok && old.t != t {
+		panic(fmt.Sprintf("resin: class name %q already registered for %v", name, old.t))
 	}
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	jname, _ := json.Marshal(name)
-	r.byName[name] = t
+	r.byName[name] = regType{t, keys}
 	r.byType[t] = regClass{name, `{"class":` + string(jname) + `,"fields":`}
 }
 
@@ -66,14 +92,11 @@ func (r *classRegistry) classOf(v any) (regClass, bool) {
 	return c, ok
 }
 
-func (r *classRegistry) instantiate(name string) (any, bool) {
+func (r *classRegistry) lookupName(name string) (regType, bool) {
 	r.mu.RLock()
-	t, ok := r.byName[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return reflect.New(t.Elem()).Interface(), true
+	defer r.mu.RUnlock()
+	rt, ok := r.byName[name]
+	return rt, ok
 }
 
 var (
@@ -129,15 +152,51 @@ func appendObject(dst []byte, reg *classRegistry, what string, v any) ([]byte, e
 	return append(append(append(dst, c.prefix...), fields...), '}'), nil
 }
 
+// PolicyDecodeError reports a stored policy or filter object whose
+// fields do not have exactly the keys its class encodes: Unknown lists
+// the keys the class does not have, Missing the class's keys that are
+// absent.
+type PolicyDecodeError struct {
+	Kind             string // "policy" or "filter"
+	Class            string
+	Unknown, Missing []string
+}
+
+func (e *PolicyDecodeError) Error() string {
+	return fmt.Sprintf("resin: decode %s %s: unknown keys %q, missing keys %q", e.Kind, e.Class, e.Unknown, e.Missing)
+}
+
 func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
 	var w wireObject
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("resin: decode %s: %w", what, err)
 	}
-	v, ok := reg.instantiate(w.Class)
+	rt, ok := reg.lookupName(w.Class)
 	if !ok {
 		return nil, fmt.Errorf("resin: decode %s: unknown class %q", what, w.Class)
 	}
+	var fields map[string]json.RawMessage
+	if len(w.Fields) > 0 {
+		if err := json.Unmarshal(w.Fields, &fields); err != nil {
+			return nil, fmt.Errorf("resin: decode %s %s fields: %w", what, w.Class, err)
+		}
+	}
+	var unknown, missing []string
+	for k := range fields {
+		if _, found := slices.BinarySearch(rt.keys, k); !found {
+			unknown = append(unknown, k)
+		}
+	}
+	for _, k := range rt.keys {
+		if _, found := fields[k]; !found {
+			missing = append(missing, k)
+		}
+	}
+	if unknown != nil || missing != nil {
+		slices.Sort(unknown)
+		return nil, &PolicyDecodeError{what, w.Class, unknown, missing}
+	}
+	v := reflect.New(rt.t.Elem()).Interface()
 	if len(w.Fields) > 0 {
 		if err := json.Unmarshal(w.Fields, v); err != nil {
 			return nil, fmt.Errorf("resin: decode %s %s fields: %w", what, w.Class, err)

@@ -9,9 +9,12 @@
 # is set. Not reported: the check's own ancestry (the shell that called
 # it), its own children, and a process at the other end of a pipe from
 # one of them, such as the `tee` of `bash scripts/no-stray-procs.sh |
-# tee log` or a log pipe reading the program that started the shell — a
+# tee log` or a log pipe reading the program that started the shell —
+# and so on down a pipeline: a process reading the stdout of an exempt
+# reader is exempt too, as the second `cat` of `... | cat | cat` is. A
 # leaked process inherits its starter's stdin and stdout, it is never
-# wired to them the other way round. scripts/bench-pairs.sh and
+# wired to them the other way round, so a process that writes into one
+# of these pipes is still reported. scripts/bench-pairs.sh and
 # scripts/server-integration.sh end with it, CI runs it as its last step,
 # and it is the last command of a work session.
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd -P)
@@ -42,6 +45,18 @@ stray=$(awk -v self=$$ -v root="$root" -v tmp="$tmp" '
 			mine[p] = 1
 			if (out1[p] ~ /^pipe:/) ours_out[out1[p]] = 1
 			if (in0[p] ~ /^pipe:/) ours_in[in0[p]] = 1
+		}
+		# Follow each pipe chain downstream: a reader of one of our
+		# pipes hands its own stdout pipe on to the next stage.
+		for (grew = 1; grew; ) {
+			grew = 0
+			for (i = 1; i <= n; i++) {
+				p = pids[i]
+				if ((p in in0) && (in0[p] in ours_out) && out1[p] ~ /^pipe:/ && !(out1[p] in ours_out)) {
+					ours_out[out1[p]] = 1
+					grew = 1
+				}
+			}
 		}
 		for (i = 1; i <= n; i++) {
 			p = pids[i]
