@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -153,17 +155,22 @@ func appendObject(dst []byte, reg *classRegistry, what string, v any) ([]byte, e
 }
 
 // PolicyDecodeError reports a stored policy or filter object whose
-// fields do not have exactly the keys its class encodes: Unknown lists
-// the keys the class does not have, Missing the class's keys that are
-// absent.
+// fields do not have exactly the keys its class encodes, once each:
+// Unknown lists the keys the class does not have, Missing the class's
+// keys that are absent, and Duplicate the keys given more than once
+// (encoding/json would keep the last silently).
 type PolicyDecodeError struct {
-	Kind             string // "policy" or "filter"
-	Class            string
-	Unknown, Missing []string
+	Kind                        string // "policy" or "filter"
+	Class                       string
+	Unknown, Missing, Duplicate []string
 }
 
 func (e *PolicyDecodeError) Error() string {
-	return fmt.Sprintf("resin: decode %s %s: unknown keys %q, missing keys %q", e.Kind, e.Class, e.Unknown, e.Missing)
+	msg := fmt.Sprintf("resin: decode %s %s: unknown keys %q, missing keys %q", e.Kind, e.Class, e.Unknown, e.Missing)
+	if e.Duplicate != nil {
+		msg += fmt.Sprintf(", duplicate keys %q", e.Duplicate)
+	}
+	return msg
 }
 
 func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
@@ -175,26 +182,12 @@ func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("resin: decode %s: unknown class %q", what, w.Class)
 	}
-	var fields map[string]json.RawMessage
-	if len(w.Fields) > 0 {
-		if err := json.Unmarshal(w.Fields, &fields); err != nil {
-			return nil, fmt.Errorf("resin: decode %s %s fields: %w", what, w.Class, err)
+	if err := rt.checkKeys(w.Fields); err != nil {
+		if de, ok := err.(*PolicyDecodeError); ok {
+			de.Kind, de.Class = what, w.Class
+			return nil, de
 		}
-	}
-	var unknown, missing []string
-	for k := range fields {
-		if _, found := slices.BinarySearch(rt.keys, k); !found {
-			unknown = append(unknown, k)
-		}
-	}
-	for _, k := range rt.keys {
-		if _, found := fields[k]; !found {
-			missing = append(missing, k)
-		}
-	}
-	if unknown != nil || missing != nil {
-		slices.Sort(unknown)
-		return nil, &PolicyDecodeError{what, w.Class, unknown, missing}
+		return nil, fmt.Errorf("resin: decode %s %s fields: %w", what, w.Class, err)
 	}
 	v := reflect.New(rt.t.Elem()).Interface()
 	if len(w.Fields) > 0 {
@@ -203,6 +196,90 @@ func decodeObject(reg *classRegistry, what string, data []byte) (any, error) {
 		}
 	}
 	return v, nil
+}
+
+// checkKeys scans the top-level keys of fields, a JSON value the outer
+// decode has already validated, against the class's keys without
+// decoding a value. It returns a *PolicyDecodeError (Kind and Class left
+// for the caller) unless every class key appears exactly once and no
+// other key appears; absent or null fields have no keys.
+func (rt regType) checkKeys(fields []byte) error {
+	fields = bytes.TrimSpace(fields)
+	if len(fields) > 0 && fields[0] != '{' && string(fields) != "null" {
+		return errors.New("fields are not a JSON object")
+	}
+	seen := make([]bool, len(rt.keys))
+	var bad PolicyDecodeError
+	for i := 1; len(fields) > 0 && fields[0] == '{'; i++ { // i: past '{' or ','
+		q := bytes.IndexByte(fields[i:], '"')
+		if q < 0 {
+			break // {}
+		}
+		end := skipString(fields, i+q)
+		key := fields[i+q+1 : end]
+		if bytes.IndexByte(key, '\\') >= 0 {
+			var k string
+			if err := json.Unmarshal(fields[i+q:end+1], &k); err != nil {
+				return err
+			}
+			key = []byte(k)
+		}
+		switch k := slices.Index(rt.keys, string(key)); {
+		case k >= 0 && !seen[k]:
+			seen[k] = true
+		case k >= 0 || slices.Contains(bad.Unknown, string(key)):
+			bad.Duplicate = append(bad.Duplicate, string(key))
+		default:
+			bad.Unknown = append(bad.Unknown, string(key))
+		}
+		if i = skipValue(fields, end+1); fields[i] == '}' {
+			break
+		}
+	}
+	for k, ok := range seen {
+		if !ok {
+			bad.Missing = append(bad.Missing, rt.keys[k])
+		}
+	}
+	if bad.Unknown == nil && bad.Missing == nil && bad.Duplicate == nil {
+		return nil
+	}
+	slices.Sort(bad.Unknown)
+	slices.Sort(bad.Duplicate)
+	return &bad
+}
+
+// skipString returns the index of the quote that closes the string
+// opening at b[i].
+func skipString(b []byte, i int) int {
+	for i++; b[i] != '"'; i++ {
+		if b[i] == '\\' {
+			i++
+		}
+	}
+	return i
+}
+
+// skipValue returns the index of the ',' or '}' that ends the object
+// member whose ':' or value is at b[i].
+func skipValue(b []byte, i int) int {
+	for depth := 0; ; i++ {
+		switch b[i] {
+		case '"':
+			i = skipString(b, i)
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
 }
 
 // EncodePolicy serializes a policy object as {"class": ..., "fields": ...}.

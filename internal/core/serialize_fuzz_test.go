@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -30,7 +31,9 @@ func init() {
 //     decoded and re-applied to the same raw bytes, re-encodes to the
 //     identical annotation;
 //  3. EncodeSpans writes exactly the bytes of its three-Marshal
-//     reference, for fuzzed field bytes over fuzzed span layouts.
+//     reference, for fuzzed field bytes over fuzzed span layouts;
+//  4. decode is strict: every policy of an annotation that compiles
+//     re-encodes with exactly the keys it was given, each once.
 func FuzzCompileAnnotation(f *testing.F) {
 	f.Add([]byte(`not json`), "raw data", uint8(0), uint8(4))
 	f.Add([]byte(`[]`), "", uint8(0), uint8(0))
@@ -38,6 +41,9 @@ func FuzzCompileAnnotation(f *testing.F) {
 		"s3cretpw", uint8(2), uint8(6))
 	f.Add([]byte(`[{"start":-5,"end":999999,"policies":[{"class":"nope","fields":{}}]}]`), "abc", uint8(1), uint8(2))
 	f.Add([]byte(`[{"start":3,"end":1,"policies":null}]`), "xyzw", uint8(3), uint8(3))
+	f.Add([]byte(`[{"start":0,"end":2,"policies":[{"class":"test.FuzzSpanPolicy","fields":{"tag":"a","t\u0061g":"b"}}]}]`), "ab", uint8(0), uint8(2))
+	f.Add([]byte(`[{"start":0,"end":2,"policies":[{"class":"test.FuzzSpanPolicy","fields":{"Tag":"a"}}]}]`), "ab", uint8(0), uint8(2))
+	f.Add([]byte(`[{"start":0,"end":2,"policies":[{"class":"test.FuzzSpanPolicy","fields":{ "tag" : "a\"},{\"" , "x":{"tag":[1,{"}":"]"}]}}}]}]`), "ab", uint8(0), uint8(2))
 
 	f.Fuzz(func(t *testing.T, ann []byte, raw string, a, b uint8) {
 		// 1. Arbitrary bytes: decode must not panic; a successful compile
@@ -45,6 +51,27 @@ func FuzzCompileAnnotation(f *testing.F) {
 		if c, err := CompileAnnotation(ann); err == nil {
 			_ = c.Apply(raw)
 			_ = c.Apply("")
+			// 4. What compiled was strict: each policy's given keys are
+			// its re-encoding's keys. An empty annotation is no spans.
+			var ws []wireSpan
+			if err := json.Unmarshal(ann, &ws); err != nil && len(ann) > 0 {
+				t.Fatalf("compiled annotation %q is not a span list: %v", ann, err)
+			}
+			for _, w := range ws {
+				for _, given := range w.Policies {
+					p, err := DecodePolicy(given)
+					if err != nil {
+						t.Fatalf("policy %s of a compiled annotation: %v", given, err)
+					}
+					enc, err := EncodePolicy(p)
+					if err != nil {
+						t.Fatalf("re-encode %s: %v", given, err)
+					}
+					if a, b := fieldKeys(t, given), fieldKeys(t, enc); !slices.Equal(a, b) {
+						t.Fatalf("policy %s decoded and re-encoded as %s: keys %q, given %q", given, enc, b, a)
+					}
+				}
+			}
 		}
 
 		// 3. Direct encoding = reference encoding: two spans, the second
@@ -84,6 +111,34 @@ func FuzzCompileAnnotation(f *testing.F) {
 			t.Fatalf("annotation round-trip diverged:\n first: %s\nsecond: %s", enc, enc2)
 		}
 	})
+}
+
+// fieldKeys lists the top-level keys of obj's fields object in sorted
+// order, a repeated key as often as it is given, through encoding/json's
+// token reader — a reader independent of decodeObject's key scan.
+func fieldKeys(t *testing.T, obj []byte) []string {
+	var w wireObject
+	if err := json.Unmarshal(obj, &w); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(w.Fields))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil // absent or null fields
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // referenceEncodeSpans is EncodeSpans in its three-Marshal formulation:

@@ -783,9 +783,12 @@ func (t *table) lookup(id uint64) *rowEntry {
 // nonsensical records before the infallible apply.
 func (e *Engine) checkOps(ops []rowOp) error {
 	// Simulate id liveness within the batch: a later op may target a row
-	// an earlier op of the same batch inserts or deletes.
-	born := map[uint64]bool{}
-	dead := map[uint64]bool{}
+	// an earlier op of the same batch inserts or deletes. A one-op batch,
+	// the common record, has no later op and needs no maps.
+	var born, dead map[uint64]bool
+	if len(ops) > 1 {
+		born, dead = map[uint64]bool{}, map[uint64]bool{}
+	}
 	for i := range ops {
 		op := &ops[i]
 		t := e.tables[op.table]
@@ -803,7 +806,9 @@ func (e *Engine) checkOps(ops []rowOp) error {
 			if t.lookup(op.id) != nil || born[op.id] {
 				return fmt.Errorf("sqldb: duplicate row id %d in %s", op.id, op.table)
 			}
-			born[op.id] = true
+			if born != nil {
+				born[op.id] = true
+			}
 		case opUpdate, opDelete:
 			if op.kind == opUpdate && len(op.vals) != len(t.cols) {
 				return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
@@ -817,7 +822,7 @@ func (e *Engine) checkOps(ops []rowOp) error {
 			if t.lookup(op.id) == nil && !born[op.id] {
 				return fmt.Errorf("sqldb: row op targets unknown id %d in %s", op.id, op.table)
 			}
-			if op.kind == opDelete {
+			if op.kind == opDelete && dead != nil {
 				dead[op.id] = true
 			}
 		default:
@@ -839,16 +844,15 @@ func checkKinds(op *rowOp, t *table) error {
 	return nil
 }
 
-// shareAnnotations stores replayed annotations as annotationFor does.
-func (e *Engine) shareAnnotations(ops []rowOp) {
-	for _, op := range ops {
-		cols := e.tables[op.table].cols
-		for ci, v := range op.vals {
-			if !v.isNull() && !v.isInt() && IsPolicyColumn(cols[ci].Name) {
-				op.vals[ci] = textValue(core.AnnotationString(v.text()))
-			}
-		}
+// columnsOf returns the columns of the table under key, or nil if there
+// is none; the replayer reads them to find a record's policy cells.
+func (e *Engine) columnsOf(key string) []ColumnDef {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if t := e.tables[key]; t != nil {
+		return t.cols
 	}
+	return nil
 }
 
 // applyReplayGroup validates and applies one committed WAL group under
@@ -873,7 +877,6 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 			if err := e.checkOps(it.ops); err != nil {
 				return err
 			}
-			e.shareAnnotations(it.ops)
 			e.applyOps(it.ops, born)
 			bumped = true
 			continue

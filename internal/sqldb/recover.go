@@ -102,16 +102,28 @@ type walItem struct {
 }
 
 // replayer is the WAL record state machine, shared by crash recovery
-// (replayWAL) and replicas (Follower.drain): it buffers records into a
+// (replayWAL) and replicas (Follower.Apply): it buffers records into a
 // group and applies the group at its commit boundary — a standalone
 // record is a one-item group; a B..C group applies at its commit marker
 // under one commit version, exactly as commitOps installed it live, so
 // replayed frontiers match the primary's numbering record for record.
+//
+// Payloads are parsed where they lie (the recovered file, or a shipped
+// chunk): decodeOps copies out only what the engine keeps — each row's
+// values, and each annotation as the interned string annotationFor
+// stores. The open group's items and ops live in slices reused from one
+// group to the next; release drops them.
 type replayer struct {
 	engine *Engine
 	inTx   bool
 	group  []walItem
-	table  string // the last decoded op's table (decodeOps)
+	ops    []rowOp // the open group's row ops; its items slice them
+
+	// The last decoded op's table (decodeOps), its columns, and the
+	// engine's schema generation they were read at.
+	table string
+	cols  []ColumnDef
+	gen   uint64
 }
 
 // apply consumes one checksummed record payload. boundary reports that
@@ -160,12 +172,16 @@ func (r *replayer) apply(payload []byte) (boundary bool, damage *WALCorruptionEr
 		return false, nil
 	}
 	err := r.engine.applyReplayGroup(r.group)
-	r.group = nil
+	r.group, r.ops = r.group[:0], r.ops[:0]
 	if err != nil {
 		return bad(failed, err)
 	}
 	return true, nil
 }
+
+// release drops the group storage; a follower calls it once no group is
+// open, so nothing of a replayed chunk stays alive while it is caught up.
+func (r *replayer) release() { r.group, r.ops = nil, nil }
 
 // replayWAL opens (creating if absent) the log at path, applies its
 // committed prefix to engine, truncates any torn tail, and returns the

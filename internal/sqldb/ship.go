@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -9,17 +10,18 @@ import (
 )
 
 // WAL shipping: the replication substrate under the wire protocol's
-// read replicas (docs/WIRE.md §4). The unit of replication is the log
+// read replicas (docs/WIRE.md §5). The unit of replication is the log
 // byte: a follower's local log is maintained as a byte-prefix copy of
 // the primary's, so the primary ships raw framed record bytes from an
 // offset and the follower appends them verbatim (wal.append — the same
-// fsync-before-ack write the primary uses), then replays complete
-// committed records into its own engine through the replayer crash
-// recovery uses (recover.go). Because commitOps writes one B..C group
-// per transaction and applyReplayGroup installs a group under one
-// commit version, the follower's frontier counts the same versions in
-// the same order as the primary's — "applied through version N" means
-// the same N on both sides.
+// fsync-before-ack write the primary uses, once per chunk), then replays
+// complete committed records into its own engine through the replayer
+// crash recovery uses (recover.go), parsing them in place in the chunk.
+// Because commitOps writes one B..C group per transaction and
+// applyReplayGroup installs a group under one commit version, the
+// follower's frontier counts the same versions in the same order as the
+// primary's — "applied through version N" means the same N on both
+// sides.
 //
 // Offsets are only meaningful within one log epoch. Compaction rewrites
 // the whole file (wal.rewrite), after which old offsets name different
@@ -86,7 +88,8 @@ func (db *DB) WALNotify() (<-chan struct{}, error) {
 // earlier must discard its stream state and re-handshake. Reading at
 // the current end returns (nil, epoch, nil); reading past it returns
 // ErrShipBehind (the offset outruns this log — after a compaction the
-// new log can be shorter than the old offsets).
+// new log can be shorter than the old offsets). The returned bytes are
+// a fresh buffer of exactly their length, the caller's to frame or keep.
 func (db *DB) ReadWAL(off int64, max int) (data []byte, epoch uint64, err error) {
 	e := db.Engine()
 	e.mu.RLock()
@@ -173,6 +176,12 @@ func walPrefixCRC(w *wal, n int64) (uint32, error) {
 // that crashes recovers by plain OpenDB (which truncates any torn or
 // uncommitted tail) and resumes shipping from its recovered size.
 //
+// Records are parsed where they lie in the shipped chunk. The follower
+// keeps only the start of the one record a chunk ends inside, and
+// completes it from the front of the next chunk; the records of an open
+// B..C group are already decoded into the replayer, so only their count
+// of bytes is kept.
+//
 // The follower's database must not be mutated locally; serve it
 // read-only (the wire server's replica mode enforces this). Reads are
 // safe concurrently with Apply — they see the applied frontier, never a
@@ -182,14 +191,15 @@ type Follower struct {
 	db *DB
 
 	mu sync.Mutex
-	// buf holds received-but-unapplied bytes: everything from offset
-	// `applied` onward. parseOff is how far into buf record scanning has
-	// advanced (>0 only while buffering an open B..C group).
-	buf      []byte
-	parseOff int
-	rep      replayer
-	applied  int64 // bytes applied through (a committed record boundary)
-	broken   error // sticky first corruption; the follower is fail-stop
+	// Received bytes are applied + pending + len(tail): pending counts
+	// the bytes of whole records decoded into the open B..C group, and
+	// tail holds the received start of the record the last chunk ended
+	// inside.
+	tail    []byte
+	pending int64
+	rep     replayer
+	applied int64 // bytes applied through (a committed record boundary)
+	broken  error // sticky first corruption; the follower is fail-stop
 }
 
 // NewFollower wraps a freshly opened persistent database as a shipping
@@ -211,14 +221,17 @@ func (f *Follower) DB() *DB { return f.db }
 // Offsets reports the follower's replication position: applied is the
 // byte offset of the last committed record boundary replayed into the
 // engine (also its local log's durable committed prefix), received is
-// applied plus buffered bytes of an open transaction group. A new
-// handshake resumes from received... except after a crash, when the
-// buffered tail is truncated by recovery and received equals applied.
+// applied plus the mirrored bytes of an open transaction group and of a
+// partial record. A new handshake resumes from received... except after
+// a crash, when the unapplied tail is truncated by recovery and received
+// equals applied.
 func (f *Follower) Offsets() (applied, received int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.applied, f.applied + int64(len(f.buf))
+	return f.applied, f.received()
 }
+
+func (f *Follower) received() int64 { return f.applied + f.pending + int64(len(f.tail)) }
 
 // Frontier returns the follower engine's applied commit version.
 func (f *Follower) Frontier() uint64 { return f.db.Frontier() }
@@ -230,14 +243,15 @@ func (f *Follower) Frontier() uint64 { return f.db.Frontier() }
 // de-duplicated. Undecodable records fail with a *WALCorruptionError
 // (wrapping ErrWALCorrupt) and poison the follower — shipped bytes were
 // checksummed end-to-end, so damage means the stream source is not the
-// log the handshake verified, and the follower must resync.
+// log the handshake verified, and the follower must resync. Apply does
+// not keep data.
 func (f *Follower) Apply(off int64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.broken != nil {
 		return f.broken
 	}
-	received := f.applied + int64(len(f.buf))
+	received := f.received()
 	if off > received {
 		return fmt.Errorf("%w: chunk at %d, received only %d", ErrShipBehind, off, received)
 	}
@@ -254,33 +268,87 @@ func (f *Follower) Apply(off int64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	f.buf = append(f.buf, data...)
-	return f.drain()
+	if err := f.replay(data); err != nil {
+		f.broken, f.tail, f.pending = err, nil, received+int64(len(data))-f.applied
+		f.rep.release()
+		return err
+	}
+	if !f.rep.inTx {
+		f.rep.release()
+	}
+	return nil
 }
 
-// drain applies every complete record in buf, holding incomplete tails
-// (and open transaction groups) for the next chunk. Called with f.mu
-// held.
-func (f *Follower) drain() error {
-	head := 0 // buf[:head] is applied: dropped once, when the chunk is drained
-	for {
-		payload, end, ok := walNextRecord(f.buf, f.parseOff)
-		if !ok { // incomplete tail: keep it, in a buffer of its size, for the next chunk
-			if head > 0 {
-				f.buf, f.parseOff = append([]byte(nil), f.buf[head:]...), f.parseOff-head
-			}
+// replay applies every complete record in the tail and data, keeping the
+// start of a record data ends inside for the next chunk. Called with
+// f.mu held.
+func (f *Follower) replay(data []byte) error {
+	for len(f.tail) > 0 {
+		need := f.tailNeed()
+		if need == 0 || need > len(data) {
+			f.tail = append(f.tail, data...)
 			return nil
 		}
-		boundary, damage := f.rep.apply(payload)
-		if damage != nil {
-			damage.Path, damage.Offset = "shipped stream", f.applied+int64(f.parseOff-head)
-			f.buf, f.broken = f.buf[head:], damage
-			return damage
+		f.tail, data = append(f.tail, data[:need]...), data[need:]
+		if payload, end, ok := walNextRecord(f.tail, 0); ok {
+			f.tail = nil
+			if err := f.record(payload, end); err != nil {
+				return err
+			}
 		}
-		if boundary {
-			f.applied += int64(end - head)
-			head = end
-		}
-		f.parseOff = end
 	}
+	for off := 0; off < len(data); {
+		payload, end, ok := walNextRecord(data, off)
+		if !ok {
+			f.holdTail(data[off:])
+			return nil
+		}
+		if err := f.record(payload, end-off); err != nil {
+			return err
+		}
+		off = end
+	}
+	return nil
+}
+
+// tailNeed is how many more bytes the tail needs to hold its record's
+// header, or else the whole record. It is 0 when no bytes can complete
+// the tail: a zero length, or a whole record whose checksum failed — the
+// point where recovery's torn-tail rule stops reading, so every later
+// byte is only mirrored and kept.
+func (f *Follower) tailNeed() int {
+	if len(f.tail) < walRecHeaderSize {
+		return walRecHeaderSize - len(f.tail)
+	}
+	ln := int(binary.LittleEndian.Uint32(f.tail))
+	if ln == 0 {
+		return 0
+	}
+	return max(0, walRecHeaderSize+ln-len(f.tail))
+}
+
+// holdTail keeps b, the start of the record a chunk ends inside, in a
+// buffer sized for the whole record once its header says how long.
+func (f *Follower) holdTail(b []byte) {
+	size := len(b)
+	if len(b) >= walRecHeaderSize {
+		if ln := int(binary.LittleEndian.Uint32(b)); ln <= walMaxRecord {
+			size = max(size, walRecHeaderSize+ln)
+		}
+	}
+	f.tail = append(make([]byte, 0, size), b...)
+}
+
+// record applies one whole record of n framed bytes.
+func (f *Follower) record(payload []byte, n int) error {
+	boundary, damage := f.rep.apply(payload)
+	if damage != nil {
+		damage.Path, damage.Offset = "shipped stream", f.applied+f.pending
+		return damage
+	}
+	f.pending += int64(n)
+	if boundary {
+		f.applied, f.pending = f.applied+f.pending, 0
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"resin/internal/core"
+	"resin/internal/sanitize"
 )
 
 // shipPair opens a WAL-backed primary and an empty follower for direct
@@ -466,7 +467,7 @@ func TestFollowerReclaimsVersions(t *testing.T) {
 // TestFollowerApplyAllocLinear: applying one shipped chunk costs
 // allocation linear in the chunk, not a copy of the unapplied tail per
 // committed record — one chunk of 4000 single-row commits allocates
-// less than four times its own size.
+// less than twice its own size.
 func TestFollowerApplyAllocLinear(t *testing.T) {
 	_, f, _ := shipPair(t)
 	ddl, err := frameRecords(nil, stmtPayload("CREATE TABLE t (id INT, body TEXT)"))
@@ -489,11 +490,96 @@ func TestFollowerApplyAllocLinear(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("a %d-byte chunk of 4000 commits allocated %d bytes", len(chunk), got)
-	if got >= 4*uint64(len(chunk)) {
-		t.Errorf("applying a %d-byte chunk of 4000 commits allocated %d bytes, want < %d", len(chunk), got, 4*len(chunk))
+	if got >= 2*uint64(len(chunk)) {
+		t.Errorf("applying a %d-byte chunk of 4000 commits allocated %d bytes, want < %d", len(chunk), got, 2*len(chunk))
 	}
 	if applied, received := f.Offsets(); applied != received || applied != int64(walHeaderSize+len(ddl)+len(chunk)) {
 		t.Errorf("offsets applied=%d received=%d after the chunk", applied, received)
+	}
+}
+
+// TestFollowerCatchUpAlloc pins what a replica's catch-up allocates: a
+// fresh follower replaying a primary's log of 1000-row B..C groups of
+// tainted rows (each text cell with its shadow annotation) allocates at
+// most three times the bytes it applies, in 1 MiB chunks and in 4 KiB
+// chunks alike. A replayed row is larger in memory than in the log (a
+// cell is 24 bytes, an int's log form one or two), so the floor is above
+// 1×; buffering the unapplied bytes, copying each chunk, or building a
+// throwaway string per annotation cell each add a multiple of the log.
+func TestFollowerCatchUpAlloc(t *testing.T) {
+	rt := core.NewRuntime()
+	p, err := OpenDB(rt, filepath.Join(t.TempDir(), "p.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close() //nolint:errcheck
+	p.MustExec("CREATE TABLE papers (id INT, title TEXT, abstract TEXT, authors TEXT)")
+	policies := make([]core.Policy, 16)
+	for i := range policies {
+		policies[i] = &sanitize.UntrustedData{Source: fmt.Sprintf("author-%d", i)}
+	}
+	for g := 0; g < 6; g++ {
+		tx := p.Begin()
+		ins, err := tx.PrepareRaw("INSERT INTO papers (id, title, abstract, authors) VALUES (?, ?, ?, ?)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			id := g*1000 + i
+			pol := policies[id%len(policies)]
+			if _, err := ins.Exec(id,
+				core.NewStringPolicy(fmt.Sprintf("Paper %d on data flow assertions", id), pol),
+				core.NewStringPolicy(fmt.Sprintf("abstract %d: policies travel with the data they protect", id), pol),
+				core.NewStringPolicy(fmt.Sprintf("author%d@example.org", id%97), pol)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, size, err := p.WALStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1 << 20, 4 << 10} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			fdb, err := OpenDB(rt, filepath.Join(t.TempDir(), "f.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fdb.Close() //nolint:errcheck
+			f, err := NewFollower(fdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			var alloc uint64
+			_, off := f.Offsets()
+			start := off
+			for off < size {
+				data, _, err := p.ReadWAL(off, chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&before)
+				err = f.Apply(off, data)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alloc += after.TotalAlloc - before.TotalAlloc
+				off += int64(len(data))
+			}
+			if f.Frontier() != p.Frontier() {
+				t.Fatalf("frontier %d, want %d", f.Frontier(), p.Frontier())
+			}
+			applied := uint64(size - start)
+			t.Logf("applying %d bytes in %d-byte chunks allocated %d bytes (%.2f×)", applied, chunk, alloc, float64(alloc)/float64(applied))
+			if alloc > 3*applied {
+				t.Errorf("catch-up of %d bytes in %d-byte chunks allocated %d bytes (%.2f×), want ≤ 3×", applied, chunk, alloc, float64(alloc)/float64(applied))
+			}
+		})
 	}
 }
 

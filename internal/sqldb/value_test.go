@@ -86,7 +86,7 @@ func TestValueEncoding(t *testing.T) {
 		if got := string(appendValue(nil, v)); got != c.wal {
 			t.Errorf("case %d: appendValue = %q, want %q", i, got, c.wal)
 		}
-		r := &replayer{}
+		r := &replayer{engine: NewEngine()}
 		row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
 		payload := opsPayload(row)
 		if len(payload) != opsLen(row) {

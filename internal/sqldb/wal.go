@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"os"
+
+	"resin/internal/core"
 )
 
 // The write-ahead log: durability for tables and their shadow policy
@@ -293,9 +295,15 @@ func opsLen(ops []rowOp) int {
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // decodeOps parses a row-ops record body (the bytes after the 'R' type
-// byte). Any structural damage is an error: the payload was
-// checksum-protected, so it cannot be a torn tail. A run of ops on one
-// table, within a record or across records, shares one name string.
+// byte) into ops appended to the group's op storage. Any structural
+// damage is an error: the payload was checksum-protected, so it cannot
+// be a torn tail. A run of ops on one table, within a record or across
+// records, shares one name string; a shadow policy cell is the interned
+// annotation (core.AnnotationString, as annotationFor stores it), read
+// straight from the record bytes. Which cells are policy cells is read
+// from the table's columns at decode time, so a table created earlier in
+// the same B..C group (only logs written when transactions could run DDL
+// have one) replays with its annotations unshared.
 func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 	off := 0
 	uv := func() (uint64, error) {
@@ -313,7 +321,7 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 	if nops > uint64(len(data)) { // each op is ≥ 1 byte; cheap sanity bound
 		return nil, fmt.Errorf("op count %d exceeds payload", nops)
 	}
-	ops := make([]rowOp, 0, nops)
+	start := len(r.ops)
 	for k := uint64(0); k < nops; k++ {
 		if off >= len(data) {
 			return nil, errors.New("truncated op")
@@ -331,7 +339,10 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 			return nil, errors.New("truncated table name")
 		}
 		if name := data[off : off+int(tl)]; string(name) != r.table {
-			r.table = string(name)
+			r.table, r.gen = string(name), 0
+		}
+		if gen := r.engine.gen.Load(); gen != r.gen {
+			r.cols, r.gen = r.engine.columnsOf(r.table), gen
 		}
 		off += int(tl)
 		id, err := uv()
@@ -348,7 +359,7 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 				return nil, fmt.Errorf("column count %d exceeds payload", ncols)
 			}
 			op.vals = make([]value, 0, ncols)
-			for c := uint64(0); c < ncols; c++ {
+			for c := 0; c < int(ncols); c++ {
 				if off >= len(data) {
 					return nil, errors.New("truncated value")
 				}
@@ -372,19 +383,24 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 					if sl > uint64(len(data)-off) {
 						return nil, errors.New("truncated text value")
 					}
-					op.vals = append(op.vals, textValue(string(data[off:off+int(sl)])))
+					raw := data[off : off+int(sl)]
 					off += int(sl)
+					if c < len(r.cols) && IsPolicyColumn(r.cols[c].Name) {
+						op.vals = append(op.vals, textValue(core.AnnotationString(raw)))
+					} else {
+						op.vals = append(op.vals, textValue(string(raw)))
+					}
 				default:
 					return nil, fmt.Errorf("unknown value tag 0x%02x", tag)
 				}
 			}
 		}
-		ops = append(ops, op)
+		r.ops = append(r.ops, op)
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("%d trailing bytes after ops", len(data)-off)
 	}
-	return ops, nil
+	return r.ops[start:len(r.ops):len(r.ops)], nil
 }
 
 // append writes pre-framed record bytes to the log and fsyncs before

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 
 	"resin/internal/sqldb"
 )
@@ -60,15 +61,27 @@ var ErrBadPreamble = errors.New("wire: bad protocol preamble")
 
 // writeFrame frames payload onto w: uint32 LE length, uint32 LE CRC-32
 // (IEEE) of the payload, payload bytes, as one Write.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, len(payload))
+func writeFrame(w io.Writer, payload []byte) error { return writeFrameBody(w, payload, nil) }
+
+// writeFrameBody frames the payload head+body onto w. head is copied
+// behind the frame header; a non-empty body — a shipped log chunk — is
+// not copied but follows in the same vectored write, its CRC continued
+// from head's.
+func writeFrameBody(w io.Writer, head, body []byte) error {
+	n := len(head) + len(body)
+	if n > MaxFrame {
+		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeaderSize:], payload)
-	_, err := w.Write(buf)
+	buf := make([]byte, frameHeaderSize+len(head))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body))
+	copy(buf[frameHeaderSize:], head)
+	if len(body) == 0 {
+		_, err := w.Write(buf)
+		return err
+	}
+	bufs := net.Buffers{buf, body}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

@@ -439,7 +439,9 @@ func (s *session) prepare(db *sqldb.DB, q core.String) (*sqldb.Stmt, error) {
 // error when the log's epoch changes (compaction rewrote it — offsets
 // are void, the follower must re-handshake and will typically need a
 // full resync) or the server drains, and silently when the connection
-// or log dies.
+// or log dies. A chunk is the one buffer ReadWAL returns, framed behind
+// its header without a copy (sendChunk); the stream keeps no buffer
+// between chunks.
 func (s *session) serveShip(db *sqldb.DB, off int64) {
 	epoch0, size, err := db.WALStatus()
 	if err != nil {
@@ -474,7 +476,7 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 		}
 		_, size, _ := db.WALStatus()
 		if len(data) > 0 {
-			if !s.reply(logChunkPayload(off, epoch, size, data)) {
+			if !s.sendChunk(off, epoch, size, data) {
 				return
 			}
 			off += int64(len(data))
@@ -486,18 +488,21 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 			// Idle heartbeat: no bytes, but the follower learns the
 			// primary's size (its staleness bound) and the connection
 			// proves itself alive.
-			if !s.reply(logChunkPayload(off, epoch, size, nil)) {
+			if !s.sendChunk(off, epoch, size, nil) {
 				return
 			}
 		}
 	}
 }
 
-func logChunkPayload(off int64, epoch uint64, primarySize int64, data []byte) []byte {
-	p := []byte{msgLogChunk}
-	p = binary.AppendUvarint(p, uint64(off))
-	p = binary.AppendUvarint(p, epoch)
-	p = binary.AppendUvarint(p, uint64(primarySize))
-	p = binary.AppendUvarint(p, uint64(len(data)))
-	return append(p, data...)
+// sendChunk frames one msgLogChunk: the chunk header, then data as read
+// from the log, written behind it without a copy.
+func (s *session) sendChunk(off int64, epoch uint64, primarySize int64, data []byte) bool {
+	head := []byte{msgLogChunk}
+	head = binary.AppendUvarint(head, uint64(off))
+	head = binary.AppendUvarint(head, epoch)
+	head = binary.AppendUvarint(head, uint64(primarySize))
+	head = binary.AppendUvarint(head, uint64(len(data)))
+	s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout)) //nolint:errcheck
+	return writeFrameBody(s.nc, head, data) == nil
 }

@@ -47,6 +47,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameBodyIsOneFrame: a frame written as a head and an uncopied
+// body (a shipped log chunk) is the same bytes as the frame of their
+// concatenation.
+func TestFrameBodyIsOneFrame(t *testing.T) {
+	head, body := []byte("chunk header"), bytes.Repeat([]byte("log bytes "), 1000)
+	var split, whole bytes.Buffer
+	if err := writeFrameBody(&split, head, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&whole, append(append([]byte(nil), head...), body...)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(split.Bytes(), whole.Bytes()) {
+		t.Fatalf("head+body frame differs from the frame of their concatenation")
+	}
+}
+
 func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, []byte("payload")); err != nil {
@@ -857,4 +874,89 @@ func TestFollowerLocalLogIsBytePrefix(t *testing.T) {
 	if !bytes.Equal(pb, rb) {
 		t.Fatalf("logs differ: primary %d bytes, replica %d bytes", len(pb), len(rb))
 	}
+}
+
+// TestReplicaCatchUpAcrossChunks: a fresh replica catches up over
+// loopback on a log more than three ship chunks long, whose 1000-row
+// B..C groups of tainted rows straddle the frame boundaries, so a record
+// and an open group are carried from one frame to the next. The logs end
+// byte-identical, the frontiers equal, and every row and its EncodeSpans
+// annotation match the primary's.
+func TestReplicaCatchUpAcrossChunks(t *testing.T) {
+	rt := core.NewRuntime()
+	pdir, rdir := t.TempDir(), t.TempDir()
+	ppath, rpath := filepath.Join(pdir, "p.wal"), filepath.Join(rdir, "r.wal")
+	db, err := sqldb.OpenDB(rt, ppath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	// A fresh log is its header: the first frame starts there.
+	header := db.WALSize()
+	db.MustExec("CREATE TABLE docs (id INT, title TEXT, body TEXT)")
+	type group struct{ from, to int64 }
+	var groups []group
+	pad := strings.Repeat("policies travel with the data ", 12)
+	for g := 0; db.WALSize() < header+3*shipChunk+shipChunk/2; g++ {
+		from := db.WALSize()
+		tx := db.Begin()
+		ins, err := tx.PrepareRaw("INSERT INTO docs (id, title, body) VALUES (?, ?, ?)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			id := g*1000 + i
+			pol := &wireTestPolicy{Tag: fmt.Sprintf("doc-%d", id%8)}
+			body := core.NewStringPolicy(fmt.Sprintf("%d %s", id, pad), pol).WithPolicy(&sanitize.UntrustedData{Source: "doc"})
+			if _, err := ins.Exec(id, core.NewStringPolicy(fmt.Sprintf("doc %d", id), pol), body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, group{from, db.WALSize()})
+	}
+	for k := int64(1); k <= 3; k++ {
+		cut := header + k*shipChunk
+		inside := false
+		for _, g := range groups {
+			inside = inside || g.from < cut && cut < g.to
+		}
+		if !inside {
+			t.Fatalf("frame boundary %d falls between groups; the test wants every boundary inside one", cut)
+		}
+	}
+
+	addr, _ := startServer(t, db, Config{})
+	r, _ := startReplica(t, rt, addr, rpath)
+	waitCaughtUp(t, r, db)
+
+	pb, err := os.ReadFile(ppath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := os.ReadFile(rpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb, rb) {
+		t.Fatalf("logs differ: primary %d bytes, replica %d bytes", len(pb), len(rb))
+	}
+	if got, want := r.DB().Frontier(), db.Frontier(); got != want {
+		t.Fatalf("replica frontier %d, primary %d", got, want)
+	}
+	q := "SELECT id, title, body FROM docs ORDER BY id"
+	onReplica, err := r.DB().QueryRaw(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPrimary, err := db.QueryRaw(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onPrimary.Len() != 1000*len(groups) {
+		t.Fatalf("primary rows: %d, want %d", onPrimary.Len(), 1000*len(groups))
+	}
+	assertResultsEqual(t, onReplica, onPrimary)
 }

@@ -13,7 +13,8 @@
 # heap_mb_end and wal_bytes_per_user_byte repeat within 1 % for a seed, so a
 # claim on one of them needs only -n 3 on the claimed workload plus one -n 1
 # pair on each other workload (≈ 2 min a call, each in the foreground). It
-# reads bench/, it does not edit it, and it ends with the leak check.
+# reads bench/, it does not edit it, and every exit, a failed run's too,
+# removes the temp tree and ends with the leak check.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 w=page_hotcrp n=5 s=1 p=HEAD
@@ -21,7 +22,13 @@ while getopts w:n:s:p: o; do
 	case $o in w) w=$OPTARG ;; n) n=$OPTARG ;; s) s=$OPTARG ;; p) p=$OPTARG ;; *) exit 2 ;; esac
 done
 tree=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
-trap 'rm -rf "$tree"' EXIT
+finish() { # on every exit path; a leak fails an otherwise clean run
+	local status=$?
+	rm -rf "$tree"
+	bash scripts/no-stray-procs.sh || status=1
+	exit "$status"
+}
+trap finish EXIT
 mkdir "$tree/parent"
 git archive "$p" | tar -x -C "$tree/parent"
 metrics="page_overhead_ratio page_resin_us_p50 page_base_us_p50 setup_s wal_bytes_per_user_byte heap_mb_end"
@@ -55,4 +62,3 @@ for m in $metrics; do
 	wins=$(paste "$tree/parent.$m" "$tree/change.$m" | awk '$2 < $1 { n++ } END { print n + 0 }')
 	printf '%-24s parent %-30s change %-30s wins %d/%d\n' "$m" "$(quartiles "$tree/parent.$m")" "$(quartiles "$tree/change.$m")" "$wins" "$n"
 done
-bash scripts/no-stray-procs.sh
