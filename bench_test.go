@@ -377,8 +377,8 @@ func newLargeSQLTable(b *testing.B, n int, indexed bool) *sqldb.DB {
 // indexed vs full scan, through the RESIN filter (policy columns
 // fetched, annotations batch-decoded, policies re-attached) and against
 // the bare engine. The indexed arms must beat the scan arms by ≥10×;
-// the filter arms also exercise the plan cache (every iteration is a
-// cache hit with a fresh literal).
+// the filter arms splice the key into the text, and 5000 distinct texts
+// overflow the text memo, so every iteration also tokenizes and parses.
 func BenchmarkSQLIndexedLookup(b *testing.B) {
 	const nrows = 5000
 	for _, arm := range []struct {
@@ -597,46 +597,14 @@ func BenchmarkSQLTxFirstWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkSQLPlanCache isolates what the plan cache saves: "warm" runs
-// a repeated query shape entirely on cache hits (zero parses per op,
-// reported as a metric); "cold" resets the cache every iteration, so
-// each query re-parses its parameterized template.
-func BenchmarkSQLPlanCache(b *testing.B) {
-	const nrows = 500
-	b.Run("warm", func(b *testing.B) {
-		db := newLargeSQLTable(b, nrows, true)
-		db.MustExec("SELECT name FROM users WHERE id = 0") // compile the plan
-		start := sqldb.ParseCount()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryRaw(fmt.Sprintf("SELECT name FROM users WHERE id = %d", i%nrows)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(sqldb.ParseCount()-start)/float64(b.N), "parses/op")
-	})
-	b.Run("cold", func(b *testing.B) {
-		db := newLargeSQLTable(b, nrows, true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db.Filter().PlanCacheReset()
-			if _, err := db.QueryRaw(fmt.Sprintf("SELECT name FROM users WHERE id = %d", i%nrows)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSQLPreparedLookup measures the prepared-statement execution
 // path against the warm text path on the same indexed point lookup.
 // "prepared" binds the key into the compiled plan — the parses/op and
-// tokenizes/op metrics must both be 0 — while "text-warm" re-tokenizes
-// every iteration and resolves through the plan cache (itself already
-// parse-free when warm). Prepared execution must be no slower than the
-// warm plan-cache path.
+// tokenizes/op metrics must both be 0 — while "text-warm" splices the
+// key into the text: each of its 500 distinct texts is tokenized and
+// parsed once, and after that the text memo answers it with the
+// remembered statement, so both metrics fall toward 0 as b.N grows.
+// Prepared execution must be no slower than the memoized text path.
 func BenchmarkSQLPreparedLookup(b *testing.B) {
 	const nrows = 500
 	b.Run("prepared", func(b *testing.B) {

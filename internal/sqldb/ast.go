@@ -204,10 +204,8 @@ type IntLit struct {
 type NullLit struct{}
 
 // Param is the one slot node: a position an execution fills with a
-// value. In a plan template Idx numbers the literal slots in stream
-// order (the plan cache parameterizes string and number literals and
-// binding placeholders alike before parsing); in text parsed as written
-// a `?` or `:name` placeholder is the Param of its binding ordinal.
+// value. A `?` or `:name` placeholder parses to the Param of its
+// binding ordinal, and an execution's bound arguments are its slots.
 // The binder binds a Param to the slot an execution fills; a statement
 // executed without slots rejects one.
 type Param struct{ Idx int }

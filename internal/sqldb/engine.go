@@ -335,8 +335,8 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 
 // schemaGenCounter issues process-unique schema generations: every DDL
 // statement (CREATE/DROP TABLE or INDEX) stamps its engine with a fresh
-// generation, and plan-cache entries compiled against an older (or other
-// engine's) generation recompile instead of reusing stale schema
+// generation, and bound plans built against an older (or other
+// engine's) generation rebind instead of reusing stale schema
 // conclusions. Uniqueness across engines matters because transactions
 // execute against speculative engines.
 var schemaGenCounter atomic.Uint64

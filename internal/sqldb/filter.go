@@ -199,7 +199,7 @@ func (f *ResinSQLFilter) FilterFunc(ch *core.Channel, args []any) ([]any, error)
 	if err != nil {
 		return nil, err
 	}
-	res, err := executePlanned(f.planner(), plan, engine, plan.tmpl, slots, true)
+	res, err := executePlanned(f.planner(), plan, engine, plan.stmt, slots, true)
 	if err != nil {
 		return nil, err
 	}
@@ -335,14 +335,14 @@ func stmtPolicyTables(stmt Statement) (tables [2]string, n int) {
 	return tables, 0
 }
 
-// executeWithPolicies is executePlanned for a statement that did not
-// come out of the plan cache (a hand-built AST: diagnostics and the
-// reference harnesses): bound on the fly, nothing remembered.
+// executeWithPolicies is executePlanned for a statement without a plan
+// (a hand-built AST: diagnostics and the reference harnesses): bound on
+// the fly, nothing remembered.
 func executeWithPolicies(engine *Engine, stmt Statement) (*Result, error) {
 	return executePlanned(nil, nil, engine, stmt, nil, true)
 }
 
-// executePlanned executes stmt — the plan's template with its Param
+// executePlanned executes stmt — the plan's statement with its Param
 // slots filled from slots, or, without a plan, a statement of its own —
 // on both arms of the query route. With attach (the RESIN filter) the
 // statement is rewritten to persist and fetch policy columns and the

@@ -92,21 +92,6 @@ func (js *joinScope) outColName(ref string, ci int) string {
 	return js.colDef(ci).Name
 }
 
-// chooseBuildSide is the cardinality-aware cost hook of the hash join:
-// it decides which input becomes the build side (hashed) and which
-// probes. INNER joins build the smaller side — the build map is the only
-// O(n) memory the join allocates, and probe cost is flat either way.
-// LEFT joins must enumerate every left row to emit unmatched ones, so
-// the right side always builds regardless of cardinality. Returns true
-// to build the left input. Kept pure (counts in, decision out) so the
-// planner test can pin it without constructing engines.
-func chooseBuildSide(leftRows, rightRows int, joinType string) bool {
-	if joinType == "LEFT" {
-		return false
-	}
-	return leftRows < rightRows
-}
-
 // aggState accumulates one aggregate item over one group.
 type aggState struct {
 	count  int64
@@ -369,7 +354,6 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 		rows = lrows
 	} else {
 		rrows := visible(&rsrc)
-		buildLeft := !s.ForceLoop && chooseBuildSide(len(lrows), len(rrows), s.Join.Type)
 		width := js.width()
 		emit := func(lr, rr []value) {
 			combined := make([]value, 0, width)
@@ -401,39 +385,10 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 					emit(lr, nil)
 				}
 			}
-		case buildLeft:
-			// Hash join, build = left (INNER only). Probing with right
-			// yields ri-major pairs; re-sort to the oracle's (li, ri)
-			// order. Indices, not values, so the sort is exact.
-			build := make(map[string][]int, len(lrows))
-			for i, lr := range lrows {
-				if v := lr[lon]; !v.isNull() {
-					k := indexKey(v)
-					build[k] = append(build[k], i)
-				}
-			}
-			type pair struct{ li, ri int }
-			var pairs []pair
-			for ri, rr := range rrows {
-				if v := rr[ron]; !v.isNull() {
-					for _, li := range build[indexKey(v)] {
-						pairs = append(pairs, pair{li, ri})
-					}
-				}
-			}
-			sort.Slice(pairs, func(i, j int) bool {
-				if pairs[i].li != pairs[j].li {
-					return pairs[i].li < pairs[j].li
-				}
-				return pairs[i].ri < pairs[j].ri
-			})
-			for _, p := range pairs {
-				emit(lrows[p.li], rrows[p.ri])
-			}
 		default:
-			// Hash join, build = right. Probing with left yields (li, ri)
-			// pairs in oracle order directly; LEFT JOIN emits unmatched
-			// left rows in place.
+			// Hash join, build = right, for both join forms. Probing with
+			// left yields (li, ri) pairs in oracle order directly; LEFT
+			// JOIN emits unmatched left rows in place.
 			build := make(map[string][]int, len(rrows))
 			for i, rr := range rrows {
 				if v := rr[ron]; !v.isNull() {

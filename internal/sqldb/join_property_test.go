@@ -452,32 +452,6 @@ func TestJoinAmbiguousColumnNamesBothTables(t *testing.T) {
 	}
 }
 
-// TestChooseBuildSide pins the hash join's cardinality cost hook: INNER
-// joins hash the smaller input (the build map is the join's only O(n)
-// memory), LEFT joins always hash the right input because every left
-// row must be enumerated to emit unmatched padding.
-func TestChooseBuildSide(t *testing.T) {
-	cases := []struct {
-		left, right int
-		joinType    string
-		buildLeft   bool
-	}{
-		{5, 1000, "INNER", true},
-		{1000, 5, "INNER", false},
-		{10, 10, "INNER", false}, // ties build right: probe order is emit order
-		{0, 10, "INNER", true},
-		{5, 1000, "LEFT", false},
-		{1000, 5, "LEFT", false},
-		{0, 0, "LEFT", false},
-	}
-	for _, c := range cases {
-		if got := chooseBuildSide(c.left, c.right, c.joinType); got != c.buildLeft {
-			t.Errorf("chooseBuildSide(%d, %d, %s) = %v, want %v",
-				c.left, c.right, c.joinType, got, c.buildLeft)
-		}
-	}
-}
-
 // TestLimitShortCircuit pins the LIMIT fast path: when candidates
 // arrive already in output order (an ordered-index traversal, or no
 // ORDER BY at all), the row loop stops at the LIMIT instead of

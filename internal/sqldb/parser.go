@@ -9,9 +9,10 @@ import (
 	"resin/internal/core"
 )
 
-// parseCalls counts ParseTokens invocations. The plan cache's contract is
-// that a cache hit never parses; tests and benchmarks observe the counter
-// through ParseCount to pin that down.
+// parseCalls counts ParseTokens invocations. The prepared-statement
+// contract is that an execution, or a text memo hit, never parses;
+// tests and benchmarks observe the counter through ParseCount to pin
+// that down.
 var parseCalls atomic.Uint64
 
 // ParseCount returns the number of ParseTokens invocations so far in this
@@ -257,7 +258,7 @@ func (p *parser) parseSelect() (Statement, error) {
 	}
 	if p.acceptKeyword("LIMIT") {
 		switch t := p.peek(); t.Type {
-		case TokParam, TokPlaceholder:
+		case TokPlaceholder:
 			// `LIMIT ?` / `LIMIT :name`: a slot binding resolves per
 			// execution.
 			p.next()
@@ -641,7 +642,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case TokIdent:
 		p.next()
 		return &ColumnRef{Name: t.Text}, nil
-	case TokParam, TokPlaceholder:
+	case TokPlaceholder:
 		p.next()
 		return &Param{Idx: t.ParamIdx}, nil
 	case TokKeyword:

@@ -2,38 +2,33 @@ package sqldb
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"resin/internal/core"
 )
 
-// The plan cache, the compile half of the one query route, and the
-// binder.
+// Plans, the compile half of the one query route, and the binder.
 //
 // Every statement — DB.Query text, a prepared Stmt, a View.Query inside
-// an integrity assertion — reaches the engine the same way: the token
-// stream is *compiled* (planCache.compile: resolve the shape's template
-// through the cache, convert the inline literals, map the placeholder
-// slots) and each execution fills the template's slots with values
-// (compiled.slots). Nothing else turns SQL text into an executable
-// statement, and no execution copies the template.
+// an integrity assertion — reaches the engine the same way: its token
+// stream is *compiled* once (planCache.compile: one parse into the
+// statement's own plan, whose Params are the placeholders' binding
+// ordinals) and each execution passes its bound arguments as the plan's
+// slots (compiled.slots). Nothing else turns SQL text into an executable
+// statement, and no execution copies the plan's AST.
 //
-// Applications in this codebase (and the PHP applications the paper
-// interposes on) issue the same query *shapes* over and over with
-// different literal values — HotCRP's per-row SELECTs, the forum's
-// per-message lookups. The cache keys on the canonical token stream
-// with string and number literals replaced by parameter slots, parses
-// that parameterized stream once into a template AST, and on every
-// later hit only converts the current literal tokens — no parser
-// involved (ParseCount pins this down in tests).
+// A plan belongs to the Stmt compiled from its text. Applications issue
+// their hot statements prepared, with `?` placeholders, so one Stmt
+// serves every execution; the plan cache's text memo (planCache.texts)
+// hands the same Stmt to DB.Query and to the wire server's one-shot
+// query whenever they send text it has seen, so repeated text is neither
+// tokenized nor parsed (TokenizeCount and ParseCount pin this down in
+// tests). Text the memo has not seen — spliced literals, text carrying a
+// policy span, auto-sanitized untrusted text — pays one parse.
 //
-// Literal values still flow through per execution, carrying their
-// per-character policies, so taint tracking and policy persistence are
-// unaffected by caching: only the *structure* is reused, and structure
-// is exactly the part the injection assertions require to be untrusted-
-// free.
+// Inline literals stay in the plan with their per-character policies,
+// and bound values arrive per execution with theirs, so taint tracking
+// and policy persistence see the same values either way.
 //
 // Schema-derived state is cached per plan as one value keyed on the
 // engine's schema generation — the bound plan: which policy columns
@@ -45,34 +40,24 @@ import (
 // generation, so plans rebind instead of reusing stale conclusions (see
 // docs/SQL.md §5 for the invalidation rules).
 
-// planCacheCap bounds the number of cached templates plus remembered
-// texts, half each. Both halves are core.Caches, whose young generation
-// holds half their entries, so up to 1024 shapes and 1024 texts stay
-// cached however much else passes through. Applications use a fixed set
-// of query shapes; the cap exists only to keep adversarial or generated
-// workloads from growing the cache without bound.
-const planCacheCap = 4096
+// textMemoCap bounds the remembered texts. The memo is a core.Cache,
+// whose young generation holds half its entries, so up to 1024 texts
+// stay remembered however much else passes through. Applications use a
+// fixed set of statements; the cap exists only to keep adversarial or
+// generated text from growing the memo without bound.
+const textMemoCap = 2048
 
-// planModeStandard and planModeAutoSanitize prefix cache keys so the two
-// tokenizers (Lex and LexAutoSanitize) never share a template: the same
-// raw bytes can tokenize differently under the auto-sanitizing lexer.
-const (
-	planModeStandard     = 'n'
-	planModeAutoSanitize = 'a'
-)
-
-// PlanCacheStats reports plan cache effectiveness. Invalidations counts
-// schema-generation misses: executions that found a cached template but
-// had to recompute its schema-derived state because a CREATE/DROP ran
-// since it was compiled.
+// PlanCacheStats reports plan cache effectiveness: Hits counts text memo
+// hits, Misses counts compiles (one parse each), and Invalidations
+// counts schema-generation misses: executions whose plan had to
+// recompute its bound plan because a CREATE/DROP ran since it was bound.
 type PlanCacheStats struct {
 	Hits, Misses, Invalidations uint64
 }
 
-// cachedPlan is one compiled query template.
+// cachedPlan is one compiled statement and the bound plan it caches.
 type cachedPlan struct {
-	tmpl  Statement // parameterized AST; shared, never mutated
-	nlits int
+	stmt Statement // the parsed statement; shared, never mutated
 
 	// schema is the bound plan — everything the plan has concluded from
 	// a schema — as one immutable value: an execution loads it once and
@@ -93,10 +78,10 @@ type cachedPlan struct {
 type planSchema struct {
 	gen   uint64
 	pcols map[string]bool // policy columns of the statement's tables
-	// stmt is what executes: for a SELECT the template with the policy
-	// companions appended to its items (rewriteSelect), otherwise the
-	// template itself (INSERT and UPDATE are rewritten per execution,
-	// through write).
+	// stmt is what executes: for a SELECT the plan's statement with the
+	// policy companions appended to its items (rewriteSelect), otherwise
+	// the statement itself (INSERT and UPDATE are rewritten per
+	// execution, through write).
 	stmt  Statement
 	write *writeRewrite // INSERT and UPDATE: the bound Figure 4 rewrite
 	// bound is stmt resolved against the generation's tables (bindStmt);
@@ -117,139 +102,42 @@ func (p *cachedPlan) publish(ps *planSchema, engine *Engine) {
 	}
 }
 
-// planCache maps parameterized token-stream keys to compiled templates.
-//
-// texts is the memo in front of it: the immutable Stmt of query text
-// that carries no policy span at all, keyed on the raw string, so that
-// re-preparing the same trusted text (DB.Query, the wire server's
-// one-shot query) skips the tokenizer and the parser and allocates
-// nothing. A plan cache belongs to one DB's filter, so every Stmt in it
-// executes against that DB.
+// planCache is one DB filter's text memo and counters. texts maps raw
+// query text that carries no policy span at all to its immutable Stmt,
+// so that re-preparing the same trusted text (DB.Query, the wire
+// server's one-shot query) skips the tokenizer and the parser and
+// allocates nothing. A plan cache belongs to one DB's filter, so every
+// Stmt in it executes against that DB.
 type planCache struct {
-	templates *core.Cache[string, *cachedPlan]
-	texts     *core.Cache[string, *Stmt]
+	texts *core.Cache[string, *Stmt]
 
-	invalidations atomic.Uint64
+	compiles, invalidations atomic.Uint64
 }
 
 // textMemoMaxLen bounds the text the memo keys on (prepareStmt neither
 // looks up nor remembers anything longer), so its keys hold at most
-// planCacheCap/2 × 1 KiB = 2 MiB; longer text compiles every time.
+// textMemoCap × 1 KiB = 2 MiB; longer text compiles every time.
 const textMemoMaxLen = 1024
 
 func newPlanCache() *planCache {
-	return &planCache{
-		templates: core.NewCache[string, *cachedPlan](planCacheCap/2, 0, 0),
-		texts:     core.NewCache[string, *Stmt](planCacheCap/2, 0, 0),
-	}
+	return &planCache{texts: core.NewCache[string, *Stmt](textMemoCap, 0, 0)}
 }
 
-// stats counts a text memo hit as a hit: it stands for a compile that
-// would have hit. A text memo miss goes on to compile, which counts.
+// stats counts a text memo hit as a hit and every compile as a miss.
 func (c *planCache) stats() PlanCacheStats {
-	tmpl, texts := c.templates.Stats(), c.texts.Stats()
 	return PlanCacheStats{
-		Hits:          tmpl.Hits + texts.Hits,
-		Misses:        tmpl.Misses,
+		Hits:          c.texts.Stats().Hits,
+		Misses:        c.compiles.Load(),
 		Invalidations: c.invalidations.Load(),
 	}
 }
 
-// reset empties the cache (tests and benchmarks).
-func (c *planCache) reset() {
-	c.templates.Reset()
-	c.texts.Reset()
-}
-
-// literalSlots classifies which tokens of a stream are bindable literal
-// slots. It is the single source of truth for planKey and parameterize:
-// both derive from it, so slot numbering in templates can never drift
-// from the key's '?' positions. String and number literals are slots,
-// and so are binding placeholders (`?` and `:name`) — a spliced query
-// and its prepared form therefore share one cache key and one template.
-// Inline LIMIT counts are the exception: the parser folds those into
-// the plan itself, so they cannot be bound per execution; distinct
-// inline limits simply get distinct plans. A `LIMIT ?` placeholder *is*
-// a slot (the template carries Select.LimitExpr and binding resolves
-// it), so prepared statements vary the limit without growing the cache.
-func literalSlots(toks []Token) []bool {
-	slots := make([]bool, len(toks))
-	prevLimit := false
-	for i, t := range toks {
-		slots[i] = t.Type == TokString || t.Type == TokPlaceholder || (t.Type == TokNumber && !prevLimit)
-		prevLimit = t.Type == TokKeyword && t.Keyword() == "LIMIT"
-	}
-	return slots
-}
-
-// planKey renders the canonical parameterized form of a token stream:
-// keywords upper-cased, identifiers lower-cased, literal slots replaced
-// by '?' (their tokens collected into lits), tokens separated by NUL.
-func planKey(toks []Token, mode byte) (key string, lits []Token) {
-	slots := literalSlots(toks)
-	var b strings.Builder
-	b.Grow(len(toks) * 8)
-	b.WriteByte(mode)
-	for i, t := range toks {
-		if t.Type == TokEOF {
-			break
-		}
-		b.WriteByte(0)
-		switch {
-		case slots[i]:
-			b.WriteByte('?')
-			lits = append(lits, t)
-		case t.Type == TokKeyword:
-			b.WriteString(t.Keyword())
-		case t.Type == TokIdent:
-			b.WriteString(strings.ToLower(t.Text))
-		default:
-			b.WriteString(t.Text)
-		}
-	}
-	return b.String(), lits
-}
-
-// parameterize rewrites the literal slots of a stream into TokParam
-// tokens numbered in stream order (the same order planKey collects
-// lits, by construction from the shared literalSlots classification).
-func parameterize(toks []Token) []Token {
-	slots := literalSlots(toks)
-	out := make([]Token, len(toks))
-	idx := 0
-	for i, t := range toks {
-		if slots[i] {
-			out[i] = Token{Type: TokParam, Text: "?", Start: t.Start, End: t.End, ParamIdx: idx}
-			idx++
-		} else {
-			out[i] = t
-		}
-	}
-	return out
-}
-
-// litExpr converts a literal token into its AST node, exactly as
-// parsePrimary would have: the tracked Value carries the literal's
-// per-character policies into the statement.
-func litExpr(t Token) (Expr, error) {
-	switch t.Type {
-	case TokString:
-		return &StringLit{Val: t.Value}, nil
-	case TokNumber:
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, &ParseError{Offset: t.Start, Msg: fmt.Sprintf("bad number %q", t.Text)}
-		}
-		return &IntLit{Val: v, Src: t.Value}, nil
-	default:
-		return nil, fmt.Errorf("sqldb: plan literal slot bound to %s token", t.Type)
-	}
-}
+// reset forgets every remembered text (tests and benchmarks).
+func (c *planCache) reset() { c.texts.Reset() }
 
 // slotExpr is the expression an execution sees at ex: the slot's value
-// for a Param of the template, ex itself otherwise (a hand-built
-// statement's literal, or a Param no slot fills, which the caller
-// rejects as not a literal).
+// for a Param of the plan, ex itself otherwise (a literal, or a Param no
+// slot fills, which the caller rejects as not a literal).
 func slotExpr(ex Expr, slots []Expr) Expr {
 	if p, ok := ex.(*Param); ok && p.Idx >= 0 && p.Idx < len(slots) {
 		return slots[p.Idx]
@@ -282,84 +170,36 @@ func limitValue(e Expr) (int, error) {
 	return int(lit.Val), nil
 }
 
-// phSlot maps one placeholder slot of a plan template to its binding
-// ordinal. Positional `?` placeholders get sequential ordinals; repeated
-// `:name` placeholders share one ordinal, so a single bound argument can
-// fill several slots.
-type phSlot struct {
-	slot int // literal-slot index in the template
-	ord  int // binding ordinal (Token.ParamIdx)
-}
-
-// compiled is what one query text compiles to under one tokenizer: the
-// shape's shared template plus everything of this particular text an
-// execution needs, so that binding does no token work at all.
+// compiled is what one query text compiles to under one tokenizer: its
+// plan and how its placeholders bind.
 type compiled struct {
-	plan    *cachedPlan // shared template via the plan cache
-	fixed   []Expr      // per-slot inline-literal expressions; nil at placeholder slots
-	phSlots []phSlot    // placeholder slot index → binding ordinal
-	names   []string    // binding ordinal → placeholder name ("" for positional)
-	nargs   int         // number of distinct binding ordinals
+	plan  *cachedPlan
+	names []string // binding ordinal → placeholder name ("" for positional)
+	nargs int      // number of distinct binding ordinals
 }
 
-// compile is the front half of the query route: it resolves a token
-// stream to its plan template — from the cache, or by parsing the
-// parameterized stream once and installing it (a spliced query shape
-// and its prepared form have identical keys, so they share templates) —
-// converts every inline-literal slot to its expression and records
-// which slots are binding placeholders. When the text does not compile,
-// the original stream is parsed just for its error, so every message is
-// exactly what Parse reports for the text.
-func (c *planCache) compile(toks []Token, mode byte) (compiled, error) {
-	key, lits := planKey(toks, mode)
-
-	plan, ok := c.templates.Get(key)
-	if !ok || plan.nlits != len(lits) {
-		tmpl, err := ParseTokens(parameterize(toks))
-		if err != nil {
-			return compiled{}, originalError(toks, err)
-		}
-		plan = &cachedPlan{tmpl: tmpl, nlits: len(lits)}
-		if installed := c.templates.Add(key, plan, 0); installed.nlits == len(lits) {
-			plan = installed // racing compile: keep the installed one
+// compile is the front half of the query route: it parses the
+// statement's token stream once into its plan. The lexer has already
+// numbered the placeholders (numberPlaceholders), so each Param the
+// parser builds is its placeholder's binding ordinal; compile only reads
+// the ordinals' names off the stream. A parse error is Parse's own, word
+// for word.
+func (c *planCache) compile(toks []Token) (compiled, error) {
+	c.compiles.Add(1)
+	stmt, err := ParseTokens(toks)
+	if err != nil {
+		return compiled{}, err
+	}
+	cp := compiled{plan: &cachedPlan{stmt: stmt}}
+	for _, t := range toks {
+		// Ordinals number in first-occurrence order, so an ordinal's
+		// first placeholder is the one that extends the list.
+		if t.Type == TokPlaceholder && t.ParamIdx == len(cp.names) {
+			cp.names = append(cp.names, t.Name)
 		}
 	}
-
-	cp := compiled{plan: plan, fixed: make([]Expr, len(lits))}
-	for i, t := range lits {
-		if t.Type == TokPlaceholder {
-			cp.phSlots = append(cp.phSlots, phSlot{slot: i, ord: t.ParamIdx})
-			cp.nargs = max(cp.nargs, t.ParamIdx+1)
-			continue
-		}
-		ex, err := litExpr(t)
-		if err != nil {
-			// A literal the parser would refuse too (a number past
-			// int64); the good template stays cached.
-			return compiled{}, originalError(toks, err)
-		}
-		cp.fixed[i] = ex
-	}
-	if cp.nargs > 0 {
-		cp.names = make([]string, cp.nargs)
-		for _, m := range cp.phSlots {
-			cp.names[m.ord] = lits[m.slot].Name
-		}
-	}
+	cp.nargs = len(cp.names)
 	return cp, nil
-}
-
-// originalError reports why a token stream does not compile in the
-// words of the uncached parser: the stream is parsed as written, only
-// for the message (offsets and token texts of the original, not of the
-// parameterized form). The parser accepts a slot token exactly where it
-// accepts the literal it stands for, so the parse fails whenever the
-// compile did; cerr covers the case that it somehow does not.
-func originalError(toks []Token, cerr error) error {
-	if _, err := ParseTokens(toks); err != nil {
-		return err
-	}
-	return cerr
 }
 
 // compileAutoSanitized compiles q under the auto-sanitizing tokenizer,
@@ -369,7 +209,7 @@ func (c *planCache) compileAutoSanitized(q core.String) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	cp, err := c.compile(toks, planModeAutoSanitize)
+	cp, err := c.compile(toks)
 	if err != nil {
 		return compiled{}, fmt.Errorf("sqldb: auto-sanitized parse: %w", err)
 	}
@@ -377,33 +217,15 @@ func (c *planCache) compileAutoSanitized(q core.String) (compiled, error) {
 }
 
 // slots is the back half of the query route, and the only place
-// arguments meet a template: it returns the values of the template's
-// Param slots for one execution — bound[ord] at every placeholder slot
-// of binding ordinal ord, the inline literals at the rest. Neither the
-// tokenizer nor the parser runs here, and the template is not copied:
-// the bound plan reads the slots where the statement holds Params.
+// arguments meet a plan: after the arity check the bound arguments are
+// the slots, bound[ord] filling every Param of ordinal ord. Neither the
+// tokenizer nor the parser runs here, and the plan is not copied: the
+// bound plan reads the slots where the statement holds Params.
 func (cp *compiled) slots(bound []Expr) ([]Expr, error) {
 	if len(bound) != cp.nargs {
 		return nil, fmt.Errorf("sqldb: statement has %d placeholder(s) but %d bound argument(s)", cp.nargs, len(bound))
 	}
-	if cp.nargs == 0 {
-		return cp.fixed, nil
-	}
-	// Text that is all positional placeholders has the bound arguments
-	// as its slots.
-	inOrder := len(cp.phSlots) == len(cp.fixed)
-	for i, m := range cp.phSlots {
-		inOrder = inOrder && m.slot == i && m.ord == i
-	}
-	if inOrder {
-		return bound, nil
-	}
-	slots := make([]Expr, len(cp.fixed))
-	copy(slots, cp.fixed)
-	for _, m := range cp.phSlots {
-		slots[m.slot] = bound[m.ord]
-	}
-	return slots, nil
+	return bound, nil
 }
 
 // boundStmt is a single-table statement bound to one schema generation:
@@ -425,7 +247,7 @@ type boundStmt struct {
 // fits reports whether b may execute a statement with targets INSERT
 // columns or UPDATE assignments on an engine at gen. The Figure 4
 // rewrite only appends companions, so a plan bound for the rewritten
-// statement also serves the template it came from.
+// statement also serves the statement it came from.
 func (b *boundStmt) fits(gen uint64, targets int) bool {
 	return b != nil && b.gen == gen && len(b.cols) >= targets
 }

@@ -190,7 +190,7 @@ func prepareStmt(db *DB, tx *Tx, q core.String) (*Stmt, error) {
 	toks, err := Lex(q)
 	s.s1, s.s2 = injectionVerdicts(q, toks, err)
 	if err == nil {
-		s.compiled, err = plans.compile(toks, planModeStandard)
+		s.compiled, err = plans.compile(toks)
 	}
 	if err != nil {
 		if !s.textUntrusted {
@@ -293,7 +293,7 @@ func (s *Stmt) ReadOnly() bool {
 	if s.err != nil {
 		return false
 	}
-	_, ok := s.plan.tmpl.(*Select)
+	_, ok := s.plan.stmt.(*Select)
 	return ok
 }
 
@@ -337,7 +337,7 @@ func (s *Stmt) run(engine *Engine, bound *boundArgs) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executePlanned(s.db.filter.planner(), plan, engine, plan.tmpl, slots, false)
+	return executePlanned(s.db.filter.planner(), plan, engine, plan.stmt, slots, false)
 }
 
 // Exec executes the prepared statement and returns the number of rows

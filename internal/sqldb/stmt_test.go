@@ -80,26 +80,6 @@ func TestPreparedZeroTokenizeZeroParse(t *testing.T) {
 	}
 }
 
-// TestPreparedSharesPlanWithSplicedText: a prepared statement and the
-// spliced text of the same shape share one plan-cache template (the
-// canonical key replaces literals and placeholders alike with `?`).
-func TestPreparedSharesPlanWithSplicedText(t *testing.T) {
-	db := openDB(t)
-	db.MustExec("CREATE TABLE t (id INT, v TEXT)")
-	db.MustExec("INSERT INTO t (id, v) VALUES (1, 'x')")
-	if _, err := db.QueryRaw("SELECT v FROM t WHERE id = 7"); err != nil {
-		t.Fatal(err)
-	}
-	misses := db.Filter().PlanStats().Misses
-	st := db.MustPrepare("SELECT v FROM t WHERE id = ?")
-	if _, err := st.Query(1); err != nil {
-		t.Fatal(err)
-	}
-	if after := db.Filter().PlanStats().Misses; after != misses {
-		t.Errorf("preparing the spliced shape re-compiled the template: misses %d -> %d", misses, after)
-	}
-}
-
 // TestBindArity: placeholder count and argument count must match, on
 // every query surface.
 func TestBindArity(t *testing.T) {
@@ -838,8 +818,8 @@ func TestTextMemoNeverSharesVerdicts(t *testing.T) {
 // compiled is remembered. Text carrying a policy that is not
 // UntrustedData bypasses the memo both ways; lex, parse and overflow
 // failures are not remembered and keep Parse's exact message; the memo
-// is dropped by PlanCacheReset and bounded with the templates by the one
-// cap; text past the length bound compiles every time.
+// is dropped by PlanCacheReset and bounded by its cap; text past the
+// length bound compiles every time.
 func TestTextMemoAdmission(t *testing.T) {
 	db := paritySeed(t, parityFlags{})
 	db.Filter().PlanCacheReset()
@@ -897,17 +877,16 @@ func TestTextMemoAdmission(t *testing.T) {
 		t.Errorf("after PlanCacheReset: tokenized %d then %d times, want 1 then 0", a, b)
 	}
 
-	// Fill the cache to its cap with distinct trusted texts of one shape
-	// each: the eviction that keeps it bounded takes the unused text.
-	for i := 0; i < planCacheCap; i++ {
+	// Pass twice the cap of distinct trusted texts through the memo: the
+	// eviction that keeps it bounded takes the unused text.
+	c := db.filter.planner()
+	for i := 0; i < 2*textMemoCap; i++ {
 		if _, err := db.PrepareRaw(fmt.Sprintf("SELECT name FROM users WHERE uid = %d", i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	c := db.filter.planner()
-	total := c.templates.Len() + c.texts.Len()
-	if total > planCacheCap {
-		t.Errorf("templates + remembered texts = %d, past the cap %d", total, planCacheCap)
+		if n := c.texts.Len(); n > textMemoCap {
+			t.Fatalf("remembered texts = %d after %d, past the cap %d", n, i+1, textMemoCap)
+		}
 	}
 	if a, b := tokenizes(trusted), tokenizes(trusted); a != 1 || b != 0 {
 		t.Errorf("after a cap flush: tokenized %d then %d times, want 1 then 0", a, b)

@@ -9,14 +9,14 @@
 // range it came from; that is what lets the filter ask "do any characters
 // in the query's *structure* carry the UntrustedData policy?".
 //
-// Execution goes through a query-planning layer: a plan cache keyed on
-// the parameterized token stream (plan.go) skips re-parsing repeated
-// query shapes, and ordered indexes declared with CREATE INDEX
-// (index.go) serve `col = literal` point lookups, range and
-// LIKE-prefix scans, and ORDER BY traversals without scanning or
-// post-sorting.
+// Execution goes through a query-planning layer: each statement owns
+// its plan, parsed once, and a memo of remembered query text (plan.go)
+// skips re-tokenizing and re-parsing repeated text; ordered indexes
+// declared with CREATE INDEX (index.go) serve `col = literal` point
+// lookups, range and LIKE-prefix scans, and ORDER BY traversals without
+// scanning or post-sorting.
 // Prepared statements (stmt.go) compile `?`-placeholder text once and
-// bind argument values — tracked or plain — into the cached template
+// bind argument values — tracked or plain — into the statement's plan
 // per execution, at zero tokenizes and zero parses per operation; the
 // resinsql package (top of the repo) adapts that API to database/sql.
 // OpenDB(rt, path) adds durability: a write-ahead log of the rewritten
@@ -61,9 +61,6 @@ const (
 	TokRParen
 	TokStar
 	TokSemi
-	// TokParam is a literal slot in a parameterized plan-template token
-	// stream (see plan.go); the lexers never produce it from query text.
-	TokParam
 	// TokPlaceholder is a binding placeholder in query text (the
 	// prepared-statement API): `?`, or the named form `:name`. It marks a
 	// slot that an argument of Stmt.Query / Stmt.Exec (or the variadic
@@ -99,8 +96,6 @@ func (t TokenType) String() string {
 		return "*"
 	case TokSemi:
 		return ";"
-	case TokParam:
-		return "parameter"
 	case TokPlaceholder:
 		return "placeholder"
 	default:
@@ -134,8 +129,7 @@ type Token struct {
 	Value core.String
 	// Start and End delimit the token's byte range in the query source.
 	Start, End int
-	// ParamIdx is the literal slot index for TokParam tokens and the
-	// binding ordinal for TokPlaceholder tokens.
+	// ParamIdx is the binding ordinal of a TokPlaceholder token.
 	ParamIdx int
 	// Name is the placeholder name for the `:name` form ("" for `?`).
 	Name string

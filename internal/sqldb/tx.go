@@ -58,7 +58,7 @@ func (v *View) Query(q core.String, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := plans.compile(toks, planModeStandard)
+	cp, err := plans.compile(toks)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (v *View) Query(q core.String, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executePlanned(plans, cp.plan, v.engine, cp.plan.tmpl, slots, true)
+	return executePlanned(plans, cp.plan, v.engine, cp.plan.stmt, slots, true)
 }
 
 // QueryRaw is Query for untracked text.

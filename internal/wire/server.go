@@ -14,41 +14,24 @@ import (
 	"resin/internal/sqldb"
 )
 
-// Config tunes a Server. Zero values select the defaults.
+// Config tunes a Server. The zero value selects the default.
 type Config struct {
 	// MaxConns caps concurrent connections (default 2048); connections
 	// over the cap are refused with a framed error before any query
 	// state exists.
 	MaxConns int
-	// IdleTimeout bounds the wait for the next request on an idle
-	// connection (default 5m). ReadTimeout bounds reading one request's
-	// frame once its header arrives and WriteTimeout bounds writing one
-	// response (default 30s each). A client context deadline shorter
-	// than these wins on the client side — the client stops waiting and
-	// abandons the connection.
-	IdleTimeout  time.Duration
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// ReadOnly refuses everything but SELECTs and status/replication
-	// requests — the follower serving mode. NewFollowerServer forces it.
-	ReadOnly bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxConns <= 0 {
-		c.MaxConns = 2048
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	return c
-}
+// idleTimeout bounds the wait for the next request on an idle
+// connection. readTimeout bounds reading one request's frame once its
+// header arrives and writeTimeout bounds writing one response. A client
+// context deadline shorter than these wins on the client side — the
+// client stops waiting and abandons the connection.
+const (
+	idleTimeout  = 5 * time.Minute
+	readTimeout  = 30 * time.Second
+	writeTimeout = 30 * time.Second
+)
 
 // shipChunk bounds one shipped log chunk; comfortably under MaxFrame
 // with the chunk header.
@@ -65,15 +48,27 @@ const shipHeartbeat = time.Second
 // stream. Connections are independent; per-connection state is one
 // session (open statements, the open transaction).
 type Server struct {
-	cfg    Config
-	src    func() *sqldb.DB
-	status func() Status
+	maxConns int
+	// readOnly refuses everything but SELECTs and status/replication
+	// requests — the follower serving mode, set by NewFollowerServer.
+	readOnly bool
+	src      func() *sqldb.DB
+	status   func() Status
 
 	mu       sync.Mutex
 	lis      net.Listener
 	sessions map[*session]struct{}
 	draining atomic.Bool
+	done     chan struct{} // closed by the first Shutdown
 	wg       sync.WaitGroup
+}
+
+func newServer(cfg Config, src func() *sqldb.DB, status func() Status) *Server {
+	if cfg.MaxConns <= 0 {
+		cfg.MaxConns = 2048
+	}
+	return &Server{maxConns: cfg.MaxConns, src: src, status: status,
+		sessions: make(map[*session]struct{}), done: make(chan struct{})}
 }
 
 // NewServer serves db as a primary.
@@ -86,7 +81,7 @@ func NewServer(db *sqldb.DB, cfg Config) *Server {
 		}
 		return st
 	}
-	return &Server{cfg: cfg.withDefaults(), src: func() *sqldb.DB { return db }, status: status, sessions: make(map[*session]struct{})}
+	return newServer(cfg, func() *sqldb.DB { return db }, status)
 }
 
 // NewFollowerServer serves a replica's database read-only. The database
@@ -95,9 +90,9 @@ func NewServer(db *sqldb.DB, cfg Config) *Server {
 // statements from before the resync keep reading the pre-resync state;
 // clients should reconnect after ErrDiverged).
 func NewFollowerServer(r *Replica, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	cfg.ReadOnly = true
-	return &Server{cfg: cfg, src: r.DB, status: r.Status, sessions: make(map[*session]struct{})}
+	s := newServer(cfg, r.DB, r.Status)
+	s.readOnly = true
+	return s
 }
 
 // Serve accepts connections on lis until Shutdown (which returns nil
@@ -106,7 +101,7 @@ func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	s.lis = lis
 	s.mu.Unlock()
-	sem := make(chan struct{}, s.cfg.MaxConns)
+	sem := make(chan struct{}, s.maxConns)
 	for {
 		nc, err := lis.Accept()
 		if err != nil {
@@ -120,12 +115,12 @@ func (s *Server) Serve(lis net.Listener) error {
 		default:
 			// Over the connection cap: refuse after the preamble so the
 			// client gets a diagnosable framed error, not a reset.
-			go refuseConn(nc, s.cfg.WriteTimeout, "server at connection limit")
+			go refuseConn(nc, "server at connection limit")
 			continue
 		}
 		if s.draining.Load() {
 			<-sem
-			go refuseConn(nc, s.cfg.WriteTimeout, "server is draining")
+			go refuseConn(nc, "server is draining")
 			continue
 		}
 		sess := &session{srv: s, nc: nc}
@@ -146,9 +141,9 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-func refuseConn(nc net.Conn, timeout time.Duration, msg string) {
+func refuseConn(nc net.Conn, msg string) {
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck
+	nc.SetDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	if expectPreamble(nc) != nil {
 		return
 	}
@@ -163,7 +158,9 @@ func refuseConn(nc net.Conn, timeout time.Duration, msg string) {
 // complete their current request. Connections still open when ctx
 // expires are closed forcibly.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.done)
+	}
 	s.mu.Lock()
 	if s.lis != nil {
 		s.lis.Close() //nolint:errcheck
@@ -212,8 +209,7 @@ func (s *session) run() {
 			s.tx.Rollback() //nolint:errcheck
 		}
 	}()
-	cfg := s.srv.cfg
-	s.nc.SetDeadline(time.Now().Add(cfg.ReadTimeout)) //nolint:errcheck
+	s.nc.SetDeadline(time.Now().Add(readTimeout)) //nolint:errcheck
 	if err := expectPreamble(s.nc); err != nil {
 		return
 	}
@@ -221,7 +217,7 @@ func (s *session) run() {
 		return
 	}
 	for {
-		s.nc.SetReadDeadline(time.Now().Add(cfg.IdleTimeout)) //nolint:errcheck
+		s.nc.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
 		req, err := readFrame(s.nc)
 		if err != nil {
 			return // disconnect, idle timeout, or an unsyncable stream
@@ -244,7 +240,7 @@ func (s *session) run() {
 		s.busy.Store(false)
 		// Recheck after clearing busy: a Shutdown that sampled this
 		// session as busy left it open to finish, and nothing else would
-		// close it before IdleTimeout.
+		// close it before idleTimeout.
 		if !ok || s.srv.draining.Load() {
 			return
 		}
@@ -253,7 +249,7 @@ func (s *session) run() {
 
 // reply writes one response frame; false means the connection is gone.
 func (s *session) reply(payload []byte) bool {
-	s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout)) //nolint:errcheck
+	s.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	if err := writeFrame(s.nc, payload); err == nil {
 		return true
 	}
@@ -327,7 +323,7 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 		if st == nil {
 			return fail(fmt.Errorf("wire: unknown statement id %d", id))
 		}
-		if s.srv.cfg.ReadOnly && !st.ReadOnly() {
+		if s.srv.readOnly && !st.ReadOnly() {
 			return fail(fmt.Errorf("%w: statement mutates", ErrReadOnlyReplica))
 		}
 		res, err := st.Query(args...)
@@ -349,7 +345,7 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 		return []byte{msgAck}, nil
 
 	case msgBegin:
-		if s.srv.cfg.ReadOnly {
+		if s.srv.readOnly {
 			return fail(fmt.Errorf("%w: no transactions on a replica", ErrReadOnlyReplica))
 		}
 		if s.tx != nil {
@@ -403,8 +399,8 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 }
 
 // execute runs a one-shot query through the prepared-statement layer —
-// one compile against the plan cache, uniform named/positional binding,
-// and the replica read-only check in one place.
+// one compile (none for remembered text), uniform named/positional
+// binding, and the replica read-only check in one place.
 func (s *session) execute(db *sqldb.DB, q core.String, args []any) (*sqldb.Result, error) {
 	st, err := s.prepare(db, q)
 	if err != nil {
@@ -426,7 +422,7 @@ func (s *session) prepare(db *sqldb.DB, q core.String) (*sqldb.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.srv.cfg.ReadOnly && !st.ReadOnly() {
+	if s.srv.readOnly && !st.ReadOnly() {
 		return nil, fmt.Errorf("%w: statement mutates", ErrReadOnlyReplica)
 	}
 	return st, nil
@@ -484,6 +480,7 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 		}
 		select {
 		case <-notify:
+		case <-s.srv.done: // draining: the loop's first check ends the stream
 		case <-ticker.C:
 			// Idle heartbeat: no bytes, but the follower learns the
 			// primary's size (its staleness bound) and the connection
@@ -503,6 +500,6 @@ func (s *session) sendChunk(off int64, epoch uint64, primarySize int64, data []b
 	head = binary.AppendUvarint(head, epoch)
 	head = binary.AppendUvarint(head, uint64(primarySize))
 	head = binary.AppendUvarint(head, uint64(len(data)))
-	s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout)) //nolint:errcheck
+	s.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	return writeFrameBody(s.nc, head, data) == nil
 }

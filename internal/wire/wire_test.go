@@ -876,6 +876,30 @@ func TestFollowerLocalLogIsBytePrefix(t *testing.T) {
 	}
 }
 
+// TestShutdownEndsIdleShipStream: stopping a primary whose caught-up
+// replica sits on an idle ship stream ends that stream at once, without
+// waiting for the stream's next heartbeat.
+func TestShutdownEndsIdleShipStream(t *testing.T) {
+	rt := core.NewRuntime()
+	db, err := sqldb.OpenDB(rt, filepath.Join(t.TempDir(), "p.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	addr, srv := startServer(t, db, Config{})
+	r, _ := startReplica(t, rt, addr, filepath.Join(t.TempDir(), "r.wal"))
+	db.MustExec("CREATE TABLE t (a TEXT)")
+	waitCaughtUp(t, r, db)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	err = srv.Shutdown(ctx)
+	if took := time.Since(start); err != nil || took > 300*time.Millisecond {
+		t.Errorf("Shutdown with an idle ship stream: %v after %v, want nil within 300ms", err, took)
+	}
+}
+
 // TestReplicaCatchUpAcrossChunks: a fresh replica catches up over
 // loopback on a log more than three ship chunks long, whose 1000-row
 // B..C groups of tainted rows straddle the frame boundaries, so a record

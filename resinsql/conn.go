@@ -45,7 +45,7 @@ type local struct {
 }
 
 func (l *local) query(ctx context.Context, q string, args []any) (*sqldb.Result, error) {
-	// Prepared (plan-cached) so named arguments bind as on the server.
+	// Prepared so named arguments bind as on the server.
 	st, err := l.prepare(ctx, q)
 	if err != nil {
 		return nil, err
