@@ -130,6 +130,7 @@ func (a *App) handleUpload(req *httpd.Request, resp *httpd.Response) error {
 		resp.Status = 403
 		return err
 	}
+	a.guardUpload(target, user)
 	return resp.Write(core.Format("uploaded %s", sanitize.HTMLEscape(core.NewString(target))))
 }
 

@@ -9,6 +9,7 @@ package filemgr
 import (
 	_ "embed"
 	"fmt"
+	"strings"
 
 	"resin/internal/core"
 )
@@ -62,6 +63,16 @@ func (f *SystemDirFilter) FilterWrite(ch *core.Channel, data core.String, off in
 		return core.String{}, fmt.Errorf("filemgr: system file is read-only for web users")
 	}
 	return data, nil
+}
+
+// guardUpload gives the file an owner's upload wrote, and each directory
+// between it and the owner's home, the owner's HomeDirFilter: the home's
+// own filter guards only its direct entries, so without this another
+// user could overwrite the file or create entries under a subdirectory.
+func (a *App) guardUpload(p, owner string) {
+	for ; a.assertions && strings.HasPrefix(p, home(owner)+"/"); p = p[:strings.LastIndex(p, "/")] {
+		must(a.FS.SetPersistentFilter(p, &HomeDirFilter{Owner: owner}))
+	}
 }
 
 // enableWriteAssertion installs the persistent filters on the system

@@ -3,6 +3,8 @@ package filemgr
 import (
 	"strings"
 	"testing"
+
+	"resin/internal/httpd"
 )
 
 func TestFileThingieTraversal(t *testing.T) {
@@ -98,5 +100,45 @@ func TestVariantString(t *testing.T) {
 	}
 	if newInstance(PHPNavigator, false).Variant() != PHPNavigator {
 		t.Error("variant accessor wrong")
+	}
+}
+
+// TestOverwriteExistingFile: alice's upload of notes/todo.txt may be
+// overwritten by alice, through the same upload, and by no one else.
+// Mallory's traversal onto the existing file, and a new file planted in
+// alice's notes/ directory, both land without the assertion; with it,
+// the file's HomeDirFilter vetoes the overwrite (FilterWrite) and the
+// directory's the create (FilterDirOp), and the file keeps alice's text.
+func TestOverwriteExistingFile(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		a := newInstance(FileThingie, on)
+		alice := a.Server.NewSession("alice")
+		a.AddUser("mallory")
+		mallory := a.Server.NewSession("mallory")
+		upload := func(s *httpd.Session, name, content string) error {
+			_, err := a.Server.Do("GET", "/upload", map[string]string{"name": name, "content": content}, s)
+			return err
+		}
+		file := home("alice") + "/notes/todo.txt"
+		read := func() string {
+			data, err := a.FS.ReadFile(file, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data.Raw()
+		}
+		for _, content := range []string{"ship it", "ship it today"} {
+			if err := upload(alice, "notes/todo.txt", content); err != nil || read() != content {
+				t.Fatalf("assertions=%v: alice writing her own file: %v, file reads %q", on, err, read())
+			}
+		}
+		err := upload(mallory, "x/../../alice/notes/todo.txt", "owned")
+		if got := read(); on != (got == "ship it today") || on != (err != nil) {
+			t.Errorf("assertions=%v: mallory's overwrite: %v, file reads %q", on, err, got)
+		}
+		err = upload(mallory, "x/../../alice/notes/planted.txt", "gotcha")
+		if planted := a.FS.Exists(home("alice") + "/notes/planted.txt"); on == planted || on != (err != nil) {
+			t.Errorf("assertions=%v: mallory's create in alice's subdirectory: %v, planted %v", on, err, planted)
+		}
 	}
 }

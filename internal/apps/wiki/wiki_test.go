@@ -92,6 +92,26 @@ func TestModifyExistingRevisionGuarded(t *testing.T) {
 	}
 }
 
+// TestWriterModifiesExistingRevision is the allowed side of
+// TestModifyExistingRevisionGuarded: a user on a page's write ACL — alice
+// on Secret, anyone on Public — rewrites the page's existing revision in
+// place, which the revision's PageWriteFilter.FilterWrite lets through,
+// and the page then reads the new text.
+func TestWriterModifiesExistingRevision(t *testing.T) {
+	a := seeded(true)
+	for _, w := range []struct{ page, user string }{{"Secret", "alice"}, {"Public", "mallory"}} {
+		ctx := core.NewContext(core.KindFile)
+		ctx.Set("user", w.user)
+		text := "corrected by " + w.user
+		if err := a.FS.WriteFile(pageDir(w.page)+"/rev00001", core.NewString(text), ctx); err != nil {
+			t.Fatalf("%s editing %s's existing revision: %v", w.user, w.page, err)
+		}
+		if body, err := a.latestBody(w.page); err != nil || body.Raw() != text {
+			t.Fatalf("%s after %s's edit reads %q (%v), want %q", w.page, w.user, body.Raw(), err, text)
+		}
+	}
+}
+
 func TestPagePolicyPersistsAcrossReload(t *testing.T) {
 	a := seeded(true)
 	body, err := a.latestBody("Secret")

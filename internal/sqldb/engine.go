@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"resin/internal/core"
 )
@@ -42,67 +43,74 @@ var (
 	ErrNoIndex      = errors.New("sqldb: no such index")
 )
 
-// value is one stored cell: NULL, an integer, or text. It is one string
-// and one int64, 24 bytes, so a row's cells pack with no padding. The
+// value is one stored cell: NULL, an integer, or text. It is one pointer
+// and one word, 16 bytes, so a row's cells pack with no padding. The
 // kind is a fixed encoding of the pair that only the constructors and
 // accessors below know:
 //
-//   - TEXT t is (t, 0);
-//   - INT n is (intMark, n);
-//   - NULL is (nullMark, 0);
-//   - the two texts that spell a mark escape to (nullMark, 1) for
-//     intMark and (nullMark, 2) for nullMark.
+//   - TEXT t is (unsafe.StringData(t), len(t)), and the empty text is
+//     the zero value;
+//   - INT n is (&markInt, n);
+//   - NULL is (&markNull, 0).
 //
-// Every value has exactly one encoding, so == on two values is equality
-// of kind and content, and the zero value is the empty text.
+// No text's bytes live at either mark, so every value has exactly one
+// kind. Two equal texts may sit at different addresses, so cells are
+// compared with eq; the leading [0]func() makes == on a value (and a
+// map keyed by one) fail to compile rather than compare addresses.
 type value struct {
-	s string
-	i int64
+	_ [0]func()
+	p *byte
+	n int64
 }
 
-const (
-	intMark  = "\x00\xffI"
-	nullMark = "\x00\xffN"
-)
+// markInt and markNull are the sentinels whose addresses tag INT and
+// NULL cells; their contents are never read.
+var markInt, markNull byte
 
-func nullValue() value       { return value{s: nullMark} }
-func intValue(n int64) value { return value{s: intMark, i: n} }
+func nullValue() value       { return value{p: &markNull} }
+func intValue(n int64) value { return value{p: &markInt, n: n} }
 func textValue(s string) value {
-	switch s {
-	case intMark:
-		return value{s: nullMark, i: 1}
-	case nullMark:
-		return value{s: nullMark, i: 2}
+	if len(s) == 0 {
+		return value{}
 	}
-	return value{s: s}
+	return value{p: unsafe.StringData(s), n: int64(len(s))}
 }
 
-func (v value) isNull() bool { return v.s == nullMark && v.i == 0 }
-func (v value) isInt() bool  { return v.s == intMark }
+func (v value) isNull() bool { return v.p == &markNull }
+func (v value) isInt() bool  { return v.p == &markInt }
+
+// marked reports whether v is INT or NULL, whose pointer is a mark.
+func (v value) marked() bool { return v.isInt() || v.isNull() }
 
 // num is an INT value's integer, 0 for any other kind.
 func (v value) num() int64 {
-	if v.s == intMark {
-		return v.i
+	if v.p == &markInt {
+		return v.n
 	}
 	return 0
 }
 
 // text is a TEXT value's string, "" for any other kind.
 func (v value) text() string {
-	switch v.s {
-	case intMark:
-		return ""
-	case nullMark:
-		switch v.i {
-		case 1:
-			return intMark
-		case 2:
-			return nullMark
-		}
+	if v.marked() {
 		return ""
 	}
-	return v.s
+	return unsafe.String(v.p, int(v.n))
+}
+
+// eq reports whether v and w are the same cell: of one kind and with
+// equal content.
+func (v value) eq(w value) bool {
+	if v.n != w.n {
+		return false
+	}
+	if v.p == w.p {
+		return true
+	}
+	if v.marked() || w.marked() {
+		return false
+	}
+	return v.text() == w.text()
 }
 
 func (v value) String() string {
@@ -110,7 +118,7 @@ func (v value) String() string {
 	case v.isNull():
 		return "NULL"
 	case v.isInt():
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	default:
 		return v.text()
 	}
@@ -158,6 +166,25 @@ type staleRef struct {
 	ci int
 	v  value
 	en *rowEntry
+}
+
+// staleKey is a staleRef as a map key, so vacuum drains each pair once:
+// the cell by its content, with mark nil for TEXT and the cell's own
+// sentinel for INT and NULL.
+type staleKey struct {
+	ci   int
+	en   *rowEntry
+	mark *byte
+	s    string
+	n    int64
+}
+
+func (sr staleRef) key() staleKey {
+	k := staleKey{ci: sr.ci, en: sr.en, s: sr.v.text(), n: sr.v.num()}
+	if sr.v.marked() {
+		k.mark = sr.v.p
+	}
+	return k
 }
 
 // table is one in-memory table. cols and colIdx are immutable after
@@ -320,12 +347,12 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 			}
 			k := v.vals[ci]
 			for w := head; w != v; w = w.prev {
-				if !w.tomb && w.vals[ci] == k {
+				if !w.tomb && w.vals[ci].eq(k) {
 					continue chain
 				}
 			}
 			ix.add(k, en)
-			if head.tomb || k != head.vals[ci] {
+			if head.tomb || !k.eq(head.vals[ci]) {
 				stale = append(stale, staleRef{ci: ci, v: k, en: en})
 			}
 		}
@@ -741,7 +768,7 @@ func (e *Engine) applyOps(ops []rowOp, born uint64) {
 		en.head.Store(&rowVersion{born: born, tomb: op.kind == opDelete, vals: op.vals, prev: old})
 		oldLive, newLive := old != nil && !old.tomb, op.kind != opDelete
 		for ci, ix := range t.indexes {
-			if ix == nil || oldLive && newLive && old.vals[ci] == op.vals[ci] {
+			if ix == nil || oldLive && newLive && old.vals[ci].eq(op.vals[ci]) {
 				continue // no index, or the row stays under its key
 			}
 			if newLive {
@@ -974,21 +1001,22 @@ func (t *table) vacuum(min uint64) {
 		return
 	}
 	var remain []staleRef
-	seen := make(map[staleRef]bool, len(t.stale))
+	seen := make(map[staleKey]bool, len(t.stale))
 	for _, sr := range t.stale {
 		ix := t.indexes[sr.ci]
 		if ix == nil {
 			continue // index dropped; nothing to drain
 		}
-		if seen[sr] {
+		k := sr.key()
+		if seen[k] {
 			continue
 		}
-		seen[sr] = true
+		seen[k] = true
 		// A row vacuum dropped above has a tombstone alone left, which
 		// carries no key.
 		carried := false
 		for v := sr.en.head.Load(); v != nil; v = v.prev {
-			if !v.tomb && v.vals[sr.ci] == sr.v {
+			if !v.tomb && v.vals[sr.ci].eq(sr.v) {
 				carried = true
 				break
 			}
@@ -1280,7 +1308,7 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 			}
 		}
 		v := en.visible(cs.snap)
-		if v == nil || (cs.probeCI >= 0 && v.vals[cs.probeCI] != key) {
+		if v == nil || (cs.probeCI >= 0 && !v.vals[cs.probeCI].eq(key)) {
 			return en, nil
 		}
 		return en, v

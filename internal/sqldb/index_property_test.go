@@ -349,7 +349,7 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 			}
 			continue
 		}
-		if !reflect.DeepEqual(indexed, scanned) {
+		if !reflect.DeepEqual(refResultOf(indexed), refResultOf(scanned)) {
 			t.Fatalf("%s @ snap %d: index path diverged from scan of the same snapshot\nindexed: %+v\nscan:    %+v",
 				qtext, snap, indexed, scanned)
 		}
@@ -363,15 +363,16 @@ func TestIndexScanDifferentialUnderChurn(t *testing.T) {
 // (key, row) the index's own ordered traversal emits, keep it only when
 // the row's visible version carries that key. MVCC buckets are supersets
 // (stale pairs wait for vacuum), so this projection — not raw buckets —
-// is the structure that defines index equality.
-func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map[value][]uint64 {
-	eff := make(map[value][]uint64)
+// is the structure that defines index equality. Keys are refCells, so
+// maps and reflect.DeepEqual compare them by content.
+func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map[refCell][]uint64 {
+	eff := make(map[refCell][]uint64)
 	for _, c := range ix.orderedCands(nil, false) {
 		v := c.en.visible(frontier)
-		if v == nil || v.vals[ci] != c.key {
+		if v == nil || refOf(v.vals[ci]) != refOf(c.key) {
 			continue
 		}
-		eff[c.key] = append(eff[c.key], c.en.id)
+		eff[refOf(c.key)] = append(eff[refOf(c.key)], c.en.id)
 	}
 	return eff
 }
@@ -423,13 +424,17 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 		// Superset invariant, both structures: every visible row must be
 		// findable under its visible key.
 		for which, ix := range map[string]*orderedIndex{"live": live, "rebuilt": rebuilt} {
-			pairs := make(map[indexCand]bool)
+			type pair struct {
+				key refCell
+				en  *rowEntry
+			}
+			pairs := make(map[pair]bool)
 			for _, c := range ix.orderedCands(nil, false) {
-				pairs[c] = true
+				pairs[pair{refOf(c.key), c.en}] = true
 			}
 			for _, en := range tbl.entries {
 				v := en.visible(frontier)
-				if v != nil && !pairs[indexCand{key: v.vals[ci], en: en}] {
+				if v != nil && !pairs[pair{refOf(v.vals[ci]), en}] {
 					t.Fatalf("col %d: %s index lost row %d under key %v", ci, which, en.id, v.vals[ci])
 				}
 			}

@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,6 +27,40 @@ func (c refCell) render() string {
 	return c.s
 }
 
+// refOf is v's refCell, read through the accessors. It is comparable,
+// and reflect.DeepEqual compares it by content, so the test oracles
+// that compare cells (dumpEngine, canonicalBuckets, refResult) compare
+// these: a value holds its text by pointer, which == cannot take and
+// DeepEqual reads only the first byte of.
+func refOf(v value) refCell {
+	return refCell{null: v.isNull(), isInt: v.isInt(), i: v.num(), s: v.text()}
+}
+
+// refRow is refOf over a row.
+func refRow(row []value) []refCell {
+	out := make([]refCell, len(row))
+	for i, v := range row {
+		out[i] = refOf(v)
+	}
+	return out
+}
+
+// refResult is a rawResult with its cells as refCells, for
+// reflect.DeepEqual: the columns, the projection and every stored row.
+type refResult struct {
+	cols []string
+	pos  []int
+	rows [][]refCell
+}
+
+func refResultOf(r *rawResult) refResult {
+	out := refResult{cols: r.cols, pos: r.pos}
+	for _, row := range r.rows {
+		out.rows = append(out.rows, refRow(row))
+	}
+	return out
+}
+
 func refCompare(a, b refCell) int {
 	if a.isInt && b.isInt {
 		switch {
@@ -38,78 +74,155 @@ func refCompare(a, b refCell) int {
 	return strings.Compare(a.render(), b.render())
 }
 
-// TestValueEncoding pins the 24-byte encoding of a cell on the values
-// most likely to collide in it: the empty and NUL texts, texts spelling
-// the kind marks, integer 0 and both integer extremes, and NULL. Each
-// must round-trip through its constructor and the accessors, stay
-// distinct from every other under ==, keep valueCompare's order, and
-// encode to the same WAL bytes as the explicit layout, in a row-ops
-// payload as long as opsLen says, which decode back to an equal value.
+// refWAL is c's WAL encoding written over the explicit layout: 'N' for
+// NULL, 'I' and a zigzag varint for INT, 'T', a uvarint length and the
+// bytes for TEXT.
+func refWAL(c refCell) string {
+	switch {
+	case c.null:
+		return "N"
+	case c.isInt:
+		return string(binary.AppendVarint([]byte("I"), c.i))
+	}
+	return string(binary.AppendUvarint([]byte("T"), uint64(len(c.s)))) + c.s
+}
+
+// refValue builds the cell c describes through the constructors.
+func refValue(c refCell) value {
+	switch {
+	case c.null:
+		return nullValue()
+	case c.isInt:
+		return intValue(c.i)
+	}
+	return textValue(c.s)
+}
+
+// valueCases are the values most likely to collide in a cell's encoding,
+// with their WAL bytes: the empty and NUL texts, the two texts that were
+// the INT and NULL marks of the 24-byte layout, the text "0", integer 0
+// and both integer extremes, and NULL.
+var valueCases = []struct {
+	ref refCell
+	wal string
+}{
+	{refCell{s: ""}, "T\x00"},
+	{refCell{s: "\x00"}, "T\x01\x00"},
+	{refCell{s: "\x00\xffI"}, "T\x03\x00\xffI"},
+	{refCell{s: "\x00\xffN"}, "T\x03\x00\xffN"},
+	{refCell{s: "0"}, "T\x010"},
+	{refCell{isInt: true, i: 0}, "I\x00"},
+	{refCell{isInt: true, i: math.MinInt64}, "I\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"},
+	{refCell{isInt: true, i: math.MaxInt64}, "I\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01"},
+	{refCell{null: true}, "N"},
+}
+
+// checkCell checks the four properties of the cell c describes: it
+// round-trips through its constructor and the accessors; eq on it and
+// each of others agrees with equality of their refCells, for a copy of
+// its text at another address too; valueCompare (valueLess when either
+// is NULL) orders it against each as refCompare does; and it encodes to
+// refWAL's bytes, in a row-ops payload as long as opsLen says, which
+// decode back to an equal cell.
+func checkCell(t *testing.T, c refCell, others []refCell) {
+	t.Helper()
+	v := refValue(c)
+	if v.isNull() != c.null || v.isInt() != c.isInt {
+		t.Errorf("%+v: kind (null %v, int %v)", c, v.isNull(), v.isInt())
+	}
+	if v.num() != c.i || v.text() != c.s || refOf(v) != c {
+		t.Errorf("%+v: accessors give (%d, %q)", c, v.num(), v.text())
+	}
+	want := c.render()
+	if c.null {
+		want = "NULL"
+	}
+	if v.String() != want {
+		t.Errorf("%+v: String() = %q, want %q", c, v.String(), want)
+	}
+	if !v.eq(v) || !v.eq(refValue(refCell{null: c.null, isInt: c.isInt, i: c.i, s: strings.Clone(c.s)})) {
+		t.Errorf("%+v: not eq to itself or a copy", c)
+	}
+	if got := string(appendValue(nil, v)); got != refWAL(c) {
+		t.Errorf("%+v: appendValue = %q, want %q", c, got, refWAL(c))
+	}
+	r := &replayer{engine: NewEngine()}
+	row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
+	payload := opsPayload(row)
+	if len(payload) != opsLen(row) {
+		t.Errorf("%+v: payload of %d bytes, opsLen says %d", c, len(payload), opsLen(row))
+	}
+	ops, err := r.decodeOps(payload[1:])
+	if err != nil || len(ops) != 1 || len(ops[0].vals) != 1 || !ops[0].vals[0].eq(v) || refOf(ops[0].vals[0]) != c {
+		t.Errorf("%+v: WAL round trip gives %v (%v)", c, ops, err)
+	}
+	for _, d := range others {
+		w := refValue(d)
+		if v.eq(w) != (c == d) || w.eq(v) != (c == d) {
+			t.Errorf("%+v eq %+v is %v", c, d, v.eq(w))
+		}
+		if c.null || d.null {
+			if got, want := valueLess(v, w), c.null && !d.null; got != want {
+				t.Errorf("valueLess(%+v, %+v) = %v, want %v", c, d, got, want)
+			}
+			continue
+		}
+		if got, want := valueCompare(v, w), refCompare(c, d); got != want {
+			t.Errorf("valueCompare(%+v, %+v) = %d, want %d", c, d, got, want)
+		}
+	}
+}
+
+// TestValueEncoding pins the 16-byte encoding of a cell on valueCases:
+// each case passes checkCell against every case, and encodes to the
+// case's own WAL bytes. The zero value is the empty text, also when the
+// empty text is a substring inside a longer one.
 func TestValueEncoding(t *testing.T) {
-	if size := unsafe.Sizeof(value{}); size != 24 {
-		t.Fatalf("value is %d bytes, want 24", size)
+	if size, want := unsafe.Sizeof(value{}), unsafe.Sizeof(uintptr(0))+8; size != want {
+		t.Fatalf("value is %d bytes, want %d", size, want)
 	}
-	if (value{}) != textValue("") {
-		t.Fatal("the zero value is not the empty text")
+	if v := textValue(strings.Repeat("ab", 2)[1:1]); v.p != nil || v.n != 0 || !v.eq(value{}) {
+		t.Fatal("the empty text is not the zero value")
 	}
-	cases := []struct {
-		ref refCell
-		wal string
-	}{
-		{refCell{s: ""}, "T\x00"},
-		{refCell{s: "\x00"}, "T\x01\x00"},
-		{refCell{s: intMark}, "T\x03" + intMark},
-		{refCell{s: nullMark}, "T\x03" + nullMark},
-		{refCell{s: "0"}, "T\x010"},
-		{refCell{isInt: true, i: 0}, "I\x00"},
-		{refCell{isInt: true, i: math.MinInt64}, "I\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"},
-		{refCell{isInt: true, i: math.MaxInt64}, "I\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01"},
-		{refCell{null: true}, "N"},
+	var refs []refCell
+	for _, c := range valueCases {
+		refs = append(refs, c.ref)
 	}
-	cell := func(c refCell) value {
+	for _, c := range valueCases {
+		if got := refWAL(c.ref); got != c.wal {
+			t.Errorf("%+v: refWAL = %q, want %q", c.ref, got, c.wal)
+		}
+		checkCell(t, c.ref, refs)
+	}
+}
+
+// FuzzValueCell runs checkCell on a cell of any kind and content —
+// kind%3 picks TEXT, INT or NULL, and the other inputs fill the payload
+// the kind has — against itself and every one of valueCases, which also
+// seed it.
+func FuzzValueCell(f *testing.F) {
+	var refs []refCell
+	for _, c := range valueCases {
+		refs = append(refs, c.ref)
 		switch {
-		case c.null:
-			return nullValue()
-		case c.isInt:
-			return intValue(c.i)
-		}
-		return textValue(c.s)
-	}
-	for i, c := range cases {
-		v := cell(c.ref)
-		if v.isNull() != c.ref.null || v.isInt() != c.ref.isInt {
-			t.Errorf("case %d: kind (null %v, int %v), want (%v, %v)", i, v.isNull(), v.isInt(), c.ref.null, c.ref.isInt)
-		}
-		if v.num() != c.ref.i || v.text() != c.ref.s {
-			t.Errorf("case %d: accessors give (%d, %q), want (%d, %q)", i, v.num(), v.text(), c.ref.i, c.ref.s)
-		}
-		if got := string(appendValue(nil, v)); got != c.wal {
-			t.Errorf("case %d: appendValue = %q, want %q", i, got, c.wal)
-		}
-		r := &replayer{engine: NewEngine()}
-		row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
-		payload := opsPayload(row)
-		if len(payload) != opsLen(row) {
-			t.Errorf("case %d: payload of %d bytes, opsLen says %d", i, len(payload), opsLen(row))
-		}
-		ops, err := r.decodeOps(payload[1:])
-		if err != nil || len(ops) != 1 || ops[0].vals[0] != v {
-			t.Errorf("case %d: WAL round trip gives %v (%v), want %v", i, ops, err, v)
-		}
-		for j, d := range cases {
-			w := cell(d.ref)
-			if (v == w) != (i == j) {
-				t.Errorf("cases %d and %d: == is %v", i, j, v == w)
-			}
-			if c.ref.null || d.ref.null {
-				if got, want := valueLess(v, w), c.ref.null && !d.ref.null; got != want {
-					t.Errorf("valueLess(%d, %d) = %v, want %v", i, j, got, want)
-				}
-				continue
-			}
-			if got, want := valueCompare(v, w), refCompare(c.ref, d.ref); got != want {
-				t.Errorf("valueCompare(%d, %d) = %d, want %d", i, j, got, want)
-			}
+		case c.ref.null:
+			f.Add(uint8(2), int64(0), "")
+		case c.ref.isInt:
+			f.Add(uint8(1), c.ref.i, "")
+		default:
+			f.Add(uint8(0), int64(0), c.ref.s)
 		}
 	}
+	f.Fuzz(func(t *testing.T, kind uint8, n int64, s string) {
+		var c refCell
+		switch kind % 3 {
+		case 0:
+			c.s = s
+		case 1:
+			c.isInt, c.i = true, n
+		default:
+			c.null = true
+		}
+		checkCell(t, c, append(slices.Clip(refs), c))
+	})
 }

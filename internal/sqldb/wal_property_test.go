@@ -15,7 +15,8 @@ import (
 )
 
 // tableState is a test dump of one table: schema, visible rows with
-// their stable ids in ascending-id scan order (policy columns included
+// their stable ids in ascending-id scan order, each cell as its refCell
+// so that reflect.DeepEqual compares content (policy columns included
 // as data — their bytes are the serialized annotations, so equality
 // here is annotation equality), and indexed columns. Comparing ids as
 // well as values pins that recovery rebuilds the *identity* of every
@@ -24,7 +25,7 @@ import (
 type tableState struct {
 	cols    []ColumnDef
 	ids     []uint64
-	rows    [][]value
+	rows    [][]refCell
 	indexed []string
 }
 
@@ -40,7 +41,7 @@ func dumpEngine(e *Engine) map[string]tableState {
 		for _, en := range t.entries {
 			if v := en.visible(frontier); v != nil {
 				ts.ids = append(ts.ids, en.id)
-				ts.rows = append(ts.rows, append([]value(nil), v.vals...))
+				ts.rows = append(ts.rows, refRow(v.vals))
 			}
 		}
 		ts.indexed = t.indexedCols()

@@ -135,13 +135,13 @@ func TestWALConcurrentWritersReadersCompaction(t *testing.T) {
 // projection of the real structures, not on raw buckets. A pair the
 // index lost shows up as a hole on one side; a pair wrongly served
 // shows up as an extra.
-func indexStructures(e *Engine) map[string]map[string]map[value][]uint64 {
+func indexStructures(e *Engine) map[string]map[string]map[refCell][]uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	frontier := e.frontier.Load()
-	out := make(map[string]map[string]map[value][]uint64)
+	out := make(map[string]map[string]map[refCell][]uint64)
 	for name, t := range e.tables {
-		cols := make(map[string]map[value][]uint64)
+		cols := make(map[string]map[refCell][]uint64)
 		for ci, ix := range t.indexes {
 			if ix != nil {
 				cols[t.cols[ci].Name] = canonicalBuckets(t, ix, ci, frontier)

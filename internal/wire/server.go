@@ -263,7 +263,10 @@ func (s *session) reply(payload []byte) bool {
 }
 
 // dispatch handles one request and returns the response payload, or a
-// ship loop to hand the connection to.
+// ship loop to hand the connection to. A request is decoded whole, and
+// must end where its last field does (d.done), before it runs: bytes
+// past that fail it with ErrFrameCorrupt's code and run nothing
+// (docs/WIRE.md §2).
 func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 	d := &decoder{data: req, off: 1}
 	fail := func(err error) ([]byte, func()) {
@@ -271,12 +274,21 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 	}
 	db := s.srv.src()
 	switch req[0] {
+	case msgBegin, msgCommit, msgRollback, msgStatus:
+		if err := d.done(); err != nil { // these requests have no body
+			return fail(err)
+		}
+	}
+	switch req[0] {
 	case msgQuery:
 		q, err := d.readTracked()
 		if err != nil {
 			return fail(err)
 		}
 		args, err := d.readArgs()
+		if err == nil {
+			err = d.done()
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -292,6 +304,9 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 
 	case msgPrepare:
 		q, err := d.readTracked()
+		if err == nil {
+			err = d.done()
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -316,6 +331,9 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 			return fail(err)
 		}
 		args, err := d.readArgs()
+		if err == nil {
+			err = d.done()
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -338,6 +356,9 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 
 	case msgCloseStmt:
 		id, err := d.uvarint()
+		if err == nil {
+			err = d.done()
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -384,10 +405,14 @@ func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
 		if err != nil {
 			return fail(err)
 		}
-		if len(d.data)-d.off != 4 {
+		if len(d.data)-d.off < 4 {
 			return fail(fmt.Errorf("%w: bad handshake CRC", ErrFrameCorrupt))
 		}
 		crc := binary.LittleEndian.Uint32(d.data[d.off:])
+		d.off += 4
+		if err := d.done(); err != nil {
+			return fail(err)
+		}
 		if err := db.VerifyWALPrefix(int64(size), crc); err != nil {
 			return fail(err)
 		}

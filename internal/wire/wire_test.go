@@ -440,6 +440,79 @@ func TestServerRefusesDeepNesting(t *testing.T) {
 	}
 }
 
+// TestServerRefusesTrailingBytes: each request kind, valid but for one
+// byte past its last field, fails with ErrFrameCorrupt's code (an
+// unknown tag with codeBadRequest) and runs nothing: the INSERTs add no
+// row, and a refused commit or rollback leaves the transaction open.
+// The session keeps serving after every refusal.
+func TestServerRefusesTrailingBytes(t *testing.T) {
+	db := sqldb.Open(core.NewRuntime())
+	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("INSERT INTO t (a) VALUES (1)")
+	addr, _ := startServer(t, db, Config{})
+	c := dialT(t, addr)
+	ins, err := c.Prepare(core.NewString("INSERT INTO t (a) VALUES (2)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := c.Prepare(core.NewString("SELECT a FROM t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked := func(tag byte, q string) []byte {
+		p, err := appendTracked([]byte{tag}, core.NewString(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	noArgs := func(p []byte) []byte { return binary.AppendUvarint(p, 0) }
+	handshake := binary.LittleEndian.AppendUint32(binary.AppendUvarint([]byte{msgHandshake}, 0), 0)
+	noTx := func() error {
+		if err := c.Begin(); err != nil {
+			return err
+		}
+		return c.Rollback()
+	}
+	corrupt := errCode(ErrFrameCorrupt)
+	for _, tc := range []struct {
+		name         string
+		req          []byte
+		before, then func() error
+		code         byte
+	}{
+		{name: "Q", req: noArgs(tracked(msgQuery, "INSERT INTO t (a) VALUES (2)")), code: corrupt},
+		{name: "P", req: tracked(msgPrepare, "SELECT a FROM t"), code: corrupt},
+		{name: "E", req: noArgs(binary.AppendUvarint([]byte{msgExec}, ins.id)), code: corrupt},
+		{name: "X", req: binary.AppendUvarint([]byte{msgCloseStmt}, sel.id), then: func() error { _, err := sel.Query(); return err }, code: corrupt},
+		{name: "B", req: []byte{msgBegin}, then: noTx, code: corrupt},
+		{name: "C", req: []byte{msgCommit}, before: c.Begin, then: c.Rollback, code: corrupt},
+		{name: "R", req: []byte{msgRollback}, before: c.Begin, then: c.Rollback, code: corrupt},
+		{name: "S", req: []byte{msgStatus}, code: corrupt},
+		{name: "W", req: handshake, code: corrupt},
+		{name: "unknown", req: []byte{0x00}, code: codeBadRequest},
+	} {
+		if tc.before != nil {
+			if err := tc.before(); err != nil {
+				t.Fatalf("%s: setup: %v", tc.name, err)
+			}
+		}
+		_, err := c.roundTrip(context.Background(), append(tc.req, 0x00))
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != tc.code {
+			t.Fatalf("%s with a trailing byte: %v, want a *RemoteError of code 0x%02x", tc.name, err, tc.code)
+		}
+		if tc.then != nil {
+			if err := tc.then(); err != nil {
+				t.Fatalf("%s: the refused request ran: %v", tc.name, err)
+			}
+		}
+		if res, err := c.QueryRaw("SELECT a FROM t"); err != nil || res.Len() != 1 {
+			t.Fatalf("%s: SELECT after the refusal: %v, %d rows", tc.name, err, res.Len())
+		}
+	}
+}
+
 func TestConnectionLimit(t *testing.T) {
 	rt := core.NewRuntime()
 	db := sqldb.Open(rt)
