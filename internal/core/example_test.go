@@ -43,3 +43,26 @@ func ExampleString_EqualsRaw() {
 	// false
 	// true
 }
+
+// uploadGuard is a persistent filter object: its class name is what the
+// encoding stores.
+type uploadGuard struct {
+	Dir string `json:"dir"`
+}
+
+func (*uploadGuard) FilterWrite(_ *core.Channel, data core.String, _ int64) (core.String, error) {
+	return data, nil
+}
+
+// A filter's registered class name is how its encoding names it; a
+// filter of an unregistered type has none and cannot be persisted.
+func ExampleRegisteredFilterName() {
+	core.RegisterFilterClass("example.UploadGuard", &uploadGuard{})
+	for _, f := range []core.Filter{&uploadGuard{Dir: "/srv/uploads"}, core.WriteFilterFunc(nil)} {
+		name, ok := core.RegisteredFilterName(f)
+		fmt.Printf("%q %v\n", name, ok)
+	}
+	// Output:
+	// "example.UploadGuard" true
+	// "" false
+}

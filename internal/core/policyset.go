@@ -114,8 +114,19 @@ func (s *PolicySet) Each(fn func(Policy) error) error {
 }
 
 // Contains reports whether the set contains exactly the policy object p.
+// Every member of a hashed set is a pointer, so there == is samePolicy:
+// it compares a pointer p by identity, and an interface of another
+// dynamic type is unequal without comparing, so it cannot panic.
 func (s *PolicySet) Contains(p Policy) bool {
 	if s == nil {
+		return false
+	}
+	if s.hashed {
+		for _, q := range s.policies {
+			if p == q {
+				return true
+			}
+		}
 		return false
 	}
 	for _, q := range s.policies {

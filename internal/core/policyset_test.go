@@ -285,3 +285,63 @@ func TestSamePolicyUncomparable(t *testing.T) {
 		t.Error("nil vs non-nil")
 	}
 }
+
+// aclPolicy is a value-typed policy that is not comparable: == on two
+// of them panics.
+type aclPolicy struct{ ACL []string }
+
+func (aclPolicy) ExportCheck(ctx *Context) error { return nil }
+
+// TestContainsValueMemberUsesSamePolicy pins that a set with a
+// value-typed member has no hash and decides membership through
+// samePolicy: a comparable value is found by ==, an uncomparable one is
+// never the same policy, even as itself, and asking neither panics.
+// Only a hashed set, all pointers, may compare members with ==.
+func TestContainsValueMemberUsesSamePolicy(t *testing.T) {
+	p := &allowPolicy{Name: "p"}
+	acl := aclPolicy{ACL: []string{"alice"}}
+	s := NewPolicySet(acl, valuePolicy{K: 1}, p)
+	if s.hashed {
+		t.Fatal("a set with value-typed members must not be hashed")
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+	for _, c := range []struct {
+		p    Policy
+		want bool
+	}{
+		{p, true},
+		{&allowPolicy{Name: "p"}, false},
+		{valuePolicy{K: 1}, true},
+		{valuePolicy{K: 2}, false},
+		{acl, false},
+		{aclPolicy{}, false},
+		{nil, false},
+	} {
+		if got := s.Contains(c.p); got != c.want {
+			t.Errorf("Contains(%#v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if NewPolicySet(acl).Equal(NewPolicySet(acl)) {
+		t.Error("sets of an uncomparable value policy are never Equal")
+	}
+	if hashed := NewPolicySet(p); !hashed.hashed || hashed.Contains(acl) || hashed.Contains(valuePolicy{K: 1}) || !hashed.Contains(p) {
+		t.Error("a hashed set holds its pointer member and no value policy")
+	}
+}
+
+// BenchmarkPolicySetEqualReordered is Equal on two member-equal
+// two-member sets of pointer policies listed in opposite order: equal
+// hashes, so it decides by the membership scan, which a hashed set does
+// with plain ==.
+func BenchmarkPolicySetEqualReordered(b *testing.B) {
+	p1, p2 := &allowPolicy{Name: "p1"}, &allowPolicy{Name: "p2"}
+	s, u := NewPolicySet(p1, p2), NewPolicySet(p2, p1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !s.Equal(u) {
+			b.Fatal("reordered sets differ")
+		}
+	}
+}

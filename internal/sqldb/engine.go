@@ -126,15 +126,29 @@ func (v value) String() string {
 
 // rowVersion is one immutable version of a row. born is the commit
 // version at which it became visible; a tombstone marks the row deleted
-// from that version on. vals and born never change after the version is
-// linked into a chain; prev is rewritten only by vacuum, and only on
-// versions no registered snapshot can traverse past (see table.vacuum).
+// from that version on. The cells and born never change after the
+// version is linked into a chain; prev is rewritten only by vacuum, and
+// only on versions no registered snapshot can traverse past (see
+// table.vacuum). The cells are held as a pointer to the first and a
+// count, so a version is 32 bytes with no padding and no capacity word;
+// only newVersion and row know that layout.
 type rowVersion struct {
-	born uint64
-	tomb bool
-	vals []value
-	prev *rowVersion
+	born  uint64
+	prev  *rowVersion
+	cells *value
+	n     int32
+	tomb  bool
 }
+
+// newVersion returns the version born at born over the cells vals (nil
+// for a tombstone) in front of prev.
+func newVersion(born uint64, vals []value, tomb bool, prev *rowVersion) *rowVersion {
+	return &rowVersion{born: born, prev: prev, cells: unsafe.SliceData(vals), n: int32(len(vals)), tomb: tomb}
+}
+
+// row returns the version's cells. The slice's capacity is its length,
+// so appending to it never writes into the version.
+func (v *rowVersion) row() []value { return unsafe.Slice(v.cells, v.n) }
 
 // rowEntry is one row slot: a stable id plus the version chain, newest
 // first. head is atomic because readers resolve visibility with no lock
@@ -336,7 +350,7 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 		head := en.head.Load()
 		if head.prev == nil {
 			if !head.tomb {
-				ix.add(head.vals[ci], en)
+				ix.add(head.row()[ci], en)
 			}
 			continue
 		}
@@ -345,14 +359,14 @@ func buildIndex(entries []*rowEntry, ci int, typ ColType) (*orderedIndex, []stal
 			if v.tomb {
 				continue
 			}
-			k := v.vals[ci]
+			k := v.row()[ci]
 			for w := head; w != v; w = w.prev {
-				if !w.tomb && w.vals[ci].eq(k) {
+				if !w.tomb && w.row()[ci].eq(k) {
 					continue chain
 				}
 			}
 			ix.add(k, en)
-			if head.tomb || !k.eq(head.vals[ci]) {
+			if head.tomb || !k.eq(head.row()[ci]) {
 				stale = append(stale, staleRef{ci: ci, v: k, en: en})
 			}
 		}
@@ -765,17 +779,17 @@ func (e *Engine) applyOps(ops []rowOp, born uint64) {
 			}
 		}
 		old := en.head.Load() // nil for a row new to t
-		en.head.Store(&rowVersion{born: born, tomb: op.kind == opDelete, vals: op.vals, prev: old})
+		en.head.Store(newVersion(born, op.vals, op.kind == opDelete, old))
 		oldLive, newLive := old != nil && !old.tomb, op.kind != opDelete
 		for ci, ix := range t.indexes {
-			if ix == nil || oldLive && newLive && old.vals[ci].eq(op.vals[ci]) {
+			if ix == nil || oldLive && newLive && old.row()[ci].eq(op.vals[ci]) {
 				continue // no index, or the row stays under its key
 			}
 			if newLive {
 				ix.add(op.vals[ci], en)
 			}
 			if oldLive {
-				t.stale = append(t.stale, staleRef{ci: ci, v: old.vals[ci], en: en})
+				t.stale = append(t.stale, staleRef{ci: ci, v: old.row()[ci], en: en})
 			}
 		}
 	}
@@ -1016,7 +1030,7 @@ func (t *table) vacuum(min uint64) {
 		// carries no key.
 		carried := false
 		for v := sr.en.head.Load(); v != nil; v = v.prev {
-			if !v.tomb && v.vals[sr.ci].eq(sr.v) {
+			if !v.tomb && v.row()[sr.ci].eq(sr.v) {
 				carried = true
 				break
 			}
@@ -1235,7 +1249,7 @@ func (e *Engine) matchEntries(t *table, b *boundStmt, slots []Expr) ([]*rowEntry
 		if v == nil {
 			continue
 		}
-		ok, err := b.where.test(v.vals, slots)
+		ok, err := b.where.test(v.row(), slots)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1308,7 +1322,7 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 			}
 		}
 		v := en.visible(cs.snap)
-		if v == nil || (cs.probeCI >= 0 && !v.vals[cs.probeCI].eq(key)) {
+		if v == nil || (cs.probeCI >= 0 && !v.row()[cs.probeCI].eq(key)) {
 			return en, nil
 		}
 		return en, v
@@ -1463,12 +1477,12 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 		if v == nil {
 			continue
 		}
-		ok, err := b.where.test(v.vals, slots)
+		ok, err := b.where.test(v.row(), slots)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			matched = append(matched, v.vals)
+			matched = append(matched, v.row())
 		}
 	}
 	if b.order >= 0 && !ordered {
@@ -1524,7 +1538,7 @@ func (e *Engine) update(s *Update, key string, t *table, slots []Expr, b *boundS
 	}
 	ops := make([]rowOp, 0, len(ents))
 	for i, en := range ents {
-		row := append([]value(nil), vers[i].vals...)
+		row := append([]value(nil), vers[i].row()...)
 		for j, v := range vals {
 			row[b.cols[j]] = v
 		}

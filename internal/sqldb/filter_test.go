@@ -413,7 +413,7 @@ func TestPolicyColumnSharingAlloc(t *testing.T) {
 		ci := tb.colIdx[policyColName("body")]
 		shared := map[*byte]int{}
 		for _, en := range tb.entries {
-			shared[unsafe.StringData(en.head.Load().vals[ci].text())]++
+			shared[unsafe.StringData(en.head.Load().row()[ci].text())]++
 		}
 		if len(tb.entries) != 100 || len(shared) != 1 {
 			t.Errorf("%s: %d rows keep %d distinct policy-column strings, want 100 rows sharing 1", side.name, len(tb.entries), len(shared))

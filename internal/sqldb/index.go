@@ -10,19 +10,19 @@ import (
 
 // Ordered indexes and the predicate analyzer.
 //
-// An orderedIndex maps each key, in the column's own type, to the rows
-// that carry it — the row's entry inline when there is one, a bucket of
-// entries when there are several — and additionally keeps the keys
-// sorted as valueLess orders them, so the same structure answers three
-// kinds of questions:
+// An orderedIndex keeps each column's distinct keys, in the column's own
+// type, in one array sorted as valueLess orders them, and beside each
+// key the rows that carry it — the row's entry inline in a parallel
+// array when there is one, a bucket of entries when there are several —
+// so the same structure answers three kinds of questions:
 //
-//   - equality probes (`col = literal`), by bucket lookup, as before;
+//   - equality probes (`col = literal`), by binary search for the key;
 //   - range probes (`<`, `<=`, `>`, `>=`, and `LIKE 'prefix%'`), by
-//     binary-searching the sorted sequence and concatenating the
-//     buckets of the key span;
-//   - ORDER BY pushdown: traversing every bucket in key order emits the
-//     whole table in `ORDER BY col` order (NULL bucket first for ASC,
-//     last for DESC), so the post-filter sort can be skipped.
+//     binary-searching the bounds and concatenating the rows of the
+//     key span;
+//   - ORDER BY pushdown: traversing the rows of every key in order
+//     emits the whole table in `ORDER BY col` order (NULL bucket first
+//     for ASC, last for DESC), so the post-filter sort can be skipped.
 //
 // Under MVCC the buckets are a *superset*: a row stays under a
 // superseded value until vacuum drains the stale reference (engine.go),
@@ -90,26 +90,26 @@ type orderedIndex struct {
 	nulls []*rowEntry       // the NULL bucket
 }
 
-// keyIndex is the non-NULL part of an ordered index: the pairs by key
-// and the distinct keys in ascending order. A key that holds one row
-// keeps it inline in one, with no bucket to allocate — every key of a
-// unique column — and a key that holds several keeps their bucket in
-// many; each key is in exactly one of the two maps.
+// keyIndex is the non-NULL part of an ordered index: two parallel
+// arrays, the distinct keys ascending and, at the same position, the
+// one row under that key. A key that holds several rows has nil beside
+// it and keeps their bucket in many. So a key of one row — every key of
+// a unique column — costs one slot of each array and no map entry, and
+// a walk over the keys looks up a map only for a key of several rows.
+// The arrays change in place, under the engine's write lock like every
+// index write; readers probe under the read lock and copy the
+// candidates out.
 type keyIndex[K cmp.Ordered] struct {
-	one  map[K]*rowEntry
-	many map[K][]*rowEntry
 	keys []K
+	rows []*rowEntry
+	many map[K][]*rowEntry // allocated at the first bucket
 }
 
 func newOrderedIndex(typ ColType) *orderedIndex {
 	if typ == ColInt {
-		return &orderedIndex{ints: newKeyIndex[int64]()}
+		return &orderedIndex{ints: &keyIndex[int64]{}}
 	}
-	return &orderedIndex{texts: newKeyIndex[string]()}
-}
-
-func newKeyIndex[K cmp.Ordered]() *keyIndex[K] {
-	return &keyIndex[K]{one: make(map[K]*rowEntry), many: make(map[K][]*rowEntry)}
+	return &orderedIndex{texts: &keyIndex[string]{}}
 }
 
 func (ix *orderedIndex) add(v value, en *rowEntry) {
@@ -194,54 +194,70 @@ func (ix *orderedIndex) keyCount() int {
 	return len(ix.texts.keys)
 }
 
-// add adds the pair (k, en). A key's second row promotes it from one to
-// many.
-func (x *keyIndex[K]) add(k K, en *rowEntry) {
-	if bucket, ok := x.many[k]; ok {
-		x.many[k] = addEntry(bucket, en)
-		return
+// find returns k's position in keys and whether it is there, or where
+// it would go. A key above the largest is checked first, so keys that
+// arrive ascending — row ids — append without a search.
+func (x *keyIndex[K]) find(k K) (int, bool) {
+	if n := len(x.keys); n == 0 || x.keys[n-1] < k {
+		return n, false
 	}
-	first, ok := x.one[k]
+	return slices.BinarySearch(x.keys, k)
+}
+
+// add adds the pair (k, en). A key's second row promotes it from inline
+// to a bucket.
+func (x *keyIndex[K]) add(k K, en *rowEntry) {
+	i, found := x.find(k)
 	switch {
-	case !ok:
-		x.one[k] = en
-		i, _ := slices.BinarySearch(x.keys, k)
+	case !found:
 		x.keys = slices.Insert(x.keys, i, k)
-	case first != en:
-		delete(x.one, k)
-		x.many[k] = addEntry([]*rowEntry{first}, en)
+		x.rows = slices.Insert(x.rows, i, en)
+	case x.rows[i] == nil:
+		x.many[k] = addEntry(x.many[k], en)
+	case x.rows[i] != en:
+		if x.many == nil {
+			x.many = make(map[K][]*rowEntry)
+		}
+		x.many[k] = addEntry([]*rowEntry{x.rows[i]}, en)
+		x.rows[i] = nil
 	}
 }
 
 // remove removes the pair (k, en), if it is there. A key left with one
-// row demotes back to one, and a key left with none goes.
+// row demotes back to inline, and a key left with none goes.
 func (x *keyIndex[K]) remove(k K, en *rowEntry) {
-	if bucket, ok := x.many[k]; ok {
-		switch bucket = removeEntry(bucket, en); len(bucket) {
-		case 1:
+	i, found := x.find(k)
+	switch {
+	case !found:
+	case x.rows[i] == nil:
+		if bucket := removeEntry(x.many[k], en); len(bucket) == 1 {
 			delete(x.many, k)
-			x.one[k] = bucket[0]
-		default:
+			x.rows[i] = bucket[0]
+		} else {
 			x.many[k] = bucket
 		}
-		return
-	}
-	if x.one[k] != en {
-		return
-	}
-	delete(x.one, k)
-	if i, found := slices.BinarySearch(x.keys, k); found {
+	case x.rows[i] == en:
 		x.keys = slices.Delete(x.keys, i, i+1)
+		x.rows = slices.Delete(x.rows, i, i+1)
 	}
 }
 
 // appendKey appends the pairs under k to dst, each carrying key, the
 // cell k stands for.
 func (x *keyIndex[K]) appendKey(dst []indexCand, k K, key value) []indexCand {
-	if en, ok := x.one[k]; ok {
+	if i, found := x.find(k); found {
+		return x.appendAt(dst, i, key)
+	}
+	return dst
+}
+
+// appendAt appends the pairs of the key at position i to dst, each
+// carrying key.
+func (x *keyIndex[K]) appendAt(dst []indexCand, i int, key value) []indexCand {
+	if en := x.rows[i]; en != nil {
 		return append(dst, indexCand{key: key, en: en})
 	}
-	return appendBucket(dst, key, x.many[k])
+	return appendBucket(dst, key, x.many[x.keys[i]])
 }
 
 // span is orderedIndex.span over Ks; key reads a bound as a K.
@@ -272,7 +288,7 @@ func (x *keyIndex[K]) appendSpan(dst []indexCand, start, end int, desc bool, cel
 		if desc {
 			i = start + end - 1 - n
 		}
-		dst = x.appendKey(dst, x.keys[i], cell(x.keys[i]))
+		dst = x.appendAt(dst, i, cell(x.keys[i]))
 	}
 	return dst
 }

@@ -92,8 +92,8 @@ func FuzzPredicateAnalyzer(f *testing.F) {
 // range probe every key each usable conjunct admits as the scan compares
 // (valueCompare), and every candidate carries the stored cell of its key.
 // After every add and remove the index's shape must match the model too
-// (checkKeyShape): a key of one row inline, a key of several in a
-// bucket, a key of none gone.
+// (checkKeyShape): the keys ascending and distinct, a key of one row
+// inline, a key of several in a bucket, a key of none gone.
 func FuzzOrderedIndex(f *testing.F) {
 	// An INT key going from one row to two (twice the same pair: a re-add
 	// before the stale reference drains) and back to one, then losing its
@@ -267,27 +267,47 @@ func sameCands(a, b []indexCand) bool {
 }
 
 // checkKeyShape fails t unless x holds each non-NULL key of the model
-// in the shape its row count asks for: one row inline in x.one, several
-// in a bucket of x.many of that many rows, never both, and no row means
-// neither map nor x.keys has the key. key reads a model cell as a K.
+// in the shape its row count asks for: every key once in x.keys, in
+// ascending order, with x.rows beside it; a key of one row holds that
+// row inline and has no bucket, a key of several has nil inline and a
+// bucket of exactly its rows in x.many, and a key of none is in neither
+// array. x.many holds no other bucket. key reads a model cell as a K.
 func checkKeyShape[K cmp.Ordered](t *testing.T, x *keyIndex[K], model map[string]value, ids map[string]map[uint64]bool, key func(value) K) {
 	t.Helper()
 	var keys []K
+	rows := map[K]map[uint64]bool{}
 	for k, v := range model {
-		n := len(ids[k])
-		if v.isNull() || n == 0 {
-			continue
-		}
-		keys = append(keys, key(v))
-		_, inOne := x.one[key(v)]
-		bucket, inMany := x.many[key(v)]
-		if inOne == inMany || inOne != (n == 1) || inMany && len(bucket) != n {
-			t.Fatalf("key %v of %d rows: inline %v, in a bucket %v of %d rows", v, n, inOne, inMany, len(bucket))
+		if !v.isNull() && len(ids[k]) > 0 {
+			keys = append(keys, key(v))
+			rows[key(v)] = ids[k]
 		}
 	}
 	slices.Sort(keys)
-	if !slices.Equal(keys, x.keys) || len(x.one)+len(x.many) != len(keys) {
-		t.Fatalf("keys %v, %d inline and %d in buckets; the model has %v", x.keys, len(x.one), len(x.many), keys)
+	if !slices.Equal(keys, x.keys) || len(x.rows) != len(x.keys) {
+		t.Fatalf("keys %v beside %d rows; the model has %v", x.keys, len(x.rows), keys)
+	}
+	buckets := 0
+	for i, k := range x.keys {
+		want := rows[k]
+		bucket, inMany := x.many[k]
+		if len(want) == 1 {
+			if en := x.rows[i]; inMany || en == nil || !want[en.id] {
+				t.Fatalf("key %v of one row: inline %v, in a bucket %v", k, en, inMany)
+			}
+			continue
+		}
+		buckets++
+		if x.rows[i] != nil || len(bucket) != len(want) {
+			t.Fatalf("key %v of %d rows: inline %v, a bucket of %d rows", k, len(want), x.rows[i], len(bucket))
+		}
+		for j, en := range bucket {
+			if !want[en.id] || j > 0 && bucket[j-1].id >= en.id {
+				t.Fatalf("key %v: bucket %v is not its rows %v ascending", k, bucket, want)
+			}
+		}
+	}
+	if len(x.many) != buckets {
+		t.Fatalf("%d buckets for %d keys of several rows", len(x.many), buckets)
 	}
 }
 

@@ -369,7 +369,7 @@ func canonicalBuckets(tbl *table, ix *orderedIndex, ci int, frontier uint64) map
 	eff := make(map[refCell][]uint64)
 	for _, c := range ix.orderedCands(nil, false) {
 		v := c.en.visible(frontier)
-		if v == nil || refOf(v.vals[ci]) != refOf(c.key) {
+		if v == nil || refOf(v.row()[ci]) != refOf(c.key) {
 			continue
 		}
 		eff[refOf(c.key)] = append(eff[refOf(c.key)], c.en.id)
@@ -434,8 +434,8 @@ func TestOrderedIndexRebuildMatchesIncremental(t *testing.T) {
 			}
 			for _, en := range tbl.entries {
 				v := en.visible(frontier)
-				if v != nil && !pairs[pair{refOf(v.vals[ci]), en}] {
-					t.Fatalf("col %d: %s index lost row %d under key %v", ci, which, en.id, v.vals[ci])
+				if v != nil && !pairs[pair{refOf(v.row()[ci]), en}] {
+					t.Fatalf("col %d: %s index lost row %d under key %v", ci, which, en.id, v.row()[ci])
 				}
 			}
 		}

@@ -460,3 +460,103 @@ func TestPredicateAnalyzerDecisions(t *testing.T) {
 		t.Errorf("two-sided range should win: %+v", p)
 	}
 }
+
+// TestKeyIndexArrayPaths drives an ordered index's sorted arrays down the
+// paths that ascending row ids never take — a new key below the largest,
+// the removal of a first, middle or last key, a key's promotion to a
+// bucket and its demotion back, re-adding a pair and removing one that
+// is not there — on an INT and on a TEXT index. After each case the
+// arrays must have the shape checkKeyShape asks for, and an ordered
+// traversal and an equality probe of every key must list the pairs in
+// key order, each key's rows ascending.
+func TestKeyIndexArrayPaths(t *testing.T) {
+	type op struct {
+		remove  bool
+		key, id int
+	}
+	add := func(key, id int) op { return op{key: key, id: id} }
+	del := func(key, id int) op { return op{remove: true, key: key, id: id} }
+	for _, c := range []struct {
+		name string
+		ops  []op
+		want [][2]int // (key, id) pairs in ascending order
+	}{
+		{"ascending keys append", []op{add(10, 1), add(20, 2), add(30, 3)},
+			[][2]int{{10, 1}, {20, 2}, {30, 3}}},
+		{"a key below the largest goes in its place", []op{add(10, 1), add(30, 2), add(20, 3), add(5, 4)},
+			[][2]int{{5, 4}, {10, 1}, {20, 3}, {30, 2}}},
+		{"removing a middle key closes the gap", []op{add(10, 1), add(20, 2), add(30, 3), del(20, 2)},
+			[][2]int{{10, 1}, {30, 3}}},
+		{"removing the first and the last key", []op{add(10, 1), add(20, 2), add(30, 3), del(10, 1), del(30, 3)},
+			[][2]int{{20, 2}}},
+		{"a second row promotes a key to a bucket", []op{add(20, 3), add(10, 2), add(20, 1)},
+			[][2]int{{10, 2}, {20, 1}, {20, 3}}},
+		{"a bucket keeps its rows ascending", []op{add(20, 1), add(20, 4), add(20, 2), add(30, 3)},
+			[][2]int{{20, 1}, {20, 2}, {20, 4}, {30, 3}}},
+		{"removing down to one row demotes the key", []op{add(10, 1), add(20, 2), add(20, 3), add(30, 4), del(20, 2)},
+			[][2]int{{10, 1}, {20, 3}, {30, 4}}},
+		{"removing a bucket's rows removes the key", []op{add(10, 1), add(20, 2), add(20, 3), add(30, 4), del(20, 3), del(20, 2)},
+			[][2]int{{10, 1}, {30, 4}}},
+		{"a middle row leaves a bucket", []op{add(20, 1), add(20, 2), add(20, 3), del(20, 2)},
+			[][2]int{{20, 1}, {20, 3}}},
+		{"re-adding a pair is a no-op", []op{add(10, 1), add(10, 1), add(20, 2), add(20, 3), add(20, 3)},
+			[][2]int{{10, 1}, {20, 2}, {20, 3}}},
+		{"removing a pair that is not there changes nothing", []op{add(10, 1), add(20, 2), add(20, 3), del(10, 2), del(20, 4), del(15, 1), del(40, 1)},
+			[][2]int{{10, 1}, {20, 2}, {20, 3}}},
+		{"a key that went comes back", []op{add(10, 1), add(20, 2), del(10, 1), add(10, 3)},
+			[][2]int{{10, 3}, {20, 2}}},
+	} {
+		for _, typ := range []ColType{ColInt, ColText} {
+			cell := func(k int) value {
+				if typ == ColInt {
+					return intValue(int64(k))
+				}
+				return textValue(fmt.Sprintf("k%03d", k))
+			}
+			ix := newOrderedIndex(typ)
+			ents := map[int]*rowEntry{}
+			model := map[string]value{}
+			ids := map[string]map[uint64]bool{}
+			for _, o := range c.ops {
+				if ents[o.id] == nil {
+					ents[o.id] = &rowEntry{id: uint64(o.id)}
+				}
+				v, k := cell(o.key), indexKey(cell(o.key))
+				if o.remove {
+					ix.remove(v, ents[o.id])
+					delete(ids[k], uint64(o.id))
+					continue
+				}
+				ix.add(v, ents[o.id])
+				model[k] = v
+				if ids[k] == nil {
+					ids[k] = map[uint64]bool{}
+				}
+				ids[k][uint64(o.id)] = true
+			}
+			if typ == ColInt {
+				checkKeyShape(t, ix.ints, model, ids, value.num)
+			} else {
+				checkKeyShape(t, ix.texts, model, ids, value.text)
+			}
+			var want []indexCand
+			for _, p := range c.want {
+				want = append(want, indexCand{key: cell(p[0]), en: ents[p[1]]})
+			}
+			if got := ix.orderedCands(nil, false); !sameCands(got, want) {
+				t.Errorf("%s, %s: traversal %v, want %v", c.name, typ, got, want)
+			}
+			for _, o := range c.ops {
+				var wantEq []indexCand
+				for _, w := range want {
+					if w.key.eq(cell(o.key)) {
+						wantEq = append(wantEq, w)
+					}
+				}
+				if got := ix.appendEq(nil, cell(o.key)); !sameCands(got, wantEq) {
+					t.Errorf("%s, %s: probe of %d gives %v, want %v", c.name, typ, o.key, got, wantEq)
+				}
+			}
+		}
+	}
+}

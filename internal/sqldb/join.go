@@ -342,7 +342,7 @@ func (e *Engine) selectComplexAt(s *Select, slots []Expr, pinned *uint64) (*rawR
 		rows := make([][]value, 0, rs.len())
 		for en, v := rs.next(); en != nil; en, v = rs.next() {
 			if v != nil {
-				rows = append(rows, v.vals)
+				rows = append(rows, v.row())
 			}
 		}
 		return rows

@@ -596,7 +596,7 @@ func TestLookupAcrossVacuumCompaction(t *testing.T) {
 	tbl := e.tables["t"]
 	rowIDs := make(map[int64]uint64) // id column → row id
 	for _, en := range tbl.entries {
-		rowIDs[en.head.Load().vals[0].num()] = en.id
+		rowIDs[en.head.Load().row()[0].num()] = en.id
 	}
 	db.MustExec("DELETE FROM t WHERE id < 10 OR id > 25 OR id = 17")
 	e.mu.Lock()

@@ -74,8 +74,8 @@ func (e *Engine) dumpPayloads() [][]byte {
 			if v == nil {
 				continue
 			}
-			batch = append(batch, rowOp{kind: opInsert, table: key, id: en.id, vals: v.vals})
-			for _, val := range v.vals {
+			batch = append(batch, rowOp{kind: opInsert, table: key, id: en.id, vals: v.row()})
+			for _, val := range v.row() {
 				batchBytes += len(val.text()) + 16 // tag/varint framing slop
 			}
 			if len(batch) >= snapshotBatchRows || batchBytes >= snapshotBatchBytes {

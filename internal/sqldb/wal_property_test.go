@@ -41,7 +41,7 @@ func dumpEngine(e *Engine) map[string]tableState {
 		for _, en := range t.entries {
 			if v := en.visible(frontier); v != nil {
 				ts.ids = append(ts.ids, en.id)
-				ts.rows = append(ts.rows, refRow(v.vals))
+				ts.rows = append(ts.rows, refRow(v.row()))
 			}
 		}
 		ts.indexed = t.indexedCols()

@@ -13,8 +13,11 @@
 # heap_mb_end and wal_bytes_per_user_byte repeat within 1 % for a seed, so a
 # claim on one of them needs only -n 3 on the claimed workload plus one -n 1
 # pair on each other workload (≈ 2 min a call, each in the foreground). It
-# reads bench/, it does not edit it, and every exit, a failed run's too,
-# removes the temp tree and ends with the leak check.
+# ends with one line per metric in BENCH_trajectory.json's record layout,
+# the pairs' values in seed order, so a claim is appended by copying its
+# line and filling in the title. It reads bench/, it does not edit it, and
+# every exit, a failed run's too, removes the temp tree and ends with the
+# leak check.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 w=page_hotcrp n=5 s=1 p=HEAD
@@ -58,7 +61,13 @@ quartiles() { # file: "median [q1, q3]", linear interpolation between ranks
 		END { printf "%.5g [%.5g, %.5g]", q(.5), q(.25), q(.75) }'
 }
 echo "== $w, seeds $s..$((s + n - 1)), parent $p: median [q1, q3]; wins = pairs where the change reads lower"
+values() { paste -sd, "$1" | sed 's/,/, /g'; }
+records=
 for m in $metrics; do
 	wins=$(paste "$tree/parent.$m" "$tree/change.$m" | awk '$2 < $1 { n++ } END { print n + 0 }')
 	printf '%-24s parent %-30s change %-30s wins %d/%d\n' "$m" "$(quartiles "$tree/parent.$m")" "$(quartiles "$tree/change.$m")" "$wins" "$n"
+	records+=$(printf '{"title": "", "workload": "%s", "metric": "%s", "better": "lower", "seeds": [%s], "parent": [%s], "change": [%s], "wins": %d, "pairs": %d, "command": "bash scripts/bench-pairs.sh -w %s -n %d -s %d -p %s"}' \
+		"$w" "$m" "$(seq -s ', ' "$s" $((s + n - 1)))" "$(values "$tree/parent.$m")" "$(values "$tree/change.$m")" "$wins" "$n" "$w" "$n" "$s" "$(git rev-parse --short "$p")")$'\n'
 done
+echo "== records in BENCH_trajectory.json's layout (fill in the title)"
+printf '%s' "$records"
