@@ -2,9 +2,7 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -78,19 +76,36 @@ func (c *Conn) Closed() bool {
 	return c.closed
 }
 
-// roundTrip sends one request frame and reads one response frame,
+// call sends req and decodes its response, which must be a want.
+func (c *Conn) call(ctx context.Context, req request, want byte) (response, error) {
+	p, err := req.encode()
+	if err != nil {
+		return response{}, err
+	}
+	r, err := c.roundTrip(ctx, p)
+	if err == nil {
+		err = r.want(want)
+	}
+	if err != nil {
+		return response{}, err
+	}
+	return r, nil
+}
+
+// roundTrip sends one request frame and decodes one response frame,
 // honoring ctx: its deadline becomes the socket deadline, and its
 // cancellation interrupts a blocked read or write. Server-reported
-// errors (msgError) return as *RemoteError and leave the connection
-// usable; transport errors poison it.
-func (c *Conn) roundTrip(ctx context.Context, payload []byte) ([]byte, error) {
+// errors (msgError) return as *RemoteError and, like a response that
+// does not decode, leave the connection usable; transport errors
+// poison it.
+func (c *Conn) roundTrip(ctx context.Context, payload []byte) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrConnClosed
+		return response{}, ErrConnClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return response{}, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		c.nc.SetDeadline(dl) //nolint:errcheck
@@ -109,17 +124,17 @@ func (c *Conn) roundTrip(ctx context.Context, payload []byte) ([]byte, error) {
 		}
 	}()
 
-	fail := func(err error) ([]byte, error) {
+	fail := func(err error) (response, error) {
 		c.closed = true
 		c.nc.Close() //nolint:errcheck
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return response{}, cerr
 		}
-		return nil, err
+		return response{}, err
 	}
 	if err := writeFrame(c.nc, payload); err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
-			return nil, err // refused before any byte hit the socket
+			return response{}, err // refused before any byte hit the socket
 		}
 		return fail(err)
 	}
@@ -127,24 +142,7 @@ func (c *Conn) roundTrip(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if len(resp) >= 2 && resp[0] == msgError {
-		d := &decoder{data: resp, off: 1}
-		code, _ := d.byte()
-		msg, merr := d.bytes()
-		if merr != nil {
-			return fail(merr)
-		}
-		return nil, &RemoteError{Code: code, Msg: string(msg)}
-	}
-	return resp, nil
-}
-
-// expect checks the response tag and returns a decoder past it.
-func expect(resp []byte, tag byte) (*decoder, error) {
-	if len(resp) == 0 || resp[0] != tag {
-		return nil, fmt.Errorf("%w: unexpected response 0x%02x (want 0x%02x)", ErrFrameCorrupt, resp[0], tag)
-	}
-	return &decoder{data: resp, off: 1}, nil
+	return decodeResponse(resp)
 }
 
 // QueryContext executes query text with bound args on the server and
@@ -152,23 +150,8 @@ func expect(resp []byte, tag byte) (*decoder, error) {
 // the wire and was re-interned, so taint is byte-identical to an
 // in-process query.
 func (c *Conn) QueryContext(ctx context.Context, q core.String, args ...any) (*sqldb.Result, error) {
-	p := []byte{msgQuery}
-	p, err := appendTracked(p, q)
-	if err != nil {
-		return nil, err
-	}
-	if p, err = appendArgs(p, args); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	d, err := expect(resp, msgResult)
-	if err != nil {
-		return nil, err
-	}
-	return d.readResult()
+	r, err := c.call(ctx, request{tag: msgQuery, text: q, args: args}, msgResult)
+	return r.result, err
 }
 
 // Query is QueryContext with context.Background.
@@ -181,20 +164,6 @@ func (c *Conn) QueryRaw(q string, args ...any) (*sqldb.Result, error) {
 	return c.Query(core.NewString(q), args...)
 }
 
-// ExecContext executes and returns the affected-row count.
-func (c *Conn) ExecContext(ctx context.Context, q core.String, args ...any) (int, error) {
-	res, err := c.QueryContext(ctx, q, args...)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
-}
-
-// Exec is ExecContext with context.Background.
-func (c *Conn) Exec(q core.String, args ...any) (int, error) {
-	return c.ExecContext(context.Background(), q, args...)
-}
-
 // Stmt is a server-side prepared statement handle.
 type Stmt struct {
 	c     *Conn
@@ -205,31 +174,11 @@ type Stmt struct {
 // PrepareContext compiles query text into a server-side prepared
 // statement owned by this connection.
 func (c *Conn) PrepareContext(ctx context.Context, q core.String) (*Stmt, error) {
-	p := []byte{msgPrepare}
-	p, err := appendTracked(p, q)
+	r, err := c.call(ctx, request{tag: msgPrepare, text: q}, msgPrepared)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	d, err := expect(resp, msgPrepared)
-	if err != nil {
-		return nil, err
-	}
-	id, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nargs, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &Stmt{c: c, id: id, nargs: int(nargs)}, nil
+	return &Stmt{c: c, id: r.id, nargs: int(r.nargs)}, nil
 }
 
 // Prepare is PrepareContext with context.Background.
@@ -243,21 +192,8 @@ func (st *Stmt) NumArgs() int { return st.nargs }
 // QueryContext executes the prepared statement with bound args
 // (positional values or sqldb.Named values).
 func (st *Stmt) QueryContext(ctx context.Context, args ...any) (*sqldb.Result, error) {
-	p := []byte{msgExec}
-	p = binary.AppendUvarint(p, st.id)
-	p, err := appendArgs(p, args)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := st.c.roundTrip(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	d, err := expect(resp, msgResult)
-	if err != nil {
-		return nil, err
-	}
-	return d.readResult()
+	r, err := st.c.call(ctx, request{tag: msgExec, id: st.id, args: args}, msgResult)
+	return r.result, err
 }
 
 // Query is QueryContext with context.Background.
@@ -281,23 +217,13 @@ func (st *Stmt) Exec(args ...any) (int, error) {
 
 // Close releases the server-side statement.
 func (st *Stmt) Close() error {
-	p := []byte{msgCloseStmt}
-	p = binary.AppendUvarint(p, st.id)
-	resp, err := st.c.roundTrip(context.Background(), p)
-	if err != nil {
-		return err
-	}
-	_, err = expect(resp, msgAck)
+	_, err := st.c.call(context.Background(), request{tag: msgCloseStmt, id: st.id}, msgAck)
 	return err
 }
 
 // ack sends a bodyless request expecting msgAck.
 func (c *Conn) ack(ctx context.Context, tag byte) error {
-	resp, err := c.roundTrip(ctx, []byte{tag})
-	if err != nil {
-		return err
-	}
-	_, err = expect(resp, msgAck)
+	_, err := c.call(ctx, request{tag: tag}, msgAck)
 	return err
 }
 
@@ -327,13 +253,6 @@ func (c *Conn) Status() (Status, error) {
 
 // StatusContext is Status honoring ctx.
 func (c *Conn) StatusContext(ctx context.Context) (Status, error) {
-	resp, err := c.roundTrip(ctx, []byte{msgStatus})
-	if err != nil {
-		return Status{}, err
-	}
-	d, err := expect(resp, msgStatusReply)
-	if err != nil {
-		return Status{}, err
-	}
-	return d.readStatus()
+	r, err := c.call(ctx, request{tag: msgStatus}, msgStatusReply)
+	return r.status, err
 }

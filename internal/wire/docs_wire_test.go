@@ -2,8 +2,13 @@ package wire
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -115,5 +120,65 @@ func TestWireDocPinsFrameBound(t *testing.T) {
 	}
 	if MaxFrame != 64<<20 {
 		t.Fatalf("MaxFrame is %d, docs say 64 MiB — update docs/WIRE.md §2", MaxFrame)
+	}
+}
+
+// TestWireDocListsEveryMessage: docs/WIRE.md §2's message table names
+// exactly proto.go's msg* constants, each with its tag.
+func TestWireDocListsEveryMessage(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "proto.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := map[string]string{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "msg") {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				tag, err := strconv.Unquote(lit.Value)
+				if !ok || lit.Kind != token.CHAR || err != nil {
+					t.Fatalf("%s is not a character constant", name.Name)
+				}
+				code[name.Name] = tag
+			}
+		}
+	}
+
+	data, err := os.ReadFile("../../docs/WIRE.md")
+	if err != nil {
+		t.Fatalf("docs/WIRE.md must exist: %v", err)
+	}
+	text := string(data)
+	start, end := strings.Index(text, "## §2"), strings.Index(text, "## §3")
+	if start < 0 || end < start {
+		t.Fatal("docs/WIRE.md lost its §2 or §3 heading")
+	}
+	doc := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(.)` \\| `(msg\\w+)` \\|").FindAllStringSubmatch(text[start:end], -1) {
+		if _, dup := doc[m[2]]; dup {
+			t.Errorf("§2 lists %s twice", m[2])
+		}
+		doc[m[2]] = m[1]
+	}
+	if len(code) == 0 {
+		t.Fatal("no msg* constants in proto.go")
+	}
+	for name, tag := range code {
+		if doc[name] != tag {
+			t.Errorf("proto.go's %s is %q; docs/WIRE.md §2 lists it as %q", name, tag, doc[name])
+		}
+	}
+	for name := range doc {
+		if _, ok := code[name]; !ok {
+			t.Errorf("docs/WIRE.md §2 lists %s, which proto.go does not define", name)
+		}
 	}
 }

@@ -62,6 +62,9 @@ var (
 	ErrDraining = errors.New("wire: server is draining")
 )
 
+// errUnknownRequest refuses a request tag the server does not know.
+var errUnknownRequest = errors.New("wire: unknown request")
+
 // RemoteError is a server-reported failure, carrying the wire error
 // code and the server's message.
 type RemoteError struct {
@@ -102,6 +105,8 @@ func errCode(err error) byte {
 		return codeTooLarge
 	case errors.Is(err, ErrDraining):
 		return codeDraining
+	case errors.Is(err, errUnknownRequest):
+		return codeBadRequest
 	}
 	return codeGeneric
 }
@@ -113,59 +118,97 @@ func errorPayload(code byte, msg string) []byte {
 	return append(p, msg...)
 }
 
-// decoder walks one message payload.
+// decoder walks one message payload. It keeps the first error it meets,
+// as bufio.Scanner does, and every read after it returns a zero value:
+// a message decodes as straight-line reads and one closing end().
 type decoder struct {
 	data []byte
 	off  int
+	err  error
 }
 
 var errTruncated = fmt.Errorf("%w: truncated message", ErrFrameCorrupt)
 
-func (d *decoder) uvarint() (uint64, error) {
+// fail keeps err if it is the first, and ends the payload so that every
+// later read comes back zero.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.off = len(d.data)
+}
+
+// end returns the kept error, or ErrFrameCorrupt if bytes follow the
+// message's last field (docs/WIRE.md §2).
+func (d *decoder) end() error {
+	if d.err == nil && d.off != len(d.data) {
+		d.err = fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(d.data)-d.off)
+	}
+	return d.err
+}
+
+func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *decoder) varint() (int64, error) {
+func (d *decoder) varint() int64 {
 	v, n := binary.Varint(d.data[d.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
-func (d *decoder) byte() (byte, error) {
+func (d *decoder) byte() byte {
 	if d.off >= len(d.data) {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	b := d.data[d.off]
 	d.off++
-	return b, nil
+	return b
 }
 
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
+func (d *decoder) uint32() uint32 {
+	if len(d.data)-d.off < 4 {
+		d.fail(errTruncated)
+		return 0
 	}
+	v := binary.LittleEndian.Uint32(d.data[d.off:])
+	d.off += 4
+	return v
+}
+
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
 	if n > uint64(len(d.data)-d.off) {
-		return nil, errTruncated
+		d.fail(errTruncated)
+		return nil
 	}
 	b := d.data[d.off : d.off+int(n)]
 	d.off += int(n)
-	return b, nil
+	return b
 }
 
-func (d *decoder) done() error {
-	if d.off != len(d.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrFrameCorrupt, len(d.data)-d.off)
+// count reads an element count and refuses one the bytes left cannot
+// hold, each element taking at least size bytes. An element of size 0
+// cannot repeat: a result without columns has no rows, as sqldb
+// produces none.
+func (d *decoder) count(what string, size uint64) int {
+	n := d.uvarint()
+	if n > 0 && (size == 0 || n > uint64(len(d.data)-d.off)/size) {
+		d.fail(fmt.Errorf("%w: %s count %d exceeds payload", ErrFrameCorrupt, what, n))
+		return 0
 	}
-	return nil
+	return int(n)
 }
 
 // Tracked-value codec. THE serialization of a tracked string is its raw
@@ -176,9 +219,15 @@ func (d *decoder) done() error {
 // the digits carrying the integer's whole-value policy set).
 
 // appendTracked encodes a tracked string: uvarint raw length + raw
-// bytes, uvarint annotation length + annotation bytes (empty when
-// untainted).
+// bytes, then its annotation (appendAnn).
 func appendTracked(p []byte, s core.String) ([]byte, error) {
+	p = binary.AppendUvarint(p, uint64(len(s.Raw())))
+	return appendAnn(append(p, s.Raw()...), s)
+}
+
+// appendAnn encodes s's annotation: uvarint length + annotation bytes
+// (empty when untainted).
+func appendAnn(p []byte, s core.String) ([]byte, error) {
 	ann, err := core.EncodeSpans(s)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode policy spans: %w", err)
@@ -186,315 +235,223 @@ func appendTracked(p []byte, s core.String) ([]byte, error) {
 	if len(ann) > 0 {
 		core.LineageRecordValue(s, "wire-send", "wire.frame")
 	}
-	p = binary.AppendUvarint(p, uint64(len(s.Raw())))
-	p = append(p, s.Raw()...)
 	p = binary.AppendUvarint(p, uint64(len(ann)))
 	return append(p, ann...), nil
 }
 
-// readTracked decodes a tracked string, re-interning its policy sets.
-func (d *decoder) readTracked() (core.String, error) {
-	raw, err := d.bytes()
-	if err != nil {
-		return core.String{}, err
-	}
-	ann, err := d.bytes()
-	if err != nil {
-		return core.String{}, err
-	}
-	if len(ann) == 0 {
-		return core.NewString(string(raw)), nil
-	}
-	s, err := core.DecodeSpans(string(raw), ann)
-	if err != nil {
-		return core.String{}, fmt.Errorf("wire: decode policy spans: %w", err)
-	}
-	core.LineageRecordValue(s, "wire-recv", "wire.frame")
-	return s, nil
+// tracked decodes a tracked string, re-interning its policy sets.
+func (d *decoder) tracked() core.String {
+	raw, ann := d.bytes(), d.bytes()
+	return d.spans(string(raw), ann)
 }
 
-// Argument codec. Each argument is uvarint name length + name bytes
-// (length 0 = positional), then a value: 'N' NULL, 'I' zigzag-varint +
-// tracked digit annotation, 'T' tracked string.
+// spans rebuilds raw with its annotation's policy sets.
+func (d *decoder) spans(raw string, ann []byte) core.String {
+	if len(ann) == 0 {
+		return core.NewString(raw)
+	}
+	s, err := core.DecodeSpans(raw, ann)
+	if err != nil {
+		d.fail(fmt.Errorf("wire: decode policy spans: %w", err))
+		return core.String{}
+	}
+	core.LineageRecordValue(s, "wire-recv", "wire.frame")
+	return s
+}
+
+// Cell codec, shared by bound arguments and result cells: 'N' NULL, 'I'
+// zigzag varint + the annotation of its digit string, 'T' tracked
+// string — annotations byte-identical to what EncodeSpans produced from
+// the in-process values.
 const (
 	valNull = 'N'
 	valInt  = 'I'
 	valText = 'T'
 )
 
-// appendArg encodes one bound argument. Plain Go values are normalized
-// to tracked (untainted) values client-side, so the server sees one
-// representation.
-func appendArg(p []byte, a any) ([]byte, error) {
-	name := ""
-	if na, ok := a.(sqldb.NamedArg); ok {
-		name = na.Name
-		a = na.Value
+// appendCell encodes one value.
+func appendCell(p []byte, c sqldb.Cell) ([]byte, error) {
+	switch {
+	case c.Null:
+		return append(p, valNull), nil
+	case c.IsInt:
+		p = binary.AppendVarint(append(p, valInt), c.Int.Value())
+		if c.Int.Policies().IsEmpty() {
+			return append(p, 0), nil
+		}
+		return appendAnn(p, c.Int.ToString())
+	default:
+		return appendTracked(append(p, valText), c.Str)
 	}
-	p = binary.AppendUvarint(p, uint64(len(name)))
-	p = append(p, name...)
+}
+
+// cell decodes one value. An integer's decoded digit policies become its
+// whole-value set, as the SQL filter's makeCell does.
+func (d *decoder) cell() sqldb.Cell {
+	switch tag := d.byte(); tag {
+	case valNull:
+		return sqldb.Cell{Null: true}
+	case valInt:
+		iv, ann := core.NewInt(d.varint()), d.bytes()
+		if len(ann) > 0 {
+			iv = iv.WithPolicy(d.spans(iv.ToString().Raw(), ann).Policies().Policies()...)
+		}
+		return sqldb.Cell{IsInt: true, Int: iv}
+	case valText:
+		return sqldb.Cell{Str: d.tracked()}
+	default:
+		d.fail(fmt.Errorf("%w: unknown value tag 0x%02x", ErrFrameCorrupt, tag))
+		return sqldb.Cell{}
+	}
+}
+
+// Argument codec. Each argument is uvarint name length + name bytes
+// (length 0 = positional), then its cell.
+
+// argCell normalizes a bound argument to the cell it travels as: plain
+// Go values are untainted, so the server sees one representation.
+func argCell(a any) (sqldb.Cell, error) {
+	var n int64
 	switch v := a.(type) {
 	case nil:
-		return append(p, valNull), nil
+		return sqldb.Cell{Null: true}, nil
 	case core.String:
-		p = append(p, valText)
-		return appendTracked(p, v)
-	case core.Int:
-		p = append(p, valInt)
-		p = binary.AppendVarint(p, v.Value())
-		ann, err := core.EncodeSpans(v.ToString())
-		if err != nil {
-			return nil, fmt.Errorf("wire: encode policy spans: %w", err)
-		}
-		if len(ann) > 0 {
-			core.LineageRecord(v.Policies(), "wire-send", "wire.frame")
-		}
-		p = binary.AppendUvarint(p, uint64(len(ann)))
-		return append(p, ann...), nil
+		return sqldb.Cell{Str: v}, nil
 	case string:
-		p = append(p, valText)
-		return appendTracked(p, core.NewString(v))
+		return sqldb.Cell{Str: core.NewString(v)}, nil
 	case []byte:
-		p = append(p, valText)
-		return appendTracked(p, core.NewString(string(v)))
+		return sqldb.Cell{Str: core.NewString(string(v))}, nil
+	case core.Int:
+		return sqldb.Cell{IsInt: true, Int: v}, nil
 	case int:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case int64:
-		return appendArg0Int(p, v), nil
+		n = v
 	case int32:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case int16:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case int8:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case uint8:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case uint16:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case uint32:
-		return appendArg0Int(p, int64(v)), nil
+		n = int64(v)
 	case bool:
 		if v {
-			return appendArg0Int(p, 1), nil
+			n = 1
 		}
-		return appendArg0Int(p, 0), nil
 	default:
-		return nil, fmt.Errorf("wire: cannot bind %T (want core.String, core.Int, string, []byte, integer, bool, or nil)", a)
+		return sqldb.Cell{}, fmt.Errorf("wire: cannot bind %T (want core.String, core.Int, string, []byte, integer, bool, or nil)", a)
 	}
-}
-
-func appendArg0Int(p []byte, v int64) []byte {
-	p = append(p, valInt)
-	p = binary.AppendVarint(p, v)
-	return binary.AppendUvarint(p, 0)
-}
-
-// readArg decodes one bound argument into the value the sqldb layer
-// binds: nil, core.String, core.Int, or sqldb.NamedArg wrapping one.
-func (d *decoder) readArg() (any, error) {
-	nameB, err := d.bytes()
-	if err != nil {
-		return nil, err
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	var v any
-	switch tag {
-	case valNull:
-		v = nil
-	case valText:
-		s, err := d.readTracked()
-		if err != nil {
-			return nil, err
-		}
-		v = s
-	case valInt:
-		n, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		ann, err := d.bytes()
-		if err != nil {
-			return nil, err
-		}
-		iv, err := decodeInt(n, ann)
-		if err != nil {
-			return nil, err
-		}
-		v = iv
-	default:
-		return nil, fmt.Errorf("%w: unknown value tag 0x%02x", ErrFrameCorrupt, tag)
-	}
-	if len(nameB) > 0 {
-		return sqldb.Named(string(nameB), v), nil
-	}
-	return v, nil
-}
-
-// decodeInt rebuilds a tracked integer from its value and digit-string
-// annotation, the same way the SQL filter's makeCell does: the decoded
-// digits' policy set becomes the integer's whole-value set.
-func decodeInt(n int64, ann []byte) (core.Int, error) {
-	iv := core.NewInt(n)
-	if len(ann) == 0 {
-		return iv, nil
-	}
-	s, err := core.DecodeSpans(iv.ToString().Raw(), ann)
-	if err != nil {
-		return core.Int{}, fmt.Errorf("wire: decode policy spans: %w", err)
-	}
-	out := iv.WithPolicy(s.Policies().Policies()...)
-	core.LineageRecord(out.Policies(), "wire-recv", "wire.frame")
-	return out, nil
+	return sqldb.Cell{IsInt: true, Int: core.NewInt(n)}, nil
 }
 
 // appendArgs encodes a bound-argument list.
 func appendArgs(p []byte, args []any) ([]byte, error) {
 	p = binary.AppendUvarint(p, uint64(len(args)))
-	var err error
 	for _, a := range args {
-		if p, err = appendArg(p, a); err != nil {
+		name := ""
+		if na, ok := a.(sqldb.NamedArg); ok {
+			name, a = na.Name, na.Value
+		}
+		c, err := argCell(a)
+		if err != nil {
+			return nil, err
+		}
+		p = binary.AppendUvarint(p, uint64(len(name)))
+		if p, err = appendCell(append(p, name...), c); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// readArgs decodes a bound-argument list.
-func (d *decoder) readArgs() ([]any, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.data)) { // each arg is ≥ 2 bytes; cheap sanity bound
-		return nil, fmt.Errorf("%w: argument count %d exceeds payload", ErrFrameCorrupt, n)
-	}
+// args decodes a bound-argument list into the values the sqldb layer
+// binds: nil, core.String, core.Int, or sqldb.NamedArg wrapping one.
+func (d *decoder) args() []any {
+	n := d.count("argument", 2) // a name length and a value tag at least
 	args := make([]any, 0, n)
-	for i := uint64(0); i < n; i++ {
-		a, err := d.readArg()
+	for i := 0; i < n && d.err == nil; i++ {
+		name := d.bytes()
+		var v any
+		switch c := d.cell(); {
+		case c.IsInt:
+			v = c.Int
+		case !c.Null:
+			v = c.Str
+		}
+		if len(name) > 0 {
+			v = sqldb.Named(string(name), v)
+		}
+		args = append(args, v)
+	}
+	return args
+}
+
+// newPayload starts a payload with room for a short message, so that
+// encoding one does not regrow the buffer through the smallest sizes.
+func newPayload(tag byte) []byte { return append(make([]byte, 0, 64), tag) }
+
+// request is one client → server message; which fields its tag uses is
+// in docs/WIRE.md §2.
+type request struct {
+	tag  byte
+	text core.String // Q, P: the query text
+	args []any       // Q, E: bound arguments
+	id   uint64      // E, X: the statement id; W: the follower's log size
+	crc  uint32      // W: CRC-32 (IEEE) of that log prefix
+}
+
+// encode returns q's payload; it fails only on an argument it cannot
+// bind or a policy EncodeSpans refuses.
+func (q *request) encode() ([]byte, error) {
+	p := newPayload(q.tag)
+	switch q.tag {
+	case msgQuery:
+		p, err := appendTracked(p, q.text)
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
-	}
-	return args, nil
-}
-
-// Result codec: affected count, column names, then rows of cells. A
-// cell is 'N', or 'I' + zigzag varint + digit annotation, or 'T' +
-// tracked string — annotations byte-identical to what EncodeSpans
-// produced from the in-process result cells.
-
-// resultPayload encodes a query result.
-func resultPayload(res *sqldb.Result) ([]byte, error) {
-	p := []byte{msgResult}
-	p = binary.AppendUvarint(p, uint64(res.Affected))
-	p = binary.AppendUvarint(p, uint64(len(res.Columns)))
-	for _, c := range res.Columns {
-		p = binary.AppendUvarint(p, uint64(len(c)))
-		p = append(p, c...)
-	}
-	p = binary.AppendUvarint(p, uint64(len(res.Rows)))
-	var err error
-	for _, row := range res.Rows {
-		for _, cell := range row {
-			switch {
-			case cell.Null:
-				p = append(p, valNull)
-			case cell.IsInt:
-				p = append(p, valInt)
-				p = binary.AppendVarint(p, cell.Int.Value())
-				var ann []byte
-				if ann, err = core.EncodeSpans(cell.Int.ToString()); err != nil {
-					return nil, fmt.Errorf("wire: encode policy spans: %w", err)
-				}
-				if len(ann) > 0 {
-					core.LineageRecord(cell.Int.Policies(), "wire-send", "wire.frame")
-				}
-				p = binary.AppendUvarint(p, uint64(len(ann)))
-				p = append(p, ann...)
-			default:
-				p = append(p, valText)
-				if p, err = appendTracked(p, cell.Str); err != nil {
-					return nil, err
-				}
-			}
-		}
+		return appendArgs(p, q.args)
+	case msgPrepare:
+		return appendTracked(p, q.text)
+	case msgExec:
+		return appendArgs(binary.AppendUvarint(p, q.id), q.args)
+	case msgCloseStmt:
+		return binary.AppendUvarint(p, q.id), nil
+	case msgHandshake:
+		return binary.LittleEndian.AppendUint32(binary.AppendUvarint(p, q.id), q.crc), nil
 	}
 	return p, nil
 }
 
-// readResult decodes a query result (the bytes after the 'r' tag).
-func (d *decoder) readResult() (*sqldb.Result, error) {
-	affected, err := d.uvarint()
-	if err != nil {
-		return nil, err
+// decodeRequest decodes one request whole: it ends where its last field
+// does, or it fails before anything runs.
+func decodeRequest(p []byte) (request, error) {
+	d := decoder{data: p}
+	q := request{tag: d.byte()}
+	switch q.tag {
+	case msgQuery:
+		q.text, q.args = d.tracked(), d.args()
+	case msgPrepare:
+		q.text = d.tracked()
+	case msgExec:
+		q.id, q.args = d.uvarint(), d.args()
+	case msgCloseStmt:
+		q.id = d.uvarint()
+	case msgHandshake:
+		q.id, q.crc = d.uvarint(), d.uint32()
+	case msgBegin, msgCommit, msgRollback, msgStatus:
+	default:
+		return request{}, fmt.Errorf("%w 0x%02x", errUnknownRequest, q.tag)
 	}
-	ncols, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	if err := d.end(); err != nil {
+		return request{}, err
 	}
-	if ncols > uint64(len(d.data)) {
-		return nil, fmt.Errorf("%w: column count %d exceeds payload", ErrFrameCorrupt, ncols)
-	}
-	cols := make([]string, 0, ncols)
-	for i := uint64(0); i < ncols; i++ {
-		b, err := d.bytes()
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, string(b))
-	}
-	nrows, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ncols > 0 && nrows > uint64(len(d.data))/ncols {
-		return nil, fmt.Errorf("%w: row count %d exceeds payload", ErrFrameCorrupt, nrows)
-	}
-	rows := make([][]sqldb.Cell, 0, nrows)
-	for r := uint64(0); r < nrows; r++ {
-		row := make([]sqldb.Cell, ncols)
-		for c := uint64(0); c < ncols; c++ {
-			tag, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			switch tag {
-			case valNull:
-				row[c] = sqldb.Cell{Null: true}
-			case valInt:
-				n, err := d.varint()
-				if err != nil {
-					return nil, err
-				}
-				ann, err := d.bytes()
-				if err != nil {
-					return nil, err
-				}
-				iv, err := decodeInt(n, ann)
-				if err != nil {
-					return nil, err
-				}
-				row[c] = sqldb.Cell{IsInt: true, Int: iv}
-			case valText:
-				s, err := d.readTracked()
-				if err != nil {
-					return nil, err
-				}
-				row[c] = sqldb.Cell{Str: s}
-			default:
-				return nil, fmt.Errorf("%w: unknown cell tag 0x%02x", ErrFrameCorrupt, tag)
-			}
-		}
-		rows = append(rows, row)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &sqldb.Result{Columns: cols, Rows: rows, Affected: int(affected)}, nil
+	return q, nil
 }
 
 // Status is a server's replication position, from Conn.Status.
@@ -516,45 +473,129 @@ type Status struct {
 	PrimarySize int64
 }
 
-func statusPayload(st Status) []byte {
-	role := byte('P')
-	if st.Role == "follower" {
-		role = 'F'
-	}
-	p := []byte{msgStatusReply, role}
-	p = binary.AppendUvarint(p, st.Frontier)
-	p = binary.AppendUvarint(p, st.Epoch)
-	p = binary.AppendUvarint(p, uint64(st.WALSize))
-	p = binary.AppendUvarint(p, uint64(st.Applied))
-	p = binary.AppendUvarint(p, uint64(st.Received))
-	p = binary.AppendUvarint(p, uint64(st.PrimarySize))
-	return p
+// response is one server → client message other than an error frame;
+// which fields its tag uses is in docs/WIRE.md §2.
+type response struct {
+	tag       byte
+	result    *sqldb.Result // r
+	status    Status        // s
+	id, nargs uint64        // p: the statement id and its placeholder count
+	off       uint64        // L: the chunk's offset in the primary's log
+	epoch     uint64        // w, L: the primary's log epoch
+	size      uint64        // w, L: the primary's log size
+	data      []byte        // L: the log bytes
 }
 
-func (d *decoder) readStatus() (Status, error) {
-	var st Status
-	role, err := d.byte()
-	if err != nil {
-		return st, err
-	}
-	if role == 'F' {
-		st.Role = "follower"
-	} else {
-		st.Role = "primary"
-	}
-	fields := []*uint64{&st.Frontier, &st.Epoch}
-	for _, f := range fields {
-		if *f, err = d.uvarint(); err != nil {
-			return st, err
+// encode returns r's payload. A result fails only on a policy
+// EncodeSpans refuses. A log chunk's payload ends with its data's
+// length; the data follows it uncopied (sendChunk).
+func (r *response) encode() ([]byte, error) {
+	p := newPayload(r.tag)
+	switch r.tag {
+	case msgResult:
+		res := r.result
+		p = binary.AppendUvarint(p, uint64(res.Affected))
+		p = binary.AppendUvarint(p, uint64(len(res.Columns)))
+		for _, c := range res.Columns {
+			p = binary.AppendUvarint(p, uint64(len(c)))
+			p = append(p, c...)
+		}
+		p = binary.AppendUvarint(p, uint64(len(res.Rows)))
+		var err error
+		for _, row := range res.Rows {
+			for _, c := range row {
+				if p, err = appendCell(p, c); err != nil {
+					return nil, err
+				}
+			}
+		}
+	case msgPrepared:
+		p = binary.AppendUvarint(binary.AppendUvarint(p, r.id), r.nargs)
+	case msgStatusReply:
+		role := byte('P')
+		if r.status.Role == "follower" {
+			role = 'F'
+		}
+		p = append(p, role)
+		for _, v := range [...]uint64{r.status.Frontier, r.status.Epoch, uint64(r.status.WALSize),
+			uint64(r.status.Applied), uint64(r.status.Received), uint64(r.status.PrimarySize)} {
+			p = binary.AppendUvarint(p, v)
+		}
+	case msgShipAccept:
+		p = binary.AppendUvarint(binary.AppendUvarint(p, r.epoch), r.size)
+	case msgLogChunk:
+		for _, v := range [...]uint64{r.off, r.epoch, r.size, uint64(len(r.data))} {
+			p = binary.AppendUvarint(p, v)
 		}
 	}
-	ints := []*int64{&st.WALSize, &st.Applied, &st.Received, &st.PrimarySize}
-	for _, f := range ints {
-		v, err := d.uvarint()
-		if err != nil {
-			return st, err
+	return p, nil
+}
+
+// decodeResponse decodes one response whole, to its last field. An
+// error frame returns as its *RemoteError.
+func decodeResponse(p []byte) (response, error) {
+	d := decoder{data: p}
+	r := response{tag: d.byte()}
+	var remote *RemoteError
+	switch r.tag {
+	case msgResult:
+		r.result = d.result()
+	case msgPrepared:
+		r.id, r.nargs = d.uvarint(), d.uvarint()
+	case msgStatusReply:
+		if d.byte() == 'F' {
+			r.status.Role = "follower"
+		} else {
+			r.status.Role = "primary"
 		}
-		*f = int64(v)
+		st := &r.status
+		st.Frontier, st.Epoch = d.uvarint(), d.uvarint()
+		st.WALSize, st.Applied = int64(d.uvarint()), int64(d.uvarint())
+		st.Received, st.PrimarySize = int64(d.uvarint()), int64(d.uvarint())
+	case msgShipAccept:
+		r.epoch, r.size = d.uvarint(), d.uvarint()
+	case msgLogChunk:
+		r.off, r.epoch, r.size, r.data = d.uvarint(), d.uvarint(), d.uvarint(), d.bytes()
+	case msgError:
+		remote = &RemoteError{Code: d.byte(), Msg: string(d.bytes())}
+	case msgAck:
+	default:
+		d.fail(fmt.Errorf("%w: unknown response 0x%02x", ErrFrameCorrupt, r.tag))
 	}
-	return st, d.done()
+	if err := d.end(); err != nil {
+		return response{}, err
+	}
+	if remote != nil {
+		return response{}, remote
+	}
+	return r, nil
+}
+
+// result decodes a query result: affected count, column names, then
+// rows of cells.
+func (d *decoder) result() *sqldb.Result {
+	res := &sqldb.Result{Affected: int(d.uvarint())}
+	ncols := d.count("column", 1) // a name length at least
+	res.Columns = make([]string, 0, ncols)
+	for i := 0; i < ncols && d.err == nil; i++ {
+		res.Columns = append(res.Columns, string(d.bytes()))
+	}
+	nrows := d.count("row", uint64(ncols)) // a value tag per cell at least
+	res.Rows = make([][]sqldb.Cell, 0, nrows)
+	for i := 0; i < nrows && d.err == nil; i++ {
+		row := make([]sqldb.Cell, ncols)
+		for c := range row {
+			row[c] = d.cell()
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// want fails a decoded response whose tag is not tag.
+func (r *response) want(tag byte) error {
+	if r.tag != tag {
+		return fmt.Errorf("%w: unexpected response 0x%02x (want 0x%02x)", ErrFrameCorrupt, r.tag, tag)
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -174,87 +173,46 @@ func (r *Replica) stream(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	p := []byte{msgHandshake}
-	p = binary.AppendUvarint(p, uint64(size))
-	p = binary.LittleEndian.AppendUint32(p, crc)
+	// Only a query's or an execute's encode can fail.
+	p, _ := (&request{tag: msgHandshake, id: uint64(size), crc: crc}).encode()
 	if err := writeFrame(nc, p); err != nil {
 		return err
 	}
-	resp, err := readFrame(nc)
+	// recv reads and decodes one frame, which must be a want; an error
+	// frame ends the stream with its error.
+	recv := func(want byte) (response, error) {
+		frame, err := readFrame(nc)
+		if err != nil {
+			return response{}, err
+		}
+		r, err := decodeResponse(frame)
+		if err == nil {
+			err = r.want(want)
+		}
+		return r, err
+	}
+	accept, err := recv(msgShipAccept)
 	if err != nil {
 		return err
 	}
-	if remote := asRemoteError(resp); remote != nil {
-		return remote
-	}
-	d2, err := expect(resp, msgShipAccept)
-	if err != nil {
-		return err
-	}
-	if _, err := d2.uvarint(); err != nil { // epoch (informational)
-		return err
-	}
-	psize, err := d2.uvarint()
-	if err != nil {
-		return err
-	}
-	r.primarySize.Store(int64(psize))
+	r.primarySize.Store(int64(accept.size))
 
 	// Receive loop: heartbeats arrive every shipHeartbeat, so a stalled
 	// read means a dead primary — time out at several heartbeats.
 	for {
 		nc.SetReadDeadline(time.Now().Add(10 * shipHeartbeat)) //nolint:errcheck
-		frame, err := readFrame(nc)
+		chunk, err := recv(msgLogChunk)
 		if err != nil {
 			return err
 		}
-		if remote := asRemoteError(frame); remote != nil {
-			return remote
-		}
-		d := &decoder{data: frame, off: 1}
-		if frame[0] != msgLogChunk {
-			return fmt.Errorf("%w: unexpected frame 0x%02x on ship stream", ErrFrameCorrupt, frame[0])
-		}
-		off, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if _, err := d.uvarint(); err != nil { // epoch
-			return err
-		}
-		ps, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		data, err := d.bytes()
-		if err != nil {
-			return err
-		}
-		if err := d.done(); err != nil {
-			return err
-		}
-		r.primarySize.Store(int64(ps))
-		if len(data) == 0 {
+		r.primarySize.Store(int64(chunk.size))
+		if len(chunk.data) == 0 {
 			continue // heartbeat
 		}
-		if err := fol.Apply(int64(off), data); err != nil {
+		if err := fol.Apply(int64(chunk.off), chunk.data); err != nil {
 			return err
 		}
 	}
-}
-
-// asRemoteError decodes a msgError frame, or returns nil.
-func asRemoteError(frame []byte) error {
-	if len(frame) < 2 || frame[0] != msgError {
-		return nil
-	}
-	d := &decoder{data: frame, off: 1}
-	code, _ := d.byte()
-	msg, err := d.bytes()
-	if err != nil {
-		return err
-	}
-	return &RemoteError{Code: code, Msg: string(msg)}
 }
 
 // resync discards the replica's state and starts over: the primary's

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -264,174 +263,96 @@ func (s *session) reply(payload []byte) bool {
 
 // dispatch handles one request and returns the response payload, or a
 // ship loop to hand the connection to. A request is decoded whole, and
-// must end where its last field does (d.done), before it runs: bytes
-// past that fail it with ErrFrameCorrupt's code and run nothing
-// (docs/WIRE.md §2).
-func (s *session) dispatch(req []byte) (resp []byte, ship func()) {
-	d := &decoder{data: req, off: 1}
-	fail := func(err error) ([]byte, func()) {
+// must end where its last field does, before anything runs: bytes past
+// that fail it with ErrFrameCorrupt's code (docs/WIRE.md §2).
+func (s *session) dispatch(p []byte) (resp []byte, ship func()) {
+	q, err := decodeRequest(p)
+	var r response
+	if err == nil {
+		r, ship, err = s.handle(q)
+	}
+	if err == nil && ship == nil {
+		resp, err = r.encode()
+	}
+	if err != nil {
 		return errorPayload(errCode(err), err.Error()), nil
 	}
+	return resp, ship
+}
+
+// handle runs one decoded request.
+func (s *session) handle(q request) (response, func(), error) {
 	db := s.srv.src()
-	switch req[0] {
-	case msgBegin, msgCommit, msgRollback, msgStatus:
-		if err := d.done(); err != nil { // these requests have no body
-			return fail(err)
-		}
-	}
-	switch req[0] {
+	switch q.tag {
 	case msgQuery:
-		q, err := d.readTracked()
+		st, err := s.prepare(db, q.text)
 		if err != nil {
-			return fail(err)
+			return response{}, nil, err
 		}
-		args, err := d.readArgs()
-		if err == nil {
-			err = d.done()
-		}
-		if err != nil {
-			return fail(err)
-		}
-		res, err := s.execute(db, q, args)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := resultPayload(res)
-		if err != nil {
-			return fail(err)
-		}
-		return p, nil
+		return resultOf(st.Query(q.args...))
 
 	case msgPrepare:
-		q, err := d.readTracked()
-		if err == nil {
-			err = d.done()
-		}
+		st, err := s.prepare(db, q.text)
 		if err != nil {
-			return fail(err)
-		}
-		st, err := s.prepare(db, q)
-		if err != nil {
-			return fail(err)
+			return response{}, nil, err
 		}
 		if s.stmts == nil {
 			s.stmts = make(map[uint64]*sqldb.Stmt)
 		}
 		s.nextID++
-		id := s.nextID
-		s.stmts[id] = st
-		p := []byte{msgPrepared}
-		p = binary.AppendUvarint(p, id)
-		p = binary.AppendUvarint(p, uint64(st.NumArgs()))
-		return p, nil
+		s.stmts[s.nextID] = st
+		return response{tag: msgPrepared, id: s.nextID, nargs: uint64(st.NumArgs())}, nil, nil
 
 	case msgExec:
-		id, err := d.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		args, err := d.readArgs()
-		if err == nil {
-			err = d.done()
-		}
-		if err != nil {
-			return fail(err)
-		}
-		st := s.stmts[id]
+		// prepare refused a mutating statement on a read-only server, so
+		// every statement held here may run.
+		st := s.stmts[q.id]
 		if st == nil {
-			return fail(fmt.Errorf("wire: unknown statement id %d", id))
+			return response{}, nil, fmt.Errorf("wire: unknown statement id %d", q.id)
 		}
-		if s.srv.readOnly && !st.ReadOnly() {
-			return fail(fmt.Errorf("%w: statement mutates", ErrReadOnlyReplica))
-		}
-		res, err := st.Query(args...)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := resultPayload(res)
-		if err != nil {
-			return fail(err)
-		}
-		return p, nil
+		return resultOf(st.Query(q.args...))
 
 	case msgCloseStmt:
-		id, err := d.uvarint()
-		if err == nil {
-			err = d.done()
-		}
-		if err != nil {
-			return fail(err)
-		}
-		delete(s.stmts, id)
-		return []byte{msgAck}, nil
+		delete(s.stmts, q.id)
 
 	case msgBegin:
 		if s.srv.readOnly {
-			return fail(fmt.Errorf("%w: no transactions on a replica", ErrReadOnlyReplica))
+			return response{}, nil, fmt.Errorf("%w: no transactions on a replica", ErrReadOnlyReplica)
 		}
 		if s.tx != nil {
-			return fail(errors.New("wire: transaction already open on this connection"))
+			return response{}, nil, errors.New("wire: transaction already open on this connection")
 		}
 		s.tx = db.Begin()
-		return []byte{msgAck}, nil
 
-	case msgCommit:
-		if s.tx == nil {
-			return fail(errors.New("wire: no open transaction"))
-		}
+	case msgCommit, msgRollback:
 		tx := s.tx
+		if tx == nil {
+			return response{}, nil, errors.New("wire: no open transaction")
+		}
 		s.tx = nil
-		if err := tx.Commit(); err != nil {
-			return fail(err)
+		end := tx.Commit
+		if q.tag == msgRollback {
+			end = tx.Rollback
 		}
-		return []byte{msgAck}, nil
-
-	case msgRollback:
-		if s.tx == nil {
-			return fail(errors.New("wire: no open transaction"))
+		if err := end(); err != nil {
+			return response{}, nil, err
 		}
-		tx := s.tx
-		s.tx = nil
-		if err := tx.Rollback(); err != nil {
-			return fail(err)
-		}
-		return []byte{msgAck}, nil
 
 	case msgStatus:
-		return statusPayload(s.srv.status()), nil
+		return response{tag: msgStatusReply, status: s.srv.status()}, nil, nil
 
 	case msgHandshake:
-		size, err := d.uvarint()
-		if err != nil {
-			return fail(err)
+		if err := db.VerifyWALPrefix(int64(q.id), q.crc); err != nil {
+			return response{}, nil, err
 		}
-		if len(d.data)-d.off < 4 {
-			return fail(fmt.Errorf("%w: bad handshake CRC", ErrFrameCorrupt))
-		}
-		crc := binary.LittleEndian.Uint32(d.data[d.off:])
-		d.off += 4
-		if err := d.done(); err != nil {
-			return fail(err)
-		}
-		if err := db.VerifyWALPrefix(int64(size), crc); err != nil {
-			return fail(err)
-		}
-		return nil, func() { s.serveShip(db, int64(size)) }
-
-	default:
-		return errorPayload(codeBadRequest, fmt.Sprintf("wire: unknown request 0x%02x", req[0])), nil
+		return response{}, func() { s.serveShip(db, int64(q.id)) }, nil
 	}
+	return response{tag: msgAck}, nil, nil
 }
 
-// execute runs a one-shot query through the prepared-statement layer —
-// one compile (none for remembered text), uniform named/positional
-// binding, and the replica read-only check in one place.
-func (s *session) execute(db *sqldb.DB, q core.String, args []any) (*sqldb.Result, error) {
-	st, err := s.prepare(db, q)
-	if err != nil {
-		return nil, err
-	}
-	return st.Query(args...)
+// resultOf answers a query with its result.
+func resultOf(res *sqldb.Result, err error) (response, func(), error) {
+	return response{tag: msgResult, result: res}, nil, err
 }
 
 // prepare compiles query text against the session's transaction (when
@@ -474,9 +395,8 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 		s.reply(errorPayload(errCode(err), err.Error()))
 		return
 	}
-	accept := []byte{msgShipAccept}
-	accept = binary.AppendUvarint(accept, epoch0)
-	accept = binary.AppendUvarint(accept, uint64(size))
+	// Only a result's encode can fail.
+	accept, _ := (&response{tag: msgShipAccept, epoch: epoch0, size: uint64(size)}).encode()
 	if !s.reply(accept) {
 		return
 	}
@@ -520,11 +440,7 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 // sendChunk frames one msgLogChunk: the chunk header, then data as read
 // from the log, written behind it without a copy.
 func (s *session) sendChunk(off int64, epoch uint64, primarySize int64, data []byte) bool {
-	head := []byte{msgLogChunk}
-	head = binary.AppendUvarint(head, uint64(off))
-	head = binary.AppendUvarint(head, epoch)
-	head = binary.AppendUvarint(head, uint64(primarySize))
-	head = binary.AppendUvarint(head, uint64(len(data)))
+	head, _ := (&response{tag: msgLogChunk, off: uint64(off), epoch: epoch, size: uint64(primarySize), data: data}).encode()
 	s.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	return writeFrameBody(s.nc, head, data) == nil
 }

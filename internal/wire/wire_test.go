@@ -127,12 +127,8 @@ func TestWireAnnotationIsEncodeSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &decoder{data: p}
-	raw, err := d.bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann, err := d.bytes()
-	if err != nil {
+	raw, ann := d.bytes(), d.bytes()
+	if err := d.end(); err != nil {
 		t.Fatal(err)
 	}
 	if string(raw) != s.Raw() {
@@ -144,8 +140,8 @@ func TestWireAnnotationIsEncodeSpans(t *testing.T) {
 
 	// Decoding re-encodes to the same canonical bytes.
 	d2 := &decoder{data: p}
-	viaWire, err := d2.readTracked()
-	if err != nil {
+	viaWire := d2.tracked()
+	if err := d2.end(); err != nil {
 		t.Fatal(err)
 	}
 	wireAnn, err := core.EncodeSpans(viaWire)
