@@ -543,12 +543,11 @@ func decodeResponse(p []byte) (response, error) {
 	case msgPrepared:
 		r.id, r.nargs = d.uvarint(), d.uvarint()
 	case msgStatusReply:
-		if d.byte() == 'F' {
-			r.status.Role = "follower"
-		} else {
-			r.status.Role = "primary"
-		}
 		st := &r.status
+		st.Role = "primary"
+		if d.byte() == 'F' {
+			st.Role = "follower"
+		}
 		st.Frontier, st.Epoch = d.uvarint(), d.uvarint()
 		st.WALSize, st.Applied = int64(d.uvarint()), int64(d.uvarint())
 		st.Received, st.PrimarySize = int64(d.uvarint()), int64(d.uvarint())

@@ -440,6 +440,7 @@ func (s *session) serveShip(db *sqldb.DB, off int64) {
 // sendChunk frames one msgLogChunk: the chunk header, then data as read
 // from the log, written behind it without a copy.
 func (s *session) sendChunk(off int64, epoch uint64, primarySize int64, data []byte) bool {
+	// Only a result's encode can fail.
 	head, _ := (&response{tag: msgLogChunk, off: uint64(off), epoch: epoch, size: uint64(primarySize), data: data}).encode()
 	s.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	return writeFrameBody(s.nc, head, data) == nil
