@@ -97,7 +97,7 @@ func (a *App) CreatePage(name string, acl ACL, body string, author string) error
 	if a.assertions {
 		// The write assertion (§5.1): a persistent filter on the page
 		// directory restricts creating/removing revision files, and each
-		// revision file gets a filter restricting modification.
+		// revision file gets it when created, restricting modification.
 		if err := a.FS.SetPersistentFilter(dir, &PageWriteFilter{ACL: acl.Write}); err != nil {
 			return err
 		}
@@ -144,18 +144,7 @@ func (a *App) updateBody(name string, text core.String, author string) error {
 	ctx := core.NewContext(core.KindFile)
 	ctx.Set("user", author)
 	path := fmt.Sprintf("%s/rev%05d", dir, n+1)
-	if err := a.FS.WriteFile(path, text, ctx); err != nil {
-		return err
-	}
-	if a.assertions {
-		acl, aerr := a.PageACL(name)
-		if aerr == nil {
-			if ferr := a.FS.SetPersistentFilter(path, &PageWriteFilter{ACL: acl.Write}); ferr != nil {
-				return ferr
-			}
-		}
-	}
-	return nil
+	return a.FS.WriteFile(path, text, ctx)
 }
 
 // latestBody reads the newest revision of a page — with tracking on, the

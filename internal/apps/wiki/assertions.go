@@ -68,6 +68,10 @@ func (f *PageWriteFilter) FilterDirOp(op, name string, ctx *core.Context) error 
 	return fmt.Errorf("wiki: %s may not %s %s", user, op, name)
 }
 
+// FileFilter gives every revision file created in the page directory
+// this filter, however the file was written.
+func (f *PageWriteFilter) FileFilter() any { return f }
+
 // END ASSERTION
 
 func init() {

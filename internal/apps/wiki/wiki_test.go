@@ -92,6 +92,29 @@ func TestModifyExistingRevisionGuarded(t *testing.T) {
 	}
 }
 
+// TestRevisionWrittenOutsideUpdateBodyGuarded: a revision file a writer
+// creates with FS.WriteFile directly, not through the wiki's edit path,
+// carries the page's PageWriteFilter from the moment it exists, so a
+// non-writer's later overwrite is vetoed and the page keeps its text.
+func TestRevisionWrittenOutsideUpdateBodyGuarded(t *testing.T) {
+	a := seeded(true)
+	as := func(user string) *core.Context {
+		ctx := core.NewContext(core.KindFile)
+		ctx.Set("user", user)
+		return ctx
+	}
+	rev := pageDir("Secret") + "/rev00002"
+	if err := a.FS.WriteFile(rev, core.NewString("revised by alice"), as("alice")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FS.WriteFile(rev, core.NewString("defaced"), as("mallory")); err == nil {
+		t.Fatal("mallory overwrote a revision alice created outside updateBody")
+	}
+	if body, err := a.latestBody("Secret"); err != nil || body.Raw() != "revised by alice" {
+		t.Fatalf("Secret reads %q (%v), want alice's revision", body.Raw(), err)
+	}
+}
+
 // TestWriterModifiesExistingRevision is the allowed side of
 // TestModifyExistingRevisionGuarded: a user on a page's write ACL — alice
 // on Secret, anyone on Public — rewrites the page's existing revision in

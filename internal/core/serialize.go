@@ -340,18 +340,28 @@ type wireSpan struct {
 // EncodeSpans serializes the policy annotation of a tracked string — the
 // metadata the default file filter writes into a file's extended
 // attributes and the SQL filter writes into policy columns. Returns nil
-// for an untainted string. Policies that are not registered for
-// serialization are skipped with an error so that confidentiality
-// policies are never silently dropped. The bytes are json.Marshal of
-// the []wireSpan (spans and their sets are never empty), appended here.
+// for an untainted string. It is AppendSpans into a fresh buffer.
 func EncodeSpans(t String) ([]byte, error) {
 	if !t.IsTainted() {
 		return nil, nil
 	}
+	return AppendSpans(make([]byte, 0, 128), t)
+}
+
+// AppendSpans appends the policy annotation of t to dst (nothing for an
+// untainted string) and returns the extended buffer. Policies that are
+// not registered for serialization are skipped with an error so that
+// confidentiality policies are never silently dropped. The bytes are
+// json.Marshal of the []wireSpan (spans and their sets are never empty),
+// appended here.
+func AppendSpans(dst []byte, t String) ([]byte, error) {
+	if !t.IsTainted() {
+		return dst, nil
+	}
 	if lineageOn() {
 		lineageRecordSpans(t, "serialize", "core.encode")
 	}
-	buf := append(make([]byte, 0, 128), '[')
+	buf := append(dst, '[')
 	for i, sp := range t.spans {
 		if i > 0 {
 			buf = append(buf, ',')

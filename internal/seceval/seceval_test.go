@@ -45,7 +45,7 @@ func TestTable4Counts(t *testing.T) {
 	want := map[string][4]int{ // key → {known, discovered, prevented, measured LOC}
 		"admissions-sql":   {0, 3, 3, 3},
 		"moin-read":        {2, 0, 2, 10},
-		"moin-write":       {0, 0, 0, 17},
+		"moin-write":       {0, 0, 0, 18},
 		"filethingie":      {0, 1, 1, 39},
 		"hotcrp-password":  {1, 0, 1, 14},
 		"hotcrp-paper":     {0, 0, 0, 16},

@@ -2,7 +2,13 @@ package sqldb
 
 import (
 	"errors"
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
 	"os"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -473,5 +479,83 @@ func TestJoinAggDocExamples(t *testing.T) {
 	}
 	if checked < 6 {
 		t.Fatalf("join-agg block pins only %d queries; the doc examples shrank", checked)
+	}
+}
+
+// TestSQLDocListsEveryWALTag pins docs/SQL.md §8's format block to the
+// code: the one-byte tags it quotes are exactly the record types
+// (walRec*), row-op kinds (op*) and value tags (walVal*) that wal.go and
+// engine.go declare, so a tag added to the log cannot go undocumented.
+func TestSQLDocListsEveryWALTag(t *testing.T) {
+	declared := map[string]string{} // tag → constant name
+	fset := token.NewFileSet()
+	for _, file := range []string{"wal.go", "engine.go"} {
+		f, err := goparser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !strings.HasPrefix(name.Name, "walRec") && !strings.HasPrefix(name.Name, "walVal") &&
+						!strings.HasPrefix(name.Name, "op") {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok || lit.Kind != token.CHAR {
+						continue
+					}
+					tag, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					declared[tag] = name.Name
+				}
+			}
+		}
+	}
+	if len(declared) < 12 {
+		t.Fatalf("found only %d WAL tag constants: %v", len(declared), declared)
+	}
+	data, err := os.ReadFile("../../docs/SQL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	start := strings.Index(text, "### File format (v3)")
+	if start < 0 {
+		t.Fatal("docs/SQL.md lost its \"### File format (v3)\" section")
+	}
+	block := text[start:]
+	open := strings.Index(block, "```\n")
+	if open < 0 {
+		t.Fatal("§8's file format section lost its format block")
+	}
+	block = block[open+4:]
+	block = block[:strings.Index(block, "```")]
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`'(.)'`).FindAllStringSubmatch(block, -1) {
+		documented[m[1]] = true
+	}
+	var missing, extra []string
+	for tag, name := range declared {
+		if !documented[tag] {
+			missing = append(missing, name+" '"+tag+"'")
+		}
+	}
+	for tag := range documented {
+		if _, ok := declared[tag]; !ok {
+			extra = append(extra, "'"+tag+"'")
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(extra)
+	if len(missing) > 0 || len(extra) > 0 {
+		t.Errorf("docs/SQL.md §8 format block: undocumented tags %v, tags no constant declares %v", missing, extra)
 	}
 }

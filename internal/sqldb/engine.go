@@ -666,7 +666,7 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 			return nil, n, b, nil
 		}
 		if e.wal != nil {
-			frames, werr := appendOpsRecord(make([]byte, 0, walRecHeaderSize+opsLen(ops)), ops)
+			frames, werr := e.wal.appendOpsRecord(make([]byte, 0, walRecHeaderSize+opsLen(ops)), ops, e.tables)
 			if werr == nil {
 				werr = e.wal.append(frames)
 			}
@@ -907,8 +907,10 @@ func (e *Engine) columnsOf(key string) []ColumnDef {
 // re-appending to the log: the record's bytes are already in the log
 // being replayed (recovery) or mirrored (follower shipping). Commit
 // logs only row ops inside a group, but logs written when transactions
-// could run DDL hold 'S' records there, so those still apply.
-func (e *Engine) applyReplayGroup(items []walItem) error {
+// could run DDL hold 'S' records there, so those still apply. dict is
+// the log's annotation dictionary through the group; a replica's log
+// takes it, so that its dictionary describes the bytes it mirrored.
+func (e *Engine) applyReplayGroup(items []walItem, dict []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	born := e.frontier.Load() + 1
@@ -936,6 +938,9 @@ func (e *Engine) applyReplayGroup(items []walItem) error {
 	}
 	if bumped {
 		e.frontier.Store(born)
+	}
+	if e.wal != nil {
+		e.wal.dict = walDict{names: dict[:len(dict):len(dict)], kept: len(dict)}
 	}
 	e.vacuumDue()
 	return nil

@@ -25,19 +25,26 @@ import (
 // OpenDB opens a database persisted in a write-ahead log at path,
 // replaying the committed record prefix (see docs/SQL.md §8). An empty
 // path returns an in-memory database, exactly like Open — existing
-// callers and benchmarks pay nothing for the persistence layer. A log
-// that is not format v2 fails with a *WALCorruptionError and is left
-// byte-for-byte as found.
+// callers and benchmarks pay nothing for the persistence layer. A v2
+// log is compacted to v3 once replayed; a log in any other format than
+// v2 or v3 fails with a *WALCorruptionError and is left byte-for-byte
+// as found.
 func OpenDB(rt *core.Runtime, path string) (*DB, error) {
 	db := Open(rt)
 	if path == "" {
 		return db, nil
 	}
-	w, err := replayWAL(path, db.engine)
+	w, v2, err := replayWAL(path, db.engine)
 	if err != nil {
 		return nil, err
 	}
 	db.engine.attachWAL(w)
+	if v2 {
+		if err := db.engine.compactWAL(); err != nil {
+			db.Close() //nolint:errcheck // the compaction error is the one to report
+			return nil, err
+		}
+	}
 	return db, nil
 }
 
@@ -119,6 +126,10 @@ type replayer struct {
 	group  []walItem
 	ops    []rowOp // the open group's row ops; its items slice them
 
+	// dict is the log's annotation dictionary as decoded so far, the
+	// open group's definitions included.
+	dict []string
+
 	// The last decoded op's table (decodeOps), its columns, and the
 	// engine's schema generation they were read at.
 	table string
@@ -171,7 +182,7 @@ func (r *replayer) apply(payload []byte) (boundary bool, damage *WALCorruptionEr
 	if r.inTx {
 		return false, nil
 	}
-	err := r.engine.applyReplayGroup(r.group)
+	err := r.engine.applyReplayGroup(r.group, r.dict)
 	r.group, r.ops = r.group[:0], r.ops[:0]
 	if err != nil {
 		return bad(failed, err)
@@ -185,11 +196,12 @@ func (r *replayer) release() { r.group, r.ops = nil, nil }
 
 // replayWAL opens (creating if absent) the log at path, applies its
 // committed prefix to engine, truncates any torn tail, and returns the
-// log positioned for appending.
-func replayWAL(path string, engine *Engine) (*wal, error) {
+// log positioned for appending, with the dictionary its prefix defines.
+// v2 reports a v2 log, which the caller compacts to v3.
+func replayWAL(path string, engine *Engine) (w *wal, v2 bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	// Single writer: two handles replaying and then appending to the
 	// same log at independent offsets would interleave frames and
@@ -197,18 +209,18 @@ func replayWAL(path string, engine *Engine) (*wal, error) {
 	// wal.close (or process exit).
 	if err := lockWALFile(f); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrWALBusy, path)
+		return nil, false, fmt.Errorf("%w: %s", ErrWALBusy, path)
 	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, false, err
 	}
 
 	// Corruption leaves the file byte-for-byte as found.
-	corrupt := func(off int64, reason string) (*wal, error) {
+	corrupt := func(off int64, reason string) (*wal, bool, error) {
 		f.Close()
-		return nil, &WALCorruptionError{Path: path, Offset: off, Reason: reason}
+		return nil, false, &WALCorruptionError{Path: path, Offset: off, Reason: reason}
 	}
 
 	if len(data) < walHeaderSize {
@@ -218,19 +230,23 @@ func replayWAL(path string, engine *Engine) (*wal, error) {
 		if !strings.HasPrefix(walMagic, string(data)) && len(data) > 0 {
 			return corrupt(0, "not a RESIN WAL (bad magic)")
 		}
-		return resetWAL(path, f)
+		w, err := resetWAL(path, f)
+		return w, false, err
 	}
 	if string(data[:len(walMagic)]) != walMagic {
 		return corrupt(0, "not a RESIN WAL (bad magic)")
 	}
-	if version := data[len(walMagic)]; version != walVersion {
+	version := data[len(walMagic)]
+	if version != walVersion && version != walVersionV2 {
 		return corrupt(int64(len(walMagic)), fmt.Sprintf("unsupported WAL version %d (want %d)", version, walVersion))
 	}
 
 	// goodEnd is the offset after the last applied boundary: a
 	// standalone record, or a transaction's commit marker. A group whose
-	// commit never hit the disk is dropped with the torn tail.
-	goodEnd := int64(walHeaderSize)
+	// commit never hit the disk is dropped with the torn tail, and its
+	// dictionary definitions with it: goodDict is the dictionary's
+	// length at goodEnd.
+	goodEnd, goodDict := int64(walHeaderSize), 0
 	rep := replayer{engine: engine}
 	for off := walHeaderSize; ; {
 		payload, end, ok := walNextRecord(data, off)
@@ -241,10 +257,10 @@ func replayWAL(path string, engine *Engine) (*wal, error) {
 		if damage != nil {
 			f.Close()
 			damage.Path, damage.Offset = path, int64(off)
-			return nil, damage
+			return nil, false, damage
 		}
 		if boundary {
-			goodEnd = int64(end)
+			goodEnd, goodDict = int64(end), len(rep.dict)
 		}
 		off = end
 	}
@@ -252,18 +268,19 @@ func replayWAL(path string, engine *Engine) (*wal, error) {
 	if goodEnd < int64(len(data)) {
 		if err := f.Truncate(goodEnd); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
+			return nil, false, fmt.Errorf("sqldb: truncate torn WAL tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
+			return nil, false, fmt.Errorf("sqldb: sync truncated WAL: %w", err)
 		}
 	}
 	if _, err := f.Seek(goodEnd, 0); err != nil {
 		f.Close()
-		return nil, err
+		return nil, false, err
 	}
-	return &wal{path: path, f: f, size: goodEnd}, nil
+	dict := walDict{names: rep.dict[:goodDict], kept: goodDict}
+	return &wal{path: path, f: f, size: goodEnd, dict: dict}, version == walVersionV2, nil
 }
 
 // resetWAL starts the log over with a fresh header (new file, or a file

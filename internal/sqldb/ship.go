@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -203,7 +204,8 @@ type Follower struct {
 }
 
 // NewFollower wraps a freshly opened persistent database as a shipping
-// target, resuming at its recovered log size.
+// target, resuming at its recovered log size with the annotation
+// dictionary its recovered log defines.
 func NewFollower(db *DB) (*Follower, error) {
 	e := db.Engine()
 	e.mu.RLock()
@@ -211,7 +213,8 @@ func NewFollower(db *DB) (*Follower, error) {
 	if e.wal == nil {
 		return nil, ErrNoWAL
 	}
-	return &Follower{db: db, rep: replayer{engine: e}, applied: e.wal.size}, nil
+	rep := replayer{engine: e, dict: slices.Clone(e.wal.dict.names[:e.wal.dict.kept])}
+	return &Follower{db: db, rep: rep, applied: e.wal.size}, nil
 }
 
 // DB returns the follower's database, for serving read-only queries at

@@ -480,7 +480,7 @@ func TestFollowerApplyAllocLinear(t *testing.T) {
 	body := textValue(strings.Repeat("b", 256))
 	var chunk []byte
 	for id := uint64(1); id <= 4000; id++ {
-		chunk = appendRecord(chunk, opsPayload([]rowOp{{kind: opInsert, table: "t", id: id, vals: []value{intValue(int64(id)), body}}}))
+		chunk = appendRecord(chunk, opsPayload([]rowOp{{kind: opInsert, table: "t", id: id, vals: []value{intValue(int64(id)), body}}}, nil, nil))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -501,11 +501,12 @@ func TestFollowerApplyAllocLinear(t *testing.T) {
 // TestFollowerCatchUpAlloc pins what a replica's catch-up allocates: a
 // fresh follower replaying a primary's log of 1000-row B..C groups of
 // tainted rows (each text cell with its shadow annotation) allocates at
-// most three times the bytes it applies, in 1 MiB chunks and in 4 KiB
-// chunks alike. A replayed row is larger in memory than in the log (a
-// cell is 24 bytes, an int's log form one or two), so the floor is above
-// 1×; buffering the unapplied bytes, copying each chunk, or building a
-// throwaway string per annotation cell each add a multiple of the log.
+// most 450 bytes per applied row, in 1 MiB chunks and in 4 KiB chunks
+// alike. The bound is per row, not per log byte: the log states each
+// annotation once and references it after, so a row's log form is far
+// smaller than the row the replica builds from it. Buffering the
+// unapplied bytes, copying each chunk, or building a throwaway string
+// per annotation cell each add a multiple of that.
 func TestFollowerCatchUpAlloc(t *testing.T) {
 	rt := core.NewRuntime()
 	p, err := OpenDB(rt, filepath.Join(t.TempDir(), "p.wal"))
@@ -514,18 +515,19 @@ func TestFollowerCatchUpAlloc(t *testing.T) {
 	}
 	defer p.Close() //nolint:errcheck
 	p.MustExec("CREATE TABLE papers (id INT, title TEXT, abstract TEXT, authors TEXT)")
+	const groups, groupRows, maxPerRow = 6, 1000, 450
 	policies := make([]core.Policy, 16)
 	for i := range policies {
 		policies[i] = &sanitize.UntrustedData{Source: fmt.Sprintf("author-%d", i)}
 	}
-	for g := 0; g < 6; g++ {
+	for g := 0; g < groups; g++ {
 		tx := p.Begin()
 		ins, err := tx.PrepareRaw("INSERT INTO papers (id, title, abstract, authors) VALUES (?, ?, ?, ?)")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 1000; i++ {
-			id := g*1000 + i
+		for i := 0; i < groupRows; i++ {
+			id := g*groupRows + i
 			pol := policies[id%len(policies)]
 			if _, err := ins.Exec(id,
 				core.NewStringPolicy(fmt.Sprintf("Paper %d on data flow assertions", id), pol),
@@ -574,10 +576,10 @@ func TestFollowerCatchUpAlloc(t *testing.T) {
 			if f.Frontier() != p.Frontier() {
 				t.Fatalf("frontier %d, want %d", f.Frontier(), p.Frontier())
 			}
-			applied := uint64(size - start)
-			t.Logf("applying %d bytes in %d-byte chunks allocated %d bytes (%.2f×)", applied, chunk, alloc, float64(alloc)/float64(applied))
-			if alloc > 3*applied {
-				t.Errorf("catch-up of %d bytes in %d-byte chunks allocated %d bytes (%.2f×), want ≤ 3×", applied, chunk, alloc, float64(alloc)/float64(applied))
+			perRow := alloc / (groups * groupRows)
+			t.Logf("applying %d bytes (%d rows) in %d-byte chunks allocated %d bytes, %d per row", size-start, groups*groupRows, chunk, alloc, perRow)
+			if perRow > maxPerRow {
+				t.Errorf("catch-up in %d-byte chunks allocated %d bytes per row, want ≤ %d", chunk, perRow, maxPerRow)
 			}
 		})
 	}

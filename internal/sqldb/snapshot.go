@@ -44,13 +44,15 @@ func (e *Engine) compactWAL() error {
 	// Compaction is a natural reclamation point: prune whatever no
 	// registered snapshot still needs before dumping.
 	e.vacuum()
-	return e.wal.rewrite(e.dumpPayloads())
+	var dict walDict
+	return e.wal.rewrite(e.dumpPayloads(&dict), dict)
 }
 
-// dumpPayloads serializes the engine's current state as replayable v2
+// dumpPayloads serializes the engine's current state as replayable v3
 // record payloads, in deterministic order (tables and index columns
-// sorted; rows in ascending-id scan order).
-func (e *Engine) dumpPayloads() [][]byte {
+// sorted; rows in ascending-id scan order), encoding policy cells
+// against dict, the fresh dictionary of the log they will make up.
+func (e *Engine) dumpPayloads(dict *walDict) [][]byte {
 	names := make([]string, 0, len(e.tables))
 	for n := range e.tables {
 		names = append(names, n)
@@ -65,7 +67,7 @@ func (e *Engine) dumpPayloads() [][]byte {
 		batchBytes := 0
 		flush := func() {
 			if len(batch) > 0 {
-				out = append(out, opsPayload(batch))
+				out = append(out, opsPayload(batch, dict, e.tables))
 			}
 			batch, batchBytes = nil, 0
 		}
@@ -91,10 +93,11 @@ func (e *Engine) dumpPayloads() [][]byte {
 }
 
 // rewrite atomically replaces the log's contents with the given record
-// payloads: write a temp file, fsync it, rename over the log path,
-// fsync the directory, then swap file handles. Called under the owning
-// engine's write lock, so no append can interleave.
-func (w *wal) rewrite(payloads [][]byte) error {
+// payloads, encoded against dict: write a temp file, fsync it, rename
+// over the log path, fsync the directory, then swap file handles and
+// dictionaries. Called under the owning engine's write lock, so no
+// append can interleave; a failure leaves the old log and dictionary.
+func (w *wal) rewrite(payloads [][]byte, dict walDict) error {
 	tmp := w.path + ".compact"
 	f, size, err := writeWALFile(tmp, payloads)
 	if err != nil {
@@ -114,6 +117,8 @@ func (w *wal) rewrite(payloads [][]byte) error {
 	w.f.Close() //nolint:errcheck // old log fd; its inode is now unlinked
 	w.f = f
 	w.size = size
+	dict.keep()
+	w.dict = dict
 	// Offsets into the old log are meaningless now; bump the epoch so
 	// shipping streams re-handshake, and wake any waiter so it notices.
 	w.epoch++

@@ -312,7 +312,7 @@ func (b *Engine) commitOps(spec *Engine) error {
 		frames := appendRecord(make([]byte, 0, size), []byte{walRecBegin})
 		for _, ops := range spec.redo {
 			var err error
-			if frames, err = appendOpsRecord(frames, ops); err != nil {
+			if frames, err = b.wal.appendOpsRecord(frames, ops, b.tables); err != nil {
 				return fmt.Errorf("sqldb: commit: %w", err)
 			}
 		}

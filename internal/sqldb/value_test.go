@@ -148,7 +148,7 @@ func checkCell(t *testing.T, c refCell, others []refCell) {
 	}
 	r := &replayer{engine: NewEngine()}
 	row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
-	payload := opsPayload(row)
+	payload := opsPayload(row, nil, nil)
 	if len(payload) != opsLen(row) {
 		t.Errorf("%+v: payload of %d bytes, opsLen says %d", c, len(payload), opsLen(row))
 	}

@@ -20,10 +20,10 @@ import (
 // and the serialized policy annotations, and the existing batched decode
 // (core.CompileAnnotation) re-interns the policy sets on first read.
 //
-// File format v2 (normative spec in docs/SQL.md §8, pinned byte-for-byte
-// by testdata/wal_v2.golden):
+// File format v3 (normative spec in docs/SQL.md §8, pinned byte-for-byte
+// by testdata/wal_v3.golden):
 //
-//	header:  8-byte magic "RESINWAL" + 1 version byte (0x02)
+//	header:  8-byte magic "RESINWAL" + 1 version byte (0x03)
 //	record:  uint32 LE payload length | uint32 LE CRC-32 (IEEE) of the
 //	         payload | payload bytes
 //	payload: 1 type byte + data
@@ -35,16 +35,25 @@ import (
 //	             stable row id, and for 'i'/'u' a uvarint column count
 //	             followed by one value each: 'N' for NULL, 'I' + zigzag
 //	             varint for integers, 'T' + uvarint length + bytes for
-//	             text — so shadow policy columns persist byte-exactly
-//	             with the row version that carries them)
+//	             text, 'D' + uvarint length + bytes for a policy
+//	             annotation that also defines the log's next dictionary
+//	             entry, 'A' + uvarint entry id for a reference to one —
+//	             so shadow policy columns persist byte-exactly with the
+//	             row version that carries them, each distinct annotation
+//	             written once)
 //	         'B' transaction begin marker (no data)
 //	         'C' transaction commit marker (no data)
 //
-// v2 logs rows by stable id instead of re-logging DML text: replay
-// rebuilds the exact entries (ids, scan order, index buckets) the live
-// engine had, which is what lets transactions merge per-row instead of
-// swapping whole engines. Any other version byte — the retired v1
-// statement format included — is refused as corruption, file untouched.
+// Row ops carry stable ids instead of DML text: replay rebuilds the
+// exact entries (ids, scan order, index buckets) the live engine had,
+// which is what lets transactions merge per-row instead of swapping
+// whole engines. Each log has one annotation dictionary (walDict): an
+// entry's id is the count of 'D' values before it in the log, and the
+// writer uses 'D'/'A' only for non-NULL text in policy columns, at most
+// walDictCap entries per log. v2 is v3 without 'D'/'A'; OpenDB reads a
+// v2 log and compacts it to v3. Any other version byte — the retired
+// v1 statement format included — is refused as corruption, file
+// untouched.
 //
 // The log is written in one place (wal.append: every acknowledged
 // mutation is fsynced before its ack, unconditionally) and interpreted
@@ -62,7 +71,8 @@ import (
 // *WALCorruptionError instead of being silently dropped.
 const (
 	walMagic         = "RESINWAL"
-	walVersion       = 0x02
+	walVersion       = 0x03
+	walVersionV2     = 0x02
 	walHeader        = walMagic + string(rune(walVersion))
 	walHeaderSize    = len(walHeader)
 	walRecHeaderSize = 8
@@ -74,6 +84,11 @@ const (
 	// would be acked as durable and then silently truncated — along
 	// with everything after it — on the next open.
 	walMaxRecord = 64 << 20
+	// walDictCap bounds a log's annotation dictionary (the house's memo
+	// size): past it the writer logs new annotations inline ('T') until
+	// compaction starts a fresh dictionary, and a reader refuses a 'D'.
+	// It bounds the dictionary's heap on every side, for hostile logs too.
+	walDictCap = 4096
 )
 
 // WALMaxRecord is the exported record-payload bound, so the wire
@@ -89,6 +104,15 @@ const (
 	walRecOps    = 'R'
 	walRecBegin  = 'B'
 	walRecCommit = 'C'
+)
+
+// Value tags inside a row-ops record.
+const (
+	walValNull = 'N'
+	walValInt  = 'I'
+	walValText = 'T'
+	walValDef  = 'D' // text that also defines the next dictionary entry
+	walValRef  = 'A' // uvarint id of a dictionary entry
 )
 
 // ErrDBClosed is returned for mutations against a closed persistent
@@ -154,6 +178,59 @@ type wal struct {
 	// non-blocking token after every size-changing append so a shipping
 	// loop can wait for new bytes without polling.
 	notify chan struct{}
+
+	// dict is the log's annotation dictionary, as of its last appended
+	// record.
+	dict walDict
+}
+
+// walDict is the writer's side of a log's annotation dictionary: entry
+// i is the annotation of the log's i-th 'D' value. Encoding stages the
+// entries it defines; wal.append keeps them once their record is in the
+// log, and a refused or failed append drops them, so the dictionary
+// always describes the log's bytes. The text → id index is built on
+// first use: a replica's log, which never encodes, keeps only names.
+type walDict struct {
+	names   []string          // entry id → annotation
+	ids     map[string]uint64 // annotation → entry id, for names[:indexed]
+	indexed int
+	kept    int // names[kept:] are staged
+}
+
+// appendAnnotation encodes the policy cell s: a reference if s has an
+// entry, else a definition if the dictionary has room, else inline text.
+func (d *walDict) appendAnnotation(p []byte, s string) []byte {
+	if d.ids == nil {
+		d.ids = make(map[string]uint64, len(d.names))
+	}
+	for ; d.indexed < len(d.names); d.indexed++ {
+		d.ids[d.names[d.indexed]] = uint64(d.indexed)
+	}
+	if id, ok := d.ids[s]; ok {
+		return binary.AppendUvarint(append(p, walValRef), id)
+	}
+	tag := byte(walValText)
+	if len(d.names) < walDictCap {
+		d.ids[s] = uint64(len(d.names))
+		d.names = append(d.names, s)
+		d.indexed++
+		tag = walValDef
+	}
+	p = binary.AppendUvarint(append(p, tag), uint64(len(s)))
+	return append(p, s...)
+}
+
+// keep commits the staged entries: their records are in the log.
+func (d *walDict) keep() { d.kept = len(d.names) }
+
+// drop forgets the staged entries: their records never reached the log.
+func (d *walDict) drop() {
+	for _, s := range d.names[d.kept:] {
+		delete(d.ids, s)
+	}
+	clear(d.names[d.kept:])
+	d.names = d.names[:d.kept]
+	d.indexed = min(d.indexed, d.kept)
 }
 
 // signal wakes a WALNotify waiter, if any; never blocks.
@@ -206,36 +283,39 @@ func stmtPayload(text string) []byte {
 	return append(p, text...)
 }
 
-// appendValue encodes one stored value: NULL, zigzag-varint integer, or
-// length-prefixed text.
+// appendValue encodes one stored value inline: NULL, zigzag-varint
+// integer, or length-prefixed text.
 func appendValue(p []byte, v value) []byte {
 	switch {
 	case v.isNull():
-		return append(p, 'N')
+		return append(p, walValNull)
 	case v.isInt():
-		p = append(p, 'I')
+		p = append(p, walValInt)
 		return binary.AppendVarint(p, v.num())
 	default:
 		s := v.text()
-		p = append(p, 'T')
+		p = append(p, walValText)
 		p = binary.AppendUvarint(p, uint64(len(s)))
 		return append(p, s...)
 	}
 }
 
 // opsPayload builds the payload of a row-ops record — the row-level
-// redo of one DML statement.
-func opsPayload(ops []rowOp) []byte {
-	return appendOps(make([]byte, 0, opsLen(ops)), ops)
+// redo of one DML statement — encoding policy cells against d (nil: all
+// inline), with the columns of each op's table read from tables.
+func opsPayload(ops []rowOp, d *walDict, tables map[string]*table) []byte {
+	return appendOps(make([]byte, 0, opsLen(ops)), ops, d, tables)
 }
 
 // appendOpsRecord frames the row-ops record of ops into buf, encoding
-// the payload straight behind its header.
-func appendOpsRecord(buf []byte, ops []rowOp) ([]byte, error) {
+// the payload straight behind its header against the log's dictionary.
+// A refused record drops every staged entry, its group's included.
+func (w *wal) appendOpsRecord(buf []byte, ops []rowOp, tables map[string]*table) ([]byte, error) {
 	at := len(buf)
-	buf = appendOps(append(buf, make([]byte, walRecHeaderSize)...), ops)
+	buf = appendOps(append(buf, make([]byte, walRecHeaderSize)...), ops, &w.dict, tables)
 	payload := buf[at+walRecHeaderSize:]
 	if len(payload) > walMaxRecord {
+		w.dict.drop()
 		return nil, fmt.Errorf("%w (%d bytes)", ErrWALRecordTooLarge, len(payload))
 	}
 	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
@@ -244,9 +324,11 @@ func appendOpsRecord(buf []byte, ops []rowOp) ([]byte, error) {
 }
 
 // appendOps appends the payload of ops' row-ops record to p.
-func appendOps(p []byte, ops []rowOp) []byte {
+func appendOps(p []byte, ops []rowOp, d *walDict, tables map[string]*table) []byte {
 	p = append(p, walRecOps)
 	p = binary.AppendUvarint(p, uint64(len(ops)))
+	var cols []ColumnDef
+	colsOf := ""
 	for i := range ops {
 		op := &ops[i]
 		p = append(p, op.kind)
@@ -254,17 +336,25 @@ func appendOps(p []byte, ops []rowOp) []byte {
 		p = append(p, op.table...)
 		p = binary.AppendUvarint(p, op.id)
 		if op.kind == opInsert || op.kind == opUpdate {
+			if d != nil && op.table != colsOf {
+				cols, colsOf = tables[op.table].cols, op.table
+			}
 			p = binary.AppendUvarint(p, uint64(len(op.vals)))
-			for _, v := range op.vals {
-				p = appendValue(p, v)
+			for c, v := range op.vals {
+				if d != nil && !v.isNull() && !v.isInt() && IsPolicyColumn(cols[c].Name) {
+					p = d.appendAnnotation(p, v.text())
+				} else {
+					p = appendValue(p, v)
+				}
 			}
 		}
 	}
 	return p
 }
 
-// opsLen is the length of ops' row-ops payload, so that an encoder
-// sizes its buffer once.
+// opsLen is the length of ops' row-ops payload with every value inline
+// — at least its length against a dictionary — so that an encoder sizes
+// its buffer once.
 func opsLen(ops []rowOp) int {
 	n := 1 + uvarintLen(uint64(len(ops)))
 	for i := range ops {
@@ -300,10 +390,12 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // be a torn tail. A run of ops on one table, within a record or across
 // records, shares one name string; a shadow policy cell is the interned
 // annotation (core.AnnotationString, as annotationFor stores it), read
-// straight from the record bytes. Which cells are policy cells is read
-// from the table's columns at decode time, so a table created earlier in
-// the same B..C group (only logs written when transactions could run DDL
-// have one) replays with its annotations unshared.
+// straight from the record bytes. A 'D' value is interned and becomes
+// the dictionary's next entry; an 'A' value is the entry it names, with
+// no hashing. Which 'T' cells are policy cells is read from the table's
+// columns at decode time, so a table created earlier in the same B..C
+// group (only logs written when transactions could run DDL have one)
+// replays with its inline annotations unshared.
 func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 	off := 0
 	uv := func() (uint64, error) {
@@ -366,16 +458,16 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 				tag := data[off]
 				off++
 				switch tag {
-				case 'N':
+				case walValNull:
 					op.vals = append(op.vals, nullValue())
-				case 'I':
+				case walValInt:
 					n, w := binary.Varint(data[off:])
 					if w <= 0 {
 						return nil, errors.New("truncated int value")
 					}
 					off += w
 					op.vals = append(op.vals, intValue(n))
-				case 'T':
+				case walValText, walValDef:
 					sl, err := uv()
 					if err != nil {
 						return nil, err
@@ -385,11 +477,28 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 					}
 					raw := data[off : off+int(sl)]
 					off += int(sl)
-					if c < len(r.cols) && IsPolicyColumn(r.cols[c].Name) {
+					switch {
+					case tag == walValDef:
+						if len(r.dict) >= walDictCap {
+							return nil, fmt.Errorf("dictionary entry past the cap of %d", walDictCap)
+						}
+						s := core.AnnotationString(raw)
+						r.dict = append(r.dict, s)
+						op.vals = append(op.vals, textValue(s))
+					case c < len(r.cols) && IsPolicyColumn(r.cols[c].Name):
 						op.vals = append(op.vals, textValue(core.AnnotationString(raw)))
-					} else {
+					default:
 						op.vals = append(op.vals, textValue(string(raw)))
 					}
+				case walValRef:
+					id, err := uv()
+					if err != nil {
+						return nil, err
+					}
+					if id >= uint64(len(r.dict)) {
+						return nil, fmt.Errorf("reference to undefined dictionary entry %d", id)
+					}
+					op.vals = append(op.vals, textValue(r.dict[id]))
 				default:
 					return nil, fmt.Errorf("unknown value tag 0x%02x", tag)
 				}
@@ -412,18 +521,26 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 // bytes. On any write or sync failure the wal goes fail-stop: the error
 // is sticky and every later append refuses, so a partially written tail
 // can never be followed by more records (recovery would interleave
-// garbage).
-func (w *wal) append(frames []byte) error {
-	if err := w.usable(); err != nil {
+// garbage). The dictionary entries the frames define are kept only once
+// they are synced; any failure drops them.
+func (w *wal) append(frames []byte) (err error) {
+	defer func() {
+		if err != nil {
+			w.dict.drop()
+		} else {
+			w.dict.keep()
+		}
+	}()
+	if err = w.usable(); err != nil {
 		return err
 	}
-	if _, err := w.f.Write(frames); err != nil {
+	if _, err = w.f.Write(frames); err != nil {
 		w.broken = err
 		return fmt.Errorf("sqldb: WAL append: %w", err)
 	}
 	w.size += int64(len(frames))
 	w.signal()
-	if err := w.f.Sync(); err != nil {
+	if err = w.f.Sync(); err != nil {
 		w.broken = err
 		return fmt.Errorf("sqldb: WAL sync: %w", err)
 	}
@@ -450,7 +567,7 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// writeWALFile writes a fresh v2 log containing the given record
+// writeWALFile writes a fresh v3 log containing the given record
 // payloads to path (the compaction writer and the new-file path share
 // it): header, one record per payload, fsynced before return.
 func writeWALFile(path string, payloads [][]byte) (*os.File, int64, error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,32 +16,37 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestWALGoldenEncoding pins the WAL v2 byte format — magic and version
+// TestWALGoldenEncoding pins the WAL v3 byte format — magic and version
 // byte, record framing (length + CRC), the statement/row-ops/begin/
 // commit type bytes, row ids and value encodings inside 'R' records,
-// and the shadow-policy annotation serialization — against
-// testdata/wal_v2.golden. An accidental format change fails here loudly
+// the shadow-policy annotation serialization, and the annotation
+// dictionary's definitions ('D') and references ('A') — against
+// testdata/wal_v3.golden. An accidental format change fails here loudly
 // instead of silently orphaning old logs. Regenerate deliberately with:
 //
 //	go test ./internal/sqldb -run TestWALGoldenEncoding -update
 //
 // and bump walVersion if old logs can no longer replay.
-// (TestWALLegacyV1Replay separately pins that v1 statement-format logs
-// are refused untouched.)
+// (TestWALV2Upgrade pins that the v2 golden still opens;
+// TestWALLegacyV1Replay that v1 statement-format logs are refused
+// untouched.)
 func TestWALGoldenEncoding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden.wal")
 	rt := core.NewRuntime()
 	db := openWALDB(t, rt, path)
 
 	// The docs/SQL.md §3 worked example, persisted: a CREATE rewritten
-	// with policy columns, an INSERT carrying a serialized annotation, a
+	// with policy columns, an INSERT carrying a serialized annotation
+	// (which defines dictionary entry 0), a second INSERT whose password
+	// carries the same annotation (a reference to entry 0), a
 	// rejected-free UPDATE inside a committed transaction (begin/commit
 	// markers), and a standalone DELETE.
 	db.MustExec("CREATE TABLE users (email TEXT, password TEXT)")
-	pw := core.NewStringPolicy("s3cretpw", &passwordPolicy{Email: "u@example.org"})
-	if _, err := db.QueryRaw("INSERT INTO users (email, password) VALUES (?, ?)",
-		"u@example.org", pw); err != nil {
-		t.Fatal(err)
+	for _, row := range [][2]string{{"u@example.org", "s3cretpw"}, {"v@example.org", "0therpw!"}} {
+		pw := core.NewStringPolicy(row[1], &passwordPolicy{Email: "u@example.org"})
+		if _, err := db.QueryRaw("INSERT INTO users (email, password) VALUES (?, ?)", row[0], pw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tx := db.Begin()
 	if _, err := tx.QueryRaw("UPDATE users SET password = ? WHERE email = ?",
@@ -61,7 +67,10 @@ func TestWALGoldenEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenPath := filepath.Join("testdata", "wal_v2.golden")
+	if !bytes.Contains(got, []byte{walValDef}) || !bytes.Contains(got, []byte{walValRef, 0}) {
+		t.Error("the golden scenario no longer defines and references a dictionary entry")
+	}
+	goldenPath := filepath.Join("testdata", "wal_v3.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -135,6 +144,68 @@ func TestWALLegacyV1Replay(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("refused v1 log was modified on disk: %d bytes, want the original %d", len(got), len(want))
+	}
+}
+
+// TestWALV2Upgrade opens the checked-in testdata/wal_v2.golden — a v2
+// log, with every annotation inline — and requires the state its
+// records replay to (as a replica fed the same records rebuilds it),
+// the log rewritten as v3 on disk, and a log that takes writes and
+// reopens to the same state.
+func TestWALV2Upgrade(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "wal_v2.golden"))
+	if err != nil {
+		t.Fatalf("%v (the v2 golden must stay checked in as a read fixture)", err)
+	}
+	if v2[len(walMagic)] != walVersionV2 {
+		t.Fatalf("v2 golden has version byte %d", v2[len(walMagic)])
+	}
+	rt := core.NewRuntime()
+	fdb := openWALDB(t, rt, filepath.Join(t.TempDir(), "replica.wal"))
+	defer fdb.Close()
+	f, err := NewFollower(fdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Apply(int64(walHeaderSize), v2[walHeaderSize:]); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpEngine(fdb.Engine())
+
+	path := filepath.Join(t.TempDir(), "v2.wal")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := openWALDB(t, rt, path)
+	if got := dumpEngine(db.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v2 log opened to\n%+v\nwant\n%+v", got, want)
+	}
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(head[:walHeaderSize]) != walHeader {
+		t.Fatalf("opened v2 log has header %q, want %q", head[:walHeaderSize], walHeader)
+	}
+	pw := core.NewStringPolicy("n3wpw", &passwordPolicy{Email: "u@example.org"})
+	if _, err := db.QueryRaw("INSERT INTO users (email, password) VALUES (?, ?)", "w@example.org", pw); err != nil {
+		t.Fatal(err)
+	}
+	want = dumpEngine(db.Engine())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openWALDB(t, rt, path)
+	defer db.Close()
+	if got := dumpEngine(db.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("upgraded log reopened to\n%+v\nwant\n%+v", got, want)
+	}
+	res, err := db.QueryRaw("SELECT password FROM users WHERE email = ?", "u@example.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Get(0, "password").Str.Raw() != "n3wpw" || !res.Get(0, "password").Str.IsTainted() {
+		t.Fatalf("upgraded log lost the v2 row or its annotation")
 	}
 }
 

@@ -101,16 +101,68 @@ func checkFollowerParity(t *testing.T, rt *core.Runtime, data []byte, rng *rand.
 	}
 }
 
+// checkFollowerRestart feeds data (a whole log file) to a follower that
+// crashes at an rng-chosen offset — OpenDB on its local log, which
+// drops what the crash tore, then NewFollower — and resumes shipping
+// from its recovered offset. It must end where recovery (rec) did:
+// equal applied offset, frontier and tables. The bytes after the
+// restart reference annotations defined before it, so the resumed
+// follower must continue from the dictionary its log defines.
+func checkFollowerRestart(t *testing.T, rt *core.Runtime, data []byte, rng *rand.Rand, rec *DB) {
+	t.Helper()
+	if len(data) <= walHeaderSize {
+		return
+	}
+	path := filepath.Join(t.TempDir(), "restart.wal")
+	ship := func(f *Follower, from, to int) {
+		for off := from; off < to; {
+			n := 1 + rng.Intn(to-off)
+			if err := f.Apply(int64(off), data[off:off+n]); err != nil {
+				t.Fatalf("follower apply at %d: %v", off, err)
+			}
+			off += n
+		}
+	}
+	fdb := openWALDB(t, rt, path)
+	f, err := NewFollower(fdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship(f, walHeaderSize, walHeaderSize+rng.Intn(len(data)-walHeaderSize))
+	fdb.Close()
+	fdb = openWALDB(t, rt, path)
+	defer fdb.Close()
+	if f, err = NewFollower(fdb); err != nil {
+		t.Fatal(err)
+	}
+	_, resume := f.Offsets()
+	ship(f, int(resume), len(data))
+	if applied, _ := f.Offsets(); applied != rec.WALSize() {
+		t.Fatalf("restarted follower applied through %d, recovery truncated at %d", applied, rec.WALSize())
+	}
+	if f.Frontier() != rec.Frontier() {
+		t.Fatalf("restarted follower frontier %d, recovery frontier %d", f.Frontier(), rec.Frontier())
+	}
+	if got, want := dumpEngine(fdb.Engine()), dumpEngine(rec.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted follower diverges from recovery\nfollower: %+v\nrecovery: %+v", got, want)
+	}
+}
+
 // TestWALCrashRecoveryProperty runs a seeded randomized DDL/DML workload
-// (tainted values included) against a persistent database, then replays
-// a crash at every record boundary and at several mid-record offsets:
-// copy-truncate the log, reopen, and require the recovered tables,
-// indexes, and shadow policy columns to equal the state at the last
-// durable point at or before the cut — a standalone statement's record
-// end, or a transaction's commit marker (an offset inside a begin..commit
-// group recovers to the state before the group). A replica fed the same
-// cut in rng-chosen chunks must agree with recovery
-// (checkFollowerParity).
+// (tainted values included, under a pool of policies so that the log's
+// annotation dictionary defines entries throughout) against a persistent
+// database, then replays a crash at every record boundary and at several
+// mid-record offsets: copy-truncate the log, reopen, and require the
+// recovered tables, indexes, and shadow policy columns to equal the
+// state at the last durable point at or before the cut — a standalone
+// statement's record end, or a transaction's commit marker (an offset
+// inside a begin..commit group recovers to the state before the group).
+// A replica fed the same cut in rng-chosen chunks must agree with
+// recovery (checkFollowerParity), and so must one restarted mid-stream
+// (checkFollowerRestart). The recovered database then writes rows
+// carrying annotations the log defined before the cut and ones defined
+// only by the group the cut tore, and a reopen must read back what the
+// live engine holds: the recovered dictionary is the log's, no more.
 func TestWALCrashRecoveryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20090211)) // seeded: reruns are identical
 	dir := t.TempDir()
@@ -118,19 +170,26 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 	rt := core.NewRuntime()
 	db := openWALDB(t, rt, path)
 
+	// A durable point's written holds the tainted values written since
+	// the point before it — the annotations its records may define.
 	type durablePoint struct {
-		off   int64
-		state map[string]tableState
+		off     int64
+		state   map[string]tableState
+		written []core.String
 	}
-	points := []durablePoint{{db.WALSize(), dumpEngine(db.Engine())}}
+	points := []durablePoint{{db.WALSize(), dumpEngine(db.Engine()), nil}}
+	var written []core.String
 	checkpoint := func() {
-		points = append(points, durablePoint{db.WALSize(), dumpEngine(db.Engine())})
+		points = append(points, durablePoint{db.WALSize(), dumpEngine(db.Engine()), written})
+		written = nil
 	}
 
 	tables := []string{"alpha", "beta", "gamma"}
 	live := map[string]bool{}
 	taint := func(s string) core.String {
-		return core.NewStringPolicy(s, &sanitize.UntrustedData{Source: "prop"})
+		v := core.NewStringPolicy(s, &sanitize.UntrustedData{Source: fmt.Sprintf("prop%d", rng.Intn(24))})
+		written = append(written, v)
+		return v
 	}
 	someTable := func() (string, bool) {
 		var names []string
@@ -215,11 +274,12 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		t.Fatalf("workload produced only %d records", len(ends))
 	}
 
-	expectAt := func(off int64) map[string]tableState {
-		best := points[0].state
-		for _, p := range points {
+	// pointAt is the index of the last durable point at or before off.
+	pointAt := func(off int64) int {
+		best := 0
+		for i, p := range points {
 			if p.off <= off {
-				best = p.state
+				best = i
 			}
 		}
 		return best
@@ -253,11 +313,44 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			t.Fatalf("cut at %d: recovery failed: %v", off, err)
 		}
 		checkFollowerParity(t, rt, data[:off], rng, db2, nil)
+		checkFollowerRestart(t, rt, data[:off], rng, db2)
+		at := pointAt(off)
 		got := dumpEngine(db2.Engine())
-		want := expectAt(off)
+		want := points[at].state
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut at %d: recovered state diverges from committed prefix\ngot:  %+v\nwant: %+v", off, got, want)
 		}
+
+		// Annotations the recovered log defines (the point's own writes)
+		// and ones only the torn group defined (the next point's).
+		var reuse []core.String
+		for _, p := range points[max(at, 1):min(at+2, len(points))] {
+			reuse = append(reuse, p.written...)
+		}
+		db2.MustExec("CREATE TABLE post (id INT, val TEXT)")
+		tx := db2.Begin()
+		for i, v := range reuse {
+			if _, err := tx.QueryRaw("INSERT INTO post (id, val) VALUES (?, ?)", i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range reuse {
+			if _, err := db2.QueryRaw("UPDATE post SET val = ? WHERE id = ?", v, len(reuse)-1-i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = dumpEngine(db2.Engine())
 		db2.Close()
+		db3, err := OpenDB(rt, crash)
+		if err != nil {
+			t.Fatalf("cut at %d: reopen after writing past recovery: %v", off, err)
+		}
+		if got := dumpEngine(db3.Engine()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: reopen after writing past recovery diverges\ngot:  %+v\nwant: %+v", off, got, want)
+		}
+		db3.Close()
 	}
 }

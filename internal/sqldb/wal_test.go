@@ -459,7 +459,43 @@ func TestWALRecordSizeLimit(t *testing.T) {
 	if string(before) != string(after) {
 		t.Error("oversized insert changed the log")
 	}
+
+	// A refused record's annotations never reach the log, so they must
+	// not enter its dictionary either — whether the record was a lone
+	// statement's or the last of a transaction's group. The rows after
+	// each refusal carry the same annotation; reopening must read back
+	// exactly what the live engine holds.
+	db.MustExec("CREATE TABLE u (a TEXT, b TEXT)")
+	tainted := func(s, src string) core.String {
+		return core.NewStringPolicy(s, &sanitize.UntrustedData{Source: src})
+	}
+	insert := "INSERT INTO u (a, b) VALUES (?, ?)"
+	if _, err := db.QueryRaw(insert, huge, tainted("x", "lone")); !errors.Is(err, ErrWALRecordTooLarge) {
+		t.Fatalf("oversized insert = %v, want ErrWALRecordTooLarge", err)
+	}
+	if _, err := db.QueryRaw(insert, "small", tainted("y", "lone")); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if _, err := tx.QueryRaw(insert, "small", tainted("z", "group")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.QueryRaw(insert, huge, "plain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrWALRecordTooLarge) {
+		t.Fatalf("oversized commit = %v, want ErrWALRecordTooLarge", err)
+	}
+	if _, err := db.QueryRaw(insert, "again", tainted("w", "group")); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpEngine(db.Engine())
 	db.Close()
+	db = openWALDB(t, rt, path)
+	defer db.Close()
+	if got := dumpEngine(db.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened after refused records:\n%+v\nwant\n%+v", got, want)
+	}
 }
 
 // TestWALInterleavedCommitMatchesRestart: a direct write logged while a
@@ -596,7 +632,7 @@ func TestWALReplaysInGroupDDL(t *testing.T) {
 		stmtPayload(rewriteCreate(docs).SQL()),
 		stmtPayload("CREATE INDEX ON docs (id)"),
 		opsPayload([]rowOp{{kind: opInsert, table: "docs", id: 1,
-			vals: []value{intValue(1), textValue("secret"), nullValue(), textValue(string(ann))}}}),
+			vals: []value{intValue(1), textValue("secret"), nullValue(), textValue(string(ann))}}}, nil, nil),
 		stmtPayload("DROP TABLE gone"),
 		{walRecCommit},
 	} {

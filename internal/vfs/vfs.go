@@ -56,6 +56,15 @@ type DirFilter interface {
 	FilterDirOp(op, name string, ctx *core.Context) error
 }
 
+// FileFilterer is a persistent directory filter that names the
+// persistent filter (an instance of a registered filter class) of every
+// file created in its directory. The file gets it in the step that
+// creates it, so no later write reaches the file unfiltered, whoever
+// created it.
+type FileFilterer interface {
+	FileFilter() any
+}
+
 // node is one file or directory.
 type node struct {
 	dir      bool
@@ -180,6 +189,19 @@ func (fs *FS) persistentFilter(n *node) (core.Filter, error) {
 	return core.DecodeFilter(enc)
 }
 
+// inheritedFilter encodes the persistent filter a file created in dir
+// starts with, if dir's filter names one (FileFilterer).
+func (fs *FS) inheritedFilter(dir *node) ([]byte, error) {
+	f, err := fs.persistentFilter(dir)
+	if err != nil {
+		return nil, err
+	}
+	if ff, ok := f.(FileFilterer); ok {
+		return core.EncodeFilter(ff.FileFilter())
+	}
+	return nil, nil
+}
+
 // dirFilterCheck invokes the persistent directory filter for a
 // modification of dir, if one is installed and tracking is on.
 func (fs *FS) dirFilterCheck(dir *node, op, name string, ctx *core.Context) error {
@@ -243,7 +265,9 @@ func (fs *FS) MkdirAll(p string, ctx *core.Context) error {
 // WriteFile writes data to the file at p, creating it if needed. With
 // tracking enabled the write passes through the file's data-flow boundary:
 //
-//  1. the parent directory's persistent filter is consulted on create;
+//  1. the parent directory's persistent filter is consulted on create,
+//     and a new file gets the filter it names (FileFilterer), tracking
+//     or not;
 //  2. the file's persistent filter object's FilterWrite runs (write
 //     access control, §3.2.3);
 //  3. the default file filter serializes the data's policy spans into the
@@ -273,8 +297,12 @@ func (fs *FS) writeFileLocked(p string, data core.String, ctx *core.Context, app
 	if exists && n.dir {
 		return fmt.Errorf("%w: %s", ErrIsDir, resolved)
 	}
+	var inherited []byte
 	if !exists {
 		if err := fs.dirFilterCheck(parent, "create", base, octx); err != nil {
+			return err
+		}
+		if inherited, err = fs.inheritedFilter(parent); err != nil {
 			return err
 		}
 	}
@@ -313,6 +341,9 @@ func (fs *FS) writeFileLocked(p string, data core.String, ctx *core.Context, app
 	}
 	if !exists {
 		n = newNode(false)
+		if inherited != nil {
+			n.xattr[XattrFilter] = inherited
+		}
 		parent.children[base] = n
 	}
 	n.data = []byte(data.Raw())

@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -43,10 +44,47 @@ func (f *ownerDirFilter) FilterDirOp(op, name string, ctx *core.Context) error {
 	return nil
 }
 
+// guardingDirFilter is an ownerDirFilter whose files get an
+// ownerWriteFilter for the same owner when they are created.
+type guardingDirFilter struct {
+	ownerDirFilter
+}
+
+func (f *guardingDirFilter) FileFilter() any { return &ownerWriteFilter{Owner: f.Owner} }
+
 func init() {
 	core.RegisterPolicyClass("vfstest.FilePolicy", &filePolicy{})
 	core.RegisterFilterClass("vfstest.OwnerWriteFilter", &ownerWriteFilter{})
 	core.RegisterFilterClass("vfstest.OwnerDirFilter", &ownerDirFilter{})
+	core.RegisterFilterClass("vfstest.GuardingDirFilter", &guardingDirFilter{})
+}
+
+// TestFileFiltererGuardsNewFiles: a file created under a FileFilterer
+// directory carries the filter it names from its first byte, so only
+// its owner can write it afterwards; a plain directory filter guards
+// its entries, not the files' contents.
+func TestFileFiltererGuardsNewFiles(t *testing.T) {
+	fs := newFS(t)
+	for dir, f := range map[string]any{"/guarded": &guardingDirFilter{ownerDirFilter{Owner: "alice"}}, "/plain": &ownerDirFilter{Owner: "alice"}} {
+		if err := fs.Mkdir(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SetPersistentFilter(dir, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(dir+"/f", core.NewString("alice's"), userCtx("alice")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteFile("/guarded/f", core.NewString("mallory's"), userCtx("mallory")); err == nil {
+		t.Error("mallory overwrote a file created under a FileFilterer directory")
+	}
+	if got, _ := fs.PersistentFilter("/guarded/f"); !reflect.DeepEqual(got, &ownerWriteFilter{Owner: "alice"}) {
+		t.Errorf("new file's filter = %#v, want alice's ownerWriteFilter", got)
+	}
+	if got, _ := fs.PersistentFilter("/plain/f"); got != nil {
+		t.Errorf("file under a plain directory filter got filter %#v", got)
+	}
 }
 
 func newFS(t *testing.T) *FS {

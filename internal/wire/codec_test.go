@@ -142,7 +142,7 @@ func TestWireCodecAlloc(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		{"execute request encode", 4, func() error { _, err := req.encode(); return err }},
+		{"execute request encode", 3, func() error { _, err := req.encode(); return err }},
 		{"execute request decode", 9, func() error { _, err := decodeRequest(reqP); return err }},
 		{"result encode", 4, func() error { _, err := resp.encode(); return err }},
 		{"result decode", 11, func() error { _, err := decodeResponse(resP); return err }},

@@ -226,17 +226,24 @@ func appendTracked(p []byte, s core.String) ([]byte, error) {
 }
 
 // appendAnn encodes s's annotation: uvarint length + annotation bytes
-// (empty when untainted).
+// (empty when untainted). The annotation is encoded straight into p and
+// then moved up past its length, once that is known.
 func appendAnn(p []byte, s core.String) ([]byte, error) {
-	ann, err := core.EncodeSpans(s)
+	if !s.IsTainted() {
+		return append(p, 0), nil
+	}
+	at := len(p)
+	p, err := core.AppendSpans(p, s)
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode policy spans: %w", err)
 	}
-	if len(ann) > 0 {
-		core.LineageRecordValue(s, "wire-send", "wire.frame")
-	}
-	p = binary.AppendUvarint(p, uint64(len(ann)))
-	return append(p, ann...), nil
+	core.LineageRecordValue(s, "wire-send", "wire.frame")
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], uint64(len(p)-at))
+	p = append(p, hdr[:k]...)
+	copy(p[at+k:], p[at:len(p)-k])
+	copy(p[at:], hdr[:k])
+	return p, nil
 }
 
 // tracked decodes a tracked string, re-interning its policy sets.
