@@ -527,9 +527,9 @@ func TestSQLDocListsEveryWALTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(data)
-	start := strings.Index(text, "### File format (v3)")
+	start := strings.Index(text, "### File format (v4)")
 	if start < 0 {
-		t.Fatal("docs/SQL.md lost its \"### File format (v3)\" section")
+		t.Fatal("docs/SQL.md lost its \"### File format (v4)\" section")
 	}
 	block := text[start:]
 	open := strings.Index(block, "```\n")

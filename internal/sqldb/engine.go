@@ -64,8 +64,10 @@ type value struct {
 }
 
 // markInt and markNull are the sentinels whose addresses tag INT and
-// NULL cells; their contents are never read.
-var markInt, markNull byte
+// NULL cells; their contents are never read. markKeep tags the one cell
+// no stored row holds: an update's cell its WAL record leaves out, from
+// decodeOps until checkOps fills it from the row the update replaces.
+var markInt, markNull, markKeep byte
 
 func nullValue() value       { return value{p: &markNull} }
 func intValue(n int64) value { return value{p: &markInt, n: n} }
@@ -76,8 +78,11 @@ func textValue(s string) value {
 	return value{p: unsafe.StringData(s), n: int64(len(s))}
 }
 
+func keepValue() value { return value{p: &markKeep} }
+
 func (v value) isNull() bool { return v.p == &markNull }
 func (v value) isInt() bool  { return v.p == &markInt }
+func (v value) isKeep() bool { return v.p == &markKeep }
 
 // marked reports whether v is INT or NULL, whose pointer is a mark.
 func (v value) marked() bool { return v.isInt() || v.isNull() }
@@ -396,7 +401,7 @@ const vacuumEvery = 512
 
 // rowOp kinds. A rowOp is the row-level effect of one validated DML
 // statement: the exact versions a commit installs, keyed by stable row
-// id — the unit the WAL logs (wal.go 'R' records) and Commit
+// id — the unit the WAL logs (wal.go 'W' records) and Commit
 // conflict-checks.
 const (
 	opInsert = 'i'
@@ -409,6 +414,9 @@ type rowOp struct {
 	table string // lower-cased table key
 	id    uint64
 	vals  []value // full row for insert/update; nil for delete
+	// old is the row an update replaces, as the statement read it: the
+	// WAL logs only the cells that differ from it (nil: every cell).
+	old []value
 }
 
 // Engine is the in-memory database engine. It is safe for concurrent
@@ -666,7 +674,8 @@ func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult
 			return nil, n, b, nil
 		}
 		if e.wal != nil {
-			frames, werr := e.wal.appendOpsRecord(make([]byte, 0, walRecHeaderSize+opsLen(ops)), ops, e.tables)
+			size := walRecHeaderSize + opsLen(ops, &e.wal.dict, e.tables)
+			frames, werr := e.wal.appendOpsRecord(make([]byte, 0, size), ops, e.tables)
 			if werr == nil {
 				werr = e.wal.append(frames)
 			}
@@ -811,6 +820,28 @@ func (t *table) enter(id uint64) *rowEntry {
 	return en
 }
 
+// reserve makes room in t's entries and index keys for n more rows.
+func (t *table) reserve(n int) {
+	t.entries = grow(t.entries, n)
+	for _, ix := range t.indexes {
+		if ix != nil {
+			ix.reserve(n)
+		}
+	}
+}
+
+// grow returns s with room for n more elements, moved in one allocation
+// if it has less — by at least a quarter, so that small growths
+// amortize, and by no more, so that a large table keeps little slack.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	g := make([]E, len(s), max(len(s)+n, cap(s)+cap(s)/4))
+	copy(g, s)
+	return g
+}
+
 // lookup returns t's entry for row id, or nil if t holds no such row.
 func (t *table) lookup(id uint64) *rowEntry {
 	if i, found := searchID(t.entries, id); found {
@@ -821,14 +852,20 @@ func (t *table) lookup(id uint64) *rowEntry {
 
 // checkOps validates replayed row ops against the engine's current
 // state — the semantic half of WAL integrity, catching checksummed-but-
-// nonsensical records before the infallible apply.
+// nonsensical records before the infallible apply — and fills each
+// update's absent cells from the live row it replaces: the row's head,
+// or the row as an earlier op of the same batch left it.
 func (e *Engine) checkOps(ops []rowOp) error {
-	// Simulate id liveness within the batch: a later op may target a row
-	// an earlier op of the same batch inserts or deletes. A one-op batch,
-	// the common record, has no later op and needs no maps.
-	var born, dead map[uint64]bool
+	// Simulate the batch: a later op may target a row an earlier op of
+	// the same batch wrote; batch holds the last such op per row. A
+	// one-op batch, the common record, has no later op and needs no map.
+	type rowKey struct {
+		table string
+		id    uint64
+	}
+	var batch map[rowKey]*rowOp
 	if len(ops) > 1 {
-		born, dead = map[uint64]bool{}, map[uint64]bool{}
+		batch = map[rowKey]*rowOp{}
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -836,38 +873,44 @@ func (e *Engine) checkOps(ops []rowOp) error {
 		if t == nil {
 			return fmt.Errorf("%w: %s", ErrNoTable, op.table)
 		}
+		if op.kind != opDelete && len(op.vals) != len(t.cols) {
+			return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
+		}
+		// The row's cells before op, if it has a live version: as an
+		// earlier op of the batch left them, else as its head holds them.
+		var cur []value
+		var en *rowEntry
+		prev, seen := batch[rowKey{op.table, op.id}]
+		live := seen && prev.kind != opDelete
+		if live {
+			cur = prev.vals
+		} else if !seen {
+			if en = t.lookup(op.id); en != nil && !en.head.Load().tomb {
+				cur, live = en.head.Load().row(), true
+			}
+		}
 		switch op.kind {
 		case opInsert:
-			if len(op.vals) != len(t.cols) {
-				return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
-			}
-			if err := checkKinds(op, t); err != nil {
-				return err
-			}
-			if t.lookup(op.id) != nil || born[op.id] {
+			if seen || en != nil {
 				return fmt.Errorf("sqldb: duplicate row id %d in %s", op.id, op.table)
 			}
-			if born != nil {
-				born[op.id] = true
-			}
 		case opUpdate, opDelete:
-			if op.kind == opUpdate && len(op.vals) != len(t.cols) {
-				return fmt.Errorf("sqldb: row op arity %d != %d columns of %s", len(op.vals), len(t.cols), op.table)
+			if !live {
+				return fmt.Errorf("sqldb: row op targets id %d in %s, which has no live version", op.id, op.table)
 			}
-			if err := checkKinds(op, t); err != nil {
-				return err
-			}
-			if dead[op.id] {
-				return fmt.Errorf("sqldb: row op targets deleted id %d in %s", op.id, op.table)
-			}
-			if t.lookup(op.id) == nil && !born[op.id] {
-				return fmt.Errorf("sqldb: row op targets unknown id %d in %s", op.id, op.table)
-			}
-			if op.kind == opDelete && dead != nil {
-				dead[op.id] = true
+			for c, v := range op.vals {
+				if v.isKeep() {
+					op.vals[c] = cur[c]
+				}
 			}
 		default:
 			return fmt.Errorf("sqldb: unknown row op kind 0x%02x", op.kind)
+		}
+		if err := checkKinds(op, t); err != nil {
+			return err
+		}
+		if batch != nil {
+			batch[rowKey{op.table, op.id}] = op
 		}
 	}
 	return nil
@@ -940,7 +983,7 @@ func (e *Engine) applyReplayGroup(items []walItem, dict []string) error {
 		e.frontier.Store(born)
 	}
 	if e.wal != nil {
-		e.wal.dict = walDict{names: dict[:len(dict):len(dict)], kept: len(dict)}
+		e.wal.dict = loadedDict(dict[:len(dict):len(dict)])
 	}
 	e.vacuumDue()
 	return nil
@@ -1547,7 +1590,7 @@ func (e *Engine) update(s *Update, key string, t *table, slots []Expr, b *boundS
 		for j, v := range vals {
 			row[b.cols[j]] = v
 		}
-		ops = append(ops, rowOp{kind: opUpdate, table: key, id: en.id, vals: row})
+		ops = append(ops, rowOp{kind: opUpdate, table: key, id: en.id, vals: row, old: vers[i].row()})
 	}
 	return len(ops), ops, nil
 }

@@ -123,6 +123,15 @@ func (ix *orderedIndex) add(v value, en *rowEntry) {
 	}
 }
 
+// reserve makes room for n more keys.
+func (ix *orderedIndex) reserve(n int) {
+	if ix.ints != nil {
+		ix.ints.reserve(n)
+	} else {
+		ix.texts.reserve(n)
+	}
+}
+
 func (ix *orderedIndex) remove(v value, en *rowEntry) {
 	switch {
 	case v.isNull():
@@ -221,6 +230,12 @@ func (x *keyIndex[K]) add(k K, en *rowEntry) {
 		x.many[k] = addEntry([]*rowEntry{x.rows[i]}, en)
 		x.rows[i] = nil
 	}
+}
+
+// reserve makes room for n more keys.
+func (x *keyIndex[K]) reserve(n int) {
+	x.keys = grow(x.keys, n)
+	x.rows = grow(x.rows, n)
 }
 
 // remove removes the pair (k, en), if it is there. A key left with one

@@ -26,20 +26,20 @@ import (
 // replaying the committed record prefix (see docs/SQL.md §8). An empty
 // path returns an in-memory database, exactly like Open — existing
 // callers and benchmarks pay nothing for the persistence layer. A v2
-// log is compacted to v3 once replayed; a log in any other format than
-// v2 or v3 fails with a *WALCorruptionError and is left byte-for-byte
-// as found.
+// or v3 log is compacted to v4 once replayed; a log in any other format
+// than v2, v3 or v4 fails with a *WALCorruptionError and is left
+// byte-for-byte as found.
 func OpenDB(rt *core.Runtime, path string) (*DB, error) {
 	db := Open(rt)
 	if path == "" {
 		return db, nil
 	}
-	w, v2, err := replayWAL(path, db.engine)
+	w, old, err := replayWAL(path, db.engine)
 	if err != nil {
 		return nil, err
 	}
 	db.engine.attachWAL(w)
-	if v2 {
+	if old {
 		if err := db.engine.compactWAL(); err != nil {
 			db.Close() //nolint:errcheck // the compaction error is the one to report
 			return nil, err
@@ -151,8 +151,8 @@ func (r *replayer) apply(payload []byte) (boundary bool, damage *WALCorruptionEr
 	case walRecStmt:
 		r.group = append(r.group, walItem{stmt: string(payload[1:])})
 		failed = "statement replay failed"
-	case walRecOps:
-		ops, err := r.decodeOps(payload[1:])
+	case walRecOps, walRecRows:
+		ops, err := r.decodeOps(payload)
 		if err != nil {
 			return bad("undecodable row-ops record", err)
 		}
@@ -197,8 +197,8 @@ func (r *replayer) release() { r.group, r.ops = nil, nil }
 // replayWAL opens (creating if absent) the log at path, applies its
 // committed prefix to engine, truncates any torn tail, and returns the
 // log positioned for appending, with the dictionary its prefix defines.
-// v2 reports a v2 log, which the caller compacts to v3.
-func replayWAL(path string, engine *Engine) (w *wal, v2 bool, err error) {
+// old reports a v2 or v3 log, which the caller compacts to v4.
+func replayWAL(path string, engine *Engine) (w *wal, old bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, false, err
@@ -237,7 +237,7 @@ func replayWAL(path string, engine *Engine) (w *wal, v2 bool, err error) {
 		return corrupt(0, "not a RESIN WAL (bad magic)")
 	}
 	version := data[len(walMagic)]
-	if version != walVersion && version != walVersionV2 {
+	if version != walVersion && version != walVersionV3 && version != walVersionV2 {
 		return corrupt(int64(len(walMagic)), fmt.Sprintf("unsupported WAL version %d (want %d)", version, walVersion))
 	}
 
@@ -279,8 +279,8 @@ func replayWAL(path string, engine *Engine) (w *wal, v2 bool, err error) {
 		f.Close()
 		return nil, false, err
 	}
-	dict := walDict{names: rep.dict[:goodDict], kept: goodDict}
-	return &wal{path: path, f: f, size: goodEnd, dict: dict}, version == walVersionV2, nil
+	w = &wal{path: path, f: f, size: goodEnd, dict: loadedDict(rep.dict[:goodDict])}
+	return w, version != walVersion, nil
 }
 
 // resetWAL starts the log over with a fresh header (new file, or a file

@@ -48,10 +48,11 @@ func (e *Engine) compactWAL() error {
 	return e.wal.rewrite(e.dumpPayloads(&dict), dict)
 }
 
-// dumpPayloads serializes the engine's current state as replayable v3
+// dumpPayloads serializes the engine's current state as replayable v4
 // record payloads, in deterministic order (tables and index columns
 // sorted; rows in ascending-id scan order), encoding policy cells
-// against dict, the fresh dictionary of the log they will make up.
+// and table keys against dict, the fresh dictionary of the log they
+// will make up.
 func (e *Engine) dumpPayloads(dict *walDict) [][]byte {
 	names := make([]string, 0, len(e.tables))
 	for n := range e.tables {
@@ -92,11 +93,27 @@ func (e *Engine) dumpPayloads(dict *walDict) [][]byte {
 	return out
 }
 
+// syncDir fsyncs the directory dir, persisting a rename in it; a
+// filesystem without directory handles has nothing to sync. The one
+// seam through which the log syncs a directory.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
 // rewrite atomically replaces the log's contents with the given record
 // payloads, encoded against dict: write a temp file, fsync it, rename
 // over the log path, fsync the directory, then swap file handles and
 // dictionaries. Called under the owning engine's write lock, so no
-// append can interleave; a failure leaves the old log and dictionary.
+// append can interleave; a failure before the rename leaves the old log
+// and dictionary. A failed directory sync leaves the rename's
+// durability unknown — a crash may bring back the old log, which holds
+// the same state but not a record appended to the new one — so the log
+// swaps to the new file and goes fail-stop, like a failed append.
 func (w *wal) rewrite(payloads [][]byte, dict walDict) error {
 	tmp := w.path + ".compact"
 	f, size, err := writeWALFile(tmp, payloads)
@@ -108,12 +125,8 @@ func (w *wal) rewrite(payloads [][]byte, dict walDict) error {
 		os.Remove(tmp)
 		return fmt.Errorf("sqldb: compact rename: %w", err)
 	}
-	// Persist the rename; best-effort on filesystems without directory
-	// handles. The data itself is already fsynced.
-	if dir, derr := os.Open(filepath.Dir(w.path)); derr == nil {
-		dir.Sync() //nolint:errcheck
-		dir.Close()
-	}
+	// Persist the rename; the data itself is already fsynced.
+	derr := syncDir(filepath.Dir(w.path))
 	w.f.Close() //nolint:errcheck // old log fd; its inode is now unlinked
 	w.f = f
 	w.size = size
@@ -123,5 +136,9 @@ func (w *wal) rewrite(payloads [][]byte, dict walDict) error {
 	// shipping streams re-handshake, and wake any waiter so it notices.
 	w.epoch++
 	w.signal()
+	if derr != nil {
+		w.broken = derr
+		return fmt.Errorf("sqldb: compact: sync directory: %w", derr)
+	}
 	return nil
 }

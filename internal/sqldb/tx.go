@@ -290,7 +290,6 @@ func (b *Engine) commitOps(spec *Engine) error {
 	// ends with this commit, so its redo is remapped in place.
 	remap := make([]uint64, spec.nextID-provisionalIDBase)
 	nextBase := b.nextID // ≥ 1, so a zero in remap is an unmapped id
-	size := 2 * (walRecHeaderSize + 1)
 	for _, ops := range spec.redo {
 		for i := range ops {
 			op := &ops[i]
@@ -303,12 +302,18 @@ func (b *Engine) commitOps(spec *Engine) error {
 			}
 			op.id = remap[op.id-provisionalIDBase]
 		}
-		size += walRecHeaderSize + opsLen(ops)
 	}
 	// The group is logged between begin and commit markers, as one write
 	// and one sync: the markers are what lets recovery drop an
-	// uncommitted suffix. It is framed into one buffer sized for it.
+	// uncommitted suffix. It is framed into one buffer sized for it: each
+	// statement's record logs its updates against the rows as the
+	// group's earlier records leave them, which is what the statement
+	// read (the conflict check above pins a base row to its snapshot).
 	if b.wal != nil {
+		size := 2 * (walRecHeaderSize + 1)
+		for _, ops := range spec.redo {
+			size += walRecHeaderSize + opsLen(ops, &b.wal.dict, b.tables)
+		}
 		frames := appendRecord(make([]byte, 0, size), []byte{walRecBegin})
 		for _, ops := range spec.redo {
 			var err error
@@ -321,6 +326,15 @@ func (b *Engine) commitOps(spec *Engine) error {
 		}
 	}
 
+	// The group's inserts — each write set's rows under provisional ids,
+	// which sort last — enter their table in one growth of its entries
+	// and index keys, not one per doubling.
+	for key, ws := range spec.tables {
+		if ws.base != nil {
+			i, _ := searchID(ws.entries, provisionalIDBase)
+			b.tables[key].reserve(len(ws.entries) - i)
+		}
+	}
 	born := b.frontier.Load() + 1
 	for _, ops := range spec.redo {
 		b.applyOps(ops, born)

@@ -250,11 +250,13 @@ func TestTxFirstWriteAllocs(t *testing.T) {
 }
 
 // TestCommitGroupAlloc pins that Tx.Commit frames its begin..commit
-// group once: a 1000-row commit of tainted rows allocates at most three
-// times the log bytes it writes. That covers the framed group, the id
-// remap, and the rows' entries, versions and index pairs; a payload
-// grown from one byte, a group framed again, or each statement's ops
-// copied would not fit.
+// group once, in a buffer sized for the bytes it writes: a 1000-row
+// commit of tainted rows allocates at most 1.5 times the log bytes it
+// writes. That covers the framed group, the id remap, and the rows'
+// entries, versions and index pairs; a payload grown from one byte, a
+// buffer sized for the annotations inline instead of as dictionary
+// references, a group framed again, each statement's ops copied, or
+// entries and index keys grown by doubling would not fit.
 func TestCommitGroupAlloc(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commit.wal")
 	db := openWALDB(t, core.NewRuntime(), path)
@@ -289,7 +291,7 @@ func TestCommitGroupAlloc(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	logged, allocated := size()-logBefore, after.TotalAlloc-before.TotalAlloc
 	t.Logf("a 1000-row commit logged %d bytes and allocated %d", logged, allocated)
-	if allocated > 3*uint64(logged) {
-		t.Errorf("a 1000-row commit logged %d bytes and allocated %d, want ≤ %d", logged, allocated, 3*logged)
+	if limit := uint64(logged) * 3 / 2; allocated > limit {
+		t.Errorf("a 1000-row commit logged %d bytes and allocated %d, want ≤ %d", logged, allocated, limit)
 	}
 }

@@ -149,10 +149,10 @@ func checkCell(t *testing.T, c refCell, others []refCell) {
 	r := &replayer{engine: NewEngine()}
 	row := []rowOp{{kind: opInsert, table: "t", id: 1, vals: []value{v}}}
 	payload := opsPayload(row, nil, nil)
-	if len(payload) != opsLen(row) {
-		t.Errorf("%+v: payload of %d bytes, opsLen says %d", c, len(payload), opsLen(row))
+	if n := opsLen(row, nil, nil); len(payload) != n {
+		t.Errorf("%+v: payload of %d bytes, opsLen says %d", c, len(payload), n)
 	}
-	ops, err := r.decodeOps(payload[1:])
+	ops, err := r.decodeOps(payload)
 	if err != nil || len(ops) != 1 || len(ops[0].vals) != 1 || !ops[0].vals[0].eq(v) || refOf(ops[0].vals[0]) != c {
 		t.Errorf("%+v: WAL round trip gives %v (%v)", c, ops, err)
 	}

@@ -20,40 +20,48 @@ import (
 // and the serialized policy annotations, and the existing batched decode
 // (core.CompileAnnotation) re-interns the policy sets on first read.
 //
-// File format v3 (normative spec in docs/SQL.md §8, pinned byte-for-byte
-// by testdata/wal_v3.golden):
+// File format v4 (normative spec in docs/SQL.md §8, pinned byte-for-byte
+// by testdata/wal_v4.golden):
 //
-//	header:  8-byte magic "RESINWAL" + 1 version byte (0x03)
+//	header:  8-byte magic "RESINWAL" + 1 version byte (0x04)
 //	record:  uint32 LE payload length | uint32 LE CRC-32 (IEEE) of the
 //	         payload | payload bytes
 //	payload: 1 type byte + data
 //	types:   'S' statement (data = a DDL statement's dialect text, the
 //	             form Engine executed — post filter rewrite)
-//	         'R' row ops (data = the row-level redo of one DML
+//	         'W' row ops (data = the row-level redo of one DML
 //	             statement: uvarint op count, then per op a kind byte
-//	             'i'/'u'/'d', uvarint table-key length + bytes, uvarint
-//	             stable row id, and for 'i'/'u' a uvarint column count
-//	             followed by one value each: 'N' for NULL, 'I' + zigzag
-//	             varint for integers, 'T' + uvarint length + bytes for
-//	             text, 'D' + uvarint length + bytes for a policy
-//	             annotation that also defines the log's next dictionary
-//	             entry, 'A' + uvarint entry id for a reference to one —
-//	             so shadow policy columns persist byte-exactly with the
-//	             row version that carries them, each distinct annotation
-//	             written once)
+//	             'i'/'u'/'d', the table key as a text value, uvarint
+//	             stable row id, and for 'i'/'u' a uvarint column count,
+//	             a presence bitmap of ceil(count/8) bytes (column c is
+//	             bit c%8 of byte c/8), and one value per set bit: 'N'
+//	             for NULL, 'I' + zigzag varint for integers, 'T' +
+//	             uvarint length + bytes for text, 'D' + uvarint length +
+//	             bytes for text that also defines the log's next
+//	             dictionary entry, 'A' + uvarint entry id for a
+//	             reference to one. An insert's absent cell is NULL; an
+//	             update's is the cell of the row version it replaces)
+//	         'R' row ops as v2 and v3 wrote them (the table key as a
+//	             uvarint length + bytes, every cell present, no
+//	             bitmap): read, never written
 //	         'B' transaction begin marker (no data)
 //	         'C' transaction commit marker (no data)
 //
 // Row ops carry stable ids instead of DML text: replay rebuilds the
 // exact entries (ids, scan order, index buckets) the live engine had,
 // which is what lets transactions merge per-row instead of swapping
-// whole engines. Each log has one annotation dictionary (walDict): an
+// whole engines. An update logs only the cells it changes, against
+// exactly the version replay of the log prefix produces: the row's head
+// for a statement, or within a commit group the row as the group's
+// earlier records left it. Each log has one dictionary (walDict): an
 // entry's id is the count of 'D' values before it in the log, and the
-// writer uses 'D'/'A' only for non-NULL text in policy columns, at most
-// walDictCap entries per log. v2 is v3 without 'D'/'A'; OpenDB reads a
-// v2 log and compacts it to v3. Any other version byte — the retired
-// v1 statement format included — is refused as corruption, file
-// untouched.
+// writer uses 'D'/'A' only for table keys and non-NULL text in policy
+// columns, at most walDictCap entries per log, so shadow policy columns
+// persist byte-exactly with the row version that carries them and each
+// distinct annotation and table key is written once. v3 logs row ops
+// as 'R' records and v2 is v3 without 'D'/'A'; OpenDB reads either and
+// compacts it to v4. Any other version byte — the retired v1 statement
+// format included — is refused as corruption, file untouched.
 //
 // The log is written in one place (wal.append: every acknowledged
 // mutation is fsynced before its ack, unconditionally) and interpreted
@@ -71,7 +79,8 @@ import (
 // *WALCorruptionError instead of being silently dropped.
 const (
 	walMagic         = "RESINWAL"
-	walVersion       = 0x03
+	walVersion       = 0x04
+	walVersionV3     = 0x03
 	walVersionV2     = 0x02
 	walHeader        = walMagic + string(rune(walVersion))
 	walHeaderSize    = len(walHeader)
@@ -84,9 +93,10 @@ const (
 	// would be acked as durable and then silently truncated — along
 	// with everything after it — on the next open.
 	walMaxRecord = 64 << 20
-	// walDictCap bounds a log's annotation dictionary (the house's memo
-	// size): past it the writer logs new annotations inline ('T') until
-	// compaction starts a fresh dictionary, and a reader refuses a 'D'.
+	// walDictCap bounds a log's dictionary (the house's memo size): past
+	// it the writer logs new annotations and table keys inline ('T')
+	// until compaction starts a fresh dictionary, and a reader refuses a
+	// 'D'.
 	// It bounds the dictionary's heap on every side, for hostile logs too.
 	walDictCap = 4096
 )
@@ -101,7 +111,8 @@ const WALMaxRecord = walMaxRecord
 // WAL record type bytes.
 const (
 	walRecStmt   = 'S'
-	walRecOps    = 'R'
+	walRecOps    = 'W'
+	walRecRows   = 'R' // row ops in the v2/v3 layout: read, never written
 	walRecBegin  = 'B'
 	walRecCommit = 'C'
 )
@@ -179,45 +190,105 @@ type wal struct {
 	// loop can wait for new bytes without polling.
 	notify chan struct{}
 
-	// dict is the log's annotation dictionary, as of its last appended
-	// record.
+	// dict is the log's dictionary of annotations and table keys, as of
+	// its last appended record.
 	dict walDict
 }
 
-// walDict is the writer's side of a log's annotation dictionary: entry
-// i is the annotation of the log's i-th 'D' value. Encoding stages the
-// entries it defines; wal.append keeps them once their record is in the
-// log, and a refused or failed append drops them, so the dictionary
-// always describes the log's bytes. The text → id index is built on
-// first use: a replica's log, which never encodes, keeps only names.
+// walDict is the writer's side of a log's dictionary: entry i is the
+// text (an annotation or a table key) of the log's i-th 'D' value.
+// Sizing a record (opsLen) stages the entries it will define, encoding
+// it (appendOps) writes their definitions, and wal.append keeps them
+// once their record is in the log; a refused or failed append drops
+// them, so the dictionary always describes the log's bytes. The text →
+// id index is built on first use: a replica's log, which never encodes,
+// keeps only names.
 type walDict struct {
-	names   []string          // entry id → annotation
-	ids     map[string]uint64 // annotation → entry id, for names[:indexed]
+	names   []string          // entry id → text
+	ids     map[string]uint64 // text → entry id, for names[:indexed]
 	indexed int
+	written int // names[written:] are staged but not yet defined in encoded bytes
 	kept    int // names[kept:] are staged
+
+	// key is the last table key encoded and keyRef its entry id + 1 (0:
+	// none), so that the run of ops on one table looks its key up once.
+	key    string
+	keyRef uint64
 }
 
-// appendAnnotation encodes the policy cell s: a reference if s has an
-// entry, else a definition if the dictionary has room, else inline text.
-func (d *walDict) appendAnnotation(p []byte, s string) []byte {
+// loadedDict is the dictionary a replayed log prefix defines.
+func loadedDict(names []string) walDict {
+	return walDict{names: names, written: len(names), kept: len(names)}
+}
+
+// index returns the text → id index, brought up to date.
+func (d *walDict) index() map[string]uint64 {
 	if d.ids == nil {
 		d.ids = make(map[string]uint64, len(d.names))
 	}
 	for ; d.indexed < len(d.names); d.indexed++ {
 		d.ids[d.names[d.indexed]] = uint64(d.indexed)
 	}
-	if id, ok := d.ids[s]; ok {
-		return binary.AppendUvarint(append(p, walValRef), id)
+	return d.ids
+}
+
+// textLen is the encoded length of s as the next dictionary text of the
+// bytes being sized: a reference if s has an entry, else a definition if
+// the dictionary has room — staging the entry for appendText to define —
+// else inline text. A nil dictionary sizes everything inline.
+func (d *walDict) textLen(s string) int {
+	if d != nil {
+		ids := d.index()
+		if id, ok := ids[s]; ok {
+			return 1 + uvarintLen(id)
+		}
+		if len(d.names) < walDictCap {
+			ids[s] = uint64(len(d.names))
+			d.names = append(d.names, s)
+			d.indexed++
+		}
 	}
+	return 1 + uvarintLen(uint64(len(s))) + len(s)
+}
+
+// appendText encodes s as textLen sized it, in the same order: the
+// definition of a staged entry at its first use, a reference after, and
+// inline text for a text with no entry.
+func (d *walDict) appendText(p []byte, s string) []byte {
 	tag := byte(walValText)
-	if len(d.names) < walDictCap {
-		d.ids[s] = uint64(len(d.names))
-		d.names = append(d.names, s)
-		d.indexed++
-		tag = walValDef
+	if d != nil {
+		if id, ok := d.index()[s]; ok {
+			if id < uint64(d.written) {
+				return binary.AppendUvarint(append(p, walValRef), id)
+			}
+			d.written++ // sized in this order, so id == written
+			tag = walValDef
+		}
 	}
 	p = binary.AppendUvarint(append(p, tag), uint64(len(s)))
 	return append(p, s...)
+}
+
+// keyLen is textLen for a table key.
+func (d *walDict) keyLen(key string) int {
+	if d != nil && d.keyRef != 0 && key == d.key {
+		return 1 + uvarintLen(d.keyRef-1)
+	}
+	return d.textLen(key)
+}
+
+// appendKey is appendText for a table key.
+func (d *walDict) appendKey(p []byte, key string) []byte {
+	if d != nil && d.keyRef != 0 && key == d.key {
+		return binary.AppendUvarint(append(p, walValRef), d.keyRef-1)
+	}
+	p = d.appendText(p, key)
+	if d != nil {
+		if id, ok := d.ids[key]; ok {
+			d.key, d.keyRef = key, id+1
+		}
+	}
+	return p
 }
 
 // keep commits the staged entries: their records are in the log.
@@ -231,6 +302,10 @@ func (d *walDict) drop() {
 	clear(d.names[d.kept:])
 	d.names = d.names[:d.kept]
 	d.indexed = min(d.indexed, d.kept)
+	d.written = min(d.written, d.kept)
+	if d.keyRef > uint64(d.kept) {
+		d.key, d.keyRef = "", 0
+	}
 }
 
 // signal wakes a WALNotify waiter, if any; never blocks.
@@ -301,15 +376,16 @@ func appendValue(p []byte, v value) []byte {
 }
 
 // opsPayload builds the payload of a row-ops record — the row-level
-// redo of one DML statement — encoding policy cells against d (nil: all
+// redo of one DML statement — encoding texts against d (nil: all
 // inline), with the columns of each op's table read from tables.
 func opsPayload(ops []rowOp, d *walDict, tables map[string]*table) []byte {
-	return appendOps(make([]byte, 0, opsLen(ops)), ops, d, tables)
+	return appendOps(make([]byte, 0, opsLen(ops, d, tables)), ops, d, tables)
 }
 
 // appendOpsRecord frames the row-ops record of ops into buf, encoding
-// the payload straight behind its header against the log's dictionary.
-// A refused record drops every staged entry, its group's included.
+// the payload straight behind its header against the log's dictionary,
+// which opsLen has staged for ops. A refused record drops every staged
+// entry, its group's included.
 func (w *wal) appendOpsRecord(buf []byte, ops []rowOp, tables map[string]*table) ([]byte, error) {
 	at := len(buf)
 	buf = appendOps(append(buf, make([]byte, walRecHeaderSize)...), ops, &w.dict, tables)
@@ -323,7 +399,23 @@ func (w *wal) appendOpsRecord(buf []byte, ops []rowOp, tables map[string]*table)
 	return buf, nil
 }
 
-// appendOps appends the payload of ops' row-ops record to p.
+// logs reports whether op's record carries v, its cell c: an insert
+// leaves out a NULL, and an update a cell equal to the one it replaces.
+func (op *rowOp) logs(c int, v value) bool {
+	if op.old == nil {
+		return op.kind != opInsert || !v.isNull()
+	}
+	return !v.eq(op.old[c])
+}
+
+// dictCell reports whether cell c of a row of a table with columns cols
+// is encoded against the dictionary d: non-NULL text in a policy column.
+func dictCell(d *walDict, cols []ColumnDef, c int, v value) bool {
+	return d != nil && !v.marked() && IsPolicyColumn(cols[c].Name)
+}
+
+// appendOps appends the payload of ops' row-ops record to p, defining
+// the dictionary entries opsLen staged for it.
 func appendOps(p []byte, ops []rowOp, d *walDict, tables map[string]*table) []byte {
 	p = append(p, walRecOps)
 	p = binary.AppendUvarint(p, uint64(len(ops)))
@@ -332,72 +424,100 @@ func appendOps(p []byte, ops []rowOp, d *walDict, tables map[string]*table) []by
 	for i := range ops {
 		op := &ops[i]
 		p = append(p, op.kind)
-		p = binary.AppendUvarint(p, uint64(len(op.table)))
-		p = append(p, op.table...)
+		p = d.appendKey(p, op.table)
 		p = binary.AppendUvarint(p, op.id)
-		if op.kind == opInsert || op.kind == opUpdate {
-			if d != nil && op.table != colsOf {
-				cols, colsOf = tables[op.table].cols, op.table
+		if op.kind == opDelete {
+			continue
+		}
+		if d != nil && op.table != colsOf {
+			cols, colsOf = tables[op.table].cols, op.table
+		}
+		p = binary.AppendUvarint(p, uint64(len(op.vals)))
+		bitmap := len(p)
+		for range (len(op.vals) + 7) / 8 {
+			p = append(p, 0)
+		}
+		for c, v := range op.vals {
+			if !op.logs(c, v) {
+				continue
 			}
-			p = binary.AppendUvarint(p, uint64(len(op.vals)))
-			for c, v := range op.vals {
-				if d != nil && !v.isNull() && !v.isInt() && IsPolicyColumn(cols[c].Name) {
-					p = d.appendAnnotation(p, v.text())
-				} else {
-					p = appendValue(p, v)
-				}
+			p[bitmap+c/8] |= 1 << (c % 8)
+			if dictCell(d, cols, c, v) {
+				p = d.appendText(p, v.text())
+			} else {
+				p = appendValue(p, v)
 			}
 		}
 	}
 	return p
 }
 
-// opsLen is the length of ops' row-ops payload with every value inline
-// — at least its length against a dictionary — so that an encoder sizes
-// its buffer once.
-func opsLen(ops []rowOp) int {
+// opsLen is the length of ops' row-ops payload against d (nil: all
+// inline), staging in d the entries the payload will define, so that an
+// encoder sizes its buffer once, exactly.
+func opsLen(ops []rowOp, d *walDict, tables map[string]*table) int {
 	n := 1 + uvarintLen(uint64(len(ops)))
+	var cols []ColumnDef
+	colsOf := ""
 	for i := range ops {
 		op := &ops[i]
-		n += 1 + uvarintLen(uint64(len(op.table))) + len(op.table) + uvarintLen(op.id)
-		if op.kind == opInsert || op.kind == opUpdate {
-			n += uvarintLen(uint64(len(op.vals)))
-			for _, v := range op.vals {
-				switch {
-				case v.isNull():
-					n++
-				case v.isInt():
-					ux := uint64(v.num()) << 1 // appendValue's zigzag
-					if v.num() < 0 {
-						ux = ^ux
-					}
-					n += 1 + uvarintLen(ux)
-				default:
-					n += 1 + uvarintLen(uint64(len(v.text()))) + len(v.text())
-				}
+		n += 1 + d.keyLen(op.table) + uvarintLen(op.id)
+		if op.kind == opDelete {
+			continue
+		}
+		if d != nil && op.table != colsOf {
+			cols, colsOf = tables[op.table].cols, op.table
+		}
+		n += uvarintLen(uint64(len(op.vals))) + (len(op.vals)+7)/8
+		for c, v := range op.vals {
+			switch {
+			case !op.logs(c, v):
+			case dictCell(d, cols, c, v):
+				n += d.textLen(v.text())
+			default:
+				n += valueLen(v)
 			}
 		}
 	}
 	return n
 }
 
+// valueLen is the length of appendValue's encoding of v.
+func valueLen(v value) int {
+	switch {
+	case v.isNull():
+		return 1
+	case v.isInt():
+		ux := uint64(v.num()) << 1 // appendValue's zigzag
+		if v.num() < 0 {
+			ux = ^ux
+		}
+		return 1 + uvarintLen(ux)
+	default:
+		return 1 + uvarintLen(uint64(len(v.text()))) + len(v.text())
+	}
+}
+
 // uvarintLen is the length of x as binary.AppendUvarint writes it.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// decodeOps parses a row-ops record body (the bytes after the 'R' type
-// byte) into ops appended to the group's op storage. Any structural
+// decodeOps parses a row-ops record payload ('W', or 'R' as v2 and v3
+// wrote it) into ops appended to the group's op storage. Any structural
 // damage is an error: the payload was checksum-protected, so it cannot
 // be a torn tail. A run of ops on one table, within a record or across
 // records, shares one name string; a shadow policy cell is the interned
 // annotation (core.AnnotationString, as annotationFor stores it), read
-// straight from the record bytes. A 'D' value is interned and becomes
-// the dictionary's next entry; an 'A' value is the entry it names, with
-// no hashing. Which 'T' cells are policy cells is read from the table's
-// columns at decode time, so a table created earlier in the same B..C
-// group (only logs written when transactions could run DDL have one)
-// replays with its inline annotations unshared.
-func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
-	off := 0
+// straight from the record bytes. A 'D' value becomes the dictionary's
+// next entry — interned if it is a cell, a plain string if it is a
+// table key — and an 'A' value is the entry it names, with no hashing.
+// An insert's absent cell decodes to NULL and an update's to keepValue,
+// which replay fills from the row the update replaces (checkOps). Which
+// 'T' cells are policy cells is read from the table's columns at decode
+// time, so a table created earlier in the same B..C group (only logs
+// written when transactions could run DDL have one) replays with its
+// inline annotations unshared.
+func (r *replayer) decodeOps(payload []byte) ([]rowOp, error) {
+	rows, data, off := payload[0] == walRecRows, payload[1:], 0
 	uv := func() (uint64, error) {
 		v, n := binary.Uvarint(data[off:])
 		if n <= 0 {
@@ -406,6 +526,109 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 		off += n
 		return v, nil
 	}
+	text := func() ([]byte, error) {
+		n, err := uv()
+		if err != nil {
+			return nil, err
+		}
+		if n > uint64(len(data)-off) {
+			return nil, errors.New("truncated text value")
+		}
+		off += int(n)
+		return data[off-int(n) : off], nil
+	}
+	define := func(s string) error {
+		if len(r.dict) >= walDictCap {
+			return fmt.Errorf("dictionary entry past the cap of %d", walDictCap)
+		}
+		r.dict = append(r.dict, s)
+		return nil
+	}
+	ref := func() (string, error) {
+		id, err := uv()
+		if err != nil {
+			return "", err
+		}
+		if id >= uint64(len(r.dict)) {
+			return "", fmt.Errorf("reference to undefined dictionary entry %d", id)
+		}
+		return r.dict[id], nil
+	}
+	// table reads an op's table key into r.table: a text value in a 'W'
+	// record, a bare length-prefixed name in an 'R' one.
+	table := func() error {
+		tag := byte(walValText)
+		if !rows {
+			if off >= len(data) {
+				return errors.New("truncated table key")
+			}
+			tag, off = data[off], off+1
+		}
+		name := r.table
+		switch tag {
+		case walValText, walValDef:
+			raw, err := text()
+			if err != nil {
+				return err
+			}
+			if string(raw) != name {
+				name = string(raw)
+			}
+		case walValRef:
+			s, err := ref()
+			if err != nil {
+				return err
+			}
+			name = s
+		default:
+			return fmt.Errorf("unknown table key tag 0x%02x", tag)
+		}
+		if name != r.table {
+			r.table, r.gen = name, 0
+		}
+		if tag == walValDef {
+			return define(name)
+		}
+		return nil
+	}
+	// cell reads the value of column c.
+	cell := func(c int) (value, error) {
+		if off >= len(data) {
+			return value{}, errors.New("truncated value")
+		}
+		tag := data[off]
+		off++
+		switch tag {
+		case walValNull:
+			return nullValue(), nil
+		case walValInt:
+			n, w := binary.Varint(data[off:])
+			if w <= 0 {
+				return value{}, errors.New("truncated int value")
+			}
+			off += w
+			return intValue(n), nil
+		case walValText, walValDef:
+			raw, err := text()
+			switch {
+			case err != nil:
+				return value{}, err
+			case tag == walValDef:
+				s := core.AnnotationString(raw)
+				return textValue(s), define(s)
+			case c < len(r.cols) && IsPolicyColumn(r.cols[c].Name):
+				return textValue(core.AnnotationString(raw)), nil
+			default:
+				return textValue(string(raw)), nil
+			}
+		case walValRef:
+			s, err := ref()
+			return textValue(s), err
+		default:
+			return value{}, fmt.Errorf("unknown value tag 0x%02x", tag)
+		}
+	}
+
 	nops, err := uv()
 	if err != nil {
 		return nil, err
@@ -423,84 +646,48 @@ func (r *replayer) decodeOps(data []byte) ([]rowOp, error) {
 		if kind != opInsert && kind != opUpdate && kind != opDelete {
 			return nil, fmt.Errorf("unknown row op kind 0x%02x", kind)
 		}
-		tl, err := uv()
-		if err != nil {
+		if err := table(); err != nil {
 			return nil, err
-		}
-		if tl > uint64(len(data)-off) {
-			return nil, errors.New("truncated table name")
-		}
-		if name := data[off : off+int(tl)]; string(name) != r.table {
-			r.table, r.gen = string(name), 0
 		}
 		if gen := r.engine.gen.Load(); gen != r.gen {
 			r.cols, r.gen = r.engine.columnsOf(r.table), gen
 		}
-		off += int(tl)
 		id, err := uv()
 		if err != nil {
 			return nil, err
 		}
 		op := rowOp{kind: kind, table: r.table, id: id}
-		if kind == opInsert || kind == opUpdate {
+		if kind != opDelete {
 			ncols, err := uv()
 			if err != nil {
 				return nil, err
 			}
-			if ncols > uint64(len(data)-off) {
-				return nil, fmt.Errorf("column count %d exceeds payload", ncols)
-			}
-			op.vals = make([]value, 0, ncols)
-			for c := 0; c < int(ncols); c++ {
-				if off >= len(data) {
-					return nil, errors.New("truncated value")
+			// Each cell of an 'R' op is ≥ 1 byte, and each of a 'W' op
+			// ≥ 1 bit of its bitmap.
+			var bitmap []byte
+			if rows {
+				if ncols > uint64(len(data)-off) {
+					return nil, fmt.Errorf("column count %d exceeds payload", ncols)
 				}
-				tag := data[off]
-				off++
-				switch tag {
-				case walValNull:
-					op.vals = append(op.vals, nullValue())
-				case walValInt:
-					n, w := binary.Varint(data[off:])
-					if w <= 0 {
-						return nil, errors.New("truncated int value")
-					}
-					off += w
-					op.vals = append(op.vals, intValue(n))
-				case walValText, walValDef:
-					sl, err := uv()
-					if err != nil {
-						return nil, err
-					}
-					if sl > uint64(len(data)-off) {
-						return nil, errors.New("truncated text value")
-					}
-					raw := data[off : off+int(sl)]
-					off += int(sl)
-					switch {
-					case tag == walValDef:
-						if len(r.dict) >= walDictCap {
-							return nil, fmt.Errorf("dictionary entry past the cap of %d", walDictCap)
-						}
-						s := core.AnnotationString(raw)
-						r.dict = append(r.dict, s)
-						op.vals = append(op.vals, textValue(s))
-					case c < len(r.cols) && IsPolicyColumn(r.cols[c].Name):
-						op.vals = append(op.vals, textValue(core.AnnotationString(raw)))
-					default:
-						op.vals = append(op.vals, textValue(string(raw)))
-					}
-				case walValRef:
-					id, err := uv()
-					if err != nil {
-						return nil, err
-					}
-					if id >= uint64(len(r.dict)) {
-						return nil, fmt.Errorf("reference to undefined dictionary entry %d", id)
-					}
-					op.vals = append(op.vals, textValue(r.dict[id]))
-				default:
-					return nil, fmt.Errorf("unknown value tag 0x%02x", tag)
+			} else {
+				if (ncols+7)/8 > uint64(len(data)-off) {
+					return nil, fmt.Errorf("column count %d exceeds payload", ncols)
+				}
+				bitmap, off = data[off:off+int(ncols+7)/8], off+int(ncols+7)/8
+				if ncols%8 != 0 && bitmap[len(bitmap)-1]>>(ncols%8) != 0 {
+					return nil, fmt.Errorf("presence bitmap wider than %d columns", ncols)
+				}
+			}
+			absent := nullValue()
+			if kind == opUpdate {
+				absent = keepValue()
+			}
+			op.vals = make([]value, ncols)
+			for c := range op.vals {
+				if bitmap != nil && bitmap[c/8]&(1<<(c%8)) == 0 {
+					op.vals[c] = absent
+				} else if op.vals[c], err = cell(c); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -567,7 +754,7 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// writeWALFile writes a fresh v3 log containing the given record
+// writeWALFile writes a fresh v4 log containing the given record
 // payloads to path (the compaction writer and the new-file path share
 // it): header, one record per payload, fsynced before return.
 func writeWALFile(path string, payloads [][]byte) (*os.File, int64, error) {

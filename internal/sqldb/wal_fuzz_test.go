@@ -18,9 +18,9 @@ import (
 // a second open reproduces the same state — or it fails with the typed
 // corruption error. Nothing else. The same bytes, cut into chunks chosen
 // by the second fuzz argument, also go to a fresh Follower, which must
-// reach recovery's verdict (checkFollowerParity) — for a v3 log: a v2
-// log recovers by compaction to v3, and a replica is only ever shipped
-// its primary's v3 log.
+// reach recovery's verdict (checkFollowerParity) — for a v4 log: a v2
+// or v3 log recovers by compaction to v4, and a replica is only ever
+// shipped its primary's v4 log.
 func FuzzWALReplay(f *testing.F) {
 	header := append([]byte(walMagic), walVersion)
 	add := func(data []byte) { f.Add(data, int64(len(data))) }
@@ -53,9 +53,37 @@ func FuzzWALReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	// A log of what v4 logs as changes: a table key defined and then
+	// referenced, a one-column delta, an update to NULL, and a
+	// transaction that updates one row twice and then deletes it.
+	deltaPath := filepath.Join(f.TempDir(), "delta.wal")
+	db, err = OpenDB(rt, deltaPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE u (id INT, a TEXT, b TEXT)")
+	db.MustExec("INSERT INTO u (id, a, b) VALUES (1, 'x', 'y')")
+	db.MustExec("INSERT INTO u (id, a, b) VALUES (2, 'x', 'y')")
+	db.MustExec("UPDATE u SET a = 'z' WHERE id = 1")
+	db.MustExec("UPDATE u SET b = NULL WHERE id = 2")
+	tx = db.Begin()
+	tx.MustExec("UPDATE u SET a = 'p' WHERE id = 1")
+	tx.MustExec("UPDATE u SET b = 'q' WHERE id = 1")
+	tx.MustExec("DELETE FROM u WHERE id = 1")
+	if err := tx.Commit(); err != nil {
+		f.Fatal(err)
+	}
+	db.Close()
+	delta, err := os.ReadFile(deltaPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	add([]byte{})
 	add(header)
 	add(valid)
+	add(delta)
+	add(delta[:len(delta)-walRecHeaderSize-2])
 	add(valid[:len(valid)-5])
 	add(valid[:len(valid)/2])
 	add(append([]byte("NOTAWAL!"), valid...))
@@ -66,8 +94,9 @@ func FuzzWALReplay(f *testing.F) {
 	mut[len(header)+walRecHeaderSize+3] ^= 0x20
 	add(mut)
 
-	// Row-ops seeds. A well-formed 'R' record after its CREATE must
-	// replay; 'R' payloads that frame correctly (CRC valid) but decode to
+	// Row-ops seeds. A well-formed 'W' record after its CREATE must
+	// replay, its deltas resolved against the rows its own earlier ops
+	// wrote; 'W' payloads that frame correctly (CRC valid) but decode to
 	// nonsense — truncated op list, unknown table, tombstoned ghost —
 	// must surface as typed corruption, not a panic.
 	withCreate := appendRecord(append([]byte(nil), header...), stmtPayload("CREATE TABLE t (id INT, val TEXT)"))
@@ -77,6 +106,13 @@ func FuzzWALReplay(f *testing.F) {
 		{kind: opDelete, table: "t", id: 1},
 	}, nil, nil)
 	add(appendRecord(append([]byte(nil), withCreate...), goodOps))
+	row := []value{intValue(7), textValue("x")}
+	add(appendRecord(append([]byte(nil), withCreate...), opsPayload([]rowOp{
+		{kind: opInsert, table: "t", id: 1, vals: row},
+		{kind: opUpdate, table: "t", id: 1, vals: []value{intValue(8), row[1]}, old: row},
+		{kind: opUpdate, table: "t", id: 1, vals: []value{intValue(8), nullValue()}, old: []value{intValue(8), row[1]}},
+		{kind: opDelete, table: "t", id: 1},
+	}, nil, nil)))
 	add(appendRecord(append([]byte(nil), withCreate...), []byte{walRecOps, 0x09})) // claims 9 ops, has none
 	add(appendRecord(append([]byte(nil), withCreate...),
 		opsPayload([]rowOp{{kind: opUpdate, table: "ghost", id: 3, vals: []value{nullValue(), nullValue()}}}, nil, nil)))
@@ -88,10 +124,13 @@ func FuzzWALReplay(f *testing.F) {
 	// definition past walDictCap; a definition inside a group whose
 	// commit marker is torn, which recovery must drop with the group.
 	refOp := func(vals ...byte) []byte {
-		return append([]byte{walRecOps, 1, opInsert, 1, 't', 1, 2, walValInt, 2}, vals...)
+		return append([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1, 2, 0x03, walValInt, 2}, vals...)
 	}
 	add(appendRecord(append([]byte(nil), withCreate...), refOp(walValRef, 5)))
-	past := binary.AppendUvarint([]byte{walRecOps, 1, opInsert, 1, 't', 1}, walDictCap+1)
+	past := binary.AppendUvarint([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1}, walDictCap+1)
+	for i := 0; i <= walDictCap; i += 8 {
+		past = append(past, byte(1<<min(8, walDictCap+1-i)-1))
+	}
 	for i := 0; i <= walDictCap; i++ {
 		past = append(past, walValDef, 1, 'x')
 	}
@@ -110,7 +149,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("recovery error is not the typed corruption error: %v", err)
 		}
-		if len(data) <= len(walMagic) || data[len(walMagic)] != walVersionV2 {
+		if len(data) <= len(walMagic) || data[len(walMagic)] != walVersionV2 && data[len(walMagic)] != walVersionV3 {
 			checkFollowerParity(t, rt, data, rand.New(rand.NewSource(chunking)), db, err)
 		}
 		if err != nil {

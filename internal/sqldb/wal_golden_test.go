@@ -16,20 +16,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestWALGoldenEncoding pins the WAL v3 byte format — magic and version
+// TestWALGoldenEncoding pins the WAL v4 byte format — magic and version
 // byte, record framing (length + CRC), the statement/row-ops/begin/
-// commit type bytes, row ids and value encodings inside 'R' records,
-// the shadow-policy annotation serialization, and the annotation
+// commit type bytes, table keys, row ids, presence bitmaps and value
+// encodings inside 'W' records, an update logged as the cells it
+// changes, the shadow-policy annotation serialization, and the
 // dictionary's definitions ('D') and references ('A') — against
-// testdata/wal_v3.golden. An accidental format change fails here loudly
+// testdata/wal_v4.golden. An accidental format change fails here loudly
 // instead of silently orphaning old logs. Regenerate deliberately with:
 //
 //	go test ./internal/sqldb -run TestWALGoldenEncoding -update
 //
 // and bump walVersion if old logs can no longer replay.
-// (TestWALV2Upgrade pins that the v2 golden still opens;
-// TestWALLegacyV1Replay that v1 statement-format logs are refused
-// untouched.)
+// (TestWALV2Upgrade and TestWALV3Upgrade pin that the v2 and v3 goldens
+// still open; TestWALLegacyV1Replay that v1 statement-format logs are
+// refused untouched.)
 func TestWALGoldenEncoding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden.wal")
 	rt := core.NewRuntime()
@@ -70,7 +71,7 @@ func TestWALGoldenEncoding(t *testing.T) {
 	if !bytes.Contains(got, []byte{walValDef}) || !bytes.Contains(got, []byte{walValRef, 0}) {
 		t.Error("the golden scenario no longer defines and references a dictionary entry")
 	}
-	goldenPath := filepath.Join("testdata", "wal_v3.golden")
+	goldenPath := filepath.Join("testdata", "wal_v4.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -206,6 +207,83 @@ func TestWALV2Upgrade(t *testing.T) {
 	}
 	if res.Len() != 1 || res.Get(0, "password").Str.Raw() != "n3wpw" || !res.Get(0, "password").Str.IsTainted() {
 		t.Fatalf("upgraded log lost the v2 row or its annotation")
+	}
+}
+
+// TestWALV3Upgrade opens the checked-in testdata/wal_v3.golden — a v3
+// log, whose row ops are 'R' records of whole rows with table names
+// inline and annotations through the dictionary — and requires the
+// state its records replay to (as a replica fed the same records
+// rebuilds it), the log rewritten as v4 on disk, and a log that takes
+// writes, an update of one column included, and reopens to the same
+// state.
+func TestWALV3Upgrade(t *testing.T) {
+	v3, err := os.ReadFile(filepath.Join("testdata", "wal_v3.golden"))
+	if err != nil {
+		t.Fatalf("%v (the v3 golden must stay checked in as a read fixture)", err)
+	}
+	if v3[len(walMagic)] != walVersionV3 {
+		t.Fatalf("v3 golden has version byte %d", v3[len(walMagic)])
+	}
+	if !bytes.Contains(v3, []byte{walValRef, 0}) {
+		t.Fatal("the v3 golden no longer references a dictionary entry")
+	}
+	rt := core.NewRuntime()
+	fdb := openWALDB(t, rt, filepath.Join(t.TempDir(), "replica.wal"))
+	defer fdb.Close()
+	f, err := NewFollower(fdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Apply(int64(walHeaderSize), v3[walHeaderSize:]); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpEngine(fdb.Engine())
+
+	path := filepath.Join(t.TempDir(), "v3.wal")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := openWALDB(t, rt, path)
+	if got := dumpEngine(db.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v3 log opened to\n%+v\nwant\n%+v", got, want)
+	}
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(head[:walHeaderSize]) != walHeader {
+		t.Fatalf("opened v3 log has header %q, want %q", head[:walHeaderSize], walHeader)
+	}
+	for off := walHeaderSize; off < len(head); {
+		payload, end, ok := walNextRecord(head, off)
+		if !ok || payload[0] == walRecRows {
+			t.Fatalf("opened v3 log at %d: intact %v, record type %q", off, ok, payload[:min(len(payload), 1)])
+		}
+		off = end
+	}
+	pw := core.NewStringPolicy("n3wpw", &passwordPolicy{Email: "u@example.org"})
+	if _, err := db.QueryRaw("INSERT INTO users (email, password) VALUES (?, ?)", "w@example.org", pw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryRaw("UPDATE users SET email = ? WHERE email = ?", "x@example.org", "v@example.org"); err != nil {
+		t.Fatal(err)
+	}
+	want = dumpEngine(db.Engine())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openWALDB(t, rt, path)
+	defer db.Close()
+	if got := dumpEngine(db.Engine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("upgraded log reopened to\n%+v\nwant\n%+v", got, want)
+	}
+	res, err := db.QueryRaw("SELECT password FROM users WHERE email = ?", "x@example.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Get(0, "password").Str.Raw() != "0therpw!" || !res.Get(0, "password").Str.IsTainted() {
+		t.Fatalf("upgraded log lost the v3 row or its annotation after a one-column update")
 	}
 }
 

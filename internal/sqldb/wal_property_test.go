@@ -150,7 +150,9 @@ func checkFollowerRestart(t *testing.T, rt *core.Runtime, data []byte, rng *rand
 
 // TestWALCrashRecoveryProperty runs a seeded randomized DDL/DML workload
 // (tainted values included, under a pool of policies so that the log's
-// annotation dictionary defines entries throughout) against a persistent
+// annotation dictionary defines entries throughout; updates that change
+// one column of several, set one to NULL, or rewrite one with an equal
+// value, so that the log's deltas leave cells out) against a persistent
 // database, then replays a crash at every record boundary and at several
 // mid-record offsets: copy-truncate the log, reopen, and require the
 // recovered tables, indexes, and shadow policy columns to equal the
@@ -213,11 +215,23 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 		var err error
 		switch rng.Intn(4) {
 		case 0, 1:
-			_, err = q(core.NewString("INSERT INTO "+name+" (id, val) VALUES (?, ?)"),
-				id, taint(fmt.Sprintf("v%d", rng.Intn(1000))))
-		case 2:
-			_, err = q(core.NewString("UPDATE "+name+" SET val = ? WHERE id = ?"),
-				taint(fmt.Sprintf("u%d", rng.Intn(1000))), id)
+			_, err = q(core.NewString("INSERT INTO "+name+" (id, val, note) VALUES (?, ?, ?)"),
+				id, taint(fmt.Sprintf("v%d", rng.Intn(1000))), fmt.Sprintf("n%d", rng.Intn(3)))
+		case 2: // the WAL logs an update's changed cells only
+			switch rng.Intn(3) {
+			case 0: // one column of several
+				_, err = q(core.NewString("UPDATE "+name+" SET val = ? WHERE id = ?"),
+					taint(fmt.Sprintf("u%d", rng.Intn(1000))), id)
+			case 1: // a column to NULL, maybe alongside a changed one
+				_, err = q(core.NewString("UPDATE "+name+" SET note = NULL, val = ? WHERE id = ?"),
+					taint(fmt.Sprintf("u%d", rng.Intn(1000))), id)
+				if err == nil && rng.Intn(2) == 0 {
+					_, err = q(core.NewString("UPDATE "+name+" SET note = NULL WHERE id = ?"), id)
+				}
+			case 2: // a column rewritten with an equal value, another maybe not
+				_, err = q(core.NewString("UPDATE "+name+" SET id = ?, note = ? WHERE id = ?"),
+					id, fmt.Sprintf("n%d", rng.Intn(3)), id)
+			}
 		case 3:
 			_, err = q(core.NewString("DELETE FROM "+name+" WHERE id = ?"), id)
 		}
@@ -240,7 +254,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 					continue
 				}
 			} else {
-				db.MustExec("CREATE TABLE " + name + " (id INT, val TEXT)")
+				db.MustExec("CREATE TABLE " + name + " (id INT, val TEXT, note TEXT)")
 				live[name] = true
 			}
 		case r == 1: // transaction: a few writes, commit or roll back
@@ -248,6 +262,21 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			n := 1 + rng.Intn(3)
 			for i := 0; i < n; i++ {
 				mutate(tx.Query)
+			}
+			if name, ok := someTable(); ok && rng.Intn(2) == 0 {
+				// One row written by three statements of the group: each
+				// update is logged against the row the one before left.
+				id := rng.Intn(20)
+				must := func(_ *Result, err error) {
+					if err != nil {
+						t.Fatalf("transaction rewriting one row of %s: %v", name, err)
+					}
+				}
+				must(tx.Query(core.NewString("INSERT INTO "+name+" (id, val, note) VALUES (?, ?, 'n0')"),
+					id, taint(fmt.Sprintf("v%d", rng.Intn(1000)))))
+				must(tx.Query(core.NewString("UPDATE "+name+" SET val = ? WHERE id = ?"),
+					taint(fmt.Sprintf("u%d", rng.Intn(1000))), id))
+				must(tx.Query(core.NewString("UPDATE "+name+" SET note = NULL WHERE id = ?"), id))
 			}
 			if rng.Intn(4) == 0 {
 				if err := tx.Rollback(); err != nil {

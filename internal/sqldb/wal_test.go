@@ -203,8 +203,9 @@ func TestWALTornTail(t *testing.T) {
 }
 
 // TestWALCorruptionTyped: damage a crash cannot produce — bad magic, an
-// unknown record type or marker misuse under a valid checksum — is a
-// typed *WALCorruptionError, not a silent truncation.
+// unknown record type, marker misuse or row ops replay cannot place
+// under a valid checksum — is a typed *WALCorruptionError, not a silent
+// truncation.
 func TestWALCorruptionTyped(t *testing.T) {
 	rt := core.NewRuntime()
 	dir := t.TempDir()
@@ -235,6 +236,31 @@ func TestWALCorruptionTyped(t *testing.T) {
 		var ce *WALCorruptionError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: err %T is not *WALCorruptionError", name, err)
+		}
+	}
+
+	// Row ops the checksum vouches for but replay cannot place, each with
+	// the cause it must name: an update logged as a delta on a row with no
+	// live version, a table key naming a dictionary entry the log never
+	// defined, and a presence bitmap with a bit past the column count.
+	withCreate := appendRecord(append([]byte(nil), header...), stmtPayload("CREATE TABLE t (id INT, val TEXT)"))
+	opCases := map[string]struct {
+		payload []byte
+		cause   string
+	}{
+		"delta-on-missing-row": {opsPayload([]rowOp{{kind: opUpdate, table: "t", id: 5,
+			vals: []value{intValue(1), textValue("x")}, old: []value{intValue(1), textValue("y")}}}, nil, nil),
+			"no live version"},
+		"undefined-table-ref": {[]byte{walRecOps, 1, opDelete, walValRef, 3, 1},
+			"undefined dictionary entry 3"},
+		"bitmap-past-columns": {[]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1, 2, 0x07,
+			walValInt, 2, walValText, 1, 'x', walValInt, 3}, "presence bitmap wider than 2 columns"},
+	}
+	for name, c := range opCases {
+		_, err := OpenDB(rt, write(name+".wal", appendRecord(append([]byte(nil), withCreate...), c.payload)))
+		var ce *WALCorruptionError
+		if !errors.As(err, &ce) || ce.Err == nil || !strings.Contains(ce.Err.Error(), c.cause) {
+			t.Errorf("%s: err = %v, want corruption naming %q", name, err, c.cause)
 		}
 	}
 
@@ -710,6 +736,54 @@ func TestWALCommitAfterCloseRefused(t *testing.T) {
 	res, err := db2.QueryRaw("SELECT * FROM t")
 	if err != nil || res.Len() != 1 {
 		t.Fatalf("recovered rows = %d (%v), want 1", res.Len(), err)
+	}
+}
+
+// TestWALCompactDirSyncFailStop: when the directory sync after
+// compaction's rename fails, Compact returns the cause and the log goes
+// fail-stop — every later statement, commit and compaction fails with
+// the sticky error — because the rename may not be durable and a record
+// acked into the new file could vanish with it. Reads still answer,
+// Close works, and a reopen recovers every acknowledged row.
+func TestWALCompactDirSyncFailStop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dirsync.wal")
+	rt := core.NewRuntime()
+	db := openWALDB(t, rt, path)
+	db.MustExec("CREATE TABLE t (a INT, b TEXT)")
+	for i := 0; i < 5; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t (a, b) VALUES (%d, 'row %d')", i, i))
+	}
+	db.MustExec("UPDATE t SET b = 'changed' WHERE a = 3")
+	acked := dumpEngine(db.Engine())
+
+	injected := errors.New("injected directory sync failure")
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(string) error { return injected }
+	if err := db.Compact(); !errors.Is(err, injected) {
+		t.Fatalf("Compact with a failing directory sync = %v, want the cause", err)
+	}
+	tx := db.Begin()
+	tx.MustExec("INSERT INTO t (a, b) VALUES (9, 'in tx')")
+	for what, err := range map[string]error{
+		"statement": func() error { _, err := db.QueryRaw("INSERT INTO t (a, b) VALUES (7, 'late')"); return err }(),
+		"commit":    tx.Commit(),
+		"compact":   db.Compact(),
+	} {
+		if !errors.Is(err, injected) {
+			t.Errorf("%s after the failed directory sync = %v, want the sticky error", what, err)
+		}
+	}
+	res, err := db.QueryRaw("SELECT b FROM t WHERE a = 3")
+	if err != nil || res.Len() != 1 || res.Get(0, "b").Str.Raw() != "changed" {
+		t.Fatalf("read after the failed directory sync: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after the failed directory sync: %v", err)
+	}
+	db2 := openWALDB(t, rt, path)
+	defer db2.Close()
+	if got := dumpEngine(db2.Engine()); !reflect.DeepEqual(got, acked) {
+		t.Fatalf("reopen after the failed directory sync\ngot:  %+v\nwant: %+v", got, acked)
 	}
 }
 
