@@ -833,6 +833,8 @@ func (t *table) reserve(n int) {
 // grow returns s with room for n more elements, moved in one allocation
 // if it has less — by at least a quarter, so that small growths
 // amortize, and by no more, so that a large table keeps little slack.
+// (slices.Grow, append's policy in one step, allocates twice under
+// -race.)
 func grow[E any](s []E, n int) []E {
 	if cap(s)-len(s) >= n {
 		return s

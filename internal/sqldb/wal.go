@@ -209,11 +209,6 @@ type walDict struct {
 	indexed int
 	written int // names[written:] are staged but not yet defined in encoded bytes
 	kept    int // names[kept:] are staged
-
-	// key is the last table key encoded and keyRef its entry id + 1 (0:
-	// none), so that the run of ops on one table looks its key up once.
-	key    string
-	keyRef uint64
 }
 
 // loadedDict is the dictionary a replayed log prefix defines.
@@ -269,28 +264,6 @@ func (d *walDict) appendText(p []byte, s string) []byte {
 	return append(p, s...)
 }
 
-// keyLen is textLen for a table key.
-func (d *walDict) keyLen(key string) int {
-	if d != nil && d.keyRef != 0 && key == d.key {
-		return 1 + uvarintLen(d.keyRef-1)
-	}
-	return d.textLen(key)
-}
-
-// appendKey is appendText for a table key.
-func (d *walDict) appendKey(p []byte, key string) []byte {
-	if d != nil && d.keyRef != 0 && key == d.key {
-		return binary.AppendUvarint(append(p, walValRef), d.keyRef-1)
-	}
-	p = d.appendText(p, key)
-	if d != nil {
-		if id, ok := d.ids[key]; ok {
-			d.key, d.keyRef = key, id+1
-		}
-	}
-	return p
-}
-
 // keep commits the staged entries: their records are in the log.
 func (d *walDict) keep() { d.kept = len(d.names) }
 
@@ -303,9 +276,6 @@ func (d *walDict) drop() {
 	d.names = d.names[:d.kept]
 	d.indexed = min(d.indexed, d.kept)
 	d.written = min(d.written, d.kept)
-	if d.keyRef > uint64(d.kept) {
-		d.key, d.keyRef = "", 0
-	}
 }
 
 // signal wakes a WALNotify waiter, if any; never blocks.
@@ -424,7 +394,7 @@ func appendOps(p []byte, ops []rowOp, d *walDict, tables map[string]*table) []by
 	for i := range ops {
 		op := &ops[i]
 		p = append(p, op.kind)
-		p = d.appendKey(p, op.table)
+		p = d.appendText(p, op.table)
 		p = binary.AppendUvarint(p, op.id)
 		if op.kind == opDelete {
 			continue
@@ -461,7 +431,7 @@ func opsLen(ops []rowOp, d *walDict, tables map[string]*table) int {
 	colsOf := ""
 	for i := range ops {
 		op := &ops[i]
-		n += 1 + d.keyLen(op.table) + uvarintLen(op.id)
+		n += 1 + d.textLen(op.table) + uvarintLen(op.id)
 		if op.kind == opDelete {
 			continue
 		}
@@ -662,19 +632,24 @@ func (r *replayer) decodeOps(payload []byte) ([]rowOp, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Each cell of an 'R' op is ≥ 1 byte, and each of a 'W' op
-			// ≥ 1 bit of its bitmap.
+			// A 'W' op has exactly its table's columns, one bit each of
+			// its bitmap. An 'R' op's cells are ≥ 1 byte each, and an op
+			// on a table replay does not know (checkOps refuses it) is
+			// held to that bound too.
+			if !rows && r.cols != nil && ncols != uint64(len(r.cols)) {
+				return nil, fmt.Errorf("column count %d != %d columns of %s", ncols, len(r.cols), r.table)
+			}
+			if (rows || r.cols == nil) && ncols > uint64(len(data)-off) {
+				return nil, fmt.Errorf("column count %d exceeds payload", ncols)
+			}
 			var bitmap []byte
-			if rows {
-				if ncols > uint64(len(data)-off) {
-					return nil, fmt.Errorf("column count %d exceeds payload", ncols)
+			if !rows {
+				nb := int(ncols+7) / 8
+				if nb > len(data)-off {
+					return nil, errors.New("truncated presence bitmap")
 				}
-			} else {
-				if (ncols+7)/8 > uint64(len(data)-off) {
-					return nil, fmt.Errorf("column count %d exceeds payload", ncols)
-				}
-				bitmap, off = data[off:off+int(ncols+7)/8], off+int(ncols+7)/8
-				if ncols%8 != 0 && bitmap[len(bitmap)-1]>>(ncols%8) != 0 {
+				bitmap, off = data[off:off+nb], off+nb
+				if ncols%8 != 0 && bitmap[nb-1]>>(ncols%8) != 0 {
 					return nil, fmt.Errorf("presence bitmap wider than %d columns", ncols)
 				}
 			}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -120,19 +121,23 @@ func FuzzWALReplay(f *testing.F) {
 		opsPayload([]rowOp{{kind: opDelete, table: "t", id: 99}}, nil, nil))) // delete of a row never inserted
 	add(appendRecord(append([]byte(nil), header...), goodOps)) // row ops before any schema
 
+	// A column count at the top of the uvarint range, which must not
+	// wrap the bitmap's length.
+	add(appendRecord(append([]byte(nil), withCreate...),
+		binary.AppendUvarint([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1}, math.MaxUint64)))
+
 	// Dictionary seeds: a reference to an entry never defined; one
-	// definition past walDictCap; a definition inside a group whose
-	// commit marker is torn, which recovery must drop with the group.
+	// definition past walDictCap (each of walDictCap+1 inserts defines
+	// one); a definition inside a group whose commit marker is torn,
+	// which recovery must drop with the group.
 	refOp := func(vals ...byte) []byte {
 		return append([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1, 2, 0x03, walValInt, 2}, vals...)
 	}
 	add(appendRecord(append([]byte(nil), withCreate...), refOp(walValRef, 5)))
-	past := binary.AppendUvarint([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1}, walDictCap+1)
-	for i := 0; i <= walDictCap; i += 8 {
-		past = append(past, byte(1<<min(8, walDictCap+1-i)-1))
-	}
-	for i := 0; i <= walDictCap; i++ {
-		past = append(past, walValDef, 1, 'x')
+	past := binary.AppendUvarint([]byte{walRecOps}, walDictCap+1)
+	for id := 1; id <= walDictCap+1; id++ {
+		past = binary.AppendUvarint(append(past, opInsert, walValText, 1, 't'), uint64(id))
+		past = append(past, 2, 0x03, walValInt, 2, walValDef, 1, 'x')
 	}
 	add(appendRecord(append([]byte(nil), withCreate...), past))
 	torn := appendRecord(append([]byte(nil), withCreate...), []byte{walRecBegin})

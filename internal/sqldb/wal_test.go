@@ -1,8 +1,10 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -242,7 +244,8 @@ func TestWALCorruptionTyped(t *testing.T) {
 	// Row ops the checksum vouches for but replay cannot place, each with
 	// the cause it must name: an update logged as a delta on a row with no
 	// live version, a table key naming a dictionary entry the log never
-	// defined, and a presence bitmap with a bit past the column count.
+	// defined, a presence bitmap with a bit past the column count, and a
+	// column count that is not the table's.
 	withCreate := appendRecord(append([]byte(nil), header...), stmtPayload("CREATE TABLE t (id INT, val TEXT)"))
 	opCases := map[string]struct {
 		payload []byte
@@ -255,6 +258,8 @@ func TestWALCorruptionTyped(t *testing.T) {
 			"undefined dictionary entry 3"},
 		"bitmap-past-columns": {[]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1, 2, 0x07,
 			walValInt, 2, walValText, 1, 'x', walValInt, 3}, "presence bitmap wider than 2 columns"},
+		"column-count-overflow": {binary.AppendUvarint([]byte{walRecOps, 1, opInsert, walValText, 1, 't', 1}, math.MaxUint64),
+			"column count 18446744073709551615 != 2 columns of t"},
 	}
 	for name, c := range opCases {
 		_, err := OpenDB(rt, write(name+".wal", appendRecord(append([]byte(nil), withCreate...), c.payload)))
