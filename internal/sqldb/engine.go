@@ -266,13 +266,20 @@ func (t *table) colIndex(name string) int {
 }
 
 // scope resolves column references to positions in the row layout an
-// expression evaluates against. A single table is a scope over its own
-// columns; a join evaluates against concatenated left++right rows via
-// joinScope (join.go). The binder resolves through this interface, so
-// one bound evaluator serves both layouts.
+// expression evaluates against, and names and types those positions. A
+// single table is a scope over its own columns; a join evaluates against
+// concatenated left++right rows via joinScope (join.go). The binder
+// resolves through this interface, so one bound evaluator serves both
+// layouts.
 type scope interface {
 	resolveCol(name string) (int, error)
+	outColName(ref string, ci int) string
+	colDef(ci int) ColumnDef
+	width() int
 }
+
+func (t *table) colDef(ci int) ColumnDef { return t.cols[ci] }
+func (t *table) width() int              { return len(t.cols) }
 
 // splitQualifier splits a table-qualified column reference "t.c" into
 // its qualifier and column. Names without a dot — or with an empty half,
@@ -557,10 +564,11 @@ func (e *Engine) minActiveSnap() uint64 {
 }
 
 // rawResult is the engine-level result of a SELECT: column names plus
-// plain values. A single-table SELECT's rows are the matched versions'
-// value slices themselves — immutable, so they are read in place — and
-// pos holds the bound plan's positions: column j of a row is
-// row[pos[j]]. Joins and aggregates build their rows, and pos is nil.
+// plain values. An ungrouped SELECT's rows are the matched versions'
+// value slices themselves — immutable, so they are read in place — or a
+// join's combined rows, and pos holds the bound plan's positions: column
+// j of a row is row[pos[j]]. Aggregates build their rows, and pos is
+// nil.
 type rawResult struct {
 	cols []string
 	rows [][]value
@@ -618,7 +626,7 @@ func (e *Engine) ExecuteRaw(stmt Statement) (res *rawResult, affected int, err e
 // plan of stmt (or of the statement stmt was rewritten into), used when
 // it was bound at the generation of the catalog the statement resolves
 // against; otherwise the binder binds stmt under the lock. execute
-// returns the bound plan it ran — nil for DDL, joins and aggregates.
+// returns the bound plan it ran — nil for DDL.
 func (e *Engine) execute(stmt Statement, slots []Expr, b *boundStmt) (*rawResult, int, *boundStmt, error) {
 	if s, ok := stmt.(*Select); ok {
 		r, b, err := e.selectAt(s, slots, b, nil)
@@ -750,7 +758,7 @@ func (e *Engine) validateDML(stmt Statement, slots []Expr, b *boundStmt) (int, [
 	}
 	if gen := e.gen.Load(); !b.fits(gen, targets) {
 		var err error
-		if b, err = bindStmt(stmt, t, len(slots), gen); err != nil {
+		if b, err = bindStmt(stmt, t, nil, len(slots), gen); err != nil {
 			return 0, nil, nil, err
 		}
 	}
@@ -1392,8 +1400,12 @@ func (rs *rowSource) next() (*rowEntry, *rowVersion) {
 func (t *table) collect(cs *candSet, dst []indexCand, b *boundStmt, slots []Expr, scan, desc, mayOrder bool) (cands []indexCand, ordered bool) {
 	cs.probeCI = -1
 	probe, usable := indexProbe{}, false
-	if !scan {
+	if scan {
+		mayOrder = false
+	} else {
 		probe, usable = t.chooseProbe(b.conj, slots)
+		// A grouped statement's ORDER BY orders its groups, not its rows.
+		mayOrder = mayOrder && b.aggs == nil
 	}
 	switch {
 	case usable && mayOrder && b.order == probe.ci:
@@ -1406,7 +1418,7 @@ func (t *table) collect(cs *candSet, dst []indexCand, b *boundStmt, slots []Expr
 	case usable:
 		cs.probeCI = probe.ci
 		return probe.rowOrderCandidates(dst), false
-	case !scan && mayOrder && b.order >= 0 && t.indexes[b.order] != nil:
+	case mayOrder && b.order >= 0 && t.indexes[b.order] != nil:
 		// ORDER BY pushdown without a probe: traverse the whole ordered
 		// index (NULL bucket first for ASC, last for DESC) and filter.
 		cs.probeCI = b.order
@@ -1452,22 +1464,22 @@ func (e *Engine) rowCands(rs *rowSource, t *table, dst []indexCand, b *boundStmt
 }
 
 // selectAt executes a SELECT over e in two phases. Under the read lock
-// it resolves the table, takes the bound plan b when it was bound at the
-// engine's generation or binds the statement afresh, captures the
-// snapshot (pinned, or the current frontier — registered so vacuum keeps
-// its versions), picks the access path, and copies out the candidate
-// set (rowCands: on a speculative engine, a table the transaction wrote
-// is its write set merged over the base). Then it releases the lock and
-// evaluates WHERE, ordering and LIMIT against immutable versions — row
-// evaluation never blocks a writer, and no writer can perturb it. The
-// result keeps the matched versions' values and projects nothing. It
-// returns the bound plan it ran (nil for joins and aggregates, which
-// bind per execution).
+// it resolves the table (and a join's right table), takes the bound plan
+// b when it was bound at the engine's generation or binds the statement
+// afresh, captures the snapshot (pinned, or the current frontier —
+// registered so vacuum keeps its versions), picks the access path, and
+// copies out the candidate set (rowCands: on a speculative engine, a
+// table the transaction wrote is its write set merged over the base);
+// both sides of a join are read by scan. Then it releases the lock and
+// joins, evaluates WHERE, groups, orders and applies LIMIT against
+// immutable versions — row evaluation never blocks a writer, and no
+// writer can perturb it. An ungrouped result keeps the matched rows'
+// values and projects nothing. It returns the bound plan it ran.
+//
+// selectAt has seven returns: with its two defers, more would stop the
+// compiler from open-coding them (returns × defers ≤ 15), which costs a
+// point SELECT a few percent.
 func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64) (*rawResult, *boundStmt, error) {
-	if s.Join != nil || s.grouped() {
-		raw, err := e.selectComplexAt(s, slots, pinned)
-		return raw, nil, err
-	}
 	limit, err := selectLimit(s, slots)
 	if err != nil {
 		return nil, nil, err
@@ -1482,14 +1494,19 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 	}
 	defer unlock()
 
-	key := strings.ToLower(s.Table)
-	t, ok := e.tables[key]
+	t, ok := e.tables[strings.ToLower(s.Table)]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Table)
 	}
 	if gen := e.gen.Load(); !b.fits(gen, 0) {
-		if b, err = bindStmt(s, t, len(slots), gen); err != nil {
+		if b, err = bindStmt(s, t, e.tables, len(slots), gen); err != nil {
 			return nil, nil, err
+		}
+	}
+	var rt *table
+	if b.rkey != "" {
+		if rt, ok = e.tables[b.rkey]; !ok {
+			return nil, nil, fmt.Errorf("%w: %s", ErrNoTable, s.Join.Table)
 		}
 	}
 
@@ -1506,34 +1523,52 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 	// SortCount) can be skipped — ORDER BY pushdown. The buffers keep a
 	// point lookup's candidates off the heap.
 	var scBuf [8]indexCand
-	var rs rowSource
+	var ls, rs rowSource
 	var ordered bool
-	rs.base.cands, ordered = e.rowCands(&rs, t, scBuf[:0], b, slots, s.ForceScan, s.Desc, snap)
+	if rt == nil {
+		ls.base.cands, ordered = e.rowCands(&ls, t, scBuf[:0], b, slots, s.ForceScan, s.Desc, snap)
+	} else {
+		e.rowCands(&ls, t, nil, nil, slots, true, false, snap)
+		e.rowCands(&rs, rt, nil, nil, slots, true, false, snap)
+	}
 	unlock()
 
-	// Lock-free phase: resolve visibility, evaluate, order.
-	// When candidates already arrive in final order — an ordered-index
-	// traversal, or no ORDER BY at all (id order is result order) —
-	// the LIMIT short-circuits the walk after k visible matches instead
-	// of collecting everything and truncating (top-k is O(k), not O(n)).
-	canStop := limit >= 0 && (ordered || b.order < 0)
+	// Lock-free phase: resolve visibility, evaluate, group or order.
 	var mBuf [8][]value
-	matched := slices.Grow(mBuf[:0], rs.len())
-	for en, v := rs.next(); en != nil; en, v = rs.next() {
-		if canStop && len(matched) >= limit {
-			limitStops.Add(1)
-			break
+	var matched [][]value
+	if rt == nil {
+		// When candidates already arrive in final order — an
+		// ordered-index traversal, or no ORDER BY at all (id order is
+		// result order) — the LIMIT short-circuits the walk after k
+		// visible matches instead of collecting everything and
+		// truncating (top-k is O(k), not O(n)). Groups are not rows, so
+		// a grouped statement walks every row.
+		canStop := limit >= 0 && b.aggs == nil && (ordered || b.order < 0)
+		matched = slices.Grow(mBuf[:0], ls.len())
+		for en, v := ls.next(); en != nil; en, v = ls.next() {
+			if canStop && len(matched) >= limit {
+				limitStops.Add(1)
+				break
+			}
+			if v == nil {
+				continue
+			}
+			var ok bool
+			if ok, err = b.where.test(v.row(), slots); err != nil {
+				break
+			}
+			if ok {
+				matched = append(matched, v.row())
+			}
 		}
-		if v == nil {
-			continue
-		}
-		ok, err := b.where.test(v.row(), slots)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			matched = append(matched, v.row())
-		}
+	} else {
+		matched, err = b.join(ls.visible(), rs.visible(), len(rt.cols), s.Join.Type == "LEFT", s.ForceLoop, slots)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if b.aggs != nil {
+		return b.aggregate(matched, s.Desc, limit), b, nil
 	}
 	if b.order >= 0 && !ordered {
 		sortCalls.Add(1)
@@ -1547,6 +1582,18 @@ func (e *Engine) selectAt(s *Select, slots []Expr, b *boundStmt, pinned *uint64)
 	out := &rawResult{cols: b.names, pos: b.cols}
 	out.rows = append(out.buf[:0], matched...)
 	return out, b, nil
+}
+
+// visible consumes rs and returns the rows visible at its snapshot, in
+// id order.
+func (rs *rowSource) visible() [][]value {
+	rows := make([][]value, 0, rs.len())
+	for en, v := rs.next(); en != nil; en, v = rs.next() {
+		if v != nil {
+			rows = append(rows, v.row())
+		}
+	}
+	return rows
 }
 
 // sortRows stably sorts rows by the value at position ci, NULLs first

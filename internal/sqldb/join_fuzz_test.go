@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzJoinAggregate feeds arbitrary query tails to a fixed two-table
-// SELECT prefix and diffs the planned executor (hash join, cost hook,
-// index-assisted LIMIT) against the nested-loop/scan reference executor
-// on the same database. The invariants: never panic, fail with
+// SELECT prefix and diffs the planned executor (hash join,
+// index-assisted LIMIT) and the prepared route against the
+// nested-loop/scan reference executor on the same database. The invariants: never panic, fail with
 // byte-identical error text, or succeed with identical rows, order, and
 // decoded policy sets (requireSameResults — aggregate policy unions
 // included). Runs in the CI fuzz smoke alongside FuzzPredicateAnalyzer.

@@ -14,19 +14,21 @@ import (
 )
 
 // The reference-executor differential harness for joins and aggregates:
-// every generated query runs twice against the SAME database — once
-// through the planner (hash join, build-side cost hook, index-assisted
-// LIMIT) and once with ForceLoop+ForceScan, the nested-loop-over-scans
-// reference executor whose semantics are obvious by inspection. The two
-// executions must fail with byte-identical errors or succeed with
-// identical rows, identical order, and identical decoded policy sets —
-// including the PUNION-carried unions on aggregate outputs. This is the
-// executable form of docs/SQL.md §10's propagation rules.
-// FuzzJoinAggregate reuses diffPlanned over adversarial query text.
+// every generated query runs against the SAME database through the
+// planner (hash join, index-assisted LIMIT), with ForceLoop+ForceScan —
+// the nested-loop-over-scans reference executor whose semantics are
+// obvious by inspection — and twice as query text through DB.Query,
+// whose second run reuses the first one's bound plan. The executions
+// must fail with byte-identical errors or succeed with identical rows,
+// identical order, and identical decoded policy sets — including the
+// PUNION-carried unions on aggregate outputs. This is the executable
+// form of docs/SQL.md §10's propagation rules. FuzzJoinAggregate reuses
+// diffPlanned over adversarial query text.
 
-// diffPlanned executes one SELECT through the planned path and through
-// the nested-loop/scan oracle, requiring matching error behavior and,
-// on success, results identical down to serialized policy annotations.
+// diffPlanned executes one SELECT through the planned path, through the
+// nested-loop/scan oracle and twice through the prepared route,
+// requiring matching error behavior and, on success, results identical
+// down to serialized policy annotations.
 func diffPlanned(t testing.TB, db *DB, q string) {
 	t.Helper()
 	stmt, err := Parse(core.NewString(q))
@@ -42,16 +44,24 @@ func diffPlanned(t testing.TB, db *DB, q string) {
 	forced := *sel
 	forced.ForceLoop, forced.ForceScan = true, true
 	oracle, berr := executeWithPolicies(e, &forced)
-	if (aerr == nil) != (berr == nil) {
-		t.Fatalf("%s: planned err=%v, oracle err=%v", q, aerr, berr)
-	}
-	if aerr != nil {
-		if aerr.Error() != berr.Error() {
-			t.Fatalf("%s: error text differs:\n  planned %v\n  oracle  %v", q, aerr, berr)
+	same := func(arm string, res *Result, err error) {
+		t.Helper()
+		if (aerr == nil) != (err == nil) {
+			t.Fatalf("%s: planned err=%v, %s err=%v", q, aerr, arm, err)
 		}
-		return
+		if aerr != nil {
+			if aerr.Error() != err.Error() {
+				t.Fatalf("%s: error text differs:\n  planned %v\n  %s %v", q, aerr, arm, err)
+			}
+			return
+		}
+		requireSameResults(t, q+" ("+arm+")", planned, res)
 	}
-	requireSameResults(t, q, planned, oracle)
+	same("oracle", oracle, berr)
+	for _, arm := range []string{"prepared", "prepared again"} {
+		res, err := db.QueryRaw(q)
+		same(arm, res, err)
+	}
 }
 
 // joinWorkload generates random two-table queries over the fixed

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"resin/internal/core"
@@ -34,11 +36,12 @@ import (
 // engine's schema generation — the bound plan: which policy columns
 // exist for the statement's tables, the SELECT item list rewritten to
 // fetch them, every column reference resolved to a row position (the
-// projection, WHERE as a tree over positions and slots, the conjuncts an
-// index probe may use, the ORDER BY position) and how the result's
-// columns pair up. Any CREATE/DROP of a table or index stamps a fresh
-// generation, so plans rebind instead of reusing stale conclusions (see
-// docs/SQL.md §5 for the invalidation rules).
+// projection, a join's ON columns, the grouping columns and aggregates,
+// WHERE as a tree over positions and slots, the conjuncts an index probe
+// may use, the ORDER BY position) and how the result's columns pair up.
+// Any CREATE/DROP of a table or index stamps a fresh generation, so
+// plans rebind instead of reusing stale conclusions (see docs/SQL.md §5
+// for the invalidation rules).
 
 // textMemoCap bounds the remembered texts. The memo is a core.Cache,
 // whose young generation holds half its entries, so up to 1024 texts
@@ -85,7 +88,7 @@ type planSchema struct {
 	stmt  Statement
 	write *writeRewrite // INSERT and UPDATE: the bound Figure 4 rewrite
 	// bound is stmt resolved against the generation's tables (bindStmt);
-	// nil for DDL, joins and aggregates, which bind per execution.
+	// nil for DDL.
 	bound *boundStmt
 	shape resultShape // SELECT: how the engine's columns pair up (deriveShape)
 }
@@ -228,20 +231,30 @@ func (cp *compiled) slots(bound []Expr) ([]Expr, error) {
 	return bound, nil
 }
 
-// boundStmt is a single-table statement bound to one schema generation:
-// every name it holds is resolved to a row position. It is immutable,
-// and shared by every execution that finds its engine at gen.
+// boundStmt is a statement bound to one schema generation: every name
+// it holds is resolved to a row position — for a join, a position in the
+// combined left++right row. It is immutable, and shared by every
+// execution that finds its engine at gen.
 type boundStmt struct {
 	gen   uint64
 	names []string // SELECT: output column names
-	// cols are SELECT's projected positions, INSERT's target position
-	// per column, and UPDATE's per assignment — -1 for a column the
-	// table lacks, reported when the execution reaches that assignment,
-	// after any earlier assignment's bad value.
+	// cols are SELECT's projected positions (-1 for COUNT(*)), INSERT's
+	// target position per column, and UPDATE's per assignment — -1 for a
+	// column the table lacks, reported when the execution reaches that
+	// assignment, after any earlier assignment's bad value.
 	cols  []int
 	where *boundExpr  // nil matches every row
-	conj  []probeConj // the WHERE's AND-spine conjuncts on the table's columns
+	conj  []probeConj // the WHERE's AND-spine conjuncts on the table's columns; none for a join
 	order int         // SELECT: ORDER BY position; -1 for none
+	// A join: the right table's key — the table itself is looked up per
+	// execution, under the lock, so a transaction's write set is the one
+	// read — and the ON columns' positions in the left and right rows.
+	rkey     string
+	lon, ron int
+	// A grouped SELECT: each item's aggregate ("" for a grouping column),
+	// and the GROUP BY positions. aggs is nil for an ungrouped statement.
+	aggs  []string
+	group []int
 }
 
 // fits reports whether b may execute a statement with targets INSERT
@@ -252,12 +265,14 @@ func (b *boundStmt) fits(gen uint64, targets int) bool {
 	return b != nil && b.gen == gen && len(b.cols) >= targets
 }
 
-// bindStmt is the binder: it resolves every name of a single-table
-// statement against t, reporting the first that does not resolve in the
-// order the engine always has (SELECT: items, WHERE, ORDER BY; INSERT:
+// bindStmt is the binder: it resolves every name of a statement against
+// t — and, for a join, the right table in tables — reporting the first
+// that does not resolve in the order the engine always has (SELECT: the
+// join's table and ON columns, GROUP BY, items, WHERE, ORDER BY; INSERT:
 // columns; UPDATE and DELETE: WHERE). Its executions fill nslots slots.
-func bindStmt(stmt Statement, t *table, nslots int, gen uint64) (*boundStmt, error) {
+func bindStmt(stmt Statement, t *table, tables map[string]*table, nslots int, gen uint64) (*boundStmt, error) {
 	b := &boundStmt{gen: gen, order: -1}
+	var sc scope = t
 	var where Expr
 	switch s := stmt.(type) {
 	case *Insert:
@@ -269,20 +284,15 @@ func bindStmt(stmt Statement, t *table, nslots int, gen uint64) (*boundStmt, err
 		}
 		return b, nil
 	case *Select:
-		if s.Star {
-			b.names, b.cols = make([]string, len(t.cols)), make([]int, len(t.cols))
-			for i, c := range t.cols {
-				b.names[i], b.cols[i] = c.Name, i
+		if s.Join != nil {
+			js, err := b.bindJoin(s.Join, t, tables)
+			if err != nil {
+				return nil, err
 			}
-		} else {
-			b.names, b.cols = make([]string, len(s.Items)), make([]int, len(s.Items))
-			for i, it := range s.Items {
-				ci, err := t.resolveCol(it.Col)
-				if err != nil {
-					return nil, err
-				}
-				b.names[i], b.cols[i] = t.outColName(it.Col, ci), ci
-			}
+			sc = js
+		}
+		if err := b.bindItems(s, sc); err != nil {
+			return nil, err
 		}
 		where = s.Where
 	case *Update:
@@ -293,15 +303,20 @@ func bindStmt(stmt Statement, t *table, nslots int, gen uint64) (*boundStmt, err
 		return nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
 	}
 	var err error
-	if b.where, err = bindWhere(where, t, nslots); err != nil {
+	if b.where, err = bindWhere(where, sc, nslots); err != nil {
 		return nil, err
 	}
-	b.conj = t.probeConjuncts(where, nil)
+	if b.rkey == "" {
+		b.conj = t.probeConjuncts(where, nil)
+	}
 	switch s := stmt.(type) {
 	case *Select:
 		if s.OrderBy != "" {
-			if b.order, err = t.resolveCol(s.OrderBy); err != nil {
+			if b.order, err = sc.resolveCol(s.OrderBy); err != nil {
 				return nil, err
+			}
+			if b.aggs != nil && !slices.Contains(b.group, b.order) {
+				return nil, fmt.Errorf("sqldb: ORDER BY %s must name a GROUP BY column in an aggregate query", s.OrderBy)
 			}
 		}
 	case *Update:
@@ -311,6 +326,95 @@ func bindStmt(stmt Statement, t *table, nslots int, gen uint64) (*boundStmt, err
 		}
 	}
 	return b, nil
+}
+
+// bindJoin checks a join's right table and form and binds its ON
+// columns, one from each table; the rest of the statement resolves in
+// the scope it returns.
+func (b *boundStmt) bindJoin(j *JoinClause, lt *table, tables map[string]*table) (*joinScope, error) {
+	b.rkey = strings.ToLower(j.Table)
+	rt, ok := tables[b.rkey]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, j.Table)
+	}
+	if lt == rt {
+		return nil, fmt.Errorf("sqldb: self-join of table %s is not supported", lt.name)
+	}
+	if j.Type != "INNER" && j.Type != "LEFT" {
+		return nil, fmt.Errorf("sqldb: unsupported join type %q", j.Type)
+	}
+	js := &joinScope{lt: lt, rt: rt}
+	l, err := js.resolveCol(j.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := js.resolveCol(j.R)
+	if err != nil {
+		return nil, err
+	}
+	if (l < len(lt.cols)) == (r < len(lt.cols)) {
+		return nil, fmt.Errorf("sqldb: ON %s = %s must join one column from each table", j.L, j.R)
+	}
+	b.lon, b.ron = min(l, r), max(l, r)-len(lt.cols)
+	return js, nil
+}
+
+// bindItems binds a SELECT's GROUP BY columns and its projection. A
+// grouped statement's plain items must name a grouping column — checked
+// by resolved position, so any spelling of the column qualifies.
+func (b *boundStmt) bindItems(s *Select, sc scope) error {
+	grouped := s.grouped()
+	for _, g := range s.GroupBy {
+		ci, err := sc.resolveCol(g)
+		if err != nil {
+			return err
+		}
+		b.group = append(b.group, ci)
+	}
+	if s.Star {
+		if grouped {
+			return fmt.Errorf("sqldb: SELECT * cannot be combined with GROUP BY or aggregates")
+		}
+		// A join's star emits the left table's columns then the right's,
+		// all qualified.
+		js, join := sc.(*joinScope)
+		for ci := range sc.width() {
+			name := sc.colDef(ci).Name
+			if join {
+				name = js.qualName(ci)
+			}
+			b.names, b.cols = append(b.names, name), append(b.cols, ci)
+		}
+		return nil
+	}
+	b.names, b.cols = make([]string, len(s.Items)), make([]int, len(s.Items))
+	if grouped {
+		b.aggs = make([]string, len(s.Items))
+	}
+	for i, it := range s.Items {
+		if it.Agg != "" && it.Star { // COUNT(*)
+			b.names[i], b.cols[i], b.aggs[i] = it.Agg+"(*)", -1, it.Agg
+			continue
+		}
+		ci, err := sc.resolveCol(it.Col)
+		if err != nil {
+			return err
+		}
+		name := sc.outColName(it.Col, ci)
+		switch {
+		case it.Agg == "SUM" && sc.colDef(ci).Type != ColInt:
+			return fmt.Errorf("%w: SUM(%s) requires an INT column", ErrTypeMismatch, it.Col)
+		case it.Agg != "":
+			name = it.Agg + "(" + name + ")"
+		case grouped && !slices.Contains(b.group, ci):
+			return fmt.Errorf("sqldb: column %s must appear in GROUP BY or inside an aggregate", it.Col)
+		}
+		b.names[i], b.cols[i] = name, ci
+		if grouped {
+			b.aggs[i] = it.Agg
+		}
+	}
+	return nil
 }
 
 // boundExpr is an expression bound to positions, the one form the

@@ -585,6 +585,67 @@ func TestSharedPlanAcrossGenerations(t *testing.T) {
 	}
 }
 
+// TestPreparedJoinFollowsSchema: a prepared join and a prepared grouped
+// join keep answering as the uncached route does after an index is
+// created, inside a transaction whose write set holds the joined table
+// (the plan binds the table's key, so the write set is the table read),
+// and after reviews is dropped and re-created with its columns in
+// another order — the plan rebinds every ON, item, WHERE and ORDER BY
+// position.
+func TestPreparedJoinFollowsSchema(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE papers (id INT, title TEXT)")
+	reviews := func(ddl string) {
+		db.MustExec(ddl)
+		for i := 0; i < 6; i++ {
+			if _, err := db.QueryRaw("INSERT INTO reviews (paper, reviewer, body) VALUES (?, ?, ?)", i%3,
+				core.NewStringPolicy(fmt.Sprintf("rv%d", 5-i), &passwordPolicy{Email: "r@x"}), fmt.Sprintf("b%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reviews("CREATE TABLE reviews (paper INT, reviewer TEXT, body TEXT)")
+	for i := 0; i < 4; i++ {
+		if _, err := db.QueryRaw("INSERT INTO papers (id, title) VALUES (?, ?)", i,
+			core.NewStringPolicy(fmt.Sprintf("p%d", i), &passwordPolicy{Email: "p@x"})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join := core.NewString("SELECT papers.title, reviews.reviewer, reviews.body FROM papers LEFT JOIN reviews ON papers.id = reviews.paper WHERE papers.id = ? ORDER BY reviews.reviewer")
+	grouped := core.NewString("SELECT reviews.paper, COUNT(*), MIN(reviewer), PUNION(papers.__policy_title) FROM reviews JOIN papers ON paper = id GROUP BY reviews.paper ORDER BY reviews.paper DESC")
+	check := func(stage string) {
+		t.Helper()
+		for id := 0; id < 4; id++ {
+			requirePlannedMatchesUncached(t, db, join, id)
+		}
+		requirePlannedMatchesUncached(t, db, grouped)
+		tx := db.Begin()
+		defer tx.Rollback() //nolint:errcheck
+		if _, err := tx.QueryRaw("INSERT INTO reviews (paper, reviewer, body) VALUES (1, 'aa', 'in tx')"); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			q    core.String
+			args []any
+		}{{join, []any{1}}, {grouped, nil}} {
+			want, werr := uncachedExec(tx.spec, c.q, c.args...)
+			got, gerr := tx.Query(c.q, c.args...)
+			if g, w := renderResult(t, got, gerr), renderResult(t, want, werr); g != w {
+				t.Fatalf("%s, in a transaction: %s:\n got %s\nwant %s", stage, c.q.Raw(), g, w)
+			}
+		}
+	}
+	check("first binding")
+	db.MustExec("CREATE INDEX ON papers (id)")
+	check("after CREATE INDEX")
+	db.MustExec("DROP TABLE reviews")
+	reviews("CREATE TABLE reviews (body TEXT, paper INT, reviewer TEXT)")
+	check("after reviews is re-created")
+	if db.Filter().PlanStats().Invalidations == 0 {
+		t.Error("the DDL must have invalidated the bound plans")
+	}
+}
+
 // TestPlannedEqualsUncached: the cached rewrite and result shape answer
 // exactly as the uncached pairing does — over the whole query-route
 // corpus (each execution inside its own rolled-back transaction, so the
@@ -671,9 +732,55 @@ func TestPreparedPointSelectAllocs(t *testing.T) {
 	}
 }
 
+// TestPreparedJoinAllocs pins the tracked prepared LEFT JOIN of the
+// hotcrp review page over 32 papers with 3 reviews each. Both sides are
+// read by scan, so each execution builds the hash join over all 96
+// reviews — its per-key lists are most of the count — and pairs every
+// paper. WHERE is tested on each pair before the pair gets a row of its
+// own, and the kept rows are projected through the bound positions, not
+// copied (364 allocations when every pair got a row and every kept row
+// a projected copy, 244 now).
+func TestPreparedJoinAllocs(t *testing.T) {
+	db := openDB(t)
+	db.MustExec("CREATE TABLE papers (id INT, title TEXT, abstract TEXT, authors TEXT, anonymous INT)")
+	db.MustExec("CREATE INDEX ON papers (id)")
+	db.MustExec("CREATE TABLE reviews (paper INT, reviewer TEXT, body TEXT)")
+	db.MustExec("CREATE INDEX ON reviews (paper)")
+	const npapers = 32
+	for i := 0; i < npapers; i++ {
+		p := &passwordPolicy{Email: fmt.Sprintf("a%d@x", i)}
+		if _, err := db.QueryRaw("INSERT INTO papers (id, title, abstract, authors, anonymous) VALUES (?, ?, 'abs', ?, 0)",
+			i, core.NewStringPolicy(fmt.Sprintf("paper %d", i), p), core.NewStringPolicy("authors", p)); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			if _, err := db.QueryRaw("INSERT INTO reviews (paper, reviewer, body) VALUES (?, ?, ?)", i,
+				core.NewStringPolicy(fmt.Sprintf("pc%d", r), p), core.NewStringPolicy("looks fine", p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sel := db.MustPrepare("SELECT papers.title, reviews.reviewer, reviews.body FROM papers LEFT JOIN reviews ON papers.id = reviews.paper WHERE papers.id = ? ORDER BY reviews.reviewer")
+	i := 0
+	query := func() {
+		res, err := sel.Query(i % npapers)
+		if err != nil || res.Len() != 3 || !res.Get(0, "reviews.body").Str.IsTainted() {
+			t.Fatalf("paper %d: %+v, %v", i%npapers, res, err)
+		}
+		i++
+	}
+	for range [npapers]struct{}{} { // warm the plan and the annotation memo
+		query()
+	}
+	if allocs := testing.AllocsPerRun(200, query); allocs > 244 {
+		t.Errorf("tracked prepared LEFT JOIN: %.0f allocs/op, want ≤ 244", allocs)
+	}
+}
+
 // TestBoundPlanResolvesNoNames: once a plan is bound at the engine's
-// generation, executing a single-table SELECT, UPDATE or DELETE
-// resolves no column name — on the tracked arm and the untracked one.
+// generation, executing a SELECT — single-table, join or aggregate —
+// UPDATE or DELETE resolves no column name, on the tracked arm and the
+// untracked one.
 func TestBoundPlanResolvesNoNames(t *testing.T) {
 	for _, rt := range []*core.Runtime{core.NewRuntime(), core.NewUntrackedRuntime()} {
 		db := Open(rt)
@@ -684,6 +791,26 @@ func TestBoundPlanResolvesNoNames(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		db.MustExec("CREATE TABLE papers (id INT, title TEXT)")
+		db.MustExec("CREATE TABLE reviews (paper INT, reviewer TEXT, body TEXT)")
+		db.MustExec("CREATE INDEX ON reviews (paper)")
+		users := "CREATE TABLE users (name TEXT, role TEXT)"
+		if !rt.Tracking() {
+			// The companion the tracked arm's CREATE adds.
+			users = "CREATE TABLE users (name TEXT, role TEXT, __policy_name TEXT)"
+		}
+		db.MustExec(users)
+		for i := 0; i < 4; i++ {
+			if _, err := db.QueryRaw("INSERT INTO papers (id, title) VALUES (?, ?)", i, fmt.Sprintf("p%d", i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.QueryRaw("INSERT INTO reviews (paper, reviewer, body) VALUES (?, ?, 'ok')", i%2, fmt.Sprintf("rv%d", i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.QueryRaw("INSERT INTO users (name, role) VALUES (?, ?)", fmt.Sprintf("u%d", i), []string{"chair", "pc"}[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, c := range []struct {
 			q    string
 			args []any
@@ -691,6 +818,8 @@ func TestBoundPlanResolvesNoNames(t *testing.T) {
 			{"SELECT name, n FROM t WHERE id >= ? AND n < 6 ORDER BY name DESC LIMIT 3", []any{2}},
 			{"UPDATE t SET n = ?, name = ? WHERE id = ?", []any{5, core.NewStringPolicy("x", &passwordPolicy{Email: "b@x"}), 3}},
 			{"DELETE FROM t WHERE id = ? AND name = 'never'", []any{4}},
+			{"SELECT papers.title, reviews.reviewer, reviews.body FROM papers LEFT JOIN reviews ON papers.id = reviews.paper WHERE papers.id = ? ORDER BY reviews.reviewer", []any{1}},
+			{"SELECT role, COUNT(*), PUNION(__policy_name) FROM users GROUP BY role", nil},
 		} {
 			st := db.MustPrepare(c.q)
 			if _, err := st.Query(c.args...); err != nil { // binds the plan
